@@ -4,7 +4,7 @@ PYTHON ?= python
 # pass the shell's ${PYTHONPATH:+:$PYTHONPATH} through literally)
 PP = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: test stress bench bench-all bench-smoke bench-tiers bench-background bench-spec bench-analysis bench-lowering bench-obs bench-serve bench-scalarize trace-smoke serve-smoke
+.PHONY: test stress bench bench-all bench-smoke bench-tiers bench-background bench-spec bench-analysis bench-lowering bench-obs bench-serve bench-scalarize ledger ledger-smoke trace-smoke serve-smoke
 
 test:
 	$(PP) $(PYTHON) -m pytest -x -q
@@ -57,6 +57,16 @@ bench-serve:
 # deopt-recipe cost delta (backs docs/scalarization.md)
 bench-scalarize:
 	$(PP) $(PYTHON) -m benchmarks scalarize --json BENCH_scalarize.json
+
+# the perf ledger, the repository's benchmark (BENCHMARK.json): every
+# workload untraced then traced, result file under benchmarks/ledger/out/
+# (benchmarks/ledger/README.md)
+ledger:
+	$(PP) $(PYTHON) -m benchmarks.ledger run
+
+# the ledger's self-test plus every workload once (~20 s)
+ledger-smoke:
+	$(PP) $(PYTHON) -m pytest benchmarks/ledger -q --smoke
 
 # the full evaluation: tiers + the paper's Q1-Q4 drivers (minutes)
 bench:

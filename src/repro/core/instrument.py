@@ -580,7 +580,7 @@ def remove_osr_point(point, engine=None, am=None) -> Function:
     Retargets the firing branch so the check block falls through
     unconditionally, deletes the ``osr`` block, and strips the now-dead
     condition machinery (including self-sustaining counter phis) with
-    aggressive DCE.  The continuation/stub functions stay in the module —
+    DCE.  The continuation/stub functions stay in the module —
     other callers may still reference them; drop them explicitly if not.
 
     Accepts a :class:`ResolvedOSR`, :class:`OpenOSR`, or anything with
@@ -588,7 +588,7 @@ def remove_osr_point(point, engine=None, am=None) -> Function:
     function.
     """
     from ..analysis.cfg import remove_unreachable_blocks
-    from ..transform.dce import aggressive_dce
+    from ..transform.dce import eliminate_dead_code
 
     func: Function = point.function
     osr_block: BasicBlock = point.osr_block
@@ -605,7 +605,7 @@ def remove_osr_point(point, engine=None, am=None) -> Function:
         term.erase_from_parent()
         IRBuilder(pred).br(remaining[0])
     remove_unreachable_blocks(func)
-    aggressive_dce(func)
+    eliminate_dead_code(func)
     verify_function(func)
     if engine is not None:
         engine.invalidate(func)  # bumps code_version via the manager

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from ..ir import types as T
 from ..ir.builder import IRBuilder
 from ..ir.function import BasicBlock, Function, Module
+from ..ir.instructions import AllocaInst
 from ..ir.types import FunctionType
 from ..ir.values import (
     ConstantFloat,
@@ -105,6 +106,8 @@ class CodeGenerator:
         self._return_ctype: Optional[C.CType] = None
         self._break_targets: List[BasicBlock] = []
         self._continue_targets: List[BasicBlock] = []
+        #: where the next local's alloca goes in the entry block
+        self._alloca_index = 0
 
     # -- program -------------------------------------------------------------------
 
@@ -196,6 +199,7 @@ class CodeGenerator:
             slot = self.builder.alloca(arg.type, f"{arg.name}.addr")
             self.builder.store(arg, slot)
             self._locals_stack[0][param.name] = _LocalVar(param.type, slot)
+        self._alloca_index = len(entry.instructions)
         self._gen_block(fd.body)
         # implicit return on fall-through
         if not self.builder.block.is_terminated:
@@ -277,10 +281,20 @@ class CodeGenerator:
             raise CodegenError(f"cannot generate {type(stmt).__name__}",
                                stmt.line)
 
+    def _entry_alloca(self, ty: T.Type, name: str) -> AllocaInst:
+        """Every local's slot lives in the entry block, wherever it is
+        declared (clang -O0 style): it is allocated once per call and
+        mem2reg / scalarize, which only look there, can promote it.  The
+        initialising store stays at the declaration."""
+        slot = AllocaInst(ty, name=name)
+        self._function.entry.insert(self._alloca_index, slot)
+        self._alloca_index += 1
+        return slot
+
     def _gen_var_decl(self, decl: C.VarDecl) -> None:
         if decl.array_size is not None:
             elem_ty = lower_type(decl.type)
-            slot = self.builder.alloca(
+            slot = self._entry_alloca(
                 T.array(decl.array_size, elem_ty), decl.name
             )
             var = _LocalVar(decl.type.pointer_to(), slot, is_array=True)
@@ -290,7 +304,7 @@ class CodeGenerator:
                                    decl.line)
             return
         ty = lower_type(decl.type)
-        slot = self.builder.alloca(ty, decl.name)
+        slot = self._entry_alloca(ty, decl.name)
         self._locals_stack[-1][decl.name] = _LocalVar(decl.type, slot)
         if decl.init is not None:
             value, vtype = self._gen_expr(decl.init)
@@ -408,8 +422,10 @@ class CodeGenerator:
     # -- expressions ------------------------------------------------------------------------
 
     def _gen_condition(self, expr: C.Expr) -> Value:
-        """Evaluate an expression as an i1 truth value."""
-        value, ctype = self._gen_expr(expr)
+        """Evaluate an expression as an i1 truth value.  A comparison,
+        ``&&``, ``||`` or ``!`` is branched on directly, with no
+        ``zext i32`` / ``icmp ne 0`` round trip."""
+        value, ctype = self._gen_raw(expr)
         return self._truthy(value, ctype)
 
     def _truthy(self, value: Value, ctype: C.CType) -> Value:
@@ -426,6 +442,14 @@ class CodeGenerator:
 
     def _gen_expr(self, expr: C.Expr) -> Tuple[Value, C.CType]:
         """Evaluate an expression; returns (IR value, C type)."""
+        value, ctype = self._gen_raw(expr)
+        if value.type == T.i1:  # a truth value used as an int
+            value = self.builder.zext(value, T.i32, f"{value.name}.ext")
+        return value, ctype
+
+    def _gen_raw(self, expr: C.Expr) -> Tuple[Value, C.CType]:
+        """As :meth:`_gen_expr`, except that comparisons and logical
+        operators return their ``i1`` (with C type ``int``) unwidened."""
         if isinstance(expr, C.IntLit):
             if -(1 << 31) <= expr.value < (1 << 31):
                 return ConstantInt(T.i64, expr.value), C.CType("long")
@@ -539,7 +563,7 @@ class CodeGenerator:
         if op == "!":
             truth = self._gen_condition(expr.operand)
             flipped = self.builder.xor(truth, ConstantInt(T.i1, 1), "lnot")
-            return self.builder.zext(flipped, T.i32, "lnot.ext"), C.CType("int")
+            return flipped, C.CType("int")
         if op == "~":
             value, ctype = self._gen_expr(expr.operand)
             return self.builder.not_(value, "not"), ctype
@@ -614,8 +638,7 @@ class CodeGenerator:
             if op in ("==", "!=", "<", "<=", ">", ">="):
                 pred = {"==": "eq", "!=": "ne", "<": "ult", "<=": "ule",
                         ">": "ugt", ">=": "uge"}[op]
-                result = self.builder.icmp(pred, lhs, rhs, "cmp")
-                return self.builder.zext(result, T.i32, "cmp.ext"), C.CType("int")
+                return self.builder.icmp(pred, lhs, rhs, "cmp"), C.CType("int")
             raise CodegenError(f"unsupported pointer operation {op!r}",
                                expr.line)
 
@@ -631,7 +654,7 @@ class CodeGenerator:
                 pred = {"==": "eq", "!=": "ne", "<": "slt", "<=": "sle",
                         ">": "sgt", ">=": "sge"}[op]
                 result = self.builder.icmp(pred, lhs, rhs, "cmp")
-            return self.builder.zext(result, T.i32, "cmp.ext"), C.CType("int")
+            return result, C.CType("int")
 
         if common.is_float:
             opcode = {"+": "fadd", "-": "fsub", "*": "fmul", "/": "fdiv",
@@ -640,7 +663,7 @@ class CodeGenerator:
                 raise CodegenError(f"invalid float operation {op!r}",
                                    expr.line)
             method = getattr(self.builder, opcode)
-            return method(lhs, rhs, "f" + op), common
+            return method(lhs, rhs, opcode), common
         opcode = {"+": "add", "-": "sub", "*": "mul", "/": "sdiv",
                   "%": "srem", "&": "and_", "|": "or_", "^": "xor",
                   "<<": "shl", ">>": "ashr"}.get(op)
@@ -668,7 +691,7 @@ class CodeGenerator:
         phi = self.builder.phi(T.i1, "logic")
         phi.add_incoming(ConstantInt(T.i1, 0 if is_and else 1), lhs_block)
         phi.add_incoming(rhs_cond, rhs_end)
-        return self.builder.zext(phi, T.i32, "logic.ext"), C.CType("int")
+        return phi, C.CType("int")
 
     def _gen_ternary(self, expr: C.Ternary) -> Tuple[Value, C.CType]:
         cond = self._gen_condition(expr.cond)

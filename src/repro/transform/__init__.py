@@ -8,7 +8,6 @@ folding and inlining (the isord comparator specialization)."""
 from .clone import ValueMap, clone_function, clone_instruction
 from .constfold import fold_constants
 from .dce import (
-    aggressive_dce,
     eliminate_dead_blocks,
     eliminate_dead_code,
     eliminate_dead_stores,
@@ -38,7 +37,6 @@ __all__ = [
     "eliminate_dead_code",
     "eliminate_dead_stores",
     "run_dce",
-    "aggressive_dce",
     "InlineError",
     "inline_call",
     "inline_known_indirect_calls",

@@ -131,6 +131,23 @@ def fold_fcmp(predicate: str, a: float, b: float) -> bool:
     }[predicate]
 
 
+def _widened_truth(value: Value) -> Optional[Value]:
+    """``%c`` when ``value`` is the i1 ``%c`` widened to nonzero / zero
+    (``zext i1 %c`` or ``select i1 %c, K, 0`` with a constant K != 0), so
+    that testing it against zero again (a front end's ``tobool``) is
+    ``%c`` itself and the branch uses the compare directly."""
+    if isinstance(value, CastInst) and value.opcode == "zext":
+        return value.value if value.value.type.bits == 1 else None
+    if isinstance(value, SelectInst):
+        on, off = value.true_value, value.false_value
+        if (isinstance(on, (ConstantInt, ConstantFloat))
+                and type(off) is type(on)
+                and on.value == on.value and on.value != 0
+                and off.value == 0):
+            return value.condition
+    return None
+
+
 def _fold_instruction(inst: Instruction) -> Optional[Value]:
     """Return a replacement constant/value, or None if not foldable."""
     if isinstance(inst, BinaryInst):
@@ -175,6 +192,9 @@ def _fold_instruction(inst: Instruction) -> Optional[Value]:
             from ..ir.types import i1
 
             return ConstantInt(i1, 1 if result else 0)
+        if (inst.predicate == "ne" and isinstance(rhs, ConstantInt)
+                and rhs.value == 0):
+            return _widened_truth(lhs)
     elif isinstance(inst, FCmpInst):
         lhs, rhs = inst.lhs, inst.rhs
         if isinstance(lhs, ConstantFloat) and isinstance(rhs, ConstantFloat):
@@ -182,6 +202,9 @@ def _fold_instruction(inst: Instruction) -> Optional[Value]:
             from ..ir.types import i1
 
             return ConstantInt(i1, 1 if result else 0)
+        if (inst.predicate == "one" and isinstance(rhs, ConstantFloat)
+                and rhs.value == 0.0):
+            return _widened_truth(lhs)
     elif isinstance(inst, SelectInst):
         cond = inst.condition
         if isinstance(cond, ConstantInt):

@@ -2,8 +2,8 @@
 
 Three flavours:
 
-* :func:`eliminate_dead_code` — classic worklist DCE on unused,
-  side-effect-free instructions.
+* :func:`eliminate_dead_code` — mark-and-sweep from the side-effecting
+  instructions; unused chains and dead phi cycles alike go.
 * :func:`eliminate_dead_stores` — escape-driven: a store into a
   non-escaping alloca that is never loaded observes nothing, so the
   store (and the alloca's whole access web) is dead even though stores
@@ -17,30 +17,34 @@ from __future__ import annotations
 
 from ..analysis.cfg import remove_unreachable_blocks
 from ..analysis.manager import resolve_manager
-from ..analysis.usedef import is_trivially_dead
 from ..ir.function import Function
 from ..ir.instructions import Instruction, StoreInst
 
 
 def eliminate_dead_code(func: Function) -> int:
-    """Remove trivially dead instructions; returns the number removed."""
-    removed = 0
+    """Remove every instruction no root needs; returns the number removed.
+
+    Roots are the instructions that must stay even when unused
+    (side-effecting or void: stores, calls, guards, terminators); what
+    they do not transitively use is dead.  Marking from the roots,
+    rather than peeling unused values, also removes phi webs that only
+    feed each other — a loop-carried value nobody reads.
+    """
+    live = set()
     worklist = [
-        inst for inst in func.instructions() if is_trivially_dead(inst)
+        inst for inst in func.instructions()
+        if inst.has_side_effects() or inst.type.is_void
     ]
+    live.update(map(id, worklist))
     while worklist:
-        inst = worklist.pop()
-        if inst.parent is None or not is_trivially_dead(inst):
-            continue
-        operands = [
-            op for op in inst.operands if isinstance(op, Instruction)
-        ]
-        inst.erase_from_parent()
-        removed += 1
-        for op in operands:
-            if is_trivially_dead(op):
+        for op in worklist.pop().operands:
+            if isinstance(op, Instruction) and id(op) not in live:
+                live.add(id(op))
                 worklist.append(op)
-    return removed
+    dead = [inst for inst in func.instructions() if id(inst) not in live]
+    for inst in dead:
+        inst.erase_from_parent()
+    return len(dead)
 
 
 def eliminate_dead_stores(func: Function, am=None) -> int:
@@ -101,42 +105,4 @@ def run_dce(func: Function) -> int:
     """Blocks first (may kill uses), then instructions."""
     removed = eliminate_dead_blocks(func)
     removed += eliminate_dead_code(func)
-    return removed
-
-
-def aggressive_dce(func: Function) -> int:
-    """ADCE: keep only instructions transitively needed by roots.
-
-    Roots are terminators and side-effecting instructions; everything
-    else — including self-sustaining phi webs, which the worklist DCE
-    above cannot kill — is erased.  Used by OSR point *removal* to strip
-    a no-longer-needed hotness counter out of a loop.
-    """
-    live = set()
-    worklist = []
-    for inst in func.instructions():
-        if inst.is_terminator or inst.has_side_effects():
-            live.add(id(inst))
-            worklist.append(inst)
-    while worklist:
-        inst = worklist.pop()
-        for op in inst.operands:
-            if isinstance(op, Instruction) and id(op) not in live:
-                live.add(id(op))
-                worklist.append(op)
-    removed = 0
-    for block in func.blocks:
-        for inst in block.instructions:
-            if id(inst) not in live:
-                inst.drop_all_references()
-                removed += 1
-    for block in func.blocks:
-        for inst in block.instructions:
-            if id(inst) not in live:
-                if inst.is_used():
-                    # another dead instruction still points here; those
-                    # references were dropped above, so this is a live
-                    # user — should not happen, keep the instruction
-                    continue
-                block.remove(inst)
     return removed

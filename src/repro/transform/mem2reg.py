@@ -2,10 +2,11 @@
 
 The classic SSA-construction pass: for each promotable alloca (address
 never escapes; only whole-value loads and stores), place phi nodes at the
-dominance frontier of the store blocks (pruned SSA via liveness would be an
-optimization; we place minimal phis per Cytron et al. and let DCE clean
-up), then rewrite loads with reaching definitions along a dominator-tree
-walk.
+iterated dominance frontier of the store blocks, but only where the
+variable is live-in (LLVM's pruned SSA: a temporary defined and consumed
+inside one loop body gets no phi at the loop header, so nothing dead is
+copied along back edges or counted as OSR live state), then rewrite loads
+with reaching definitions along a dominator-tree walk.
 
 This is the pass the paper's "unoptimized" configuration runs — the only
 optimization applied before OSR instrumentation in the Q1/Q2 experiments.
@@ -75,13 +76,14 @@ def promote_memory_to_registers(func: Function, only=None, am=None) -> int:
             for use in alloca.uses
             if isinstance(use.user, StoreInst) and use.user.parent in reachable
         }
+        live_in = _live_in_blocks(alloca, def_blocks, preds)
         phis: Dict[BasicBlock, PhiInst] = {}
         worklist = list(def_blocks)
         visited: Set[BasicBlock] = set(def_blocks)
         while worklist:
             block = worklist.pop()
             for join in frontier.get(block, ()):
-                if join in phis:
+                if join in phis or join not in live_in:
                     continue
                 phi = PhiInst(alloca.allocated_type, f"{alloca.name}.phi")
                 join.insert(0, phi)
@@ -131,19 +133,29 @@ def promote_memory_to_registers(func: Function, only=None, am=None) -> int:
 
     for alloca in allocas:
         alloca.erase_from_parent()
-
-    # prune dead phis introduced by over-placement
-    _prune_dead_phis(func)
     return len(allocas)
 
 
-def _prune_dead_phis(func: Function) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for block in func.blocks:
-            for phi in block.phis:
-                users = [u for u in phi.users if u is not phi]
-                if not users:
-                    phi.erase_from_parent()
-                    changed = True
+def _live_in_blocks(alloca: AllocaInst, def_blocks: Set[BasicBlock],
+                    preds: Dict[BasicBlock, List[BasicBlock]]
+                    ) -> Set[BasicBlock]:
+    """Blocks on whose entry the variable holds a value that is read:
+    those that load it before storing it, and, walking back over
+    predecessors, every block that does not store to it."""
+    worklist: List[BasicBlock] = []
+    for block in {use.user.parent for use in alloca.uses
+                  if isinstance(use.user, LoadInst)}:
+        for inst in block:  # the first access decides
+            if isinstance(inst, StoreInst) and inst.pointer is alloca:
+                break
+            if isinstance(inst, LoadInst) and inst.pointer is alloca:
+                worklist.append(block)
+                break
+    live_in: Set[BasicBlock] = set()
+    while worklist:
+        block = worklist.pop()
+        if block in live_in:
+            continue
+        live_in.add(block)
+        worklist.extend(p for p in preds[block] if p not in def_blocks)
+    return live_in

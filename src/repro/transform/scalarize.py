@@ -24,8 +24,9 @@ Bailout conditions (the alloca is left untouched):
   address reaches a call, return, guard, store-as-value, phi/select or
   int cast), including capture by a speculation guard, whose FrameState
   must keep transferring the real pointer;
-* the alloca is not in the entry block (a block executed repeatedly
-  re-zeroes its memory on each execution; entry allocas execute once);
+* the alloca is not in the entry block (hand-written IR only — the
+  front ends allocate every local there; elsewhere it gets fresh memory
+  on each execution, which entry scalars would not reproduce);
 * any derived GEP has a non-constant index (element identity unknown at
   compile time);
 * accesses overlap inconsistently or fall outside the allocation, or an
@@ -166,7 +167,7 @@ def scalarize_aggregates(func: Function, am=None, telemetry=None) -> int:
         if not (alloca.allocated_type.is_aggregate or alloca.count != 1):
             continue  # mem2reg's territory
         if id(alloca) not in entry_insts:
-            continue  # re-executed allocas re-zero their memory
+            continue  # a re-executed alloca gets fresh memory each time
         collected = _collect_accesses(alloca)
         if collected is None:
             continue

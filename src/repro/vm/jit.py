@@ -281,6 +281,10 @@ def _and(*values: ast.expr) -> ast.BoolOp:
     return ast.BoolOp(op=ast.And(), values=list(values))
 
 
+def _not(value: ast.expr) -> ast.UnaryOp:
+    return ast.UnaryOp(op=ast.Not(), operand=value)
+
+
 def _ifexp(test: ast.expr, body: ast.expr, orelse: ast.expr) -> ast.IfExp:
     return ast.IfExp(test=test, body=body, orelse=orelse)
 
@@ -793,11 +797,10 @@ class FunctionCompiler:
         if isinstance(inst, BinaryInst):
             return [_assign(name, self._binop_expr(inst))]
 
-        if isinstance(inst, ICmpInst):
-            return [_assign(name, self._icmp_expr(inst))]
-
-        if isinstance(inst, FCmpInst):
-            return [_assign(name, self._fcmp_expr(inst))]
+        if isinstance(inst, (ICmpInst, FCmpInst)):
+            if self._fused_into_branch(inst):
+                return []  # emitted as the test of its block's ``br``
+            return [_assign(name, _bool01(self._cmp_test(inst)))]
 
         if isinstance(inst, SelectInst):
             return [_assign(name, _ifexp(
@@ -852,8 +855,10 @@ class FunctionCompiler:
             return self._goto(inst.parent, inst.target)
 
         if isinstance(inst, CondBranchInst):
+            cond = inst.condition
             return [ast.If(
-                test=e(inst.condition),
+                test=(self._cmp_test(cond) if self._fused_into_branch(cond)
+                      else e(cond)),
                 body=self._goto(inst.parent, inst.true_target),
                 orelse=self._goto(inst.parent, inst.false_target),
             )]
@@ -865,8 +870,7 @@ class FunctionCompiler:
             # Guard fast path is a single branch; the deopt handler is only
             # bound (and the force predicate only consulted) when needed.
             self.bindings.setdefault("_deopt", ("deopt",))
-            test: ast.expr = ast.UnaryOp(op=ast.Not(),
-                                         operand=e(inst.condition))
+            test: ast.expr = _not(e(inst.condition))
             if inst.forced:
                 self.bindings.setdefault("_gforce", ("deoptforce",))
                 test = ast.BoolOp(op=ast.Or(), values=[
@@ -992,7 +996,26 @@ class FunctionCompiler:
                              _calln("_shamt", b, _const(bits))))
         raise JITError(f"unknown binop {op}")
 
-    def _icmp_expr(self, inst: ICmpInst) -> ast.expr:
+    @staticmethod
+    def _fused_into_branch(value: Value) -> bool:
+        """A compare whose only use is its own block's ``br`` becomes that
+        branch's ``if`` test (``if a < b:``) and never a 0/1 local; its
+        operands are SSA names nothing in between reassigns."""
+        if not isinstance(value, (ICmpInst, FCmpInst)):
+            return False
+        uses = value.uses
+        if len(uses) != 1:
+            return False
+        user = uses[0].user
+        return isinstance(user, CondBranchInst) and user.parent is value.parent
+
+    def _cmp_test(self, inst) -> ast.expr:
+        """The compare as a Python truth test (not yet a 0/1 value)."""
+        if isinstance(inst, ICmpInst):
+            return self._icmp_test(inst)
+        return self._fcmp_test(inst)
+
+    def _icmp_test(self, inst: ICmpInst) -> ast.expr:
         e = self.expr
         pred = inst.predicate
         if inst.lhs.type.is_pointer:
@@ -1002,9 +1025,9 @@ class FunctionCompiler:
                 _cmp(_item(e(inst.lhs), 1), ast.Eq(), _item(e(inst.rhs), 1)),
             )
             if pred == "eq":
-                return _bool01(same)
+                return same
             if pred == "ne":
-                return _ifexp(same, _const(0), _const(1))
+                return _not(same)
             ka = _tuple(_calln("id", _item(e(inst.lhs), 0)),
                         _item(e(inst.lhs), 1))
             kb = _tuple(_calln("id", _item(e(inst.rhs), 0)),
@@ -1012,21 +1035,21 @@ class FunctionCompiler:
             py = {"ult": ast.Lt, "ule": ast.LtE, "ugt": ast.Gt,
                   "uge": ast.GtE, "slt": ast.Lt, "sle": ast.LtE,
                   "sgt": ast.Gt, "sge": ast.GtE}[pred]
-            return _bool01(_cmp(ka, py(), kb))
+            return _cmp(ka, py(), kb)
         a, b = e(inst.lhs), e(inst.rhs)
         signed = {"eq": ast.Eq, "ne": ast.NotEq, "slt": ast.Lt,
                   "sle": ast.LtE, "sgt": ast.Gt, "sge": ast.GtE}
         if pred in signed:
-            return _bool01(_cmp(a, signed[pred](), b))
+            return _cmp(a, signed[pred](), b)
         mask = (1 << inst.lhs.type.bits) - 1
         py = {"ult": ast.Lt, "ule": ast.LtE,
               "ugt": ast.Gt, "uge": ast.GtE}[pred]
-        return _bool01(_cmp(
+        return _cmp(
             _bin(a, ast.BitAnd(), _const(mask)), py(),
             _bin(b, ast.BitAnd(), _const(mask)),
-        ))
+        )
 
-    def _fcmp_expr(self, inst: FCmpInst) -> ast.expr:
+    def _fcmp_test(self, inst: FCmpInst) -> ast.expr:
         e = self.expr
 
         def ordered() -> ast.expr:
@@ -1037,14 +1060,14 @@ class FunctionCompiler:
 
         pred = inst.predicate
         if pred == "ord":
-            return _bool01(ordered())
+            return ordered()
         if pred == "uno":
-            return _ifexp(ordered(), _const(0), _const(1))
+            return _not(ordered())
         py = {"oeq": ast.Eq, "one": ast.NotEq, "olt": ast.Lt,
               "ole": ast.LtE, "ogt": ast.Gt, "oge": ast.GtE}[pred]
-        return _bool01(_and(
+        return _and(
             ordered(), _cmp(e(inst.lhs), py(), e(inst.rhs)),
-        ))
+        )
 
     def _load_expr(self, ty: T.Type,
                    pointer: Callable[[], ast.expr]) -> ast.expr:

@@ -331,6 +331,65 @@ long mix(long n) {
         )
 
 
+class TestCodegenShape:
+    """The IR is clang -O0-shaped: what mem2reg and the tiers rely on."""
+
+    SRC = """
+long f(long n, double x) {
+    long total = 0;
+    for (long i = 0; i < n; i++) {
+        long sq = i * i;
+        long seen[2];
+        seen[i & 1] = sq;
+        if (sq > 10 && !(i == 4) || x / 2.0 < 1.0) total += seen[i & 1];
+        { long sq = 3; total += sq; }
+    }
+    return total + (n > 2) + (n && total);
+}
+"""
+
+    def test_locals_allocate_once_in_the_entry_block(self):
+        func = compile_c(self.SRC).get_function("f")
+        names = [i.name for i in func.entry if i.opcode == "alloca"]
+        # params first, then every local of every scope, shadowing included
+        assert names == ["n.addr", "x.addr", "total", "i", "sq", "seen", "sq"]
+        assert not [i for block in func.blocks[1:] for i in block
+                    if i.opcode == "alloca"]
+        # the initialising store stays at the declaration
+        body = func.get_block("for.body")
+        assert any(i.opcode == "store" and i.pointer.name == "sq"
+                   for i in body)
+
+    def test_conditions_branch_on_the_compare(self):
+        func = compile_c(self.SRC).get_function("f")
+        for block in func.blocks:
+            for inst in block:
+                if inst.opcode == "zext":
+                    # a truth value is widened only where used as a number
+                    assert block.name in ("for.end", "land.end", "lor.end")
+                if inst.name == "tobool":  # only ever of a real number
+                    assert inst.lhs.opcode == "load"
+        cond = func.get_block("for.cond").terminator.condition
+        assert cond.opcode == "icmp" and cond.type.bits == 1
+
+    def test_truth_values_still_count_as_ints(self):
+        for n, x in [(0, 0.0), (1, 5.0), (3, 0.5), (9, 9.0)]:
+            assert run_c(self.SRC, "f", n, x) == run_c(
+                self.SRC, "f", n, x, tier="interp")
+        g = "long g(long a) { return !a + !!a * 2 + (a < 3); }"
+        assert run_c(g, "g", 0) == 2
+        assert run_c(g, "g", 7) == 2
+
+    def test_float_temporaries_print_as_identifiers(self):
+        from repro.ir import parse_module, print_module
+
+        module = compile_c(
+            "double h(double a, double b) { return a / b + a * b - a; }")
+        text = print_module(module)
+        assert "%fdiv" in text and "%fadd" in text and "%f/" not in text
+        assert print_module(parse_module(text)) == text
+
+
 class TestCodegenErrors:
     def test_undefined_variable(self):
         with pytest.raises(CodegenError, match="undefined variable"):

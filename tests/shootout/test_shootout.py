@@ -7,7 +7,8 @@ from repro.core import HotCounterCondition
 from repro.experiments.q1 import instrument_never_firing
 from repro.experiments.q2 import _instrument as q2_instrument
 from repro.experiments.sites import q1_locations, q2_location
-from repro.ir import verify_function
+from repro.ir import parse_module, print_module, verify_function
+from repro.ir.instructions import AllocaInst
 from repro.shootout import (
     SUITE,
     all_benchmarks,
@@ -16,6 +17,7 @@ from repro.shootout import (
     verify_benchmark,
     workloads,
 )
+from repro.transform.mem2reg import is_promotable
 from repro.vm import ExecutionEngine
 
 NAMES = [b.name for b in all_benchmarks()]
@@ -47,6 +49,32 @@ class TestChecksums:
 
     def test_optimized_jit(self, name):
         verify_benchmark(SUITE[name], level="optimized", tier="jit")
+
+
+@pytest.mark.parametrize("name", NAMES)
+class TestIRShape:
+    """The front end's output is clang -O0-shaped, so ``unoptimized``
+    (mem2reg only) leaves every scalar local in a register."""
+
+    def test_every_alloca_sits_in_the_entry_block(self, name):
+        module = compile_benchmark(SUITE[name], "none")
+        for func in module.functions:
+            for block in func.blocks[1:]:
+                assert not [i for i in block if isinstance(i, AllocaInst)], \
+                    (func.name, block.name)
+
+    def test_unoptimized_leaves_no_promotable_alloca(self, name):
+        module = compile_benchmark(SUITE[name], "unoptimized")
+        allocas = [i for func in module.functions
+                   for i in func.instructions() if isinstance(i, AllocaInst)]
+        assert not [a.name for a in allocas if is_promotable(a)]
+        # what is left in memory is arrays only
+        assert all(a.allocated_type.is_aggregate for a in allocas)
+
+    @pytest.mark.parametrize("level", ["unoptimized", "optimized"])
+    def test_printed_ir_parses_back(self, name, level):
+        text = print_module(compile_benchmark(SUITE[name], level))
+        assert print_module(parse_module(text)) == text
 
 
 @pytest.mark.parametrize("name", ["fannkuch", "mbrot", "sp-norm"])

@@ -71,6 +71,56 @@ entry:
         assert removed == 2  # load then the now-unused alloca
         verify_function(func)
 
+    def test_removes_dead_phi_cycle(self):
+        """Two loop-carried phis that only feed each other (what minimal
+        SSA leaves behind for a loop-body temporary) are dead as a web,
+        though neither is ever unused."""
+        module = parse_module("""
+define i64 @f(i64 %n) {
+entry:
+  br label %head
+head:
+  %i = phi i64 [ 0, %entry ], [ %i2, %latch ]
+  %t = phi i64 [ 0, %entry ], [ %t2, %latch ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %body, label %out
+body:
+  %odd = and i64 %i, 1
+  %isodd = icmp ne i64 %odd, 0
+  br i1 %isodd, label %bump, label %latch
+bump:
+  %sq = mul i64 %t, %i
+  br label %latch
+latch:
+  %t2 = phi i64 [ %t, %body ], [ %sq, %bump ]
+  %i2 = add i64 %i, 1
+  br label %head
+out:
+  ret i64 %i
+}
+""")
+        func = module.get_function("f")
+        assert eliminate_dead_code(func) == 3  # %t, %t2, %sq
+        verify_function(func)
+        assert [p.name for p in func.get_block("head").phis] == ["i"]
+        assert func.get_block("latch").phis == []
+        assert ExecutionEngine(module).run("f", 9) == 9
+
+    def test_self_referential_phi_with_a_reader_stays(self):
+        func = parse_function("""
+define i64 @f(i64 %n) {
+entry:
+  br label %head
+head:
+  %x = phi i64 [ %n, %entry ], [ %x, %head ]
+  %c = icmp slt i64 %x, 0
+  br i1 %c, label %head, label %out
+out:
+  ret i64 %x
+}
+""")
+        assert eliminate_dead_code(func) == 0
+
     def test_dead_blocks(self):
         func = parse_function("""
 define i64 @f() {
@@ -191,6 +241,51 @@ entry:
 """)
         fold_constants(func)
         assert func.entry.terminator.value.value == 1
+
+    @pytest.mark.parametrize("widen, test", [
+        ("zext i1 %c to i32", "icmp ne i32 %w, 0"),
+        ("select i1 %c, i64 1, i64 0", "icmp ne i64 %w, 0"),
+        ("select i1 %c, double 1.0, double 0.0", "fcmp one double %w, 0.0"),
+    ])
+    def test_tobool_of_widened_compare_is_the_compare(self, widen, test):
+        """``if (a < b)`` as a front end without i1 conditions spells it."""
+        module = parse_module(f"""
+define i64 @f(i64 %a, i64 %b) {{
+entry:
+  %c = icmp slt i64 %a, %b
+  %w = {widen}
+  %tobool = {test}
+  br i1 %tobool, label %yes, label %no
+yes:
+  ret i64 1
+no:
+  ret i64 0
+}}
+""")
+        func = module.get_function("f")
+        assert fold_constants(func) == 1
+        eliminate_dead_code(func)
+        verify_function(func)
+        branch = func.entry.terminator
+        assert branch.condition is func.entry.instructions[0]
+        assert len(func.entry) == 2  # compare + branch
+        engine = ExecutionEngine(module)
+        assert engine.run("f", 1, 2) == 1
+        assert engine.run("f", 2, 1) == 0
+
+    def test_tobool_of_other_widenings_is_kept(self):
+        func = parse_function("""
+define i1 @f(i8 %x, i1 %c) {
+entry:
+  %w = zext i8 %x to i32
+  %t = icmp ne i32 %w, 0
+  %s = select i1 %c, i64 0, i64 1
+  %u = icmp ne i64 %s, 0
+  %r = and i1 %t, %u
+  ret i1 %r
+}
+""")
+        assert fold_constants(func) == 0
 
     def test_cast_folding(self):
         func = parse_function("""

@@ -10,6 +10,7 @@ import pytest
 from repro.ir import parse_module
 from repro.vm import ExecutionEngine
 from repro.vm.jit import FunctionCompiler, compile_function
+from repro.vm.runtime import NULL, MemoryBuffer
 
 
 def source_of(src, name):
@@ -94,6 +95,51 @@ entry:
 }
 """, "f")
         assert "& 18446744073709551615" in text
+
+    def test_compare_with_only_its_branch_as_use_is_the_if_test(self):
+        text, _, engine = source_of("""
+define i64 @f(i64 %a, i64 %b) {
+entry:
+  %c = icmp slt i64 %a, %b
+  %s = add i64 %a, %b
+  br i1 %c, label %lt, label %ge
+lt:
+  ret i64 %s
+ge:
+  ret i64 0
+}
+""", "f")
+        tests = [node.test for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.If)
+                 and isinstance(node.test, ast.Compare)
+                 and isinstance(node.test.ops[0], ast.Lt)]
+        assert len(tests) == 1, text
+        assert "1 if" not in text  # the i1 is never materialised
+        assert engine.run("f", 2, 5) == 7
+        assert engine.run("f", 5, 2) == 0
+
+    def test_compare_with_another_use_keeps_its_value(self):
+        text, _, engine = source_of("""
+define i64 @f(double %a, i8* %p) {
+entry:
+  %c = fcmp uno double %a, %a
+  br i1 %c, label %isnan, label %num
+isnan:
+  %w = zext i1 %c to i64
+  ret i64 %w
+num:
+  %q = icmp ne i8* %p, null
+  br i1 %q, label %set, label %unset
+set:
+  ret i64 2
+unset:
+  ret i64 3
+}
+""", "f")
+        assert text.count("1 if") == 1  # %c has a second use, %q has not
+        assert engine.run("f", float("nan"), NULL) == 1
+        assert engine.run("f", 1.5, NULL) == 3
+        assert engine.run("f", 1.5, (MemoryBuffer(8, "p"), 0)) == 2
 
     def test_direct_call_binds_trampoline(self):
         src = """
