@@ -75,11 +75,6 @@ class MetricsRegistry:
         """Current value of counter ``name`` (0 if never incremented)."""
         return self._counters.get(name, 0)
 
-    def set_counter(self, name: str, value: int) -> None:
-        """Force a counter to an absolute value (back-compat setters)."""
-        with self._lock:
-            self._counters[name] = value
-
     # -- gauges -------------------------------------------------------------------
 
     def gauge(self, name: str, value: float) -> None:

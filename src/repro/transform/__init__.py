@@ -19,8 +19,6 @@ from .passmanager import (
     PASSES,
     PIPELINES,
     PassManager,
-    as_managed_pass,
-    managed_pass,
     optimize_function,
     optimize_module,
 )
@@ -44,8 +42,6 @@ __all__ = [
     "PassManager",
     "PASSES",
     "PIPELINES",
-    "as_managed_pass",
-    "managed_pass",
     "optimize_function",
     "optimize_module",
     "scalarize_aggregates",

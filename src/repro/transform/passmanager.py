@@ -9,10 +9,6 @@ folding the ``code_version`` bump into the invalidation path: a pass
 that changed nothing returns ``PreservedAnalyses.all()`` and the
 function keeps its version (and its compiled artifacts).
 
-Bare legacy callables ``(func) -> object`` are still accepted anywhere a
-pass is: :func:`as_managed_pass` wraps them as preserving nothing, the
-conservative truth for a pass of unknown behavior.
-
 Standard pipelines bundle the passes the way the paper's experiments do
 (``mem2reg`` only for the *unoptimized* tier, ``-O1``-like for the
 *optimized* tier).
@@ -43,34 +39,6 @@ from .simplifycfg import simplify_cfg
 FunctionPass = Callable[[Function, AnalysisManager], PreservedAnalyses]
 
 
-def managed_pass(fn: FunctionPass) -> FunctionPass:
-    """Mark ``fn`` as already following the managed contract."""
-    fn.is_managed_pass = True  # type: ignore[attr-defined]
-    return fn
-
-
-def as_managed_pass(fn: Callable) -> FunctionPass:
-    """Back-compat shim: adapt a bare ``(func)`` callable to the managed
-    contract.  A legacy pass makes no preservation claims, so it is
-    treated as invalidating everything whenever it reports a change
-    (truthy return) — and, conservatively, also when it returns nothing
-    at all (``None``), since silence is not a no-change guarantee."""
-    if getattr(fn, "is_managed_pass", False):
-        return fn
-
-    def wrapped(func: Function, am: AnalysisManager) -> PreservedAnalyses:
-        changed = fn(func)
-        if changed is None or changed:
-            return PreservedAnalyses.none()
-        return PreservedAnalyses.all()
-
-    wrapped.__name__ = getattr(fn, "__name__", "legacy_pass")
-    wrapped.__doc__ = fn.__doc__
-    wrapped.is_managed_pass = True  # type: ignore[attr-defined]
-    wrapped.wraps_legacy = fn  # type: ignore[attr-defined]
-    return managed_pass(wrapped)
-
-
 # -- the standard passes, with honest preservation claims -----------------------
 #
 # "cfg_only" = instructions were rewritten but no block was added,
@@ -79,21 +47,18 @@ def as_managed_pass(fn: Callable) -> FunctionPass:
 # use changes the live sets).
 
 
-@managed_pass
 def mem2reg_pass(func: Function, am: AnalysisManager) -> PreservedAnalyses:
     if promote_memory_to_registers(func, am=am):
         return PreservedAnalyses.cfg_only()
     return PreservedAnalyses.all()
 
 
-@managed_pass
 def constfold_pass(func: Function, am: AnalysisManager) -> PreservedAnalyses:
     if fold_constants(func):
         return PreservedAnalyses.cfg_only()
     return PreservedAnalyses.all()
 
 
-@managed_pass
 def scalarize_pass(func: Function, am: AnalysisManager) -> PreservedAnalyses:
     """SROA: split non-escaping aggregate allocas along their constant
     GEP access paths and promote the pieces (instruction rewrites and
@@ -103,7 +68,6 @@ def scalarize_pass(func: Function, am: AnalysisManager) -> PreservedAnalyses:
     return PreservedAnalyses.all()
 
 
-@managed_pass
 def dce_pass(func: Function, am: AnalysisManager) -> PreservedAnalyses:
     """Worklist DCE plus escape-driven dead-store elimination: a store
     into a non-escaping alloca that is never loaded observes nothing."""
@@ -114,7 +78,6 @@ def dce_pass(func: Function, am: AnalysisManager) -> PreservedAnalyses:
     return PreservedAnalyses.all()
 
 
-@managed_pass
 def dce_blocks_pass(func: Function, am: AnalysisManager) -> PreservedAnalyses:
     """Blocks first (may kill uses), then instructions."""
     removed_blocks = eliminate_dead_blocks(func)
@@ -126,7 +89,6 @@ def dce_blocks_pass(func: Function, am: AnalysisManager) -> PreservedAnalyses:
     return PreservedAnalyses.all()
 
 
-@managed_pass
 def simplifycfg_pass(func: Function, am: AnalysisManager
                      ) -> PreservedAnalyses:
     # simplify_cfg returns its fixed-point iteration count; one
@@ -174,11 +136,10 @@ class PassManager:
     """Runs a sequence of function passes, optionally verifying after
     each step (the test suite always verifies).
 
-    Passes are registry names or callables — managed ``(func, am)``
-    passes run as-is, bare legacy callables go through
-    :func:`as_managed_pass`.  After each pass the analysis manager
-    invalidates whatever the pass did not preserve; a pass returning
-    ``PreservedAnalyses.all()`` costs no version bump.
+    Passes are registry names or ``(func, am)`` callables.  After each
+    pass the analysis manager invalidates whatever the pass did not
+    preserve; a pass returning ``PreservedAnalyses.all()`` costs no
+    version bump.
     """
 
     def __init__(self, passes: Sequence[Union[str, Callable]],
@@ -192,7 +153,7 @@ class PassManager:
             for p in passes
         ]
         self._passes: List[FunctionPass] = [
-            PASSES[p] if isinstance(p, str) else as_managed_pass(p)
+            PASSES[p] if isinstance(p, str) else p
             for p in passes
         ]
         self.verify = verify
@@ -206,8 +167,8 @@ class PassManager:
         for pass_fn in self._passes:
             preserved = pass_fn(func, am)
             if not isinstance(preserved, PreservedAnalyses):
-                # a managed pass that forgot its return value gives no
-                # guarantees — same conservative treatment as legacy
+                # a pass that forgot its return value gives no
+                # guarantees: treat it as preserving nothing
                 preserved = PreservedAnalyses.none()
             if self.verify:
                 verify_function(func)

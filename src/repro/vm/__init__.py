@@ -1,17 +1,20 @@
 """repro.vm — execution engine (MCJIT substitute).
 
 Runs repro IR through interchangeable tiers: a tree-walking reference
-interpreter (the semantic oracle), a pre-decoded closure interpreter, and
-a JIT that lowers IR to Python source — with profile-driven tier-up from
-the decoded interpreter to the JIT as the default mixed mode.  Provides
-lazy compilation, a cross-engine compiled-code cache, native symbol
-resolution, global storage, and the object table that OSR stubs use to
-carry IR objects through ``inttoptr`` constants.
+interpreter (the semantic oracle), a pre-decoded closure interpreter
+with superinstruction fusion, and a JIT that lowers IR to a Python AST
+— with profile-driven tier-up from the decoded interpreter to the JIT
+as the default mixed mode.  Provides lazy compilation, a cross-engine
+compiled-code cache, native symbol resolution, global storage, and the
+object table that OSR stubs use to carry IR objects through
+``inttoptr`` constants.
 
-The ``tiered-bg`` tier moves the tier-up compile onto a background
-:class:`CompileQueue` worker so hot calls never stall on the JIT; results
-install via a generation-stamped atomic publish
-(:class:`PublishBox`) that a racing ``invalidate()`` wins.
+Tier-up is one dispatcher over a :class:`PublishBox`.  ``tiered``
+compiles inline when a threshold trips; ``tiered-bg`` submits the
+compile to a background :class:`CompileQueue` worker so hot calls never
+stall on the JIT, and the result installs via a generation-stamped
+atomic publish that a racing ``invalidate()`` wins; ``speculative``
+adds guarded specialization above the promoted code.
 """
 
 from .background import CompileJob, CompileQueue, PublishBox

@@ -8,11 +8,11 @@ new code version can be *produced* off the hot path and *installed*
 atomically while the function keeps running in its current tier.
 
 :class:`CompileQueue` is that producer: a small worker-thread pool fed
-by the engine's ``tiered-bg`` dispatcher.  On threshold-trip the
-dispatcher submits a :class:`CompileJob` and keeps executing the decoded
-tier; a worker runs the engine-read-only code generation
-(:func:`~repro.vm.jit.codegen_function`) and asks the owning engine to
-publish the result.
+by the ``tiered-bg`` promote step of the engine's tier-up dispatcher.
+On threshold-trip it submits a :class:`CompileJob` and the dispatcher
+keeps executing the decoded tier; a worker runs the engine-read-only
+code generation (:func:`~repro.vm.jit.codegen_function`) and asks the
+owning engine to publish the result.
 
 Correctness rests on three pieces:
 
@@ -57,35 +57,44 @@ class PublishBox:
     compiled callable — the "atomic publish".  ``generation`` is the
     function's compile generation at dispatcher creation; a worker may
     only assign the box while the engine still reports that generation.
-    ``failed`` latches a code-generation failure (:class:`JITError`) so
-    the dispatcher stops re-submitting and stays on the decoded tier.
+    ``requested`` latches once a compile has been queued for this box,
+    so the dispatcher asks at most once — a code-generation failure
+    (:class:`JITError`) therefore leaves the function on the decoded
+    tier instead of re-submitting per call.
     """
 
-    __slots__ = ("value", "generation", "failed")
+    __slots__ = ("value", "generation", "requested")
 
     def __init__(self, generation: int):
         self.value = None
         self.generation = generation
-        self.failed = False
+        self.requested = False
 
     def __repr__(self) -> str:  # pragma: no cover
-        state = ("failed" if self.failed
-                 else "published" if self.value is not None else "pending")
+        state = ("published" if self.value is not None
+                 else "requested" if self.requested else "idle")
         return f"<PublishBox gen={self.generation} {state}>"
 
 
 class CompileJob:
-    """One queued tier-up compile: a function, its engine, and the box
-    the result publishes into."""
+    """One queued tier-up compile: a function, its engine, the box the
+    result publishes into, and the profile whose counters tripped.
 
-    __slots__ = ("engine", "func", "box", "priority", "enqueued_at",
-                 "cancelled")
+    The profile rides along because the publish runs on a worker thread,
+    outside any tenant scope: the engine stamps and reports *this*
+    profile as promoted rather than looking one up there.  Its hotness
+    at submit time is the job's priority.
+    """
 
-    def __init__(self, engine, func, box: PublishBox, priority: int):
+    __slots__ = ("engine", "func", "box", "profile", "priority",
+                 "enqueued_at", "cancelled")
+
+    def __init__(self, engine, func, box: PublishBox, profile):
         self.engine = engine
         self.func = func
         self.box = box
-        self.priority = priority
+        self.profile = profile
+        self.priority = profile.hotness()
         self.enqueued_at = time.perf_counter()
         #: set by :meth:`CompileQueue.discard` (invalidation raced the
         #: queue); the worker drops the job without compiling
@@ -132,20 +141,20 @@ class CompileQueue:
 
     # -- submission ---------------------------------------------------------------
 
-    def submit(self, engine, func, box: PublishBox, priority: int) -> bool:
+    def submit(self, engine, func, box: PublishBox, profile) -> bool:
         """Enqueue a tier-up compile; returns False when deduplicated.
 
         The caller (the dispatcher, on its own hot path) pays one lock
         acquisition and a heap push — never any compilation cost.
         """
-        job = CompileJob(engine, func, box, priority)
+        job = CompileJob(engine, func, box, profile)
         with self._cond:
             if self._shutdown:
                 raise RuntimeError("CompileQueue is shut down")
             if job.key in self._pending:
                 return False
             self._pending[job.key] = job
-            heapq.heappush(self._heap, (-priority, next(self._seq), job))
+            heapq.heappush(self._heap, (-job.priority, next(self._seq), job))
             depth = len(self._heap)
             self._ensure_workers()
             self._cond.notify()
@@ -153,7 +162,7 @@ class CompileQueue:
         engine.metrics.gauge(EV.COMPILE_QUEUE_DEPTH, depth)
         if tel.enabled:
             tel.event(EV.COMPILE_QUEUE, function=func.name,
-                      priority=priority, depth=depth)
+                      priority=job.priority, depth=depth)
         else:
             engine.metrics.inc(EV.COMPILE_QUEUE)
         self.submitted += 1
@@ -233,7 +242,6 @@ class CompileQueue:
             # engine-read-only: pure codegen, cached on the Function
             artifact = codegen_function(func)
         except JITError as error:
-            job.box.failed = True
             self.failed += 1
             self._discard(job, f"jit-error: {error}")
             return

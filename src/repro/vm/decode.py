@@ -21,10 +21,9 @@ The tree-walker remains the semantic oracle: the decoded tier is
 differential-tested against it (``tests/properties``), and any function it
 cannot decode (:class:`DecodeError`) falls back to the tree-walker.
 
-**Superinstruction fusion** (on by default, ``fuse=False`` to disable):
-a decode-time peephole collapses the dominant closure chains into single
-closures, cutting the per-step call overhead that separates the decoded
-tier from the JIT:
+**Superinstruction fusion**: a decode-time peephole collapses the
+dominant closure chains into single closures, cutting the per-step call
+overhead that separates the decoded tier from the JIT:
 
 * ``icmp``/``fcmp`` + ``br i1`` becomes one compare-and-branch closure
   (the single hottest pair in loop-heavy code);
@@ -38,10 +37,10 @@ tier from the JIT:
 Fusion is only applied when the producer's one use is the very next
 instruction (or the block terminator), so no other step can observe the
 intermediate slot: traps and side effects keep their exact order, and
-results are bit-identical to the unfused decode (differential-tested).
-Step accounting still charges the *original* instruction count per block,
-so step limits and back-edge profiling — including OSR hot-counter probes
-at fused loop headers — behave identically.  Per-function counts of each
+results are those of the tree-walker (differential-tested).  Step
+accounting charges the *IR* instruction count per block, so step limits
+and back-edge profiling — including OSR hot-counter probes at fused
+loop headers — do not depend on what fused.  Per-function counts of each
 fusion kind are recorded on :attr:`DecodedFunction.fusion` and surface
 through ``engine.stats_snapshot()["fusion"]`` and the ``decode.fuse``
 telemetry event.
@@ -93,25 +92,23 @@ from ..ir.values import (
     UndefValue,
     Value,
 )
-from .interpreter import StepLimitExceeded, Trap, _pointer_compare
-from .jit import (
-    _f32_round_trip,
-    _make_sdiv,
-    _make_srem,
-    _nonzero,
-    _shift_amount,
-)
+from .interpreter import StepLimitExceeded
 from ..transform.constfold import float_to_int
 from .runtime import (
     NULL,
     MemoryBuffer,
+    Trap,
+    f32_round_trip,
     gep_offset,
+    nonzero,
+    pointer_compare,
     scalar_accessors,
     scalar_struct,
+    sdiv,
+    shift_amount,
+    srem,
 )
 
-_sdiv = _make_sdiv(Trap)
-_srem = _make_srem(Trap)
 _fmod = math.fmod
 
 _SIGNED_CMP = {
@@ -159,10 +156,9 @@ _FUSIBLE_CONSUMERS = (
 class _Decoder:
     """Builds the slot map and per-instruction closures for one function."""
 
-    def __init__(self, func: Function, engine, fuse: bool = True):
+    def __init__(self, func: Function, engine):
         self.func = func
         self.engine = engine
-        self.fuse = fuse
         self._slots: Dict[int, int] = {}
         self._template: List[Any] = [None] * _RESERVED
         self._block_index: Dict[int, int] = {}
@@ -249,23 +245,20 @@ class _Decoder:
         decoded_blocks = []
         for block in blocks:
             insts = block.instructions[block.first_non_phi_index:-1]
-            if self.fuse:
-                steps = self._decode_steps_fused(block, insts)
-                term = self._decode_terminator_fused(block)
-            else:
-                steps = tuple(self._decode_instruction(i) for i in insts)
-                term = self._decode_terminator(block)
+            steps = self._decode_steps_fused(block, insts)
+            term = self._decode_terminator_fused(block)
             if self._pending:  # pragma: no cover - adjacency rule violated
                 raise DecodeError(
                     f"unconsumed fused producer in %{block.name}"
                 )
-            # weight stays the ORIGINAL instruction count: fusion must not
-            # change step-limit accounting or profiling granularity
+            # weight is the IR instruction count, not the closure count:
+            # fusion must not change step-limit accounting or profiling
+            # granularity
             decoded_blocks.append((steps, term, len(insts) + 1))
 
         return DecodedFunction(
             func, tuple(decoded_blocks), tuple(self._template), arg_slots,
-            fusion=self.stats,
+            self.stats,
         )
 
     # -- superinstruction fusion -------------------------------------------------
@@ -388,10 +381,9 @@ class _Decoder:
         thunk (the adjacency rule allows a single pending producer).
 
         Every thunk also writes the instruction's own frame slot — dead
-        for a deferred mid-chain producer, but it keeps the frame
-        byte-for-byte identical to the unfused interpreter's and lets a
-        chain-ending consumer reuse its thunk as the step closure
-        directly.
+        for a deferred mid-chain producer, but it keeps every SSA value
+        the IR defines in the frame and lets a chain-ending consumer
+        reuse its thunk as the step closure directly.
         """
         if isinstance(inst, BinaryInst):
             return self._binop_thunk(inst)
@@ -607,7 +599,7 @@ class _Decoder:
             def sdiv_val(frame):
                 x = pa(frame) if pa is not None else frame[a]
                 y = pb(frame) if pb is not None else frame[b]
-                v = ((_sdiv(x, y) + half) & mask) - half
+                v = ((sdiv(x, y) + half) & mask) - half
                 frame[dst] = v
                 return v
 
@@ -617,7 +609,7 @@ class _Decoder:
             def srem_val(frame):
                 x = pa(frame) if pa is not None else frame[a]
                 y = pb(frame) if pb is not None else frame[b]
-                v = ((_srem(x, y) + half) & mask) - half
+                v = ((srem(x, y) + half) & mask) - half
                 frame[dst] = v
                 return v
 
@@ -627,7 +619,7 @@ class _Decoder:
             def udiv_val(frame):
                 x = pa(frame) if pa is not None else frame[a]
                 y = pb(frame) if pb is not None else frame[b]
-                q = (x & mask) // _nonzero(y & mask)
+                q = (x & mask) // nonzero(y & mask)
                 v = ((q + half) & mask) - half
                 frame[dst] = v
                 return v
@@ -638,7 +630,7 @@ class _Decoder:
             def urem_val(frame):
                 x = pa(frame) if pa is not None else frame[a]
                 y = pb(frame) if pb is not None else frame[b]
-                r = (x & mask) % _nonzero(y & mask)
+                r = (x & mask) % nonzero(y & mask)
                 v = ((r + half) & mask) - half
                 frame[dst] = v
                 return v
@@ -662,7 +654,7 @@ class _Decoder:
             def shl_val(frame):
                 x = pa(frame) if pa is not None else frame[a]
                 y = pb(frame) if pb is not None else frame[b]
-                v = (x & mask) << _shift_amount(y, bits)
+                v = (x & mask) << shift_amount(y, bits)
                 v = ((v + half) & mask) - half
                 frame[dst] = v
                 return v
@@ -673,7 +665,7 @@ class _Decoder:
             def lshr_val(frame):
                 x = pa(frame) if pa is not None else frame[a]
                 y = pb(frame) if pb is not None else frame[b]
-                v = (x & mask) >> _shift_amount(y, bits)
+                v = (x & mask) >> shift_amount(y, bits)
                 v = ((v + half) & mask) - half
                 frame[dst] = v
                 return v
@@ -684,7 +676,7 @@ class _Decoder:
             def ashr_val(frame):
                 x = pa(frame) if pa is not None else frame[a]
                 y = pb(frame) if pb is not None else frame[b]
-                v = x >> _shift_amount(y, bits)
+                v = x >> shift_amount(y, bits)
                 v = ((v + half) & mask) - half
                 frame[dst] = v
                 return v
@@ -703,7 +695,7 @@ class _Decoder:
             def ptr_cmp_val(frame):
                 x = pa(frame) if pa is not None else frame[a]
                 y = pb(frame) if pb is not None else frame[b]
-                v = 1 if _pointer_compare(pred, x, y) else 0
+                v = 1 if pointer_compare(pred, x, y) else 0
                 frame[dst] = v
                 return v
 
@@ -857,7 +849,7 @@ class _Decoder:
             def raw(x, _w=wrap):
                 return _w(float_to_int(x))
         elif opcode == "fptrunc":
-            raw = _f32_round_trip if to_type.bits == 32 else float
+            raw = f32_round_trip if to_type.bits == 32 else float
         else:
             raise DecodeError(f"cannot decode cast {opcode}")
 
@@ -871,9 +863,10 @@ class _Decoder:
     def _gep_thunk(self, inst: GEPInst) -> Callable:
         pointee = inst.pointer.type.pointee
 
-        # the same specialization analysis as _decode_gep, but operands
-        # are *collected* first and getters created exactly once after —
-        # a pending thunk must not be popped twice
+        # try full specialization: constant indices folded to one
+        # offset, variable indices become (operand, stride) terms.
+        # Operands are *collected* first and resolved exactly once after
+        # — a pending thunk must not be popped twice
         static = 0
         var_terms: List[Tuple[Value, int]] = []
         current = pointee
@@ -1100,60 +1093,7 @@ class _Decoder:
 
             return cbr_jump
 
-        if isinstance(inst, SwitchInst):
-            pending = self._pending.pop(id(inst.value), None)
-            if pending is None:
-                return self._decode_terminator(block)
-            self.stats["op_chain"] += 1
-            vthunk = self._value_thunk(pending)
-            table: Dict[int, Tuple[Optional[Callable], int]] = {}
-            for const, target in inst.cases:
-                table.setdefault(const.value, self._goto(block, target))
-            default = self._goto(block, inst.default)
-            get = table.get
-
-            def switch_fused(frame):
-                copy, target = get(vthunk(frame), default)
-                if copy is not None:
-                    copy(frame)
-                return target
-
-            return switch_fused
-
         return self._decode_terminator(block)
-
-    # -- phi edges --------------------------------------------------------------
-
-    def _edge_copy(self, source: BasicBlock, target: BasicBlock
-                   ) -> Optional[Callable]:
-        """Parallel-copy closure for the CFG edge ``source -> target``."""
-        phis = target.phis
-        if not phis:
-            return None
-        pairs = [
-            (self.slot_of(phi), self.slot_of(phi.incoming_value_for(source)))
-            for phi in phis
-        ]
-        if len(pairs) == 1:
-            dst, src = pairs[0]
-
-            def copy1(frame):
-                frame[dst] = frame[src]
-
-            return copy1
-        dsts = tuple(d for d, _ in pairs)
-        srcs = tuple(s for _, s in pairs)
-
-        def copyn(frame):
-            values = [frame[s] for s in srcs]
-            for d, v in zip(dsts, values):
-                frame[d] = v
-
-        return copyn
-
-    def _goto(self, source: BasicBlock, target: BasicBlock
-              ) -> Tuple[Optional[Callable], int]:
-        return self._edge_copy(source, target), self._block_index[id(target)]
 
     # -- terminators ------------------------------------------------------------
 
@@ -1176,53 +1116,19 @@ class _Decoder:
 
             return ret
 
-        if isinstance(inst, BranchInst):
-            copy, target = self._goto(block, inst.target)
-            if copy is None:
-                return lambda frame: target
-
-            def br(frame):
-                copy(frame)
-                return target
-
-            return br
-
-        if isinstance(inst, CondBranchInst):
-            cond = self.slot_of(inst.condition)
-            tcopy, ttarget = self._goto(block, inst.true_target)
-            fcopy, ftarget = self._goto(block, inst.false_target)
-            if tcopy is None and fcopy is None:
-
-                def cbr_plain(frame):
-                    return ttarget if frame[cond] else ftarget
-
-                return cbr_plain
-
-            def cbr(frame):
-                if frame[cond]:
-                    if tcopy is not None:
-                        tcopy(frame)
-                    return ttarget
-                if fcopy is not None:
-                    fcopy(frame)
-                return ftarget
-
-            return cbr
-
         if isinstance(inst, SwitchInst):
-            value = self.slot_of(inst.value)
+            pv, v = self._operand(inst.value)
             table: Dict[int, Tuple[Optional[Callable], int]] = {}
             for const, target in inst.cases:
                 # first matching case wins, as in the linear scan
-                table.setdefault(const.value, self._goto(block, target))
-            default = self._goto(block, inst.default)
+                table.setdefault(const.value, self._edge_jump(block, target))
+            default = self._edge_jump(block, inst.default)
             get = table.get
 
             def switch(frame):
-                copy, target = get(frame[value], default)
-                if copy is not None:
-                    copy(frame)
-                return target
+                jump, target = get(
+                    pv(frame) if pv is not None else frame[v], default)
+                return jump(frame) if jump is not None else target
 
             return switch
 
@@ -1238,22 +1144,6 @@ class _Decoder:
     # -- non-terminator instructions ---------------------------------------------
 
     def _decode_instruction(self, inst: Instruction) -> Callable:
-        if isinstance(inst, BinaryInst):
-            return self._decode_binop(inst)
-        if isinstance(inst, ICmpInst):
-            return self._decode_icmp(inst)
-        if isinstance(inst, FCmpInst):
-            return self._decode_fcmp(inst)
-        if isinstance(inst, SelectInst):
-            dst = self.slot_of(inst)
-            cond = self.slot_of(inst.condition)
-            tval = self.slot_of(inst.true_value)
-            fval = self.slot_of(inst.false_value)
-
-            def select(frame):
-                frame[dst] = frame[tval] if frame[cond] else frame[fval]
-
-            return select
         if isinstance(inst, AllocaInst):
             dst = self.slot_of(inst)
             size = T.size_of(inst.allocated_type) * inst.count
@@ -1265,399 +1155,11 @@ class _Decoder:
                 frame[dst] = (buf, 0)
 
             return alloca
-        if isinstance(inst, LoadInst):
-            dst = self.slot_of(inst)
-            pointer = self.slot_of(inst.pointer)
-            load, _ = scalar_accessors(inst.type)
-
-            def load_step(frame):
-                frame[dst] = load(frame[pointer])
-
-            return load_step
-        if isinstance(inst, StoreInst):
-            value = self.slot_of(inst.value)
-            pointer = self.slot_of(inst.pointer)
-            _, store = scalar_accessors(inst.value.type)
-
-            def store_step(frame):
-                store(frame[pointer], frame[value])
-
-            return store_step
-        if isinstance(inst, GEPInst):
-            return self._decode_gep(inst)
-        if isinstance(inst, CastInst):
-            return self._decode_cast(inst)
         if isinstance(inst, CallInst):
             return self._decode_call(inst)
         if isinstance(inst, IndirectCallInst):
             return self._decode_indirect_call(inst)
         raise DecodeError(f"cannot decode {type(inst).__name__}")
-
-    # -- arithmetic ---------------------------------------------------------------
-
-    def _decode_binop(self, inst: BinaryInst) -> Callable:
-        dst = self.slot_of(inst)
-        a = self.slot_of(inst.lhs)
-        b = self.slot_of(inst.rhs)
-        op = inst.opcode
-
-        if isinstance(inst.type, T.FloatType):
-            if op == "fadd":
-
-                def fadd(frame):
-                    try:
-                        frame[dst] = frame[a] + frame[b]
-                    except (OverflowError, ValueError):
-                        raise Trap("float trap in fadd") from None
-
-                return fadd
-            if op == "fsub":
-
-                def fsub(frame):
-                    try:
-                        frame[dst] = frame[a] - frame[b]
-                    except (OverflowError, ValueError):
-                        raise Trap("float trap in fsub") from None
-
-                return fsub
-            if op == "fmul":
-
-                def fmul(frame):
-                    try:
-                        frame[dst] = frame[a] * frame[b]
-                    except (OverflowError, ValueError):
-                        raise Trap("float trap in fmul") from None
-
-                return fmul
-            if op == "fdiv":
-
-                def fdiv(frame):
-                    d = frame[b]
-                    if d == 0.0:
-                        raise Trap("float trap in fdiv")
-                    frame[dst] = frame[a] / d
-
-                return fdiv
-            if op == "frem":
-
-                def frem(frame):
-                    d = frame[b]
-                    if d == 0.0:
-                        raise Trap("float trap in frem")
-                    try:
-                        frame[dst] = _fmod(frame[a], d)
-                    except (OverflowError, ValueError):
-                        raise Trap("float trap in frem") from None
-
-                return frem
-            raise DecodeError(f"unknown float binop {op}")
-
-        bits = inst.type.bits
-        mask = (1 << bits) - 1
-        half = 1 << (bits - 1) if bits > 1 else 0
-
-        if op == "add":
-
-            def add(frame):
-                frame[dst] = ((frame[a] + frame[b] + half) & mask) - half
-
-            return add
-        if op == "sub":
-
-            def sub(frame):
-                frame[dst] = ((frame[a] - frame[b] + half) & mask) - half
-
-            return sub
-        if op == "mul":
-
-            def mul(frame):
-                frame[dst] = ((frame[a] * frame[b] + half) & mask) - half
-
-            return mul
-        if op == "sdiv":
-
-            def sdiv(frame):
-                frame[dst] = ((_sdiv(frame[a], frame[b]) + half) & mask) - half
-
-            return sdiv
-        if op == "srem":
-
-            def srem(frame):
-                frame[dst] = ((_srem(frame[a], frame[b]) + half) & mask) - half
-
-            return srem
-        if op == "udiv":
-
-            def udiv(frame):
-                q = (frame[a] & mask) // _nonzero(frame[b] & mask)
-                frame[dst] = ((q + half) & mask) - half
-
-            return udiv
-        if op == "urem":
-
-            def urem(frame):
-                r = (frame[a] & mask) % _nonzero(frame[b] & mask)
-                frame[dst] = ((r + half) & mask) - half
-
-            return urem
-        if op == "and":
-
-            def and_(frame):
-                v = (frame[a] & mask) & (frame[b] & mask)
-                frame[dst] = ((v + half) & mask) - half
-
-            return and_
-        if op == "or":
-
-            def or_(frame):
-                v = (frame[a] & mask) | (frame[b] & mask)
-                frame[dst] = ((v + half) & mask) - half
-
-            return or_
-        if op == "xor":
-
-            def xor(frame):
-                v = (frame[a] & mask) ^ (frame[b] & mask)
-                frame[dst] = ((v + half) & mask) - half
-
-            return xor
-        if op == "shl":
-
-            def shl(frame):
-                v = (frame[a] & mask) << _shift_amount(frame[b], bits)
-                frame[dst] = ((v + half) & mask) - half
-
-            return shl
-        if op == "lshr":
-
-            def lshr(frame):
-                v = (frame[a] & mask) >> _shift_amount(frame[b], bits)
-                frame[dst] = ((v + half) & mask) - half
-
-            return lshr
-        if op == "ashr":
-
-            def ashr(frame):
-                v = frame[a] >> _shift_amount(frame[b], bits)
-                frame[dst] = ((v + half) & mask) - half
-
-            return ashr
-        raise DecodeError(f"unknown binop {op}")
-
-    def _decode_icmp(self, inst: ICmpInst) -> Callable:
-        dst = self.slot_of(inst)
-        a = self.slot_of(inst.lhs)
-        b = self.slot_of(inst.rhs)
-        pred = inst.predicate
-
-        if inst.lhs.type.is_pointer:
-
-            def ptr_cmp(frame):
-                frame[dst] = (
-                    1 if _pointer_compare(pred, frame[a], frame[b]) else 0
-                )
-
-            return ptr_cmp
-
-        cmp = _SIGNED_CMP.get(pred)
-        if cmp is not None:
-
-            def scmp(frame):
-                frame[dst] = 1 if cmp(frame[a], frame[b]) else 0
-
-            return scmp
-
-        mask = (1 << inst.lhs.type.bits) - 1
-        ucmp_op = _UNSIGNED_CMP[pred]
-
-        def ucmp(frame):
-            frame[dst] = 1 if ucmp_op(frame[a] & mask, frame[b] & mask) else 0
-
-        return ucmp
-
-    def _decode_fcmp(self, inst: FCmpInst) -> Callable:
-        dst = self.slot_of(inst)
-        a = self.slot_of(inst.lhs)
-        b = self.slot_of(inst.rhs)
-        pred = inst.predicate
-
-        if pred == "ord":
-
-            def ford(frame):
-                x, y = frame[a], frame[b]
-                frame[dst] = 0 if (x != x or y != y) else 1
-
-            return ford
-        if pred == "uno":
-
-            def funo(frame):
-                x, y = frame[a], frame[b]
-                frame[dst] = 1 if (x != x or y != y) else 0
-
-            return funo
-        cmp = _ORDERED_FCMP[pred]
-
-        def fcmp(frame):
-            x, y = frame[a], frame[b]
-            frame[dst] = 0 if (x != x or y != y) else (1 if cmp(x, y) else 0)
-
-        return fcmp
-
-    # -- memory -------------------------------------------------------------------
-
-    def _decode_gep(self, inst: GEPInst) -> Callable:
-        dst = self.slot_of(inst)
-        pointer = self.slot_of(inst.pointer)
-        pointee = inst.pointer.type.pointee
-
-        # try full specialization: constant indices folded to one offset,
-        # variable indices become (slot, stride) terms
-        static = 0
-        var_terms: List[Tuple[int, int]] = []
-        current = pointee
-        specialized = True
-        for position, index in enumerate(inst.indices):
-            if position == 0:
-                stride = T.size_of(pointee)
-            elif isinstance(current, T.ArrayType):
-                stride = T.size_of(current.element)
-                current = current.element
-            elif isinstance(current, T.StructType):
-                if not isinstance(index, ConstantInt):
-                    specialized = False
-                    break
-                static += sum(
-                    T.size_of(f) for f in current.fields[: index.value]
-                )
-                current = current.fields[index.value]
-                continue
-            else:
-                specialized = False
-                break
-            if isinstance(index, ConstantInt):
-                static += index.value * stride
-            else:
-                var_terms.append((self.slot_of(index), stride))
-
-        if not specialized:
-            index_slots = tuple(self.slot_of(i) for i in inst.indices)
-
-            def gep_generic(frame):
-                base = frame[pointer]
-                offset = gep_offset(pointee, [frame[s] for s in index_slots])
-                frame[dst] = (base[0], base[1] + offset)
-
-            return gep_generic
-
-        if not var_terms:
-
-            def gep_const(frame):
-                base = frame[pointer]
-                frame[dst] = (base[0], base[1] + static)
-
-            return gep_const
-        if len(var_terms) == 1:
-            slot, stride = var_terms[0]
-
-            def gep_one(frame):
-                base = frame[pointer]
-                frame[dst] = (base[0], base[1] + static + frame[slot] * stride)
-
-            return gep_one
-        terms = tuple(var_terms)
-
-        def gep_many(frame):
-            base = frame[pointer]
-            offset = static
-            for slot, stride in terms:
-                offset += frame[slot] * stride
-            frame[dst] = (base[0], base[1] + offset)
-
-        return gep_many
-
-    # -- casts --------------------------------------------------------------------
-
-    def _decode_cast(self, inst: CastInst) -> Callable:
-        dst = self.slot_of(inst)
-        src = self.slot_of(inst.value)
-        opcode = inst.opcode
-        to_type = inst.type
-        engine = self.engine
-
-        if opcode == "bitcast":
-
-            def bitcast(frame):
-                frame[dst] = frame[src]
-
-            return bitcast
-        if opcode == "inttoptr":
-            resolve = engine.object_table.resolve
-
-            def inttoptr(frame):
-                frame[dst] = resolve(frame[src])
-
-            return inttoptr
-        if opcode == "ptrtoint":
-            intern = engine.object_table.intern
-
-            def ptrtoint(frame):
-                frame[dst] = intern(frame[src])
-
-            return ptrtoint
-        if opcode in ("trunc", "sext"):
-            wrap = to_type.wrap
-
-            def trunc(frame):
-                frame[dst] = wrap(frame[src])
-
-            return trunc
-        if opcode == "zext":
-            wrap = to_type.wrap
-            to_unsigned = inst.value.type.to_unsigned
-
-            def zext(frame):
-                frame[dst] = wrap(to_unsigned(frame[src]))
-
-            return zext
-        if opcode == "sitofp":
-
-            def sitofp(frame):
-                frame[dst] = float(frame[src])
-
-            return sitofp
-        if opcode == "uitofp":
-            to_unsigned = inst.value.type.to_unsigned
-
-            def uitofp(frame):
-                frame[dst] = float(to_unsigned(frame[src]))
-
-            return uitofp
-        if opcode in ("fptosi", "fptoui"):
-            wrap = to_type.wrap
-
-            def fptoint(frame):
-                frame[dst] = wrap(float_to_int(frame[src]))
-
-            return fptoint
-        if opcode == "fptrunc":
-            if to_type.bits == 32:
-
-                def fptrunc32(frame):
-                    frame[dst] = _f32_round_trip(frame[src])
-
-                return fptrunc32
-
-            def fptrunc(frame):
-                frame[dst] = float(frame[src])
-
-            return fptrunc
-        if opcode == "fpext":
-
-            def fpext(frame):
-                frame[dst] = float(frame[src])
-
-            return fpext
-        raise DecodeError(f"cannot decode cast {opcode}")
 
     # -- calls --------------------------------------------------------------------
 
@@ -1710,15 +1212,13 @@ class DecodedFunction:
     for (used by the step limit).
 
     ``fusion`` holds the per-function superinstruction counts from decode
-    time (``cmp_br``, ``op_chain``, ``phi_copy``), all zero when decoded
-    with ``fuse=False``.
+    time (``cmp_br``, ``op_chain``, ``phi_copy``).
     """
 
     __slots__ = ("func", "name", "blocks", "template", "arg_slots",
                  "version", "shape", "fusion")
 
-    def __init__(self, func: Function, blocks, template, arg_slots,
-                 fusion=None):
+    def __init__(self, func: Function, blocks, template, arg_slots, fusion):
         self.func = func
         self.name = func.name
         self.blocks = blocks
@@ -1726,9 +1226,7 @@ class DecodedFunction:
         self.arg_slots = arg_slots
         self.version = func.code_version
         self.shape = func.code_shape()
-        self.fusion = dict(fusion) if fusion else {
-            "cmp_br": 0, "op_chain": 0, "phi_copy": 0,
-        }
+        self.fusion = dict(fusion)
 
     @property
     def frame_slots(self) -> int:
@@ -1803,13 +1301,8 @@ class DecodedFunction:
                 buf.freed = True
 
 
-def decode_function(func: Function, engine,
-                    fuse: bool = True) -> DecodedFunction:
+def decode_function(func: Function, engine) -> DecodedFunction:
     """Decode ``func`` for execution against ``engine``.
-
-    ``fuse=False`` disables the superinstruction peephole (one closure
-    per IR instruction, the pre-fusion behaviour) — used by differential
-    tests and the lowering benchmark's fused-vs-unfused comparison.
 
     Raises :class:`DecodeError` when the function uses a construct the
     decoded tier does not support (or when evaluating a constant operand
@@ -1817,6 +1310,6 @@ def decode_function(func: Function, engine,
     reproduces the trap at the correct execution point.
     """
     try:
-        return _Decoder(func, engine, fuse=fuse).decode()
+        return _Decoder(func, engine).decode()
     except Trap as exc:
         raise DecodeError(f"decode-time trap: {exc}") from exc

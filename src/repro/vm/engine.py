@@ -23,7 +23,15 @@ Execution tiers, per function:
   caller keeps running the decoded tier; the finished code is published
   atomically (generation-stamped, so a racing ``invalidate()`` discards
   it).  The recommended default for server-style workloads — first hot
-  calls never stall on the JIT (see ``docs/background-compilation.md``).
+  calls never stall on the JIT (see ``docs/background-compilation.md``);
+* ``speculative`` — ``tiered`` plus argument-value feedback: once
+  promoted, a function whose arguments are monomorphic is routed to a
+  guarded specialization that deoptimizes back when the guess breaks.
+
+``tiered`` and ``tiered-bg`` are one dispatcher
+(:meth:`ExecutionEngine._make_tierup_dispatcher`) over a
+:class:`~repro.vm.background.PublishBox`; they differ only in the
+promote step (compile inline and fill the box, or submit to the queue).
 
 Tests flip tiers to cross-check semantics.
 
@@ -183,8 +191,7 @@ class ExecutionEngine:
                  backedge_threshold: int = DEFAULT_BACKEDGE_THRESHOLD,
                  telemetry=None, analysis_manager=None,
                  compile_queue: Optional[CompileQueue] = None,
-                 decode_fusion: bool = True, flight: bool = False,
-                 disk_cache=None):
+                 flight: bool = False, disk_cache=None):
         if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r}")
         self.module = module
@@ -198,9 +205,6 @@ class ExecutionEngine:
 
             disk_cache = DiskCodeCache(disk_cache)
         self.disk_cache = disk_cache
-        #: superinstruction fusion in the decoded tier (``fuse=`` for
-        #: :func:`decode_function`); off only for A/B comparison runs
-        self.decode_fusion = decode_fusion
         #: serializes the mutating slow paths (compile/install/invalidate
         #: /publication); reentrant because instantiation re-enters the
         #: engine's resolution APIs.  Created before the object table,
@@ -265,48 +269,28 @@ class ExecutionEngine:
         self._invalidation_deps: Dict[str, List[Function]] = {}
         self._install_default_natives()
 
-    # -- counter back-compat (now backed by the metrics registry) ---------------
+    # -- read-only counter views over the metrics registry ---------------------
 
     @property
     def compile_count(self) -> int:
         """Number of functions compiled (Q3-style accounting)."""
         return self.metrics.counter("engine.compile")
 
-    @compile_count.setter
-    def compile_count(self, value: int) -> None:
-        self.metrics.set_counter("engine.compile", value)
-
     @property
     def jit_cache_hits(self) -> int:
         return self.metrics.counter(EV.JIT_CACHE_HIT)
-
-    @jit_cache_hits.setter
-    def jit_cache_hits(self, value: int) -> None:
-        self.metrics.set_counter(EV.JIT_CACHE_HIT, value)
 
     @property
     def jit_cache_misses(self) -> int:
         return self.metrics.counter(EV.JIT_CACHE_MISS)
 
-    @jit_cache_misses.setter
-    def jit_cache_misses(self, value: int) -> None:
-        self.metrics.set_counter(EV.JIT_CACHE_MISS, value)
-
     @property
     def tier_promotions(self) -> int:
         return self.metrics.counter(EV.TIER_PROMOTE)
 
-    @tier_promotions.setter
-    def tier_promotions(self, value: int) -> None:
-        self.metrics.set_counter(EV.TIER_PROMOTE, value)
-
     @property
     def decode_fallbacks(self) -> int:
         return self.metrics.counter(EV.DECODE_BAILOUT)
-
-    @decode_fallbacks.setter
-    def decode_fallbacks(self, value: int) -> None:
-        self.metrics.set_counter(EV.DECODE_BAILOUT, value)
 
     # -- natives -----------------------------------------------------------------
 
@@ -452,9 +436,11 @@ class ExecutionEngine:
         elif tier == "speculative":
             compiled = self._make_speculative_dispatcher(func)
         elif tier == "tiered-bg":
-            compiled = self._make_background_dispatcher(func)
+            compiled = self._make_tierup_dispatcher(
+                func, self._promote_background, "tieredbg")
         else:  # tiered
-            compiled = self._make_tiered_dispatcher(func)
+            compiled = self._make_tierup_dispatcher(
+                func, self._promote_inline, "tiered")
         if func.attributes.get("osr.entrypoint") == "resolved":
             # resolved-OSR continuations are entered straight from the osr
             # block's tail call; interpose so the transfer is observable.
@@ -491,7 +477,7 @@ class ExecutionEngine:
 
         return _mark_thunk(run, "interp", func)
 
-    def _make_decoded_thunk(self, func: Function, profile=None,
+    def _make_decoded_thunk(self, func: Function,
                             profile_resolver=None) -> Callable:
         """Thunk running ``func`` in the pre-decoded interpreter.
 
@@ -503,17 +489,16 @@ class ExecutionEngine:
         tiered dispatchers and a pinned ``decoded`` tier share one
         decode of the same body instead of re-decoding per thunk.
 
-        ``profile_resolver`` (a zero-argument callable returning the
-        profile to charge) takes precedence over ``profile``: the tiered
-        dispatchers pass one so backedge counts land in the *current
-        tenant's* profile when the profiler is tenant-scoped.
+        ``profile_resolver`` is a zero-argument callable returning the
+        profile to charge back edges to: the tier-up dispatchers pass
+        one so the counts land in the *current tenant's* profile when
+        the profiler is tenant-scoped.
         """
         decoded = self._decoded.get(func.name)
         if (decoded is None or decoded.func is not func
                 or decoded.version != func.code_version):
             try:
-                decoded = decode_function(func, self,
-                                          fuse=self.decode_fusion)
+                decoded = decode_function(func, self)
             except DecodeError as error:
                 # drop any stale cached decode so nothing can revive it
                 self._decoded.pop(func.name, None)
@@ -537,7 +522,7 @@ class ExecutionEngine:
                 else:
                     self.metrics.inc(EV.DECODE_FUSE)
         limit = self._interp_step_limit
-        if profile is None and profile_resolver is None and limit is None:
+        if profile_resolver is None and limit is None:
             run = decoded.run
 
             def run_fast(*args):
@@ -550,14 +535,40 @@ class ExecutionEngine:
                 return decoded.run_counted(args, limit, profile_resolver())
         else:
             def run_counted(*args):
-                return decoded.run_counted(args, limit, profile)
+                return decoded.run_counted(args, limit)
 
         return _mark_thunk(run_counted, "decoded", func)
 
-    def _make_tiered_dispatcher(self, func: Function) -> Callable:
-        """Mixed-mode executable: decoded interpreter with hotness
-        counters, promoted to the JIT once the profiler's call or
-        loop-backedge threshold trips.
+    def _make_tierup_dispatcher(self, func: Function, promote: Callable,
+                                prefix: str) -> Callable:
+        """The ``tiered`` and ``tiered-bg`` tiers: decoded interpreter
+        with hotness counters until a promoted callable is published
+        into the dispatcher's :class:`PublishBox`.
+
+        The two tiers differ only in ``promote``, the step taken when a
+        threshold trips: :meth:`_promote_inline` compiles on the calling
+        thread and fills the box; :meth:`_promote_background` submits a
+        :class:`CompileJob` and keeps running the decoded tier until a
+        worker publishes (see :meth:`_publish_background`).
+        Invalidation replaces the whole dispatcher, so a rewritten body
+        starts over with a fresh box and fresh counters.
+        """
+        box = PublishBox(self.compile_generation(func.name))
+        cold = self._tierup_cold_path(func, box, promote)
+
+        def dispatch(*args):
+            promoted = box.value
+            if promoted is not None:
+                return promoted(*args)
+            return cold(*args)
+
+        return _mark_thunk(dispatch, prefix, func)
+
+    def _tierup_cold_path(self, func: Function, box: PublishBox,
+                          promote: Callable) -> Callable:
+        """What a call does while ``box`` is still empty: count it, run
+        ``promote`` once a threshold trips, else stay on the decoded
+        tier.  Shared by every promoting dispatcher.
 
         Promotion is checked at call boundaries; the backedge counter
         (fed by the decoded tier's profiled loop) lets a function that is
@@ -568,39 +579,50 @@ class ExecutionEngine:
         tenant scope installed by :class:`~repro.serve.server.VMServer`
         charges hotness to the requesting tenant's profile — one
         tenant's traffic never trips another's thresholds.
+
+        ``promote(func, profile, box)`` returns the compiled callable
+        when the promotion landed on this call, or None when it will be
+        published later (it then latches ``box.requested`` so the
+        following calls do not ask again).
         """
-        engine = self
         profiler = self.profiler
         resolve = profiler.profile_for
         name = func.name
         baseline = self._make_decoded_thunk(
             func, profile_resolver=lambda: resolve(name))
-        promoted_box: List[Optional[Callable]] = [None]
 
-        def dispatch(*args):
-            promoted = promoted_box[0]
-            if promoted is not None:
-                return promoted(*args)
+        def cold(*args):
             profile = resolve(name)
             profile.calls += 1
-            if profiler.should_promote(profile):
-                promoted = engine._promote_inline(func, profile)
-                promoted_box[0] = promoted
-                return promoted(*args)
+            if not box.requested and profiler.should_promote(profile):
+                promoted = promote(func, profile, box)
+                if promoted is not None:
+                    return promoted(*args)
             return baseline(*args)
 
-        return _mark_thunk(dispatch, "tiered", func)
+        return cold
 
-    def _promote_inline(self, func: Function, profile) -> Callable:
-        """Threshold tripped: compile now, on the calling thread, and
-        record the promotion (telemetry, profile stamp, handle redirect).
-        Shared by the ``tiered`` and ``speculative`` dispatchers; the
-        ``tiered-bg`` tier routes through the compile queue instead."""
+    def _promote_inline(self, func: Function, profile,
+                        box: PublishBox) -> Callable:
+        """Promote step of ``tiered`` and ``speculative``: compile now,
+        on the calling thread, and fill the box."""
         self._emit_hot_event(func, profile)
         promoted = compile_function(func, self)
-        profile.promoted_version = func.code_version
         self._record_promotion(func, profile)
+        box.value = promoted
         return promoted
+
+    def _promote_background(self, func: Function, profile,
+                            box: PublishBox) -> None:
+        """Promote step of ``tiered-bg``: queue a non-blocking compile
+        (priority = the tripping profile's hotness); a worker fills the
+        box through :meth:`_publish_background`."""
+        # benign race: two threads may both pass the latch check; the
+        # queue's pending-set dedups the second submit
+        box.requested = True
+        self._emit_hot_event(func, profile)
+        self._ensure_bg_queue().submit(self, func, box, profile)
+        return None
 
     def _emit_hot_event(self, func: Function, profile) -> None:
         tel = self.telemetry
@@ -613,6 +635,9 @@ class ExecutionEngine:
             )
 
     def _record_promotion(self, func: Function, profile) -> None:
+        """Stamp ``profile`` (the one whose counters tripped) as promoted,
+        report it, and redirect the function handle."""
+        profile.promoted_version = func.code_version
         tel = self.telemetry
         if tel.enabled:
             tel.event(EV.TIER_PROMOTE, function=func.name,
@@ -669,51 +694,6 @@ class ExecutionEngine:
             self.metrics.inc(EV.DISKCACHE_WRITE)
         return True
 
-    def _make_background_dispatcher(self, func: Function) -> Callable:
-        """The ``tiered-bg`` tier: the tiered promotion policy with the
-        compile moved off the calling thread.
-
-        The dispatcher never blocks on the JIT.  When a threshold trips
-        it submits a :class:`CompileJob` (priority = current hotness) to
-        the background queue and keeps executing the decoded tier; a
-        worker publishes the compiled callable into ``box`` under the
-        engine lock — generation-checked, so a publish racing
-        :meth:`invalidate` is discarded — and the *next* call dispatches
-        to it.  Invalidation replaces the whole dispatcher, so the
-        rewritten body starts over with a fresh box and fresh counters.
-        """
-        engine = self
-        profiler = self.profiler
-        resolve = profiler.profile_for
-        name = func.name
-        baseline = self._make_decoded_thunk(
-            func, profile_resolver=lambda: resolve(name))
-        box = PublishBox(self.compile_generation(func.name))
-        submitted = [False]
-
-        def dispatch(*args):
-            promoted = box.value
-            if promoted is not None:
-                return promoted(*args)
-            profile = resolve(name)
-            profile.calls += 1
-            if (not submitted[0] and not box.failed
-                    and profiler.should_promote(profile)):
-                # benign race: two threads may both pass the flag check;
-                # the queue's pending-set dedups the second submit
-                submitted[0] = True
-                engine._submit_background(func, profile, box)
-            return baseline(*args)
-
-        return _mark_thunk(dispatch, "tieredbg", func)
-
-    def _submit_background(self, func: Function, profile,
-                           box: PublishBox) -> None:
-        """Queue a non-blocking tier-up compile for ``func``."""
-        self._emit_hot_event(func, profile)
-        self._ensure_bg_queue().submit(self, func, box,
-                                       priority=profile.hotness())
-
     def _publish_background(self, job: CompileJob, artifact) -> bool:
         """Atomically install a background worker's compile result.
 
@@ -733,10 +713,10 @@ class ExecutionEngine:
                     or box.value is not None):
                 return False
             compiled = artifact.instantiate(self)
-            profile = self.profiler.profile_for(func.name)
-            profile.promoted_version = func.code_version
             box.value = compiled  # the atomic publish
-            self._record_promotion(func, profile)
+            # the job carries the tripping profile: this worker thread
+            # has no tenant scope to resolve it through
+            self._record_promotion(func, job.profile)
             return True
 
     def compile_generation(self, name: str) -> int:
@@ -823,36 +803,27 @@ class ExecutionEngine:
         continuation machinery when the assumption breaks.
         """
         self._init_speculation()
-        engine = self
-        profiler = self.profiler
         spec = self.spec_manager
-        resolve = profiler.profile_for
+        resolve = self.profiler.profile_for
         name = func.name
         state = spec.state_for(func)
-        baseline = self._make_decoded_thunk(
-            func, profile_resolver=lambda: resolve(name))
-        promoted_box: List[Optional[Callable]] = [None]
+        box = PublishBox(self.compile_generation(name))
+        cold = self._tierup_cold_path(func, box, self._promote_inline)
 
         def dispatch(*args):
             active = state.active
             if active is not None:
                 return active(*args)
-            promoted = promoted_box[0]
             profile = resolve(name)
-            if promoted is not None:
-                profile.record_args(args)
-                spec.maybe_specialize(func, profile)
-                active = state.active
-                if active is not None:
-                    return active(*args)
-                return promoted(*args)
-            profile.calls += 1
             profile.record_args(args)
-            if profiler.should_promote(profile):
-                promoted = engine._promote_inline(func, profile)
-                promoted_box[0] = promoted
-                return promoted(*args)
-            return baseline(*args)
+            promoted = box.value
+            if promoted is None:
+                return cold(*args)
+            spec.maybe_specialize(func, profile)
+            active = state.active
+            if active is not None:
+                return active(*args)
+            return promoted(*args)
 
         return _mark_thunk(dispatch, "speculative", func)
 

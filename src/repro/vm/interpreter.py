@@ -12,7 +12,6 @@ copy), before any other instruction executes.
 
 from __future__ import annotations
 
-import struct
 from typing import Any, Dict, List, Optional
 
 from ..ir import types as T
@@ -60,15 +59,13 @@ from ..transform.constfold import (
 from .runtime import (
     NULL,
     MemoryBuffer,
-    Pointer,
+    Trap,
+    f32_round_trip,
     gep_offset,
     load_scalar,
+    pointer_compare,
     store_scalar,
 )
-
-
-class Trap(Exception):
-    """Raised on undefined behaviour (division by zero, unreachable, OOB)."""
 
 
 class StepLimitExceeded(Exception):
@@ -201,7 +198,7 @@ class Interpreter:
             a = ev(inst.lhs, frame)
             b = ev(inst.rhs, frame)
             if inst.lhs.type.is_pointer:
-                return 1 if _pointer_compare(inst.predicate, a, b) else 0
+                return 1 if pointer_compare(inst.predicate, a, b) else 0
             return 1 if fold_icmp(inst.predicate, inst.lhs.type, a, b) else 0
 
         if isinstance(inst, FCmpInst):
@@ -303,7 +300,7 @@ class Interpreter:
             return to_type.wrap(float_to_int(value))
         if opcode == "fptrunc":
             if to_type.bits == 32:
-                return struct.unpack("<f", struct.pack("<f", value))[0]
+                return f32_round_trip(value)
             return float(value)
         if opcode == "fpext":
             return float(value)
@@ -315,28 +312,3 @@ class _Return:
 
     def __init__(self, value):
         self.value = value
-
-
-def _pointer_compare(predicate: str, a: Pointer, b: Pointer) -> bool:
-    """Pointer equality compares identity; ordering compares offsets
-    within the same buffer (cross-buffer ordering is unspecified; we
-    order by buffer id for determinism)."""
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        ka = (id(a[0]), a[1])
-        kb = (id(b[0]), b[1])
-        same = a[0] is b[0] and a[1] == b[1]
-    else:
-        ka, kb = id(a), id(b)
-        same = a is b
-    return {
-        "eq": same,
-        "ne": not same,
-        "ult": ka < kb,
-        "ule": ka <= kb or same,
-        "ugt": ka > kb,
-        "uge": ka >= kb or same,
-        "slt": ka < kb,
-        "sle": ka <= kb or same,
-        "sgt": ka > kb,
-        "sge": ka >= kb or same,
-    }[predicate]

@@ -106,7 +106,18 @@ from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
 from ..transform.constfold import float_to_int
 from .interpreter import Trap
-from .runtime import HANDLE_HEAP, NULL, MemoryBuffer, load_scalar, store_scalar
+from .runtime import (
+    HANDLE_HEAP,
+    NULL,
+    MemoryBuffer,
+    f32_round_trip,
+    load_scalar,
+    nonzero,
+    sdiv,
+    shift_amount,
+    srem,
+    store_scalar,
+)
 
 
 class JITError(Exception):
@@ -124,45 +135,8 @@ class ArtifactFormatError(JITError):
     written by an incompatible format/interpreter version."""
 
 
-# -- integer semantics helpers (bound into every compiled namespace) ----------
-
-
-def _make_sdiv(trap):
-    def sdiv(a, b):
-        if b == 0:
-            raise trap("sdiv by zero")
-        q = abs(a) // abs(b)
-        return -q if (a < 0) != (b < 0) else q
-
-    return sdiv
-
-
-def _make_srem(trap):
-    def srem(a, b):
-        if b == 0:
-            raise trap("srem by zero")
-        q = abs(a) // abs(b)
-        q = -q if (a < 0) != (b < 0) else q
-        return a - q * b
-
-    return srem
-
-
-def _nonzero(value):
-    if value == 0:
-        raise Trap("division by zero")
-    return value
-
-
-def _shift_amount(amount, bits):
-    if not 0 <= amount < bits:
-        raise Trap(f"shift amount {amount} out of range for i{bits}")
-    return amount
-
-
-def _f32_round_trip(value):
-    """Round a Python float through 32-bit storage (fptrunc semantics)."""
-    return struct.unpack("<f", struct.pack("<f", value))[0]
+# -- float semantics helpers (bound into every compiled namespace; the
+# integer ones live in vm/runtime.py, shared with the decoded tier) ------------
 
 
 def _float_div(a, b):
@@ -197,11 +171,11 @@ def _build_static_namespace() -> Dict[str, Any]:
         _ftoi=float_to_int,
         _fdiv=_float_div,
         _frem=_float_rem,
-        _sdiv=_make_sdiv(Trap),
-        _srem=_make_srem(Trap),
-        _nz=_nonzero,
-        _shamt=_shift_amount,
-        _f32rt=_f32_round_trip,
+        _sdiv=sdiv,
+        _srem=srem,
+        _nz=nonzero,
+        _shamt=shift_amount,
+        _f32rt=f32_round_trip,
         _load_scalar=load_scalar,
         _store_scalar=store_scalar,
     )

@@ -27,6 +27,10 @@ from typing import Callable, Optional, Tuple, Union
 from ..ir import types as T
 
 
+class Trap(Exception):
+    """Raised on undefined behaviour (division by zero, unreachable, OOB)."""
+
+
 class MemoryBuffer:
     """A byte-addressable allocation (heap block, stack slot or global)."""
 
@@ -289,6 +293,71 @@ def gep_offset(pointee: T.Type, indices) -> int:
         else:
             raise TypeError(f"cannot index into {current}")
     return offset
+
+
+# -- scalar semantics shared by every tier --------------------------------------
+#
+# The decoded closures and the JIT's compiled namespace bind these same
+# functions (the tree-walker shares ``pointer_compare`` and
+# ``f32_round_trip``), so a trap condition or rounding rule has one
+# definition instead of a private copy per tier.
+
+
+def sdiv(a, b):
+    if b == 0:
+        raise Trap("sdiv by zero")
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
+def srem(a, b):
+    if b == 0:
+        raise Trap("srem by zero")
+    q = abs(a) // abs(b)
+    q = -q if (a < 0) != (b < 0) else q
+    return a - q * b
+
+
+def nonzero(value):
+    if value == 0:
+        raise Trap("division by zero")
+    return value
+
+
+def shift_amount(amount, bits):
+    if not 0 <= amount < bits:
+        raise Trap(f"shift amount {amount} out of range for i{bits}")
+    return amount
+
+
+def f32_round_trip(value):
+    """Round a Python float through 32-bit storage (fptrunc semantics)."""
+    return _F32.unpack(_F32.pack(value))[0]
+
+
+def pointer_compare(predicate: str, a: Pointer, b: Pointer) -> bool:
+    """Pointer equality compares identity; ordering compares offsets
+    within the same buffer (cross-buffer ordering is unspecified; we
+    order by buffer id for determinism)."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        ka = (id(a[0]), a[1])
+        kb = (id(b[0]), b[1])
+        same = a[0] is b[0] and a[1] == b[1]
+    else:
+        ka, kb = id(a), id(b)
+        same = a is b
+    return {
+        "eq": same,
+        "ne": not same,
+        "ult": ka < kb,
+        "ule": ka <= kb or same,
+        "ugt": ka > kb,
+        "uge": ka >= kb or same,
+        "slt": ka < kb,
+        "sle": ka <= kb or same,
+        "sgt": ka > kb,
+        "sge": ka >= kb or same,
+    }[predicate]
 
 
 class OutputBuffer:

@@ -139,7 +139,7 @@ class TestEngineStreams:
     def test_decode_bailout_records_reason(self, monkeypatch):
         from repro.vm import engine as engine_mod
 
-        def boom(func, engine, fuse=True):
+        def boom(func, engine):
             raise DecodeError("synthetic bailout")
 
         monkeypatch.setattr(engine_mod, "decode_function", boom)
@@ -281,13 +281,6 @@ class TestStatsSurface:
         assert snapshot["counters"][events.TIER_PROMOTE] == 1
         assert snapshot["counters"]["engine.compile"] >= 1
         assert snapshot["profiles"]["sumto"]["promoted"]
-
-    def test_counter_setters_back_compat(self):
-        engine, _ = _tiered()
-        engine.jit_cache_hits = 7
-        assert engine.metrics.counter(events.JIT_CACHE_HIT) == 7
-        engine.compile_count = 3
-        assert engine.compile_count == 3
 
 
 class TestNoopFastPath:

@@ -1,12 +1,12 @@
 """Differential tests: superinstruction fusion must be invisible.
 
-The fused and unfused decodes of any program are two lowerings of the
-same semantics; both must agree with the tree-walking oracle on
-results, traps and memory faults — across the shootout suite and over
-generated programs.  Resolved OSR points planted at loop headers must
-keep firing when the surrounding compare/branch and operand chains are
-fused, since fused closures preserve block weights and the OSR check
-block stays a block boundary.
+The decoded tier's fused closures are a lowering of the IR's
+semantics: they must agree with the tree-walking oracle on results,
+traps and memory faults — across the shootout suite and over generated
+programs.  Resolved OSR points planted at loop headers must keep firing
+when the surrounding compare/branch and operand chains are fused, since
+block weights count IR instructions and the OSR check block stays a
+block boundary.
 """
 
 import struct
@@ -71,12 +71,8 @@ def test_shootout_fusion_transparent(name, level):
         return compile_benchmark(bench, level)
 
     oracle = _run(factory, bench.entry, args, tier="interp")
-    fused = _run(factory, bench.entry, args, tier="decoded",
-                 decode_fusion=True)
-    unfused = _run(factory, bench.entry, args, tier="decoded",
-                   decode_fusion=False)
-    assert fused == oracle, (name, level)
-    assert unfused == oracle, (name, level)
+    decoded = _run(factory, bench.entry, args, tier="decoded")
+    assert decoded == oracle, (name, level)
 
 
 class TestGeneratedPrograms:
@@ -90,10 +86,9 @@ class TestGeneratedPrograms:
         text = print_module(module)
         oracle = _run(lambda: parse_module(text), "prog", args,
                       tier="interp")
-        for fuse in (True, False):
-            got = _run(lambda: parse_module(text), "prog", args,
-                       tier="decoded", decode_fusion=fuse)
-            assert got == oracle, ("fuse", fuse)
+        got = _run(lambda: parse_module(text), "prog", args,
+                   tier="decoded")
+        assert got == oracle
 
     @SETTINGS
     @given(data=st.data())
@@ -108,10 +103,9 @@ class TestGeneratedPrograms:
         text = print_module(module)
         oracle = _run(lambda: parse_module(text), "fprog", (a, b),
                       tier="interp")
-        for fuse in (True, False):
-            got = _run(lambda: parse_module(text), "fprog", (a, b),
-                       tier="decoded", decode_fusion=fuse)
-            assert got == oracle, ("fuse", fuse)
+        got = _run(lambda: parse_module(text), "fprog", (a, b),
+                   tier="decoded")
+        assert got == oracle
 
 
 OSR_LOOP = """
@@ -137,10 +131,9 @@ class TestOSRAtFusedLoopHeaders:
     superinstructions, but the probe must still fire and the transition
     must be value-transparent."""
 
-    def _instrumented_engine(self, fuse, threshold):
+    def _instrumented_engine(self, threshold):
         module = parse_module(OSR_LOOP)
-        engine = ExecutionEngine(module, tier="decoded",
-                                 decode_fusion=fuse)
+        engine = ExecutionEngine(module, tier="decoded")
         func = module.get_function("hot")
         loop = func.get_block("loop")
         insert_resolved_osr_point(
@@ -149,16 +142,15 @@ class TestOSRAtFusedLoopHeaders:
         )
         return engine
 
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_osr_fires_and_result_is_transparent(self, fuse):
-        engine = self._instrumented_engine(fuse, threshold=50)
+    def test_osr_fires_and_result_is_transparent(self):
+        engine = self._instrumented_engine(threshold=50)
         assert engine.run("hot", 500) == sum(range(500))
-        assert engine.metrics.counter(events.OSR_FIRE) >= 1, fuse
+        assert engine.metrics.counter(events.OSR_FIRE) >= 1
 
     def test_fused_decode_still_reports_fusion_around_probe(self):
         # the instrumented body must not defeat the peephole entirely:
         # the loop's compare+branch still fuses with the probe in place
-        engine = self._instrumented_engine(fuse=True, threshold=50)
+        engine = self._instrumented_engine(threshold=50)
         assert engine.run("hot", 500) == sum(range(500))
         fusion = engine.stats_snapshot()["fusion"]
         totals = {key: sum(per_func[key] for per_func in fusion.values())
@@ -168,6 +160,6 @@ class TestOSRAtFusedLoopHeaders:
 
     def test_never_firing_probe_is_transparent_under_fusion(self):
         engine = self._instrumented_engine(
-            fuse=True, threshold=HotCounterCondition.NEVER)
+            threshold=HotCounterCondition.NEVER)
         assert engine.run("hot", 500) == sum(range(500))
         assert engine.metrics.counter(events.OSR_FIRE) == 0

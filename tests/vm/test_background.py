@@ -19,6 +19,7 @@ from repro.vm import (
     TIERS,
     CompileQueue,
     ExecutionEngine,
+    FunctionProfile,
     JITError,
     PublishBox,
 )
@@ -62,6 +63,14 @@ def _engine(src=LOOP, tier="tiered-bg", **kwargs):
     return engine, module
 
 
+def _profile(name, calls):
+    """A tripping profile for direct queue submits; the job's priority
+    is its hotness, which grows with ``calls``."""
+    profile = FunctionProfile(name)
+    profile.calls = calls
+    return profile
+
+
 class _GatedCodegen:
     """Wrap codegen so the worker blocks until the test releases it."""
 
@@ -93,6 +102,32 @@ class TestBackgroundPromotion:
         assert stats["discarded"] == 0
         assert engine.profiler.profile_for("sumto").promoted
         engine.shutdown_background()
+
+    def test_promotion_stamps_the_tripping_tenants_profile(self):
+        # the publish runs on a worker thread with no tenant scope: it
+        # must stamp the profile that tripped, not look one up there
+        snapshots = {}
+        for tier in ("tiered", "tiered-bg"):
+            tel = Telemetry()
+            engine, _ = _engine(tier=tier, call_threshold=2, telemetry=tel)
+            with engine.profiler.tenant_scope("alice"):
+                for _ in range(5):
+                    assert engine.run("sumto", 10) == 55
+                    assert engine.drain_background(5.0)
+            engine.shutdown_background()
+            promotes = [e["args"]["calls"] for e in tel.events
+                        if e["name"] == events.TIER_PROMOTE]
+            tenants = engine.profiler.tenant_snapshot()
+            # the tripping call itself runs decoded under tiered-bg and
+            # compiled under tiered, so backedge counts differ by design
+            del tenants["alice"]["sumto"]["backedges"]
+            snapshots[tier] = (tenants, engine.profiler.snapshot(), promotes)
+        assert snapshots["tiered"] == (
+            {"alice": {"sumto": {"calls": 2, "promoted": True}}},
+            {},  # no phantom profile in the default scope
+            [2],
+        )
+        assert snapshots["tiered-bg"] == snapshots["tiered"]
 
     def test_hot_call_does_not_block_on_compile(self, monkeypatch):
         gate = _GatedCodegen(monkeypatch, block={"sumto"})
@@ -133,7 +168,7 @@ class TestBackgroundPromotion:
         queue = engine.background_queue
         assert queue.failed == 1
         assert queue.installed == 0
-        # the box latched the failure: no resubmission on later calls
+        # the box latched the request: no resubmission on later calls
         engine.run("sumto", 10)
         assert queue.submitted == 1
         engine.shutdown_background()
@@ -155,12 +190,12 @@ entry:
         engine, module = _engine(src)
         queue = engine._ensure_bg_queue()
         blocker = module.get_function("sumto")
-        queue.submit(engine, blocker, PublishBox(0), priority=1)
+        queue.submit(engine, blocker, PublishBox(0), _profile("sumto", 1))
         assert gate.entered.wait(5.0)  # worker busy; next two stay queued
         queue.submit(engine, module.get_function("cold"),
-                     PublishBox(0), priority=5)
+                     PublishBox(0), _profile("cold", 5))
         queue.submit(engine, module.get_function("hot"),
-                     PublishBox(0), priority=500)
+                     PublishBox(0), _profile("hot", 500))
         gate.release.set()
         assert queue.drain(5.0)
         assert gate.order == ["sumto", "hot", "cold"]
@@ -232,7 +267,7 @@ entry:
         engine, module = _engine(src, call_threshold=2)
         queue = engine._ensure_bg_queue()
         queue.submit(engine, module.get_function("decoy"),
-                     PublishBox(0), priority=10**9)
+                     PublishBox(0), _profile("decoy", 10**9))
         assert gate.entered.wait(5.0)
         for _ in range(4):
             engine.run("sumto", 10)
@@ -251,16 +286,17 @@ entry:
         from repro.vm.background import CompileJob
 
         artifact = codegen_function(func)
-        stale = CompileJob(engine, func, PublishBox(generation=0),
-                           priority=1)
+        profile = engine.profiler.profile_for(func.name)
+        stale = CompileJob(engine, func, PublishBox(generation=0), profile)
         engine.invalidate(func)  # generation is now 1
         fresh_artifact = codegen_function(func)
         assert engine._publish_background(stale, fresh_artifact) is False
         live = CompileJob(engine, func,
                           PublishBox(engine.compile_generation(func.name)),
-                          priority=1)
+                          profile)
         assert engine._publish_background(live, fresh_artifact) is True
         assert live.box.value is not None
+        assert profile.promoted
         # a box publishes at most once
         assert engine._publish_background(live, fresh_artifact) is False
 

@@ -12,7 +12,7 @@ from repro.vm import ExecutionEngine, Trap
 from ..conftest import make_i64_array
 
 
-@pytest.fixture(params=["interp", "jit"])
+@pytest.fixture(params=["interp", "decoded", "jit"])
 def tier(request):
     return request.param
 

@@ -3,10 +3,12 @@
 The decoder's peephole fuses compare+branch pairs, single-use
 producer→consumer chains and phi parallel copies into flat closures.
 These tests pin the observable surface: the per-function fusion
-counters, the ``decode_fusion`` engine switch, the ``decode.fuse``
-telemetry event, and the invariant that fusion never changes block
-weights (the step/OSR accounting unit) or results.
+counters, the ``decode.fuse`` telemetry event, and the invariants that
+block weights (the step/OSR accounting unit) count IR instructions, not
+closures, and that results match the tree-walking oracle.
 """
+
+import pytest
 
 from repro.ir import parse_module
 from repro.obs import Telemetry, events
@@ -40,10 +42,41 @@ entry:
 """
 
 
-def _decode(text, name, fuse):
+#: a switch whose scrutinee has other users (so it cannot fuse into the
+#: terminator) and whose targets all carry phis fed by the switch block
+SWITCH_PHI = """
+define i64 @classify(i64 %x) {
+entry:
+  %k = and i64 %x, 3
+  switch i64 %k, label %other [ i64 0, label %zero
+                                i64 1, label %one ]
+zero:
+  %z = phi i64 [ %k, %entry ]
+  %zb = phi i64 [ 100, %entry ]
+  %zr = add i64 %z, %zb
+  br label %out
+one:
+  %o = phi i64 [ %x, %entry ]
+  %or = mul i64 %o, 2
+  br label %out
+other:
+  %t = phi i64 [ %k, %entry ]
+  %tb = phi i64 [ %x, %entry ]
+  %tc = phi i64 [ 7, %entry ]
+  %t1 = add i64 %t, %tb
+  %tr = add i64 %t1, %tc
+  br label %out
+out:
+  %r = phi i64 [ %zr, %zero ], [ %or, %one ], [ %tr, %other ]
+  ret i64 %r
+}
+"""
+
+
+def _decode(text, name):
     module = parse_module(text)
-    engine = ExecutionEngine(module, tier="decoded", decode_fusion=fuse)
-    return decode_function(module.get_function(name), engine, fuse=fuse)
+    engine = ExecutionEngine(module, tier="decoded")
+    return decode_function(module.get_function(name), engine)
 
 
 class TestFusionCounters:
@@ -51,48 +84,53 @@ class TestFusionCounters:
         # one icmp feeding the conditional branch; two phi-carrying
         # edges (entry->loop and loop->loop); no single-use chains
         # (%acc1 and %i1 both have two users)
-        decoded = _decode(LOOP, "sumto", fuse=True)
+        decoded = _decode(LOOP, "sumto")
         assert decoded.fusion == {"cmp_br": 1, "op_chain": 0, "phi_copy": 2}
 
     def test_op_chains_counted(self):
         # %a -> %b is one chain link, %b -> ret another
-        decoded = _decode(CHAIN, "chain", fuse=True)
+        decoded = _decode(CHAIN, "chain")
         assert decoded.fusion == {"cmp_br": 0, "op_chain": 2, "phi_copy": 0}
 
-    def test_unfused_counters_all_zero(self):
-        decoded = _decode(LOOP, "sumto", fuse=False)
-        assert decoded.fusion == {"cmp_br": 0, "op_chain": 0, "phi_copy": 0}
-
-    def test_block_weights_unchanged_by_fusion(self):
-        # fused superinstructions still account for every original
-        # instruction: the step limit and OSR hot counters must see the
-        # same weights either way
-        fused = _decode(LOOP, "sumto", fuse=True)
-        unfused = _decode(LOOP, "sumto", fuse=False)
-        assert [b[2] for b in fused.blocks] == [b[2] for b in unfused.blocks]
+    @pytest.mark.parametrize("text, name", [
+        (LOOP, "sumto"), (CHAIN, "chain"), (SWITCH_PHI, "classify"),
+    ])
+    def test_block_weights_count_ir_instructions(self, text, name):
+        # fused superinstructions still account for every IR
+        # instruction: the step limit and OSR hot counters see one unit
+        # per non-phi instruction (terminator included), however many
+        # closures the block decoded to
+        decoded = _decode(text, name)
+        for block, (steps, _, weight) in zip(decoded.func.blocks,
+                                             decoded.blocks):
+            expected = len(block.instructions) - block.first_non_phi_index
+            assert weight == expected, block.name
+            assert len(steps) + 1 <= weight, block.name
 
 
 class TestEngineSurface:
-    def test_fused_and_unfused_agree(self):
-        results = set()
-        for fuse in (True, False):
-            engine = ExecutionEngine(parse_module(LOOP), tier="decoded",
-                                     decode_fusion=fuse)
-            results.add(engine.run("sumto", 10))
-        assert results == {55}
+    def test_decoded_agrees_with_oracle(self):
+        for tier in ("decoded", "interp"):
+            engine = ExecutionEngine(parse_module(LOOP), tier=tier)
+            assert engine.run("sumto", 10) == 55, tier
+
+    def test_unfused_switch_with_phi_targets_matches_oracle(self):
+        # the scrutinee stays in its slot (it also feeds phis) and each
+        # of the three switch edges, like the three edges into %out,
+        # performs its phi parallel copy inside the jump closure; the
+        # only chain link is %t1 -> %tr
+        decoded = _decode(SWITCH_PHI, "classify")
+        assert decoded.fusion == {"cmp_br": 0, "op_chain": 1, "phi_copy": 6}
+        oracle = ExecutionEngine(parse_module(SWITCH_PHI), tier="interp")
+        engine = ExecutionEngine(parse_module(SWITCH_PHI), tier="decoded")
+        for x in (0, 1, 2, 3, 4, 5, 6, -1, -4, 1 << 40):
+            assert engine.run("classify", x) == oracle.run("classify", x), x
 
     def test_stats_snapshot_exposes_fusion(self):
         engine = ExecutionEngine(parse_module(LOOP), tier="decoded")
         assert engine.run("sumto", 10) == 55
         fusion = engine.stats_snapshot()["fusion"]
         assert fusion["sumto"] == {"cmp_br": 1, "op_chain": 0, "phi_copy": 2}
-
-    def test_decode_fusion_flag_disables(self):
-        engine = ExecutionEngine(parse_module(LOOP), tier="decoded",
-                                 decode_fusion=False)
-        assert engine.run("sumto", 10) == 55
-        fusion = engine.stats_snapshot()["fusion"]
-        assert fusion["sumto"] == {"cmp_br": 0, "op_chain": 0, "phi_copy": 0}
 
     def test_decode_fuse_event_carries_counters(self):
         tel = Telemetry()
