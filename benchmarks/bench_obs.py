@@ -4,8 +4,9 @@ The production claim behind :func:`repro.obs.production_telemetry` is
 that a ``tiered`` engine can keep the flight recorder and the
 histogram-backed timers attached permanently — so the claim needs a
 number: this benchmark runs the shootout suite twice per workload, once
-with telemetry explicitly off (:data:`~repro.obs.NULL_TELEMETRY`) and
-once on the always-on production telemetry, and asserts the suite-mean
+with telemetry off (a sinkless ``Telemetry(tracer=None)``, what an
+untraced engine owns) and once on the always-on production telemetry,
+and asserts the suite-mean
 overhead stays within the budget (``MAX_OVERHEAD``, 5%).
 
 The timed batches alternate off/on within each trial so clock and load
@@ -31,7 +32,7 @@ import time
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ir import parse_module
-from repro.obs import NULL_TELEMETRY, production_telemetry
+from repro.obs import Telemetry, production_telemetry
 from repro.obs import events as EV
 from repro.shootout import SUITE, compile_benchmark
 from repro.vm import ExecutionEngine
@@ -45,7 +46,7 @@ DISPATCH_CALLS = 2000
 
 class ObsRow(NamedTuple):
     workload: str
-    off_s: float         #: batch seconds, telemetry explicitly off
+    off_s: float         #: batch seconds, sinkless telemetry
     on_s: float          #: batch seconds, production telemetry attached
     overhead: float      #: on_s / off_s
     events: int          #: events the flight ring recorded for this row
@@ -63,7 +64,8 @@ def _engine_pair(benchmark_name: str, telemetry_on):
     decoded tier and OSR machinery mutate functions in place)."""
     benchmark = SUITE[benchmark_name]
     engines = {}
-    for mode, telemetry in (("off", NULL_TELEMETRY), ("on", telemetry_on)):
+    for mode, telemetry in (("off", Telemetry(tracer=None)),
+                            ("on", telemetry_on)):
         module = compile_benchmark(benchmark, "unoptimized")
         engines[mode] = ExecutionEngine(module, tier="tiered",
                                         call_threshold=2,

@@ -251,17 +251,13 @@ class AnalysisManager:
                                 func, spec.granularity)):
                         self.hits += 1
                         self._cells.move_to_end(id(func))
-                        tel = self._tel()
-                        if tel.enabled:
-                            tel.event(EV.ANALYSIS_CACHE_HIT,
-                                      function=func.name, analysis=name)
+                        self._tel().event(EV.ANALYSIS_CACHE_HIT,
+                                          function=func.name, analysis=name)
                         return entry[1]
             self.misses += 1
-            tel = self._tel()
-            if tel.enabled:
-                tel.event(EV.ANALYSIS_CACHE_MISS,
-                          function=func.name, analysis=name,
-                          code_version=func.code_version)
+            self._tel().event(EV.ANALYSIS_CACHE_MISS,
+                              function=func.name, analysis=name,
+                              code_version=func.code_version)
             result = spec.compute(func)
             if cell is None or cell.func is not func:
                 cell = _Cell(func)
@@ -339,10 +335,8 @@ class AnalysisManager:
                     kept = len(migrated)
                 else:
                     del self._cells[id(func)]
-            tel = self._tel()
-            if tel.enabled:
-                tel.event(EV.ANALYSIS_INVALIDATE, function=func.name,
-                          code_version=new_version, preserved=kept)
+            self._tel().event(EV.ANALYSIS_INVALIDATE, function=func.name,
+                              code_version=new_version, preserved=kept)
             return new_version
 
     def forget(self, func: Function) -> None:

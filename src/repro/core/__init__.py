@@ -12,6 +12,9 @@ The paper's primary contribution, reproduced over :mod:`repro.ir` and
   source and target states do not align;
 * **continuation generation** (:func:`generate_continuation`) — dedicated
   OSR entry, phi fixing, dead old-entry elision (Figure 7);
+* **one insertion mechanism** (:func:`open_osr_point` /
+  :func:`close_osr_point`) — capture, split, check, and the epilogue
+  every flavour shares; a flavour only fills the ``osr`` block;
 * **multi-version management** (:class:`MultiVersionManager`) — chains
   ``f -> f' -> f''`` and deoptimization edges;
 * **McOSR baseline** (:func:`insert_mcosr_point`) — the pool-of-globals
@@ -33,10 +36,13 @@ from .continuation import (
 from .autostate import AutoStateError, derive_state_mapping
 from .instrument import (
     OpenOSR,
+    OSRSite,
     ResolvedOSR,
     build_open_osr_stub,
+    close_osr_point,
     insert_open_osr_point,
     insert_resolved_osr_point,
+    open_osr_point,
     remove_osr_point,
     split_block_at,
 )
@@ -60,6 +66,9 @@ __all__ = [
     "insert_open_osr_point",
     "build_open_osr_stub",
     "split_block_at",
+    "open_osr_point",
+    "close_osr_point",
+    "OSRSite",
     "ResolvedOSR",
     "OpenOSR",
     "StateMapping",

@@ -168,12 +168,10 @@ def _generate_continuation(
     # the transferred-state width, queryable after the fact (Q3's state
     # tables and the scalarization benchmarks read this)
     cont.attributes["osr.state_size"] = str(len(live_values))
-    if telemetry.enabled:
-        telemetry.event(
-            EV.OSR_COMPENSATION, continuation=cont.name,
-            entries=len(replacements),
-            prologue=mapping.prologue is not None,
-        )
+    telemetry.event(
+        EV.OSR_COMPENSATION, continuation=cont.name,
+        entries=len(replacements), prologue=mapping.prologue is not None,
+    )
 
     # -- rewire live state -----------------------------------------------------------
     reachable = reachable_blocks(cont)

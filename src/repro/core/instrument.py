@@ -19,13 +19,13 @@ invalidate the compiled form so the next call picks up the OSR machinery.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence
 
 from ..analysis.manager import resolve_manager
 from ..ir import types as T
 from ..ir.builder import IRBuilder
 from ..ir.constexpr import ConstantIntToPtr
-from ..ir.function import BasicBlock, Function, Module
+from ..ir.function import BasicBlock, Function
 from ..ir.instructions import Instruction
 from ..ir.types import FunctionType, PointerType
 from ..ir.values import Value
@@ -39,11 +39,10 @@ from .continuation import OSRError, generate_continuation
 from .statemap import StateMapping
 
 
-def _telemetry_for(engine):
-    """The telemetry insertion helpers trace to: the engine's if one is
-    attached, the ambient telemetry otherwise (engine-less callers)."""
-    tel = getattr(engine, "telemetry", None)
-    return tel if tel is not None else ambient_telemetry()
+def telemetry_for(engine):
+    """The telemetry insertion helpers trace to: the engine's, or the
+    ambient telemetry for engine-less callers."""
+    return engine.telemetry if engine is not None else ambient_telemetry()
 
 
 def _manager_for(engine, am=None):
@@ -54,38 +53,6 @@ def _manager_for(engine, am=None):
     if am is not None:
         return am
     return resolve_manager(getattr(engine, "analysis", None))
-
-
-def _note_state_size(telemetry, engine, func: Function, kind: str,
-                     count: int) -> None:
-    """Record the live-state width of a freshly inserted OSR point: an
-    ``osr.state_size`` instant on the trace and the ``osr.live_slots``
-    gauge on the engine's metrics (when an engine is attached).  This is
-    the number the scalarization work is measured by — fewer live slots
-    means smaller continuation signatures and slimmer deopt recipes."""
-    if telemetry is not None and telemetry.enabled:
-        telemetry.event(
-            EV.OSR_STATE_SIZE, function=func.name, kind=kind, live=count
-        )
-    metrics = getattr(engine, "metrics", None)
-    if metrics is not None:
-        metrics.gauge(EV.OSR_LIVE_SLOTS, count)
-
-
-def _scalarize_for_osr(func: Function, am) -> None:
-    """Run the SROA pass over ``func`` before instrumenting it, with the
-    same invalidation discipline the pass manager applies: split
-    aggregates shrink the live sets the OSR point is about to capture.
-
-    Callers opting in must pass a ``location`` that survives the rewrite
-    (block terminators and arithmetic do; loads/stores/geps on a
-    scalarized aggregate are erased, and :func:`split_block_at` rejects
-    an erased location)."""
-    from ..transform.passmanager import scalarize_pass
-
-    preserved = scalarize_pass(func, am)
-    if not preserved.preserves_all:
-        am.invalidate(func, preserved)
 
 
 def _unwrap_ir(obj):
@@ -156,20 +123,92 @@ def split_block_at(location: Instruction) -> BasicBlock:
     return cont
 
 
-def _emit_osr_check(func: Function, check_block: BasicBlock,
-                    cont_block: BasicBlock, condition: OSRCondition,
-                    ) -> BasicBlock:
-    """Emit the condition at the end of ``check_block`` and branch to a
-    fresh ``osr`` block when it fires; returns the osr block."""
+class OSRSite(NamedTuple):
+    """An OSR point between :func:`open_osr_point` and
+    :func:`close_osr_point`: the check is in place and the ``osr`` block
+    is empty, waiting for the flavour's firing path."""
+
+    function: Function
+    condition: OSRCondition
+    engine: Any
+    am: Any
+    live_values: List[Value]        #: the state the point transfers
+    continuation_block: BasicBlock  #: starts at the location (not fired)
+    osr_block: BasicBlock           #: the firing path
+    builder: IRBuilder              #: positioned in ``osr_block``
+
+
+def open_osr_point(func: Function, location: Instruction,
+                   condition: OSRCondition, kind: str, engine=None, am=None,
+                   live_values: Optional[List[Value]] = None) -> OSRSite:
+    """Open an OSR point before ``location`` — the part every flavour
+    shares.  Captures the state (``live_values``; by default the values
+    live before ``location``, from ``am`` — the engine's manager, or the
+    process-wide one — so repeated insertions against one function
+    version share the result), records its width (an ``osr.state_size``
+    instant tagged ``kind`` and the ``osr.live_slots`` gauge), splits the
+    block at ``location`` and emits the condition with a branch to a
+    fresh ``osr`` block.  The caller fills that block through
+    ``site.builder`` and hands the value to return to
+    :func:`close_osr_point`.
+    """
+    if func.module is None:
+        raise OSRError(f"@{func.name} is not inside a module")
+    am = _manager_for(engine, am)
+    if live_values is None:
+        live_values = am.liveness(func).live_before(location)
+    tel = telemetry_for(engine)
+    tel.event(EV.OSR_STATE_SIZE, function=func.name, kind=kind,
+              live=len(live_values))
+    # this is the number the scalarization work is measured by — fewer
+    # live slots means smaller continuation signatures and deopt recipes
+    tel.metrics.gauge(EV.OSR_LIVE_SLOTS, len(live_values))
+    check_block = location.parent
+    cont_block = split_block_at(location)
+
     condition.prepare(func)
     terminator = check_block.terminator
-    builder = IRBuilder().position_before(terminator)
-    cond_value = condition.emit(func, builder)
+    cond_value = condition.emit(
+        func, IRBuilder().position_before(terminator))
     osr_block = BasicBlock("osr")
     func.add_block(osr_block)
     terminator.erase_from_parent()
     IRBuilder(check_block).cond_br(cond_value, osr_block, cont_block)
-    return osr_block
+    return OSRSite(func, condition, engine, am, live_values, cont_block,
+                   osr_block, IRBuilder(osr_block))
+
+
+def close_osr_point(site: OSRSite, result: Value,
+                    verify: bool = True) -> None:
+    """Close an opened OSR point: return ``result`` (the firing path's
+    call) from the ``osr`` block, finalize the condition, name and verify
+    the function, and retire its compiled form and cached analyses."""
+    func = site.function
+    if func.return_type.is_void:
+        site.builder.ret_void()
+    else:
+        site.builder.ret(result)
+    site.condition.finalize(func)
+    func.assign_names()
+    if verify:
+        verify_function(func)
+    if site.engine is not None:
+        site.engine.invalidate(func)  # bumps code_version via the manager
+    else:
+        site.am.invalidate(func)
+
+
+def _pristine_twin(func: Function, location: Instruction, suffix: str):
+    """Clone ``func`` before it is instrumented and split the clone where
+    the point goes: ``(clone, value map, the clone's block at location)``."""
+    if func.module is None:
+        raise OSRError(f"@{func.name} is not inside a module")
+    twin, vmap = clone_function(
+        func, func.module.unique_name(f"{func.name}.{suffix}"))
+    # the value map holds no void instructions; find the copy by position
+    block = location.parent
+    index = block.instructions.index(location)
+    return twin, vmap, split_block_at(vmap[block].instructions[index])
 
 
 def insert_resolved_osr_point(
@@ -183,7 +222,6 @@ def insert_resolved_osr_point(
     engine=None,
     verify: bool = True,
     am=None,
-    scalarize: bool = False,
 ) -> ResolvedOSR:
     """Insert a resolved OSR point before ``location`` (Figure 2).
 
@@ -193,92 +231,40 @@ def insert_resolved_osr_point(
     ``f'``, the landing block ``L'`` and a :class:`StateMapping` covering
     the live-in state of ``L'`` (with compensation code as needed).
 
-    Liveness at ``location`` comes from ``am`` (defaulting to the
-    engine's analysis manager, or the process-wide one), so repeated
-    insertions against the same function version — and the continuation
-    generation below — share one computed result.
-
     Insertion is traced as an ``osr.insert`` span (kind ``resolved``) on
     the engine's telemetry (ambient when no engine is given), and the
     continuation is tagged ``osr.entrypoint = "resolved"`` so the engine
-    can observe fires when it is entered.  With ``scalarize=True`` the
-    SROA pass runs first (with pass-manager invalidation discipline), so
-    the captured live set reflects post-scalarization liveness; the
-    ``location`` must survive the rewrite.  Either way the final live
-    width is recorded as an ``osr.state_size`` instant and the
-    ``osr.live_slots`` gauge.
+    can observe fires when it is entered.  To shrink the captured state,
+    run the ``scalarize`` pass over ``func`` first.
     """
-    tel = _telemetry_for(engine)
+    tel = telemetry_for(engine)
     with tel.span(EV.OSR_INSERT, function=func.name, kind="resolved"):
-        if scalarize:
-            _scalarize_for_osr(func, _manager_for(engine, am))
-        return _insert_resolved_osr_point(
-            func, location, condition, variant, landing, mapping,
-            cont_name, engine, verify, tel, _manager_for(engine, am),
-        )
-
-
-def _insert_resolved_osr_point(
-    func: Function,
-    location: Instruction,
-    condition: OSRCondition,
-    variant: Optional[Function],
-    landing: Optional[BasicBlock],
-    mapping: Optional[StateMapping],
-    cont_name: Optional[str],
-    engine,
-    verify: bool,
-    telemetry,
-    am,
-) -> ResolvedOSR:
-    module = func.module
-    if module is None:
-        raise OSRError(f"@{func.name} is not inside a module")
-
-    live_values = am.liveness(func).live_before(location)
-    _note_state_size(telemetry, engine, func, "resolved", len(live_values))
-    check_block = location.parent
-    cont_block = split_block_at(location)
-
-    if variant is None:
-        if landing is not None or mapping is not None:
-            raise OSRError(
-                "landing/mapping given without a variant function"
-            )
-        variant, vmap = clone_function(
-            func, module.unique_name(f"{func.name}.clone")
-        )
-        landing = vmap[cont_block]
-        mapping = StateMapping.identity(live_values).translate_keys(vmap)
-    else:
-        if landing is None or mapping is None:
+        vmap = None
+        if variant is None:
+            if landing is not None or mapping is not None:
+                raise OSRError(
+                    "landing/mapping given without a variant function"
+                )
+            variant, vmap, landing = _pristine_twin(func, location, "clone")
+        elif landing is None or mapping is None:
             raise OSRError("an explicit variant requires landing and mapping")
 
-    continuation = generate_continuation(
-        variant, landing, live_values, mapping,
-        name=cont_name or f"{variant.name}to",
-        module=module, verify=verify, telemetry=telemetry, am=am,
-    )
-    continuation.attributes["osr.entrypoint"] = "resolved"
-
-    osr_block = _emit_osr_check(func, check_block, cont_block, condition)
-    builder = IRBuilder(osr_block)
-    call = builder.call(continuation, live_values, "osr.res", tail=True)
-    if func.return_type.is_void:
-        builder.ret_void()
-    else:
-        builder.ret(call)
-    condition.finalize(func)
-
-    func.assign_names()
-    if verify:
-        verify_function(func)
-    if engine is not None:
-        engine.invalidate(func)  # bumps code_version via the manager
-    else:
-        am.invalidate(func)
-    return ResolvedOSR(func, continuation, variant, osr_block,
-                       cont_block, live_values)
+        site = open_osr_point(func, location, condition, "resolved",
+                              engine, am)
+        if vmap is not None:
+            mapping = StateMapping.identity(
+                site.live_values).translate_keys(vmap)
+        continuation = generate_continuation(
+            variant, landing, site.live_values, mapping,
+            name=cont_name or f"{variant.name}to",
+            module=func.module, verify=verify, telemetry=tel, am=site.am,
+        )
+        continuation.attributes["osr.entrypoint"] = "resolved"
+        call = site.builder.call(continuation, site.live_values, "osr.res",
+                                 tail=True)
+        close_osr_point(site, call, verify)
+        return ResolvedOSR(func, continuation, variant, site.osr_block,
+                           site.continuation_block, site.live_values)
 
 
 #: signature of the run-time code generator the open-OSR stub invokes:
@@ -286,6 +272,56 @@ def _insert_resolved_osr_point(
 def _generator_type(cont_fnty: FunctionType) -> FunctionType:
     i8p = T.ptr(T.i8)
     return FunctionType(PointerType(cont_fnty), [i8p, i8p, i8p, i8p])
+
+
+def _emit_generation(builder: IRBuilder, func: Function,
+                     live_values: Sequence[Value], generator: Callable,
+                     env: Any, engine, gen_function: Function,
+                     gen_block: BasicBlock, val: Value) -> Value:
+    """Emit, at ``builder``, the call to the host code generator and the
+    tail call of the continuation it returns, forwarding ``live_values``;
+    returns that call.  The generator is reached through a function
+    pointer baked in as an ``inttoptr`` constant and receives three more
+    baked-in ``i8*`` handles — the function and block to generate from,
+    and the environment — plus ``val``.  Every run-time invocation (every
+    firing of the open OSR point) emits an ``osr.fire`` instant with
+    ``kind: "open"``."""
+    i8p = T.ptr(T.i8)
+    func_name = func.name
+
+    def generator_wrapper(f_obj, block_obj, env_obj, val):
+        engine.telemetry.event(EV.OSR_FIRE, kind="open", function=func_name)
+        produced = generator(
+            _unwrap_ir(f_obj), block_obj, _unwrap_ir(env_obj), val
+        )
+        if isinstance(produced, Function):
+            return engine.handle_for(produced)
+        if callable(produced):
+            return produced
+        raise OSRError(
+            f"open-OSR generator returned non-callable {produced!r}"
+        )
+
+    gen_fnty = _generator_type(
+        FunctionType(func.return_type, [v.type for v in live_values]))
+    intern = engine.object_table.intern
+    gen_ptr = ConstantIntToPtr(
+        PointerType(gen_fnty),
+        intern(engine.add_native(f"osr.gen.{func_name}", generator_wrapper)),
+    )
+    cont_func = builder.call_indirect(
+        gen_ptr,
+        [
+            ConstantIntToPtr(i8p, intern(gen_function)),
+            ConstantIntToPtr(i8p, intern(gen_block)),
+            ConstantIntToPtr(i8p, intern(env)),
+            val,
+        ],
+        "cont.func",
+    )
+    return builder.call_indirect(
+        cont_func, list(live_values), "osr.res", tail=True
+    )
 
 
 def build_open_osr_stub(
@@ -302,121 +338,51 @@ def build_open_osr_stub(
     """Build ``f_stub`` (Figure 6).
 
     The stub receives ``(i8* val, live values...)``; it calls the code
-    generator through a function pointer baked in as an ``inttoptr``
-    constant, passing three more baked-in ``i8*`` handles — the base
-    function, the OSR source block, and the code-generation environment —
-    plus the forwarded ``val``.  It then tail-calls the continuation the
-    generator returned, forwarding the live values.
+    generator, passing handles to the base function, the OSR source block
+    and the code-generation environment plus the forwarded ``val``, then
+    tail-calls the continuation the generator returned, forwarding the
+    live values (see :func:`_emit_generation`).
 
     ``generator(f, block, env, val)`` runs in the host; it must return an
     IR :class:`Function` (the continuation) or a callable.
 
     Stub construction is traced as an ``osr.open_stub`` span on the
-    engine's telemetry, and every run-time invocation of the generator
-    (i.e. every firing of the open OSR point) emits an ``osr.fire``
-    instant with ``kind: "open"``.
+    engine's telemetry.
     """
-    tel = _telemetry_for(engine)
-    with tel.span(EV.OSR_OPEN_STUB, function=func.name):
-        return _build_open_osr_stub(
-            func, osr_source_block, live_values, generator, env, engine,
-            stub_name, gen_function, gen_block,
+    with engine.telemetry.span(EV.OSR_OPEN_STUB, function=func.name):
+        module = func.module
+        stub_arg_names = ["val"] + [
+            f"{v.name or 'live'}_osr" for v in live_values]
+        # deduplicate argument names
+        seen = set()
+        for i, nm in enumerate(stub_arg_names):
+            candidate, k = nm, 1
+            while candidate in seen:
+                candidate = f"{nm}{k}"
+                k += 1
+            seen.add(candidate)
+            stub_arg_names[i] = candidate
+        stub = Function(
+            FunctionType(func.return_type,
+                         [T.ptr(T.i8)] + [v.type for v in live_values]),
+            module.unique_name(stub_name or f"{func.name}stub"),
+            stub_arg_names,
         )
+        module.add_function(stub)
 
-
-def _make_generator_wrapper(generator, engine, func_name):
-    """Wrap a host code generator for invocation from stub IR: emit the
-    ``osr.fire`` instant, unwrap handle arguments, and coerce the result
-    to an engine-callable."""
-
-    def generator_wrapper(f_obj, block_obj, env_obj, val):
-        tel = getattr(engine, "telemetry", None)
-        if tel is not None and tel.enabled:
-            tel.event(EV.OSR_FIRE, kind="open", function=func_name)
-        produced = generator(
-            _unwrap_ir(f_obj), block_obj, _unwrap_ir(env_obj), val
-        )
-        if isinstance(produced, Function):
-            return engine.handle_for(produced)
-        if callable(produced):
-            return produced
-        raise OSRError(
-            f"open-OSR generator returned non-callable {produced!r}"
-        )
-
-    return generator_wrapper
-
-
-def _build_open_osr_stub(
-    func: Function,
-    osr_source_block: BasicBlock,
-    live_values: Sequence[Value],
-    generator: Callable,
-    env: Any,
-    engine,
-    stub_name: Optional[str],
-    gen_function: Optional[Function],
-    gen_block: Optional[BasicBlock],
-) -> Function:
-    module = func.module
-    cont_fnty = FunctionType(
-        func.return_type, [v.type for v in live_values]
-    )
-    gen_fnty = _generator_type(cont_fnty)
-    i8p = T.ptr(T.i8)
-
-    generator_wrapper = _make_generator_wrapper(generator, engine, func.name)
-    gen_handle = engine.object_table.intern(
-        engine.add_native(f"osr.gen.{func.name}", generator_wrapper)
-    )
-    func_handle = engine.object_table.intern(
-        gen_function if gen_function is not None else func
-    )
-    block_handle = engine.object_table.intern(
-        gen_block if gen_block is not None else osr_source_block
-    )
-    env_handle = engine.object_table.intern(env)
-
-    stub_params = [i8p] + [v.type for v in live_values]
-    stub_arg_names = ["val"] + [f"{v.name or 'live'}_osr" for v in live_values]
-    # deduplicate argument names
-    seen = set()
-    for i, nm in enumerate(stub_arg_names):
-        candidate, k = nm, 1
-        while candidate in seen:
-            candidate = f"{nm}{k}"
-            k += 1
-        seen.add(candidate)
-        stub_arg_names[i] = candidate
-    stub = Function(
-        FunctionType(func.return_type, stub_params),
-        module.unique_name(stub_name or f"{func.name}stub"),
-        stub_arg_names,
-    )
-    module.add_function(stub)
-
-    entry = BasicBlock("entry", stub)
-    builder = IRBuilder(entry)
-    gen_ptr = ConstantIntToPtr(PointerType(gen_fnty), gen_handle)
-    cont_func = builder.call_indirect(
-        gen_ptr,
-        [
-            ConstantIntToPtr(i8p, func_handle),
-            ConstantIntToPtr(i8p, block_handle),
-            ConstantIntToPtr(i8p, env_handle),
+        builder = IRBuilder(BasicBlock("entry", stub))
+        call = _emit_generation(
+            builder, func, stub.args[1:], generator, env, engine,
+            gen_function if gen_function is not None else func,
+            gen_block if gen_block is not None else osr_source_block,
             stub.args[0],
-        ],
-        "cont.func",
-    )
-    call = builder.call_indirect(
-        cont_func, list(stub.args[1:]), "osr.res", tail=True
-    )
-    if func.return_type.is_void:
-        builder.ret_void()
-    else:
-        builder.ret(call)
-    verify_function(stub)
-    return stub
+        )
+        if func.return_type.is_void:
+            builder.ret_void()
+        else:
+            builder.ret(call)
+        verify_function(stub)
+        return stub
 
 
 def insert_open_osr_point(
@@ -431,7 +397,6 @@ def insert_open_osr_point(
     use_stub: bool = True,
     verify: bool = True,
     am=None,
-    scalarize: bool = False,
 ) -> OpenOSR:
     """Insert an open OSR point before ``location`` (Figure 3).
 
@@ -451,127 +416,54 @@ def insert_open_osr_point(
 
     Insertion is traced as an ``osr.insert`` span (kind ``open``) on the
     engine's telemetry; the enclosed stub construction contributes a
-    nested ``osr.open_stub`` span.  With ``scalarize=True`` the SROA
-    pass runs first so the captured live set (and hence the stub and
-    continuation signatures) reflects post-scalarization liveness; the
-    ``location`` must survive the rewrite.  The final live width is
-    recorded as an ``osr.state_size`` instant and the ``osr.live_slots``
-    gauge.
+    nested ``osr.open_stub`` span.  To shrink the captured state (and
+    hence the stub and continuation signatures), run the ``scalarize``
+    pass over ``func`` first.
     """
-    tel = _telemetry_for(engine)
-    with tel.span(EV.OSR_INSERT, function=func.name, kind="open"):
-        if scalarize:
-            _scalarize_for_osr(func, _manager_for(engine, am))
-        return _insert_open_osr_point(
-            func, location, condition, generator, engine, env, val,
-            pass_pristine_copy, use_stub, verify, _manager_for(engine, am),
-        )
+    with engine.telemetry.span(EV.OSR_INSERT, function=func.name,
+                               kind="open"):
+        if val is not None and not val.type.is_pointer:
+            raise OSRError(
+                f"open-OSR val must be pointer-typed, got {val.type}")
+        gen_function, gen_block = func, None
+        if pass_pristine_copy:
+            gen_function, _, gen_block = _pristine_twin(
+                func, location, "orig")
 
+        site = open_osr_point(func, location, condition, "open", engine, am)
+        if gen_block is None:
+            gen_block = site.continuation_block
+        live_values = site.live_values
+        stub: Optional[Function] = None
+        if use_stub:
+            stub = build_open_osr_stub(
+                func, site.continuation_block, live_values, generator, env,
+                engine, gen_function=gen_function, gen_block=gen_block,
+            )
 
-def _insert_open_osr_point(
-    func: Function,
-    location: Instruction,
-    condition: OSRCondition,
-    generator: Callable,
-    engine,
-    env: Any,
-    val: Optional[Value],
-    pass_pristine_copy: bool,
-    use_stub: bool,
-    verify: bool,
-    am,
-) -> OpenOSR:
-    module = func.module
-    if module is None:
-        raise OSRError(f"@{func.name} is not inside a module")
-    if val is not None and not val.type.is_pointer:
-        raise OSRError(f"open-OSR val must be pointer-typed, got {val.type}")
-
-    live_values = am.liveness(func).live_before(location)
-    _note_state_size(
-        _telemetry_for(engine), engine, func, "open", len(live_values)
-    )
-    check_block = location.parent
-    cont_block = split_block_at(location)
-
-    if pass_pristine_copy:
-        pristine, pristine_vmap = clone_function(
-            func, module.unique_name(f"{func.name}.orig")
-        )
-        gen_function: Function = pristine
-        gen_block: BasicBlock = pristine_vmap[cont_block]
-    else:
-        gen_function = func
-        gen_block = cont_block
-
-    stub: Optional[Function] = None
-    if use_stub:
-        stub = build_open_osr_stub(
-            func, cont_block, live_values, generator, env, engine,
-            gen_function=gen_function, gen_block=gen_block,
-        )
-
-    osr_block = _emit_osr_check(func, check_block, cont_block, condition)
-    builder = IRBuilder(osr_block)
-    i8p = T.ptr(T.i8)
-    if val is None:
-        val_i8 = builder.const_null(i8p)
-    elif val.type == i8p:
-        val_i8 = val
-    else:
-        val_i8 = builder.bitcast(val, i8p, "val")
-    if use_stub:
-        call = builder.call(
-            stub, [val_i8] + list(live_values), "osr.res", tail=True
-        )
-    else:
-        # ablation configuration: no stub indirection — the generator
-        # invocation machinery is injected straight into the function
-        # (the design the paper's stub exists to avoid)
-        call = _emit_inline_generation(
-            builder, func, live_values, generator, env, engine,
-            gen_function, gen_block, val_i8,
-        )
-    if func.return_type.is_void:
-        builder.ret_void()
-    else:
-        builder.ret(call)
-    condition.finalize(func)
-
-    func.assign_names()
-    if verify:
-        verify_function(func)
-    engine.invalidate(func)
-    return OpenOSR(func, stub, osr_block, cont_block, live_values)
-
-
-def _emit_inline_generation(builder, func, live_values, generator, env,
-                            engine, gen_function, gen_block, val_i8):
-    """Emit the generator call + continuation call directly (no stub)."""
-    i8p = T.ptr(T.i8)
-    cont_fnty = FunctionType(
-        func.return_type, [v.type for v in live_values]
-    )
-    gen_fnty = _generator_type(cont_fnty)
-
-    generator_wrapper = _make_generator_wrapper(generator, engine, func.name)
-    gen_handle = engine.object_table.intern(
-        engine.add_native(f"osr.gen.{func.name}", generator_wrapper)
-    )
-    gen_ptr = ConstantIntToPtr(PointerType(gen_fnty), gen_handle)
-    cont_func = builder.call_indirect(
-        gen_ptr,
-        [
-            ConstantIntToPtr(i8p, engine.object_table.intern(gen_function)),
-            ConstantIntToPtr(i8p, engine.object_table.intern(gen_block)),
-            ConstantIntToPtr(i8p, engine.object_table.intern(env)),
-            val_i8,
-        ],
-        "cont.func",
-    )
-    return builder.call_indirect(
-        cont_func, list(live_values), "osr.res", tail=True
-    )
+        builder = site.builder
+        i8p = T.ptr(T.i8)
+        if val is None:
+            val_i8 = builder.const_null(i8p)
+        elif val.type == i8p:
+            val_i8 = val
+        else:
+            val_i8 = builder.bitcast(val, i8p, "val")
+        if use_stub:
+            call = builder.call(
+                stub, [val_i8] + list(live_values), "osr.res", tail=True
+            )
+        else:
+            # ablation configuration: no stub indirection — the generator
+            # invocation machinery is injected straight into the function
+            # (the design the paper's stub exists to avoid)
+            call = _emit_generation(
+                builder, func, live_values, generator, env, engine,
+                gen_function, gen_block, val_i8,
+            )
+        close_osr_point(site, call, verify)
+        return OpenOSR(func, stub, site.osr_block, site.continuation_block,
+                       live_values)
 
 
 def remove_osr_point(point, engine=None, am=None) -> Function:

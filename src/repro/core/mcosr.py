@@ -37,17 +37,11 @@ from ..ir.values import (
     UndefValue,
     Value,
 )
-from ..ir.verifier import verify_function
 from ..obs import events as EV
 from ..transform.ssaupdater import SSAUpdater
 from .conditions import OSRCondition
 from .continuation import OSRError
-from .instrument import (
-    _emit_osr_check,
-    _manager_for,
-    _telemetry_for,
-    split_block_at,
-)
+from .instrument import close_osr_point, open_osr_point, telemetry_for
 
 
 class McOSRPoint:
@@ -92,10 +86,10 @@ def insert_mcosr_point(
     engine's telemetry (ambient when no engine is given); liveness comes
     from ``am`` (defaulting to the engine's analysis manager).
     """
-    with _telemetry_for(engine).span(EV.OSR_INSERT, function=func.name,
-                                     kind="mcosr"):
+    with telemetry_for(engine).span(EV.OSR_INSERT, function=func.name,
+                                    kind="mcosr"):
         return _insert_mcosr_point(func, location, condition, engine,
-                                   verify, _manager_for(engine, am))
+                                   verify, am)
 
 
 def _insert_mcosr_point(
@@ -106,10 +100,6 @@ def _insert_mcosr_point(
     verify: bool,
     am,
 ) -> McOSRPoint:
-    module = func.module
-    if module is None:
-        raise OSRError(f"@{func.name} is not inside a module")
-
     block = location.parent
     preds = predecessor_map(func)[block]
     if len(preds) != 2:
@@ -118,9 +108,11 @@ def _insert_mcosr_point(
             f"two predecessors (%{block.name} has {len(preds)})"
         )
 
-    live_values = am.liveness(func).live_before(location)
-    check_block = location.parent
-    landing = split_block_at(location)
+    site = open_osr_point(func, location, condition, "mcosr", engine, am)
+    module = func.module
+    live_values = site.live_values
+    landing = site.continuation_block
+    am = site.am
 
     # -- global pool -----------------------------------------------------------
     flag = GlobalVariable(T.i1, module.unique_name(f"{func.name}.osr.flag"),
@@ -137,17 +129,12 @@ def _insert_mcosr_point(
         pool.append(gv)
 
     # -- firing path: spill, raise flag, self-call -------------------------------
-    osr_block = _emit_osr_check(func, check_block, landing, condition)
-    builder = IRBuilder(osr_block)
+    builder = site.builder
     for value, gv in zip(live_values, pool):
         builder.store(value, gv)
     builder.store(builder.const_i1(True), flag)
     dummy_args: List[Value] = [UndefValue(a.type) for a in func.args]
     call = builder.call(func, dummy_args, "osr.res")
-    if func.return_type.is_void:
-        builder.ret_void()
-    else:
-        builder.ret(call)
 
     # -- new entrypoint: flag check + state restore -------------------------------
     old_entry = func.entry
@@ -206,13 +193,6 @@ def _insert_mcosr_point(
         if not phi.has_incoming_for(restore):
             phi.add_incoming(UndefValue(phi.type), restore)
 
-    condition.finalize(func)
-    func.assign_names()
-    if verify:
-        verify_function(func)
-    if engine is not None:
-        engine.invalidate(func)  # bumps code_version via the manager
-    else:
-        am.invalidate(func)
-    return McOSRPoint(func, flag, pool, osr_block, landing)
+    close_osr_point(site, call, verify)
+    return McOSRPoint(func, flag, pool, site.osr_block, landing)
 

@@ -82,8 +82,7 @@ def _time_vm(benchmark: McBenchmark, source: str, enable_osr: bool,
 def _specialize_stats(telemetry) -> Dict[str, float]:
     """Per-trace ``feval.specialize`` span stats (count/total/mean secs)."""
     count = sum(
-        1 for e in telemetry.events
-        if e["name"] == EV.FEVAL_SPECIALIZE and e["ph"] == "B"
+        1 for e in telemetry.events if e["name"] == EV.FEVAL_SPECIALIZE
     )
     total = span_total(telemetry, EV.FEVAL_SPECIALIZE)
     return {

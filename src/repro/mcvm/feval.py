@@ -32,14 +32,17 @@ from ..core.continuation import (
     generate_continuation,
     required_landing_state,
 )
-from ..core.instrument import _emit_osr_check, build_open_osr_stub, split_block_at
+from ..core.instrument import (
+    build_open_osr_stub,
+    close_osr_point,
+    open_osr_point,
+)
 from ..core.statemap import Computed, StateMapping
 from ..ir import types as T
 from ..ir.builder import IRBuilder
 from ..ir.function import BasicBlock, Function
 from ..ir.instructions import AllocaInst
 from ..ir.values import ConstantFloat, ConstantNull, Value
-from ..ir.verifier import verify_function
 from ..obs import events as EV
 from ..transform import optimize_function, promote_memory_to_registers
 from . import mcast as M
@@ -142,13 +145,26 @@ def insert_feval_osr_point(
     Insertion is traced as an ``osr.insert`` span (kind ``feval``) on the
     engine's telemetry.
     """
-    from ..core.instrument import _telemetry_for
-
     func = compiled.ir_function
     engine = vm.engine
-    with _telemetry_for(engine).span(EV.OSR_INSERT, function=func.name,
-                                     kind="feval"):
+    with engine.telemetry.span(EV.OSR_INSERT, function=func.name,
+                               kind="feval"):
         return _insert_feval_osr_point(vm, compiled, opportunity, threshold)
+
+
+class _FrameLiftingCounter(HotCounterCondition):
+    """The hot counter of a feval OSR point: once the point is in place
+    it lifts the whole function (frame slots + counter) into SSA form, so
+    the ``osr`` block's loads melt into the values live at the loop
+    header."""
+
+    def __init__(self, threshold: int, am):
+        super().__init__(threshold)
+        self._am = am
+
+    def finalize(self, func: Function) -> None:
+        super().finalize(func)
+        promote_memory_to_registers(func, am=self._am)
 
 
 def _insert_feval_osr_point(
@@ -166,20 +182,20 @@ def _insert_feval_osr_point(
         )
     location = header.instructions[header.first_non_phi_index]
 
-    check_block = location.parent
-    cont_block = split_block_at(location)
-    condition = HotCounterCondition(threshold)
-    osr_block = _emit_osr_check(func, check_block, cont_block, condition)
-
-    # load the live IIR frame in the firing block; these loads become the
-    # SSA values live at the OSR point once mem2reg runs
-    builder = IRBuilder(osr_block)
+    # the state this point transfers is the IIR frame: one slot per
+    # variable, loaded in the firing block; the loads become the SSA
+    # values live at the OSR point once the function is lifted
     var_order = sorted(compiled.var_slots)
+    site = open_osr_point(
+        func, location, _FrameLiftingCounter(threshold, engine.analysis),
+        "feval", engine,
+        live_values=[compiled.var_slots[name] for name in var_order],
+    )
+    builder = site.builder
     loads: List[Value] = []
     var_types: List[T.Type] = []
     handle_value: Optional[Value] = None
-    for name in var_order:
-        slot = compiled.var_slots[name]
+    for name, slot in zip(var_order, site.live_values):
         value = builder.load(slot, f"{name}.live")
         loads.append(value)
         var_types.append(value.type)
@@ -197,22 +213,10 @@ def _insert_feval_osr_point(
     )
     generator = make_feval_optimizer(vm, env)
     stub = build_open_osr_stub(
-        func, cont_block, loads, generator, env, engine,
+        func, site.continuation_block, loads, generator, env, engine,
     )
-
     call = builder.call(stub, [handle_value] + loads, "osr.res", tail=True)
-    if func.return_type.is_void:
-        builder.ret_void()
-    else:
-        builder.ret(call)
-    condition.finalize(func)
-
-    # now lift the whole function (frame slots + counter) into SSA form:
-    # the OSR block's loads melt into the values live at the loop header
-    promote_memory_to_registers(func, am=engine.analysis)
-    func.assign_names()
-    verify_function(func)
-    engine.invalidate(func)
+    close_osr_point(site, call)
     return FevalOSRPoint(func, stub, env)
 
 
@@ -277,41 +281,26 @@ def make_feval_optimizer(vm, env: FevalOSREnv):
     """Component 4: the ``gen`` callback fired when the OSR triggers."""
 
     def optimizer(f_ir, osr_block, env_obj, val):
-        tel = getattr(vm.engine, "telemetry", None)
-        traced = tel is not None and tel.enabled
-        # counting discipline: with tracing off, the same names still
-        # tick as bare counters so feval activity stays visible in
-        # metrics-only (production) runs
-        metrics = getattr(vm.engine, "metrics", None)
+        tel = vm.engine.telemetry
         if not isinstance(val, McFunctionHandleValue):
-            if traced:
-                tel.event(EV.FEVAL_GUARD_FAIL, function=env.function.name,
-                          reason=f"non-handle val {type(val).__name__}")
-            elif metrics is not None:
-                metrics.inc(EV.FEVAL_GUARD_FAIL)
-            return _guard_fail_deopt(tel if traced else None)
+            tel.event(EV.FEVAL_GUARD_FAIL, function=env.function.name,
+                      reason=f"non-handle val {type(val).__name__}")
+            return _guard_fail_deopt()
         target_name = val.name
         cache_key = (env.function.name, env.loop_id, target_name,
                      env.info.arg_classes)
         cached = vm.code_cache.get(cache_key)
         if cached is not None:
             vm.stats["feval_cache_hits"] += 1
-            if traced:
-                tel.event(EV.FEVAL_CACHE_HIT, function=env.function.name,
-                          target=target_name)
-            elif metrics is not None:
-                metrics.inc(EV.FEVAL_CACHE_HIT)
+            tel.event(EV.FEVAL_CACHE_HIT, function=env.function.name,
+                      target=target_name)
             return cached
         vm.stats["feval_optimizations"] += 1
-        if traced:
-            with tel.span(EV.FEVAL_SPECIALIZE, function=env.function.name,
-                          target=target_name, loop=env.loop_id):
-                return _specialize(target_name, cache_key, tel)
-        if metrics is not None:
-            metrics.inc(EV.FEVAL_SPECIALIZE)
-        return _specialize(target_name, cache_key, None)
+        with tel.span(EV.FEVAL_SPECIALIZE, function=env.function.name,
+                      target=target_name, loop=env.loop_id):
+            return _specialize(target_name, cache_key)
 
-    def _specialize(target_name, cache_key, tel):
+    def _specialize(target_name, cache_key):
         # 4a: profile-driven IIR specialization
         specialized = specialize_feval_to_direct(
             env.function, env.handle_param, target_name
@@ -339,7 +328,7 @@ def make_feval_optimizer(vm, env: FevalOSREnv):
             variant.ir_function, landing,
             _live_value_specs(env), mapping,
             name=f"{variant.ir_function.name}_cont",
-            module=vm.module, telemetry=tel, am=am,
+            module=vm.module, telemetry=vm.engine.telemetry, am=am,
         )
         promote_memory_to_registers(continuation, am=am)
         optimize_function(continuation, "optimized", am=am)
@@ -349,7 +338,7 @@ def make_feval_optimizer(vm, env: FevalOSREnv):
         vm.code_cache[cache_key] = continuation
         return continuation
 
-    def _guard_fail_deopt(tel):
+    def _guard_fail_deopt():
         """The guard_fail path: instead of unwinding to the interpreter
         tier, OSR-exit through the deopt manager into a continuation of
         the *unspecialized* version — execution resumes mid-loop with
@@ -374,7 +363,7 @@ def make_feval_optimizer(vm, env: FevalOSREnv):
                 variant.ir_function, landing,
                 _live_value_specs(env), mapping,
                 name=f"{variant.ir_function.name}_cont",
-                module=vm.module, telemetry=tel, am=am,
+                module=vm.module, telemetry=vm.engine.telemetry, am=am,
             )
             promote_memory_to_registers(continuation, am=am)
             optimize_function(continuation, "optimized", am=am)

@@ -15,6 +15,7 @@ from typing import Callable, Dict, List
 from ..ir import types as T
 from ..ir.function import Module
 from ..ir.types import FunctionType
+from ..obs import events as EV
 from ..vm.engine import ExecutionEngine
 from ..vm.interpreter import Trap
 
@@ -134,13 +135,10 @@ def install_runtime(engine: ExecutionEngine, vm) -> None:
         if (isinstance(value, McFunctionHandleValue)
                 and value.name == name_box.name):
             return 1
-        tel = engine.telemetry
-        if tel.enabled:
-            from ..obs import events as EV
-            observed = (value.name if isinstance(value, McFunctionHandleValue)
-                        else type(value).__name__)
-            tel.event(EV.FEVAL_GUARD_FAIL, expected=name_box.name,
-                      observed=observed)
+        observed = (value.name if isinstance(value, McFunctionHandleValue)
+                    else type(value).__name__)
+        engine.telemetry.event(EV.FEVAL_GUARD_FAIL, expected=name_box.name,
+                               observed=observed)
         return 0
 
     engine.add_native("mc_handle_name_matches", handle_name_matches)

@@ -2,14 +2,15 @@
 
 Six layers:
 
-* :class:`Tracer` — cheap structured event tracing (spans + instants);
+* :class:`Tracer` — cheap structured event tracing from any thread
+  (instants, and spans recorded as one complete event each);
 * :class:`MetricsRegistry` — named counters/gauges/timers (timers are
   histogram-backed: every ``record_time`` also lands in a
   :class:`LogHistogram`, so ``timer_stats`` reports p50/p90/p99/p999);
-* :class:`FlightRecorder` — a bounded ring buffer cheap enough to leave
-  on in production; dumps a Chrome trace of the last N events on demand
-  or when an anomaly trips (deopt-thrash pin, invalidation storm,
-  uncaught trap);
+* :class:`FlightRecorder` — a Tracer over a bounded ring, cheap enough
+  to leave on in production; dumps a Chrome trace of the last N events
+  on demand or when an anomaly trips (deopt-thrash pin, invalidation
+  storm, uncaught trap);
 * :class:`SamplingProfiler` — a background thread attributing wall time
   across tiers with zero per-op instrumentation;
 * journeys — per-function tier-journey reports answering "why is this
@@ -17,10 +18,11 @@ Six layers:
 * exporters — Chrome trace-event JSON (Perfetto-loadable), a table
   report, and a machine-readable stats JSON.
 
-The :class:`Telemetry` facade bundles a tracer and a registry behind a
-single ``enabled`` flag; :data:`NULL_TELEMETRY` is the disabled no-op
-every hook site holds by default, so tracing that is off costs one
-attribute check.  Scripts enable tracing with::
+The :class:`Telemetry` facade bundles a registry and an optional event
+sink: ``tel.event(...)`` / ``with tel.span(...)`` always count, and
+record on the sink when there is one (``tel.enabled``).  An engine built
+while nothing is being traced owns a sinkless telemetry, so its counters
+work and its spans read no clock.  Scripts enable tracing with::
 
     from repro.obs import trace
     with trace(chrome="trace.json", report=True):
@@ -54,7 +56,6 @@ from .journey import Journey, build_journeys, format_journeys
 from .metrics import MetricsRegistry
 from .profiler import SamplingProfiler, classify_frame
 from .telemetry import (
-    NULL_TELEMETRY,
     Telemetry,
     ambient,
     local_telemetry,
@@ -72,7 +73,6 @@ __all__ = [
     "Journey",
     "LogHistogram",
     "MetricsRegistry",
-    "NULL_TELEMETRY",
     "SamplingProfiler",
     "Telemetry",
     "Tracer",

@@ -75,7 +75,7 @@ def _run_journey(args) -> int:
         from .smoke import run_trace_smoke
 
         result = run_trace_smoke(benchmark_name=args.benchmark)
-        events = result.telemetry.tracer.events
+        events = result.telemetry.events
         title = f"tier journeys: traced {args.benchmark} run"
     journeys = build_journeys(events)
     print(title)

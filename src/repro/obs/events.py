@@ -51,18 +51,15 @@ name                      kind   emitted when
 ``serve.request``         event  the VM server finished one request (ok or error)
 ========================  =====  ==================================================
 
-*event* entries are Chrome-trace instants (``ph: "i"``); *span* entries
-are balanced begin/end pairs (``ph: "B"``/``"E"``).  The bounded
-:class:`~repro.obs.flight.FlightRecorder` additionally records finished
-spans as single *complete* events (``ph: "X"`` with a ``dur``), so a
-ring dump stays well formed even after the begin half of a pair has
-been overwritten; ``validate_events`` accepts span names in either
-shape.
+*event* entries are instants (``ph: "i"``); *span* entries are single
+**complete** events (``ph: "X"`` with the start in ``ts`` and a ``dur``)
+appended when the span ends.  That is the one span shape, whichever sink
+recorded it; every event also carries the emitting thread's ``tid``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 ENGINE_INVALIDATE = "engine.invalidate"
 TIER_PROMOTE = "tier.promote"
@@ -159,7 +156,7 @@ INSTANT_NAMES = frozenset({
     SERVE_REQUEST,
 })
 
-#: names emitted as begin/end span pairs
+#: names emitted as spans (one complete event each)
 SPAN_NAMES = frozenset({
     JIT_COMPILE,
     CODEGEN_BUILD,
@@ -177,50 +174,79 @@ EVENT_NAMES = INSTANT_NAMES | SPAN_NAMES
 _SCALARS = (str, int, float, bool, type(None))
 
 
+def nests(done: List[Tuple[float, float]], start: float, end: float,
+          slack: float = 0) -> bool:
+    """Fold one finished span into ``done`` — its thread's finished
+    spans that no later span encloses yet, in completion order — and say
+    whether it nests with them: each earlier span is either inside it or
+    over before it starts."""
+    while done and done[-1][0] >= start:
+        done.pop()
+    ok = not done or done[-1][1] <= start + slack
+    done.append((start, end))
+    return ok
+
+
 def validate_events(events: Iterable[Dict[str, object]]) -> List[str]:
     """Structural well-formedness check for a raw tracer event stream.
 
-    Each event is a dict with ``name``, ``ph`` (``"i"``, ``"B"`` or
-    ``"E"``), ``ts`` (int nanoseconds) and ``args`` (flat dict of JSON
-    scalars).  Returns a list of human-readable problems, empty when the
-    stream is well formed:
+    Each event is a dict with ``name``, ``ph`` (``"i"`` or ``"X"``),
+    ``ts`` (int nanoseconds), ``tid`` (int), ``args`` (flat dict of JSON
+    scalars) and, for ``X``, a non-negative int ``dur``.  Returns a list
+    of human-readable problems, empty when the stream is well formed:
 
     * every name belongs to the vocabulary and uses its declared phase;
-    * timestamps are monotonically non-decreasing;
-    * ``B``/``E`` pairs are balanced and properly nested (stack order);
+    * events are in completion order: ``ts`` (``ts + dur`` for a span)
+      never decreases;
+    * the spans of one ``tid`` nest or are disjoint;
     * args carry only JSON-serializable scalar values.
     """
     problems: List[str] = []
-    stack: List[str] = []
-    last_ts = None
+    done_by_tid: Dict[object, List[Tuple[float, float]]] = {}
+    last_end = None
     for index, event in enumerate(events):
         where = f"event #{index}"
         name = event.get("name")
         phase = event.get("ph")
         ts = event.get("ts")
+        tid = event.get("tid")
         args = event.get("args", {})
         if not isinstance(name, str) or name not in EVENT_NAMES:
             problems.append(f"{where}: unknown event name {name!r}")
             continue
         if phase == "i" and name not in INSTANT_NAMES:
             problems.append(f"{where}: span name {name!r} emitted as instant")
-        elif phase in ("B", "E", "X") and name not in SPAN_NAMES:
+        elif phase == "X" and name not in SPAN_NAMES:
             problems.append(f"{where}: instant name {name!r} emitted as span")
-        elif phase not in ("i", "B", "E", "X"):
+        elif phase not in ("i", "X"):
             problems.append(f"{where}: unknown phase {phase!r}")
-        if phase == "X" and not isinstance(event.get("dur"), int):
-            problems.append(
-                f"{where}: complete event without integer dur: "
-                f"{event.get('dur')!r}"
-            )
+        dur = 0
+        if phase == "X":
+            dur = event.get("dur")
+            if not isinstance(dur, int) or dur < 0:
+                problems.append(
+                    f"{where}: complete event without a non-negative "
+                    f"integer dur: {dur!r}"
+                )
+                dur = 0
+        if not isinstance(tid, int):
+            problems.append(f"{where}: non-integer tid {tid!r}")
         if not isinstance(ts, int):
             problems.append(f"{where}: non-integer timestamp {ts!r}")
         else:
-            if last_ts is not None and ts < last_ts:
+            end = ts + dur
+            if last_end is not None and end < last_end:
                 problems.append(
-                    f"{where}: timestamp went backwards ({ts} < {last_ts})"
+                    f"{where}: completion time went backwards "
+                    f"({end} < {last_end})"
                 )
-            last_ts = ts
+            last_end = end
+            if phase == "X" and not nests(
+                    done_by_tid.setdefault(tid, []), ts, end):
+                problems.append(
+                    f"{where}: span {name!r} partially overlaps an "
+                    f"earlier span of thread {tid!r}"
+                )
         if not isinstance(args, dict):
             problems.append(f"{where}: args is not a dict: {args!r}")
         else:
@@ -232,18 +258,4 @@ def validate_events(events: Iterable[Dict[str, object]]) -> List[str]:
                         f"{where}: arg {key!r} is not a JSON scalar: "
                         f"{value!r}"
                     )
-        if phase == "B":
-            stack.append(name)
-        elif phase == "E":
-            if not stack:
-                problems.append(f"{where}: end of {name!r} with no open span")
-            elif stack[-1] != name:
-                problems.append(
-                    f"{where}: end of {name!r} but innermost open span "
-                    f"is {stack[-1]!r}"
-                )
-            else:
-                stack.pop()
-    for name in stack:
-        problems.append(f"span {name!r} was begun but never ended")
     return problems

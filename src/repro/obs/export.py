@@ -17,19 +17,24 @@ Three consumers of one event stream:
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-#: synthetic process/thread ids — the VM is single-process, single-thread
+from .events import nests
+
+#: synthetic process id — the VM is single-process; thread ids are real
 TRACE_PID = 1
-TRACE_TID = 1
+
+#: Chrome timestamps are float µs derived from integral ns, so two equal
+#: instants can differ by rounding; half a nanosecond separates them
+#: from any real reordering
+_ROUNDING_US = 5e-4
 
 
 def chrome_events_from_raw(events: List[Dict[str, object]]
                            ) -> List[Dict[str, object]]:
     """Raw tracer/flight-recorder events in Chrome trace-event form
-    (timestamps and durations in µs).  Handles instants (``i``),
-    span pairs (``B``/``E``) and the flight recorder's complete
-    events (``X`` with an ns ``dur``)."""
+    (timestamps and durations in µs; ``tid`` passed through): instants
+    (``i``) and complete spans (``X`` with an ns ``dur``)."""
     out: List[Dict[str, object]] = []
     for event in events:
         chrome: Dict[str, object] = {
@@ -38,21 +43,21 @@ def chrome_events_from_raw(events: List[Dict[str, object]]
             "ph": event["ph"],
             "ts": event["ts"] / 1000.0,
             "pid": TRACE_PID,
-            "tid": TRACE_TID,
+            "tid": event["tid"],
         }
         if event.get("args"):
             chrome["args"] = dict(event["args"])
         if event["ph"] == "i":
             chrome["s"] = "t"  # thread-scoped instant
-        elif event["ph"] == "X":
-            chrome["dur"] = event.get("dur", 0) / 1000.0
+        else:
+            chrome["dur"] = event["dur"] / 1000.0
         out.append(chrome)
     return out
 
 
 def chrome_trace_events(telemetry) -> List[Dict[str, object]]:
     """The tracer's events in Chrome trace-event form (timestamps in µs)."""
-    return chrome_events_from_raw(telemetry.tracer.events)
+    return chrome_events_from_raw(telemetry.events)
 
 
 def chrome_trace_document(telemetry) -> Dict[str, object]:
@@ -81,36 +86,41 @@ def load_chrome_trace(path: str) -> List[Dict[str, object]]:
 
 
 def validate_chrome_trace(events: List[Dict[str, object]]) -> List[str]:
-    """Structural checks against the trace-event schema; returns problems."""
+    """Structural checks against the trace-event schema and the stream
+    rule (completion order; per-thread nesting); returns problems."""
     problems: List[str] = []
-    open_spans: List[str] = []
-    last_ts: Optional[float] = None
+    done_by_thread: Dict[object, List[Tuple[float, float]]] = {}
+    last_end: Optional[float] = None
     for index, event in enumerate(events):
         where = f"traceEvents[{index}]"
         for key in ("name", "ph", "ts", "pid", "tid"):
             if key not in event:
                 problems.append(f"{where}: missing required key {key!r}")
         phase = event.get("ph")
-        if phase not in ("i", "I", "B", "E", "X", "M", "C"):
+        if phase not in ("i", "I", "X", "M", "C"):
             problems.append(f"{where}: unsupported phase {phase!r}")
         ts = event.get("ts")
+        dur = event.get("dur", 0) if phase == "X" else 0
         if not isinstance(ts, (int, float)):
             problems.append(f"{where}: non-numeric ts {ts!r}")
-        elif phase in ("i", "I", "B", "E", "X"):
-            if last_ts is not None and ts < last_ts:
+        elif not isinstance(dur, (int, float)) or dur < 0:
+            problems.append(f"{where}: bad dur {dur!r}")
+        elif phase in ("i", "I", "X"):
+            end = ts + dur
+            if last_end is not None and end < last_end - _ROUNDING_US:
                 problems.append(
-                    f"{where}: timestamp went backwards ({ts} < {last_ts})"
+                    f"{where}: completion time went backwards "
+                    f"({end} < {last_end})"
                 )
-            last_ts = ts
-        if phase == "B":
-            open_spans.append(str(event.get("name")))
-        elif phase == "E":
-            if not open_spans:
-                problems.append(f"{where}: 'E' with no open span")
-            else:
-                open_spans.pop()
-    for name in open_spans:
-        problems.append(f"span {name!r} was begun but never ended")
+            last_end = end
+            thread = (event.get("pid"), event.get("tid"))
+            if phase == "X" and not nests(
+                    done_by_thread.setdefault(thread, []), ts, end,
+                    slack=_ROUNDING_US):
+                problems.append(
+                    f"{where}: span {event.get('name')!r} partially "
+                    f"overlaps an earlier span of thread {thread!r}"
+                )
     return problems
 
 
@@ -118,25 +128,13 @@ def summarize_chrome_events(events: List[Dict[str, object]]
                             ) -> Dict[str, Dict[str, float]]:
     """Per-name counts and span durations from Chrome-format events."""
     summary: Dict[str, Dict[str, float]] = {}
-    stack: List[Dict[str, object]] = []
     for event in events:
-        name = str(event.get("name"))
         phase = event.get("ph")
-        if phase in ("i", "I"):
-            cell = summary.setdefault(name, {"count": 0})
-            cell["count"] += 1
-        elif phase == "B":
-            cell = summary.setdefault(name, {"count": 0})
-            cell["count"] += 1
-            stack.append(event)
-        elif phase == "E" and stack:
-            begin = stack.pop()
-            cell = summary.setdefault(str(begin.get("name")), {"count": 0})
-            duration = float(event.get("ts", 0)) - float(begin.get("ts", 0))
-            cell["total_us"] = cell.get("total_us", 0.0) + duration
-        elif phase == "X":
-            cell = summary.setdefault(name, {"count": 0})
-            cell["count"] += 1
+        if phase not in ("i", "I", "X"):
+            continue
+        cell = summary.setdefault(str(event.get("name")), {"count": 0})
+        cell["count"] += 1
+        if phase == "X":
             cell["total_us"] = cell.get("total_us", 0.0) + float(
                 event.get("dur", 0)
             )
@@ -176,7 +174,7 @@ def stats_document(telemetry) -> Dict[str, object]:
     """The machine-readable stats JSON: metrics snapshot + event total."""
     return {
         "format": "repro.obs.stats/1",
-        "event_count": len(telemetry.tracer.events),
+        "event_count": len(telemetry.events),
         "metrics": telemetry.metrics.snapshot(),
     }
 

@@ -3,18 +3,12 @@
 The full :class:`~repro.obs.tracer.Tracer` keeps an unbounded event
 list — perfect for experiments, unusable always-on (a server-style
 ``tiered-bg`` engine would grow it without limit).  The
-:class:`FlightRecorder` is the production substitute: a fixed-capacity
-ring that keeps the *most recent* events, counts what it dropped, and
-can dump its contents as a Chrome trace at any moment — on demand, or
-automatically when an anomaly trips.
-
-It duck-types the tracer interface (``instant``/``begin``/``end``/
-``events``/``open_spans``/``clear``), so a :class:`~repro.obs.Telemetry`
-built over it (see :func:`repro.obs.production_telemetry`) drives every
-existing hook site unchanged.  The one representational difference:
-finished spans are recorded as single *complete* events (``ph: "X"``
-with a ``dur`` in ns) rather than B/E pairs — a ring that dropped the
-``B`` half of a pair would otherwise dump an unbalanced trace.
+:class:`FlightRecorder` is a *bounded* tracer: same clock, lock, event
+shapes and stream rule, but the buffer is a fixed-capacity ring that
+keeps the *most recent* events and counts what it dropped.  Because a
+span is one complete event, a ring that has wrapped still dumps a well
+formed trace.  On top of the ring it adds anomaly triggers and an
+on-demand Chrome dump.
 
 Anomaly triggers (each records a ``flight.anomaly`` instant, remembers
 the reason, and — when ``dump_path`` is set — writes the ring to disk
@@ -30,19 +24,18 @@ so the events *leading up to* the anomaly survive):
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import events as EV
+from .tracer import Tracer
 
 #: default ring capacity — at ~100 bytes/event this is well under a MB
 DEFAULT_CAPACITY = 4096
 
 
-class FlightRecorder:
-    """Drop-oldest bounded event recorder, API-compatible with Tracer."""
+class FlightRecorder(Tracer):
+    """A :class:`Tracer` over a drop-oldest ring, with anomaly triggers."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  clock: Optional[Callable[[], int]] = None,
@@ -51,15 +44,10 @@ class FlightRecorder:
                  storm_window_s: float = 0.5):
         if capacity < 1:
             raise ValueError("FlightRecorder needs capacity >= 1")
+        super().__init__(clock=clock)
         self.capacity = capacity
         self.dump_path = dump_path
-        self._clock = clock if clock is not None else time.perf_counter_ns
-        self._ring: List[Optional[Dict[str, object]]] = [None] * capacity
-        self._next = 0
-        self._lock = threading.Lock()
-        self._stack: List[Tuple[str, int]] = []  # open spans: (name, ts)
-        self._last_ts = 0
-        self._buffered = 0
+        self._buffer = deque(maxlen=capacity)
         #: lifetime totals — ``recorded - dropped`` events survived all
         #: rings this recorder has held (``clear`` empties the ring but
         #: keeps the lifetime counters)
@@ -71,81 +59,26 @@ class FlightRecorder:
         self._storm_window_ns = int(storm_window_s * 1e9)
         self._invalidate_ts: deque = deque()
 
-    # -- clock --------------------------------------------------------------------
+    # -- recording ----------------------------------------------------------------
 
-    def _now(self) -> int:
-        ts = self._clock()
-        if ts < self._last_ts:
-            ts = self._last_ts
-        self._last_ts = ts
-        return ts
-
-    # -- recording (the Tracer interface) -----------------------------------------
-
-    def _append_locked(self, event: Dict[str, object]) -> None:
-        if self._ring[self._next] is not None:
+    def _append(self, event: Dict[str, object]) -> None:
+        if len(self._buffer) == self.capacity:
             self.dropped += 1
-        else:
-            self._buffered += 1
-        self._ring[self._next] = event
-        self._next = (self._next + 1) % self.capacity
+        self._buffer.append(event)
         self.recorded += 1
 
     def instant(self, name: str, args: Dict[str, object]) -> None:
-        anomaly: Optional[str] = None
         with self._lock:
-            ts = self._now()
-            self._append_locked(
-                {"name": name, "ph": "i", "ts": ts, "args": args}
-            )
+            ts = self._record_instant(name, args)
             anomaly = self._check_anomaly_locked(name, ts)
         if anomaly is not None:
             self.anomaly(anomaly)
-
-    def begin(self, name: str, args: Dict[str, object]) -> None:
-        with self._lock:
-            self._stack.append((name, self._now()))
-
-    def end(self, name: str) -> float:
-        """Close the innermost span, recording it as one complete event;
-        returns its duration in seconds."""
-        with self._lock:
-            ts = self._now()
-            if not self._stack:
-                raise RuntimeError(f"end({name!r}) with no open span")
-            begin_name, begin_ts = self._stack.pop()
-            if begin_name != name:
-                raise RuntimeError(
-                    f"end({name!r}) but innermost open span is "
-                    f"{begin_name!r}"
-                )
-            self._append_locked(
-                {"name": name, "ph": "X", "ts": begin_ts,
-                 "dur": ts - begin_ts, "args": {}}
-            )
-            return (ts - begin_ts) / 1e9
 
     @property
     def events(self) -> List[Dict[str, object]]:
         """Snapshot of the ring, oldest first."""
         with self._lock:
-            ordered = self._ring[self._next:] + self._ring[:self._next]
-        return [event for event in ordered if event is not None]
-
-    @property
-    def open_spans(self) -> int:
-        return len(self._stack)
-
-    def clear(self) -> None:
-        if self._stack:
-            raise RuntimeError("cannot clear a recorder with open spans")
-        with self._lock:
-            self._ring = [None] * self.capacity
-            self._next = 0
-            self._buffered = 0
-
-    def __len__(self) -> int:
-        return self._buffered
+            return list(self._buffer)
 
     # -- anomalies ----------------------------------------------------------------
 
@@ -167,12 +100,10 @@ class FlightRecorder:
         """Record an anomaly: remember it, mark the stream, and dump the
         ring to ``dump_path`` when one is configured."""
         with self._lock:
-            ts = self._now()
+            ts = self._record_instant(
+                EV.FLIGHT_ANOMALY,
+                {"reason": reason, "index": len(self.anomalies) + 1})
             self.anomalies.append((reason, ts))
-            self._append_locked(
-                {"name": EV.FLIGHT_ANOMALY, "ph": "i", "ts": ts,
-                 "args": {"reason": reason, "index": len(self.anomalies)}}
-            )
         if self.dump_path is not None:
             self.dump(self.dump_path)
 

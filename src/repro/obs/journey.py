@@ -48,7 +48,7 @@ class Journey:
 
     def __init__(self, function: str):
         self.function = function
-        #: (ts_us, event name, args) in stream order
+        #: (ts_us, event name, args) in timestamp order
         self.steps: List[Tuple[float, str, Dict[str, object]]] = []
 
     def count(self, name: str) -> int:
@@ -102,19 +102,21 @@ class Journey:
 
 
 def _normalize(events: Iterable[Dict[str, object]]
-               ) -> List[Tuple[float, str, str, Dict[str, object]]]:
-    """(ts_us, name, ph, args) from raw tracer events (ns timestamps)
-    or Chrome trace events (µs timestamps, ``pid`` present)."""
+               ) -> List[Tuple[float, str, Dict[str, object]]]:
+    """(ts_us, name, args) from raw tracer events (ns timestamps) or
+    Chrome trace events (µs timestamps, ``pid`` present), ordered by
+    ``ts`` — a span's start, so it sorts before what happened inside it
+    although the stream records it on completion."""
     out = []
     for event in events:
         name = event.get("name")
-        ph = event.get("ph", "i")
         if not isinstance(name, str):
             continue
         ts = event.get("ts", 0)
         if "pid" not in event:
             ts = ts / 1000.0  # raw tracer: ns -> µs
-        out.append((float(ts), name, str(ph), dict(event.get("args") or {})))
+        out.append((float(ts), name, dict(event.get("args") or {})))
+    out.sort(key=lambda step: step[0])
     return out
 
 
@@ -122,13 +124,11 @@ def build_journeys(events: Iterable[Dict[str, object]]
                    ) -> Dict[str, Journey]:
     """Group a trace's events into per-function journeys.
 
-    ``events`` may be raw tracer/flight events or Chrome trace events;
-    span end markers (``E``) are skipped — the begin/complete event
-    carries the args.
+    ``events`` may be raw tracer/flight events or Chrome trace events.
     """
     journeys: Dict[str, Journey] = {}
-    for ts, name, ph, args in _normalize(events):
-        if ph == "E" or name not in JOURNEY_EVENTS:
+    for ts, name, args in _normalize(events):
+        if name not in JOURNEY_EVENTS:
             continue
         function = None
         for key in _FUNCTION_ARGS:

@@ -3,15 +3,18 @@
 Backs ``make trace-smoke`` and the pytest smoke test: compile one
 shootout benchmark, run it in the default tiered mode with telemetry
 attached and an always-firing resolved OSR point in its per-iteration
-method, export the Chrome trace, and validate it against the
-trace-event schema.  A healthy VM produces at least ``tier.promote``,
-``jit.compile`` and ``osr.fire`` events in one run.
+method, then once more on a ``tiered-bg`` engine so a compile worker
+contributes events under its own ``tid``; validate the raw stream
+(completion order, per-thread nesting) and the exported Chrome
+document.  A healthy VM produces at least ``tier.promote``,
+``jit.compile`` and ``osr.fire`` events, from at least two threads.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from .events import validate_events
 from .export import chrome_trace_events, validate_chrome_trace, write_chrome_trace
 from .telemetry import Telemetry
 
@@ -63,11 +66,24 @@ def run_trace_smoke(benchmark_name: str = "n-body",
         location.function, location, HotCounterCondition(1), engine=engine,
     )
     checksum = engine.run(benchmark.entry, *benchmark.args)
+    # the same program once more with tier-up on a worker thread
+    background = ExecutionEngine(compile_benchmark(benchmark, level),
+                                 tier="tiered-bg",
+                                 call_threshold=call_threshold,
+                                 telemetry=telemetry)
+    try:
+        background.run(benchmark.entry, *benchmark.args)
+        background.drain_background()
+    finally:
+        background.shutdown_background()
 
     events = chrome_trace_events(telemetry)
-    problems = validate_chrome_trace(events)
+    problems = validate_events(telemetry.events)
+    problems += validate_chrome_trace(events)
     seen = {str(event["name"]) for event in events}
     missing = [name for name in REQUIRED_EVENTS if name not in seen]
+    if len({event["tid"] for event in events}) < 2:
+        missing.append("an event from a second thread")
     if out is not None:
         write_chrome_trace(telemetry, out)
     return SmokeResult(telemetry, checksum, problems, missing)

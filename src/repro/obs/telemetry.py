@@ -1,16 +1,22 @@
-"""The telemetry facade: a tracer + metrics registry behind one switch.
+"""The telemetry facade: a metrics registry plus an optional event sink.
 
-Hook sites across the VM hold a telemetry object and guard every
-emission with its ``enabled`` attribute, so disabled tracing costs one
-attribute check per site::
+Hook sites across the VM hold a telemetry object and emit through it;
+there is one way to write an instant and one way to write a span, from
+any thread, traced or not::
 
     tel = engine.telemetry
-    if tel.enabled:
-        tel.event(events.TIER_PROMOTE, function=func.name)
+    tel.event(events.TIER_PROMOTE, function=func.name)
+    with tel.span(events.JIT_COMPILE, function=func.name):
+        ...
 
-:data:`NULL_TELEMETRY` is the module-level no-op used when nothing is
-attached; its ``span()`` returns a shared no-op context manager so cold
-paths may use ``with tel.span(...)`` unconditionally.
+Every emission bumps the name's counter in :attr:`Telemetry.metrics`.
+When a sink is attached (an unbounded :class:`~repro.obs.tracer.Tracer`
+or a bounded :class:`~repro.obs.flight.FlightRecorder`) the event is
+also recorded on it, and a span additionally folds its duration into
+the name's timer.  A telemetry *without* a sink is what "tracing off"
+means: it still counts, records nothing, and its spans read no clock.
+``enabled`` says whether a sink is attached — sites test it only to
+skip a timing or an attribute that is expensive to build.
 
 The *ambient* telemetry is what engines pick up when constructed without
 an explicit ``telemetry=`` argument; :func:`trace` installs one for a
@@ -32,115 +38,101 @@ from .flight import DEFAULT_CAPACITY, FlightRecorder
 from .metrics import MetricsRegistry
 from .tracer import Tracer
 
+#: ``Telemetry(tracer=...)`` default: build a fresh unbounded Tracer
+_NEW_TRACER = object()
 
-class _TelemetrySpan:
-    """Closes the tracer span and folds its duration into the timer."""
 
-    __slots__ = ("_telemetry", "_name")
+class _Span:
+    """The guard ``Telemetry.span()`` returns.  It holds its own start
+    time, so spans need no stack: on exit it records one complete event
+    and folds the duration into the name's timer.  Without a sink it
+    holds nothing and exit is a no-op."""
 
-    def __init__(self, telemetry: "Telemetry", name: str):
+    __slots__ = ("_telemetry", "_name", "_args", "_start")
+
+    def __init__(self, telemetry: "Telemetry", name: str,
+                 args: Dict[str, object]):
         self._telemetry = telemetry
         self._name = name
+        self._args = args
+        tracer = telemetry.tracer
+        self._start = tracer.now() if tracer is not None else None
 
-    def __enter__(self) -> "_TelemetrySpan":
+    def __enter__(self) -> "_Span":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        seconds = self._telemetry.tracer.end(self._name)
-        self._telemetry.metrics.record_time(self._name, seconds)
+        if self._start is not None:
+            telemetry = self._telemetry
+            dur = telemetry.tracer.complete(self._name, self._start,
+                                            self._args)
+            telemetry.metrics.record_time(self._name, dur / 1e9)
 
 
 class Telemetry:
-    """A live tracer/metrics pair; the ``enabled`` flag is always True —
-    disabling means holding :data:`NULL_TELEMETRY` instead."""
+    """A metrics registry plus an optional event sink (``tracer``)."""
 
-    __slots__ = ("tracer", "metrics")
-
-    enabled = True
+    __slots__ = ("tracer", "metrics", "enabled")
 
     def __init__(self, clock: Optional[Callable[[], int]] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracer=None):
-        #: the event sink: an unbounded Tracer by default, or any object
-        #: with the same interface — :func:`production_telemetry` passes
-        #: a bounded :class:`~repro.obs.flight.FlightRecorder`
-        self.tracer = tracer if tracer is not None else Tracer(clock=clock)
+                 tracer=_NEW_TRACER):
+        #: the event sink: an unbounded Tracer by default, a bounded
+        #: :class:`~repro.obs.flight.FlightRecorder` from
+        #: :func:`production_telemetry`, or None — count, record nothing
+        self.tracer: Optional[Tracer] = (
+            Tracer(clock=clock) if tracer is _NEW_TRACER else tracer)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: whether a sink is attached
+        self.enabled = self.tracer is not None
 
     @property
     def flight(self) -> Optional[FlightRecorder]:
         """The flight recorder behind this telemetry, or None when the
-        sink is a full tracer — hook sites use this to report anomalies
-        (``engine.call`` on an uncaught Trap)."""
+        sink is a full tracer or absent — hook sites use this to report
+        anomalies (``engine.call`` on an uncaught Trap)."""
         tracer = self.tracer
         return tracer if isinstance(tracer, FlightRecorder) else None
 
     def event(self, name: str, **args) -> None:
-        """Record an instant event and bump its counter."""
+        """Bump the name's counter and record an instant on the sink."""
         self.metrics.inc(name)
-        self.tracer.instant(name, args)
+        if self.tracer is not None:
+            self.tracer.instant(name, args)
 
-    def span(self, name: str, **args) -> _TelemetrySpan:
-        """Open a span (``with`` block): B/E trace pair + timer entry."""
+    def span(self, name: str, **args) -> _Span:
+        """Open a span (``with`` block): counter now; on exit, one
+        complete event on the sink plus a timer entry."""
         self.metrics.inc(name)
-        self.tracer.begin(name, args)
-        return _TelemetrySpan(self, name)
+        return _Span(self, name, args)
 
     @property
     def events(self) -> List[Dict[str, object]]:
-        return self.tracer.events
+        return self.tracer.events if self.tracer is not None else []
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Telemetry {len(self.tracer.events)} events>"
+        return f"<Telemetry {len(self.events)} events>"
 
 
-class _NullSpan:
-    __slots__ = ()
+#: what :func:`ambient` answers while nothing is installed: sinkless, so
+#: engine-less emitters (the analysis manager, passes) need no check
+_UNTRACED = Telemetry(tracer=None)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return None
+_ambient = _UNTRACED
 
 
-_NULL_SPAN = _NullSpan()
-
-
-class _NullTelemetry:
-    """The disabled fast path: every emission is a no-op."""
-
-    __slots__ = ()
-
-    enabled = False
-    flight = None
-
-    def event(self, name: str, **args) -> None:
-        pass
-
-    def span(self, name: str, **args) -> _NullSpan:
-        return _NULL_SPAN
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<NullTelemetry>"
-
-
-#: the shared disabled telemetry — ``enabled`` is False, all emissions no-op
-NULL_TELEMETRY = _NullTelemetry()
-
-_ambient = NULL_TELEMETRY
-
-
-def ambient():
-    """The telemetry newly constructed engines attach to by default."""
+def ambient() -> Telemetry:
+    """The telemetry newly constructed engines attach to by default (an
+    engine takes it only when it has a sink; otherwise it makes its own
+    sinkless one, so counters stay per engine)."""
     return _ambient
 
 
-def set_ambient(telemetry) -> None:
-    """Install ``telemetry`` (or :data:`NULL_TELEMETRY`) as the ambient
-    default; prefer the :func:`trace` context manager in scripts."""
+def set_ambient(telemetry: Optional[Telemetry]) -> None:
+    """Install ``telemetry`` as the ambient default (None: back to
+    untraced); prefer the :func:`trace` context manager in scripts."""
     global _ambient
-    _ambient = telemetry if telemetry is not None else NULL_TELEMETRY
+    _ambient = telemetry if telemetry is not None else _UNTRACED
 
 
 def production_telemetry(capacity: int = DEFAULT_CAPACITY,

@@ -1,20 +1,27 @@
-"""Structured event tracing with a cheap, nestable span/event API.
+"""Structured event tracing: instants and stackless spans, from any thread.
 
-The tracer records a flat, append-only list of event dicts —
-``{"name", "ph", "ts", "args"}`` with nanosecond timestamps — that the
-exporters turn into Chrome trace-event JSON, tables or stats documents.
-Spans are balanced ``B``/``E`` pairs maintained through a context
-manager, so streams are well formed by construction (and
-:func:`repro.obs.events.validate_events` checks it independently).
+The tracer records a flat, append-only list of event dicts with
+nanosecond timestamps.  There are two shapes and nothing else:
+
+* an *instant* — ``{"name", "ph": "i", "ts", "tid", "args"}``;
+* a *span* — one **complete** event appended when the span ends:
+  ``{"name", "ph": "X", "ts", "dur", "tid", "args"}`` (``ts`` is the
+  start, ``dur`` the length).
+
+A span is not matched through a stack: whoever opened it holds its start
+time (:meth:`Tracer.now`) and hands it back to :meth:`Tracer.complete`,
+so spans from any number of threads overlap freely on one tracer and an
+abandoned span leaves nothing behind.  ``tid`` is the emitting thread's
+:func:`threading.get_ident`.
+
+The stream rule (checked by :func:`repro.obs.events.validate_events`):
+events appear in *completion* order — ``ts`` for an instant, ``ts+dur``
+for a span, never decreasing — and the spans of one ``tid`` nest or are
+disjoint.  Both hold by construction: a lock makes each (clock read,
+append) pair atomic and the clock is clamped to be monotonic.
 
 The clock is injectable for deterministic tests; the default is
 :func:`time.perf_counter_ns`.
-
-Emission is thread-safe: a lock makes each (clock read, append) pair
-atomic, so instants recorded by background compile workers interleave
-with the main thread's stream without breaking timestamp monotonicity.
-Spans stay a single-thread affair — the B/E stack is one per tracer —
-which is why the background queue emits only instants.
 """
 
 from __future__ import annotations
@@ -24,90 +31,62 @@ import time
 from typing import Callable, Dict, List, Optional
 
 
-class _SpanGuard:
-    """Context manager closing one span; created per ``span()`` call."""
-
-    __slots__ = ("_tracer", "_name")
-
-    def __init__(self, tracer: "Tracer", name: str):
-        self._tracer = tracer
-        self._name = name
-
-    def __enter__(self) -> "_SpanGuard":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer.end(self._name)
-
-
 class Tracer:
-    """Collects trace events; one per :class:`~repro.obs.Telemetry`."""
-
-    __slots__ = ("events", "_clock", "_stack", "_last_ts", "_lock")
+    """Collects trace events; the sink of a :class:`~repro.obs.Telemetry`."""
 
     def __init__(self, clock: Optional[Callable[[], int]] = None):
-        self.events: List[Dict[str, object]] = []
+        self._buffer = []  # FlightRecorder swaps in a bounded deque
         self._clock = clock if clock is not None else time.perf_counter_ns
-        self._stack: List[int] = []  # indices of open B events
         self._last_ts: int = 0
         self._lock = threading.Lock()
 
+    @property
+    def events(self) -> List[Dict[str, object]]:
+        return self._buffer
+
     def _now(self) -> int:
         # clamp so a non-monotonic injected clock cannot corrupt the
-        # stream invariant the exporters rely on
+        # stream invariant the exporters rely on; caller holds the lock
         ts = self._clock()
         if ts < self._last_ts:
             ts = self._last_ts
         self._last_ts = ts
         return ts
 
+    def _append(self, event: Dict[str, object]) -> None:
+        self._buffer.append(event)
+
+    def _record_instant(self, name: str, args: Dict[str, object]) -> int:
+        ts = self._now()
+        self._append({"name": name, "ph": "i", "ts": ts,
+                      "tid": threading.get_ident(), "args": args})
+        return ts
+
+    def now(self) -> int:
+        """A span's start time, to be handed back to :meth:`complete`."""
+        with self._lock:
+            return self._now()
+
     def instant(self, name: str, args: Dict[str, object]) -> None:
         with self._lock:
-            self.events.append(
-                {"name": name, "ph": "i", "ts": self._now(), "args": args}
-            )
+            self._record_instant(name, args)
 
-    def begin(self, name: str, args: Dict[str, object]) -> None:
+    def complete(self, name: str, start: int,
+                 args: Dict[str, object]) -> int:
+        """Record the span that began at ``start`` and ends now; returns
+        its duration in nanoseconds."""
         with self._lock:
-            self._stack.append(len(self.events))
-            self.events.append(
-                {"name": name, "ph": "B", "ts": self._now(), "args": args}
-            )
-
-    def end(self, name: str) -> float:
-        """Close the innermost span; returns its duration in seconds."""
-        with self._lock:
-            ts = self._now()
-            if not self._stack:
-                raise RuntimeError(f"end({name!r}) with no open span")
-            begin_index = self._stack.pop()
-            begin_event = self.events[begin_index]
-            if begin_event["name"] != name:
-                raise RuntimeError(
-                    f"end({name!r}) but innermost open span is "
-                    f"{begin_event['name']!r}"
-                )
-            self.events.append(
-                {"name": name, "ph": "E", "ts": ts, "args": {}}
-            )
-            return (ts - begin_event["ts"]) / 1e9
-
-    def span(self, name: str, args: Dict[str, object]) -> _SpanGuard:
-        """Open a span closed at ``with`` exit."""
-        self.begin(name, args)
-        return _SpanGuard(self, name)
-
-    @property
-    def open_spans(self) -> int:
-        return len(self._stack)
+            dur = self._now() - start
+            self._append({"name": name, "ph": "X", "ts": start, "dur": dur,
+                          "tid": threading.get_ident(), "args": args})
+        return dur
 
     def clear(self) -> None:
-        if self._stack:
-            raise RuntimeError("cannot clear a tracer with open spans")
-        self.events.clear()
+        with self._lock:
+            self._buffer.clear()
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._buffer)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Tracer {len(self.events)} events>"
+        return f"<{type(self).__name__} {len(self)} events>"

@@ -235,12 +235,9 @@ class VMServer:
         finally:
             engine.metrics.record_time(
                 EV.SERVE_LATENCY, time.perf_counter() - start)
-            tel = engine.telemetry
-            if tel.enabled:
-                tel.event(EV.SERVE_REQUEST, function=request.function,
-                          tenant=request.tenant, ok=ok)
-            else:
-                engine.metrics.inc(EV.SERVE_REQUEST)
+            engine.telemetry.event(
+                EV.SERVE_REQUEST, function=request.function,
+                tenant=request.tenant, ok=ok)
             with self._cond:
                 self.completed += 1
                 if not ok:

@@ -139,15 +139,11 @@ class DeoptManager:
             raise Trap(f"deopt exit for unknown guard {guard_id!r}")
         self.deopt_count += 1
         tel = self.telemetry
-        metrics = getattr(self.engine, "metrics", None)
-        if tel.enabled:
-            tel.event(EV.DEOPT_GUARD_FAIL, guard=guard_id,
-                      function=frame.baseline.name)
-        elif metrics is not None:
-            metrics.inc(EV.DEOPT_GUARD_FAIL)
-        if metrics is not None:
-            # the deopt-recipe width actually transferred on this exit
-            metrics.gauge(EV.OSR_LIVE_SLOTS, len(lives))
+        metrics = tel.metrics
+        tel.event(EV.DEOPT_GUARD_FAIL, guard=guard_id,
+                  function=frame.baseline.name)
+        # the deopt-recipe width actually transferred on this exit
+        metrics.gauge(EV.OSR_LIVE_SLOTS, len(lives))
 
         observed = lives[-1] if lives else None
         owner = self._owners.get(guard_id)
@@ -159,30 +155,20 @@ class DeoptManager:
         if target is not None and target is not owner:
             continuation = self._dispatch_continuation(guard_id, frame, target)
             if continuation is not None:
-                if tel.enabled:
-                    tel.event(EV.SPEC_DISPATCH, guard=guard_id,
-                              target=target.function.name,
-                              observed=repr(observed))
-                    tel.event(EV.DEOPT_EXIT, guard=guard_id,
-                              target=target.function.name, mode="dispatch")
-                elif metrics is not None:
-                    metrics.inc(EV.SPEC_DISPATCH)
-                    metrics.inc(EV.DEOPT_EXIT)
-                if metrics is not None:
-                    metrics.record_time(
-                        EV.DEOPT_TRANSITION,
-                        time.perf_counter() - transition_start)
+                tel.event(EV.SPEC_DISPATCH, guard=guard_id,
+                          target=target.function.name,
+                          observed=repr(observed))
+                tel.event(EV.DEOPT_EXIT, guard=guard_id,
+                          target=target.function.name, mode="dispatch")
+                metrics.record_time(EV.DEOPT_TRANSITION,
+                                    time.perf_counter() - transition_start)
                 return continuation(*lives)
 
         continuation = self._baseline_continuation(guard_id, frame)
-        if tel.enabled:
-            tel.event(EV.DEOPT_EXIT, guard=guard_id,
-                      target=frame.baseline.name, mode="baseline")
-        elif metrics is not None:
-            metrics.inc(EV.DEOPT_EXIT)
-        if metrics is not None:
-            metrics.record_time(EV.DEOPT_TRANSITION,
-                                time.perf_counter() - transition_start)
+        tel.event(EV.DEOPT_EXIT, guard=guard_id,
+                  target=frame.baseline.name, mode="baseline")
+        metrics.record_time(EV.DEOPT_TRANSITION,
+                            time.perf_counter() - transition_start)
         return continuation(*lives)
 
     def external_exit(self, key: tuple, build: Callable, *,
@@ -194,20 +180,13 @@ class DeoptManager:
         same site pay only a lookup."""
         self.deopt_count += 1
         tel = self.telemetry
-        metrics = getattr(self.engine, "metrics", None)
-        if tel.enabled:
-            tel.event(EV.DEOPT_GUARD_FAIL, guard=guard, function=function)
-        elif metrics is not None:
-            metrics.inc(EV.DEOPT_GUARD_FAIL)
+        tel.event(EV.DEOPT_GUARD_FAIL, guard=guard, function=function)
         cached = self._continuations.get(key)
         if cached is None:
             cached = build()
             self._continuations[key] = cached
-        if tel.enabled:
-            tel.event(EV.DEOPT_EXIT, guard=guard, target=function,
-                      mode="external")
-        elif metrics is not None:
-            metrics.inc(EV.DEOPT_EXIT)
+        tel.event(EV.DEOPT_EXIT, guard=guard, target=function,
+                  mode="external")
         return cached
 
     # -- continuation construction ---------------------------------------------

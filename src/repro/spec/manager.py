@@ -163,19 +163,14 @@ class SpeculationManager:
             # new stable profile: earn another specialized continuation —
             # unless the thrash limit says this function churns profiles
             # faster than speculation pays off
-            tel = self.engine.telemetry
             if state.respec_count >= self.thrash_limit:
                 self._pin(state)
                 return None
             state.respec_count += 1
-            if tel.enabled:
-                tel.event(EV.SPEC_RESPECIALIZE,
-                          function=state.baseline.name,
-                          arg_index=owner.arg_index,
-                          observed=repr(observed),
-                          respec_count=state.respec_count)
-            else:
-                self.engine.metrics.inc(EV.SPEC_RESPECIALIZE)
+            self.engine.telemetry.event(
+                EV.SPEC_RESPECIALIZE, function=state.baseline.name,
+                arg_index=owner.arg_index, observed=repr(observed),
+                respec_count=state.respec_count)
             version = self._build_version(state, owner.arg_index, observed)
             if version is not None:
                 self._activate(state, version)
@@ -187,12 +182,9 @@ class SpeculationManager:
         state.pinned = True
         state.active = None
         state.active_version = None
-        tel = self.engine.telemetry
-        if tel.enabled:
-            tel.event(EV.SPEC_PINNED, function=state.baseline.name,
-                      respec_count=state.respec_count)
-        else:
-            self.engine.metrics.inc(EV.SPEC_PINNED)
+        self.engine.telemetry.event(
+            EV.SPEC_PINNED, function=state.baseline.name,
+            respec_count=state.respec_count)
 
     # -- invalidation -----------------------------------------------------------
 

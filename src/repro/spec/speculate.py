@@ -117,7 +117,7 @@ def specialize_function(
 
 def _specialize(baseline: Function, arg_index: int, const, value,
                 module: Module, optimize: bool, am,
-                telemetry=None) -> SpecializedVersion:
+                telemetry) -> SpecializedVersion:
     arg = baseline.args[arg_index]
     baseline.assign_names()
     liveness = am.liveness(baseline)
@@ -158,11 +158,10 @@ def _specialize(baseline: Function, arg_index: int, const, value,
         guards[guard_id] = FrameState(
             guard_id, baseline, site, list(lives_base) + [arg], arg_index
         )
-        if telemetry is not None and telemetry.enabled:
-            telemetry.event(
-                EV.OSR_STATE_SIZE, function=clone.name, kind="guard",
-                guard=guard_id, live=len(capture),
-            )
+        telemetry.event(
+            EV.OSR_STATE_SIZE, function=clone.name, kind="guard",
+            guard=guard_id, live=len(capture),
+        )
 
     # selective RAUW: fold the speculated argument to the constant
     # everywhere EXCEPT the guard machinery itself — the condition must

@@ -209,12 +209,11 @@ def scalarize_aggregates(func: Function, am=None, telemetry=None) -> int:
 
         split += 1
         pieces_to_promote.extend(pieces.values())
-        if tel.enabled:
-            tel.event(
-                EV.SCALARIZE_SPLIT, function=func.name,
-                alloca=alloca.name or "agg", pieces=len(pieces),
-                bytes=alloca.count * T.size_of(alloca.allocated_type),
-            )
+        tel.event(
+            EV.SCALARIZE_SPLIT, function=func.name,
+            alloca=alloca.name or "agg", pieces=len(pieces),
+            bytes=alloca.count * T.size_of(alloca.allocated_type),
+        )
 
     if pieces_to_promote:
         promote_memory_to_registers(func, only=set(pieces_to_promote), am=am)

@@ -31,8 +31,8 @@ Correctness rests on three pieces:
   in-flight result instead of installing stale code.
 
 Telemetry: ``compile.queue`` / ``compile.start`` / ``compile.install``
-/ ``compile.discard`` instants (workers never open spans — the span
-stack is single-threaded), a ``compile.queue_depth`` gauge, and two
+/ ``compile.discard`` instants, the worker's ``codegen.build`` span
+(under the worker's own ``tid``), a ``compile.queue_depth`` gauge, and two
 histogram-backed timers: ``compile.wait`` (enqueue to worker pickup)
 and ``compile.latency`` (enqueue to install).
 """
@@ -158,13 +158,9 @@ class CompileQueue:
             depth = len(self._heap)
             self._ensure_workers()
             self._cond.notify()
-        tel = engine.telemetry
         engine.metrics.gauge(EV.COMPILE_QUEUE_DEPTH, depth)
-        if tel.enabled:
-            tel.event(EV.COMPILE_QUEUE, function=func.name,
-                      priority=job.priority, depth=depth)
-        else:
-            engine.metrics.inc(EV.COMPILE_QUEUE)
+        engine.telemetry.event(EV.COMPILE_QUEUE, function=func.name,
+                               priority=job.priority, depth=depth)
         self.submitted += 1
         return True
 
@@ -233,11 +229,8 @@ class CompileQueue:
         # shows up anywhere else
         engine.metrics.record_time(
             EV.COMPILE_WAIT, time.perf_counter() - job.enqueued_at)
-        if tel.enabled:
-            tel.event(EV.COMPILE_START, function=func.name,
-                      priority=job.priority)
-        else:
-            engine.metrics.inc(EV.COMPILE_START)
+        tel.event(EV.COMPILE_START, function=func.name,
+                  priority=job.priority)
         try:
             # engine-read-only: pure codegen, cached on the Function
             artifact = codegen_function(func)
@@ -249,12 +242,9 @@ class CompileQueue:
             self.installed += 1
             latency = time.perf_counter() - job.enqueued_at
             engine.metrics.record_time(EV.COMPILE_LATENCY, latency)
-            if tel.enabled:
-                tel.event(EV.COMPILE_INSTALL, function=func.name,
-                          code_version=func.code_version,
-                          generation=job.box.generation)
-            else:
-                engine.metrics.inc(EV.COMPILE_INSTALL)
+            tel.event(EV.COMPILE_INSTALL, function=func.name,
+                      code_version=func.code_version,
+                      generation=job.box.generation)
             # write-through: persist the freshly published artifact so
             # the *next* process warm-starts it.  Off the engine lock,
             # on the worker thread — disk latency never blocks callers.
@@ -266,12 +256,8 @@ class CompileQueue:
 
     def _discard(self, job: CompileJob, reason: str) -> None:
         self.discarded += 1
-        tel = job.engine.telemetry
-        if tel.enabled:
-            tel.event(EV.COMPILE_DISCARD, function=job.func.name,
-                      reason=reason)
-        else:
-            job.engine.metrics.inc(EV.COMPILE_DISCARD)
+        job.engine.telemetry.event(EV.COMPILE_DISCARD,
+                                   function=job.func.name, reason=reason)
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -62,9 +62,8 @@ from ..ir.values import (
     GlobalVariable,
 )
 from ..obs import events as EV
-from ..obs.metrics import MetricsRegistry
+from ..obs.telemetry import Telemetry, production_telemetry
 from ..obs.telemetry import ambient as ambient_telemetry
-from ..obs.telemetry import production_telemetry
 from .background import CompileJob, CompileQueue, PublishBox
 from .decode import DecodeError, DecodedFunction, decode_function
 from .interpreter import Interpreter, Trap
@@ -232,24 +231,24 @@ class ExecutionEngine:
         self._tier_overrides: Dict[str, str] = {}
         #: statistics: per-function call counts (profiling substrate)
         self.call_counts: Dict[str, int] = {}
-        #: telemetry sink for structured events; defaults to the ambient
-        #: telemetry (the no-op unless a ``repro.obs.trace`` is active).
-        #: ``flight=True`` attaches an always-on production telemetry
-        #: instead: a bounded flight-recorder ring plus percentile
-        #: histograms, cheap enough to leave on in ``tiered``/
-        #: ``tiered-bg`` service deployments (budgeted by
-        #: ``benchmarks/bench_obs.py``)
+        #: the engine's one telemetry: the ambient one while a
+        #: ``repro.obs.trace`` is active, else its own sinkless one
+        #: (counts, records nothing).  ``flight=True`` attaches an
+        #: always-on production telemetry instead: a bounded
+        #: flight-recorder ring plus percentile histograms, cheap enough
+        #: to leave on in ``tiered``/``tiered-bg`` service deployments
+        #: (budgeted by ``benchmarks/bench_obs.py``)
         if telemetry is not None:
             self.telemetry = telemetry
         elif flight:
             self.telemetry = production_telemetry()
         else:
-            self.telemetry = ambient_telemetry()
-        #: the single stats surface: cache/tier counters live here, shared
-        #: with the telemetry's registry when tracing is on so event
-        #: counts and engine counters are one namespace
-        self.metrics = (self.telemetry.metrics if self.telemetry.enabled
-                        else MetricsRegistry())
+            ambient = ambient_telemetry()
+            self.telemetry = (ambient if ambient.enabled
+                              else Telemetry(tracer=None))
+        #: the single stats surface: cache/tier counters and event
+        #: counts are one namespace, the telemetry's registry
+        self.metrics = self.telemetry.metrics
         #: cached IR analyses (liveness/dominators/loops), shared
         #: process-wide by default so OSR insertion, speculation and the
         #: transforms all hit one cache; pass ``analysis_manager=`` for a
@@ -444,11 +443,8 @@ class ExecutionEngine:
         if func.attributes.get("osr.entrypoint") == "resolved":
             # resolved-OSR continuations are entered straight from the osr
             # block's tail call; interpose so the transfer is observable.
-            # Installed unconditionally: whether an event is emitted is
-            # decided per *fire*, so tracing enabled after warm-up still
-            # observes the transfer (the probe used to bake the compile-
-            # time ``tel.enabled`` into the decision and silently dropped
-            # every post-warmup fire).
+            # The probe reads ``engine.telemetry`` per *fire*, so a sink
+            # attached after warm-up still observes the transfer.
             compiled = self._osr_fire_probe(func, compiled)
         self.metrics.inc("engine.compile")
         self._compiled[func.name] = compiled
@@ -458,12 +454,8 @@ class ExecutionEngine:
         engine = self
 
         def fired(*args):
-            tel = engine.telemetry
-            if tel.enabled:
-                tel.event(EV.OSR_FIRE, kind="resolved",
-                          continuation=func.name)
-            else:
-                engine.metrics.inc(EV.OSR_FIRE)
+            engine.telemetry.event(EV.OSR_FIRE, kind="resolved",
+                                   continuation=func.name)
             return compiled(*args)
 
         return _mark_thunk(fired, "osrfire", func, wrapped=compiled)
@@ -502,25 +494,17 @@ class ExecutionEngine:
             except DecodeError as error:
                 # drop any stale cached decode so nothing can revive it
                 self._decoded.pop(func.name, None)
-                tel = self.telemetry
-                if tel.enabled:
-                    tel.event(EV.DECODE_BAILOUT, function=func.name,
-                              reason=str(error))
-                else:
-                    self.metrics.inc(EV.DECODE_BAILOUT)
+                self.telemetry.event(EV.DECODE_BAILOUT, function=func.name,
+                                     reason=str(error))
                 return self._make_interp_thunk(func)
             self._decoded[func.name] = decoded
             self.metrics.gauge(EV.DECODE_FRAME_SLOTS, decoded.frame_slots)
             fusion = decoded.fusion
             if fusion["cmp_br"] or fusion["op_chain"] or fusion["phi_copy"]:
-                tel = self.telemetry
-                if tel.enabled:
-                    tel.event(EV.DECODE_FUSE, function=func.name,
-                              cmp_br=fusion["cmp_br"],
-                              op_chain=fusion["op_chain"],
-                              phi_copy=fusion["phi_copy"])
-                else:
-                    self.metrics.inc(EV.DECODE_FUSE)
+                self.telemetry.event(EV.DECODE_FUSE, function=func.name,
+                                     cmp_br=fusion["cmp_br"],
+                                     op_chain=fusion["op_chain"],
+                                     phi_copy=fusion["phi_copy"])
         limit = self._interp_step_limit
         if profile_resolver is None and limit is None:
             run = decoded.run
@@ -625,26 +609,20 @@ class ExecutionEngine:
         return None
 
     def _emit_hot_event(self, func: Function, profile) -> None:
-        tel = self.telemetry
-        if tel.enabled:
-            call_hot = profile.calls >= self.profiler.call_threshold
-            tel.event(
-                EV.PROFILE_CALL_HOT if call_hot else EV.PROFILE_BACKEDGE_HOT,
-                function=func.name, calls=profile.calls,
-                backedges=profile.backedges,
-            )
+        call_hot = profile.calls >= self.profiler.call_threshold
+        self.telemetry.event(
+            EV.PROFILE_CALL_HOT if call_hot else EV.PROFILE_BACKEDGE_HOT,
+            function=func.name, calls=profile.calls,
+            backedges=profile.backedges,
+        )
 
     def _record_promotion(self, func: Function, profile) -> None:
         """Stamp ``profile`` (the one whose counters tripped) as promoted,
         report it, and redirect the function handle."""
         profile.promoted_version = func.code_version
-        tel = self.telemetry
-        if tel.enabled:
-            tel.event(EV.TIER_PROMOTE, function=func.name,
-                      code_version=func.code_version,
-                      calls=profile.calls, backedges=profile.backedges)
-        else:
-            self.metrics.inc(EV.TIER_PROMOTE)
+        self.telemetry.event(EV.TIER_PROMOTE, function=func.name,
+                             code_version=func.code_version,
+                             calls=profile.calls, backedges=profile.backedges)
         handle = self._handles.get(func.name)
         if handle is not None:
             handle.invalidate()
@@ -663,18 +641,11 @@ class ExecutionEngine:
         if cache is None:
             return None
         artifact = cache.load(func, self.module)
-        tel = self.telemetry
         if artifact is not None:
-            if tel.enabled:
-                tel.event(EV.DISKCACHE_HIT, function=func.name,
-                          code_version=func.code_version)
-            else:
-                self.metrics.inc(EV.DISKCACHE_HIT)
+            self.telemetry.event(EV.DISKCACHE_HIT, function=func.name,
+                                 code_version=func.code_version)
         else:
-            if tel.enabled:
-                tel.event(EV.DISKCACHE_MISS, function=func.name)
-            else:
-                self.metrics.inc(EV.DISKCACHE_MISS)
+            self.telemetry.event(EV.DISKCACHE_MISS, function=func.name)
         return artifact
 
     def disk_store(self, func: Function, artifact) -> bool:
@@ -686,12 +657,8 @@ class ExecutionEngine:
             return False
         if not cache.store(func, artifact):
             return False
-        tel = self.telemetry
-        if tel.enabled:
-            tel.event(EV.DISKCACHE_WRITE, function=func.name,
-                      code_version=func.code_version)
-        else:
-            self.metrics.inc(EV.DISKCACHE_WRITE)
+        self.telemetry.event(EV.DISKCACHE_WRITE, function=func.name,
+                             code_version=func.code_version)
         return True
 
     def _publish_background(self, job: CompileJob, artifact) -> bool:
@@ -871,14 +838,12 @@ class ExecutionEngine:
             self._compiled.pop(func.name, None)
             self._decoded.pop(func.name, None)
             tel = self.telemetry
-            if tel.enabled:
-                tel.event(EV.ENGINE_INVALIDATE, function=func.name,
-                          code_version=func.code_version)
-                profile = self.profiler._profiles.get(func.name)
-                if profile is not None and profile.promoted:
-                    tel.event(EV.TIER_DEMOTE, function=func.name,
-                              calls=profile.calls,
-                              backedges=profile.backedges)
+            tel.event(EV.ENGINE_INVALIDATE, function=func.name,
+                      code_version=func.code_version)
+            profile = self.profiler._profiles.get(func.name)
+            if profile is not None and profile.promoted:
+                tel.event(EV.TIER_DEMOTE, function=func.name,
+                          calls=profile.calls, backedges=profile.backedges)
             self.profiler.invalidate(func.name)
             handle = self._handles.get(func.name)
             if handle is not None:
@@ -896,11 +861,8 @@ class ExecutionEngine:
             dependents = self._invalidation_deps.pop(func.name, None)
             if dependents:
                 for dependent in dependents:
-                    if tel.enabled:
-                        tel.event(EV.DEOPT_INVALIDATE, function=func.name,
-                                  dependent=dependent.name)
-                    else:
-                        self.metrics.inc(EV.DEOPT_INVALIDATE)
+                    tel.event(EV.DEOPT_INVALIDATE, function=func.name,
+                              dependent=dependent.name)
                     self.invalidate(dependent)
             if self.spec_manager is not None:
                 self.spec_manager.on_invalidate(func)
@@ -940,8 +902,8 @@ class ExecutionEngine:
         ``stats_snapshot()["timers"]``.  A :class:`Trap` escaping a
         top-level call is a flight-recorder anomaly: the ring is dumped
         before the exception propagates, preserving the events that led
-        up to it.  With no telemetry the extra cost is one attribute
-        check.
+        up to it.  On a sinkless telemetry the extra cost is one
+        attribute check.
         """
         self.call_counts[func.name] = self.call_counts.get(func.name, 0) + 1
         tel = self.telemetry
@@ -998,7 +960,7 @@ class ExecutionEngine:
             snapshot["speculation"] = self.spec_manager.stats()
         if self._bg_queue is not None:
             snapshot["background"] = self._bg_queue.stats()
-        flight = self.telemetry.flight if self.telemetry.enabled else None
+        flight = self.telemetry.flight
         if flight is not None:
             snapshot["flight"] = flight.stats()
         return snapshot

@@ -65,7 +65,6 @@ import math
 import re
 import struct
 import threading
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..ir import types as T
@@ -1192,19 +1191,6 @@ def _make_source_hook(func: Function) -> Callable[[], str]:
 #: + the ``_cached_code`` publication must not interleave
 _codegen_lock = threading.Lock()
 
-_MAIN_THREAD = threading.main_thread()
-
-
-def _spans_ok() -> bool:
-    """Spans carry one B/E stack per tracer — a single-thread affair.
-
-    Compiles triggered off the main thread (background queue workers,
-    VM-server request threads) must therefore not open trace spans; they
-    fall back to instants plus direct timer recording, which is
-    thread-safe and preserves the percentile data.
-    """
-    return threading.current_thread() is _MAIN_THREAD
-
 
 def codegen_function(func: Function) -> CompiledCode:
     """Generate (or fetch from the function's cache) the compiled artifact.
@@ -1221,17 +1207,8 @@ def codegen_function(func: Function) -> CompiledCode:
         cached = func._cached_code  # a racing thread may have finished
         if cached is not None and cached.matches(func):
             return cached
-        tel = ambient_telemetry()
-        if tel.enabled and _spans_ok():
-            with tel.span(EV.CODEGEN_BUILD, function=func.name,
-                          code_version=func.code_version):
-                artifact = FunctionCompiler(func).compile()
-        elif tel.enabled:
-            start = time.perf_counter()
-            artifact = FunctionCompiler(func).compile()
-            tel.metrics.record_time(EV.CODEGEN_BUILD,
-                                    time.perf_counter() - start)
-        else:
+        with ambient_telemetry().span(EV.CODEGEN_BUILD, function=func.name,
+                                      code_version=func.code_version):
             artifact = FunctionCompiler(func).compile()
         func._cached_code = artifact
     return artifact
@@ -1260,28 +1237,21 @@ def compile_function(func: Function, engine):
     cache (when one is attached) is consulted first — a disk hit
     deserializes and installs the stored artifact instead of compiling —
     then AST build and ``compile()``, with the fresh artifact written
-    through to disk.  Which path ran is recorded in the engine's metrics
-    (``jit.cache_hit``/``jit.cache_miss`` plus
-    ``diskcache.hit``/``diskcache.miss``/``diskcache.write``), and an
-    attached telemetry additionally traces a ``jit.compile`` span around
-    cold code generation (with the ``codegen.build`` span nested inside
-    it).
+    through to disk.  Which path ran is recorded on the engine's
+    telemetry (``jit.cache_hit``/``jit.cache_miss`` plus
+    ``diskcache.hit``/``diskcache.miss``/``diskcache.write``), with a
+    ``jit.compile`` span around cold code generation (the
+    ``codegen.build`` span nests inside it) — from whichever thread
+    compiles.
     """
     cached = func._cached_code
     hit = cached is not None and cached.matches(func)
-    tel = getattr(engine, "telemetry", None)
-    metrics = getattr(engine, "metrics", None)
+    tel = engine.telemetry
     if hit:
-        if tel is not None and tel.enabled:
-            tel.event(EV.JIT_CACHE_HIT, function=func.name,
-                      code_version=func.code_version)
-        elif metrics is not None:
-            metrics.inc(EV.JIT_CACHE_HIT)
+        tel.event(EV.JIT_CACHE_HIT, function=func.name,
+                  code_version=func.code_version)
         return cached.instantiate(engine)
-    if tel is not None and tel.enabled:
-        tel.event(EV.JIT_CACHE_MISS, function=func.name)
-    elif metrics is not None:
-        metrics.inc(EV.JIT_CACHE_MISS)
+    tel.event(EV.JIT_CACHE_MISS, function=func.name)
     # in-memory miss: a warm disk cache turns the cold compile into a
     # deserialize + instantiate (the process-independent warm start)
     disk_lookup = getattr(engine, "disk_lookup", None)
@@ -1289,16 +1259,8 @@ def compile_function(func: Function, engine):
         artifact = disk_lookup(func)
         if artifact is not None:
             return publish_artifact(func, artifact).instantiate(engine)
-    if tel is not None and tel.enabled and _spans_ok():
-        with tel.span(EV.JIT_COMPILE, function=func.name,
-                      code_version=func.code_version):
-            artifact = codegen_function(func)
-    elif tel is not None and tel.enabled:
-        start = time.perf_counter()
-        artifact = codegen_function(func)
-        tel.metrics.record_time(EV.JIT_COMPILE,
-                                time.perf_counter() - start)
-    else:
+    with tel.span(EV.JIT_COMPILE, function=func.name,
+                  code_version=func.code_version):
         artifact = codegen_function(func)
     disk_store = getattr(engine, "disk_store", None)
     if disk_store is not None:

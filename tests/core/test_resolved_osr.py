@@ -200,25 +200,26 @@ long spin(long n) {
 
 
 class TestScalarizedOSRState:
-    """``scalarize=True`` runs SROA before computing the live set, so a
-    private scratch aggregate stops being OSR state entirely."""
+    """Running the ``scalarize`` pass before inserting the point splits a
+    private scratch aggregate, so it stops being OSR state entirely."""
 
-    def _prepared(self):
+    def _prepared(self, scalarize=False):
         from repro.frontend import compile_c
         from repro.transform import PassManager
 
         module = compile_c(SCRATCH_C)
         func = module.get_function("spin")
         PassManager.pipeline("unoptimized").run(func)
+        if scalarize:
+            PassManager(["scalarize"]).run(func)
         return module, func
 
     def _live_width(self, scalarize):
         from repro.experiments.sites import loop_osr_location
 
-        module, func = self._prepared()
+        module, func = self._prepared(scalarize)
         result = insert_resolved_osr_point(
             func, loop_osr_location(func), HotCounterCondition(10),
-            scalarize=scalarize,
         )
         verify_function(func)
         verify_function(result.continuation)
@@ -236,12 +237,12 @@ class TestScalarizedOSRState:
         from repro.vm.interpreter import Interpreter
         ref = Interpreter(ref_module).run_function(ref_func, [40])
 
-        module, func = self._prepared()
+        module, func = self._prepared(scalarize=True)
         from repro.experiments.sites import loop_osr_location
         engine = ExecutionEngine(module)
         insert_resolved_osr_point(
             func, loop_osr_location(func), HotCounterCondition(5),
-            engine=engine, scalarize=True,
+            engine=engine,
         )
         assert engine.run("spin", 40) == ref
 

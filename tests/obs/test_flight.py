@@ -1,8 +1,9 @@
 """Unit + integration tests: the always-on flight recorder.
 
-Ring semantics (drop-oldest, dropped counter), the X-shaped span
-representation, anomaly triggers (deopt-thrash pin, invalidation storm,
-uncaught trap through the engine), and the Chrome dump.
+Ring semantics (drop-oldest, dropped counter), spans as complete events
+that keep their attributes, the stream rule on a ring, anomaly triggers
+(deopt-thrash pin, invalidation storm, uncaught trap through the
+engine), and the Chrome dump.
 """
 
 import json
@@ -10,7 +11,7 @@ import json
 import pytest
 
 from repro.ir import parse_module
-from repro.obs import FlightRecorder, events, production_telemetry
+from repro.obs import FlightRecorder, Tracer, events, production_telemetry
 from repro.obs.export import chrome_events_from_raw, validate_chrome_trace
 from repro.vm import ExecutionEngine
 from repro.vm.interpreter import Trap
@@ -29,8 +30,7 @@ class TestRing:
     def test_records_in_order(self):
         rec = FlightRecorder(capacity=8, clock=FakeClock())
         rec.instant(events.OSR_FIRE, {"kind": "open"})
-        rec.begin(events.JIT_COMPILE, {"function": "f"})
-        rec.end(events.JIT_COMPILE)
+        rec.complete(events.JIT_COMPILE, rec.now(), {"function": "f"})
         names = [e["name"] for e in rec.events]
         assert names == [events.OSR_FIRE, events.JIT_COMPILE]
 
@@ -48,42 +48,75 @@ class TestRing:
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
 
-    def test_spans_become_complete_events(self):
-        clock = FakeClock()
-        rec = FlightRecorder(capacity=8, clock=clock)
-        rec.begin(events.JIT_COMPILE, {"function": "f"})
-        seconds = rec.end(events.JIT_COMPILE)
+    def test_recorder_is_a_bounded_tracer(self):
+        # same clock/lock/event shapes as the unbounded tracer: the
+        # recorder only swaps the buffer for a ring
+        assert isinstance(FlightRecorder(capacity=1), Tracer)
+        rec, tracer = (FlightRecorder(capacity=8, clock=FakeClock()),
+                       Tracer(clock=FakeClock()))
+        for sink in (rec, tracer):
+            sink.instant(events.OSR_FIRE, {"kind": "open"})
+            sink.complete(events.JIT_COMPILE, sink.now(), {"function": "f"})
+        assert rec.events == tracer.events
+
+    def test_spans_are_complete_events_with_their_attributes(self):
+        rec = FlightRecorder(capacity=8, clock=FakeClock())
+        dur = rec.complete(events.JIT_COMPILE, rec.now(), {"function": "f"})
         (event,) = rec.events
         assert event["ph"] == "X"
-        assert event["dur"] == 1000
-        assert seconds == pytest.approx(1000 / 1e9)
+        assert event["dur"] == dur == 1000
+        assert event["args"] == {"function": "f"}
 
-    def test_unbalanced_end_raises(self):
-        rec = FlightRecorder(capacity=8)
-        with pytest.raises(RuntimeError):
-            rec.end(events.JIT_COMPILE)
-        rec.begin(events.JIT_COMPILE, {})
-        with pytest.raises(RuntimeError):
-            rec.end(events.OSR_INSERT)
+    def test_production_span_keeps_its_attributes(self):
+        # the ring used to record spans with "args": {} — a dumped
+        # jit.compile could not say which function
+        telemetry = production_telemetry(capacity=8)
+        with telemetry.span(events.JIT_COMPILE, function="f",
+                            code_version=2):
+            pass
+        (event,) = telemetry.flight.events
+        assert event["args"] == {"function": "f", "code_version": 2}
 
-    def test_clear_refuses_with_open_spans(self):
-        rec = FlightRecorder(capacity=8)
-        rec.begin(events.JIT_COMPILE, {})
-        with pytest.raises(RuntimeError):
-            rec.clear()
-        rec.end(events.JIT_COMPILE)
+    def test_instant_inside_a_span_validates(self):
+        # osr.insert around osr.state_size: the span's start precedes the
+        # instant but it is recorded after it — both validators used to
+        # report "timestamp went backwards" for every such stream
+        telemetry = production_telemetry(capacity=8)
+        with telemetry.span(events.OSR_INSERT, function="f", kind="resolved"):
+            telemetry.event(events.OSR_STATE_SIZE, function="f", live=3)
+        with telemetry.span(events.JIT_COMPILE, function="f"):
+            with telemetry.span(events.CODEGEN_BUILD, function="f"):
+                pass
+        raw = telemetry.flight.events
+        assert [e["name"] for e in raw] == [
+            events.OSR_STATE_SIZE, events.OSR_INSERT,
+            events.CODEGEN_BUILD, events.JIT_COMPILE]
+        assert events.validate_events(raw) == []
+        assert validate_chrome_trace(chrome_events_from_raw(raw)) == []
+
+    # test_unbalanced_end_raises and test_clear_refuses_with_open_spans
+    # went with begin/end/open_spans (the behaviour is removed: a span is
+    # held by its guard, not by the sink, so there is nothing to
+    # unbalance); clearing is covered here, overlap by
+    # test_obs_core.py::test_overlapping_spans_from_two_threads_both_complete
+    def test_clear_empties_the_ring_but_keeps_lifetime_counters(self):
+        rec = FlightRecorder(capacity=2, clock=FakeClock())
+        for _ in range(3):
+            rec.instant(events.OSR_FIRE, {})
         rec.clear()
-        assert len(rec) == 0
+        assert len(rec) == 0 and rec.events == []
+        assert (rec.recorded, rec.dropped) == (3, 1)
 
     def test_dump_stays_valid_after_drops(self):
-        # a ring that lost the B half of a span would dump an unbalanced
-        # trace if spans were recorded as B/E pairs — the X shape is
-        # immune: whatever survives the ring validates
+        # a span is one event, so whatever survives the ring validates —
+        # even a span whose nested children were overwritten
         rec = FlightRecorder(capacity=3, clock=FakeClock())
         for _ in range(5):
-            rec.begin(events.JIT_COMPILE, {})
-            rec.end(events.JIT_COMPILE)
+            outer = rec.now()
+            rec.complete(events.CODEGEN_BUILD, rec.now(), {})
             rec.instant(events.OSR_FIRE, {})
+            rec.complete(events.JIT_COMPILE, outer, {})
+        assert events.validate_events(rec.events) == []
         chrome = chrome_events_from_raw(rec.events)
         assert validate_chrome_trace(chrome) == []
 
@@ -161,8 +194,7 @@ class TestStatsAndDump:
 
     def test_dump_writes_chrome_document(self, tmp_path):
         rec = FlightRecorder(capacity=8, clock=FakeClock())
-        rec.begin(events.JIT_COMPILE, {"function": "f"})
-        rec.end(events.JIT_COMPILE)
+        rec.complete(events.JIT_COMPILE, rec.now(), {"function": "f"})
         path = tmp_path / "flight.json"
         rec.dump(str(path))
         doc = json.loads(path.read_text())

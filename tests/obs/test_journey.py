@@ -10,7 +10,8 @@ from repro.obs.journey import Journey
 
 def _ev(ts_us, name, **args):
     # raw tracer shape: ns timestamps, no pid
-    return {"name": name, "ph": "i", "ts": int(ts_us * 1000), "args": args}
+    return {"name": name, "ph": "i", "ts": int(ts_us * 1000), "tid": 1,
+            "args": args}
 
 
 class TestBuilder:
@@ -41,17 +42,19 @@ class TestBuilder:
         ])
         assert journeys["f"].steps[0][0] == 1500.0
 
-    def test_span_end_markers_and_foreign_events_are_skipped(self):
+    def test_spans_sort_by_start_and_foreign_events_are_skipped(self):
         journeys = build_journeys([
-            {"name": events.JIT_COMPILE, "ph": "B", "ts": 1000,
-             "args": {"function": "f"}},
-            {"name": events.JIT_COMPILE, "ph": "E", "ts": 2000, "args": {}},
+            # recorded on completion, after the instant inside it — the
+            # journey still tells it in start order
+            _ev(1.5, events.JIT_CACHE_MISS, function="f"),
+            {"name": events.JIT_COMPILE, "ph": "X", "ts": 1000, "dur": 1000,
+             "tid": 1, "args": {"function": "f"}},
             _ev(3, "not.vocabulary", function="f"),
             _ev(4, events.OSR_FIRE),  # no function arg: unattributable
         ])
         assert set(journeys) == {"f"}
         assert [name for _, name, _ in journeys["f"].steps] == [
-            events.JIT_COMPILE]
+            events.JIT_COMPILE, events.JIT_CACHE_MISS]
 
 
 class TestDiagnose:
@@ -170,7 +173,7 @@ out:
                                  telemetry=telemetry)
         for _ in range(4):
             engine.run("hot", 50)
-        journeys = build_journeys(telemetry.tracer.events)
+        journeys = build_journeys(telemetry.events)
         assert "hot" in journeys
         assert journeys["hot"].promoted
         assert journeys["hot"].diagnose().startswith("promoted at ")

@@ -3,9 +3,12 @@
 Covers the event streams real runs produce (well-formedness and
 vocabulary), the single-stats-surface invariant (engine counters ==
 telemetry counters, incremented exactly once), the invalidate-demotes
-regression, the ``stats_snapshot()`` surface, and the no-op fast path.
+regression, the ``stats_snapshot()`` surface, the sinkless (untraced)
+path, and the threads that used to be invisible: background compile
+workers and VM-server request threads.
 """
 
+import threading
 import time
 
 import pytest
@@ -13,7 +16,6 @@ import pytest
 from repro.core import HotCounterCondition, insert_resolved_osr_point
 from repro.ir import parse_module
 from repro.obs import (
-    NULL_TELEMETRY,
     Telemetry,
     events,
     trace,
@@ -103,9 +105,15 @@ class TestEngineStreams:
                          events.OSR_COMPENSATION, events.ENGINE_INVALIDATE,
                          events.OSR_FIRE):
             assert expected in names, expected
-        # the continuation span nests inside the insertion span
-        assert (names.index(events.OSR_INSERT)
-                < names.index(events.OSR_CONTINUATION))
+        # the continuation span nests inside the insertion span (and so
+        # completes, and is recorded, first)
+        insert, cont = (
+            next(e for e in tel.events if e["name"] == name)
+            for name in (events.OSR_INSERT, events.OSR_CONTINUATION))
+        assert insert["ts"] <= cont["ts"]
+        assert cont["ts"] + cont["dur"] <= insert["ts"] + insert["dur"]
+        assert (names.index(events.OSR_CONTINUATION)
+                < names.index(events.OSR_INSERT))
         fires = [e for e in tel.events if e["name"] == events.OSR_FIRE]
         assert fires[0]["args"]["kind"] == "resolved"
         assert tel.metrics.counter(events.OSR_FIRE) == len(fires) == 1
@@ -115,9 +123,9 @@ class TestEngineStreams:
         """Regression: the fire probe used to be installed only when
         telemetry was enabled at *compile* time, so enabling tracing
         after the continuation was warm silently dropped every fire.
-        The probe is now unconditional and checks ``tel.enabled`` per
-        fire."""
-        engine, module = _tiered()  # ambient telemetry: disabled
+        The probe is now unconditional and reads ``engine.telemetry``
+        per fire."""
+        engine, module = _tiered()  # nothing ambient: sinkless
         func = module.get_function("sumto")
         loop = func.get_block("loop")
         insert_resolved_osr_point(
@@ -170,7 +178,7 @@ class TestEngineStreams:
         assert tel.metrics.counter(events.TIER_PROMOTE) == 1
         # outside the block new engines are quiet again
         engine2, _ = _tiered()
-        assert engine2.telemetry is NULL_TELEMETRY
+        assert not engine2.telemetry.enabled
 
 
 class TestMcVMStreams:
@@ -204,8 +212,7 @@ end
         names = [e["name"] for e in tel.events]
         assert events.FEVAL_SPECIALIZE in names
         assert events.OSR_FIRE in names
-        inserts = [e for e in tel.events if e["name"] == events.OSR_INSERT
-                   and e["ph"] == "B"]
+        inserts = [e for e in tel.events if e["name"] == events.OSR_INSERT]
         assert any(e["args"]["kind"] == "feval" for e in inserts)
         fires = [e for e in tel.events if e["name"] == events.OSR_FIRE]
         assert all(e["args"]["kind"] == "open" for e in fires)
@@ -226,8 +233,7 @@ end
             func, loop.instructions[loop.first_non_phi_index],
             HotCounterCondition(10), engine=engine,
         )
-        inserts = [e for e in tel.events if e["name"] == events.OSR_INSERT
-                   and e["ph"] == "B"]
+        inserts = [e for e in tel.events if e["name"] == events.OSR_INSERT]
         assert len(inserts) == 1
         assert inserts[0]["args"]["kind"] == "mcosr"
         assert events.validate_events(tel.events) == []
@@ -283,16 +289,89 @@ class TestStatsSurface:
         assert snapshot["profiles"]["sumto"]["promoted"]
 
 
+SPEC_LOOP = """
+define i64 @poly(i64 %mode, i64 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i.next, %loop ]
+  %acc = phi i64 [ 0, %entry ], [ %acc.next, %loop ]
+  %t = mul i64 %i, %mode
+  %acc.next = add i64 %acc, %t
+  %i.next = add i64 %i, 1
+  %done = icmp sge i64 %i.next, %n
+  br i1 %done, label %exit, label %loop
+exit:
+  ret i64 %acc.next
+}
+"""
+
+
+def _poly(mode, n):
+    return sum(i * mode for i in range(n))
+
+
 class TestNoopFastPath:
-    def test_disabled_run_emits_nothing_but_still_counts(self):
+    def test_untraced_engine_owns_a_sinkless_telemetry(self):
         engine, _ = _tiered(call_threshold=2)
-        assert engine.telemetry is NULL_TELEMETRY
+        other, _ = _tiered(call_threshold=2)
+        tel = engine.telemetry
+        assert tel.enabled is False and tel.events == []
+        # exactly one telemetry per engine, and one registry
+        assert engine.metrics is tel.metrics
+        assert other.telemetry is not tel
         for _ in range(3):
             engine.run("sumto", 5)
-        # counters still live (cheap dict increments)...
-        assert engine.tier_promotions == 1
-        # ...and the disabled telemetry recorded nothing
-        assert NULL_TELEMETRY.enabled is False
+        assert engine.tier_promotions == 1 and other.tier_promotions == 0
+        assert tel.events == []  # counted, nothing recorded
+
+    def test_untraced_engines_still_count(self, tmp_path):
+        """``stats_snapshot()["counters"]`` of engines nobody traces:
+        every vocabulary name an operation emits still ticks."""
+        from repro.serve import VMServer
+
+        # tier-up and a resolved OSR fire, first on a cold disk cache...
+        def tiered_run():
+            engine, module = _tiered(call_threshold=2,
+                                     disk_cache=str(tmp_path / "cache"))
+            func = module.get_function("sumto")
+            loop = func.get_block("loop")
+            insert_resolved_osr_point(
+                func, loop.instructions[loop.first_non_phi_index],
+                HotCounterCondition(3), engine=engine)
+            for _ in range(3):
+                assert engine.run("sumto", 50) == sum(range(51))
+            assert engine.telemetry.events == []
+            return engine.stats_snapshot()["counters"]
+
+        cold = tiered_run()
+        assert cold[events.TIER_PROMOTE] >= 1
+        assert cold[events.OSR_FIRE] == 3
+        assert cold[events.OSR_INSERT] == 1
+        assert cold[events.JIT_CACHE_MISS] >= 1
+        assert cold[events.DISKCACHE_MISS] >= 1
+        assert cold[events.DISKCACHE_WRITE] >= 1
+        # ...then on the warm one
+        assert tiered_run()[events.DISKCACHE_HIT] >= 1
+
+        # a guard failure and its OSR exit under tier=speculative
+        engine = ExecutionEngine(parse_module(SPEC_LOOP), tier="speculative",
+                                 call_threshold=3)
+        for _ in range(10):
+            assert engine.run("poly", 1, 40) == _poly(1, 40)
+        assert engine.run("poly", 9, 25) == _poly(9, 25)
+        counters = engine.stats_snapshot()["counters"]
+        assert counters[events.DEOPT_GUARD_FAIL] == 1
+        assert counters[events.DEOPT_EXIT] == 1
+        assert counters[events.SPEC_SPECIALIZE] >= 1
+        assert engine.telemetry.events == []
+
+        # requests through a server
+        with VMServer(parse_module(LOOP), workers=2) as server:
+            for _ in range(5):
+                assert server.call("sumto", [5], timeout=10) == 15
+            counters = server.engine.stats_snapshot()["counters"]
+        assert counters[events.SERVE_REQUEST] == 5
 
     def test_disabled_matches_enabled_but_empty_within_noise(self):
         """Benchmark-style guard for the ~one-attribute-check claim.
@@ -317,10 +396,91 @@ class TestNoopFastPath:
                 best = min(best, time.perf_counter() - start)
             return best
 
-        disabled = timed(None)              # NULL_TELEMETRY
+        disabled = timed(None)              # the engine's sinkless one
         enabled = timed(Telemetry())        # live but quiet post-promotion
         assert disabled < enabled * 2.0 + 1e-3
         assert enabled < disabled * 2.0 + 1e-3
+
+
+class TestEveryThread:
+    """Spans from threads other than the main one: the single span
+    stack used to keep workers out of traces (bare timers) and made
+    overlapping request threads raise out of their ``with`` blocks."""
+
+    def test_background_worker_compile_is_in_the_trace(self):
+        with trace() as tel:
+            module = parse_module(LOOP)
+            engine = ExecutionEngine(module, tier="tiered-bg",
+                                     call_threshold=2)
+            try:
+                for _ in range(3):
+                    assert engine.run("sumto", 5) == 15
+                assert engine.drain_background(timeout=30)
+            finally:
+                engine.shutdown_background()
+        assert engine.tier_promotions == 1
+        builds = [e for e in tel.events
+                  if e["name"] == events.CODEGEN_BUILD]
+        assert len(builds) == 1
+        (build,) = builds
+        assert build["ph"] == "X" and build["dur"] >= 0
+        assert build["args"]["function"] == "sumto"
+        assert build["tid"] != threading.get_ident()
+        # the worker's instants carry the same thread id
+        start = next(e for e in tel.events
+                     if e["name"] == events.COMPILE_START)
+        assert start["tid"] == build["tid"]
+        assert events.validate_events(tel.events) == []
+        assert validate_chrome_trace(chrome_trace_events(tel)) == []
+
+    def test_concurrent_deopts_on_a_flight_server(self):
+        from repro.serve import VMServer
+
+        workers = 4
+        engine = ExecutionEngine(parse_module(SPEC_LOOP), tier="speculative",
+                                 call_threshold=3, flight=True)
+        for _ in range(10):
+            assert engine.run("poly", 1, 40) == _poly(1, 40)
+        assert engine.spec_manager.state_for(
+            engine.module.get_function("poly")).active_version is not None
+
+        # hold every request thread inside its continuation generation
+        # until all of them are there, so the spans truly overlap
+        from repro.spec import deopt as deopt_mod
+
+        real_generate = deopt_mod.generate_continuation
+        barrier = threading.Barrier(workers)
+
+        def generate_in_step(*args, **kwargs):
+            barrier.wait(10)
+            return real_generate(*args, **kwargs)
+
+        deopt_mod.generate_continuation = generate_in_step
+        try:
+            with VMServer(engine=engine, workers=workers,
+                          batch_max=1) as server:
+                # each request mispredicts a distinct value at the entry
+                # guard: no continuation is cached, every thread builds
+                pending = [server.submit("poly", [mode, 25])
+                           for mode in range(2, 2 + workers)]
+                results = [p.result(30) for p in pending]
+        finally:
+            deopt_mod.generate_continuation = real_generate
+        assert results == [_poly(mode, 25) for mode in range(2, 2 + workers)]
+
+        ring = engine.telemetry.flight.events
+        assert events.validate_events(ring) == []
+        assert validate_chrome_trace(chrome_trace_events(
+            engine.telemetry)) == []
+        for name in (events.DEOPT_CONTINUATION, events.OSR_CONTINUATION):
+            spans = [e for e in ring if e["name"] == name]
+            assert len(spans) >= workers
+            tids = {e["tid"] for e in spans}
+            assert threading.get_ident() not in tids
+            assert len(tids) == workers
+        served = [e for e in ring if e["name"] == events.SERVE_REQUEST]
+        assert len(served) == workers and all(e["args"]["ok"]
+                                              for e in served)
 
 
 class TestTraceSmoke:
