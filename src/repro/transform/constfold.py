@@ -9,6 +9,7 @@ truncating signed division.
 from __future__ import annotations
 
 import math
+import struct
 from typing import Optional
 
 from ..ir.function import Function
@@ -82,6 +83,21 @@ def float_to_int(value: float) -> int:
         return (2**63 - 1) if value > 0 else -(2**63)
     except ValueError:
         return 0
+
+
+_F32 = struct.Struct("<f")
+
+
+def round_f32(value: float) -> float:
+    """``fptrunc double ... to float``: the nearest IEEE binary32 value,
+    as a Python float.  The folder, the oracle and the semantics table's
+    ``_f32rt`` all call this one function.  A finite value beyond the
+    binary32 range rounds to the infinity of its sign, as IEEE
+    round-to-nearest does (``struct`` raises there instead)."""
+    try:
+        return _F32.unpack(_F32.pack(value))[0]
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def fold_float_binop(opcode: str, a: float, b: float) -> Optional[float]:
@@ -230,6 +246,8 @@ def _fold_instruction(inst: Instruction) -> Optional[Value]:
             if inst.opcode in ("fptosi", "fptoui"):
                 return ConstantInt(inst.type, float_to_int(value.value))
         if isinstance(value, ConstantFloat) and isinstance(inst.type, FloatType):
+            if inst.opcode == "fptrunc" and inst.type.bits == 32:
+                return ConstantFloat(inst.type, round_f32(value.value))
             if inst.opcode in ("fptrunc", "fpext"):
                 return ConstantFloat(inst.type, value.value)
         if inst.opcode == "bitcast" and inst.type == value.type:

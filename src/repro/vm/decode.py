@@ -34,6 +34,13 @@ overhead that separates the decoded tier from the JIT:
 * a phi parallel copy is inlined into its edge's jump closure instead of
   being a separate nested call.
 
+What a binop, compare or cast *computes* is not written here: those
+closures come from the closure factories of ``vm/semantics.py`` (the one
+table of scalar semantics, shared with the JIT), closed over this
+function's frame slots.  A compare fused into its branch is its table
+entry used as the branch's test; it alone writes no frame slot (its one
+reader is that branch).
+
 Fusion is only applied when the producer's one use is the very next
 instruction (or the block terminator), so no other step can observe the
 intermediate slot: traps and side effects keep their exact order, and
@@ -56,12 +63,9 @@ Frame layout::
 
 from __future__ import annotations
 
-import math
-import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..ir import types as T
-from ..ir.constexpr import ConstantIntToPtr
 from ..ir.function import BasicBlock, Function
 from ..ir.instructions import (
     AllocaInst,
@@ -82,49 +86,22 @@ from ..ir.instructions import (
     SwitchInst,
     UnreachableInst,
 )
-from ..ir.values import (
-    Constant,
-    ConstantFloat,
-    ConstantInt,
-    ConstantNull,
-    ConstantString,
-    GlobalVariable,
-    UndefValue,
-    Value,
-)
-from .interpreter import StepLimitExceeded
-from ..transform.constfold import float_to_int
+from ..ir.values import Constant, Value
+from .interpreter import StepLimitExceeded, const_value
 from .runtime import (
-    NULL,
     MemoryBuffer,
     Trap,
-    f32_round_trip,
     gep_offset,
-    nonzero,
-    pointer_compare,
     scalar_accessors,
     scalar_struct,
-    sdiv,
-    shift_amount,
-    srem,
 )
-
-_fmod = math.fmod
-
-_SIGNED_CMP = {
-    "eq": operator.eq, "ne": operator.ne,
-    "slt": operator.lt, "sle": operator.le,
-    "sgt": operator.gt, "sge": operator.ge,
-}
-_UNSIGNED_CMP = {
-    "ult": operator.lt, "ule": operator.le,
-    "ugt": operator.gt, "uge": operator.ge,
-}
-_ORDERED_FCMP = {
-    "oeq": operator.eq, "one": operator.ne,
-    "olt": operator.lt, "ole": operator.le,
-    "ogt": operator.gt, "oge": operator.ge,
-}
+from .semantics import (
+    OBJECT_TABLE_CASTS,
+    TRUTH,
+    closure_factory,
+    gep_terms,
+    scalar_entry,
+)
 
 #: sentinel block index meaning "return frame[1]"
 RETURN = -1
@@ -174,41 +151,13 @@ class _Decoder:
         self._template.append(initial)
         return slot
 
-    def _const_runtime_value(self, value: Constant):
-        """Decode-time evaluation of a constant operand (mirrors
-        ``Interpreter._const_value``)."""
-        engine = self.engine
-        if isinstance(value, ConstantInt):
-            return value.value
-        if isinstance(value, ConstantFloat):
-            return value.value
-        if isinstance(value, ConstantNull):
-            return NULL
-        if isinstance(value, UndefValue):
-            if value.type.is_float:
-                return 0.0
-            if value.type.is_pointer:
-                return NULL
-            return 0
-        if isinstance(value, ConstantIntToPtr):
-            return engine.object_table.resolve(value.value)
-        if isinstance(value, Function):
-            return engine.handle_for(value)
-        if isinstance(value, GlobalVariable):
-            return engine.global_pointer(value)
-        if isinstance(value, ConstantString):
-            raise DecodeError(
-                "constant strings are only valid as global initializers"
-            )
-        raise DecodeError(f"cannot evaluate constant {value!r}")
-
     def slot_of(self, value: Value) -> int:
         """Frame slot for an operand; constants get template-filled slots."""
         key = id(value)
         slot = self._slots.get(key)
         if slot is None:
             if isinstance(value, Constant):
-                slot = self._new_slot(self._const_runtime_value(value))
+                slot = self._new_slot(const_value(self.engine, value))
             else:
                 raise DecodeError(f"operand {value!r} has no slot")
             self._slots[key] = slot
@@ -385,12 +334,6 @@ class _Decoder:
         the IR defines in the frame and lets a chain-ending consumer
         reuse its thunk as the step closure directly.
         """
-        if isinstance(inst, BinaryInst):
-            return self._binop_thunk(inst)
-        if isinstance(inst, ICmpInst):
-            return self._icmp_thunk(inst)
-        if isinstance(inst, FCmpInst):
-            return self._fcmp_thunk(inst)
         if isinstance(inst, SelectInst):
             dst = self.slot_of(inst)
             pc, c = self._operand(inst.condition)
@@ -411,13 +354,9 @@ class _Decoder:
             return select_val
         if isinstance(inst, LoadInst):
             return self._load_thunk(inst)
-        if isinstance(inst, CastInst):
-            return self._cast_thunk(inst)
         if isinstance(inst, GEPInst):
             return self._gep_thunk(inst)
-        raise DecodeError(  # pragma: no cover - _can_fuse gates kinds
-            f"cannot fuse {type(inst).__name__}"
-        )
+        return self._scalar_thunk(inst)
 
     def _load_thunk(self, inst: LoadInst) -> Callable:
         dst = self.slot_of(inst)
@@ -481,422 +420,44 @@ class _Decoder:
 
         return load_float_fused
 
-    def _binop_thunk(self, inst: BinaryInst) -> Callable:
-        # operands are always evaluated lhs-then-rhs *before* any trap
-        # check or guarded arithmetic: a nested fused producer must trap
-        # exactly where its standalone step would have, and its own
-        # exceptions must not be misclassified as the consumer's
-        dst = self.slot_of(inst)
-        pa, a = self._operand(inst.lhs)
-        pb, b = self._operand(inst.rhs)
-        op = inst.opcode
+    def _scalar_thunk(self, inst: Instruction) -> Callable:
+        """Binop, compare or cast: the semantics table's entry, closed
+        over this instruction's slots (and fused producer thunk)."""
+        method = OBJECT_TABLE_CASTS.get(inst.opcode)
+        if method is not None:
+            dst = self.slot_of(inst)
+            ps, s = self._operand(inst.value)
+            raw = getattr(self.engine.object_table, method)
 
-        if isinstance(inst.type, T.FloatType):
-            if op == "fdiv":
-
-                def fdiv_val(frame):
-                    x = pa(frame) if pa is not None else frame[a]
-                    d = pb(frame) if pb is not None else frame[b]
-                    if d == 0.0:
-                        raise Trap("float trap in fdiv")
-                    v = x / d
-                    frame[dst] = v
-                    return v
-
-                return fdiv_val
-            if op == "frem":
-
-                def frem_val(frame):
-                    x = pa(frame) if pa is not None else frame[a]
-                    d = pb(frame) if pb is not None else frame[b]
-                    if d == 0.0:
-                        raise Trap("float trap in frem")
-                    try:
-                        v = _fmod(x, d)
-                    except (OverflowError, ValueError):
-                        raise Trap("float trap in frem") from None
-                    frame[dst] = v
-                    return v
-
-                return frem_val
-            raw = {"fadd": operator.add, "fsub": operator.sub,
-                   "fmul": operator.mul}.get(op)
-            if raw is None:
-                raise DecodeError(f"unknown float binop {op}")
-
-            def fbin_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                try:
-                    v = raw(x, y)
-                except (OverflowError, ValueError):
-                    raise Trap(f"float trap in {op}") from None
+            def object_cast_val(frame):
+                v = raw(ps(frame) if ps is not None else frame[s])
                 frame[dst] = v
                 return v
 
-            return fbin_val
-
-        bits = inst.type.bits
-        mask = (1 << bits) - 1
-        half = 1 << (bits - 1) if bits > 1 else 0
-
-        if op == "add":
-            if pa is None and pb is None:
-
-                def add_val(frame):
-                    v = ((frame[a] + frame[b] + half) & mask) - half
-                    frame[dst] = v
-                    return v
-
-                return add_val
-
-            def add_fused_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = ((x + y + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return add_fused_val
-        if op == "sub":
-            if pa is None and pb is None:
-
-                def sub_val(frame):
-                    v = ((frame[a] - frame[b] + half) & mask) - half
-                    frame[dst] = v
-                    return v
-
-                return sub_val
-
-            def sub_fused_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = ((x - y + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return sub_fused_val
-        if op == "mul":
-            if pa is None and pb is None:
-
-                def mul_val(frame):
-                    v = ((frame[a] * frame[b] + half) & mask) - half
-                    frame[dst] = v
-                    return v
-
-                return mul_val
-
-            def mul_fused_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = ((x * y + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return mul_fused_val
-        if op == "sdiv":
-
-            def sdiv_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = ((sdiv(x, y) + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return sdiv_val
-        if op == "srem":
-
-            def srem_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = ((srem(x, y) + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return srem_val
-        if op == "udiv":
-
-            def udiv_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                q = (x & mask) // nonzero(y & mask)
-                v = ((q + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return udiv_val
-        if op == "urem":
-
-            def urem_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                r = (x & mask) % nonzero(y & mask)
-                v = ((r + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return urem_val
-        if op in ("and", "or", "xor"):
-            raw = {"and": operator.and_, "or": operator.or_,
-                   "xor": operator.xor}[op]
-
-            def bit_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = raw(x & mask, y & mask)
-                v = ((v + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return bit_val
-        if op == "shl":
-
-            def shl_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = (x & mask) << shift_amount(y, bits)
-                v = ((v + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return shl_val
-        if op == "lshr":
-
-            def lshr_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = (x & mask) >> shift_amount(y, bits)
-                v = ((v + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return lshr_val
-        if op == "ashr":
-
-            def ashr_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = x >> shift_amount(y, bits)
-                v = ((v + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return ashr_val
-        raise DecodeError(f"unknown binop {op}")
-
-    def _icmp_thunk(self, inst: ICmpInst) -> Callable:
-        dst = self.slot_of(inst)
-        pa, a = self._operand(inst.lhs)
-        pb, b = self._operand(inst.rhs)
-        pred = inst.predicate
-
-        if inst.lhs.type.is_pointer:
-
-            def ptr_cmp_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = 1 if pointer_compare(pred, x, y) else 0
-                frame[dst] = v
-                return v
-
-            return ptr_cmp_val
-        cmp = _SIGNED_CMP.get(pred)
-        if cmp is not None:
-            if pa is None and pb is None:
-
-                def scmp_val(frame):
-                    v = 1 if cmp(frame[a], frame[b]) else 0
-                    frame[dst] = v
-                    return v
-
-                return scmp_val
-
-            def scmp_fused_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = 1 if cmp(x, y) else 0
-                frame[dst] = v
-                return v
-
-            return scmp_fused_val
-        mask = (1 << inst.lhs.type.bits) - 1
-        ucmp_op = _UNSIGNED_CMP[pred]
-
-        def ucmp_val(frame):
-            x = pa(frame) if pa is not None else frame[a]
-            y = pb(frame) if pb is not None else frame[b]
-            v = 1 if ucmp_op(x & mask, y & mask) else 0
-            frame[dst] = v
-            return v
-
-        return ucmp_val
-
-    def _fcmp_thunk(self, inst: FCmpInst) -> Callable:
-        dst = self.slot_of(inst)
-        pa, a = self._operand(inst.lhs)
-        pb, b = self._operand(inst.rhs)
-        pred = inst.predicate
-
-        if pred == "ord":
-
-            def ford_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = 0 if (x != x or y != y) else 1
-                frame[dst] = v
-                return v
-
-            return ford_val
-        if pred == "uno":
-
-            def funo_val(frame):
-                x = pa(frame) if pa is not None else frame[a]
-                y = pb(frame) if pb is not None else frame[b]
-                v = 1 if (x != x or y != y) else 0
-                frame[dst] = v
-                return v
-
-            return funo_val
-        cmp = _ORDERED_FCMP[pred]
-
-        def fcmp_val(frame):
-            x = pa(frame) if pa is not None else frame[a]
-            y = pb(frame) if pb is not None else frame[b]
-            v = 0 if (x != x or y != y) else (1 if cmp(x, y) else 0)
-            frame[dst] = v
-            return v
-
-        return fcmp_val
-
-    def _cast_thunk(self, inst: CastInst) -> Callable:
-        dst = self.slot_of(inst)
-        ps, s = self._operand(inst.value)
-        opcode = inst.opcode
-        to_type = inst.type
-        engine = self.engine
-
-        if opcode == "bitcast":
-            if ps is None:
-
-                def bitcast_copy(frame):
-                    v = frame[s]
-                    frame[dst] = v
-                    return v
-
-                return bitcast_copy
-
-            def bitcast_val(frame):
-                v = ps(frame)
-                frame[dst] = v
-                return v
-
-            return bitcast_val
-        # the hot integer casts get dedicated closures; the rest share
-        # one shape over a raw() converter resolved at decode time
-        if opcode in ("trunc", "sext"):
-            bits = to_type.bits
-            mask = (1 << bits) - 1
-            half = 1 << (bits - 1) if bits > 1 else 0
-            if ps is None:
-
-                def wrap_val(frame):
-                    v = ((frame[s] + half) & mask) - half
-                    frame[dst] = v
-                    return v
-
-                return wrap_val
-
-            def wrap_fused_val(frame):
-                v = ((ps(frame) + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return wrap_fused_val
-        if opcode == "zext":
-            # masking with the *source* width reinterprets as unsigned;
-            # the result always fits the strictly wider target's signed
-            # range, so the target wrap is an identity
-            smask = (1 << inst.value.type.bits) - 1
-            if ps is None:
-
-                def zext_val(frame):
-                    v = frame[s] & smask
-                    frame[dst] = v
-                    return v
-
-                return zext_val
-
-            def zext_fused_val(frame):
-                v = ps(frame) & smask
-                frame[dst] = v
-                return v
-
-            return zext_fused_val
-        if opcode == "inttoptr":
-            raw = engine.object_table.resolve
-        elif opcode == "ptrtoint":
-            raw = engine.object_table.intern
-        elif opcode in ("sitofp", "fpext"):
-            raw = float
-        elif opcode == "uitofp":
-            to_unsigned = inst.value.type.to_unsigned
-
-            def raw(x, _u=to_unsigned):
-                return float(_u(x))
-        elif opcode in ("fptosi", "fptoui"):
-            wrap = to_type.wrap
-
-            def raw(x, _w=wrap):
-                return _w(float_to_int(x))
-        elif opcode == "fptrunc":
-            raw = f32_round_trip if to_type.bits == 32 else float
-        else:
-            raise DecodeError(f"cannot decode cast {opcode}")
-
-        def cast_val(frame):
-            v = raw(ps(frame) if ps is not None else frame[s])
-            frame[dst] = v
-            return v
-
-        return cast_val
+            return object_cast_val
+        entry = scalar_entry(inst)
+        if entry is None:
+            raise DecodeError(f"no scalar semantics for {inst!r}")
+        thunks, operands = self._shaped_operands(inst.operands)
+        return closure_factory(entry, thunks)(self.slot_of(inst), *operands)
+
+    def _shaped_operands(self, values) -> Tuple[Tuple[bool, ...], List]:
+        """Operands for a semantics closure factory: which of them are
+        fused producer thunks, and the thunk or frame slot of each."""
+        resolved = [self._operand(value) for value in values]
+        return (tuple(thunk is not None for thunk, _ in resolved),
+                [slot if thunk is None else thunk for thunk, slot in resolved])
 
     def _gep_thunk(self, inst: GEPInst) -> Callable:
-        pointee = inst.pointer.type.pointee
-
-        # try full specialization: constant indices folded to one
-        # offset, variable indices become (operand, stride) terms.
-        # Operands are *collected* first and resolved exactly once after
-        # — a pending thunk must not be popped twice
-        static = 0
-        var_terms: List[Tuple[Value, int]] = []
-        current = pointee
-        specialized = True
-        for position, index in enumerate(inst.indices):
-            if position == 0:
-                stride = T.size_of(pointee)
-            elif isinstance(current, T.ArrayType):
-                stride = T.size_of(current.element)
-                current = current.element
-            elif isinstance(current, T.StructType):
-                if not isinstance(index, ConstantInt):
-                    specialized = False
-                    break
-                static += sum(
-                    T.size_of(f) for f in current.fields[: index.value]
-                )
-                current = current.fields[index.value]
-                continue
-            else:
-                specialized = False
-                break
-            if isinstance(index, ConstantInt):
-                static += index.value * stride
-            else:
-                var_terms.append((index, stride))
-
+        # operands are *collected* first (constant indices folded to one
+        # offset, variable indices as (operand, stride) terms) and
+        # resolved exactly once after — a pending thunk must not be
+        # popped twice
+        terms = gep_terms(inst)
         dst = self.slot_of(inst)
         pp, p = self._operand(inst.pointer)
-        if not specialized:
+        if terms is None:
+            pointee = inst.pointer.type.pointee
             indices = tuple(self._operand(i) for i in inst.indices)
 
             def gep_generic_val(frame):
@@ -910,6 +471,7 @@ class _Decoder:
                 return v
 
             return gep_generic_val
+        static, var_terms = terms
         if not var_terms:
 
             def gep_const_val(frame):
@@ -1018,80 +580,26 @@ class _Decoder:
             return lambda frame: target
 
         if isinstance(inst, CondBranchInst):
-            pending = self._pending.pop(id(inst.condition), None)
+            # a semantics entry used as the test, plus which edges carry
+            # a phi-copying jump closure: a deferred compare is its own
+            # entry (predicate, phi copy and jump in ONE closure, no 0/1
+            # round trip for the flag); any other condition is the i1
+            # itself, a frame slot or a fused producer
+            cond = inst.condition
             tjump, ttarget = self._edge_jump(block, inst.true_target)
             fjump, ftarget = self._edge_jump(block, inst.false_target)
-            if pending is not None:
-                if isinstance(pending, (ICmpInst, FCmpInst)):
-                    self.stats["cmp_br"] += 1
-                else:
-                    self.stats["op_chain"] += 1
-                if (isinstance(pending, ICmpInst)
-                        and not pending.lhs.type.is_pointer):
-                    # the headline superinstruction: predicate, phi copy
-                    # and jump in ONE closure — operands come straight
-                    # off the frame (or through at most one nested
-                    # fused thunk), no 0/1 round trip for the flag
-                    pa, a = self._operand(pending.lhs)
-                    pb, b = self._operand(pending.rhs)
-                    cmp = _SIGNED_CMP.get(pending.predicate)
-                    if cmp is not None:
-
-                        def cmp_br_s(frame):
-                            x = pa(frame) if pa is not None else frame[a]
-                            y = pb(frame) if pb is not None else frame[b]
-                            if cmp(x, y):
-                                return (tjump(frame) if tjump is not None
-                                        else ttarget)
-                            return (fjump(frame) if fjump is not None
-                                    else ftarget)
-
-                        return cmp_br_s
-                    mask = (1 << pending.lhs.type.bits) - 1
-                    ucmp = _UNSIGNED_CMP[pending.predicate]
-
-                    def cmp_br_u(frame):
-                        x = pa(frame) if pa is not None else frame[a]
-                        y = pb(frame) if pb is not None else frame[b]
-                        if ucmp(x & mask, y & mask):
-                            return (tjump(frame) if tjump is not None
-                                    else ttarget)
-                        return (fjump(frame) if fjump is not None
-                                else ftarget)
-
-                    return cmp_br_u
-                test = self._value_thunk(pending)
-
-                def cmp_br(frame):
-                    if test(frame):
-                        return tjump(frame) if tjump is not None else ttarget
-                    return fjump(frame) if fjump is not None else ftarget
-
-                return cmp_br
-            cond = self.slot_of(inst.condition)
-            if tjump is None and fjump is None:
-
-                def cbr_plain(frame):
-                    return ttarget if frame[cond] else ftarget
-
-                return cbr_plain
-            if tjump is None:
-
-                def cbr_jump_f(frame):
-                    return ttarget if frame[cond] else fjump(frame)
-
-                return cbr_jump_f
-            if fjump is None:
-
-                def cbr_jump_t(frame):
-                    return tjump(frame) if frame[cond] else ftarget
-
-                return cbr_jump_t
-
-            def cbr_jump(frame):
-                return tjump(frame) if frame[cond] else fjump(frame)
-
-            return cbr_jump
+            if (isinstance(cond, (ICmpInst, FCmpInst))
+                    and self._pending.pop(id(cond), None) is not None):
+                self.stats["cmp_br"] += 1
+                entry, values = scalar_entry(cond), cond.operands
+            else:
+                entry, values = TRUTH, (cond,)
+            thunks, operands = self._shaped_operands(values)
+            make = closure_factory(
+                entry, thunks, (tjump is not None, fjump is not None))
+            return make(*operands,
+                        ttarget if tjump is None else tjump,
+                        ftarget if fjump is None else fjump)
 
         return self._decode_terminator(block)
 

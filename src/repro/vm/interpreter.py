@@ -55,12 +55,12 @@ from ..transform.constfold import (
     fold_float_binop,
     fold_icmp,
     fold_int_binop,
+    round_f32,
 )
 from .runtime import (
     NULL,
     MemoryBuffer,
     Trap,
-    f32_round_trip,
     gep_offset,
     load_scalar,
     pointer_compare,
@@ -74,6 +74,33 @@ class StepLimitExceeded(Exception):
     Property-based tests use this to bound randomly generated programs
     that may loop forever.
     """
+
+
+def const_value(engine, value: Constant):
+    """Runtime value of a constant operand against ``engine``'s resources
+    (object table, function handles, global storage).  The tree-walker
+    evaluates it per use; the decoder once, into its frame template."""
+    if isinstance(value, ConstantInt):
+        return value.value
+    if isinstance(value, ConstantFloat):
+        return value.value
+    if isinstance(value, ConstantNull):
+        return NULL
+    if isinstance(value, UndefValue):
+        if value.type.is_float:
+            return 0.0
+        if value.type.is_pointer:
+            return NULL
+        return 0
+    if isinstance(value, ConstantIntToPtr):
+        return engine.object_table.resolve(value.value)
+    if isinstance(value, Function):
+        return engine.handle_for(value)
+    if isinstance(value, GlobalVariable):
+        return engine.global_pointer(value)
+    if isinstance(value, ConstantString):
+        raise Trap("constant strings are only valid as global initializers")
+    raise Trap(f"cannot evaluate constant {value!r}")
 
 
 class Interpreter:
@@ -91,32 +118,9 @@ class Interpreter:
 
     # -- operand evaluation ---------------------------------------------------
 
-    def _const_value(self, value: Constant):
-        if isinstance(value, ConstantInt):
-            return value.value
-        if isinstance(value, ConstantFloat):
-            return value.value
-        if isinstance(value, ConstantNull):
-            return NULL
-        if isinstance(value, UndefValue):
-            if value.type.is_float:
-                return 0.0
-            if value.type.is_pointer:
-                return NULL
-            return 0
-        if isinstance(value, ConstantIntToPtr):
-            return self.engine.object_table.resolve(value.value)
-        if isinstance(value, Function):
-            return self.engine.handle_for(value)
-        if isinstance(value, GlobalVariable):
-            return self.engine.global_pointer(value)
-        if isinstance(value, ConstantString):
-            raise Trap("constant strings are only valid as global initializers")
-        raise Trap(f"cannot evaluate constant {value!r}")
-
     def _eval(self, value: Value, frame: Dict[int, Any]):
         if isinstance(value, Constant):
-            return self._const_value(value)
+            return const_value(self.engine, value)
         return frame[id(value)]
 
     # -- main loop ----------------------------------------------------------------
@@ -300,7 +304,7 @@ class Interpreter:
             return to_type.wrap(float_to_int(value))
         if opcode == "fptrunc":
             if to_type.bits == 32:
-                return f32_round_trip(value)
+                return round_f32(value)
             return float(value)
         if opcode == "fpext":
             return float(value)

@@ -15,7 +15,9 @@ string.
 
 Semantics match the interpreter exactly (two's-complement wrap-around,
 C-style division, byte-addressed memory), which the property-based tests
-verify by differential execution.
+verify by differential execution.  Binops, compares and casts are
+instantiated from ``vm/semantics.py`` — the one table the decoded tier's
+closures come from too — over this function's SSA locals.
 
 Direct calls go through *lazy trampolines*: the first call compiles the
 callee and patches the compiled module's namespace, reproducing MCJIT's
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 import ast
 import marshal
-import math
 import re
 import struct
 import threading
@@ -103,19 +104,20 @@ from ..ir.values import (
 )
 from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
-from ..transform.constfold import float_to_int
 from .interpreter import Trap
 from .runtime import (
     HANDLE_HEAP,
     NULL,
     MemoryBuffer,
-    f32_round_trip,
     load_scalar,
-    nonzero,
-    sdiv,
-    shift_amount,
-    srem,
     store_scalar,
+)
+from .semantics import (
+    HELPERS,
+    OBJECT_TABLE_CASTS,
+    gep_terms,
+    instantiate,
+    scalar_entry,
 )
 
 
@@ -134,31 +136,12 @@ class ArtifactFormatError(JITError):
     written by an incompatible format/interpreter version."""
 
 
-# -- float semantics helpers (bound into every compiled namespace; the
-# integer ones live in vm/runtime.py, shared with the decoded tier) ------------
-
-
-def _float_div(a, b):
-    """fdiv with the oracle's trap semantics (fold_float_binop -> None)."""
-    if b == 0.0:
-        raise Trap(f"float trap in fdiv ({a}, {b})")
-    return a / b
-
-
-def _float_rem(a, b):
-    if b == 0.0:
-        raise Trap(f"float trap in frem ({a}, {b})")
-    try:
-        return math.fmod(a, b)
-    except (OverflowError, ValueError):
-        raise Trap(f"float trap in frem ({a}, {b})")
-
-
 _NAME_RE = re.compile(r"[^0-9A-Za-z_]")
 
 
 def _build_static_namespace() -> Dict[str, Any]:
     ns: Dict[str, Any] = dict(
+        HELPERS,
         _null=NULL,
         _nan=float("nan"),
         _inf=float("inf"),
@@ -166,15 +149,6 @@ def _build_static_namespace() -> Dict[str, Any]:
         _MemoryBuffer=MemoryBuffer,
         _hload=HANDLE_HEAP.load,
         _hstore=HANDLE_HEAP.store,
-        _fmod=math.fmod,
-        _ftoi=float_to_int,
-        _fdiv=_float_div,
-        _frem=_float_rem,
-        _sdiv=sdiv,
-        _srem=srem,
-        _nz=nonzero,
-        _shamt=shift_amount,
-        _f32rt=f32_round_trip,
         _load_scalar=load_scalar,
         _store_scalar=store_scalar,
     )
@@ -250,10 +224,6 @@ def _cmp(left: ast.expr, op: ast.cmpop, right: ast.expr) -> ast.Compare:
     return ast.Compare(left=left, ops=[op], comparators=[right])
 
 
-def _and(*values: ast.expr) -> ast.BoolOp:
-    return ast.BoolOp(op=ast.And(), values=list(values))
-
-
 def _not(value: ast.expr) -> ast.UnaryOp:
     return ast.UnaryOp(op=ast.Not(), operand=value)
 
@@ -269,18 +239,6 @@ def _bool01(test: ast.expr) -> ast.IfExp:
 
 def _tuple(*elts: ast.expr) -> ast.Tuple:
     return ast.Tuple(elts=list(elts), ctx=_LOAD)
-
-
-def _wrap_int(node: ast.expr, bits: int) -> ast.expr:
-    """Two's-complement wrap of ``node`` to ``bits`` (inline mask form)."""
-    if bits == 1:
-        return _bin(node, ast.BitAnd(), _const(1))
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    return _bin(
-        _bin(_bin(node, ast.Add(), _const(half)), ast.BitAnd(), _const(mask)),
-        ast.Sub(), _const(half),
-    )
 
 
 class CompiledCode:
@@ -542,9 +500,8 @@ class FunctionCompiler:
     and the bytecode ``compile`` separately through it).
     """
 
-    def __init__(self, func: Function, engine=None):
+    def __init__(self, func: Function):
         self.func = func
-        self.engine = engine  # kept for API compatibility; unused
         self.bindings: Dict[str, Tuple] = {}
         self._value_names: Dict[int, str] = {}
         self._name_counter = 0
@@ -767,13 +724,13 @@ class FunctionCompiler:
         name = self.name_of(inst) if not inst.type.is_void else None
         e = self.expr
 
-        if isinstance(inst, BinaryInst):
-            return [_assign(name, self._binop_expr(inst))]
+        if isinstance(inst, (BinaryInst, CastInst)):
+            return [_assign(name, self._scalar_expr(inst))]
 
         if isinstance(inst, (ICmpInst, FCmpInst)):
             if self._fused_into_branch(inst):
                 return []  # emitted as the test of its block's ``br``
-            return [_assign(name, _bool01(self._cmp_test(inst)))]
+            return [_assign(name, _bool01(self._scalar_expr(inst)))]
 
         if isinstance(inst, SelectInst):
             return [_assign(name, _ifexp(
@@ -801,9 +758,6 @@ class FunctionCompiler:
         if isinstance(inst, GEPInst):
             return [_assign(name, self._gep_expr(inst))]
 
-        if isinstance(inst, CastInst):
-            return [_assign(name, self._cast_expr(inst))]
-
         if isinstance(inst, CallInst):
             callee = inst.callee
             if isinstance(callee, Function):
@@ -830,8 +784,8 @@ class FunctionCompiler:
         if isinstance(inst, CondBranchInst):
             cond = inst.condition
             return [ast.If(
-                test=(self._cmp_test(cond) if self._fused_into_branch(cond)
-                      else e(cond)),
+                test=(self._scalar_expr(cond)
+                      if self._fused_into_branch(cond) else e(cond)),
                 body=self._goto(inst.parent, inst.true_target),
                 orelse=self._goto(inst.parent, inst.false_target),
             )]
@@ -915,59 +869,20 @@ class FunctionCompiler:
 
     # -- expression fragments ------------------------------------------------------------------
 
-    def _binop_expr(self, inst: BinaryInst) -> ast.expr:
-        e = self.expr
-        a, b = e(inst.lhs), e(inst.rhs)
-        op = inst.opcode
-        if isinstance(inst.type, T.FloatType):
-            float_ops = {"fadd": ast.Add, "fsub": ast.Sub, "fmul": ast.Mult}
-            if op in float_ops:
-                return _bin(a, float_ops[op](), b)
-            if op == "fdiv":
-                return _calln("_fdiv", a, b)
-            if op == "frem":
-                return _calln("_frem", a, b)
-            raise JITError(f"unknown binop {op}")
-        bits = inst.type.bits
-        mask = (1 << bits) - 1
-
-        def wrap(node: ast.expr) -> ast.expr:
-            return _wrap_int(node, bits)
-
-        def masked(node: ast.expr) -> ast.expr:
-            return _bin(node, ast.BitAnd(), _const(mask))
-
-        if op == "add":
-            return wrap(_bin(a, ast.Add(), b))
-        if op == "sub":
-            return wrap(_bin(a, ast.Sub(), b))
-        if op == "mul":
-            return wrap(_bin(a, ast.Mult(), b))
-        if op == "sdiv":
-            return wrap(_calln("_sdiv", a, b))
-        if op == "srem":
-            return wrap(_calln("_srem", a, b))
-        if op == "udiv":
-            return wrap(_bin(masked(a), ast.FloorDiv(),
-                             _calln("_nz", masked(b))))
-        if op == "urem":
-            return wrap(_bin(masked(a), ast.Mod(), _calln("_nz", masked(b))))
-        if op == "and":
-            return wrap(_bin(masked(a), ast.BitAnd(), masked(b)))
-        if op == "or":
-            return wrap(_bin(masked(a), ast.BitOr(), masked(b)))
-        if op == "xor":
-            return wrap(_bin(masked(a), ast.BitXor(), masked(b)))
-        if op == "shl":
-            return wrap(_bin(masked(a), ast.LShift(),
-                             _calln("_shamt", b, _const(bits))))
-        if op == "lshr":
-            return wrap(_bin(masked(a), ast.RShift(),
-                             _calln("_shamt", b, _const(bits))))
-        if op == "ashr":
-            return wrap(_bin(a, ast.RShift(),
-                             _calln("_shamt", b, _const(bits))))
-        raise JITError(f"unknown binop {op}")
+    def _scalar_expr(self, inst: Instruction) -> ast.expr:
+        """Binop, compare or cast: the semantics table's entry over this
+        instruction's operands (a compare comes back as a Python truth
+        test, not yet a 0/1 value)."""
+        method = OBJECT_TABLE_CASTS.get(inst.opcode)
+        if method is not None:
+            return _call(_attr(_name(self._objtab()), method),
+                         self.expr(inst.value))
+        entry = scalar_entry(inst)
+        if entry is None:
+            raise JITError(f"no scalar semantics for {inst!r}")
+        return instantiate(entry, [
+            (lambda value=value: self.expr(value))
+            for value in inst.operands])
 
     @staticmethod
     def _fused_into_branch(value: Value) -> bool:
@@ -981,66 +896,6 @@ class FunctionCompiler:
             return False
         user = uses[0].user
         return isinstance(user, CondBranchInst) and user.parent is value.parent
-
-    def _cmp_test(self, inst) -> ast.expr:
-        """The compare as a Python truth test (not yet a 0/1 value)."""
-        if isinstance(inst, ICmpInst):
-            return self._icmp_test(inst)
-        return self._fcmp_test(inst)
-
-    def _icmp_test(self, inst: ICmpInst) -> ast.expr:
-        e = self.expr
-        pred = inst.predicate
-        if inst.lhs.type.is_pointer:
-            # pointer compare: identity for eq/ne, (id, offset) for order
-            same = _and(
-                _cmp(_item(e(inst.lhs), 0), ast.Is(), _item(e(inst.rhs), 0)),
-                _cmp(_item(e(inst.lhs), 1), ast.Eq(), _item(e(inst.rhs), 1)),
-            )
-            if pred == "eq":
-                return same
-            if pred == "ne":
-                return _not(same)
-            ka = _tuple(_calln("id", _item(e(inst.lhs), 0)),
-                        _item(e(inst.lhs), 1))
-            kb = _tuple(_calln("id", _item(e(inst.rhs), 0)),
-                        _item(e(inst.rhs), 1))
-            py = {"ult": ast.Lt, "ule": ast.LtE, "ugt": ast.Gt,
-                  "uge": ast.GtE, "slt": ast.Lt, "sle": ast.LtE,
-                  "sgt": ast.Gt, "sge": ast.GtE}[pred]
-            return _cmp(ka, py(), kb)
-        a, b = e(inst.lhs), e(inst.rhs)
-        signed = {"eq": ast.Eq, "ne": ast.NotEq, "slt": ast.Lt,
-                  "sle": ast.LtE, "sgt": ast.Gt, "sge": ast.GtE}
-        if pred in signed:
-            return _cmp(a, signed[pred](), b)
-        mask = (1 << inst.lhs.type.bits) - 1
-        py = {"ult": ast.Lt, "ule": ast.LtE,
-              "ugt": ast.Gt, "uge": ast.GtE}[pred]
-        return _cmp(
-            _bin(a, ast.BitAnd(), _const(mask)), py(),
-            _bin(b, ast.BitAnd(), _const(mask)),
-        )
-
-    def _fcmp_test(self, inst: FCmpInst) -> ast.expr:
-        e = self.expr
-
-        def ordered() -> ast.expr:
-            return _and(
-                _cmp(e(inst.lhs), ast.Eq(), e(inst.lhs)),
-                _cmp(e(inst.rhs), ast.Eq(), e(inst.rhs)),
-            )
-
-        pred = inst.predicate
-        if pred == "ord":
-            return ordered()
-        if pred == "uno":
-            return _not(ordered())
-        py = {"oeq": ast.Eq, "one": ast.NotEq, "olt": ast.Lt,
-              "ole": ast.LtE, "ogt": ast.Gt, "oge": ast.GtE}[pred]
-        return _and(
-            ordered(), _cmp(e(inst.lhs), py(), e(inst.rhs)),
-        )
 
     def _load_expr(self, ty: T.Type,
                    pointer: Callable[[], ast.expr]) -> ast.expr:
@@ -1100,35 +955,15 @@ class FunctionCompiler:
         raise JITError(f"cannot store type {ty}")
 
     def _gep_expr(self, inst: GEPInst) -> ast.expr:
-        pointee = inst.pointer.type.pointee
-        static = 0
-        var_terms: List[ast.expr] = []
-        current = pointee
-        for position, index in enumerate(inst.indices):
-            if position == 0:
-                stride = T.size_of(pointee)
-            elif isinstance(current, T.ArrayType):
-                stride = T.size_of(current.element)
-                current = current.element
-            elif isinstance(current, T.StructType):
-                const = index
-                assert isinstance(const, ConstantInt)
-                static += sum(
-                    T.size_of(f) for f in current.fields[: const.value]
-                )
-                current = current.fields[const.value]
-                continue
-            else:
-                raise JITError(f"cannot GEP into {current}")
-            if isinstance(index, ConstantInt):
-                static += index.value * stride
-            else:
-                term = self.expr(index)
-                if stride != 1:
-                    term = _bin(term, ast.Mult(), _const(stride))
-                var_terms.append(term)
+        terms = gep_terms(inst)
+        if terms is None:
+            raise JITError(f"cannot lower the indices of {inst!r}")
+        static, var_terms = terms
         offset: Optional[ast.expr] = None
-        for term in var_terms:
+        for index, stride in var_terms:
+            term = self.expr(index)
+            if stride != 1:
+                term = _bin(term, ast.Mult(), _const(stride))
             offset = term if offset is None else _bin(offset, ast.Add(), term)
         if static or offset is None:
             static_node = _const(static)
@@ -1138,38 +973,6 @@ class FunctionCompiler:
             _item(self.expr(inst.pointer), 0),
             _bin(_item(self.expr(inst.pointer), 1), ast.Add(), offset),
         )
-
-    def _cast_expr(self, inst: CastInst) -> ast.expr:
-        e = self.expr
-        op = inst.opcode
-        to = inst.type
-        if op == "bitcast":
-            return e(inst.value)
-        if op == "inttoptr":
-            return _call(_attr(_name(self._objtab()), "resolve"),
-                         e(inst.value))
-        if op == "ptrtoint":
-            return _call(_attr(_name(self._objtab()), "intern"),
-                         e(inst.value))
-        if op in ("trunc", "sext", "zext"):
-            inner = e(inst.value)
-            if op == "zext":
-                src_mask = (1 << inst.value.type.bits) - 1
-                inner = _bin(inner, ast.BitAnd(), _const(src_mask))
-            return _wrap_int(inner, to.bits)
-        if op == "sitofp":
-            return _calln("float", e(inst.value))
-        if op == "uitofp":
-            src_mask = (1 << inst.value.type.bits) - 1
-            return _calln("float", _bin(e(inst.value), ast.BitAnd(),
-                                        _const(src_mask)))
-        if op in ("fptosi", "fptoui"):
-            return _wrap_int(_calln("_ftoi", e(inst.value)), to.bits)
-        if op in ("fptrunc", "fpext"):
-            if to.bits == 32:
-                return _calln("_f32rt", e(inst.value))
-            return _calln("float", e(inst.value))
-        raise JITError(f"cannot lower cast {op}")
 
 
 def _make_source_hook(func: Function) -> Callable[[], str]:

@@ -21,6 +21,7 @@ originals.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Optional, Tuple, Union
 
@@ -295,12 +296,13 @@ def gep_offset(pointee: T.Type, indices) -> int:
     return offset
 
 
-# -- scalar semantics shared by every tier --------------------------------------
+# -- trap-raising helpers the semantics table's entries call ---------------------
 #
-# The decoded closures and the JIT's compiled namespace bind these same
-# functions (the tree-walker shares ``pointer_compare`` and
-# ``f32_round_trip``), so a trap condition or rounding rule has one
-# definition instead of a private copy per tier.
+# ``vm/semantics.py`` binds these under ``_sdiv``/``_nz``/``_fdiv``/... in
+# both of its projections (the decoder's closures and the JIT's compiled
+# namespace), so a trap condition has one definition.  The tree-walker
+# stays on ``transform.constfold``'s folders and on ``pointer_compare``
+# below: it is the oracle the table is tested against.
 
 
 def sdiv(a, b):
@@ -330,9 +332,20 @@ def shift_amount(amount, bits):
     return amount
 
 
-def f32_round_trip(value):
-    """Round a Python float through 32-bit storage (fptrunc semantics)."""
-    return _F32.unpack(_F32.pack(value))[0]
+def fdiv(a, b):
+    """fdiv with the oracle's trap semantics (fold_float_binop -> None)."""
+    if b == 0.0:
+        raise Trap(f"float trap in fdiv ({a}, {b})")
+    return a / b
+
+
+def frem(a, b):
+    if b == 0.0:
+        raise Trap(f"float trap in frem ({a}, {b})")
+    try:
+        return math.fmod(a, b)
+    except (OverflowError, ValueError):
+        raise Trap(f"float trap in frem ({a}, {b})") from None
 
 
 def pointer_compare(predicate: str, a: Pointer, b: Pointer) -> bool:

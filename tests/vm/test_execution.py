@@ -7,6 +7,7 @@ fixture ensures the two tiers implement identical behaviour.
 import pytest
 
 from repro.ir import parse_module
+from repro.transform import PassManager
 from repro.vm import ExecutionEngine, Trap
 
 from ..conftest import make_i64_array
@@ -109,6 +110,44 @@ entry:
 }
 """
         assert run(src, "f", 9, tier=tier) == 4
+
+    @pytest.mark.parametrize("pipeline", ["unoptimized", "optimized"])
+    def test_fptrunc_rounds_in_every_tier_and_in_the_folder(
+            self, tier, pipeline):
+        # the folder used to skip the f32 rounding: 0.1 at "optimized",
+        # 0.10000000149011612 everywhere else
+        src = """
+define double @f() {
+entry:
+  %n = fptrunc double 0.1 to float
+  %w = fpext float %n to double
+  ret double %w
+}
+"""
+        module = parse_module(src)
+        PassManager.pipeline(pipeline).run_module(module)
+        result = ExecutionEngine(module, tier=tier).run("f")
+        assert result == 0.10000000149011612
+
+    @pytest.mark.parametrize("pipeline", ["unoptimized", "optimized"])
+    def test_fptrunc_out_of_range_is_infinity(self, tier, pipeline):
+        # finite but beyond binary32: IEEE rounds to the infinity of the
+        # sign (it used to escape as struct.pack's OverflowError)
+        src = """
+define double @f(double %x) {
+entry:
+  %n = fptrunc double %x to float
+  %c = fptrunc double 3.5e38 to float
+  %s = fadd float %n, %c
+  %w = fpext float %s to double
+  ret double %w
+}
+"""
+        module = parse_module(src)
+        PassManager.pipeline(pipeline).run_module(module)
+        engine = ExecutionEngine(module, tier=tier)
+        assert engine.run("f", 1e308) == float("inf")
+        assert engine.run("f", -1e308) != engine.run("f", -1e308)  # nan
 
 
 class TestControlFlow:
@@ -339,6 +378,39 @@ entry:
         engine = ExecutionEngine(module, tier=tier)
         handle = engine.handle_for(module.get_function("double_it"))
         assert engine.run("apply", handle, 21) == 42
+
+    def test_function_pointer_compare(self, tier):
+        # handles compare by identity, as a value and as a branch test
+        # (the JIT's private encoding subscripted them: TypeError)
+        src = """
+define i64 @g(i64 %x) {
+entry:
+  ret i64 %x
+}
+
+define i64 @h(i64 %x) {
+entry:
+  ret i64 %x
+}
+
+define i64 @f() {
+entry:
+  %same = icmp eq i64 (i64)* @g, @g
+  %diff = icmp eq i64 (i64)* @g, @h
+  %s = zext i1 %same to i64
+  %d = zext i1 %diff to i64
+  %s2 = mul i64 %s, 2
+  %sd = add i64 %s2, %d
+  %ne = icmp ne i64 (i64)* @g, @h
+  br i1 %ne, label %yes, label %no
+yes:
+  %r = add i64 %sd, 4
+  ret i64 %r
+no:
+  ret i64 %sd
+}
+"""
+        assert run(src, "f", tier=tier) == 6
 
     def test_globals(self, tier):
         src = """
