@@ -55,13 +55,15 @@ class AutoStateError(OSRError):
 _RECOMPUTABLE = (BinaryInst, ICmpInst, FCmpInst, CastInst, SelectInst,
                  GEPInst)
 
+#: how deep a recompute plan may chase operands before giving up
+MAX_RECOMPUTE_DEPTH = 8
+
 
 def derive_state_mapping(
     live_values: Sequence[Value],
     vmap,
     variant: Function,
     landing: BasicBlock,
-    max_recompute_depth: int = 8,
 ) -> StateMapping:
     """Automatically construct the state mapping for an OSR into
     ``variant`` at ``landing``.
@@ -89,8 +91,7 @@ def derive_state_mapping(
             continue
         # live at L' but not at L: synthesize compensation code that
         # recomputes it from the transferred values
-        plan = _recompute_plan(required, inverse, live_index,
-                               max_recompute_depth)
+        plan = _recompute_plan(required, inverse, live_index)
         if plan is None:
             origin = (f" (maps back to %{base_value.name})"
                       if base_value is not None else "")
@@ -104,8 +105,8 @@ def derive_state_mapping(
     return mapping
 
 
-def _recompute_plan(value: Value, inverse, live_index,
-                    budget: int) -> Optional[List[Instruction]]:
+def _recompute_plan(value: Value, inverse, live_index
+                    ) -> Optional[List[Instruction]]:
     """Topologically ordered pure instructions whose clones rebuild
     ``value`` from live transfers; ``None`` if impossible."""
     order: List[Instruction] = []
@@ -121,7 +122,7 @@ def _recompute_plan(value: Value, inverse, live_index,
             return False  # an argument that is not transferred is lost
         if not isinstance(node, _RECOMPUTABLE):
             return False
-        if depth > budget:
+        if depth > MAX_RECOMPUTE_DEPTH:
             return False
         if id(node) in seen:
             return seen[id(node)]

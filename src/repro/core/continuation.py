@@ -66,7 +66,6 @@ def generate_continuation(
     mapping: StateMapping,
     name: Optional[str] = None,
     module: Optional[Module] = None,
-    cleanup: bool = True,
     verify: bool = True,
     telemetry=None,
     am=None,
@@ -89,7 +88,7 @@ def generate_continuation(
                   landing=landing.name, live=len(live_values)):
         return _generate_continuation(
             variant, landing, live_values, mapping, name, module,
-            cleanup, verify, tel, resolve_manager(am),
+            verify, tel, resolve_manager(am),
         )
 
 
@@ -100,7 +99,6 @@ def _generate_continuation(
     mapping: StateMapping,
     name: Optional[str],
     module: Optional[Module],
-    cleanup: bool,
     verify: bool,
     telemetry,
     am,
@@ -212,8 +210,7 @@ def _generate_continuation(
 
     # -- cleanup ---------------------------------------------------------------------
     remove_unreachable_blocks(cont)
-    if cleanup:
-        eliminate_dead_code(cont)
+    eliminate_dead_code(cont)
     # the fresh continuation was rewritten wholesale during construction;
     # retire anything cached against its pre-cleanup body
     am.invalidate(cont)

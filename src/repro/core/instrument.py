@@ -331,7 +331,6 @@ def build_open_osr_stub(
     generator: Callable,
     env: Any,
     engine,
-    stub_name: Optional[str] = None,
     gen_function: Optional[Function] = None,
     gen_block: Optional[BasicBlock] = None,
 ) -> Function:
@@ -365,7 +364,7 @@ def build_open_osr_stub(
         stub = Function(
             FunctionType(func.return_type,
                          [T.ptr(T.i8)] + [v.type for v in live_values]),
-            module.unique_name(stub_name or f"{func.name}stub"),
+            module.unique_name(f"{func.name}stub"),
             stub_arg_names,
         )
         module.add_function(stub)
@@ -393,7 +392,6 @@ def insert_open_osr_point(
     engine,
     env: Any = None,
     val: Optional[Value] = None,
-    pass_pristine_copy: bool = True,
     use_stub: bool = True,
     verify: bool = True,
     am=None,
@@ -406,13 +404,10 @@ def insert_open_osr_point(
     ``val`` (an ``i8*``-compatible live value, or null).  It must return
     the continuation :class:`Function` to transfer to.
 
-    With ``pass_pristine_copy`` (the default) the ``f`` handed to the
-    generator is a clone of the function *before* the OSR machinery was
-    added, so continuations derived from it carry no counter state —
-    matching the paper's Figure 7, where the continuation is free of
-    instrumentation.  Pass ``False`` to hand the generator the live,
-    instrumented function instead (useful when the generator wants to
-    keep or re-arm OSR points in the variant).
+    The ``f`` handed to the generator is a clone of the function
+    *before* the OSR machinery was added, so continuations derived from
+    it carry no counter state — matching the paper's Figure 7, where the
+    continuation is free of instrumentation.
 
     Insertion is traced as an ``osr.insert`` span (kind ``open``) on the
     engine's telemetry; the enclosed stub construction contributes a
@@ -425,14 +420,9 @@ def insert_open_osr_point(
         if val is not None and not val.type.is_pointer:
             raise OSRError(
                 f"open-OSR val must be pointer-typed, got {val.type}")
-        gen_function, gen_block = func, None
-        if pass_pristine_copy:
-            gen_function, _, gen_block = _pristine_twin(
-                func, location, "orig")
+        gen_function, _, gen_block = _pristine_twin(func, location, "orig")
 
         site = open_osr_point(func, location, condition, "open", engine, am)
-        if gen_block is None:
-            gen_block = site.continuation_block
         live_values = site.live_values
         stub: Optional[Function] = None
         if use_stub:

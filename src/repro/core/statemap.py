@@ -88,15 +88,11 @@ class StateMapping:
 
     def __init__(
         self,
-        sources: Optional[Dict[Value, ValueSource]] = None,
         prologue: Optional[Callable[[IRBuilder, List[Argument]], None]] = None,
     ):
-        #: variant-function value -> source
+        #: variant-function value -> source, filled through :meth:`set`
         self.sources: Dict[int, ValueSource] = {}
         self._keys: Dict[int, Value] = {}
-        if sources:
-            for value, source in sources.items():
-                self.set(value, source)
         #: side-effecting compensation prologue, run first in osr.entry
         self.prologue = prologue
 

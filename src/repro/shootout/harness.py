@@ -36,24 +36,21 @@ def run_benchmark(
     benchmark: Benchmark,
     level: str = "unoptimized",
     tier: str = "jit",
-    large: bool = False,
     module: Optional[Module] = None,
 ) -> Tuple[object, float]:
-    """Compile (unless ``module`` is supplied) and run one benchmark.
+    """Compile (unless ``module`` is supplied) and run one benchmark on
+    its standard workload.
 
     Returns ``(checksum, seconds)``.
     """
     if module is None:
         module = compile_benchmark(benchmark, level)
     engine = ExecutionEngine(module, tier=tier)
-    args = benchmark.large_args if large else benchmark.args
-    if args is None:
-        raise ValueError(f"{benchmark.name} has no large workload")
     # warm-up: force compilation outside the timed region (the paper times
     # steady-state CPU time after a warm-up iteration)
     engine.get_compiled(module.get_function(benchmark.entry))
     start = time.perf_counter()
-    result = engine.run(benchmark.entry, *args)
+    result = engine.run(benchmark.entry, *benchmark.args)
     elapsed = time.perf_counter() - start
     return result, elapsed
 

@@ -1,9 +1,16 @@
 """The speculation manager: policy above the deopt machinery.
 
 Owns the per-baseline speculation state for one engine: which specialized
-versions exist, which one is *active* (dispatched to at call boundaries),
+versions exist, which one is *active* (published at the call boundary),
 how many respecializations have been spent, and whether the function has
 been pinned to baseline by the thrash limit.
+
+The manager stores no compiled code.  What calls of a baseline reach is
+the one thing in the engine's :class:`~repro.vm.background.PublishBox`
+for it: the promotion publishes the JIT'd code behind
+:meth:`SpeculationManager.on_promote`'s argument-feedback stage, and
+every later decision here — activate a version, re-point at a sibling,
+pin — is an ``engine.republish`` over that.
 
 Policy, per the Deoptless playbook:
 
@@ -39,16 +46,15 @@ DEFAULT_THRASH_LIMIT = 3
 class SpecState:
     """Speculation bookkeeping for one baseline function."""
 
-    __slots__ = ("baseline", "versions", "active", "active_version",
+    __slots__ = ("baseline", "versions", "active_version",
                  "pinned", "respec_count", "last_observed", "streak")
 
     def __init__(self, baseline: Function):
         self.baseline = baseline
         #: (arg_index, value) -> version
         self.versions: Dict[Tuple[int, object], SpecializedVersion] = {}
-        #: compiled callable of the active version (the call-boundary
-        #: fast path), or None while running baseline
-        self.active: Optional[Callable] = None
+        #: the version whose code is published at the call boundary, or
+        #: None while calls reach the baseline's own code
         self.active_version: Optional[SpecializedVersion] = None
         self.pinned = False
         self.respec_count = 0
@@ -81,15 +87,35 @@ class SpeculationManager:
 
     # -- creating versions -----------------------------------------------------
 
-    def maybe_specialize(self, func: Function, profile) -> Optional[
-            SpecializedVersion]:
+    def on_promote(self, func: Function, compiled: Callable) -> Callable:
+        """The stage a promotion publishes for a speculating function:
+        ``compiled`` behind argument feedback.  Each call records its
+        arguments in the caller's profile; once a slot is monomorphic
+        the guarded specialization is published over this stage and the
+        call continues there."""
+        resolve = self.engine.profiler.profile_for
+        name = func.name
+
+        def feedback(*args):
+            profile = resolve(name)
+            profile.record_args(args)
+            specialized = self.maybe_specialize(func, profile)
+            if specialized is not None:
+                return specialized(*args)
+            return compiled(*args)
+
+        return feedback
+
+    def maybe_specialize(self, func: Function, profile
+                         ) -> Optional[Callable]:
         """Specialize ``func`` if its argument feedback is monomorphic.
 
-        Called by the speculative dispatcher once the function is
-        promoted; a no-op while pinned, already speculating, or while
-        the feedback is still polymorphic."""
+        Called by the feedback stage of a promoted function; a no-op
+        while pinned, already speculating, or while the feedback is
+        still polymorphic.  Returns the specialization's compiled code
+        when this call published one."""
         state = self.state_for(func)
-        if state.pinned or state.active is not None:
+        if state.pinned or state.active_version is not None:
             return None
         stable = profile.stable_argument(self.min_samples, self.min_ratio)
         if stable is None:
@@ -101,8 +127,7 @@ class SpeculationManager:
             version = self._build_version(state, arg_index, value)
             if version is None:
                 return None
-        self._activate(state, version)
-        return version
+        return self._activate(state, version)
 
     def _build_version(self, state: SpecState, arg_index: int, value
                        ) -> Optional[SpecializedVersion]:
@@ -121,16 +146,23 @@ class SpeculationManager:
         engine.add_invalidation_dependency(state.baseline, version.function)
         return version
 
-    def _activate(self, state: SpecState, version: SpecializedVersion) -> None:
+    def _activate(self, state: SpecState, version: SpecializedVersion
+                  ) -> Optional[Callable]:
+        """Publish ``version``'s code at the baseline's call boundary.
+        None, and nothing changes, when the baseline has no published
+        code to go above (an invalidation swept it)."""
+        compiled = compile_function(version.function, self.engine)
+        if not self.engine.republish(state.baseline, compiled):
+            return None
         state.active_version = version
-        state.active = compile_function(version.function, self.engine)
+        return compiled
 
     def refresh_active(self, version: SpecializedVersion) -> None:
-        """Re-materialize the active callable after the version's body
+        """Re-materialize the published code after the version's body
         changed (e.g. a guard was armed for forced failure)."""
         state = self._states.get(version.baseline.name)
         if state is not None and state.active_version is version:
-            state.active = compile_function(version.function, self.engine)
+            self._activate(state, version)
 
     # -- failure policy ---------------------------------------------------------
 
@@ -179,9 +211,12 @@ class SpeculationManager:
         return None
 
     def _pin(self, state: SpecState) -> None:
+        """Stop speculating on this baseline: its own compiled code goes
+        back to the call boundary, with no feedback stage in front."""
         state.pinned = True
-        state.active = None
         state.active_version = None
+        self.engine.republish(
+            state.baseline, compile_function(state.baseline, self.engine))
         self.engine.telemetry.event(
             EV.SPEC_PINNED, function=state.baseline.name,
             respec_count=state.respec_count)
@@ -190,8 +225,9 @@ class SpeculationManager:
 
     def on_invalidate(self, func: Function) -> None:
         """The baseline's body was rewritten: every version speculated
-        from it is stale.  Drop them (frames, continuations, active
-        pointer); feedback restarts from scratch."""
+        from it is stale.  Drop them (frames, continuations, the active
+        version; the engine already dropped the box their code was
+        published in); feedback restarts from scratch."""
         state = self._states.get(func.name)
         if state is None:
             return
@@ -200,7 +236,6 @@ class SpeculationManager:
             self.deopt.invalidate_function(version.function)
         self.deopt.invalidate_function(func)
         state.versions.clear()
-        state.active = None
         state.active_version = None
         state.last_observed = None
         state.streak = 0

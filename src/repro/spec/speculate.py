@@ -78,7 +78,6 @@ def specialize_function(
     arg_index: int,
     value,
     module: Optional[Module] = None,
-    optimize: bool = True,
     telemetry=None,
     am=None,
 ) -> SpecializedVersion:
@@ -112,12 +111,11 @@ def specialize_function(
     with tel.span(EV.SPEC_SPECIALIZE, function=baseline.name,
                   arg_index=arg_index, value=repr(value)):
         return _specialize(baseline, arg_index, const, value,
-                           target_module, optimize, resolve_manager(am), tel)
+                           target_module, resolve_manager(am), tel)
 
 
 def _specialize(baseline: Function, arg_index: int, const, value,
-                module: Module, optimize: bool, am,
-                telemetry) -> SpecializedVersion:
+                module: Module, am, telemetry) -> SpecializedVersion:
     arg = baseline.args[arg_index]
     baseline.assign_names()
     liveness = am.liveness(baseline)
@@ -171,19 +169,18 @@ def _specialize(baseline: Function, arg_index: int, const, value,
         if id(use.user) not in protected:
             use.user.set_operand(use.index, const)
 
-    if optimize:
-        fold_constants(clone)
-        simplify_cfg(clone)
-        eliminate_dead_code(clone)
-        # optimization may have deleted guard sites that became
-        # unreachable under the speculated value; drop their records
-        remaining = {
-            inst.guard_id
-            for block in clone.blocks
-            for inst in block.instructions
-            if isinstance(inst, GuardInst)
-        }
-        guards = {gid: fs for gid, fs in guards.items() if gid in remaining}
+    fold_constants(clone)
+    simplify_cfg(clone)
+    eliminate_dead_code(clone)
+    # optimization may have deleted guard sites that became unreachable
+    # under the speculated value; drop their records
+    remaining = {
+        inst.guard_id
+        for block in clone.blocks
+        for inst in block.instructions
+        if isinstance(inst, GuardInst)
+    }
+    guards = {gid: fs for gid, fs in guards.items() if gid in remaining}
 
     clone.assign_names()
     verify_function(clone)

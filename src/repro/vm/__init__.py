@@ -9,17 +9,18 @@ compiled-code cache, native symbol resolution, global storage, and the
 object table that OSR stubs use to carry IR objects through
 ``inttoptr`` constants.
 
-Tier-up is one dispatcher over a :class:`PublishBox`.  ``tiered``
-compiles inline when a threshold trips; ``tiered-bg`` submits the
-compile to a background :class:`CompileQueue` worker so hot calls never
-stall on the JIT, and the result installs via a generation-stamped
-atomic publish that a racing ``invalidate()`` wins; ``speculative``
-adds guarded specialization above the promoted code.
+Tier strings are presets of :data:`POLICIES`.  The promoting ones share
+one dispatcher over the function's :class:`PublishBox` and one
+compile-and-publish path, run inline (``tiered``) or on a
+:class:`CompileQueue` worker so hot calls never stall on the JIT
+(``tiered-bg``); the generation-stamped publish loses to a racing
+``invalidate()``.  ``speculative`` republishes guarded specializations
+over the promoted code.
 """
 
 from .background import CompileJob, CompileQueue, PublishBox
 from .decode import DecodedFunction, DecodeError, decode_function
-from .engine import TIERS, ExecutionEngine, ObjectTable
+from .engine import POLICIES, TIERS, ExecutionEngine, ObjectTable
 from .interpreter import Interpreter, StepLimitExceeded, Trap
 from .jit import CompiledCode, JITError, codegen_function, compile_function
 from .profile import FunctionProfile, TierProfiler
@@ -40,6 +41,7 @@ __all__ = [
     "ExecutionEngine",
     "ObjectTable",
     "TIERS",
+    "POLICIES",
     "CompileJob",
     "CompileQueue",
     "PublishBox",

@@ -1,40 +1,39 @@
 """Background compilation: non-blocking tier-up off the hot path.
 
-Every tier in this reproduction used to compile synchronously on the
-calling thread — a hot call ate the full JIT + analysis cost before it
-could proceed.  Production VMs decouple the two: the paper's OSR
-machinery (and the Deoptless/à-la-Carte framing in PAPERS.md) assumes a
-new code version can be *produced* off the hot path and *installed*
-atomically while the function keeps running in its current tier.
+The paper's OSR machinery (and the Deoptless/à-la-Carte framing in
+PAPERS.md) assumes a new code version can be *produced* off the hot
+path and *installed* atomically while the function keeps running in its
+current tier.
 
-:class:`CompileQueue` is that producer: a small worker-thread pool fed
-by the ``tiered-bg`` promote step of the engine's tier-up dispatcher.
-On threshold-trip it submits a :class:`CompileJob` and the dispatcher
-keeps executing the decoded tier; a worker runs the engine-read-only
-code generation (:func:`~repro.vm.jit.codegen_function`) and asks the
-owning engine to publish the result.
-
-Correctness rests on three pieces:
+Producing and installing is one routine, :func:`run_job`: obtain the
+artifact (:func:`~repro.vm.jit.acquire_artifact` — memory cache, disk
+cache, code generation, all engine-read-only) and ask the owning engine
+to publish it.  It runs on whichever thread promotes: the dispatcher's
+own for an inline policy, or a :class:`CompileQueue` worker's for a
+background one, while the dispatcher keeps executing the decoded tier.
+The queue adds only scheduling:
 
 * **deduplicated pending set** — one in-flight job per
   ``(engine, function)``; re-tripping the threshold while a compile is
   queued or running is a no-op;
 * **priority by hotness** — jobs pop hottest-first
   (:meth:`FunctionProfile.hotness`), so under a backlog the functions
-  burning the most interpreter time tier up first;
-* **atomic publish with a generation stamp** — the dispatcher reads a
-  :class:`PublishBox`, a single-assignment cell created with the
-  function's *compile generation*.  ``engine.invalidate()`` bumps the
-  generation under the engine lock; the worker re-checks it (and the
-  body-level artifact stamp) inside the same lock before assigning the
-  box, so a racing invalidation makes the worker *discard* the
-  in-flight result instead of installing stale code.
+  burning the most interpreter time tier up first.
 
-Telemetry: ``compile.queue`` / ``compile.start`` / ``compile.install``
-/ ``compile.discard`` instants, the worker's ``codegen.build`` span
-(under the worker's own ``tid``), a ``compile.queue_depth`` gauge, and two
-histogram-backed timers: ``compile.wait`` (enqueue to worker pickup)
-and ``compile.latency`` (enqueue to install).
+Correctness rests on the **atomic publish with a generation stamp** —
+the dispatcher reads a :class:`PublishBox` created with the function's
+*compile generation*.  ``engine.invalidate()`` bumps the generation
+under the engine lock; the publish re-checks it (and the body-level
+artifact stamp, and that the box is still empty) inside the same lock
+before assigning the box, so a racing invalidation makes the job
+*discard* its result instead of installing stale code.
+
+Telemetry: ``compile.queue`` (background only) / ``compile.start`` /
+``compile.install`` / ``compile.discard`` instants, the ``jit.compile``
+and ``codegen.build`` spans (under the compiling thread's own ``tid``),
+a ``compile.queue_depth`` gauge, and two histogram-backed timers:
+``compile.wait`` (enqueue to pickup; ~0 for an inline promotion) and
+``compile.latency`` (enqueue to install).
 """
 
 from __future__ import annotations
@@ -46,21 +45,22 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import events as EV
-from .jit import JITError, codegen_function
+from .jit import JITError, acquire_artifact
 
 
 class PublishBox:
-    """Single-assignment publication cell for one dispatcher.
+    """What calls of one function reach now: the publication cell its
+    dispatcher reads.
 
-    ``value`` starts ``None`` (keep running the decoded tier) and is
-    assigned exactly once, under the owning engine's lock, with the
-    compiled callable — the "atomic publish".  ``generation`` is the
-    function's compile generation at dispatcher creation; a worker may
-    only assign the box while the engine still reports that generation.
-    ``requested`` latches once a compile has been queued for this box,
-    so the dispatcher asks at most once — a code-generation failure
-    (:class:`JITError`) therefore leaves the function on the decoded
-    tier instead of re-submitting per call.
+    ``value`` starts ``None`` (keep running the baseline tier).  A
+    compile job publishes only into an empty box of its own generation
+    (the function's compile generation at dispatcher creation) — the
+    "atomic publish"; stages above the compiled code (speculation's
+    guarded specializations) are republished over it, always under the
+    owning engine's lock.  ``requested`` latches once a promotion has
+    been attempted, so the dispatcher asks at most once: a
+    :class:`JITError` leaves the function on the baseline tier instead
+    of recompiling per call.
     """
 
     __slots__ = ("value", "generation", "requested")
@@ -108,14 +108,56 @@ class CompileJob:
         return f"<CompileJob @{self.func.name} prio={self.priority}>"
 
 
+def run_job(job: CompileJob) -> str:
+    """Compile ``job.func`` and publish it into ``job.box``, on the
+    calling thread: a queue worker's, or the dispatcher's own for an
+    inline promotion.
+
+    Returns ``"installed"``, or why nothing was: ``"discarded"`` (the
+    job was cancelled or an ``invalidate()`` outran it) or ``"failed"``
+    (code generation raised :class:`JITError`).  Either way a
+    ``compile.discard`` event carries the reason and the function stays
+    on its baseline tier: the box latched the request, so nothing
+    retries and nothing reaches the caller.
+    """
+    engine, func = job.engine, job.func
+    tel = engine.telemetry
+    outcome, reason = "discarded", "stale-generation"
+    if not (job.cancelled
+            or engine.compile_generation(func.name) != job.box.generation):
+        # queue wait: enqueue -> a thread picking the job up; histogram-
+        # backed, so a backlog shows up as a fat p99 here before it
+        # shows up anywhere else
+        engine.metrics.record_time(
+            EV.COMPILE_WAIT, time.perf_counter() - job.enqueued_at)
+        tel.event(EV.COMPILE_START, function=func.name,
+                  priority=job.priority)
+        try:
+            artifact = acquire_artifact(func, engine)
+        except JITError as error:
+            outcome, reason = "failed", f"jit-error: {error}"
+        else:
+            if engine._publish(job, artifact):
+                engine.metrics.record_time(
+                    EV.COMPILE_LATENCY,
+                    time.perf_counter() - job.enqueued_at)
+                tel.event(EV.COMPILE_INSTALL, function=func.name,
+                          code_version=func.code_version,
+                          generation=job.box.generation)
+                return "installed"
+    tel.event(EV.COMPILE_DISCARD, function=func.name, reason=reason)
+    return outcome
+
+
 class CompileQueue:
     """Worker-thread pool compiling tier-up jobs hottest-first.
 
-    One queue may serve many engines (jobs carry their engine); the
-    default ``tiered-bg`` engine creates a private single-worker queue
-    lazily.  Workers are daemon threads started on first submit, so a
-    queue that is never used costs nothing and never blocks interpreter
-    shutdown.
+    One queue may serve many engines (jobs carry their engine); an
+    engine with a background-promoting policy creates a private
+    single-worker queue lazily.  Each worker runs :func:`run_job`; the
+    queue itself only schedules, deduplicates and counts outcomes.
+    Workers are daemon threads started on first submit, so a queue that
+    is never used costs nothing and never blocks interpreter shutdown.
     """
 
     def __init__(self, workers: int = 1, name: str = "compile"):
@@ -207,7 +249,13 @@ class CompileQueue:
                 depth = len(self._heap)
             try:
                 job.engine.metrics.gauge(EV.COMPILE_QUEUE_DEPTH, depth)
-                self._process(job)
+                outcome = run_job(job)
+                if outcome == "installed":
+                    self.installed += 1
+                else:
+                    self.discarded += 1
+                    if outcome == "failed":
+                        self.failed += 1
             finally:
                 with self._cond:
                     self._inflight -= 1
@@ -215,49 +263,6 @@ class CompileQueue:
                     if self._pending.get(job.key) is job:
                         del self._pending[job.key]
                     self._cond.notify_all()
-
-    def _process(self, job: CompileJob) -> None:
-        engine = job.engine
-        func = job.func
-        tel = engine.telemetry
-        if (job.cancelled
-                or engine.compile_generation(func.name) != job.box.generation):
-            self._discard(job, "stale-generation")
-            return
-        # queue wait: enqueue -> a worker picking the job up; histogram-
-        # backed, so a backlog shows up as a fat p99 here before it
-        # shows up anywhere else
-        engine.metrics.record_time(
-            EV.COMPILE_WAIT, time.perf_counter() - job.enqueued_at)
-        tel.event(EV.COMPILE_START, function=func.name,
-                  priority=job.priority)
-        try:
-            # engine-read-only: pure codegen, cached on the Function
-            artifact = codegen_function(func)
-        except JITError as error:
-            self.failed += 1
-            self._discard(job, f"jit-error: {error}")
-            return
-        if engine._publish_background(job, artifact):
-            self.installed += 1
-            latency = time.perf_counter() - job.enqueued_at
-            engine.metrics.record_time(EV.COMPILE_LATENCY, latency)
-            tel.event(EV.COMPILE_INSTALL, function=func.name,
-                      code_version=func.code_version,
-                      generation=job.box.generation)
-            # write-through: persist the freshly published artifact so
-            # the *next* process warm-starts it.  Off the engine lock,
-            # on the worker thread — disk latency never blocks callers.
-            disk_store = getattr(engine, "disk_store", None)
-            if disk_store is not None:
-                disk_store(func, artifact)
-        else:
-            self._discard(job, "stale-generation")
-
-    def _discard(self, job: CompileJob, reason: str) -> None:
-        self.discarded += 1
-        job.engine.telemetry.event(EV.COMPILE_DISCARD,
-                                   function=job.func.name, reason=reason)
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -39,7 +39,10 @@ closures come from the closure factories of ``vm/semantics.py`` (the one
 table of scalar semantics, shared with the JIT), closed over this
 function's frame slots.  A compare fused into its branch is its table
 entry used as the branch's test; it alone writes no frame slot (its one
-reader is that branch).
+reader is that branch).  Loads, stores, address arithmetic, ``select``
+and the value-carrying terminators are this tier's own bodies
+(:data:`_BODIES`), written once each and specialised to their operand
+shape by the same kind of cached factory.
 
 Fusion is only applied when the producer's one use is the very next
 instruction (or the block terminator), so no other step can observe the
@@ -63,6 +66,8 @@ Frame layout::
 
 from __future__ import annotations
 
+import linecache
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..ir import types as T
@@ -130,6 +135,108 @@ _FUSIBLE_CONSUMERS = (
 )
 
 
+# -- the decoder's closure skeleton -------------------------------------------------
+#
+# Memory accesses, address arithmetic, ``select`` and the value-carrying
+# terminators are the *decoder's* bodies (bounds-checked where the JIT's
+# accesses are not: different behaviour, so not rows of the semantics
+# table).  They share its skeleton: each body is written once over its
+# operand reads ``{0}``, ``{1}``, ... and compiled once per operand shape
+# — ``oN(frame)`` for a fused producer thunk, ``frame[oN]`` for a slot —
+# so no shape test is left to run time.
+
+#: how a value thunk ends: write the instruction's own slot, return the
+#: value for nested composition
+_WRITE = "frame[dst] = v\nreturn v"
+
+#: fixed-width scalar access, bounds check inlined (``buf.check``
+#: re-raises the canonical error on the slow path)
+_CHECK = ("if buf.freed or off < 0 or off + size > len(buf.data):\n"
+          "    buf.check(off, size)\n")
+
+
+def _wrap_constants(bits: int) -> Tuple[int, int]:
+    """``(mask, half)``: ``((x + half) & mask) - half`` wraps ``x`` to
+    the canonical signed range of a ``bits``-wide integer."""
+    return (1 << bits) - 1, (1 << (bits - 1) if bits > 1 else 0)
+
+
+def _gep_body(count: int) -> Tuple[str, str]:
+    # ``{0}`` is the base pointer; constant indices are already folded
+    # into ``static``, each remaining index is scaled by its stride
+    strides = "".join(f" s{i}" for i in range(1, count))
+    terms = "".join(f" + {{{i}}} * s{i}" for i in range(1, count))
+    return ("dst static" + strides,
+            "base = {0}\nv = (base[0], base[1] + static" + terms + ")\n"
+            + _WRITE)
+
+
+def _gep_generic_body(count: int) -> Tuple[str, str]:
+    indices = ", ".join(f"{{{i}}}" for i in range(1, count))
+    return ("dst pointee",
+            "base = {0}\nv = (base[0], base[1] + gep_offset(pointee, ["
+            + indices + "]))\n" + _WRITE)
+
+
+#: body name -> (closed-over parameters, body over the operand reads), or
+#: a function of the operand count returning that pair
+_BODIES = {
+    # {0} is the pointer
+    "load_val": ("dst load", "v = load({0})\n" + _WRITE),
+    # a float, or an integer as wide as its storage: the struct format
+    # already yields the canonical value (wrap() would be an identity)
+    "load_scalar_val": ("dst size unpack", "buf, off = {0}\n" + _CHECK
+                        + "v = unpack(buf.data, off)[0]\n" + _WRITE),
+    "load_narrow_val": ("dst size unpack mask half",
+                        "buf, off = {0}\n" + _CHECK
+                        + "v = ((unpack(buf.data, off)[0] + half) & mask)"
+                        " - half\n" + _WRITE),
+    # {0} is the value, {1} the pointer
+    "store_generic": ("store", "val = {0}\nstore({1}, val)"),
+    "store_scalar": ("size pack", "val = {0}\nbuf, off = {1}\n" + _CHECK
+                     + "pack(buf.data, off, val)"),
+    "store_int": ("size pack mask half",
+                  "val = {0}\nbuf, off = {1}\n" + _CHECK
+                  + "pack(buf.data, off, ((val + half) & mask) - half)"),
+    # all three operands evaluate eagerly: a fused producer on the
+    # unpicked arm must still trap exactly as the standalone step would
+    "select_val": ("dst", "cv = {0}\ntv = {1}\nfv = {2}\n"
+                   "v = tv if cv else fv\n" + _WRITE),
+    "object_cast_val": ("dst raw", "v = raw({0})\n" + _WRITE),
+    "gep_val": _gep_body,
+    "gep_generic_val": _gep_generic_body,
+    "switch": ("get default", "jump, target = get({0}, default)\n"
+               "return jump(frame) if jump is not None else target"),
+    "ret": ("", "frame[1] = {0}\nreturn RETURN"),
+}
+
+
+@lru_cache(maxsize=None)
+def _closure_factory(name: str, thunks: Tuple[bool, ...]) -> Callable:
+    """``make(*closed_over, *operands)`` for body ``name`` at one operand
+    shape (``thunks[i]``: operand *i* is a fused producer thunk, not a
+    frame slot), compiled on first use and cached for the life of the
+    process; decoding an instruction only *calls* it."""
+    entry = _BODIES[name]
+    closed_over, body = entry(len(thunks)) if callable(entry) else entry
+    operands = [f"o{i}" for i in range(len(thunks))]
+    reads = [f"{o}(frame)" if is_thunk else f"frame[{o}]"
+             for o, is_thunk in zip(operands, thunks)]
+    lines = body.format(*reads).replace("\n", "\n        ")
+    source = (f"def make({', '.join(closed_over.split() + operands)}):\n"
+              f"    def {name}(frame):\n"
+              f"        {lines}\n"
+              f"    return {name}\n")
+    # not "<...>"-wrapped: linecache ignores lazy entries under such names
+    filename = (f"<decode>/{name}/"
+                + ",".join("thunk" if t else "slot" for t in thunks))
+    # source for tracebacks, split into lines only if one is ever printed
+    linecache.cache[filename] = (lambda: source,)
+    namespace = {"RETURN": RETURN, "gep_offset": gep_offset}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make"]
+
+
 class _Decoder:
     """Builds the slot map and per-instruction closures for one function."""
 
@@ -195,7 +302,7 @@ class _Decoder:
         for block in blocks:
             insts = block.instructions[block.first_non_phi_index:-1]
             steps = self._decode_steps_fused(block, insts)
-            term = self._decode_terminator_fused(block)
+            term = self._decode_terminator(block)
             if self._pending:  # pragma: no cover - adjacency rule violated
                 raise DecodeError(
                     f"unconsumed fused producer in %{block.name}"
@@ -231,7 +338,7 @@ class _Decoder:
                 # they consume a pending producer when there is one, and
                 # even standalone they emit the flat superinstruction
                 # shapes (inline operand reads, inline memory checks)
-                steps.append(self._decode_consumer_fused(inst))
+                steps.append(self._value_thunk(inst))
             else:
                 steps.append(self._decode_instruction(inst))
         return tuple(steps)
@@ -260,69 +367,44 @@ class _Decoder:
             return nxt.value is inst
         return False
 
-    def _operand(self, value: Value) -> Tuple[Optional[Callable], int]:
-        """Resolve an operand for a fused closure: ``(thunk, slot)``.
+    def _shaped_operands(self, values) -> Tuple[Tuple[bool, ...], List]:
+        """Operands for a closure factory: which of them are fused
+        producer thunks, and the thunk or frame slot of each.
 
-        When ``value`` is the pending deferred producer, its composed
-        value thunk is returned (slot unused); otherwise the plain frame
-        slot.  Fused closures read slot operands *inline* — the
-        ``thunk is not None`` check is far cheaper than an accessor
-        call, which is what makes fusion a net win.
+        The pending deferred producer arrives as its composed value
+        thunk (resolved exactly once: it must not be popped twice); any
+        other value as its plain frame slot, which the closure reads
+        *inline* — far cheaper than an accessor call, which is what
+        makes fusion a net win.
         """
-        pending = self._pending.pop(id(value), None)
-        if pending is not None:
-            self.stats["op_chain"] += 1
-            return self._value_thunk(pending), -1
-        return None, self.slot_of(value)
+        thunks, operands = [], []
+        for value in values:
+            pending = self._pending.pop(id(value), None)
+            if pending is None:
+                operands.append(self.slot_of(value))
+            else:
+                self.stats["op_chain"] += 1
+                operands.append(self._value_thunk(pending))
+            thunks.append(pending is not None)
+        return tuple(thunks), operands
 
-    def _decode_consumer_fused(self, inst: Instruction) -> Callable:
-        """Step closure for a consumer with a pending fused operand.
-
-        Value thunks write their own destination slot (and return the
-        value for nested composition), so a pure consumer's thunk *is*
-        its step closure — no extra wrapper call per step.
-        """
-        if isinstance(inst, StoreInst):
-            return self._store_thunk(inst)
-        return self._value_thunk(inst)
+    def _closure(self, name: str, values, *closed_over) -> Callable:
+        """Body ``name`` of the decoder's skeleton over ``values``."""
+        thunks, operands = self._shaped_operands(values)
+        return _closure_factory(name, thunks)(*closed_over, *operands)
 
     def _store_thunk(self, inst: StoreInst) -> Callable:
-        pv, v = self._operand(inst.value)
-        pp, p = self._operand(inst.pointer)
-        parts = scalar_struct(inst.value.type)
+        ty = inst.value.type
+        values = (inst.value, inst.pointer)
+        parts = scalar_struct(ty)
         if parts is None:
-            _, store = scalar_accessors(inst.value.type)
-
-            def store_fused(frame):
-                val = pv(frame) if pv is not None else frame[v]
-                store(pp(frame) if pp is not None else frame[p], val)
-
-            return store_fused
-        # fixed-width scalar: inline the bounds check and byte packing
-        # (buf.check re-raises the canonical error on the slow path)
+            return self._closure("store_generic", values,
+                                 scalar_accessors(ty)[1])
         size, wrap, _, pack = parts
-        if wrap is not None:
-            bits = inst.value.type.bits
-            mask = (1 << bits) - 1
-            half = 1 << (bits - 1) if bits > 1 else 0
-
-            def store_int_fused(frame):
-                val = pv(frame) if pv is not None else frame[v]
-                buf, off = pp(frame) if pp is not None else frame[p]
-                if buf.freed or off < 0 or off + size > len(buf.data):
-                    buf.check(off, size)
-                pack(buf.data, off, ((val + half) & mask) - half)
-
-            return store_int_fused
-
-        def store_float_fused(frame):
-            val = pv(frame) if pv is not None else frame[v]
-            buf, off = pp(frame) if pp is not None else frame[p]
-            if buf.freed or off < 0 or off + size > len(buf.data):
-                buf.check(off, size)
-            pack(buf.data, off, val)
-
-        return store_float_fused
+        if wrap is None:
+            return self._closure("store_scalar", values, size, pack)
+        return self._closure("store_int", values, size, pack,
+                             *_wrap_constants(ty.bits))
 
     def _value_thunk(self, inst: Instruction) -> Callable:
         """``thunk(frame) -> value``: the instruction's value computation
@@ -332,26 +414,16 @@ class _Decoder:
         Every thunk also writes the instruction's own frame slot — dead
         for a deferred mid-chain producer, but it keeps every SSA value
         the IR defines in the frame and lets a chain-ending consumer
-        reuse its thunk as the step closure directly.
+        reuse its thunk as the step closure directly.  (A store is the
+        one consumer with no value: its closure is a step only.)
         """
+        if isinstance(inst, StoreInst):
+            return self._store_thunk(inst)
         if isinstance(inst, SelectInst):
-            dst = self.slot_of(inst)
-            pc, c = self._operand(inst.condition)
-            pt, t = self._operand(inst.true_value)
-            pf, f = self._operand(inst.false_value)
-
-            def select_val(frame):
-                # all three operands evaluate eagerly: a fused producer
-                # on the unpicked arm must still trap exactly as the
-                # standalone step would have
-                cv = pc(frame) if pc is not None else frame[c]
-                tv = pt(frame) if pt is not None else frame[t]
-                fv = pf(frame) if pf is not None else frame[f]
-                v = tv if cv else fv
-                frame[dst] = v
-                return v
-
-            return select_val
+            return self._closure(
+                "select_val",
+                (inst.condition, inst.true_value, inst.false_value),
+                self.slot_of(inst))
         if isinstance(inst, LoadInst):
             return self._load_thunk(inst)
         if isinstance(inst, GEPInst):
@@ -359,155 +431,46 @@ class _Decoder:
         return self._scalar_thunk(inst)
 
     def _load_thunk(self, inst: LoadInst) -> Callable:
+        ty = inst.type
         dst = self.slot_of(inst)
-        pp, p = self._operand(inst.pointer)
-        parts = scalar_struct(inst.type)
+        values = (inst.pointer,)
+        parts = scalar_struct(ty)
         if parts is None:
-            load, _ = scalar_accessors(inst.type)
-            if pp is None:
-
-                def load_val(frame):
-                    v = load(frame[p])
-                    frame[dst] = v
-                    return v
-
-                return load_val
-
-            def load_fused_val(frame):
-                v = load(pp(frame))
-                frame[dst] = v
-                return v
-
-            return load_fused_val
-        # fixed-width scalar: inline the bounds check and byte decoding
-        # (buf.check re-raises the canonical error on the slow path)
+            return self._closure("load_val", values, dst,
+                                 scalar_accessors(ty)[0])
         size, wrap, unpack, _ = parts
-        if wrap is not None:
-            bits = inst.type.bits
-            if bits == size * 8:
-                # the signed struct format already yields the canonical
-                # value: wrap() would be an identity, skip it
-
-                def load_int_fused(frame):
-                    buf, off = pp(frame) if pp is not None else frame[p]
-                    if buf.freed or off < 0 or off + size > len(buf.data):
-                        buf.check(off, size)
-                    v = unpack(buf.data, off)[0]
-                    frame[dst] = v
-                    return v
-
-                return load_int_fused
-            mask = (1 << bits) - 1
-            half = 1 << (bits - 1) if bits > 1 else 0
-
-            def load_narrow_fused(frame):
-                buf, off = pp(frame) if pp is not None else frame[p]
-                if buf.freed or off < 0 or off + size > len(buf.data):
-                    buf.check(off, size)
-                v = ((unpack(buf.data, off)[0] + half) & mask) - half
-                frame[dst] = v
-                return v
-
-            return load_narrow_fused
-
-        def load_float_fused(frame):
-            buf, off = pp(frame) if pp is not None else frame[p]
-            if buf.freed or off < 0 or off + size > len(buf.data):
-                buf.check(off, size)
-            v = unpack(buf.data, off)[0]
-            frame[dst] = v
-            return v
-
-        return load_float_fused
+        if wrap is None or ty.bits == size * 8:
+            return self._closure("load_scalar_val", values, dst, size, unpack)
+        return self._closure("load_narrow_val", values, dst, size, unpack,
+                             *_wrap_constants(ty.bits))
 
     def _scalar_thunk(self, inst: Instruction) -> Callable:
         """Binop, compare or cast: the semantics table's entry, closed
         over this instruction's slots (and fused producer thunk)."""
         method = OBJECT_TABLE_CASTS.get(inst.opcode)
         if method is not None:
-            dst = self.slot_of(inst)
-            ps, s = self._operand(inst.value)
-            raw = getattr(self.engine.object_table, method)
-
-            def object_cast_val(frame):
-                v = raw(ps(frame) if ps is not None else frame[s])
-                frame[dst] = v
-                return v
-
-            return object_cast_val
+            return self._closure(
+                "object_cast_val", (inst.value,), self.slot_of(inst),
+                getattr(self.engine.object_table, method))
         entry = scalar_entry(inst)
         if entry is None:
             raise DecodeError(f"no scalar semantics for {inst!r}")
         thunks, operands = self._shaped_operands(inst.operands)
         return closure_factory(entry, thunks)(self.slot_of(inst), *operands)
 
-    def _shaped_operands(self, values) -> Tuple[Tuple[bool, ...], List]:
-        """Operands for a semantics closure factory: which of them are
-        fused producer thunks, and the thunk or frame slot of each."""
-        resolved = [self._operand(value) for value in values]
-        return (tuple(thunk is not None for thunk, _ in resolved),
-                [slot if thunk is None else thunk for thunk, slot in resolved])
-
     def _gep_thunk(self, inst: GEPInst) -> Callable:
-        # operands are *collected* first (constant indices folded to one
-        # offset, variable indices as (operand, stride) terms) and
-        # resolved exactly once after — a pending thunk must not be
-        # popped twice
         terms = gep_terms(inst)
         dst = self.slot_of(inst)
-        pp, p = self._operand(inst.pointer)
         if terms is None:
-            pointee = inst.pointer.type.pointee
-            indices = tuple(self._operand(i) for i in inst.indices)
-
-            def gep_generic_val(frame):
-                base = pp(frame) if pp is not None else frame[p]
-                offset = gep_offset(pointee, [
-                    pi(frame) if pi is not None else frame[si]
-                    for pi, si in indices
-                ])
-                v = (base[0], base[1] + offset)
-                frame[dst] = v
-                return v
-
-            return gep_generic_val
+            return self._closure(
+                "gep_generic_val", (inst.pointer, *inst.indices), dst,
+                inst.pointer.type.pointee)
         static, var_terms = terms
-        if not var_terms:
+        return self._closure(
+            "gep_val", (inst.pointer, *(index for index, _ in var_terms)),
+            dst, static, *(stride for _, stride in var_terms))
 
-            def gep_const_val(frame):
-                base = pp(frame) if pp is not None else frame[p]
-                v = (base[0], base[1] + static)
-                frame[dst] = v
-                return v
-
-            return gep_const_val
-        if len(var_terms) == 1:
-            (pi, si), stride = self._operand(var_terms[0][0]), var_terms[0][1]
-
-            def gep_one_val(frame):
-                base = pp(frame) if pp is not None else frame[p]
-                i = pi(frame) if pi is not None else frame[si]
-                v = (base[0], base[1] + static + i * stride)
-                frame[dst] = v
-                return v
-
-            return gep_one_val
-        terms = tuple(
-            (self._operand(v), s) for v, s in var_terms
-        )
-
-        def gep_many_val(frame):
-            base = pp(frame) if pp is not None else frame[p]
-            offset = static
-            for (pi, si), stride in terms:
-                offset += (pi(frame) if pi is not None else frame[si]) * stride
-            v = (base[0], base[1] + offset)
-            frame[dst] = v
-            return v
-
-        return gep_many_val
-
-    # -- fused terminators ------------------------------------------------------
+    # -- terminators ------------------------------------------------------------
 
     def _edge_jump(self, source: BasicBlock, target_block: BasicBlock
                    ) -> Tuple[Optional[Callable], int]:
@@ -556,22 +519,18 @@ class _Decoder:
 
         return jumpn, target
 
-    def _decode_terminator_fused(self, block: BasicBlock) -> Callable:
+    def _decode_terminator(self, block: BasicBlock) -> Callable:
         inst = block.terminator
 
         if isinstance(inst, RetInst):
-            if inst.value is not None:
-                pending = self._pending.pop(id(inst.value), None)
-                if pending is not None:
-                    self.stats["op_chain"] += 1
-                    thunk = self._value_thunk(pending)
+            if inst.value is None:
 
-                    def ret_fused(frame):
-                        frame[1] = thunk(frame)
-                        return RETURN
+                def ret_void(frame):
+                    frame[1] = None
+                    return RETURN
 
-                    return ret_fused
-            return self._decode_terminator(block)
+                return ret_void
+            return self._closure("ret", (inst.value,))
 
         if isinstance(inst, BranchInst):
             jump, target = self._edge_jump(block, inst.target)
@@ -601,44 +560,13 @@ class _Decoder:
                         ttarget if tjump is None else tjump,
                         ftarget if fjump is None else fjump)
 
-        return self._decode_terminator(block)
-
-    # -- terminators ------------------------------------------------------------
-
-    def _decode_terminator(self, block: BasicBlock) -> Callable:
-        inst = block.terminator
-
-        if isinstance(inst, RetInst):
-            if inst.value is None:
-
-                def ret_void(frame):
-                    frame[1] = None
-                    return RETURN
-
-                return ret_void
-            src = self.slot_of(inst.value)
-
-            def ret(frame):
-                frame[1] = frame[src]
-                return RETURN
-
-            return ret
-
         if isinstance(inst, SwitchInst):
-            pv, v = self._operand(inst.value)
             table: Dict[int, Tuple[Optional[Callable], int]] = {}
             for const, target in inst.cases:
                 # first matching case wins, as in the linear scan
                 table.setdefault(const.value, self._edge_jump(block, target))
             default = self._edge_jump(block, inst.default)
-            get = table.get
-
-            def switch(frame):
-                jump, target = get(
-                    pv(frame) if pv is not None else frame[v], default)
-                return jump(frame) if jump is not None else target
-
-            return switch
+            return self._closure("switch", (inst.value,), table.get, default)
 
         if isinstance(inst, UnreachableInst):
 

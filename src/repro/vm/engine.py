@@ -8,30 +8,18 @@ the IR function being OSR'd, its basic blocks, and code-generation
 environments, exactly the three hard-wired parameters of the paper's
 Figure 6 stub.
 
-Execution tiers, per function:
-
-* ``interp`` — the tree-walking reference interpreter (semantic oracle);
-* ``decoded`` — the pre-decoded closure interpreter (same semantics,
-  none of the per-step dispatch cost);
-* ``jit`` — Python-codegen (compile on first call);
-* ``tiered`` — mixed mode: start in the decoded interpreter with
-  call/backedge counters and promote to the JIT when the
-  :class:`~repro.vm.profile.TierProfiler` thresholds trip, the classic
-  profile-driven tier-up the paper's OSR machinery assumes;
-* ``tiered-bg`` — the same promotion policy, but the compile happens on
-  the :class:`~repro.vm.background.CompileQueue` worker pool while the
-  caller keeps running the decoded tier; the finished code is published
-  atomically (generation-stamped, so a racing ``invalidate()`` discards
-  it).  The recommended default for server-style workloads — first hot
-  calls never stall on the JIT (see ``docs/background-compilation.md``);
-* ``speculative`` — ``tiered`` plus argument-value feedback: once
-  promoted, a function whose arguments are monomorphic is routed to a
-  guarded specialization that deoptimizes back when the guess breaks.
-
-``tiered`` and ``tiered-bg`` are one dispatcher
-(:meth:`ExecutionEngine._make_tierup_dispatcher`) over a
-:class:`~repro.vm.background.PublishBox`; they differ only in the
-promote step (compile inline and fill the box, or submit to the queue).
+A tier string is a preset of :data:`POLICIES` (described there).  The
+non-promoting presets are the bare baseline callable
+(:meth:`ExecutionEngine._baseline`); the promoting ones share one
+dispatcher (:meth:`~ExecutionEngine._make_dispatcher`) over the
+function's one :class:`~repro.vm.background.PublishBox`, one promote
+step (:meth:`~ExecutionEngine._promote`: a :class:`CompileJob` run here
+or on the queue) and one publish routine
+(:meth:`~ExecutionEngine._publish`: generation-stamped, so a racing
+``invalidate()`` discards the result).  Every tier transition is a
+publication into that box: the JIT'd code; under ``speculate`` that
+code behind an argument-feedback stage, then whichever guarded
+specialization the speculation manager republishes over it.
 
 Tests flip tiers to cross-check semantics.
 
@@ -49,7 +37,7 @@ import math
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..analysis.manager import default_manager
 from ..ir import types as T
@@ -64,7 +52,7 @@ from ..ir.values import (
 from ..obs import events as EV
 from ..obs.telemetry import Telemetry, production_telemetry
 from ..obs.telemetry import ambient as ambient_telemetry
-from .background import CompileJob, CompileQueue, PublishBox
+from .background import CompileJob, CompileQueue, PublishBox, run_job
 from .decode import DecodeError, DecodedFunction, decode_function
 from .interpreter import Interpreter, Trap
 from .jit import compile_function
@@ -83,8 +71,41 @@ from .runtime import (
     store_scalar,
 )
 
+
+
+class TierPolicy(NamedTuple):
+    """What a tier string means for one function."""
+
+    baseline: str            #: where it starts: interp | decoded | jit
+    promote: Optional[str]   #: how hot code is JIT'd: None | inline | background
+    speculate: bool          #: argument feedback + guarded specialization
+    label: str               #: dispatcher thunk prefix (``obs.profiler`` keys on it)
+
+
+#: the tier presets
+POLICIES: Dict[str, TierPolicy] = {
+    # Python-codegen, compiled on first call
+    "jit": TierPolicy("jit", None, False, "jit"),
+    # the tree-walking reference interpreter (semantic oracle)
+    "interp": TierPolicy("interp", None, False, "interp"),
+    # the pre-decoded closure interpreter: same semantics, no per-step
+    # dispatch cost
+    "decoded": TierPolicy("decoded", None, False, "decoded"),
+    # mixed mode: decoded with call/backedge counters, promoted to the JIT
+    # on the calling thread when the TierProfiler thresholds trip — the
+    # profile-driven tier-up the paper's OSR machinery assumes
+    "tiered": TierPolicy("decoded", "inline", False, "tiered"),
+    # the same, compiled on the CompileQueue workers while the caller stays
+    # decoded: hot calls never stall on the JIT (the default for servers)
+    "tiered-bg": TierPolicy("decoded", "background", False, "tieredbg"),
+    # tiered plus argument-value feedback: a promoted function with
+    # monomorphic arguments runs a guarded specialization that deoptimizes
+    # back when the guess breaks
+    "speculative": TierPolicy("decoded", "inline", True, "speculative"),
+}
+
 #: valid values for the engine-wide and per-function tier setting
-TIERS = ("jit", "interp", "decoded", "tiered", "tiered-bg", "speculative")
+TIERS = tuple(POLICIES)
 
 
 def _mark_thunk(wrapper: Callable, prefix: str, func,
@@ -217,13 +238,16 @@ class ExecutionEngine:
         self._globals: Dict[str, tuple] = {}
         self._decoded: Dict[str, DecodedFunction] = {}
         #: per-function compile generation, bumped by :meth:`invalidate`;
-        #: the background publish protocol's staleness stamp
+        #: the publish protocol's staleness stamp
         self._generations: Dict[str, int] = {}
+        #: function name -> the box its dispatcher reads ("which code
+        #: does a call reach now"), for functions under a promoting policy
+        self._boxes: Dict[str, PublishBox] = {}
         #: namespaces patched by lazy trampolines (function name ->
         #: [(namespace, slot)]), re-pointed on invalidation so no caller
         #: keeps a direct reference to dropped code
         self._patched: Dict[str, List[Tuple[dict, str]]] = {}
-        #: the background compile queue (``tiered-bg``); shared when
+        #: the background compile queue (background promotion); shared when
         #: passed in, else created lazily by :meth:`_ensure_bg_queue`
         self._bg_queue = compile_queue
         self._interp_step_limit = interp_step_limit
@@ -258,7 +282,7 @@ class ExecutionEngine:
         #: tier-up machinery
         self.profiler = TierProfiler(call_threshold, backedge_threshold)
         #: speculation & deopt machinery, created lazily by
-        #: :meth:`_init_speculation` (the first speculative dispatcher or
+        #: :meth:`_init_speculation` (the first speculating dispatcher or
         #: an explicit call); None while the engine never speculates
         self.spec_manager = None
         self.deopt_manager = None
@@ -425,21 +449,11 @@ class ExecutionEngine:
                 raise Trap(f"unresolved external symbol @{func.name}")
             self._compiled[func.name] = native
             return native
-        tier = self._tier_overrides.get(func.name, self.tier)
-        if tier == "jit":
-            compiled = compile_function(func, self)
-        elif tier == "interp":
-            compiled = self._make_interp_thunk(func)
-        elif tier == "decoded":
-            compiled = self._make_decoded_thunk(func)
-        elif tier == "speculative":
-            compiled = self._make_speculative_dispatcher(func)
-        elif tier == "tiered-bg":
-            compiled = self._make_tierup_dispatcher(
-                func, self._promote_background, "tieredbg")
-        else:  # tiered
-            compiled = self._make_tierup_dispatcher(
-                func, self._promote_inline, "tiered")
+        policy = self._policy(func)
+        if policy.promote is None:
+            compiled = self._baseline(func, policy.baseline)
+        else:
+            compiled = self._make_dispatcher(func, policy)
         if func.attributes.get("osr.entrypoint") == "resolved":
             # resolved-OSR continuations are entered straight from the osr
             # block's tail call; interpose so the transfer is observable.
@@ -460,53 +474,63 @@ class ExecutionEngine:
 
         return _mark_thunk(fired, "osrfire", func, wrapped=compiled)
 
-    def _make_interp_thunk(self, func: Function) -> Callable:
-        engine = self
+    def _policy(self, func: Function) -> TierPolicy:
+        return POLICIES[self._tier_overrides.get(func.name, self.tier)]
 
-        def run(*args):
-            interp = Interpreter(engine, step_limit=engine._interp_step_limit)
-            return interp.run_function(func, list(args))
+    def _baseline(self, func: Function, kind: str,
+                  profiled: bool = False) -> Callable:
+        """The leaf callable running ``func`` in one tier, no promotion:
+        what a non-promoting preset installs bare and what the
+        dispatcher runs while its box is empty.
 
-        return _mark_thunk(run, "interp", func)
+        ``decoded``: functions the decoder cannot lower fall back to the
+        tree-walker (counted in ``decode_fallbacks``).  Like the JIT
+        tier, the decoded form is a snapshot of the current body:
+        rewrite the IR and call :meth:`invalidate` to re-decode.  The
+        per-engine ``_decoded`` cache is consulted first
+        (version-checked), so a dispatcher and a pinned ``decoded`` tier
+        share one decode of the same body.
 
-    def _make_decoded_thunk(self, func: Function,
-                            profile_resolver=None) -> Callable:
-        """Thunk running ``func`` in the pre-decoded interpreter.
-
-        Functions the decoder cannot lower fall back to the tree-walker
-        (counted in ``decode_fallbacks``).  Like the JIT tier, the
-        decoded form is a snapshot of the current body: rewrite the IR
-        and call :meth:`invalidate` to re-decode.  The per-engine
-        ``_decoded`` cache is consulted first (version-checked), so the
-        tiered dispatchers and a pinned ``decoded`` tier share one
-        decode of the same body instead of re-decoding per thunk.
-
-        ``profile_resolver`` is a zero-argument callable returning the
-        profile to charge back edges to: the tier-up dispatchers pass
-        one so the counts land in the *current tenant's* profile when
-        the profiler is tenant-scoped.
+        ``profiled`` (the dispatcher's baseline) charges back edges to
+        the function's profile, resolved per call so the counts land in
+        the *current tenant's* when the profiler is tenant-scoped.
         """
-        decoded = self._decoded.get(func.name)
-        if (decoded is None or decoded.func is not func
-                or decoded.version != func.code_version):
-            try:
-                decoded = decode_function(func, self)
-            except DecodeError as error:
-                # drop any stale cached decode so nothing can revive it
-                self._decoded.pop(func.name, None)
-                self.telemetry.event(EV.DECODE_BAILOUT, function=func.name,
-                                     reason=str(error))
-                return self._make_interp_thunk(func)
-            self._decoded[func.name] = decoded
-            self.metrics.gauge(EV.DECODE_FRAME_SLOTS, decoded.frame_slots)
-            fusion = decoded.fusion
-            if fusion["cmp_br"] or fusion["op_chain"] or fusion["phi_copy"]:
-                self.telemetry.event(EV.DECODE_FUSE, function=func.name,
-                                     cmp_br=fusion["cmp_br"],
-                                     op_chain=fusion["op_chain"],
-                                     phi_copy=fusion["phi_copy"])
+        if kind == "jit":
+            return compile_function(func, self)
+        if kind == "decoded":
+            decoded = self._decoded.get(func.name)
+            if (decoded is None or decoded.func is not func
+                    or decoded.version != func.code_version):
+                try:
+                    decoded = decode_function(func, self)
+                except DecodeError as error:
+                    # drop any stale cached decode so nothing can revive it
+                    self._decoded.pop(func.name, None)
+                    self.telemetry.event(
+                        EV.DECODE_BAILOUT, function=func.name,
+                        reason=str(error))
+                    kind = "interp"
+                else:
+                    self._decoded[func.name] = decoded
+                    self.metrics.gauge(EV.DECODE_FRAME_SLOTS,
+                                       decoded.frame_slots)
+                    fusion = decoded.fusion
+                    if (fusion["cmp_br"] or fusion["op_chain"]
+                            or fusion["phi_copy"]):
+                        self.telemetry.event(
+                            EV.DECODE_FUSE, function=func.name,
+                            cmp_br=fusion["cmp_br"],
+                            op_chain=fusion["op_chain"],
+                            phi_copy=fusion["phi_copy"])
+        if kind == "interp":
+            def run(*args):
+                interp = Interpreter(self, step_limit=self._interp_step_limit)
+                return interp.run_function(func, list(args))
+
+            return _mark_thunk(run, "interp", func)
+
         limit = self._interp_step_limit
-        if profile_resolver is None and limit is None:
+        if not profiled and limit is None:
             run = decoded.run
 
             def run_fast(*args):
@@ -514,118 +538,89 @@ class ExecutionEngine:
 
             return _mark_thunk(run_fast, "decoded", func, wrapped=run)
 
-        if profile_resolver is not None:
+        if profiled:
+            resolve, name = self.profiler.profile_for, func.name
+
             def run_counted(*args):
-                return decoded.run_counted(args, limit, profile_resolver())
+                return decoded.run_counted(args, limit, resolve(name))
         else:
             def run_counted(*args):
                 return decoded.run_counted(args, limit)
 
         return _mark_thunk(run_counted, "decoded", func)
 
-    def _make_tierup_dispatcher(self, func: Function, promote: Callable,
-                                prefix: str) -> Callable:
-        """The ``tiered`` and ``tiered-bg`` tiers: decoded interpreter
-        with hotness counters until a promoted callable is published
-        into the dispatcher's :class:`PublishBox`.
-
-        The two tiers differ only in ``promote``, the step taken when a
-        threshold trips: :meth:`_promote_inline` compiles on the calling
-        thread and fills the box; :meth:`_promote_background` submits a
-        :class:`CompileJob` and keeps running the decoded tier until a
-        worker publishes (see :meth:`_publish_background`).
-        Invalidation replaces the whole dispatcher, so a rewritten body
-        starts over with a fresh box and fresh counters.
-        """
-        box = PublishBox(self.compile_generation(func.name))
-        cold = self._tierup_cold_path(func, box, promote)
-
-        def dispatch(*args):
-            promoted = box.value
-            if promoted is not None:
-                return promoted(*args)
-            return cold(*args)
-
-        return _mark_thunk(dispatch, prefix, func)
-
-    def _tierup_cold_path(self, func: Function, box: PublishBox,
-                          promote: Callable) -> Callable:
-        """What a call does while ``box`` is still empty: count it, run
-        ``promote`` once a threshold trips, else stay on the decoded
-        tier.  Shared by every promoting dispatcher.
+    def _make_dispatcher(self, func: Function, policy: TierPolicy) -> Callable:
+        """The one dispatcher of every promoting policy: call whatever
+        is published in the function's :class:`PublishBox`, else run the
+        cold path — count the call, take the :meth:`_promote` step once
+        a threshold trips, stay on the baseline tier otherwise.
 
         Promotion is checked at call boundaries; the backedge counter
         (fed by the decoded tier's profiled loop) lets a function that is
         called once but loops hot promote on its *next* call — replacing
         a loop mid-flight is the OSR machinery's job, not the tier-up's.
-
-        The profile is resolved per call through the profiler so a
-        tenant scope installed by :class:`~repro.serve.server.VMServer`
-        charges hotness to the requesting tenant's profile — one
-        tenant's traffic never trips another's thresholds.
-
-        ``promote(func, profile, box)`` returns the compiled callable
-        when the promotion landed on this call, or None when it will be
-        published later (it then latches ``box.requested`` so the
-        following calls do not ask again).
+        The profile is resolved per call, so a tenant scope installed by
+        :class:`~repro.serve.server.VMServer` charges hotness to the
+        requesting tenant — one tenant's traffic never trips another's
+        thresholds.  Invalidation replaces the whole dispatcher: a
+        rewritten body starts over with a fresh box and fresh counters.
         """
+        name = func.name
         profiler = self.profiler
         resolve = profiler.profile_for
-        name = func.name
-        baseline = self._make_decoded_thunk(
-            func, profile_resolver=lambda: resolve(name))
+        box = self._boxes[name] = PublishBox(self.compile_generation(name))
+        baseline = self._baseline(func, policy.baseline, profiled=True)
+        if policy.speculate:
+            # argument feedback starts with the first cold call, so a
+            # promoted function can specialize as soon as it is warm
+            self._init_speculation()
+            unrecorded = baseline
+
+            def baseline(*args):
+                resolve(name).record_args(args)
+                return unrecorded(*args)
+
+        background = policy.promote == "background"
+        promote = self._promote
 
         def cold(*args):
             profile = resolve(name)
             profile.calls += 1
             if not box.requested and profiler.should_promote(profile):
-                promoted = promote(func, profile, box)
-                if promoted is not None:
-                    return promoted(*args)
+                promote(func, profile, box, background)
+                published = box.value
+                if published is not None:
+                    return published(*args)
             return baseline(*args)
 
-        return cold
+        def dispatch(*args):
+            published = box.value
+            if published is not None:
+                return published(*args)
+            return cold(*args)
 
-    def _promote_inline(self, func: Function, profile,
-                        box: PublishBox) -> Callable:
-        """Promote step of ``tiered`` and ``speculative``: compile now,
-        on the calling thread, and fill the box."""
-        self._emit_hot_event(func, profile)
-        promoted = compile_function(func, self)
-        self._record_promotion(func, profile)
-        box.value = promoted
-        return promoted
+        return _mark_thunk(dispatch, policy.label, func)
 
-    def _promote_background(self, func: Function, profile,
-                            box: PublishBox) -> None:
-        """Promote step of ``tiered-bg``: queue a non-blocking compile
-        (priority = the tripping profile's hotness); a worker fills the
-        box through :meth:`_publish_background`."""
+    def _promote(self, func: Function, profile, box: PublishBox,
+                 background: bool) -> None:
+        """The one promote step: latch the request, then compile and
+        publish through :func:`~repro.vm.background.run_job` — on a
+        queue worker (priority = the tripping profile's hotness) while
+        the caller stays on the baseline tier, or right here.  Whatever
+        the job's outcome, the box tells the dispatcher what to run."""
         # benign race: two threads may both pass the latch check; the
-        # queue's pending-set dedups the second submit
+        # queue's pending-set dedups the second submit, an inline second
+        # job finds the box filled and discards
         box.requested = True
-        self._emit_hot_event(func, profile)
-        self._ensure_bg_queue().submit(self, func, box, profile)
-        return None
-
-    def _emit_hot_event(self, func: Function, profile) -> None:
         call_hot = profile.calls >= self.profiler.call_threshold
         self.telemetry.event(
             EV.PROFILE_CALL_HOT if call_hot else EV.PROFILE_BACKEDGE_HOT,
             function=func.name, calls=profile.calls,
-            backedges=profile.backedges,
-        )
-
-    def _record_promotion(self, func: Function, profile) -> None:
-        """Stamp ``profile`` (the one whose counters tripped) as promoted,
-        report it, and redirect the function handle."""
-        profile.promoted_version = func.code_version
-        self.telemetry.event(EV.TIER_PROMOTE, function=func.name,
-                             code_version=func.code_version,
-                             calls=profile.calls, backedges=profile.backedges)
-        handle = self._handles.get(func.name)
-        if handle is not None:
-            handle.invalidate()
+            backedges=profile.backedges)
+        if background:
+            self._ensure_bg_queue().submit(self, func, box, profile)
+        else:
+            run_job(CompileJob(self, func, box, profile))
 
     # -- persistent code cache ----------------------------------------------------
 
@@ -648,31 +643,26 @@ class ExecutionEngine:
             self.telemetry.event(EV.DISKCACHE_MISS, function=func.name)
         return artifact
 
-    def disk_store(self, func: Function, artifact) -> bool:
+    def disk_store(self, func: Function, artifact) -> None:
         """Write a freshly generated artifact through to the disk cache
-        (no-op without one).  Called by the JIT's cold path and by the
-        background queue's workers after a successful publish."""
+        (no-op without one); ``acquire_artifact``'s last step."""
         cache = self.disk_cache
-        if cache is None:
-            return False
-        if not cache.store(func, artifact):
-            return False
-        self.telemetry.event(EV.DISKCACHE_WRITE, function=func.name,
-                             code_version=func.code_version)
-        return True
+        if cache is not None and cache.store(func, artifact):
+            self.telemetry.event(EV.DISKCACHE_WRITE, function=func.name,
+                                 code_version=func.code_version)
 
-    def _publish_background(self, job: CompileJob, artifact) -> bool:
-        """Atomically install a background worker's compile result.
+    def _publish(self, job: CompileJob, artifact) -> bool:
+        """Atomically install a compile job's result — the one publish
+        routine, called by ``run_job`` from whichever thread compiled.
 
-        Returns False — the worker then discards — unless, under the
+        Returns False — the job then discards — unless, under the
         engine lock, the job's generation stamp still matches the
         function's compile generation (no :meth:`invalidate` landed
-        between submit and publish) *and* the artifact still matches the
-        live body.  The publish itself is the single assignment of
-        ``job.box.value``.
+        since the promote), the artifact still matches the live body
+        *and* the box is still empty.  A speculating policy publishes
+        the code behind the speculation manager's feedback stage.
         """
-        func = job.func
-        box = job.box
+        func, box = job.func, job.box
         with self._lock:
             if (job.cancelled
                     or self.compile_generation(func.name) != box.generation
@@ -680,16 +670,41 @@ class ExecutionEngine:
                     or box.value is not None):
                 return False
             compiled = artifact.instantiate(self)
+            if self._policy(func).speculate:
+                compiled = self.spec_manager.on_promote(func, compiled)
             box.value = compiled  # the atomic publish
-            # the job carries the tripping profile: this worker thread
-            # has no tenant scope to resolve it through
-            self._record_promotion(func, job.profile)
+            # stamp the profile whose counters tripped (the job carries
+            # it: a worker thread has no tenant scope to resolve it
+            # through), report, and redirect the function handle
+            profile = job.profile
+            profile.promoted_version = func.code_version
+            self.telemetry.event(
+                EV.TIER_PROMOTE, function=func.name,
+                code_version=func.code_version,
+                calls=profile.calls, backedges=profile.backedges)
+            handle = self._handles.get(func.name)
+            if handle is not None:
+                handle.invalidate()
+            return True
+
+    def republish(self, func: Function, stage: Callable) -> bool:
+        """Publish ``stage`` *over* ``func``'s compiled code: how the
+        speculation manager re-points a call boundary (a specialization,
+        a sibling, the plain code again once pinned).  False, and nothing
+        changes, when there is nothing to go above: no dispatcher, or a
+        box still empty (an :meth:`invalidate` swept the published one).
+        """
+        with self._lock:
+            box = self._boxes.get(func.name)
+            if box is None or box.value is None:
+                return False
+            box.value = stage
             return True
 
     def compile_generation(self, name: str) -> int:
         """Per-function compile generation: bumped by :meth:`invalidate`,
         stamped into :class:`PublishBox` at dispatcher creation, and
-        re-checked (under the engine lock) before a background publish."""
+        re-checked (under the engine lock) by :meth:`_publish`."""
         return self._generations.get(name, 0)
 
     def _ensure_bg_queue(self) -> CompileQueue:
@@ -760,40 +775,6 @@ class ExecutionEngine:
         if dependent not in deps:
             deps.append(dependent)
 
-    def _make_speculative_dispatcher(self, func: Function) -> Callable:
-        """The ``speculative`` tier: the tiered dispatcher plus argument
-        value feedback and guarded specialization above the JIT.
-
-        Cold: decoded interpreter with counters.  Warm: JIT, recording
-        per-slot argument values.  Hot + monomorphic: calls route to the
-        guarded specialization; its guards deopt back through the
-        continuation machinery when the assumption breaks.
-        """
-        self._init_speculation()
-        spec = self.spec_manager
-        resolve = self.profiler.profile_for
-        name = func.name
-        state = spec.state_for(func)
-        box = PublishBox(self.compile_generation(name))
-        cold = self._tierup_cold_path(func, box, self._promote_inline)
-
-        def dispatch(*args):
-            active = state.active
-            if active is not None:
-                return active(*args)
-            profile = resolve(name)
-            profile.record_args(args)
-            promoted = box.value
-            if promoted is None:
-                return cold(*args)
-            spec.maybe_specialize(func, profile)
-            active = state.active
-            if active is not None:
-                return active(*args)
-            return promoted(*args)
-
-        return _mark_thunk(dispatch, "speculative", func)
-
     def set_tier(self, func: Function, tier: str) -> None:
         """Pin one function to a tier (mixed-mode execution).
 
@@ -837,6 +818,7 @@ class ExecutionEngine:
             self.analysis.invalidate(func)
             self._compiled.pop(func.name, None)
             self._decoded.pop(func.name, None)
+            self._boxes.pop(func.name, None)
             tel = self.telemetry
             tel.event(EV.ENGINE_INVALIDATE, function=func.name,
                       code_version=func.code_version)

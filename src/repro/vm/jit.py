@@ -47,10 +47,11 @@ touches the engine at all (resources become binding descriptors), and
 :meth:`CompiledCode.instantiate` only calls the engine's resolution
 APIs (``handle_for``, ``global_pointer``, object-table lookups), which
 the engine serializes internally.  That is what lets the background
-compile queue run :func:`codegen_function` on a worker thread while the
-caller keeps executing the decoded tier.  A module-level lock
-serializes concurrent codegen of the same function so the per-function
-artifact cache is published atomically.
+compile queue run :func:`acquire_artifact` (memory cache, disk cache,
+:func:`codegen_function`) on a worker thread while the caller keeps
+executing the decoded tier.  A module-level lock serializes concurrent
+codegen of the same function so the per-function artifact cache is
+published atomically.
 
 Codegen is deterministic: the same IR body always produces a
 byte-identical code object (fresh-name counters are per-compiler), which
@@ -255,22 +256,16 @@ class CompiledCode:
     """
 
     __slots__ = ("code", "py_name", "bindings", "version", "shape",
-                 "frame_stats", "_source_hook", "_source")
+                 "_source_hook", "_source")
 
     def __init__(self, code, py_name: str, bindings: Dict[str, Tuple],
                  version: int, shape: Tuple[int, int],
-                 source_hook: Optional[Callable[[], str]] = None,
-                 frame_stats: Optional[Dict[str, int]] = None):
+                 source_hook: Optional[Callable[[], str]] = None):
         self.code = code
         self.py_name = py_name
         self.bindings = bindings
         self.version = version
         self.shape = shape
-        #: frame-footprint metadata stamped at codegen time (``buffers``
-        #: = allocas lowered to per-call memory buffers, ``values`` =
-        #: non-void instruction results).  Diagnostic only — never
-        #: serialized; artifacts revived from the disk cache carry None.
-        self.frame_stats = frame_stats
         self._source_hook = source_hook
         self._source: Optional[str] = None
 
@@ -574,17 +569,10 @@ class FunctionCompiler:
         func = self.func
         tree = self.build_tree()
         code = compile(tree, f"<jit:@{func.name}>", "exec")
-        buffers = values = 0
-        for inst in func.instructions():
-            if isinstance(inst, AllocaInst):
-                buffers += 1
-            if not inst.type.is_void:
-                values += 1
         return CompiledCode(
             code, self._py_name(), self.bindings,
             func.code_version, func.code_shape(),
             source_hook=_make_source_hook(func),
-            frame_stats={"buffers": buffers, "values": values},
         )
 
     def build_tree(self) -> ast.Module:
@@ -1032,40 +1020,40 @@ def publish_artifact(func: Function, artifact: CompiledCode) -> CompiledCode:
     return artifact
 
 
-def compile_function(func: Function, engine):
-    """Compile an IR function to a Python callable bound to ``engine``.
+def acquire_artifact(func: Function, engine) -> CompiledCode:
+    """``func``'s compiled artifact, from the cheapest place that has it:
+    the function's in-memory cache, then ``engine``'s persistent disk
+    cache (a hit deserializes and installs the stored artifact instead
+    of compiling), then code generation, written through to disk.
 
-    Warm path (the function's cached artifact is still valid): descriptor
-    resolution + ``exec`` only.  Cold path: the engine's persistent disk
-    cache (when one is attached) is consulted first — a disk hit
-    deserializes and installs the stored artifact instead of compiling —
-    then AST build and ``compile()``, with the fresh artifact written
-    through to disk.  Which path ran is recorded on the engine's
-    telemetry (``jit.cache_hit``/``jit.cache_miss`` plus
-    ``diskcache.hit``/``diskcache.miss``/``diskcache.write``), with a
-    ``jit.compile`` span around cold code generation (the
-    ``codegen.build`` span nests inside it) — from whichever thread
-    compiles.
+    The one route to compiled code, on whichever thread wants it:
+    :func:`compile_function`, an inline promotion or a queue worker
+    (``vm/background.run_job``).  Engine-read-only: the engine is asked
+    for its disk cache and telemetry only, so a worker may run this
+    while callers keep executing.  Which path ran is recorded there
+    (``jit.cache_hit``/``jit.cache_miss`` plus ``diskcache.hit``/
+    ``diskcache.miss``/``diskcache.write``), with a ``jit.compile`` span
+    around cold code generation (``codegen.build`` nests inside it).
     """
     cached = func._cached_code
-    hit = cached is not None and cached.matches(func)
     tel = engine.telemetry
-    if hit:
+    if cached is not None and cached.matches(func):
         tel.event(EV.JIT_CACHE_HIT, function=func.name,
                   code_version=func.code_version)
-        return cached.instantiate(engine)
+        return cached
     tel.event(EV.JIT_CACHE_MISS, function=func.name)
-    # in-memory miss: a warm disk cache turns the cold compile into a
-    # deserialize + instantiate (the process-independent warm start)
-    disk_lookup = getattr(engine, "disk_lookup", None)
-    if disk_lookup is not None:
-        artifact = disk_lookup(func)
-        if artifact is not None:
-            return publish_artifact(func, artifact).instantiate(engine)
+    artifact = engine.disk_lookup(func)
+    if artifact is not None:
+        return publish_artifact(func, artifact)
     with tel.span(EV.JIT_COMPILE, function=func.name,
                   code_version=func.code_version):
         artifact = codegen_function(func)
-    disk_store = getattr(engine, "disk_store", None)
-    if disk_store is not None:
-        disk_store(func, artifact)
-    return artifact.instantiate(engine)
+    engine.disk_store(func, artifact)
+    return artifact
+
+
+def compile_function(func: Function, engine):
+    """Compile an IR function to a Python callable bound to ``engine``:
+    :func:`acquire_artifact`, then descriptor resolution + ``exec`` of
+    the ready code object."""
+    return acquire_artifact(func, engine).instantiate(engine)

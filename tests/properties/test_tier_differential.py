@@ -10,6 +10,7 @@ interleave across threads.
 """
 
 import struct
+import sys
 import threading
 
 import pytest
@@ -18,7 +19,11 @@ from hypothesis import strategies as st
 
 from repro.ir import parse_module
 from repro.ir.function import Module
+from repro.obs import events
+from repro.obs.profiler import classify_frame
+from repro.obs.telemetry import Telemetry
 from repro.vm import (
+    POLICIES,
     DecodeError,
     ExecutionEngine,
     StepLimitExceeded,
@@ -315,3 +320,148 @@ class TestDecodeFallback:
         engine = ExecutionEngine(module, tier="decoded")
         with pytest.raises(DecodeError):
             decode_function(module.get_function("ext"), engine)
+
+
+#: what ``obs.profiler.classify_frame`` calls each preset's entry frame
+FRAME_TIERS = {
+    "jit": "jit", "interp": "interp", "decoded": "decoded",
+    "tiered": "tiered-dispatch", "tiered-bg": "tiered-bg-dispatch",
+    "speculative": "speculative-dispatch",
+}
+
+
+@pytest.mark.parametrize("tier", POLICIES)
+class TestPolicyTable:
+    """Every preset of ``POLICIES`` through the one dispatcher: same
+    results as the oracle, promotion on either threshold, a fresh start
+    after ``invalidate()``, tenant-scoped hotness, stable frame labels."""
+
+    @staticmethod
+    def _engine(tier, **kwargs):
+        module = parse_module(TestStepAccounting.SRC)
+        engine = ExecutionEngine(module, tier=tier, **kwargs)
+        return engine, module.get_function("f")
+
+    @staticmethod
+    def _settle(engine):
+        assert engine.drain_background(5.0)
+        return engine.tier_promotions
+
+    def test_result_matches_interp_across_promotion(self, tier):
+        oracle, _ = self._engine("interp")
+        engine, _ = self._engine(tier, call_threshold=3)
+        results = [engine.run("f", 40) for _ in range(6)]
+        self._settle(engine)
+        results.append(engine.run("f", 40))
+        engine.shutdown_background()
+        assert set(results) == {oracle.run("f", 40)}
+
+    def test_promotes_on_either_threshold(self, tier):
+        promotes = 1 if POLICIES[tier].promote else 0
+
+        def hot_events(engine):
+            return [e["name"] for e in engine.telemetry.events
+                    if e["name"] in (events.PROFILE_CALL_HOT,
+                                     events.PROFILE_BACKEDGE_HOT)]
+
+        engine, _ = self._engine(tier, call_threshold=3,
+                                 backedge_threshold=10**6,
+                                 telemetry=Telemetry())
+        for _ in range(5):
+            engine.run("f", 2)
+        assert self._settle(engine) == promotes
+        engine.shutdown_background()
+        assert hot_events(engine) == [events.PROFILE_CALL_HOT] * promotes
+        # one long call trips the backedge counter; promotion is checked
+        # at call boundaries, so it is the next call that promotes
+        engine, _ = self._engine(tier, call_threshold=10**6,
+                                 backedge_threshold=16,
+                                 telemetry=Telemetry())
+        engine.run("f", 100)
+        assert self._settle(engine) == 0
+        engine.run("f", 100)
+        assert self._settle(engine) == promotes
+        engine.shutdown_background()
+        assert hot_events(engine) == [events.PROFILE_BACKEDGE_HOT] * promotes
+
+    def test_invalidate_yields_a_fresh_box_and_demoted_counters(self, tier):
+        engine, func = self._engine(tier, call_threshold=2)
+        for _ in range(4):
+            engine.run("f", 5)
+        self._settle(engine)
+        box = engine._boxes.get("f")
+        if not POLICIES[tier].promote:
+            assert box is None
+            return
+        assert box.requested and box.value is not None
+        engine.invalidate(func)
+        assert "f" not in engine._boxes
+        profile = engine.profiler.profile_for("f")
+        assert (profile.calls, profile.backedges, profile.promoted) == (
+            0, 0, False)
+        assert engine.run("f", 5) == 5
+        fresh = engine._boxes["f"]
+        assert fresh is not box
+        assert (fresh.value, fresh.requested) == (None, False)
+        assert fresh.generation == box.generation + 1
+        engine.shutdown_background()
+
+    def test_tenant_scope_charges_the_tenants_profile(self, tier):
+        engine, _ = self._engine(tier, call_threshold=3)
+        with engine.profiler.tenant_scope("alice"):
+            engine.run("f", 5)
+            engine.run("f", 5)
+        assert engine.profiler.snapshot() == {}  # nothing in the default scope
+        tenants = engine.profiler.tenant_snapshot()
+        if POLICIES[tier].promote:
+            assert tenants == {"alice": {"f": {
+                "calls": 2, "backedges": 8, "promoted": False}}}
+        else:
+            assert tenants == {}
+
+    def test_entry_frame_label_is_what_the_profiler_keys_on(self, tier):
+        engine, func = self._engine(tier)
+        thunk = engine.get_compiled(func)
+        assert classify_frame(thunk.__code__.co_name) == (
+            FRAME_TIERS[tier], "f")
+        if tier != "jit":
+            assert thunk.__name__ == f"{POLICIES[tier].label}_f"
+
+
+PROBED = """
+declare i64 @probe(i64)
+
+define i64 @g(i64 %x) {
+entry:
+  %r = call i64 @probe(i64 %x)
+  ret i64 %r
+}
+"""
+
+
+@pytest.mark.parametrize("tier", ["tiered", "tiered-bg"])
+def test_promoted_call_is_dispatcher_frame_then_jit_frame(tier):
+    engine = ExecutionEngine(parse_module(PROBED), tier=tier,
+                             call_threshold=2)
+    stacks = []
+
+    def probe(x):
+        names = []
+        frame = sys._getframe(1)
+        while frame.f_code is not ExecutionEngine.call.__code__:
+            names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        stacks.append(names)
+        return x
+
+    engine.add_native("probe", probe)
+    for _ in range(4):
+        assert engine.run("g", 7) == 7
+    assert engine.drain_background(5.0)
+    # the first JIT'd call still patches the callee's lazy trampoline
+    for _ in range(2):
+        assert engine.run("g", 7) == 7
+    engine.shutdown_background()
+    label = POLICIES[tier].label
+    # innermost first; the native handle's own ``__call__`` is the callee
+    assert stacks[-1] == ["__call__", "_jit_g", f"{label}_g"]

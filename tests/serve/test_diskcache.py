@@ -6,7 +6,7 @@ import pytest
 
 from repro.ir import parse_module
 from repro.serve import DiskCodeCache
-from repro.vm import ExecutionEngine
+from repro.vm import POLICIES, ExecutionEngine
 from repro.vm.jit import CompiledCode, codegen_function
 
 CHAIN = """
@@ -227,21 +227,41 @@ def test_clear_removes_entries(cache):
 # -- engine wiring ----------------------------------------------------------------
 
 
-def test_engine_warm_starts_from_disk(tmp_path):
+@pytest.mark.parametrize(
+    "tier", [tier for tier, policy in POLICIES.items()
+             if policy.baseline == "jit" or policy.promote])
+def test_engine_warm_starts_from_disk(tmp_path, tier):
+    """Whatever the policy that compiles — on first call, inline at the
+    threshold or on a queue worker — every artifact is written through
+    once, and a fresh engine of the same tier is served from disk."""
     cache_dir = tmp_path / "cache"
-    cold_engine = ExecutionEngine(parse_module(CHAIN), tier="jit",
+
+    def run_hot(engine):
+        results = {engine.run("chain", 4) for _ in range(5)}
+        assert engine.drain_background(10.0)
+        results.add(engine.run("chain", 4))
+        engine.shutdown_background()
+        return results
+
+    cold_engine = ExecutionEngine(parse_module(CHAIN), tier=tier,
+                                  call_threshold=3,
                                   disk_cache=str(cache_dir))
-    cold = cold_engine.run("chain", 4)
-    assert cold_engine.disk_cache.stats()["writes"] == 1
+    cold = run_hot(cold_engine)
+    assert cold == {(4 + 10) * 3}
+    # @chain, plus its guarded specialization under ``speculative``
+    compiled = 2 if POLICIES[tier].speculate else 1
+    assert cold_engine.disk_cache.stats()["writes"] == compiled
 
     # a fresh parse simulates a new process: new Function objects, empty
     # in-memory caches, same identity hash
-    warm_engine = ExecutionEngine(parse_module(CHAIN), tier="jit",
+    warm_engine = ExecutionEngine(parse_module(CHAIN), tier=tier,
+                                  call_threshold=3,
                                   disk_cache=str(cache_dir))
-    assert warm_engine.run("chain", 4) == cold
+    assert run_hot(warm_engine) == cold
     stats = warm_engine.disk_cache.stats()
-    assert stats["hits"] == 1 and stats["misses"] == 0
-    assert warm_engine.metrics.counter("diskcache.hit") == 1
+    assert (stats["hits"], stats["misses"], stats["writes"]) == (
+        compiled, 0, 0)
+    assert warm_engine.metrics.counter("diskcache.hit") == compiled
 
 
 def test_engine_accepts_cache_instance(tmp_path):

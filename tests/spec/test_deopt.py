@@ -157,7 +157,7 @@ class TestDispatchedContinuations:
             if state.pinned:
                 break
         assert state.pinned
-        assert state.active is None
+        assert state.active_version is None
         # pinned functions still execute correctly through the baseline
         assert engine.run("poly", 999, 10) == _expected(999, 10)
 
@@ -214,7 +214,7 @@ class TestInvalidationCascade:
         spec_name = state.active_version.function.name
         engine.invalidate(func)
         assert state.versions == {}
-        assert state.active is None
+        assert state.active_version is None
         assert engine._compiled.get(spec_name) is None
         names = [e["name"] for e in tel.events]
         assert EV.DEOPT_INVALIDATE in names

@@ -2,7 +2,7 @@
 protocol, the invalidation sweep, and thunk identity propagation.
 
 The deterministic races here are staged by monkeypatching
-``repro.vm.background.codegen_function`` with a gated wrapper, so the
+``repro.vm.background.acquire_artifact`` with a gated wrapper, so the
 worker can be held mid-compile while the test mutates engine state on
 the main thread.
 """
@@ -16,6 +16,7 @@ from repro.ir import parse_module, types as T
 from repro.ir.values import ConstantInt
 from repro.obs import Telemetry, events
 from repro.vm import (
+    POLICIES,
     TIERS,
     CompileQueue,
     ExecutionEngine,
@@ -24,6 +25,7 @@ from repro.vm import (
     PublishBox,
 )
 from repro.vm import background as bg
+from repro.vm import jit
 
 LOOP = """
 define i64 @sumto(i64 %n) {
@@ -79,15 +81,15 @@ class _GatedCodegen:
         self.release = threading.Event()
         self.entered = threading.Event()
         self.order = []
-        self._real = bg.codegen_function
-        monkeypatch.setattr(bg, "codegen_function", self)
+        self._real = bg.acquire_artifact
+        monkeypatch.setattr(bg, "acquire_artifact", self)
 
-    def __call__(self, func):
+    def __call__(self, func, engine):
         self.order.append(func.name)
         if func.name in self.block:
             self.entered.set()
             assert self.release.wait(5.0), "gate never released"
-        return self._real(func)
+        return self._real(func, engine)
 
 
 class TestBackgroundPromotion:
@@ -156,21 +158,33 @@ class TestBackgroundPromotion:
         assert queue.installed == 1
         engine.shutdown_background()
 
-    def test_jit_failure_latches_decoded(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "tier", [tier for tier, policy in POLICIES.items() if policy.promote])
+    def test_jit_failure_latches_decoded(self, tier, monkeypatch):
         def broken(func):
             raise JITError("no lowering today")
 
-        monkeypatch.setattr(bg, "codegen_function", broken)
-        engine, _ = _engine(call_threshold=2)
+        monkeypatch.setattr(jit, "codegen_function", broken)
+        tel = Telemetry()
+        engine, _ = _engine(tier=tier, call_threshold=2, telemetry=tel)
+        # every call comes back via the decoded tier, the JITError never
+        # reaches the caller
         for _ in range(8):
             assert engine.run("sumto", 10) == 55
         assert engine.drain_background(5.0)
+        # the box latched the request: one promotion attempt, no retry
+        box = engine._boxes["sumto"]
+        assert box.requested and box.value is None
+        names = [e["name"] for e in tel.events]
+        assert names.count(events.PROFILE_CALL_HOT) == 1
+        assert names.count(events.COMPILE_START) == 1
+        reasons = [e["args"]["reason"] for e in tel.events
+                   if e["name"] == events.COMPILE_DISCARD]
+        assert len(reasons) == 1 and reasons[0].startswith("jit-error:")
+        assert not engine.profiler.profile_for("sumto").promoted
         queue = engine.background_queue
-        assert queue.failed == 1
-        assert queue.installed == 0
-        # the box latched the request: no resubmission on later calls
-        engine.run("sumto", 10)
-        assert queue.submitted == 1
+        if queue is not None:
+            assert (queue.submitted, queue.failed, queue.installed) == (1, 1, 0)
         engine.shutdown_background()
 
     def test_priority_pops_hottest_first(self, monkeypatch):
@@ -290,15 +304,15 @@ entry:
         stale = CompileJob(engine, func, PublishBox(generation=0), profile)
         engine.invalidate(func)  # generation is now 1
         fresh_artifact = codegen_function(func)
-        assert engine._publish_background(stale, fresh_artifact) is False
+        assert engine._publish(stale, fresh_artifact) is False
         live = CompileJob(engine, func,
                           PublishBox(engine.compile_generation(func.name)),
                           profile)
-        assert engine._publish_background(live, fresh_artifact) is True
+        assert engine._publish(live, fresh_artifact) is True
         assert live.box.value is not None
         assert profile.promoted
         # a box publishes at most once
-        assert engine._publish_background(live, fresh_artifact) is False
+        assert engine._publish(live, fresh_artifact) is False
 
     def test_drain_without_queue_is_trivially_idle(self):
         engine, _ = _engine(tier="tiered")

@@ -289,3 +289,22 @@ entry:
         info.type, info.value, info.tb))
     assert "<semantics>/udiv/slot,slot/i64" in text
     assert "_nz(frame[b] & 18446744073709551615)" in text
+
+
+def test_fault_traceback_shows_the_decoder_body():
+    source = """
+define i64 @f() {
+entry:
+  %r = load i64, i64* null
+  ret i64 %r
+}
+"""
+    engine = ExecutionEngine(parse_module(source), tier="decoded")
+    with pytest.raises(MemoryError) as info:
+        engine.run("f")
+    text = "".join(traceback.format_exception(
+        info.type, info.value, info.tb))
+    # the load feeds the ret, so it runs as that closure's fused thunk
+    assert "<decode>/ret/thunk" in text
+    assert "<decode>/load_scalar_val/slot" in text
+    assert "buf.check(off, size)" in text

@@ -1,0 +1,126 @@
+"""Structure guard: the tier machinery says each thing once.
+
+One dispatcher over one :class:`PublishBox` per function, one
+compile-and-publish path, one closure skeleton in the decoder.  Each of
+these used to exist two to five times, kept in step by hand, and the
+copies drifted (a worker that never read the disk cache, an inline
+promotion that raised where the background one latched).  These checks
+turn a reintroduced second copy into a failure with a file:line pointer.
+"""
+
+import ast
+import re
+from functools import lru_cache
+from pathlib import Path
+
+import repro
+
+SRC_ROOT = Path(repro.__file__).resolve().parent
+
+
+@lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text())
+
+
+def _innermost_sites(path: Path, matches):
+    """Names of the innermost functions (methods too) of ``path`` that
+    contain a node for which ``matches(node)`` holds."""
+    sites = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if owner is not None and owner not in sites and matches(node):
+            sites.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(_tree(path), None)
+    return sites
+
+
+def _calls(name: str):
+    def matches(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (getattr(func, "id", None) == name
+                or getattr(func, "attr", None) == name)
+    return matches
+
+
+def _assigns_box_value(node) -> bool:
+    """``<...box>.value = ...`` (boxes are named ``box`` everywhere)."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AugAssign) else [])
+    return any(isinstance(target, ast.Attribute) and target.attr == "value"
+               and "box" in ast.unparse(target.value).lower()
+               for target in targets)
+
+
+def test_one_dispatcher_over_one_box():
+    engine = SRC_ROOT / "vm" / "engine.py"
+    # the function's one box is made where its one dispatcher is made
+    assert _innermost_sites(engine, _calls("PublishBox")) == [
+        "_make_dispatcher"]
+    # and written by the two clauses of its contract: a compile job fills
+    # an empty box, speculation republishes over a filled one
+    assert sorted(_innermost_sites(engine, _assigns_box_value)) == [
+        "_publish", "republish"]
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        if path != engine:
+            sites = _innermost_sites(path, _assigns_box_value)
+            assert not sites, f"{path.relative_to(SRC_ROOT)}: {sites}"
+    defined = {node.name for node in ast.walk(_tree(engine))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {
+        "_make_interp_thunk", "_make_decoded_thunk",
+        "_make_tierup_dispatcher", "_tierup_cold_path",
+        "_make_speculative_dispatcher", "_promote_inline",
+        "_promote_background", "_publish_background",
+    }
+
+
+def test_speculation_keeps_no_call_boundary_target_of_its_own():
+    # what calls of a baseline reach lives in its box and nowhere else:
+    # no attribute or table entry of the speculation package is bound
+    # straight to freshly compiled code (the deopt manager's
+    # continuation cache is keyed by guard and entered mid-flight, never
+    # dispatched to at a call boundary)
+    stored = re.compile(r"[\w\]]\s*=\s*compile_function\(")
+    offenders = []
+    for path in sorted((SRC_ROOT / "spec").glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            code = line.split("#", 1)[0]
+            if stored.search(code) and not re.match(r"\s*\w+\s*=", code):
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offenders, "\n".join(offenders)
+    from repro.spec.manager import SpecState
+
+    assert "active" not in SpecState.__slots__
+
+
+def test_one_compile_and_publish_path():
+    callers = {}
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        for target in ("codegen_function", "acquire_artifact", "run_job",
+                       "_publish"):
+            for site in _innermost_sites(path, _calls(target)):
+                callers.setdefault(target, set()).add(
+                    f"{path.relative_to(SRC_ROOT)}:{site}")
+    # code generation is reached through the one acquisition routine ...
+    assert callers["codegen_function"] == {"vm/jit.py:acquire_artifact"}
+    # ... which a direct compile and the one job routine both go through
+    assert callers["acquire_artifact"] == {
+        "vm/jit.py:compile_function", "vm/background.py:run_job"}
+    # ... and that job routine is what a queue worker and an inline
+    # promotion run, and the only way into the engine's publish
+    assert callers["run_job"] == {
+        "vm/background.py:_worker_loop", "vm/engine.py:_promote"}
+    assert callers["_publish"] == {"vm/background.py:run_job"}
+
+
+def test_decoder_has_no_run_time_operand_shape_test():
+    text = (SRC_ROOT / "vm" / "decode.py").read_text()
+    assert "is not None else frame[" not in text
