@@ -41,13 +41,12 @@ class Loop:
         return block in self.blocks
 
     def exit_blocks(self) -> List[BasicBlock]:
-        """Blocks outside the loop targeted by edges from inside it."""
-        exits: List[BasicBlock] = []
-        for block in self.blocks:
-            for succ in block.successors():
-                if succ not in self.blocks and succ not in exits:
-                    exits.append(succ)
-        return exits
+        """Blocks outside the loop targeted by edges from inside it, in
+        function layout order (``blocks`` is a set: its iteration order
+        depends on object addresses and must not reach a result)."""
+        exits = {succ for block in self.blocks
+                 for succ in block.successors() if succ not in self.blocks}
+        return [b for b in self.header.parent.blocks if b in exits]
 
     @property
     def body_blocks(self) -> List[BasicBlock]:
@@ -62,14 +61,14 @@ class Loop:
 class LoopInfo:
     """All natural loops of a function, nested into a loop forest."""
 
-    def __init__(self, func: Function):
+    def __init__(self, func: Function,
+                 domtree: Optional[DominatorTree] = None):
         self.function = func
         self.loops: List[Loop] = []
-        self._compute()
+        self._compute(DominatorTree(func) if domtree is None else domtree)
 
-    def _compute(self) -> None:
+    def _compute(self, domtree: DominatorTree) -> None:
         func = self.function
-        domtree = DominatorTree(func)
         preds = predecessor_map(func)
         reachable = reachable_blocks(func)
 

@@ -81,12 +81,16 @@ def _same_liveness(a: LivenessInfo, b: LivenessInfo) -> bool:
 class AnalysisSpec(NamedTuple):
     """One registered analysis: how to compute it, how coarse a
     structural stamp guards it, and how to compare two results (the
-    preservation-honesty property test recomputes and compares)."""
+    preservation-honesty property test recomputes and compares).
+    ``needs`` names the managed analyses ``compute`` takes after the
+    function, so the manager hands over its cached results instead of
+    the analysis building private copies."""
 
     name: str
-    compute: Callable[[Function], object]
+    compute: Callable[..., object]
     granularity: str
     same_result: Callable[[object, object], bool]
+    needs: Tuple[str, ...] = ()
 
 
 #: the closed registry of managed analyses
@@ -98,7 +102,7 @@ ANALYSES: Dict[str, AnalysisSpec] = {
         "domtree", DominatorTree, GRANULARITY_CFG, _same_domtree
     ),
     "loops": AnalysisSpec(
-        "loops", LoopInfo, GRANULARITY_CFG, _same_loops
+        "loops", LoopInfo, GRANULARITY_CFG, _same_loops, needs=("domtree",)
     ),
     "escape": AnalysisSpec(
         "escape", EscapeInfo, GRANULARITY_BODY, _same_escape
@@ -231,13 +235,15 @@ class AnalysisManager:
 
     # -- queries -----------------------------------------------------------------
 
-    def get(self, name: str, func: Function):
-        """The ``name`` analysis of ``func``, cached per code version."""
+    def get(self, name: str, func: Function, _asked: bool = True):
+        """The ``name`` analysis of ``func``, cached per code version.
+        Hits and misses count what consumers asked for; the manager's own
+        fetch of an analysis another one needs passes ``_asked=False``."""
         spec = ANALYSES[name]
         with self._lock:
             if self.bypass:
-                self.misses += 1
-                return spec.compute(func)
+                self.misses += _asked
+                return self._compute(spec, func)
             cell = self._cells.get(id(func))
             if cell is not None and cell.func is func:
                 if cell.version != func.code_version:
@@ -249,16 +255,21 @@ class AnalysisManager:
                     if (entry is not None
                             and entry[0] == analysis_stamp(
                                 func, spec.granularity)):
-                        self.hits += 1
+                        if _asked:
+                            self.hits += 1
+                            self._tel().event(
+                                EV.ANALYSIS_CACHE_HIT,
+                                function=func.name, analysis=name)
                         self._cells.move_to_end(id(func))
-                        self._tel().event(EV.ANALYSIS_CACHE_HIT,
-                                          function=func.name, analysis=name)
                         return entry[1]
-            self.misses += 1
-            self._tel().event(EV.ANALYSIS_CACHE_MISS,
-                              function=func.name, analysis=name,
-                              code_version=func.code_version)
-            result = spec.compute(func)
+            if _asked:
+                self.misses += 1
+                self._tel().event(EV.ANALYSIS_CACHE_MISS,
+                                  function=func.name, analysis=name,
+                                  code_version=func.code_version)
+            result = self._compute(spec, func)
+            # computing a needed analysis may have made the cell meanwhile
+            cell = self._cells.get(id(func))
             if cell is None or cell.func is not func:
                 cell = _Cell(func)
                 self._cells[id(func)] = cell
@@ -269,6 +280,10 @@ class AnalysisManager:
             while len(self._cells) > self.max_functions:
                 self._cells.popitem(last=False)
             return result
+
+    def _compute(self, spec: AnalysisSpec, func: Function):
+        return spec.compute(
+            func, *(self.get(name, func, False) for name in spec.needs))
 
     def liveness(self, func: Function) -> LivenessInfo:
         return self.get("liveness", func)

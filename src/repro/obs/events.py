@@ -17,6 +17,7 @@ name                      kind   emitted when
 ``codegen.build``         span   the pure AST-construction + bytecode-compile step
 ``jit.cache_hit``         event  warm materialization from the code cache
 ``jit.cache_miss``        event  the cache had no valid artifact
+``jit.fallback``          event  codegen emitted block dispatch, not structured code
 ``decode.bailout``        event  the pre-decoder fell back to the tree-walker
 ``decode.fuse``           event  the decoder fused superinstructions in a function
 ``osr.insert``            span   an OSR point is inserted (resolved/open/mcosr/feval)
@@ -70,6 +71,7 @@ JIT_COMPILE = "jit.compile"
 CODEGEN_BUILD = "codegen.build"
 JIT_CACHE_HIT = "jit.cache_hit"
 JIT_CACHE_MISS = "jit.cache_miss"
+JIT_FALLBACK = "jit.fallback"
 DECODE_BAILOUT = "decode.bailout"
 DECODE_FUSE = "decode.fuse"
 OSR_INSERT = "osr.insert"
@@ -128,6 +130,7 @@ INSTANT_NAMES = frozenset({
     PROFILE_BACKEDGE_HOT,
     JIT_CACHE_HIT,
     JIT_CACHE_MISS,
+    JIT_FALLBACK,
     DECODE_BAILOUT,
     DECODE_FUSE,
     OSR_COMPENSATION,

@@ -19,6 +19,7 @@ Commands::
     load_matlab <file>        load MATLAB-subset functions (run via mcvm_run)
     show_funs                 list functions
     show <fn>                 print a function's IR
+    show_jit <fn>             print the Python the JIT emits for a function
     show_blocks <fn>          list a function's basic blocks
     insert_osr <t> <fn> <b>   resolved OSR to a clone at block <b>, threshold <t>
     insert_open_osr <t> <fn> <b>   open OSR (clone generator) at block <b>
@@ -51,7 +52,7 @@ from .frontend import compile_c
 from .ir import Module, parse_module, print_function, verify_module
 from .ir.function import Function
 from .transform import PassManager
-from .vm import ExecutionEngine
+from .vm import ExecutionEngine, compile_function
 
 
 class TinyVMError(Exception):
@@ -149,6 +150,14 @@ class TinyVM:
         if len(args) != 1:
             raise TinyVMError("usage: show <function>")
         return print_function(self._function(args[0]))
+
+    def cmd_show_jit(self, args: List[str]) -> str:
+        if len(args) != 1:
+            raise TinyVMError("usage: show_jit <function>")
+        func = self._function(args[0])
+        if func.is_declaration:
+            raise TinyVMError(f"@{func.name} is a declaration: no body")
+        return compile_function(func, self.engine).__ir_source__()
 
     def cmd_show_blocks(self, args: List[str]) -> str:
         if len(args) != 1:
@@ -289,6 +298,7 @@ _COMMANDS = {
     "load_matlab": TinyVM.cmd_load_matlab,
     "show_funs": TinyVM.cmd_show_funs,
     "show": TinyVM.cmd_show,
+    "show_jit": TinyVM.cmd_show_jit,
     "show_blocks": TinyVM.cmd_show_blocks,
     "insert_osr": TinyVM.cmd_insert_osr,
     "insert_open_osr": TinyVM.cmd_insert_open_osr,

@@ -2,10 +2,11 @@
 
 The MCJIT substitute's "native code" is generated Python, built as an
 ``ast.Module`` and handed straight to :func:`compile` — no intermediate
-source text.  Each IR function becomes one Python function whose body is
-a ``while True`` dispatch loop over basic blocks; phi nodes become
-parallel tuple assignments on the CFG edges; SSA values become Python
-locals.  Debugging source is produced on demand by ``ast.unparse``
+source text.  Each IR function becomes one Python function shaped like
+the code a person would write for it: natural loops are ``while True:``
+statements, branches are ``if``/``else``, phi nodes become parallel tuple
+assignments on the CFG edges and SSA values become Python locals.
+Debugging source is produced on demand by ``ast.unparse``
 (:meth:`CompiledCode.ir_source`, attached to compiled callables as
 ``__ir_source__``), so the steady-state artifact carries bytecode and
 binding descriptors only — codegen skips the old text-assembly +
@@ -33,14 +34,27 @@ runs, and repeated warm-up only pay :meth:`CompiledCode.instantiate`
 (descriptor resolution + ``exec`` of the ready code object) instead of a
 full AST-build/``compile()`` pass.
 
-Two hot-path lowerings beyond the naive dispatch loop:
+Control flow is *structured* (:meth:`FunctionCompiler._place`): one
+recursive walk over the dominator tree and the loop forest, both taken
+from the process-wide analysis manager.  A loop header opens a ``while
+True:``; a back edge is ``continue`` or the end of the body; an edge out
+of the loop is ``break`` to the one block laid out after the ``while``
+(blocks that leave with no branch left to take, a ``ret`` above all, are
+emitted inside the loop instead); a block with one incoming edge is
+emitted at that edge; a merge block follows the ``if`` of its immediate
+dominator, and the arms reach it by falling through.  An edge that is
+none of these abandons the attempt — a second loop exit, a jump past a
+merge, an irreducible cycle, a ``switch``, nesting beyond the caps — and
+the *whole function* falls back to the block-dispatch form
+(:meth:`FunctionCompiler._dispatch_body`, reported as ``jit.fallback``):
+a ``while True:`` over ``if _b == n:`` arms that expresses any CFG, with
+single-predecessor blocks chained inline and a ``switch`` over phi-free
+arms lowered to one dict lookup on ``_b``.  Nothing selects between the
+two forms but the function's own CFG.
 
-* a ``switch`` whose targets are all phi-free dispatch blocks becomes one
-  dict lookup (``_b = table.get(value, default)``) instead of a linear
-  ``if``/``elif`` scan — this is the tinyvm opcode-dispatch shape;
-* a block with exactly one incoming edge is *chained*: its body is
-  emitted inline at its unique branch site instead of bouncing through
-  the dispatch loop, so straight-line IR runs without ``_b`` traffic.
+A GEP whose every use is the address of a non-pointer load or store in
+its own block is never materialised: the access computes
+``base[1] + i * 8`` in place (:meth:`FunctionCompiler._foldable_geps`).
 
 Compilation is *engine-read-only*: :class:`FunctionCompiler` never
 touches the engine at all (resources become binding descriptors), and
@@ -103,6 +117,7 @@ from ..ir.values import (
     UndefValue,
     Value,
 )
+from ..analysis.manager import default_manager
 from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
 from .interpreter import Trap
@@ -169,6 +184,9 @@ _STATIC_NS = _build_static_namespace()
 #: cap on the transitive block-chaining depth (guards generated-AST
 #: nesting; straight-line ``br`` chains do not add nesting and are cheap)
 _MAX_CHAIN_DEPTH = 40
+
+#: cap on nested ``while``s: CPython refuses 20 statically nested blocks
+_MAX_WHILE_NESTING = 15
 
 
 # -- AST node constructors -----------------------------------------------------
@@ -242,6 +260,37 @@ def _tuple(*elts: ast.expr) -> ast.Tuple:
     return ast.Tuple(elts=list(elts), ctx=_LOAD)
 
 
+def _struct_suffix(ty: T.Type) -> Optional[str]:
+    """The ``_u<s>``/``_p<s>`` unpacker/packer suffix for ``ty``."""
+    if isinstance(ty, T.IntType):
+        return {8: "b", 16: "h", 32: "i", 64: "q"}.get(ty.bits)
+    if isinstance(ty, T.FloatType):
+        return "f" if ty.bits == 32 else "d"
+    return None
+
+
+class _Unstructured(Exception):
+    """The structured emitter met control flow it cannot express; the
+    message says what.  The function is emitted in dispatch form."""
+
+
+class _While:
+    """A ``while True:`` being filled in: its natural loop, and the one
+    block outside it that a ``break`` reaches."""
+
+    __slots__ = ("header", "blocks", "exit", "breaks", "nesting")
+
+    def __init__(self, natural, outer: Optional["_While"]):
+        self.header = natural.header
+        self.blocks = natural.blocks
+        self.exit: Optional[BasicBlock] = None
+        #: how many of ``exit``'s incoming edges became a ``break``
+        self.breaks = 0
+        self.nesting = outer.nesting + 1 if outer is not None else 1
+        if self.nesting > _MAX_WHILE_NESTING:
+            raise _Unstructured("loops nested too deep")
+
+
 class CompiledCode:
     """Engine-independent compiled artifact for one function version.
 
@@ -256,16 +305,19 @@ class CompiledCode:
     """
 
     __slots__ = ("code", "py_name", "bindings", "version", "shape",
-                 "_source_hook", "_source")
+                 "fallback", "_source_hook", "_source")
 
     def __init__(self, code, py_name: str, bindings: Dict[str, Tuple],
                  version: int, shape: Tuple[int, int],
-                 source_hook: Optional[Callable[[], str]] = None):
+                 source_hook: Optional[Callable[[], str]] = None,
+                 fallback: Optional[str] = None):
         self.code = code
         self.py_name = py_name
         self.bindings = bindings
         self.version = version
         self.shape = shape
+        #: why codegen fell back to block dispatch (``None``: it did not)
+        self.fallback = fallback
         self._source_hook = source_hook
         self._source: Optional[str] = None
 
@@ -336,7 +388,7 @@ class CompiledCode:
 #: bump whenever the payload layout or binding encoding changes; part of
 #: both the disk-cache key and the embedded payload, so old entries are
 #: rejected instead of misread
-DISK_FORMAT_VERSION = 1
+DISK_FORMAT_VERSION = 2
 
 #: marshal data version 2: versions >= 3 emit identity-based
 #: back-references for repeated objects, making the byte stream depend
@@ -497,14 +549,22 @@ class FunctionCompiler:
 
     def __init__(self, func: Function):
         self.func = func
-        self.bindings: Dict[str, Tuple] = {}
-        self._value_names: Dict[int, str] = {}
-        self._name_counter = 0
+        #: why the dispatch emitter was used, when it was
+        self.fallback: Optional[str] = None
         self._block_ids: Dict[int, int] = {}
-        self._const_counter = 0
         self._chained: set = set()
         self._chain_stack: List[int] = []
         self._forced: set = set()
+        self._folded: set = set()
+        self._reset()
+
+    def _reset(self) -> None:
+        """Forget every name and binding handed out so far (an abandoned
+        structured attempt must leave no trace in the dispatch output)."""
+        self.bindings: Dict[str, Tuple] = {}
+        self._value_names: Dict[int, str] = {}
+        self._name_counter = 0
+        self._const_counter = 0
 
     # -- naming ------------------------------------------------------------------
 
@@ -556,6 +616,8 @@ class FunctionCompiler:
         if isinstance(value, GlobalVariable):
             return _name(self.bind(("global", value), value.name))
         if isinstance(value, (Argument, Instruction)):
+            if id(value) in self._folded:  # an access that wants the pair
+                return _tuple(*self._gep_address(value))
             return _name(self.name_of(value))
         raise JITError(f"cannot lower operand {value!r}")
 
@@ -572,7 +634,7 @@ class FunctionCompiler:
         return CompiledCode(
             code, self._py_name(), self.bindings,
             func.code_version, func.code_shape(),
-            source_hook=_make_source_hook(func),
+            source_hook=_make_source_hook(func), fallback=self.fallback,
         )
 
     def build_tree(self) -> ast.Module:
@@ -581,11 +643,148 @@ class FunctionCompiler:
         if func.is_declaration:
             raise JITError(f"cannot compile declaration @{func.name}")
         func.assign_names()
+        self._folded = self._foldable_geps()
+        try:
+            body = self._structured_body()
+        except _Unstructured as why:
+            self.fallback = str(why)
+            self._reset()
+            body = self._dispatch_body()
 
-        blocks = func.blocks
+        fn = ast.FunctionDef(
+            name=self._py_name(),
+            args=ast.arguments(
+                posonlyargs=[], args=[ast.arg(arg=self.name_of(a))
+                                      for a in func.args],
+                vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None,
+                defaults=[],
+            ),
+            body=body,
+            decorator_list=[],
+            returns=None,
+        )
+        fn.type_params = []  # required by compile() on 3.12+, ignored before
+        module = ast.Module(body=[fn], type_ignores=[])
+        return ast.fix_missing_locations(module)
+
+    def _py_name(self) -> str:
+        return "_jit_" + _NAME_RE.sub("_", self.func.name)
+
+    # -- structured control flow ---------------------------------------------------------
+
+    def _structured_body(self) -> List[ast.stmt]:
+        """The function as nested ``while True:``/``if`` statements, laid
+        out over the dominator tree and the loop forest."""
+        func = self.func
+        analyses = default_manager()
+        self._dom_children = analyses.dominator_tree(func).children
+        self._loops = {id(loop.header): loop
+                       for loop in analyses.loop_info(func).loops}
+        self._placed: set = set()
+        self._forward = self._edge_counts(func.blocks)
+        for loop in self._loops.values():
+            # ``latches`` names a block once per back edge it ends
+            self._forward[id(loop.header)] -= len(loop.latches)
+        return self._place(func.entry, None, None, 0)
+
+    def _place(self, block: BasicBlock, follow: Optional[BasicBlock],
+               loop: Optional[_While], depth: int,
+               opened: bool = False) -> List[ast.stmt]:
+        """``block``, then in sequence the blocks that must come right
+        after it: a ``br`` target nothing else reaches, the merge blocks
+        it immediately dominates, the exit of a loop it heads.  Falling
+        off the end of the result reaches ``follow``; ``loop`` is the
+        innermost ``while`` the result sits in.  ``opened`` says
+        ``block`` heads that loop and this is its body."""
+        if depth > _MAX_CHAIN_DEPTH:
+            raise _Unstructured("nested deeper than the chain cap")
+        out: List[ast.stmt] = []
+        stack = [block]
+        while stack:
+            block = stack.pop()
+            natural = self._loops.get(id(block))
+            if natural is not None and not opened:
+                after = stack[-1] if stack else follow
+                inner = _While(natural, loop)
+                out.append(ast.While(
+                    test=_const(True), orelse=[],
+                    body=self._place(block, block, inner, depth + 1, True)))
+                if inner.exit is not None:  # else only ``ret`` leaves it
+                    out.extend(self._transfer(inner.exit, after, loop,
+                                              inner.breaks, stack, depth))
+                continue
+            opened = False
+            term = block.terminator
+            if term is None or id(block) in self._placed:
+                raise _Unstructured(f"%{block.name} cannot be placed")
+            self._placed.add(id(block))
+            stack.extend(reversed([
+                child for child in self._dom_children.get(block, ())
+                if self._forward[id(child)] > 1
+                and (loop is None or child in loop.blocks)]))
+            after = stack[-1] if stack else follow
+            for inst in block.instructions[block.first_non_phi_index:-1]:
+                out.extend(self._compile_instruction(inst))
+            if isinstance(term, BranchInst):
+                out.extend(self._phi_moves(block, term.target))
+                out.extend(self._transfer(term.target, after, loop, 1,
+                                          stack, depth))
+            elif isinstance(term, CondBranchInst):
+                test = self._branch_test(term)
+                body, orelse = (
+                    self._phi_moves(block, target)
+                    + self._transfer(target, after, loop, 1, None, depth)
+                    for target in term.successors())
+                if not body:
+                    test, body, orelse = _not(test), orelse, []
+                if body:
+                    out.append(ast.If(test=test, body=body, orelse=orelse))
+            elif isinstance(term, SwitchInst):
+                raise _Unstructured("switch")
+            else:  # ret, unreachable
+                out.extend(self._compile_instruction(term))
+        return out
+
+    def _transfer(self, target: BasicBlock, follow: Optional[BasicBlock],
+                  loop: Optional[_While], arrived: int,
+                  stack: Optional[List[BasicBlock]],
+                  depth: int) -> List[ast.stmt]:
+        """The statements that take control to ``target`` from a point
+        where ``arrived`` of its forward edges end: nothing, ``continue``,
+        ``break``, or ``target`` itself (next on ``stack`` when the caller
+        lays out a sequence).  Every edge is checked to reach its own
+        target: a stale analysis can cost the structured form, not
+        correctness."""
+        if target is follow:
+            return []
+        if loop is not None and target is loop.header:
+            return [ast.Continue()]
+        leaves = loop is not None and target not in loop.blocks
+        if (self._forward[id(target)] == arrived
+                and id(target) not in self._placed
+                and not (leaves and len(target.successors()) > 1)):
+            if stack is None:
+                return self._place(target, follow, loop, depth + 1)
+            stack.append(target)
+            return []
+        if leaves and loop.exit in (None, target):
+            loop.exit = target
+            loop.breaks += arrived
+            return [ast.Break()]
+        raise _Unstructured(f"edge to %{target.name}")
+
+    # -- block dispatch (the fallback) ---------------------------------------------------
+
+    def _dispatch_body(self) -> List[ast.stmt]:
+        """The function as a ``while True:`` loop over ``if _b == n:``
+        arms, one per block that is not chained into its predecessor:
+        expresses any CFG."""
+        blocks = self.func.blocks
         for index, block in enumerate(blocks):
             self._block_ids[id(block)] = index
-        self._chained = self._chainable_blocks(blocks)
+        counts = self._edge_counts(blocks)
+        # the entry block always keeps its dispatch arm
+        self._chained = {id(b) for b in blocks[1:] if counts[id(b)] == 1}
 
         # compile bodies before emitting dispatch arms: a chain that hits
         # the depth cap bounces through ``_b``, which forces the bounced-to
@@ -613,47 +812,20 @@ class FunctionCompiler:
                 orelse=dispatch,
             )]
 
-        fn = ast.FunctionDef(
-            name=self._py_name(),
-            args=ast.arguments(
-                posonlyargs=[], args=[ast.arg(arg=self.name_of(a))
-                                      for a in func.args],
-                vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None,
-                defaults=[],
-            ),
-            body=[
-                _assign("_b", _const(0)),
-                ast.While(test=_const(True), body=dispatch, orelse=[]),
-            ],
-            decorator_list=[],
-            returns=None,
-        )
-        fn.type_params = []  # required by compile() on 3.12+, ignored before
-        module = ast.Module(body=[fn], type_ignores=[])
-        return ast.fix_missing_locations(module)
-
-    def _py_name(self) -> str:
-        return "_jit_" + _NAME_RE.sub("_", self.func.name)
+        return [_assign("_b", _const(0)),
+                ast.While(test=_const(True), body=dispatch, orelse=[])]
 
     @staticmethod
-    def _chainable_blocks(blocks: List[BasicBlock]) -> set:
-        """Blocks with exactly one incoming CFG edge (chaining candidates).
-
-        The entry block always keeps its dispatch arm.  Reachable cycles
-        always contain a block with a second (entry) edge, so a chainable
-        block can never transitively reach itself through other chainable
-        blocks — chaining terminates.
-        """
-        edge_counts: Dict[int, int] = {}
+    def _edge_counts(blocks: List[BasicBlock]) -> Dict[int, int]:
+        """Incoming CFG edges per block (a ``br i1`` with both targets
+        equal counts twice).  A block with exactly one is emitted inline
+        at that edge; a reachable cycle always has a block with a second
+        (entry) edge, so such chaining terminates."""
+        counts = {id(block): 0 for block in blocks}
         for block in blocks:
-            term = block.terminator
-            if term is None:
-                continue
-            for succ in term.successors():
-                edge_counts[id(succ)] = edge_counts.get(id(succ), 0) + 1
-        return {
-            id(b) for b in blocks[1:] if edge_counts.get(id(b), 0) == 1
-        }
+            for succ in block.successors():
+                counts[id(succ)] += 1
+        return counts
 
     # -- blocks -------------------------------------------------------------------------
 
@@ -666,26 +838,26 @@ class FunctionCompiler:
             out.append(_raise_trap("empty block"))
         return out
 
+    def _phi_moves(self, source: BasicBlock,
+                   target: BasicBlock) -> List[ast.stmt]:
+        """The edge's phi moves: one parallel (tuple) assignment."""
+        phis = target.phis
+        if not phis:
+            return []
+        values = [self.expr(p.incoming_value_for(source)) for p in phis]
+        if len(phis) == 1:
+            return [_assign(self.name_of(phis[0]), values[0])]
+        targets = ast.Tuple(ctx=_STORE, elts=[
+            ast.Name(id=self.name_of(p), ctx=_STORE) for p in phis])
+        return [ast.Assign(targets=[targets], value=_tuple(*values))]
+
     def _goto(self, source: BasicBlock, target: BasicBlock) -> List[ast.stmt]:
-        """Edge transfer: parallel phi assignment, then jump.
+        """Dispatch-form edge transfer: the phi moves, then the jump.
 
         A target with a single incoming edge is chained: its body is
         emitted right here instead of a ``_b``/``continue`` bounce.
         """
-        out: List[ast.stmt] = []
-        phis = target.phis
-        if phis:
-            values = [self.expr(p.incoming_value_for(source)) for p in phis]
-            if len(phis) == 1:
-                out.append(_assign(self.name_of(phis[0]), values[0]))
-            else:
-                targets = ast.Tuple(
-                    elts=[ast.Name(id=self.name_of(p), ctx=_STORE)
-                          for p in phis],
-                    ctx=_STORE,
-                )
-                out.append(ast.Assign(targets=[targets],
-                                      value=_tuple(*values)))
+        out = self._phi_moves(source, target)
         target_key = id(target)
         if (
             target_key in self._chained
@@ -733,18 +905,15 @@ class FunctionCompiler:
             ))]
 
         if isinstance(inst, LoadInst):
-            return [_assign(
-                name, self._load_expr(inst.type, lambda: e(inst.pointer))
-            )]
+            return [_assign(name, self._load_expr(inst.type, inst.pointer))]
 
         if isinstance(inst, StoreInst):
-            return self._store_stmts(
-                inst.value.type, lambda: e(inst.value),
-                lambda: e(inst.pointer),
-            )
+            return [self._store_stmt(inst.value, inst.pointer)]
 
         if isinstance(inst, GEPInst):
-            return [_assign(name, self._gep_expr(inst))]
+            if id(inst) in self._folded:
+                return []  # its accesses compute the address themselves
+            return [_assign(name, _tuple(*self._gep_address(inst)))]
 
         if isinstance(inst, CallInst):
             callee = inst.callee
@@ -770,10 +939,8 @@ class FunctionCompiler:
             return self._goto(inst.parent, inst.target)
 
         if isinstance(inst, CondBranchInst):
-            cond = inst.condition
             return [ast.If(
-                test=(self._scalar_expr(cond)
-                      if self._fused_into_branch(cond) else e(cond)),
+                test=self._branch_test(inst),
                 body=self._goto(inst.parent, inst.true_target),
                 orelse=self._goto(inst.parent, inst.false_target),
             )]
@@ -835,11 +1002,7 @@ class FunctionCompiler:
         # reverse to build the orelse chain
         arms = [(const.value, self._goto(inst.parent, target))
                 for const, target in inst.cases]
-        default_stmts = self._goto(inst.parent, inst.default)
-        if not arms:
-            out.extend(default_stmts)
-            return out
-        chain: List[ast.stmt] = default_stmts
+        chain: List[ast.stmt] = self._goto(inst.parent, inst.default)
         for case_value, body in reversed(arms):
             chain = [ast.If(
                 test=_cmp(_name(value_name), ast.Eq(), _const(case_value)),
@@ -872,6 +1035,12 @@ class FunctionCompiler:
             (lambda value=value: self.expr(value))
             for value in inst.operands])
 
+    def _branch_test(self, inst: CondBranchInst) -> ast.expr:
+        cond = inst.condition
+        if self._fused_into_branch(cond):
+            return self._scalar_expr(cond)
+        return self.expr(cond)
+
     @staticmethod
     def _fused_into_branch(value: Value) -> bool:
         """A compare whose only use is its own block's ``br`` becomes that
@@ -885,82 +1054,99 @@ class FunctionCompiler:
         user = uses[0].user
         return isinstance(user, CondBranchInst) and user.parent is value.parent
 
-    def _load_expr(self, ty: T.Type,
-                   pointer: Callable[[], ast.expr]) -> ast.expr:
+    def _load_expr(self, ty: T.Type, pointer: Value) -> ast.expr:
         if isinstance(ty, T.PointerType):
-            return _calln("_hload", pointer())
+            return _calln("_hload", self.expr(pointer))
+        suffix = _struct_suffix(ty)
+        if suffix:
+            data, offset = self._address(pointer)
+            return _item(_calln(f"_u{suffix}", data, offset), 0)
         if isinstance(ty, T.IntType):
-            suffix = {8: "b", 16: "h", 32: "i", 64: "q"}.get(ty.bits)
-            if suffix:
-                return _item(_calln(
-                    f"_u{suffix}",
-                    _attr(_item(pointer(), 0), "data"), _item(pointer(), 1),
-                ), 0)
             if ty.bits == 1:
-                return _bin(ast.Subscript(
-                    value=_attr(_item(pointer(), 0), "data"),
-                    slice=_item(pointer(), 1), ctx=_LOAD,
-                ), ast.BitAnd(), _const(1))
+                data, offset = self._address(pointer)
+                return _bin(
+                    ast.Subscript(value=data, slice=offset, ctx=_LOAD),
+                    ast.BitAnd(), _const(1))
             ty_name = self.bind(("static", ty), f"ity{ty.bits}")
-            return _calln("_load_scalar", _name(ty_name), pointer())
-        if isinstance(ty, T.FloatType):
-            suffix = "f" if ty.bits == 32 else "d"
-            return _item(_calln(
-                f"_u{suffix}",
-                _attr(_item(pointer(), 0), "data"), _item(pointer(), 1),
-            ), 0)
+            return _calln("_load_scalar", _name(ty_name), self.expr(pointer))
         raise JITError(f"cannot load type {ty}")
 
-    def _store_stmts(self, ty: T.Type, value: Callable[[], ast.expr],
-                     pointer: Callable[[], ast.expr]) -> List[ast.stmt]:
+    def _store_stmt(self, value: Value, pointer: Value) -> ast.stmt:
+        ty = value.type
         if isinstance(ty, T.PointerType):
-            return [_expr_stmt(_calln("_hstore", pointer(), value()))]
+            return _expr_stmt(_calln("_hstore", self.expr(pointer),
+                                     self.expr(value)))
+        suffix = _struct_suffix(ty)
+        if suffix:
+            return _expr_stmt(_calln(f"_p{suffix}", *self._address(pointer),
+                                     self.expr(value)))
         if isinstance(ty, T.IntType):
-            suffix = {8: "b", 16: "h", 32: "i", 64: "q"}.get(ty.bits)
-            if suffix:
-                return [_expr_stmt(_calln(
-                    f"_p{suffix}", _attr(_item(pointer(), 0), "data"),
-                    _item(pointer(), 1), value(),
-                ))]
             if ty.bits == 1:
-                return [ast.Assign(
-                    targets=[ast.Subscript(
-                        value=_attr(_item(pointer(), 0), "data"),
-                        slice=_item(pointer(), 1), ctx=_STORE,
-                    )],
-                    value=_bin(value(), ast.BitAnd(), _const(1)),
-                )]
+                data, offset = self._address(pointer)
+                return ast.Assign(
+                    targets=[ast.Subscript(value=data, slice=offset,
+                                           ctx=_STORE)],
+                    value=_bin(self.expr(value), ast.BitAnd(), _const(1)))
             ty_name = self.bind(("static", ty), f"ity{ty.bits}")
-            return [_expr_stmt(_calln(
-                "_store_scalar", _name(ty_name), pointer(), value(),
-            ))]
-        if isinstance(ty, T.FloatType):
-            suffix = "f" if ty.bits == 32 else "d"
-            return [_expr_stmt(_calln(
-                f"_p{suffix}", _attr(_item(pointer(), 0), "data"),
-                _item(pointer(), 1), value(),
-            ))]
+            return _expr_stmt(_calln(
+                "_store_scalar", _name(ty_name), self.expr(pointer),
+                self.expr(value)))
         raise JITError(f"cannot store type {ty}")
 
-    def _gep_expr(self, inst: GEPInst) -> ast.expr:
+    # -- addresses -----------------------------------------------------------------------------
+
+    def _foldable_geps(self) -> set:
+        """GEPs never materialised as a ``(buffer, offset)`` local: every
+        use is the address of a non-pointer load or store, or the base of
+        another such GEP, in the GEP's own block — where no edge, so no
+        phi move reassigning an index and no loop repeating the
+        arithmetic, comes between the GEP and the access recomputing it."""
+        folded: set = set()
+        for block in self.func.blocks:
+            for inst in reversed(block.instructions):  # users first
+                if isinstance(inst, GEPInst) and inst.uses and all(
+                        self._folds_into(inst, use.user, folded)
+                        for use in inst.uses):
+                    folded.add(id(inst))
+        return folded
+
+    @staticmethod
+    def _folds_into(gep: GEPInst, user: Instruction, folded: set) -> bool:
+        if user.parent is not gep.parent:
+            return False
+        if isinstance(user, StoreInst):
+            return (user.pointer is gep and user.value is not gep
+                    and not user.value.type.is_pointer)
+        if isinstance(user, LoadInst):
+            return not user.type.is_pointer
+        return id(user) in folded and user.pointer is gep
+
+    def _address(self, pointer: Value) -> Tuple[ast.expr, ast.expr]:
+        """``pointer`` as fresh ``(bytearray, byte offset)`` nodes."""
+        buffer, offset = self._pair(pointer)
+        return _attr(buffer, "data"), offset
+
+    def _pair(self, pointer: Value) -> Tuple[ast.expr, ast.expr]:
+        """``pointer`` as fresh ``(buffer, byte offset)`` nodes: a folded
+        GEP contributes its arithmetic, anything else its two items."""
+        if id(pointer) in self._folded:
+            return self._gep_address(pointer)
+        return _item(self.expr(pointer), 0), _item(self.expr(pointer), 1)
+
+    def _gep_address(self, inst: GEPInst) -> Tuple[ast.expr, ast.expr]:
         terms = gep_terms(inst)
         if terms is None:
             raise JITError(f"cannot lower the indices of {inst!r}")
         static, var_terms = terms
-        offset: Optional[ast.expr] = None
+        buffer, offset = self._pair(inst.pointer)
         for index, stride in var_terms:
             term = self.expr(index)
             if stride != 1:
                 term = _bin(term, ast.Mult(), _const(stride))
-            offset = term if offset is None else _bin(offset, ast.Add(), term)
-        if static or offset is None:
-            static_node = _const(static)
-            offset = (static_node if offset is None
-                      else _bin(offset, ast.Add(), static_node))
-        return _tuple(
-            _item(self.expr(inst.pointer), 0),
-            _bin(_item(self.expr(inst.pointer), 1), ast.Add(), offset),
-        )
+            offset = _bin(offset, ast.Add(), term)
+        if static or not var_terms:
+            offset = _bin(offset, ast.Add(), _const(static))
+        return buffer, offset
 
 
 def _make_source_hook(func: Function) -> Callable[[], str]:
@@ -1048,6 +1234,9 @@ def acquire_artifact(func: Function, engine) -> CompiledCode:
     with tel.span(EV.JIT_COMPILE, function=func.name,
                   code_version=func.code_version):
         artifact = codegen_function(func)
+    if artifact.fallback is not None:
+        tel.event(EV.JIT_FALLBACK, function=func.name,
+                  reason=artifact.fallback)
     engine.disk_store(func, artifact)
     return artifact
 

@@ -9,7 +9,8 @@ is defined here **once**, as a Python expression over its operands
 ``BITS``   that width
 ``SM``     mask of a cast's *source* integer width
 ``W(x)``   two's-complement wrap of ``x`` to ``BITS`` (canonical signed
-           range; ``i1`` is kept as 0/1)
+           range; ``i1`` is kept as 0/1): ``x`` itself when it is in
+           range, re-biased and masked otherwise
 
 Trap conditions are not spelled in the entries: they live in the
 ``vm/runtime.py`` helpers the entries call (``_sdiv``, ``_nz``,
@@ -238,14 +239,22 @@ def _builder(text: str) -> Callable[..., ast.expr]:
 
 
 def _wrap(node: ast.expr, bits: int) -> ast.expr:
-    """``W(node)``: ``((node + H) & M) - H``; ``node & 1`` for ``i1``."""
+    """``W(node)``: ``_t if -H <= (_t := node) <= H - 1 else
+    ((_t + H) & M) - H``; ``node & 1`` for ``i1``.  The range check is
+    the common case: results mostly fit, and re-biasing an ``i64`` by
+    ``H`` does three operations on two-digit ints."""
     if bits == 1:
         return ast.BinOp(node, ast.BitAnd(), ast.Constant(1))
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    return ast.BinOp(
-        ast.BinOp(ast.BinOp(node, ast.Add(), ast.Constant(half)),
-                  ast.BitAnd(), ast.Constant(mask)),
-        ast.Sub(), ast.Constant(half))
+    fits = ast.Compare(
+        ast.Constant(-half), [ast.LtE(), ast.LtE()],
+        [ast.NamedExpr(ast.Name("_t", ast.Store()), node),
+         ast.Constant(half - 1)])
+    rebias = ast.BinOp(ast.Name("_t", ast.Load()), ast.Add(),
+                       ast.Constant(half))
+    return ast.IfExp(fits, ast.Name("_t", ast.Load()), ast.BinOp(
+        ast.BinOp(rebias, ast.BitAnd(), ast.Constant(mask)),
+        ast.Sub(), ast.Constant(half)))
 
 
 def instantiate(entry: Entry,

@@ -80,6 +80,30 @@ class TestDetection:
                      if l.header is func.get_block("outer"))
         assert outer.exit_blocks() == [func.get_block("exit")]
 
+    def test_exit_blocks_come_in_layout_order(self):
+        """Codegen reads this list: its order must follow the function,
+        never the loop's block *set* (ordered by object address)."""
+        exits = [f"x{k}" for k in range(6)]
+        lines = ["define i64 @fan(i64 %n) {", "entry:", "  br label %b0"]
+        for k, name in enumerate(exits):
+            nxt = f"b{k + 1}" if k + 1 < len(exits) else "b0"
+            lines += [f"b{k}:", f"  %c{k} = icmp eq i64 %n, {k}",
+                      f"  br i1 %c{k}, label %{name}, label %{nxt}"]
+        for name in reversed(exits):  # laid out last exit first
+            lines += [f"{name}:", "  ret i64 0"]
+        func = parse_function("\n".join(lines + ["}"]))
+        (loop,) = LoopInfo(func).loops
+        assert [b.name for b in loop.exit_blocks()] == exits[::-1]
+
+    def test_a_given_dominator_tree_is_used_not_rebuilt(self, monkeypatch):
+        from repro.analysis import loops
+        from repro.analysis.dominators import DominatorTree
+
+        func = parse_function(NESTED)
+        domtree = DominatorTree(func)
+        monkeypatch.setattr(loops, "DominatorTree", None)  # must not be built
+        assert len(LoopInfo(func, domtree).loops) == 2
+
     def test_multi_latch_single_loop(self):
         func = parse_function("""
 define i64 @multi(i64 %n) {

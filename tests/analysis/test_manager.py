@@ -62,6 +62,17 @@ class TestCaching:
         assert am.stats()["hits"] == 3
         assert am.stats()["entries"] == 3
 
+    def test_loops_are_built_over_the_cached_dominator_tree(self):
+        """``loops`` needs ``domtree``: the manager hands over (and keeps)
+        its own, uncounted — consumers asked for one analysis."""
+        am = AnalysisManager()
+        func = _func()
+        am.loop_info(func)
+        assert am.stats()["misses"] == 1 and am.stats()["entries"] == 2
+        assert am.cached("domtree", func) is not None
+        am.dominator_tree(func)
+        assert am.stats()["hits"] == 1
+
     def test_version_bump_recomputes(self):
         am = AnalysisManager()
         func = _func()

@@ -21,8 +21,9 @@ from repro.ir.instructions import AllocaInst
 from repro.obs.events import OSR_FIRE, OSR_STATE_SIZE
 from repro.obs.telemetry import Telemetry
 from repro.transform import PassManager
-from repro.vm import ExecutionEngine
+from repro.vm import ExecutionEngine, codegen_function
 
+from ..vm.test_jit_codegen import dispatches
 from .test_open_osr import clone_generator
 
 #: ``sq``, ``t`` and ``hist`` are declared inside the loop; ``hist`` is
@@ -63,6 +64,15 @@ def _alloca_pointers(values):
     return [v for v in values if isinstance(v, AllocaInst)]
 
 
+def _assert_structured(continuation):
+    """A continuation is ordinary IR to the JIT: loops and branches, no
+    block dispatch."""
+    artifact = codegen_function(continuation)
+    assert artifact.fallback is None
+    assert "while True:" in artifact.source
+    assert not dispatches(artifact.source)
+
+
 def _assert_register_state(live_values, telemetry=None):
     """The captured state holds the array's pointer and no scalar's."""
     assert [a.allocated_type for a in _alloca_pointers(live_values)] == [
@@ -89,21 +99,29 @@ class TestLoopHeaderOSR:
         _assert_register_state(result.live_values, telemetry)
         assert engine.run("churn", N) == oracle
         assert [e["name"] for e in telemetry.events].count(OSR_FIRE) == 1
+        _assert_structured(result.continuation)
 
     def test_open_point_fires_mid_loop(self, oracle, level, tier):
         module, func = _prepared(level)
         telemetry = Telemetry()
         engine = ExecutionEngine(module, tier=tier, telemetry=telemetry)
         generator, calls = clone_generator(module)
+        made = []
+
+        def capturing(*args):
+            made.append(generator(*args))
+            return made[-1]
+
         env = {"live": None}
         result = insert_open_osr_point(
             func, loop_osr_location(func), HotCounterCondition(THRESHOLD),
-            generator, engine, env=env,
+            capturing, engine, env=env,
         )
         env["live"] = result.live_values
         _assert_register_state(result.live_values, telemetry)
         assert engine.run("churn", N) == oracle
         assert len(calls) == 1
+        _assert_structured(made[0])
 
 
 @pytest.mark.parametrize("level", ["unoptimized", "optimized"])

@@ -130,3 +130,26 @@ def test_tinyvm_example_file_loads():
     assert vm.execute("hot_loop(100)") == str(
         sum(i * i for i in range(100))
     )
+
+
+def test_tinyvm_show_jit_prints_the_emitted_python():
+    from pathlib import Path
+
+    from repro.tinyvm import TinyVM, TinyVMError
+
+    example = (Path(__file__).resolve().parents[2]
+               / "examples" / "hot_loop.ll")
+    vm = TinyVM()
+    vm.execute(f"load_ir {example}")
+    text = vm.execute("show_jit hot_loop")
+    assert text.startswith("def _jit_hot_loop(")
+    assert "while True:" in text
+    # inspecting is not running: the result and the tier-up are untouched
+    assert vm.execute("hot_loop(100)") == str(
+        sum(i * i for i in range(100))
+    )
+    assert "show_jit <fn>" in vm.execute("help")
+    with pytest.raises(TinyVMError, match="usage"):
+        vm.execute("show_jit")
+    with pytest.raises(TinyVMError, match="no function"):
+        vm.execute("show_jit ghost")

@@ -23,6 +23,8 @@ from repro.vm.jit import (
     serialize_artifact,
 )
 
+from ..vm.test_jit_codegen import NESTED_BREAK_CONTINUE
+
 CHAIN = """
 define i64 @chain(i64 %x) {
 entry:
@@ -165,29 +167,38 @@ _DIGEST_SCRIPT = textwrap.dedent("""
 
     source = sys.stdin.read()
     module = parse_module(source)
-    func = module.get_function("chain")
+    func = module.get_function(sys.argv[1])
     payload = serialize_artifact(func, codegen_function(func))
     print(hashlib.sha256(payload).hexdigest())
 """)
 
 
-def _subprocess_digest(source: str) -> str:
+def _subprocess_digest(source: str, name: str) -> str:
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(
         repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONHASHSEED"] = "random"  # determinism must not lean on hashing
     result = subprocess.run(
-        [sys.executable, "-c", _DIGEST_SCRIPT], input=source,
+        [sys.executable, "-c", _DIGEST_SCRIPT, name], input=source,
         capture_output=True, text=True, env=env, check=True)
     return result.stdout.strip()
 
 
-def test_serialized_artifact_is_deterministic_across_processes():
-    digests = {_subprocess_digest(CHAIN) for _ in range(2)}
+#: a loop nest with two ``break`` edges and a merge: the structured
+#: emitter's layout reads the loop forest and the dominator tree, and no
+#: set's iteration order (block addresses differ per process) may reach it
+LOOP_NEST = NESTED_BREAK_CONTINUE
+
+
+@pytest.mark.parametrize("source, name", [(CHAIN, "chain"),
+                                          (LOOP_NEST, "f")])
+def test_serialized_artifact_is_deterministic_across_processes(source, name):
+    digests = {_subprocess_digest(source, name) for _ in range(2)}
     assert len(digests) == 1
     # and the parent process agrees with the children
-    module = parse_module(CHAIN)
-    func = module.get_function("chain")
+    module = parse_module(source)
+    func = module.get_function(name)
+    assert codegen_function(func).fallback is None
     payload = serialize_artifact(func, codegen_function(func))
     assert hashlib.sha256(payload).hexdigest() == digests.pop()

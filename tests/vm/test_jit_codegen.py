@@ -4,6 +4,8 @@ trampoline behaviour."""
 
 import ast
 import marshal
+import re
+import struct
 
 import pytest
 
@@ -11,6 +13,32 @@ from repro.ir import parse_module
 from repro.vm import ExecutionEngine
 from repro.vm.jit import FunctionCompiler, compile_function
 from repro.vm.runtime import NULL, MemoryBuffer
+
+from .test_semantics import outcome
+
+
+COUNTED_LOOP = """
+define i64 @f(i64 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i1, %body ]
+  %acc = phi i64 [ 0, %entry ], [ %acc1, %body ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %body, label %out
+body:
+  %acc1 = add i64 %acc, %i
+  %i1 = add i64 %i, 1
+  br label %loop
+out:
+  ret i64 %acc
+}
+"""
+
+
+def dispatches(text):
+    """Does generated source use the block-dispatch variable?"""
+    return re.search(r"\b_b\b", text) is not None
 
 
 def source_of(src, name):
@@ -21,15 +49,27 @@ def source_of(src, name):
 
 
 class TestGeneratedSource:
-    def test_block_dispatch_structure(self):
+    def test_straight_line_code_has_no_dispatch_and_no_loop(self):
         text, _, _ = source_of("""
 define i64 @f(i64 %n) {
 entry:
+  %c = icmp sgt i64 %n, 0
+  br i1 %c, label %pos, label %neg
+pos:
   ret i64 %n
+neg:
+  ret i64 0
 }
 """, "f")
-        assert "while True:" in text
-        assert "_b = 0" in text
+        assert not dispatches(text)
+        assert "while" not in text
+
+    def test_counted_loop_is_one_while(self):
+        text, compiled, _ = source_of(COUNTED_LOOP, "f")
+        assert text.count("while True:") == 1
+        assert not dispatches(text)
+        assert "continue" not in text  # the back edge ends the body
+        assert compiled(5) == 10
 
     def test_phi_parallel_assignment(self):
         text, _, _ = source_of("""
@@ -300,3 +340,373 @@ entry:
         handle.function = module.get_function("g")
         handle.invalidate()
         assert handle() == 2
+
+
+# -- structured control flow -------------------------------------------------------
+
+DIAMOND = """
+define i64 @f(i64 %a, i64 %b) {
+entry:
+  %c = icmp slt i64 %a, %b
+  br i1 %c, label %lt, label %ge
+lt:
+  %x = add i64 %a, 1
+  br label %join
+ge:
+  %y = sdiv i64 %a, %b
+  br label %join
+join:
+  %r = phi i64 [ %x, %lt ], [ %y, %ge ]
+  %s = mul i64 %r, 3
+  ret i64 %s
+}
+"""
+
+TRIANGLE = """
+define i64 @f(i64 %a, i64 %b) {
+entry:
+  %c = icmp sgt i64 %a, 10
+  br i1 %c, label %clamp, label %join
+clamp:
+  %h = srem i64 100, %b
+  br label %join
+join:
+  %r = phi i64 [ %a, %entry ], [ %h, %clamp ]
+  ret i64 %r
+}
+"""
+
+#: odd ``j`` is a ``continue``, ``i * j > 20`` a ``break``
+NESTED_BREAK_CONTINUE = """
+define i64 @f(i64 %n, i64 %m) {
+entry:
+  br label %outer
+outer:
+  %i = phi i64 [ 0, %entry ], [ %i1, %outer.latch ]
+  %acc = phi i64 [ 0, %entry ], [ %acc3, %outer.latch ]
+  %oc = icmp slt i64 %i, %n
+  br i1 %oc, label %inner, label %done
+inner:
+  %j = phi i64 [ 0, %outer ], [ %j1, %inner.latch ]
+  %acc1 = phi i64 [ %acc, %outer ], [ %acc2, %inner.latch ]
+  %ic = icmp slt i64 %j, %m
+  br i1 %ic, label %body, label %outer.latch
+body:
+  %odd = and i64 %j, 1
+  %isodd = icmp eq i64 %odd, 1
+  br i1 %isodd, label %inner.latch, label %work
+work:
+  %p = mul i64 %i, %j
+  %big = icmp sgt i64 %p, 20
+  br i1 %big, label %outer.latch, label %add
+add:
+  %sum = add i64 %acc1, %p
+  br label %inner.latch
+inner.latch:
+  %acc2 = phi i64 [ %acc1, %body ], [ %sum, %add ]
+  %j1 = add i64 %j, 1
+  br label %inner
+outer.latch:
+  %acc3 = phi i64 [ %acc1, %inner ], [ %acc1, %work ]
+  %i1 = add i64 %i, 1
+  br label %outer
+done:
+  ret i64 %acc
+}
+"""
+
+RET_IN_NESTED_LOOP = """
+define i64 @f(i64 %n, i64 %key) {
+entry:
+  br label %outer
+outer:
+  %i = phi i64 [ 1, %entry ], [ %i1, %outer.latch ]
+  %oc = icmp sle i64 %i, %n
+  br i1 %oc, label %inner, label %miss
+inner:
+  %j = phi i64 [ 1, %outer ], [ %j1, %inner.latch ]
+  %ic = icmp sle i64 %j, %n
+  br i1 %ic, label %test, label %outer.latch
+test:
+  %q = sdiv i64 %key, %j
+  %hit = icmp eq i64 %q, %i
+  br i1 %hit, label %found, label %inner.latch
+found:
+  %k = mul i64 %i, 1000
+  %code = add i64 %k, %j
+  ret i64 %code
+inner.latch:
+  %j1 = add i64 %j, 1
+  br label %inner
+outer.latch:
+  %i1 = add i64 %i, 1
+  br label %outer
+miss:
+  ret i64 -1
+}
+"""
+
+SELF_LOOP = """
+define i64 @f(i64 %n, i64 %d) {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i1, %loop ]
+  %s = sdiv i64 9, %d
+  %i1 = add i64 %i, %s
+  %c = icmp slt i64 %i1, %n
+  br i1 %c, label %loop, label %out
+out:
+  ret i64 %i1
+}
+"""
+
+#: both exits still have a branch to take, so neither can sit in the loop
+TWO_EXIT_LOOP = """
+define i64 @f(i64 %n, i64 %d) {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i1, %latch ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %body, label %exhausted
+body:
+  %r = srem i64 %i, %d
+  %z = icmp eq i64 %r, 5
+  br i1 %z, label %early, label %latch
+latch:
+  %i1 = add i64 %i, 1
+  br label %loop
+exhausted:
+  %ec = icmp sgt i64 %n, 3
+  br i1 %ec, label %big, label %small
+early:
+  %fc = icmp sgt i64 %i, 6
+  br i1 %fc, label %big, label %small
+big:
+  %bv = phi i64 [ %n, %exhausted ], [ %i, %early ]
+  ret i64 %bv
+small:
+  %sv = phi i64 [ -1, %exhausted ], [ -2, %early ]
+  ret i64 %sv
+}
+"""
+
+#: ``a`` and ``b`` form a cycle entered at either: no natural loop
+TWO_ENTRY_CYCLE = """
+define i64 @f(i64 %n, i64 %side) {
+entry:
+  %s = icmp ne i64 %side, 0
+  br i1 %s, label %a, label %b
+a:
+  %x = phi i64 [ 0, %entry ], [ %y1, %b ]
+  %x1 = add i64 %x, 1
+  %ca = icmp slt i64 %x1, %n
+  br i1 %ca, label %b, label %out
+b:
+  %y = phi i64 [ 10, %entry ], [ %x1, %a ]
+  %y1 = add i64 %y, 2
+  %cb = icmp slt i64 %y1, %n
+  br i1 %cb, label %a, label %out
+out:
+  %r = phi i64 [ %x1, %a ], [ %y1, %b ]
+  ret i64 %r
+}
+"""
+
+SWITCH_IN_LOOP = """
+define i64 @f(i64 %n, i64 %d) {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i1, %latch ]
+  %acc = phi i64 [ 0, %entry ], [ %acc1, %latch ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %pick, label %out
+pick:
+  %k = urem i64 %i, %d
+  switch i64 %k, label %other [ i64 0, label %zero i64 1, label %one ]
+zero:
+  %a0 = add i64 %acc, 1
+  br label %latch
+one:
+  %a1 = add i64 %acc, 10
+  br label %latch
+other:
+  %a2 = add i64 %acc, 100
+  br label %latch
+latch:
+  %acc1 = phi i64 [ %a0, %zero ], [ %a1, %one ], [ %a2, %other ]
+  %i1 = add i64 %i, 1
+  br label %loop
+out:
+  ret i64 %acc
+}
+"""
+
+#: (IR, is it structured, calls); a zero divisor traps in every shape
+SHAPES = {
+    "diamond": (DIAMOND, True, [(1, 2), (5, 2), (-7, -7), (0, 0)]),
+    "triangle": (TRIANGLE, True, [(3, 0), (11, 7), (11, 0)]),
+    "nested-break-continue": (NESTED_BREAK_CONTINUE, True,
+                              [(0, 0), (3, 4), (6, 9), (9, 6)]),
+    "ret-in-nested-loop": (RET_IN_NESTED_LOOP, True,
+                           [(5, 6), (5, 24), (5, 97), (0, 1)]),
+    "self-loop": (SELF_LOOP, True, [(10, 3), (0, 9), (4, 0)]),
+    "two-exit-loop": (TWO_EXIT_LOOP, False,
+                      [(2, 9), (8, 9), (30, 7), (30, 11), (4, 0)]),
+    "two-entry-cycle": (TWO_ENTRY_CYCLE, False,
+                        [(0, 0), (0, 1), (9, 0), (9, 1), (40, 1)]),
+    "switch-in-loop": (SWITCH_IN_LOOP, False, [(0, 3), (7, 3), (7, 1),
+                                               (7, 0)]),
+}
+
+
+class TestStructuredControlFlow:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shape_agrees_with_the_interpreter(self, shape):
+        source, structured, calls = SHAPES[shape]
+        module = parse_module(source)
+        jit = ExecutionEngine(module, tier="jit")
+        interp = ExecutionEngine(parse_module(source), tier="interp")
+        for args in calls:
+            assert outcome(jit, "f", args) == outcome(interp, "f", args), args
+        text = compile_function(module.get_function("f"),
+                                jit).__ir_source__()
+        assert dispatches(text) != structured, text
+        # whole-function and automatic, and counted where it happens
+        counters = jit.stats_snapshot()["counters"]
+        assert counters.get("jit.fallback", 0) == (0 if structured else 1)
+
+    def test_break_and_continue_are_statements(self):
+        text, _, _ = source_of(NESTED_BREAK_CONTINUE, "f")
+        assert text.count("while True:") == 2
+        assert "break" in text and "continue" not in text
+
+    def test_ret_in_nested_loop_is_a_return_in_place(self):
+        text, _, _ = source_of(RET_IN_NESTED_LOOP, "f")
+        inner = [node for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.While)][-1]
+        assert any(isinstance(n, ast.Return) for n in ast.walk(inner))
+
+    def test_fallback_reason_is_recorded(self):
+        reasons = {}
+        for shape, (source, structured, _) in SHAPES.items():
+            compiler = FunctionCompiler(parse_module(source).get_function("f"))
+            compiler.build_tree()
+            assert (compiler.fallback is None) == structured, shape
+            reasons[shape] = compiler.fallback
+        assert reasons["switch-in-loop"] == "switch"
+        assert reasons["two-exit-loop"].startswith("edge to %")
+        assert reasons["two-entry-cycle"].startswith("edge to %")
+
+    def test_an_abandoned_attempt_leaves_no_names_behind(self):
+        """The dispatch form of a function is the same whether or not a
+        structured attempt came first."""
+        func = parse_module(SWITCH_IN_LOOP).get_function("f")
+        func.assign_names()
+        direct = FunctionCompiler(func)
+        body = direct._dispatch_body()
+        tree = FunctionCompiler(func).build_tree()
+        assert ast.dump(ast.Module(body=body, type_ignores=[])) == ast.dump(
+            ast.Module(body=tree.body[0].body, type_ignores=[]))
+
+    def test_deep_loop_nest_falls_back(self):
+        depth = 17  # past the cap that keeps CPython's block limit away
+        lines = ["define i64 @f(i64 %n) {", "entry:", "  br label %h0"]
+        for level in range(depth):
+            above = f"l{level - 1}" if level else "done"
+            prev = "entry" if level == 0 else f"h{level - 1}"
+            body = f"h{level + 1}" if level + 1 < depth else f"l{level}"
+            lines += [
+                f"h{level}:",
+                f"  %i{level} = phi i64 [ 0, %{prev} ], "
+                f"[ %n{level}, %l{level} ]",
+                f"  %c{level} = icmp slt i64 %i{level}, %n",
+                f"  br i1 %c{level}, label %{body}, label %{above}",
+                f"l{level}:",
+                f"  %n{level} = add i64 %i{level}, 1",
+                f"  br label %h{level}",
+            ]
+        lines += ["done:", "  ret i64 7", "}"]
+        source = "\n".join(lines)
+        compiler = FunctionCompiler(parse_module(source).get_function("f"))
+        compiler.build_tree()
+        assert compiler.fallback == "loops nested too deep"
+        assert ExecutionEngine(parse_module(source), tier="jit").run(
+            "f", 1) == 7
+
+    def test_no_shootout_function_falls_back_when_optimized(self):
+        from repro.shootout import SUITE, compile_benchmark
+
+        fallbacks = {}
+        for name, bench in SUITE.items():
+            for func in compile_benchmark(bench, "optimized").functions:
+                if not func.is_declaration:
+                    compiler = FunctionCompiler(func)
+                    compiler.build_tree()
+                    if compiler.fallback is not None:
+                        fallbacks[f"{name}:@{func.name}"] = compiler.fallback
+        assert not fallbacks
+
+
+class TestAddressFolding:
+    def test_same_block_gep_is_folded_into_its_accesses(self):
+        text, compiled, _ = source_of("""
+define i64 @f(i64* %p, i64 %i) {
+entry:
+  %q = getelementptr i64, i64* %p, i64 %i
+  %r = getelementptr i64, i64* %q, i64 2
+  %v = load i64, i64* %r
+  %w = add i64 %v, 1
+  store i64 %w, i64* %r
+  ret i64 %v
+}
+""", "f")
+        assert "_q" not in text and "_r" not in text  # no pointer locals
+        assert text.count("_p[1] + v") == 2, text  # recomputed per access
+        buffer = MemoryBuffer(64, "p")
+        struct.pack_into("<q", buffer.data, 40, 41)
+        assert compiled((buffer, 0), 3) == 41
+        assert struct.unpack_from("<q", buffer.data, 40)[0] == 42
+
+    @pytest.mark.parametrize("use", ["backedge", "after-exit"])
+    def test_gep_used_in_another_block_is_not_folded(self, use):
+        """A fold keeps the arithmetic beside its one block's accesses,
+        where no phi move (names are reassigned on edges) can come
+        between; a use across the back edge or after the loop keeps the
+        ``(buffer, offset)`` local computed when the GEP ran."""
+        if use == "backedge":
+            phi = "%prev = phi i64* [ %p, %entry ], [ %a, %loop ]"
+            read, last = "%prev", "%p"
+        else:
+            phi, read, last = "", "%a", "%a"
+        source = f"""
+define i64 @f(i64* %p, i64 %n) {{
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i1, %loop ]
+  {phi}
+  %a = getelementptr i64, i64* %p, i64 %i
+  %old = load i64, i64* {read}
+  %new = add i64 %old, 5
+  store i64 %new, i64* %a
+  %i1 = add i64 %i, 1
+  %c = icmp slt i64 %i1, %n
+  br i1 %c, label %loop, label %out
+out:
+  %v = load i64, i64* {last}
+  ret i64 %v
+}}
+"""
+        func = parse_module(source).get_function("f")
+        assert FunctionCompiler(func)._foldable_geps() == set()
+        results = []
+        for tier in ("jit", "interp"):
+            buffer = MemoryBuffer(64, "p")
+            engine = ExecutionEngine(parse_module(source), tier=tier)
+            results.append((engine.run("f", (buffer, 0), 6),
+                            bytes(buffer.data)))
+        assert results[0] == results[1]
+        assert results[0][0] == 5

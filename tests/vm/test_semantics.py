@@ -308,3 +308,24 @@ entry:
     assert "<decode>/ret/thunk" in text
     assert "<decode>/load_scalar_val/slot" in text
     assert "buf.check(off, size)" in text
+
+
+# -- W, the two's-complement wrap ------------------------------------------------
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_wrap_at_the_range_boundary_through_both_projections(bits):
+    """``W(x)`` answers ``x`` itself inside ``[-2^(bits-1), 2^(bits-1))``
+    and re-biases outside: the boundary and one past it, both sides."""
+    half = 1 << (bits - 1)
+    entry = semantics.Entry("cast.trunc", semantics.CAST["trunc"], False,
+                            bits, 128)
+    tree = ast.Expression(semantics.instantiate(
+        entry, [lambda: ast.Name("x", ast.Load())]))
+    code = compile(ast.fix_missing_locations(tree), "<W>", "eval")
+    decoded_wrap = semantics.closure_factory(entry, (False,))(0, 1)
+    for value, wrapped in ((-half - 1, half - 1), (-half, -half),
+                           (half - 1, half - 1), (half, -half),
+                           (2 * half, 0), (-1, -1), (0, 0)):
+        assert eval(code, {"x": value}) == wrapped, (bits, value)
+        assert decoded_wrap([None, value]) == wrapped, (bits, value)
