@@ -16,8 +16,8 @@ The package rebuilds the paper's full stack in pure Python:
 * :mod:`repro.shootout` — the shootout benchmark suite of Table 1;
 * :mod:`repro.mcvm` — a mini-McVM with the paper's OSR-based feval
   optimizer (Section 4);
-* :mod:`repro.experiments` — drivers regenerating Figures 10/11 and
-  Tables 2-4.
+* :mod:`repro.experiments` — drivers regenerating Figures 8, 10/11,
+  Tables 2-4 and the design ablations.
 
 Quickstart::
 

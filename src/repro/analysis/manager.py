@@ -205,18 +205,12 @@ class _Cell:
 
 
 class AnalysisManager:
-    """Lazily computes and caches analysis results per function version.
+    """Lazily computes and caches analysis results per function version."""
 
-    ``bypass=True`` disables caching (every query recomputes) — the
-    control arm of ``benchmarks/bench_analysis.py``.
-    """
-
-    def __init__(self, telemetry=None, bypass: bool = False,
-                 max_functions: int = 256):
+    def __init__(self, telemetry=None, max_functions: int = 256):
         #: attached telemetry; ``None`` resolves the ambient sink per
         #: emission so a ``repro.obs.trace`` block is picked up live
         self.telemetry = telemetry
-        self.bypass = bypass
         self.max_functions = max_functions
         self._cells: "OrderedDict[int, _Cell]" = OrderedDict()
         self.hits = 0
@@ -241,9 +235,6 @@ class AnalysisManager:
         fetch of an analysis another one needs passes ``_asked=False``."""
         spec = ANALYSES[name]
         with self._lock:
-            if self.bypass:
-                self.misses += _asked
-                return self._compute(spec, func)
             cell = self._cells.get(id(func))
             if cell is not None and cell.func is func:
                 if cell.version != func.code_version:
@@ -379,7 +370,6 @@ class AnalysisManager:
                 "hit_rate": (self.hits / queries) if queries else 0.0,
                 "functions": len(self._cells),
                 "entries": sum(len(c.results) for c in self._cells.values()),
-                "bypass": self.bypass,
             }
 
     def __repr__(self) -> str:  # pragma: no cover

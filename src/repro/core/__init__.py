@@ -18,7 +18,7 @@ The paper's primary contribution, reproduced over :mod:`repro.ir` and
 * **multi-version management** (:class:`MultiVersionManager`) — chains
   ``f -> f' -> f''`` and deoptimization edges;
 * **McOSR baseline** (:func:`insert_mcosr_point`) — the pool-of-globals
-  design OSRKit improves upon, kept for ablation benchmarks.
+  design OSRKit improves upon, kept for ``repro.experiments.ablation``.
 """
 
 from .conditions import (

@@ -11,13 +11,13 @@ a new entrypoint prepended to the function checks the flag: when set, it
 clears the flag, reloads the live values from the global pool and jumps
 to the landing pad.  McOSR only supports OSR points at loop headers with
 exactly two predecessors; this implementation enforces the same
-restriction so the ablation benchmark compares like with like.
+restriction so the ablation compares like with like.
 
 Contrast with OSRKit (``repro.core.instrument``): no continuation
 function, state travels through memory rather than registers/arguments,
 and the extra entrypoint stays in the function, disturbing later
 optimization — the effects Table 2/Figure 10 quantify for the OSRKit
-design and ``benchmarks/bench_ablation_mcosr.py`` quantifies for this one.
+design and ``repro.experiments.ablation`` quantifies for this one.
 """
 
 from __future__ import annotations

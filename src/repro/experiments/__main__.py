@@ -1,4 +1,4 @@
-"""Run the full evaluation from the command line.
+"""Regenerate the paper's evaluation from the command line.
 
 ::
 
@@ -6,8 +6,8 @@
     python -m repro.experiments q1 q4       # a subset
     python -m repro.experiments q1 --trials 5
 
-Regenerates the data behind Figures 10/11 and Tables 2-4 and prints them
-in the paper's layout.
+Prints the data behind Figures 8, 10 and 11, Tables 2-4 and DESIGN.md's
+Section 5 ablations; EXPERIMENTS.md records a run of each.
 """
 
 from __future__ import annotations
@@ -15,10 +15,36 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .ablation import format_ablation, run_ablation
+from .fig8 import format_fig8, run_fig8
 from .q1 import format_q1, run_q1
 from .q2 import format_q2, run_q2
-from .q3 import format_q3, run_q3
+from .q3 import format_q3, format_q3_state, run_q3, run_q3_state
 from .q4 import format_q4, run_q4
+
+
+def _q1(trials):
+    return "\n\n".join(format_q1(run_q1(level=level, trials=trials))
+                       for level in ("unoptimized", "optimized"))
+
+
+def _q3(trials):
+    return format_q3(run_q3()) + "\n\n" + format_q3_state(run_q3_state())
+
+
+#: target -> (banner title, trials -> the rendered table)
+TARGETS = {
+    "q1": ("Q1 / Figures 10 & 11 — never-firing OSR point overhead", _q1),
+    "q2": ("Q2 / Table 2 — cost of an OSR transition",
+           lambda trials: format_q2(run_q2(trials=trials))),
+    "q3": ("Q3 / Table 3 — OSR machinery generation", _q3),
+    "q4": ("Q4 / Table 4 — feval optimization speedups",
+           lambda trials: format_q4(run_q4(trials=trials))),
+    "fig8": ("Figure 8 — intrusiveness of a never-firing OSR point",
+             lambda trials: format_fig8(run_fig8())),
+    "ablation": ("Ablation — OSRKit vs McOSR, stub vs inline generation",
+                 lambda trials: format_ablation(run_ablation(trials=trials))),
+}
 
 
 def main(argv=None) -> int:
@@ -27,8 +53,7 @@ def main(argv=None) -> int:
         description="Regenerate the paper's evaluation tables.",
     )
     parser.add_argument(
-        "experiments", nargs="*", default=["q1", "q2", "q3", "q4"],
-        choices=["q1", "q2", "q3", "q4"],
+        "experiments", nargs="*", default=list(TARGETS), choices=TARGETS,
         help="which experiments to run (default: all)",
     )
     parser.add_argument("--trials", type=int, default=3,
@@ -36,32 +61,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     banner = "=" * 72
-    if "q1" in args.experiments:
-        print(banner)
-        print("Q1 / Figures 10 & 11 — never-firing OSR point overhead")
-        print(banner)
-        for level in ("unoptimized", "optimized"):
-            rows = run_q1(level=level, trials=args.trials)
-            print(format_q1(rows))
+    for target, (title, render) in TARGETS.items():
+        if target in args.experiments:
+            print(banner)
+            print(title)
+            print(banner)
+            print(render(args.trials))
             print()
-    if "q2" in args.experiments:
-        print(banner)
-        print("Q2 / Table 2 — cost of an OSR transition")
-        print(banner)
-        print(format_q2(run_q2(trials=args.trials)))
-        print()
-    if "q3" in args.experiments:
-        print(banner)
-        print("Q3 / Table 3 — OSR machinery generation")
-        print(banner)
-        print(format_q3(run_q3()))
-        print()
-    if "q4" in args.experiments:
-        print(banner)
-        print("Q4 / Table 4 — feval optimization speedups")
-        print(banner)
-        print(format_q4(run_q4(trials=args.trials)))
-        print()
     return 0
 
 

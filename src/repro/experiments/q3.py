@@ -18,11 +18,11 @@ re-measurement of the sub-steps.
 :func:`run_q3_state` adds the companion state-size table: the number of
 live values a FrameState would capture at each OSR site (function entry
 + every loop header — the speculation pass's guard sites) before and
-after the ``scalarize`` pass, reported as mean/p50/p90/max per
-benchmark.  Sites where no aggregate splits show identical counts; the
-shootout programs index their arrays dynamically, so the split counts
-here document *which* real programs the SROA bailouts leave untouched
-(``benchmarks/bench_scalarize.py`` measures the programs that do split).
+after the ``scalarize`` pass, as mean/p50/p90/max per benchmark.  The
+shootout programs index their arrays dynamically, so nothing splits and
+the counts are equal: the table documents which real programs the SROA
+bailouts leave untouched (``TestScalarizedOSRState`` in
+``tests/core/test_resolved_osr.py`` pins the cut on a program that splits).
 """
 
 from __future__ import annotations

@@ -300,21 +300,12 @@ def make_feval_optimizer(vm, env: FevalOSREnv):
                       target=target_name, loop=env.loop_id):
             return _specialize(target_name, cache_key)
 
-    def _specialize(target_name, cache_key):
-        # 4a: profile-driven IIR specialization
-        specialized = specialize_feval_to_direct(
-            env.function, env.handle_param, target_name
-        )
-        # re-run type inference: direct calls let the engine infer
-        # concrete types where feval forced boxing
-        info = vm.inference.infer(specialized, env.info.arg_classes)
-
-        # 4b: lower the optimized IIR to IR (alloca form, no OSR inside),
-        # forcing the base version's return ABI so the continuation is a
-        # drop-in replacement
+    def _continuation_of(iir, info, ir_name):
+        """Lower ``iir`` to IR (alloca form, no OSR inside) under the base
+        version's return ABI, so the result is a drop-in replacement, and
+        build the optimized continuation landing at this loop's header."""
         variant = vm.compile_iir_raw(
-            specialized, info,
-            ir_name=vm.module.unique_name(specialized.name),
+            iir, info, ir_name=vm.module.unique_name(ir_name),
             forced_return_class=_return_abi(env),
         )
         landing = variant.loop_headers[env.loop_id]
@@ -333,7 +324,18 @@ def make_feval_optimizer(vm, env: FevalOSREnv):
         promote_memory_to_registers(continuation, am=am)
         optimize_function(continuation, "optimized", am=am)
         vm.engine.invalidate(continuation)
+        return continuation
 
+    def _specialize(target_name, cache_key):
+        # 4a: profile-driven IIR specialization
+        specialized = specialize_feval_to_direct(
+            env.function, env.handle_param, target_name
+        )
+        # re-run type inference: direct calls let the engine infer
+        # concrete types where feval forced boxing
+        info = vm.inference.infer(specialized, env.info.arg_classes)
+        # 4b: the continuation of the optimized IIR
+        continuation = _continuation_of(specialized, info, specialized.name)
         # 4c: code caching
         vm.code_cache[cache_key] = continuation
         return continuation
@@ -349,29 +351,11 @@ def make_feval_optimizer(vm, env: FevalOSREnv):
         vm.stats["feval_deopts"] += 1
         guard_key = f"feval:{env.function.name}#loop{env.loop_id}"
         key = (guard_key, env.function.name, env.info.arg_classes)
-
-        def build():
-            variant = vm.compile_iir_raw(
-                env.function, env.info,
-                ir_name=vm.module.unique_name(f"{env.function.name}_deopt"),
-                forced_return_class=_return_abi(env),
-            )
-            landing = variant.loop_headers[env.loop_id]
-            mapping = _build_state_mapping(vm, env, variant, landing)
-            am = engine.analysis
-            continuation = generate_continuation(
-                variant.ir_function, landing,
-                _live_value_specs(env), mapping,
-                name=f"{variant.ir_function.name}_cont",
-                module=vm.module, telemetry=vm.engine.telemetry, am=am,
-            )
-            promote_memory_to_registers(continuation, am=am)
-            optimize_function(continuation, "optimized", am=am)
-            engine.invalidate(continuation)
-            return continuation
-
         return engine.deopt_manager.external_exit(
-            key, build, guard=guard_key, function=env.function.name,
+            key,
+            lambda: _continuation_of(env.function, env.info,
+                                     f"{env.function.name}_deopt"),
+            guard=guard_key, function=env.function.name,
         )
 
     return optimizer

@@ -165,35 +165,6 @@ class MetricsRegistry:
                        for name, copied in copies.items()},
         }
 
-    @staticmethod
-    def diff(before: Dict[str, Dict[str, object]],
-             after: Dict[str, Dict[str, object]]
-             ) -> Dict[str, Dict[str, object]]:
-        """What happened between two snapshots.
-
-        Counter and timer-count/total deltas; gauges report their final
-        value (a gauge is a level, not a flow).  Keys whose delta is zero
-        are omitted so diffs stay readable.
-        """
-        counters = {}
-        for name, value in after.get("counters", {}).items():
-            delta = value - before.get("counters", {}).get(name, 0)
-            if delta:
-                counters[name] = delta
-        timers = {}
-        for name, stats in after.get("timers", {}).items():
-            prior = before.get("timers", {}).get(name)
-            count = stats["count"] - (prior["count"] if prior else 0)
-            total = stats["total"] - (prior["total"] if prior else 0.0)
-            if count:
-                timers[name] = {"count": count, "total": total,
-                                "mean": total / count}
-        return {
-            "counters": counters,
-            "gauges": dict(after.get("gauges", {})),
-            "timers": timers,
-        }
-
     def clear(self) -> None:
         with self._lock:
             self._counters.clear()

@@ -110,8 +110,7 @@ PASSES: Dict[str, FunctionPass] = {
 
 #: the two pipeline configurations of the paper's evaluation (Section
 #: 5.1), plus "scalarized" — the unoptimized tier with SROA on top, the
-#: A/B arm the scalarization benchmarks and differential suites compare
-#: against plain "unoptimized"
+#: A/B arm the differential suites compare against plain "unoptimized"
 PIPELINES: Dict[str, List[str]] = {
     # "unoptimized": only mem2reg, to promote stack slots and build SSA
     "unoptimized": ["mem2reg"],

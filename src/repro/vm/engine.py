@@ -261,7 +261,7 @@ class ExecutionEngine:
         #: always-on production telemetry instead: a bounded
         #: flight-recorder ring plus percentile histograms, cheap enough
         #: to leave on in ``tiered``/``tiered-bg`` service deployments
-        #: (budgeted by ``benchmarks/bench_obs.py``)
+        #: (the ledger's ``obs.flight_ratio`` measures what it costs)
         if telemetry is not None:
             self.telemetry = telemetry
         elif flight:
@@ -276,7 +276,7 @@ class ExecutionEngine:
         #: cached IR analyses (liveness/dominators/loops), shared
         #: process-wide by default so OSR insertion, speculation and the
         #: transforms all hit one cache; pass ``analysis_manager=`` for a
-        #: private one (benchmarks, bypass experiments)
+        #: private one
         self.analysis = (analysis_manager if analysis_manager is not None
                          else default_manager())
         #: tier-up machinery

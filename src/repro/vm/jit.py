@@ -543,8 +543,8 @@ class FunctionCompiler:
     recorded as binding descriptors and resolved at instantiation time,
     which is what makes the artifact reusable across engines.  The
     lowering builds :mod:`ast` nodes directly; :meth:`build_tree`
-    returns the finished ``ast.Module`` (benchmarks time the tree build
-    and the bytecode ``compile`` separately through it).
+    returns the finished ``ast.Module`` (the artifact's source hook
+    unparses it on demand).
     """
 
     def __init__(self, func: Function):

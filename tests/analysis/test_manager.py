@@ -82,16 +82,6 @@ class TestCaching:
         assert second is not first
         assert am.stats()["misses"] == 2
 
-    def test_bypass_never_caches(self):
-        am = AnalysisManager(bypass=True)
-        func = _func()
-        first = am.liveness(func)
-        second = am.liveness(func)
-        assert first is not second
-        assert am.stats()["hits"] == 0
-        assert am.stats()["misses"] == 2
-        assert am.stats()["bypass"] is True
-
     def test_cached_peek_never_counts(self):
         am = AnalysisManager()
         func = _func()

@@ -4,10 +4,14 @@ on the site selection and statistics helpers)."""
 import pytest
 
 from repro.experiments import (
+    format_ablation,
+    format_fig8,
     format_q1,
     format_q2,
     format_q3,
     format_q4,
+    run_ablation,
+    run_fig8,
     run_q1,
     run_q2,
     run_q3,
@@ -102,6 +106,35 @@ class TestQ4:
         assert "odeEuler" in format_q4(rows)
 
 
+class TestFig8:
+    def test_never_firing_point_adds_a_handful_of_operations(self):
+        rows = run_fig8()
+        assert [row.workload for row in rows] == ["sum-loop"]
+        for row in rows:
+            assert row.native_ops > 0
+            # counter update + threshold check + the out-of-line firing
+            # block, not a rewrite of the function
+            assert 0 < row.delta_ops <= 64, row
+        assert "native ops" in format_fig8(rows)
+
+
+class TestAblation:
+    def test_every_design_returns_the_native_checksum(self):
+        n = 3000  # past the firing threshold, so both designs transfer
+        rows = {row.configuration: row for row in run_ablation(n=n, trials=1)}
+        native = rows["native"].checksum
+        for label in ("osrkit never", "mcosr never",
+                      "osrkit firing", "mcosr firing"):
+            assert rows[label].checksum == native, label
+            assert rows[label].seconds > 0
+        # the rationale for the stub: inline generation injects more code
+        assert rows["open, inline"].ir_size > rows["open, stub"].ir_size
+        # a point is counter phi + decrement + compare + branch + the
+        # firing block's call and return, not a rewrite of the function
+        assert 0 < rows["open, stub"].ir_size - rows["native"].ir_size <= 12
+        assert "mcosr firing" in format_ablation(list(rows.values()))
+
+
 class TestCLI:
     def test_main_q3(self, capsys):
         from repro.experiments.__main__ import main
@@ -110,6 +143,16 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Q3 / Table 3" in out
         assert "sp-norm" in out
+        assert "FrameState slots per OSR site" in out
+
+    def test_main_fig8_and_ablation(self, capsys):
+        from repro.experiments.__main__ import main
+
+        assert main(["fig8", "ablation", "--trials", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 8" in out and "sum-loop" in out
+        assert "osrkit firing" in out and "open, inline" in out
+        assert "Q1" not in out
 
     def test_main_rejects_unknown(self):
         from repro.experiments.__main__ import main

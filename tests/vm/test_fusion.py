@@ -12,6 +12,7 @@ import pytest
 
 from repro.ir import parse_module
 from repro.obs import Telemetry, events
+from repro.shootout import SUITE, compile_benchmark
 from repro.vm import ExecutionEngine
 from repro.vm.decode import decode_function
 
@@ -131,6 +132,25 @@ class TestEngineSurface:
         assert engine.run("sumto", 10) == 55
         fusion = engine.stats_snapshot()["fusion"]
         assert fusion["sumto"] == {"cmp_br": 1, "op_chain": 0, "phi_copy": 2}
+
+    @pytest.mark.parametrize("name, args, expected", [
+        ("fannkuch", (6,), (12, 31, 20)),
+        ("fasta", (300,), (2, 70, 4)),
+        ("rev-comp", (120,), (5, 50, 8)),
+    ])
+    def test_shootout_fusion_totals(self, name, args, expected):
+        # what the decoder fuses on compare/branch-heavy real programs
+        # (``unoptimized`` pipeline, summed over the functions the run
+        # decodes): a decoder or frontend change that moves these moves
+        # the decoded tier's dispatch count, so it has to say so here
+        benchmark = SUITE[name]
+        engine = ExecutionEngine(compile_benchmark(benchmark, "unoptimized"),
+                                 tier="decoded")
+        engine.run(benchmark.entry, *args)
+        fusion = engine.stats_snapshot()["fusion"].values()
+        totals = tuple(sum(per_func[key] for per_func in fusion)
+                       for key in ("cmp_br", "op_chain", "phi_copy"))
+        assert totals == expected
 
     def test_decode_fuse_event_carries_counters(self):
         tel = Telemetry()
