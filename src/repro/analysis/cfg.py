@@ -8,7 +8,7 @@ LLVM passes recompute analyses after mutation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..ir.function import BasicBlock, Function
 
@@ -27,10 +27,11 @@ def predecessor_map(func: Function) -> Dict[BasicBlock, List[BasicBlock]]:
     return preds
 
 
-def reachable_blocks(func: Function) -> Set[BasicBlock]:
-    """Blocks reachable from the entry block."""
+def reachable_blocks(func: Function,
+                     start: Optional[BasicBlock] = None) -> Set[BasicBlock]:
+    """Blocks reachable from ``start`` (the entry block by default)."""
     seen: Set[BasicBlock] = set()
-    stack = [func.entry]
+    stack = [start if start is not None else func.entry]
     while stack:
         block = stack.pop()
         if block in seen:

@@ -22,8 +22,11 @@ class DominatorTree:
         self.idom: Dict[BasicBlock, BasicBlock] = {}
         #: children in the dominator tree
         self.children: Dict[BasicBlock, List[BasicBlock]] = {}
+        #: CFG predecessors of every block, as the tree was built from them
+        self.preds: Dict[BasicBlock, List[BasicBlock]] = {}
         #: postorder index of each reachable block
         self._po_index: Dict[BasicBlock, int] = {}
+        self._frontier: Optional[Dict[BasicBlock, Set[BasicBlock]]] = None
         self._compute()
 
     def _compute(self) -> None:
@@ -31,7 +34,7 @@ class DominatorTree:
         order = post_order(func)
         self._po_index = {b: i for i, b in enumerate(order)}
         rpo = list(reversed(order))
-        preds = predecessor_map(func)
+        preds = self.preds = predecessor_map(func)
         entry = func.entry
 
         idom: Dict[BasicBlock, Optional[BasicBlock]] = {b: None for b in rpo}
@@ -104,14 +107,16 @@ class DominatorTree:
 
     def dominance_frontier(self) -> Dict[BasicBlock, Set[BasicBlock]]:
         """DF(b) per Cooper-Harvey-Kennedy: for each join point, walk each
-        predecessor's dominator chain up to the join's idom."""
-        func = self.function
-        preds = predecessor_map(func)
+        predecessor's dominator chain up to the join's idom.  Computed on
+        first request and kept: the tree is a snapshot of one CFG, so a
+        run of phi placements (which leave the CFG alone) shares it."""
+        if self._frontier is not None:
+            return self._frontier
         frontier: Dict[BasicBlock, Set[BasicBlock]] = {
             b: set() for b in self.idom
         }
         for block in self.idom:
-            block_preds = [p for p in preds[block] if p in self.idom]
+            block_preds = [p for p in self.preds[block] if p in self.idom]
             if len(block_preds) < 2:
                 continue
             for pred in block_preds:
@@ -119,4 +124,5 @@ class DominatorTree:
                 while runner is not self.idom[block]:
                     frontier[runner].add(block)
                     runner = self.idom[runner]
+        self._frontier = frontier
         return frontier

@@ -13,8 +13,9 @@ The paper's primary contribution, reproduced over :mod:`repro.ir` and
 * **continuation generation** (:func:`generate_continuation`) — dedicated
   OSR entry, phi fixing, dead old-entry elision (Figure 7);
 * **one insertion mechanism** (:func:`open_osr_point` /
-  :func:`close_osr_point`) — capture, split, check, and the epilogue
-  every flavour shares; a flavour only fills the ``osr`` block;
+  :func:`emit_osr_check` / :func:`close_osr_point`) — capture and split,
+  the check, and the epilogue every flavour shares; a flavour only fills
+  the ``osr`` block;
 * **multi-version management** (:class:`MultiVersionManager`) — chains
   ``f -> f' -> f''`` and deoptimization edges;
 * **McOSR baseline** (:func:`insert_mcosr_point`) — the pool-of-globals
@@ -40,6 +41,7 @@ from .instrument import (
     ResolvedOSR,
     build_open_osr_stub,
     close_osr_point,
+    emit_osr_check,
     insert_open_osr_point,
     insert_resolved_osr_point,
     open_osr_point,
@@ -67,6 +69,7 @@ __all__ = [
     "build_open_osr_stub",
     "split_block_at",
     "open_osr_point",
+    "emit_osr_check",
     "close_osr_point",
     "OSRSite",
     "ResolvedOSR",

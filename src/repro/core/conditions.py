@@ -6,10 +6,10 @@ emit the IR that computes an ``i1`` at the OSR point:
 
 * :class:`HotCounterCondition` — the classic profile counter of Figure 5:
   a counter initialized to the threshold is decremented at each check and
-  the OSR fires when it reaches zero.  The counter is emitted as an
-  entry-block alloca plus load/dec/store and then promoted to phi form
-  with a targeted mem2reg run, producing exactly the fused-counter shape
-  the paper shows.
+  the OSR fires when it reaches zero.  The counter is born in SSA form —
+  the threshold constant on entry, the decrement at the check, phis where
+  the two meet — which is exactly the fused-counter shape the paper
+  shows.
 * :class:`AlwaysCondition` / :class:`NeverCondition` — constant
   conditions used by the Q2 transition-cost experiments.
 * :class:`GuardCondition` — a front-end-supplied emitter, used for
@@ -18,31 +18,29 @@ emit the IR that computes an ``i1`` at the OSR point:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..ir import types as T
 from ..ir.builder import IRBuilder
 from ..ir.function import Function
 from ..ir.values import ConstantInt, Value
-from ..transform.mem2reg import promote_memory_to_registers
+from ..transform.ssaupdater import SSAUpdater
 
 
 class OSRCondition:
-    """Base class; subclasses emit the i1 condition at the OSR point."""
+    """Base class; subclasses emit the i1 condition at the OSR point.
 
-    def prepare(self, func: Function) -> None:
-        """Emit any entry-block setup (counter initialization).  Runs
-        *before* the caller positions its builder at the check point, so
-        insertions here cannot invalidate the check-site position."""
+    A condition keeps no per-insertion state, so one object serves any
+    number of points."""
 
     def emit(self, func: Function, builder: IRBuilder) -> Value:
         """Emit condition code with ``builder`` positioned where the check
-        happens; returns the ``i1`` value ("fire the OSR")."""
+        happens — the end of the block the point was split off from, with
+        the function's final control flow otherwise in place — and return
+        the ``i1`` value ("fire the OSR").  State carried from one check
+        to the next is the condition's to place (phis in other blocks are
+        fine: the builder stays where it was put)."""
         raise NotImplementedError
-
-    def finalize(self, func: Function) -> None:
-        """Hook run after the OSR point is fully inserted (e.g. promote
-        counters to SSA form)."""
 
 
 class HotCounterCondition(OSRCondition):
@@ -63,31 +61,22 @@ class HotCounterCondition(OSRCondition):
             raise ValueError("threshold must be positive")
         self.threshold = threshold
         self.counter_name = counter_name
-        self._alloca = None
-
-    def prepare(self, func: Function) -> None:
-        entry_builder = IRBuilder().position_at_start(func.entry)
-        slot = entry_builder.alloca(T.i64, f"{self.counter_name}.slot")
-        entry_builder.store(entry_builder.const_i64(self.threshold), slot)
-        self._alloca = slot
 
     def emit(self, func: Function, builder: IRBuilder) -> Value:
-        slot = self._alloca
-        if slot is None:
-            raise ValueError("HotCounterCondition.emit before prepare()")
-        counter = builder.load(slot, self.counter_name)
-        decremented = builder.add(
-            counter, builder.const_i64(-1), f"{self.counter_name}1",
-            flags=("nsw",),
-        )
-        builder.store(decremented, slot)
+        name = self.counter_name
+        start = builder.const_i64(self.threshold)
+        decremented = builder.add(start, builder.const_i64(-1), f"{name}1",
+                                  flags=("nsw",))
+        check = builder.block
+        if check is not func.entry:
+            # one variable, two definitions — the threshold on entry, the
+            # decrement here: the check reads whichever reaches it, through
+            # phis where they meet (straight-line code in the entry block)
+            counter = SSAUpdater(func, T.i64, name)
+            counter.add_definition(func.entry, start)
+            counter.add_definition(check, decremented)
+            counter.rewrite_uses_of(start)
         return builder.icmp("eq", decremented, builder.const_i64(0), "osr.cond")
-
-    def finalize(self, func: Function) -> None:
-        # lift the counter into phi form (Figure 5's fused counter)
-        if self._alloca is not None and self._alloca.parent is not None:
-            promote_memory_to_registers(func, only={self._alloca})
-        self._alloca = None
 
 
 class AlwaysCondition(OSRCondition):

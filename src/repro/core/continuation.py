@@ -3,35 +3,36 @@
 Given a variant ``f'`` and a landing block ``L'``, build the continuation
 ``f'_to``:
 
-1. clone ``f'`` into a fresh function whose parameters are the live
-   values transferred at the OSR point;
-2. prepend an ``osr.entry`` block that runs the state mapping's
-   compensation code and jumps straight to ``L'``;
-3. rewire every live-in value of ``L'`` to the value the state mapping
-   provides — adding phi incomings at ``L'``, RAUW-ing values whose
-   definitions became unreachable, and running single-variable SSA repair
-   for definitions that remain reachable (loop-carried state);
-4. delete the now-unreachable original entry region and (optionally) run
-   cleanup passes, so the continuation is a lean function that LLVM-style
-   global optimization can treat like any other (the paper's "generation
-   of highly optimized continuation functions").
+1. open a fresh function whose parameters are the live values
+   transferred at the OSR point, with an ``osr.entry`` block that runs
+   the state mapping's compensation code and jumps straight to ``L'``;
+2. copy into it the blocks of ``f'`` that ``L'`` reaches — the old entry
+   region the paper deletes as dead code is never made — naming the
+   mapping's value wherever the copy uses a live-in value defined
+   outside them (an argument, code that only runs before ``L'``);
+3. rewire the live-in values defined inside them (loop-carried state):
+   a phi of ``L'`` gets one more incoming, any other definition gets
+   single-variable SSA repair;
+4. remove what became dead, so the continuation is a lean function that
+   LLVM-style global optimization can treat like any other (the paper's
+   "generation of highly optimized continuation functions").
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..analysis.cfg import reachable_blocks, remove_unreachable_blocks
+from ..analysis.cfg import reachable_blocks
 from ..analysis.manager import resolve_manager
 from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
 from ..ir.builder import IRBuilder
 from ..ir.function import BasicBlock, Function, Module
-from ..ir.instructions import Instruction, PhiInst
+from ..ir.instructions import Instruction
 from ..ir.types import FunctionType
 from ..ir.values import Argument, UndefValue, Value
 from ..ir.verifier import verify_function
-from ..transform.clone import ValueMap, clone_instruction
+from ..transform.clone import ValueMap, clone_blocks
 from ..transform.dce import eliminate_dead_code
 from ..transform.ssaupdater import SSAUpdater
 from .statemap import StateMapping
@@ -69,6 +70,7 @@ def generate_continuation(
     verify: bool = True,
     telemetry=None,
     am=None,
+    landing_state: Optional[Sequence[Value]] = None,
 ) -> Function:
     """Build the continuation function ``f'_to``.
 
@@ -76,7 +78,10 @@ def generate_continuation(
     point; they define the continuation's signature (their types) and
     parameter names.  ``mapping`` must cover every live-in value of
     ``landing`` (keys are values of ``variant``); use
-    :func:`required_landing_state` to enumerate them.
+    :func:`required_landing_state` to enumerate them.  A caller that
+    already holds that list — insertion into ``f`` itself takes it before
+    splitting the block — passes it as ``landing_state`` and the
+    completeness check runs against it instead of a second liveness solve.
 
     Generation is traced as an ``osr.continuation`` span (with an
     ``osr.compensation`` instant recording how many state-mapping entries
@@ -88,7 +93,7 @@ def generate_continuation(
                   landing=landing.name, live=len(live_values)):
         return _generate_continuation(
             variant, landing, live_values, mapping, name, module,
-            verify, tel, resolve_manager(am),
+            verify, tel, resolve_manager(am), landing_state,
         )
 
 
@@ -102,6 +107,7 @@ def _generate_continuation(
     verify: bool,
     telemetry,
     am,
+    landing_state: Optional[Sequence[Value]],
 ) -> Function:
     if landing.parent is not variant:
         raise OSRError(
@@ -111,57 +117,34 @@ def _generate_continuation(
     if target_module is None:
         raise OSRError("variant has no module and none was provided")
 
-    _check_mapping_complete(variant, landing, mapping, am)
+    if landing_state is None:
+        landing_state = required_landing_state(variant, landing, am)
+    missing = [v for v in landing_state if mapping.get(v) is None]
+    if missing:
+        names = ", ".join(f"%{v.name}" for v in missing)
+        raise OSRError(
+            f"state mapping is missing live value(s) at %{landing.name} "
+            f"of @{variant.name}: {names}"
+        )
 
     cont_type = FunctionType(
         variant.return_type, [v.type for v in live_values]
     )
-    param_names = _osr_param_names(live_values)
+    param_names = osr_param_names(live_values)
     cont_name = target_module.unique_name(name or f"{variant.name}to")
     cont = Function(cont_type, cont_name, param_names)
     target_module.add_function(cont)
 
-    # -- clone the variant body into the continuation -------------------------
-    vmap = ValueMap()
-    placeholders: List[_Placeholder] = []
-    for arg in variant.args:
-        placeholder = _Placeholder(arg.type, arg.name)
-        vmap[arg] = placeholder
-        placeholders.append(placeholder)
-    for block in variant.blocks:
-        copy = BasicBlock(block.name)
-        cont.add_block(copy)
-        vmap[block] = copy
-    for block in variant.blocks:
-        copy_block = vmap[block]
-        for inst in block.instructions:
-            copy = clone_instruction(inst, vmap)
-            copy_block.append(copy)
-            if not inst.type.is_void:
-                vmap[inst] = copy
-    for block in cont.blocks:
-        for inst in block.instructions:
-            for index, op in enumerate(inst.operands):
-                mapped = vmap.get(op)
-                if mapped is not None and mapped is not op:
-                    inst.set_operand(index, mapped)
-
-    landing_clone: BasicBlock = vmap[landing]
-
     # -- osr.entry with compensation code ---------------------------------------
-    osr_entry = BasicBlock("osr.entry")
-    cont.insert_block_front(osr_entry)
+    osr_entry = BasicBlock("osr.entry", cont)
     builder = IRBuilder(osr_entry)
     params = list(cont.args)
     if mapping.prologue is not None:
         mapping.prologue(builder, params)
-    replacements: List[Tuple[Value, Value]] = []
-    for variant_value, source in mapping.items():
-        clone_value = vmap.lookup(variant_value)
-        replacements.append(
-            (clone_value, source.materialize(builder, params))
-        )
-    builder.br(landing_clone)
+    replacements: List[Tuple[Value, Value]] = [
+        (variant_value, source.materialize(builder, params))
+        for variant_value, source in mapping.items()
+    ]
     cont.attributes["osr.role"] = "continuation"
     # the transferred-state width, queryable after the fact (Q3's state
     # tables and the scalarization benchmarks read this)
@@ -171,37 +154,51 @@ def _generate_continuation(
         entries=len(replacements), prologue=mapping.prologue is not None,
     )
 
-    # -- rewire live state -----------------------------------------------------------
-    reachable = reachable_blocks(cont)
-    deferred_repairs: List[Tuple[Instruction, Value]] = []
-    for clone_value, replacement in replacements:
-        if (isinstance(clone_value, PhiInst)
-                and clone_value.parent is landing_clone):
-            clone_value.add_incoming(replacement, osr_entry)
-        elif isinstance(clone_value, _Placeholder):
-            clone_value.replace_all_uses_with(replacement)
-        elif isinstance(clone_value, Instruction):
-            def_block = clone_value.parent
-            if def_block is None or def_block not in reachable:
-                clone_value.replace_all_uses_with(replacement)
-            else:
-                deferred_repairs.append((clone_value, replacement))
-        else:
+    # -- clone what the landing block reaches ---------------------------------
+    # a mapped value defined outside that region (an argument, code that
+    # only runs before L') is simply the value the mapping provides; one
+    # defined inside it is loop-carried state, rewired below
+    region = reachable_blocks(variant, landing)
+    vmap = ValueMap()
+    placeholders: List[_Placeholder] = []
+    for arg in variant.args:
+        placeholder = _Placeholder(arg.type, arg.name)
+        vmap[arg] = placeholder
+        placeholders.append(placeholder)
+    carried: List[Tuple[Instruction, Value]] = []
+    for variant_value, replacement in replacements:
+        if isinstance(variant_value, Instruction):
+            if variant_value.parent in region:
+                carried.append((variant_value, replacement))
+                continue
+        elif not isinstance(variant_value, Argument):
             raise OSRError(
-                f"state mapping key {clone_value!r} is not a rewritable value"
+                f"state mapping key {variant_value!r} is not a rewritable "
+                f"value"
             )
+        vmap[variant_value] = replacement
+    clone_blocks((b for b in variant.blocks if b in region), vmap, cont)
+    landing_clone: BasicBlock = vmap[landing]
+    builder.br(landing_clone)
 
+    # -- rewire loop-carried state ---------------------------------------------
+    # a phi of L' takes the transferred value as one more incoming; any
+    # other definition gets single-variable SSA repair (the repairs share
+    # one dominator tree, frontier and predecessor map through the
+    # manager, since phi insertion never changes the CFG)
+    repairs: List[Tuple[Instruction, Value]] = []
+    for variant_value, replacement in carried:
+        clone_value = vmap[variant_value]
+        if clone_value.is_phi and clone_value.parent is landing_clone:
+            clone_value.add_incoming(replacement, osr_entry)
+        else:
+            repairs.append((clone_value, replacement))
     # landing phis not covered by the mapping: dead ones get undef (and are
     # pruned below); live ones mean the mapping was incomplete
     for phi in landing_clone.phis:
         if not phi.has_incoming_for(osr_entry):
             phi.add_incoming(UndefValue(phi.type), osr_entry)
-
-    # single-variable SSA repair for loop-carried definitions that remain
-    # reachable from the landing pad (run after the CFG is final) — the
-    # repairs share one cached dominator tree through the manager, since
-    # phi insertion never changes the CFG
-    for clone_value, replacement in deferred_repairs:
+    for clone_value, replacement in repairs:
         updater = SSAUpdater(cont, clone_value.type,
                              clone_value.name or "osr", am=am)
         updater.add_definition(clone_value.parent, clone_value)
@@ -209,7 +206,6 @@ def _generate_continuation(
         updater.rewrite_uses_of(clone_value)
 
     # -- cleanup ---------------------------------------------------------------------
-    remove_unreachable_blocks(cont)
     eliminate_dead_code(cont)
     # the fresh continuation was rewritten wholesale during construction;
     # retire anything cached against its pre-cleanup body
@@ -229,19 +225,8 @@ def _generate_continuation(
     return cont
 
 
-def _check_mapping_complete(variant: Function, landing: BasicBlock,
-                            mapping: StateMapping, am=None) -> None:
-    required = required_landing_state(variant, landing, am)
-    missing = [v for v in required if mapping.get(v) is None]
-    if missing:
-        names = ", ".join(f"%{v.name}" for v in missing)
-        raise OSRError(
-            f"state mapping is missing live value(s) at %{landing.name} "
-            f"of @{variant.name}: {names}"
-        )
-
-
-def _osr_param_names(live_values: Sequence[Value]) -> List[str]:
+def osr_param_names(live_values: Sequence[Value]) -> List[str]:
+    """``<name>_osr`` per transferred value, made distinct."""
     names: List[str] = []
     taken = set()
     for index, value in enumerate(live_values):

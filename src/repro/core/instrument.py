@@ -35,7 +35,11 @@ from ..obs.telemetry import ambient as ambient_telemetry
 from ..transform.clone import clone_function
 from ..vm.runtime import FunctionHandle
 from .conditions import OSRCondition
-from .continuation import OSRError, generate_continuation
+from .continuation import (
+    OSRError,
+    generate_continuation,
+    osr_param_names,
+)
 from .statemap import StateMapping
 
 
@@ -67,31 +71,25 @@ def _unwrap_ir(obj):
     return obj
 
 
-class ResolvedOSR:
+class ResolvedOSR(NamedTuple):
     """Result of inserting a resolved OSR point."""
 
-    def __init__(self, function: Function, continuation: Function,
-                 variant: Function, osr_block: BasicBlock,
-                 continuation_block: BasicBlock, live_values: List[Value]):
-        self.function = function          #: the instrumented f_from
-        self.continuation = continuation  #: f'_to
-        self.variant = variant            #: f'
-        self.osr_block = osr_block
-        self.continuation_block = continuation_block
-        self.live_values = live_values
+    function: Function      #: the instrumented f_from
+    continuation: Function  #: f'_to
+    variant: Function       #: f' (f itself when none was given)
+    osr_block: BasicBlock
+    continuation_block: BasicBlock
+    live_values: List[Value]
 
 
-class OpenOSR:
+class OpenOSR(NamedTuple):
     """Result of inserting an open OSR point."""
 
-    def __init__(self, function: Function, stub: Function,
-                 osr_block: BasicBlock, continuation_block: BasicBlock,
-                 live_values: List[Value]):
-        self.function = function  #: the instrumented f_from
-        self.stub = stub          #: f_stub
-        self.osr_block = osr_block
-        self.continuation_block = continuation_block
-        self.live_values = live_values
+    function: Function  #: the instrumented f_from
+    stub: Optional[Function]  #: f_stub (none in the no-stub ablation)
+    osr_block: BasicBlock
+    continuation_block: BasicBlock
+    live_values: List[Value]
 
 
 def split_block_at(location: Instruction) -> BasicBlock:
@@ -107,14 +105,9 @@ def split_block_at(location: Instruction) -> BasicBlock:
         raise OSRError("location is not inside a block")
     if location.is_phi:
         raise OSRError("cannot split at a phi; choose the first non-phi")
-    func = block.parent
-    instructions = block.instructions
-    index = instructions.index(location)
     cont = BasicBlock(f"{block.name}.cont")
-    func.add_block(cont, after=block)
-    for inst in instructions[index:]:
-        block.remove(inst)
-        cont.append(inst)
+    block.parent.add_block(cont, after=block)
+    block.move_tail(location, cont)
     # successors' phis must now name the new block
     for succ in cont.successors():
         for phi in succ.phis:
@@ -124,33 +117,36 @@ def split_block_at(location: Instruction) -> BasicBlock:
 
 
 class OSRSite(NamedTuple):
-    """An OSR point between :func:`open_osr_point` and
-    :func:`close_osr_point`: the check is in place and the ``osr`` block
-    is empty, waiting for the flavour's firing path."""
+    """An OSR point on its way in: :func:`open_osr_point` captures the
+    state and splits the block, :func:`emit_osr_check` adds the check and
+    an empty ``osr`` block for the flavour's firing path, and
+    :func:`close_osr_point` seals it."""
 
     function: Function
-    condition: OSRCondition
     engine: Any
     am: Any
     live_values: List[Value]        #: the state the point transfers
+    check_block: BasicBlock         #: ends at the location; gets the check
     continuation_block: BasicBlock  #: starts at the location (not fired)
-    osr_block: BasicBlock           #: the firing path
-    builder: IRBuilder              #: positioned in ``osr_block``
+    osr_block: Optional[BasicBlock] = None  #: the firing path
+    builder: Optional[IRBuilder] = None     #: positioned in ``osr_block``
+    #: the blocks the insertion wrote to, for :func:`close_osr_point`
+    touched: Sequence[BasicBlock] = ()
 
 
-def open_osr_point(func: Function, location: Instruction,
-                   condition: OSRCondition, kind: str, engine=None, am=None,
+def open_osr_point(func: Function, location: Instruction, kind: str,
+                   engine=None, am=None,
                    live_values: Optional[List[Value]] = None) -> OSRSite:
     """Open an OSR point before ``location`` — the part every flavour
     shares.  Captures the state (``live_values``; by default the values
     live before ``location``, from ``am`` — the engine's manager, or the
     process-wide one — so repeated insertions against one function
     version share the result), records its width (an ``osr.state_size``
-    instant tagged ``kind`` and the ``osr.live_slots`` gauge), splits the
-    block at ``location`` and emits the condition with a branch to a
-    fresh ``osr`` block.  The caller fills that block through
-    ``site.builder`` and hands the value to return to
-    :func:`close_osr_point`.
+    instant tagged ``kind`` and the ``osr.live_slots`` gauge) and splits
+    the block at ``location``.  The check comes with
+    :func:`emit_osr_check`, once the flavour has taken what it needs from
+    the un-instrumented body (the resolved continuation, McOSR's second
+    way into the landing block).
     """
     if func.module is None:
         raise OSRError(f"@{func.name} is not inside a module")
@@ -164,51 +160,54 @@ def open_osr_point(func: Function, location: Instruction,
     # live slots means smaller continuation signatures and deopt recipes
     tel.metrics.gauge(EV.OSR_LIVE_SLOTS, len(live_values))
     check_block = location.parent
-    cont_block = split_block_at(location)
+    return OSRSite(func, engine, am, live_values, check_block,
+                   split_block_at(location))
 
-    condition.prepare(func)
+
+def emit_osr_check(site: OSRSite, condition: OSRCondition) -> OSRSite:
+    """Emit ``condition`` at the end of the opened point's check block,
+    with a branch to a fresh ``osr`` block.  The caller fills that block
+    through the returned site's ``builder`` and hands the value to return
+    to :func:`close_osr_point`."""
+    func, check_block = site.function, site.check_block
+    phis_before = {block: block.first_non_phi_index for block in func.blocks}
     terminator = check_block.terminator
     cond_value = condition.emit(
         func, IRBuilder().position_before(terminator))
     osr_block = BasicBlock("osr")
     func.add_block(osr_block)
     terminator.erase_from_parent()
-    IRBuilder(check_block).cond_br(cond_value, osr_block, cont_block)
-    return OSRSite(func, condition, engine, am, live_values, cont_block,
-                   osr_block, IRBuilder(osr_block))
+    IRBuilder(check_block).cond_br(cond_value, osr_block,
+                                   site.continuation_block)
+    # written to: both halves of the split block, the successors whose
+    # phis were renamed, the osr block, wherever the condition put phis
+    touched = [check_block, site.continuation_block, osr_block,
+               *site.continuation_block.successors()]
+    touched += [block for block, phis in phis_before.items()
+                if block.first_non_phi_index != phis]
+    return site._replace(osr_block=osr_block, builder=IRBuilder(osr_block),
+                         touched=touched)
 
 
-def close_osr_point(site: OSRSite, result: Value,
-                    verify: bool = True) -> None:
-    """Close an opened OSR point: return ``result`` (the firing path's
-    call) from the ``osr`` block, finalize the condition, name and verify
-    the function, and retire its compiled form and cached analyses."""
+def close_osr_point(site: OSRSite, result: Value, verify: bool = True,
+                    whole: bool = False) -> None:
+    """Close an OSR point: return ``result`` (the firing path's call)
+    from the ``osr`` block, name the function, verify the blocks the
+    insertion touched (all of them with ``whole``, for a flavour that
+    rewrote beyond the site) and retire the function's compiled form and
+    cached analyses."""
     func = site.function
     if func.return_type.is_void:
         site.builder.ret_void()
     else:
         site.builder.ret(result)
-    site.condition.finalize(func)
     func.assign_names()
     if verify:
-        verify_function(func)
+        verify_function(func, None if whole else site.touched)
     if site.engine is not None:
         site.engine.invalidate(func)  # bumps code_version via the manager
     else:
         site.am.invalidate(func)
-
-
-def _pristine_twin(func: Function, location: Instruction, suffix: str):
-    """Clone ``func`` before it is instrumented and split the clone where
-    the point goes: ``(clone, value map, the clone's block at location)``."""
-    if func.module is None:
-        raise OSRError(f"@{func.name} is not inside a module")
-    twin, vmap = clone_function(
-        func, func.module.unique_name(f"{func.name}.{suffix}"))
-    # the value map holds no void instructions; find the copy by position
-    block = location.parent
-    index = block.instructions.index(location)
-    return twin, vmap, split_block_at(vmap[block].instructions[index])
 
 
 def insert_resolved_osr_point(
@@ -225,11 +224,16 @@ def insert_resolved_osr_point(
 ) -> ResolvedOSR:
     """Insert a resolved OSR point before ``location`` (Figure 2).
 
-    With no ``variant``, the OSR transfers to a clone of ``func`` (the
-    paper's Q2 setup): the clone, landing block and identity state mapping
-    are derived automatically.  Otherwise the caller provides the variant
+    With no ``variant``, the OSR transfers to ``func`` itself (the
+    paper's Q2 setup): the continuation is cut straight from ``func``,
+    split at ``location`` but not yet instrumented, landing on the lower
+    half under the identity state mapping — no intermediate copy, and one
+    liveness query serves the transferred state and the mapping's
+    completeness check.  Otherwise the caller provides the variant
     ``f'``, the landing block ``L'`` and a :class:`StateMapping` covering
-    the live-in state of ``L'`` (with compensation code as needed).
+    the live-in state of ``L'`` (with compensation code as needed).  The
+    continuation is verified whole, ``func`` on the blocks the insertion
+    touched (``verify=False`` skips both).
 
     Insertion is traced as an ``osr.insert`` span (kind ``resolved``) on
     the engine's telemetry (ambient when no engine is given), and the
@@ -239,32 +243,34 @@ def insert_resolved_osr_point(
     """
     tel = telemetry_for(engine)
     with tel.span(EV.OSR_INSERT, function=func.name, kind="resolved"):
-        vmap = None
         if variant is None:
             if landing is not None or mapping is not None:
                 raise OSRError(
                     "landing/mapping given without a variant function"
                 )
-            variant, vmap, landing = _pristine_twin(func, location, "clone")
         elif landing is None or mapping is None:
             raise OSRError("an explicit variant requires landing and mapping")
 
-        site = open_osr_point(func, location, condition, "resolved",
-                              engine, am)
-        if vmap is not None:
-            mapping = StateMapping.identity(
-                site.live_values).translate_keys(vmap)
+        site = open_osr_point(func, location, "resolved", engine, am)
+        live_values, landing_state = site.live_values, None
+        if variant is None:
+            # f' = f: land on the lower half, in the state just captured
+            variant, landing = func, site.continuation_block
+            mapping = StateMapping.identity(live_values)
+            landing_state = live_values
         continuation = generate_continuation(
-            variant, landing, site.live_values, mapping,
+            variant, landing, live_values, mapping,
             name=cont_name or f"{variant.name}to",
             module=func.module, verify=verify, telemetry=tel, am=site.am,
+            landing_state=landing_state,
         )
         continuation.attributes["osr.entrypoint"] = "resolved"
-        call = site.builder.call(continuation, site.live_values, "osr.res",
+        site = emit_osr_check(site, condition)
+        call = site.builder.call(continuation, live_values, "osr.res",
                                  tail=True)
         close_osr_point(site, call, verify)
         return ResolvedOSR(func, continuation, variant, site.osr_block,
-                           site.continuation_block, site.live_values)
+                           site.continuation_block, live_values)
 
 
 #: signature of the run-time code generator the open-OSR stub invokes:
@@ -350,22 +356,11 @@ def build_open_osr_stub(
     """
     with engine.telemetry.span(EV.OSR_OPEN_STUB, function=func.name):
         module = func.module
-        stub_arg_names = ["val"] + [
-            f"{v.name or 'live'}_osr" for v in live_values]
-        # deduplicate argument names
-        seen = set()
-        for i, nm in enumerate(stub_arg_names):
-            candidate, k = nm, 1
-            while candidate in seen:
-                candidate = f"{nm}{k}"
-                k += 1
-            seen.add(candidate)
-            stub_arg_names[i] = candidate
         stub = Function(
             FunctionType(func.return_type,
                          [T.ptr(T.i8)] + [v.type for v in live_values]),
             module.unique_name(f"{func.name}stub"),
-            stub_arg_names,
+            ["val"] + osr_param_names(live_values),
         )
         module.add_function(stub)
 
@@ -382,6 +377,16 @@ def build_open_osr_stub(
             builder.ret(call)
         verify_function(stub)
         return stub
+
+
+def _pristine_twin(site: OSRSite):
+    """A copy of the opened function — split, not yet instrumented — and
+    its block at the location: what an open point's generator is handed
+    when it fires."""
+    func = site.function
+    twin, vmap = clone_function(
+        func, func.module.unique_name(f"{func.name}.orig"))
+    return twin, vmap[site.continuation_block]
 
 
 def insert_open_osr_point(
@@ -420,9 +425,9 @@ def insert_open_osr_point(
         if val is not None and not val.type.is_pointer:
             raise OSRError(
                 f"open-OSR val must be pointer-typed, got {val.type}")
-        gen_function, _, gen_block = _pristine_twin(func, location, "orig")
-
-        site = open_osr_point(func, location, condition, "open", engine, am)
+        site = open_osr_point(func, location, "open", engine, am)
+        gen_function, gen_block = _pristine_twin(site)
+        site = emit_osr_check(site, condition)
         live_values = site.live_values
         stub: Optional[Function] = None
         if use_stub:

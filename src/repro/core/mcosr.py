@@ -41,7 +41,12 @@ from ..obs import events as EV
 from ..transform.ssaupdater import SSAUpdater
 from .conditions import OSRCondition
 from .continuation import OSRError
-from .instrument import close_osr_point, open_osr_point, telemetry_for
+from .instrument import (
+    close_osr_point,
+    emit_osr_check,
+    open_osr_point,
+    telemetry_for,
+)
 
 
 class McOSRPoint:
@@ -108,7 +113,7 @@ def _insert_mcosr_point(
             f"two predecessors (%{block.name} has {len(preds)})"
         )
 
-    site = open_osr_point(func, location, condition, "mcosr", engine, am)
+    site = open_osr_point(func, location, "mcosr", engine, am)
     module = func.module
     live_values = site.live_values
     landing = site.continuation_block
@@ -128,39 +133,12 @@ def _insert_mcosr_point(
         module.add_global(gv)
         pool.append(gv)
 
-    # -- firing path: spill, raise flag, self-call -------------------------------
-    builder = site.builder
-    for value, gv in zip(live_values, pool):
-        builder.store(value, gv)
-    builder.store(builder.const_i1(True), flag)
-    dummy_args: List[Value] = [UndefValue(a.type) for a in func.args]
-    call = builder.call(func, dummy_args, "osr.res")
-
     # -- new entrypoint: flag check + state restore -------------------------------
     old_entry = func.entry
     new_entry = BasicBlock("osr.dispatch")
     restore = BasicBlock("osr.restore")
     func.insert_block_front(new_entry)
     func.add_block(restore, after=new_entry)
-    # hoist the leading alloca/init run (the hotness counter's storage)
-    # into the new entry so it dominates both dispatch targets
-    hoisted = []
-    from ..ir.instructions import AllocaInst as _Alloca
-    from ..ir.instructions import StoreInst as _Store
-
-    moved_allocas = set()
-    for inst in old_entry.instructions:
-        if isinstance(inst, _Alloca):
-            hoisted.append(inst)
-            moved_allocas.add(id(inst))
-        elif (isinstance(inst, _Store)
-                and id(inst.pointer) in moved_allocas):
-            hoisted.append(inst)
-        else:
-            break
-    for index, inst in enumerate(hoisted):
-        old_entry.remove(inst)
-        new_entry.insert(index, inst)
     entry_builder = IRBuilder(new_entry)
     flag_value = entry_builder.load(flag, "osr.flag.val")
     entry_builder.cond_br(flag_value, restore, old_entry)
@@ -172,6 +150,19 @@ def _insert_mcosr_point(
         for index, gv in enumerate(pool)
     ]
     restore_builder.br(landing)
+
+    # -- the check -----------------------------------------------------------------
+    # emitted with both ways into the landing pad in place, so a hotness
+    # counter starts over from its threshold along osr.restore
+    site = emit_osr_check(site, condition)
+
+    # -- firing path: spill, raise flag, self-call -------------------------------
+    builder = site.builder
+    for value, gv in zip(live_values, pool):
+        builder.store(value, gv)
+    builder.store(builder.const_i1(True), flag)
+    dummy_args: List[Value] = [UndefValue(a.type) for a in func.args]
+    call = builder.call(func, dummy_args, "osr.res")
 
     # -- SSA repair: the landing pad now has an extra predecessor ---------------
     for value, new_value in zip(live_values, restored):
@@ -193,6 +184,7 @@ def _insert_mcosr_point(
         if not phi.has_incoming_for(restore):
             phi.add_incoming(UndefValue(phi.type), restore)
 
-    close_osr_point(site, call, verify)
+    # the new entry and the repairs reach well beyond the site
+    close_osr_point(site, call, verify, whole=True)
     return McOSRPoint(func, flag, pool, site.osr_block, landing)
 

@@ -6,8 +6,9 @@ into a function or instruments the method the loop calls; our suite's
 sources already carry those helper methods).  Two configurations run:
 
 * **always-firing**: the condition fires on the first check of every
-  invocation, transferring to a continuation built from a clone of the
-  function — so every call pays one full OSR transition;
+  invocation, transferring to a continuation of the function itself
+  (the same code, entered at the OSR point) — so every call pays one
+  full OSR transition;
 * **never-firing**: identical machinery, unreachable threshold.
 
 The difference in total running time, divided by the number of fired

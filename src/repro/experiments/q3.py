@@ -3,7 +3,7 @@
 Measures, for each benchmark's hot function:
 
 * inserting an *open* OSR point and generating its stub;
-* inserting a *resolved* OSR point (target = clone of the function) and
+* inserting a *resolved* OSR point (target = the function itself) and
   generating the continuation function, reported both in total and
   normalized per IR instruction of the target.
 

@@ -41,7 +41,11 @@ class IRBuilder:
 
     def __init__(self, block: Optional[BasicBlock] = None):
         self._block: Optional[BasicBlock] = block
-        self._index: Optional[int] = None  # None = append at end
+        #: emit before this instruction (None = append at end); anchoring
+        #: to the instruction, not its index, keeps the point where it was
+        #: put when someone else inserts above it (a phi placement)
+        self._anchor: Optional[Instruction] = None
+        self._index = 0  # where the anchor was last seen
 
     # -- insertion point -----------------------------------------------------
 
@@ -57,28 +61,31 @@ class IRBuilder:
 
     def position_at_end(self, block: BasicBlock) -> "IRBuilder":
         self._block = block
-        self._index = None
+        self._anchor = None
         return self
 
     def position_before(self, inst: Instruction) -> "IRBuilder":
         if inst.parent is None:
             raise ValueError("instruction is not in a block")
         self._block = inst.parent
-        self._index = inst.parent.instructions.index(inst)
+        self._anchor = inst
         return self
 
     def position_at_start(self, block: BasicBlock) -> "IRBuilder":
         """Position after any leading phis (the first valid insertion slot)."""
-        self._block = block
-        self._index = block.first_non_phi_index
-        return self
+        index = block.first_non_phi_index
+        if index == len(block):
+            return self.position_at_end(block)
+        self._index = index
+        return self.position_before(block.instructions[index])
 
     def _insert(self, inst: Instruction) -> Instruction:
-        if self._index is None:
+        if self._anchor is None:
             self.block.append(inst)
         else:
-            self.block.insert(self._index, inst)
-            self._index += 1
+            index = self.block.index(self._anchor, self._index)
+            self.block.insert(index, inst)
+            self._index = index + 1
         return inst
 
     # -- constants ------------------------------------------------------------
@@ -264,10 +271,7 @@ class IRBuilder:
             incoming: Sequence[Tuple[Value, BasicBlock]] = ()) -> PhiInst:
         node = PhiInst(type, name)
         # phis must stay grouped at the top of the block
-        index = self.block.first_non_phi_index
-        self.block.insert(index, node)
-        if self._index is not None and self._index >= index:
-            self._index += 1
+        self.block.insert(self.block.first_non_phi_index, node)
         for value, block in incoming:
             node.add_incoming(value, block)
         return node

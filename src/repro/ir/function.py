@@ -55,6 +55,13 @@ class BasicBlock(Value):
         inst.parent = self
         return inst
 
+    def index(self, inst: Instruction, hint: int = 0) -> int:
+        """Position of ``inst`` in the block; ``hint`` is tried first."""
+        instructions = self._instructions
+        if hint < len(instructions) and instructions[hint] is inst:
+            return hint
+        return instructions.index(inst)
+
     def insert_before_terminator(self, inst: Instruction) -> Instruction:
         """Insert just before the terminator (block must be terminated)."""
         if not self.is_terminated:
@@ -64,6 +71,18 @@ class BasicBlock(Value):
     def remove(self, inst: Instruction) -> None:
         self._instructions.remove(inst)
         inst.parent = None
+
+    def move_tail(self, first: Instruction, target: "BasicBlock") -> None:
+        """Move ``first`` and every instruction after it to the end of
+        ``target`` (block splitting), in one slice."""
+        if target.is_terminated:
+            raise ValueError(f"block {target.name!r} is already terminated")
+        index = self.index(first)
+        tail = self._instructions[index:]
+        del self._instructions[index:]
+        for inst in tail:
+            inst.parent = target
+        target._instructions.extend(tail)
 
     @property
     def terminator(self) -> Optional[TerminatorInst]:

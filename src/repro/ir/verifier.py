@@ -17,7 +17,7 @@ test suite holds them to it:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from .function import BasicBlock, Function, Module
 from .instructions import GuardInst, Instruction, PhiInst, RetInst, TerminatorInst
@@ -37,9 +37,16 @@ class VerificationError(Exception):
         )
 
 
-def verify_function(func: Function) -> None:
-    """Raise :class:`VerificationError` if the function is malformed."""
-    problems = collect_problems(func)
+def verify_function(func: Function,
+                    blocks: Optional[Iterable[BasicBlock]] = None) -> None:
+    """Raise :class:`VerificationError` if the function is malformed.
+
+    With ``blocks``, only those blocks are held to the invariants — their
+    shape, their phis against their real predecessors, the operands they
+    use against the dominance of the definitions — for a caller that
+    knows which blocks it touched (OSR insertion: the split block, the
+    ``osr`` block and wherever the counter's phis went)."""
+    problems = collect_problems(func, blocks)
     if problems:
         raise VerificationError(func, problems)
 
@@ -50,17 +57,21 @@ def verify_module(module: Module) -> None:
             verify_function(func)
 
 
-def collect_problems(func: Function) -> List[str]:
-    """Return a list of human-readable invariant violations (empty if OK)."""
+def collect_problems(func: Function,
+                     scope: Optional[Iterable[BasicBlock]] = None
+                     ) -> List[str]:
+    """Return a list of human-readable invariant violations (empty if OK),
+    looking at the blocks in ``scope`` (default: all of them)."""
     problems: List[str] = []
     if func.is_declaration:
         return problems
 
     blocks = func.blocks
     block_set = set(id(b) for b in blocks)
+    scope = blocks if scope is None else list(dict.fromkeys(scope))
 
     # -- block-level structure ---------------------------------------------
-    for block in blocks:
+    for block in scope:
         instructions = block.instructions
         if not instructions:
             problems.append(f"block %{block.name} is empty")
@@ -90,7 +101,7 @@ def collect_problems(func: Function) -> List[str]:
                 )
 
     # -- successor sanity -----------------------------------------------------
-    for block in blocks:
+    for block in scope:
         for succ in block.successors():
             if id(succ) not in block_set:
                 problems.append(
@@ -105,8 +116,8 @@ def collect_problems(func: Function) -> List[str]:
             if id(succ) in preds and block not in preds[id(succ)]:
                 preds[id(succ)].append(block)
 
-    for block in blocks:
-        block_preds = preds[id(block)]
+    for block in scope:
+        block_preds = preds.get(id(block), ())
         for phi in block.phis:
             incoming_blocks = phi.incoming_blocks
             for pred in block_preds:
@@ -129,7 +140,7 @@ def collect_problems(func: Function) -> List[str]:
                     )
 
     # -- speculation guards ---------------------------------------------------
-    for block in blocks:
+    for block in scope:
         for inst in block.instructions:
             if isinstance(inst, GuardInst):
                 if inst.condition.type != i1:
@@ -143,7 +154,7 @@ def collect_problems(func: Function) -> List[str]:
                     )
 
     # -- return types --------------------------------------------------------------
-    for block in blocks:
+    for block in scope:
         term = block.terminator
         if isinstance(term, RetInst):
             if func.return_type.is_void:
@@ -163,18 +174,19 @@ def collect_problems(func: Function) -> List[str]:
                     )
 
     # -- SSA dominance --------------------------------------------------------------
-    problems.extend(_check_dominance(func, preds))
+    problems.extend(_check_dominance(func, preds, scope))
     return problems
 
 
 def _check_dominance(
-    func: Function, preds: Dict[int, List[BasicBlock]]
+    func: Function, preds: Dict[int, List[BasicBlock]],
+    scope: List[BasicBlock],
 ) -> List[str]:
-    """Check that each use is dominated by its definition.
+    """Check that each use in ``scope`` is dominated by its definition.
 
-    Implemented directly (iterative dominator dataflow on block sets) so the
-    verifier does not depend on :mod:`repro.analysis`, which itself assumes
-    verified input.
+    Implemented directly (Cooper-Harvey-Kennedy immediate dominators over
+    the function's own block list) so the verifier does not depend on
+    :mod:`repro.analysis`, which itself assumes verified input.
     """
     problems: List[str] = []
     blocks = func.blocks
@@ -182,46 +194,71 @@ def _check_dominance(
         return problems
     entry = blocks[0]
 
-    # reachable blocks only: dominance is defined over reachable code
-    reachable: Set[int] = set()
-    stack = [entry]
+    # reachable blocks only: dominance is defined over reachable code.
+    # ``number`` is the postorder number of each of them.
+    number: Dict[int, int] = {}
+    order: List[BasicBlock] = []
+    visiting = {id(entry)}
+    stack = [(entry, iter(entry.successors()))]
     while stack:
-        block = stack.pop()
-        if id(block) in reachable:
-            continue
-        reachable.add(id(block))
-        stack.extend(block.successors())
+        block, successors = stack[-1]
+        for succ in successors:
+            if id(succ) not in visiting and id(succ) in preds:
+                visiting.add(id(succ))
+                stack.append((succ, iter(succ.successors())))
+                break
+        else:
+            number[id(block)] = len(order)
+            order.append(block)
+            stack.pop()
+    reachable = number
 
-    index = {id(b): i for i, b in enumerate(blocks)}
-    all_reachable = [b for b in blocks if id(b) in reachable]
-    universe = set(id(b) for b in all_reachable)
-    dom: Dict[int, Set[int]] = {id(b): set(universe) for b in all_reachable}
-    dom[id(entry)] = {id(entry)}
+    idom: Dict[int, BasicBlock] = {id(entry): entry}
     changed = True
     while changed:
         changed = False
-        for block in all_reachable:
-            if block is entry:
-                continue
-            pred_doms = [
-                dom[id(p)] for p in preds[id(block)] if id(p) in reachable
-            ]
-            new = set.intersection(*pred_doms) if pred_doms else set()
-            new.add(id(block))
-            if new != dom[id(block)]:
-                dom[id(block)] = new
+        for block in reversed(order[:-1]):
+            new = None
+            for pred in preds[id(block)]:
+                if id(pred) not in idom:
+                    continue  # unreachable, or not processed yet
+                if new is None:
+                    new = pred
+                    continue
+                other = pred
+                while new is not other:
+                    while number[id(new)] < number[id(other)]:
+                        new = idom[id(new)]
+                    while number[id(other)] < number[id(new)]:
+                        other = idom[id(other)]
+            if new is not None and idom.get(id(block)) is not new:
+                idom[id(block)] = new
                 changed = True
+
+    #: block -> ids of the blocks dominating it, filled on demand down
+    #: the dominator tree
+    dom: Dict[int, Set[int]] = {id(entry): {id(entry)}}
+
+    def dominators(block: BasicBlock) -> Set[int]:
+        chain = []
+        while id(block) not in dom:
+            chain.append(block)
+            block = idom[id(block)]
+        found = dom[id(block)]
+        for block in reversed(chain):
+            found = dom[id(block)] = found | {id(block)}
+        return found
 
     def defined_block(value: Value) -> BasicBlock:
         assert isinstance(value, Instruction)
         return value.parent
 
-    positions: Dict[int, int] = {}
-    for block in blocks:
-        for i, inst in enumerate(block.instructions):
-            positions[id(inst)] = i
-
-    for block in all_reachable:
+    for block in scope:
+        if id(block) not in reachable:
+            continue
+        #: instruction -> index in this block, built at the first use of
+        #: a same-block definition
+        order: Optional[Dict[int, int]] = None
         for inst in block.instructions:
             operands = inst.operands
             if isinstance(inst, PhiInst):
@@ -239,7 +276,7 @@ def _check_dominance(
                             f"unreachable/detached code"
                         )
                         continue
-                    if id(def_block) not in dom[id(pred)]:
+                    if id(def_block) not in dominators(pred):
                         problems.append(
                             f"phi %{inst.name} incoming %{value.name} from "
                             f"%{pred.name} not dominated by its definition"
@@ -268,12 +305,17 @@ def _check_dominance(
                     )
                     continue
                 if def_block is block:
-                    if positions[id(value)] >= positions[id(inst)]:
+                    if order is None:
+                        order = {id(i): n for n, i
+                                 in enumerate(block.instructions)}
+                    # a definition its block does not list counts as
+                    # below every use
+                    if order.get(id(value), len(order)) >= order[id(inst)]:
                         problems.append(
                             f"%{inst.name or inst.opcode} uses %{value.name} "
                             f"before its definition in %{block.name}"
                         )
-                elif id(def_block) not in dom[id(block)]:
+                elif id(def_block) not in dominators(block):
                     problems.append(
                         f"use of %{value.name} in %{block.name} not dominated "
                         f"by its definition in %{def_block.name}"

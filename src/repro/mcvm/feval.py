@@ -35,6 +35,7 @@ from ..core.continuation import (
 from ..core.instrument import (
     build_open_osr_stub,
     close_osr_point,
+    emit_osr_check,
     open_osr_point,
 )
 from ..core.statemap import Computed, StateMapping
@@ -43,6 +44,7 @@ from ..ir.builder import IRBuilder
 from ..ir.function import BasicBlock, Function
 from ..ir.instructions import AllocaInst
 from ..ir.values import ConstantFloat, ConstantNull, Value
+from ..ir.verifier import verify_function
 from ..obs import events as EV
 from ..transform import optimize_function, promote_memory_to_registers
 from . import mcast as M
@@ -152,21 +154,6 @@ def insert_feval_osr_point(
         return _insert_feval_osr_point(vm, compiled, opportunity, threshold)
 
 
-class _FrameLiftingCounter(HotCounterCondition):
-    """The hot counter of a feval OSR point: once the point is in place
-    it lifts the whole function (frame slots + counter) into SSA form, so
-    the ``osr`` block's loads melt into the values live at the loop
-    header."""
-
-    def __init__(self, threshold: int, am):
-        super().__init__(threshold)
-        self._am = am
-
-    def finalize(self, func: Function) -> None:
-        super().finalize(func)
-        promote_memory_to_registers(func, am=self._am)
-
-
 def _insert_feval_osr_point(
     vm,
     compiled: CompiledVersion,
@@ -186,10 +173,11 @@ def _insert_feval_osr_point(
     # variable, loaded in the firing block; the loads become the SSA
     # values live at the OSR point once the function is lifted
     var_order = sorted(compiled.var_slots)
-    site = open_osr_point(
-        func, location, _FrameLiftingCounter(threshold, engine.analysis),
-        "feval", engine,
-        live_values=[compiled.var_slots[name] for name in var_order],
+    site = emit_osr_check(
+        open_osr_point(
+            func, location, "feval", engine,
+            live_values=[compiled.var_slots[name] for name in var_order]),
+        HotCounterCondition(threshold),
     )
     builder = site.builder
     loads: List[Value] = []
@@ -216,7 +204,13 @@ def _insert_feval_osr_point(
         func, site.continuation_block, loads, generator, env, engine,
     )
     call = builder.call(stub, [handle_value] + loads, "osr.res", tail=True)
-    close_osr_point(site, call)
+    close_osr_point(site, call, verify=False)
+    # lift the frame into SSA form: the osr block's loads melt into the
+    # values live at the loop header
+    promote_memory_to_registers(func, am=engine.analysis)
+    func.assign_names()
+    verify_function(func)
+    engine.invalidate(func)
     return FevalOSRPoint(func, stub, env)
 
 

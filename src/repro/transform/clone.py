@@ -9,7 +9,7 @@ in LLVM.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from ..ir.function import BasicBlock, Function, Module
 from ..ir.instructions import (
@@ -42,6 +42,9 @@ class ValueMap:
     def __init__(self) -> None:
         self._map: Dict[int, Value] = {}
         self._keys: Dict[int, Value] = {}
+        #: set when :meth:`lookup` passes through an instruction that has
+        #: no copy (yet): a forward reference for the caller to patch
+        self.unresolved = False
 
     def __setitem__(self, old: Value, new: Value) -> None:
         self._map[id(old)] = new
@@ -59,7 +62,11 @@ class ValueMap:
     def lookup(self, old: Value) -> Value:
         """Map instruction/argument/block values; pass constants through."""
         mapped = self._map.get(id(old))
-        return mapped if mapped is not None else old
+        if mapped is None:
+            if isinstance(old, Instruction):
+                self.unresolved = True
+            return old
+        return mapped
 
     def items(self):
         for key_id, old in self._keys.items():
@@ -154,32 +161,52 @@ def clone_function(
     for old_arg, new_arg in zip(func.args, clone.args):
         vmap[old_arg] = new_arg
 
-    # create all blocks first so branches and phis can resolve targets
-    for block in func.blocks:
-        new_block = BasicBlock(block.name)
-        clone.add_block(new_block)
-        vmap[block] = new_block
-
-    # Pass 1: copy every instruction with *old* value operands (block
-    # operands are remapped immediately — all blocks already exist).  Value
-    # operands may be forward references across layout order (a block laid
-    # out early can use a value from a dominating block laid out later),
-    # so they are patched in pass 2 once the full map exists.
-    for block in func.blocks:
-        new_block = vmap[block]
-        for inst in block.instructions:
-            new_inst = clone_instruction(inst, vmap)
-            new_block.append(new_inst)
-            if not inst.type.is_void:
-                vmap[inst] = new_inst
-
-    # Pass 2: rewrite any operand that still points into the original
-    # function to its clone.
-    for block in clone.blocks:
-        for inst in block.instructions:
-            for index, op in enumerate(inst.operands):
-                mapped = vmap.get(op)
-                if mapped is not None and mapped is not op:
-                    inst.set_operand(index, mapped)
-
+    clone_blocks(func.blocks, vmap, clone)
     return clone, vmap
+
+
+def clone_blocks(blocks: Iterable[BasicBlock], vmap: ValueMap,
+                 target: Function) -> None:
+    """Append copies of ``blocks`` to ``target`` in one walk.
+
+    ``vmap`` arrives holding whatever the copies may name from outside
+    ``blocks`` (arguments, values defined elsewhere) and leaves holding
+    every copied block and instruction as well.  A phi incoming from a
+    block that is not copied is dropped, so a region closed under
+    successors can be cut out of its function.
+
+    Operands usually resolve as the walk reaches them.  The ones that do
+    not — a phi's back-edge value, a use laid out above its dominating
+    definition — are noted by :attr:`ValueMap.unresolved` and only those
+    instructions are patched once the map is complete.
+    """
+    blocks = list(blocks)
+    # create all blocks first so branches and phis can resolve targets
+    for block in blocks:
+        copy_block = BasicBlock(block.name)
+        target.add_block(copy_block)
+        vmap[block] = copy_block
+
+    forward = []
+    for block in blocks:
+        copy_block = vmap[block]
+        for inst in block.instructions:
+            vmap.unresolved = False
+            if inst.is_phi:
+                copy = PhiInst(inst.type, inst.name)
+                for value, pred in inst.incoming:
+                    if pred in vmap:
+                        copy.add_incoming(vmap.lookup(value), vmap[pred])
+            else:
+                copy = clone_instruction(inst, vmap)
+            copy_block.append(copy)
+            if not inst.type.is_void:
+                vmap[inst] = copy
+            if vmap.unresolved:
+                forward.append(copy)
+
+    for copy in forward:
+        for index, op in enumerate(copy.operands):
+            mapped = vmap.get(op)
+            if mapped is not None:
+                copy.set_operand(index, mapped)

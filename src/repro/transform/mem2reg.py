@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from ..analysis.cfg import predecessor_map, reachable_blocks
+from ..analysis.cfg import reachable_blocks
 from ..analysis.manager import resolve_manager
 from ..ir.function import BasicBlock, Function
 from ..ir.instructions import AllocaInst, Instruction, LoadInst, PhiInst, StoreInst
@@ -46,9 +46,8 @@ def promote_memory_to_registers(func: Function, only=None, am=None) -> int:
     """Run mem2reg on ``func``; returns the number of promoted allocas.
 
     ``only``, if given, restricts promotion to that set of allocas — used
-    by OSR instrumentation to lift its freshly inserted hotness counter
-    into phi form (paper Figure 5) without touching the rest of an
-    intentionally unoptimized function.  The dominator tree comes from
+    by ``scalarize`` to lift the pieces it split an aggregate into without
+    touching the rest of the function.  The dominator tree comes from
     ``am`` (an :class:`~repro.analysis.AnalysisManager`, defaulting to
     the process-wide one); promotion rewrites instructions only, so the
     cached tree stays valid.
@@ -65,7 +64,7 @@ def promote_memory_to_registers(func: Function, only=None, am=None) -> int:
     domtree = resolve_manager(am).dominator_tree(func)
     frontier = domtree.dominance_frontier()
     reachable = reachable_blocks(func)
-    preds = predecessor_map(func)
+    preds = domtree.preds
 
     #: per-alloca phi placements: block -> phi
     placed: Dict[AllocaInst, Dict[BasicBlock, PhiInst]] = {}

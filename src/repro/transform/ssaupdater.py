@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis.cfg import predecessor_map
 from ..analysis.dominators import DominatorTree
 from ..analysis.manager import resolve_manager
 from ..ir.function import BasicBlock, Function
@@ -41,8 +40,6 @@ class SSAUpdater:
         self._am = am
         self._defs: Dict[BasicBlock, Value] = {}
         self._domtree: Optional[DominatorTree] = None
-        self._frontier = None
-        self._preds = None
         self._placed_phis: Dict[BasicBlock, PhiInst] = {}
         self._sealed = False
 
@@ -58,11 +55,11 @@ class SSAUpdater:
             return
         self._sealed = True
         # phi insertion by this updater never changes the CFG, so the
-        # manager's cached tree survives a sequence of updater rounds
-        # (continuation generation runs one per repaired value)
+        # manager's cached tree — and the frontier and predecessor map it
+        # carries — survives a sequence of updater rounds (continuation
+        # generation runs one per repaired value)
         self._domtree = resolve_manager(self._am).dominator_tree(self.function)
-        self._frontier = self._domtree.dominance_frontier()
-        self._preds = predecessor_map(self.function)
+        frontier = self._domtree.dominance_frontier()
 
         # iterated dominance frontier of the def blocks
         worklist = [b for b in self._defs if self._domtree.is_reachable(b)]
@@ -70,7 +67,7 @@ class SSAUpdater:
         idf: Set[BasicBlock] = set()
         while worklist:
             block = worklist.pop()
-            for join in self._frontier.get(block, ()):
+            for join in frontier.get(block, ()):
                 if join not in idf:
                     idf.add(join)
                     if join not in visited:
@@ -84,7 +81,7 @@ class SSAUpdater:
 
         # fill in phi incomings (may recursively resolve through other phis)
         for join, phi in self._placed_phis.items():
-            for pred in self._preds[join]:
+            for pred in self._domtree.preds[join]:
                 phi.add_incoming(self.value_at_end_of(pred), pred)
 
     # -- queries -------------------------------------------------------------------

@@ -81,7 +81,16 @@ import marshal
 import re
 import struct
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..ir import types as T
 from ..ir.constexpr import ConstantIntToPtr
@@ -128,6 +137,7 @@ from .runtime import (
     load_scalar,
     store_scalar,
 )
+from .semantics import LOC as _LOC
 from .semantics import (
     HELPERS,
     OBJECT_TABLE_CASTS,
@@ -193,62 +203,77 @@ _MAX_WHILE_NESTING = 15
 #
 # Context singletons are shared (they carry no state and no locations);
 # every other node is built fresh so no node object appears twice in one
-# tree.
+# tree.  Every ``stmt``/``expr``/``arg`` is born with the one location
+# ``compile()`` asks for (``_LOC``, line 1 column 0): filling it in with
+# a walk of the finished tree costs seven times as much per node.
 
 _LOAD = ast.Load()
 _STORE = ast.Store()
 
 
-def _name(ident: str) -> ast.Name:
-    return ast.Name(id=ident, ctx=_LOAD)
+def _name(ident: str, ctx: ast.expr_context = _LOAD) -> ast.Name:
+    return ast.Name(id=ident, ctx=ctx, **_LOC)
 
 
 def _const(value) -> ast.Constant:
-    return ast.Constant(value=value)
+    return ast.Constant(value=value, **_LOC)
 
 
 def _call(func: ast.expr, *args: ast.expr) -> ast.Call:
-    return ast.Call(func=func, args=list(args), keywords=[])
+    return ast.Call(func=func, args=list(args), keywords=[], **_LOC)
 
 
 def _calln(fname: str, *args: ast.expr) -> ast.Call:
     return _call(_name(fname), *args)
 
 
-def _assign(target: str, value: ast.expr) -> ast.Assign:
-    return ast.Assign(targets=[ast.Name(id=target, ctx=_STORE)], value=value)
+def _assign(target: Union[str, ast.expr], value: ast.expr) -> ast.Assign:
+    """``target = value``; a string names a local."""
+    if isinstance(target, str):
+        target = _name(target, _STORE)
+    return ast.Assign(targets=[target], value=value, **_LOC)
 
 
 def _expr_stmt(value: ast.expr) -> ast.Expr:
-    return ast.Expr(value=value)
+    return ast.Expr(value=value, **_LOC)
 
 
 def _raise_trap(message: str) -> ast.Raise:
-    return ast.Raise(exc=_calln("_Trap", _const(message)), cause=None)
+    return ast.Raise(exc=_calln("_Trap", _const(message)), cause=None,
+                     **_LOC)
+
+
+def _subscript(value: ast.expr, index: ast.expr,
+               ctx: ast.expr_context = _LOAD) -> ast.Subscript:
+    return ast.Subscript(value=value, slice=index, ctx=ctx, **_LOC)
 
 
 def _item(value: ast.expr, index: int) -> ast.Subscript:
-    return ast.Subscript(value=value, slice=_const(index), ctx=_LOAD)
+    return _subscript(value, _const(index))
 
 
 def _attr(value: ast.expr, attribute: str) -> ast.Attribute:
-    return ast.Attribute(value=value, attr=attribute, ctx=_LOAD)
+    return ast.Attribute(value=value, attr=attribute, ctx=_LOAD, **_LOC)
 
 
 def _bin(left: ast.expr, op: ast.operator, right: ast.expr) -> ast.BinOp:
-    return ast.BinOp(left=left, op=op, right=right)
+    return ast.BinOp(left=left, op=op, right=right, **_LOC)
 
 
 def _cmp(left: ast.expr, op: ast.cmpop, right: ast.expr) -> ast.Compare:
-    return ast.Compare(left=left, ops=[op], comparators=[right])
+    return ast.Compare(left=left, ops=[op], comparators=[right], **_LOC)
+
+
+def _unary(op: ast.unaryop, value: ast.expr) -> ast.UnaryOp:
+    return ast.UnaryOp(op=op, operand=value, **_LOC)
 
 
 def _not(value: ast.expr) -> ast.UnaryOp:
-    return ast.UnaryOp(op=ast.Not(), operand=value)
+    return _unary(ast.Not(), value)
 
 
 def _ifexp(test: ast.expr, body: ast.expr, orelse: ast.expr) -> ast.IfExp:
-    return ast.IfExp(test=test, body=body, orelse=orelse)
+    return ast.IfExp(test=test, body=body, orelse=orelse, **_LOC)
 
 
 def _bool01(test: ast.expr) -> ast.IfExp:
@@ -256,8 +281,25 @@ def _bool01(test: ast.expr) -> ast.IfExp:
     return _ifexp(test, _const(1), _const(0))
 
 
-def _tuple(*elts: ast.expr) -> ast.Tuple:
-    return ast.Tuple(elts=list(elts), ctx=_LOAD)
+def _tuple(*elts: ast.expr, ctx: ast.expr_context = _LOAD) -> ast.Tuple:
+    return ast.Tuple(elts=list(elts), ctx=ctx, **_LOC)
+
+
+def _if(test: ast.expr, body: List[ast.stmt],
+        orelse: Sequence[ast.stmt] = ()) -> ast.If:
+    return ast.If(test=test, body=body, orelse=list(orelse), **_LOC)
+
+
+def _while_true(body: List[ast.stmt]) -> ast.While:
+    return ast.While(test=_const(True), body=body, orelse=[], **_LOC)
+
+
+def _return(value: ast.expr) -> ast.Return:
+    return ast.Return(value=value, **_LOC)
+
+
+def _continue() -> ast.Continue:
+    return ast.Continue(**_LOC)
 
 
 def _struct_suffix(ty: T.Type) -> Optional[str]:
@@ -598,7 +640,7 @@ class FunctionCompiler:
             if v in (float("inf"), float("-inf")):
                 if v > 0:
                     return _name("_inf")
-                return ast.UnaryOp(op=ast.USub(), operand=_name("_inf"))
+                return _unary(ast.USub(), _name("_inf"))
             return _const(v)
         if isinstance(value, ConstantNull):
             return _name("_null")
@@ -654,7 +696,7 @@ class FunctionCompiler:
         fn = ast.FunctionDef(
             name=self._py_name(),
             args=ast.arguments(
-                posonlyargs=[], args=[ast.arg(arg=self.name_of(a))
+                posonlyargs=[], args=[ast.arg(arg=self.name_of(a), **_LOC)
                                       for a in func.args],
                 vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None,
                 defaults=[],
@@ -662,10 +704,10 @@ class FunctionCompiler:
             body=body,
             decorator_list=[],
             returns=None,
+            **_LOC,
         )
         fn.type_params = []  # required by compile() on 3.12+, ignored before
-        module = ast.Module(body=[fn], type_ignores=[])
-        return ast.fix_missing_locations(module)
+        return ast.Module(body=[fn], type_ignores=[])
 
     def _py_name(self) -> str:
         return "_jit_" + _NAME_RE.sub("_", self.func.name)
@@ -706,9 +748,8 @@ class FunctionCompiler:
             if natural is not None and not opened:
                 after = stack[-1] if stack else follow
                 inner = _While(natural, loop)
-                out.append(ast.While(
-                    test=_const(True), orelse=[],
-                    body=self._place(block, block, inner, depth + 1, True)))
+                out.append(_while_true(
+                    self._place(block, block, inner, depth + 1, True)))
                 if inner.exit is not None:  # else only ``ret`` leaves it
                     out.extend(self._transfer(inner.exit, after, loop,
                                               inner.breaks, stack, depth))
@@ -738,7 +779,7 @@ class FunctionCompiler:
                 if not body:
                     test, body, orelse = _not(test), orelse, []
                 if body:
-                    out.append(ast.If(test=test, body=body, orelse=orelse))
+                    out.append(_if(test, body, orelse))
             elif isinstance(term, SwitchInst):
                 raise _Unstructured("switch")
             else:  # ret, unreachable
@@ -758,7 +799,7 @@ class FunctionCompiler:
         if target is follow:
             return []
         if loop is not None and target is loop.header:
-            return [ast.Continue()]
+            return [_continue()]
         leaves = loop is not None and target not in loop.blocks
         if (self._forward[id(target)] == arrived
                 and id(target) not in self._placed
@@ -770,7 +811,7 @@ class FunctionCompiler:
         if leaves and loop.exit in (None, target):
             loop.exit = target
             loop.breaks += arrived
-            return [ast.Break()]
+            return [ast.Break(**_LOC)]
         raise _Unstructured(f"edge to %{target.name}")
 
     # -- block dispatch (the fallback) ---------------------------------------------------
@@ -805,15 +846,14 @@ class FunctionCompiler:
         for block in reversed(blocks):
             if id(block) not in bodies:
                 continue  # emitted inline at its unique branch site
-            dispatch = [ast.If(
-                test=_cmp(_name("_b"), ast.Eq(),
-                          _const(self._block_ids[id(block)])),
-                body=bodies[id(block)],
-                orelse=dispatch,
+            dispatch = [_if(
+                _cmp(_name("_b"), ast.Eq(),
+                     _const(self._block_ids[id(block)])),
+                bodies[id(block)],
+                dispatch,
             )]
 
-        return [_assign("_b", _const(0)),
-                ast.While(test=_const(True), body=dispatch, orelse=[])]
+        return [_assign("_b", _const(0)), _while_true(dispatch)]
 
     @staticmethod
     def _edge_counts(blocks: List[BasicBlock]) -> Dict[int, int]:
@@ -847,9 +887,9 @@ class FunctionCompiler:
         values = [self.expr(p.incoming_value_for(source)) for p in phis]
         if len(phis) == 1:
             return [_assign(self.name_of(phis[0]), values[0])]
-        targets = ast.Tuple(ctx=_STORE, elts=[
-            ast.Name(id=self.name_of(p), ctx=_STORE) for p in phis])
-        return [ast.Assign(targets=[targets], value=_tuple(*values))]
+        targets = _tuple(*(_name(self.name_of(p), _STORE) for p in phis),
+                         ctx=_STORE)
+        return [_assign(targets, _tuple(*values))]
 
     def _goto(self, source: BasicBlock, target: BasicBlock) -> List[ast.stmt]:
         """Dispatch-form edge transfer: the phi moves, then the jump.
@@ -875,7 +915,7 @@ class FunctionCompiler:
             # dispatch arm after all
             self._forced.add(target_key)
         out.append(_assign("_b", _const(self._block_ids[target_key])))
-        out.append(ast.Continue())
+        out.append(_continue())
         return out
 
     # -- instructions -----------------------------------------------------------------------
@@ -932,17 +972,17 @@ class FunctionCompiler:
 
         if isinstance(inst, RetInst):
             if inst.value is None:
-                return [ast.Return(value=_const(None))]
-            return [ast.Return(value=e(inst.value))]
+                return [_return(_const(None))]
+            return [_return(e(inst.value))]
 
         if isinstance(inst, BranchInst):
             return self._goto(inst.parent, inst.target)
 
         if isinstance(inst, CondBranchInst):
-            return [ast.If(
-                test=self._branch_test(inst),
-                body=self._goto(inst.parent, inst.true_target),
-                orelse=self._goto(inst.parent, inst.false_target),
+            return [_if(
+                self._branch_test(inst),
+                self._goto(inst.parent, inst.true_target),
+                self._goto(inst.parent, inst.false_target),
             )]
 
         if isinstance(inst, SwitchInst):
@@ -957,14 +997,11 @@ class FunctionCompiler:
                 self.bindings.setdefault("_gforce", ("deoptforce",))
                 test = ast.BoolOp(op=ast.Or(), values=[
                     test, _calln("_gforce", _const(inst.guard_id)),
-                ])
-            lives = ast.List(elts=[e(v) for v in inst.live_values], ctx=_LOAD)
-            return [ast.If(
-                test=test,
-                body=[ast.Return(value=_calln(
-                    "_deopt", _const(inst.guard_id), lives))],
-                orelse=[],
-            )]
+                ], **_LOC)
+            lives = ast.List(elts=[e(v) for v in inst.live_values],
+                             ctx=_LOAD, **_LOC)
+            return [_if(test, [_return(_calln(
+                "_deopt", _const(inst.guard_id), lives))])]
 
         if isinstance(inst, UnreachableInst):
             return [_raise_trap("reached unreachable")]
@@ -991,7 +1028,7 @@ class FunctionCompiler:
                     _attr(_name(table_name), "get"),
                     self.expr(inst.value), _const(default_id),
                 )),
-                ast.Continue(),
+                _continue(),
             ]
 
         out: List[ast.stmt] = []
@@ -1004,10 +1041,10 @@ class FunctionCompiler:
                 for const, target in inst.cases]
         chain: List[ast.stmt] = self._goto(inst.parent, inst.default)
         for case_value, body in reversed(arms):
-            chain = [ast.If(
-                test=_cmp(_name(value_name), ast.Eq(), _const(case_value)),
-                body=body,
-                orelse=chain,
+            chain = [_if(
+                _cmp(_name(value_name), ast.Eq(), _const(case_value)),
+                body,
+                chain,
             )]
         out.extend(chain)
         return out
@@ -1064,9 +1101,7 @@ class FunctionCompiler:
         if isinstance(ty, T.IntType):
             if ty.bits == 1:
                 data, offset = self._address(pointer)
-                return _bin(
-                    ast.Subscript(value=data, slice=offset, ctx=_LOAD),
-                    ast.BitAnd(), _const(1))
+                return _bin(_subscript(data, offset), ast.BitAnd(), _const(1))
             ty_name = self.bind(("static", ty), f"ity{ty.bits}")
             return _calln("_load_scalar", _name(ty_name), self.expr(pointer))
         raise JITError(f"cannot load type {ty}")
@@ -1083,10 +1118,9 @@ class FunctionCompiler:
         if isinstance(ty, T.IntType):
             if ty.bits == 1:
                 data, offset = self._address(pointer)
-                return ast.Assign(
-                    targets=[ast.Subscript(value=data, slice=offset,
-                                           ctx=_STORE)],
-                    value=_bin(self.expr(value), ast.BitAnd(), _const(1)))
+                return _assign(
+                    _subscript(data, offset, _STORE),
+                    _bin(self.expr(value), ast.BitAnd(), _const(1)))
             ty_name = self.bind(("static", ty), f"ity{ty.bits}")
             return _expr_stmt(_calln(
                 "_store_scalar", _name(ty_name), self.expr(pointer),

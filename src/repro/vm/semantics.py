@@ -206,6 +206,12 @@ def scalar_entry(inst: Instruction) -> Optional[Entry]:
 
 # -- projection 1: an ``ast`` expression over caller-supplied operands -----------
 
+#: the location every generated ``stmt``/``expr``/``arg`` node is built
+#: with (here and in ``vm/jit.py``), as constructor keywords: ``compile()``
+#: wants one on each, and stamping at birth is far cheaper than a walk by
+#: ``ast.fix_missing_locations`` over the finished tree
+LOC = {"lineno": 1, "col_offset": 0}
+
 
 def _emit(node) -> str:
     """Python source that constructs a fresh copy of a parsed entry:
@@ -217,15 +223,17 @@ def _emit(node) -> str:
         if node.id in ("a", "b"):
             return f"{node.id}()"
         if node.id in ("M", "BITS", "SM"):
-            return f"Constant({node.id})"
-        return f"Name({node.id!r}, Load())"
+            return f"Constant({node.id}, **LOC)"
+        return f"Name({node.id!r}, Load(), **LOC)"
     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "W":
         return f"W({_emit(node.args[0])})"
     if isinstance(node, list):
         return "[" + ", ".join(map(_emit, node)) + "]"
     if isinstance(node, ast.AST):  # expression, operator or context
-        fields = ", ".join(_emit(getattr(node, f)) for f in node._fields)
-        return f"{type(node).__name__}({fields})"
+        fields = [_emit(getattr(node, f)) for f in node._fields]
+        if isinstance(node, ast.expr):
+            fields.append("**LOC")
+        return f"{type(node).__name__}({', '.join(fields)})"
     return repr(node)  # a literal's value, an attribute's name, None
 
 
@@ -235,7 +243,7 @@ def _builder(text: str) -> Callable[..., ast.expr]:
     use as hand-written ``ast`` constructor calls."""
     source = _emit(ast.parse(text, mode="eval").body)
     return eval("lambda a, b=None, M=None, BITS=None, SM=None, W=None: "
-                + source, vars(ast))
+                + source, {**vars(ast), "LOC": LOC})
 
 
 def _wrap(node: ast.expr, bits: int) -> ast.expr:
@@ -244,17 +252,17 @@ def _wrap(node: ast.expr, bits: int) -> ast.expr:
     the common case: results mostly fit, and re-biasing an ``i64`` by
     ``H`` does three operations on two-digit ints."""
     if bits == 1:
-        return ast.BinOp(node, ast.BitAnd(), ast.Constant(1))
+        return ast.BinOp(node, ast.BitAnd(), ast.Constant(1, **LOC), **LOC)
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     fits = ast.Compare(
-        ast.Constant(-half), [ast.LtE(), ast.LtE()],
-        [ast.NamedExpr(ast.Name("_t", ast.Store()), node),
-         ast.Constant(half - 1)])
-    rebias = ast.BinOp(ast.Name("_t", ast.Load()), ast.Add(),
-                       ast.Constant(half))
-    return ast.IfExp(fits, ast.Name("_t", ast.Load()), ast.BinOp(
-        ast.BinOp(rebias, ast.BitAnd(), ast.Constant(mask)),
-        ast.Sub(), ast.Constant(half)))
+        ast.Constant(-half, **LOC), [ast.LtE(), ast.LtE()],
+        [ast.NamedExpr(ast.Name("_t", ast.Store(), **LOC), node, **LOC),
+         ast.Constant(half - 1, **LOC)], **LOC)
+    rebias = ast.BinOp(ast.Name("_t", ast.Load(), **LOC), ast.Add(),
+                       ast.Constant(half, **LOC), **LOC)
+    return ast.IfExp(fits, ast.Name("_t", ast.Load(), **LOC), ast.BinOp(
+        ast.BinOp(rebias, ast.BitAnd(), ast.Constant(mask, **LOC), **LOC),
+        ast.Sub(), ast.Constant(half, **LOC), **LOC), **LOC)
 
 
 def instantiate(entry: Entry,
@@ -327,6 +335,9 @@ def closure_factory(entry: Entry, thunks: Tuple[bool, ...],
         holder.value.test = expr    # v = 1 if (_E_) else 0
     else:
         holder.value = expr         # v = _E_
+    # the expression was born on line 1; a traceback should show the
+    # skeleton line it was spliced into
+    ast.increment_lineno(expr, holder.lineno - 1)
     ast.fix_missing_locations(tree)
 
     width = f"i{entry.bits}" if entry.bits else "f"

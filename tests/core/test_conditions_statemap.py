@@ -19,6 +19,7 @@ from repro.ir.builder import IRBuilder
 from repro.ir.function import BasicBlock, Function, Module
 from repro.ir.instructions import AllocaInst, LoadInst, PhiInst
 from repro.ir.values import ConstantInt, Value
+from repro.ir.verifier import verify_function
 
 from ..conftest import build_sum_loop
 
@@ -31,29 +32,32 @@ def _prepared(module):
 
 
 class TestHotCounter:
-    def test_requires_prepare(self, module):
+    def test_emits_the_counter_in_ssa_form(self, module):
+        """No slot, no load/store: the threshold on entry, the decrement
+        at the check and one phi where they meet."""
         func, builder = _prepared(module)
-        condition = HotCounterCondition(10)
-        with pytest.raises(ValueError, match="prepare"):
-            condition.emit(func, builder)
-
-    def test_emits_alloca_then_check(self, module):
-        func, builder = _prepared(module)
-        condition = HotCounterCondition(10)
-        condition.prepare(func)
-        cond = condition.emit(func, builder)
+        cond = HotCounterCondition(10).emit(func, builder)
         assert cond.type == T.i1
-        entry_kinds = [type(i) for i in func.entry.instructions]
-        assert AllocaInst in entry_kinds
-
-    def test_finalize_promotes_counter(self, module):
-        func, builder = _prepared(module)
-        condition = HotCounterCondition(10)
-        condition.prepare(func)
-        condition.emit(func, builder)
-        condition.finalize(func)
-        assert not any(isinstance(i, AllocaInst)
+        assert not any(isinstance(i, (AllocaInst, LoadInst))
                        for i in func.instructions())
+        loop = func.get_block("loop")
+        counter = loop.instructions[0]
+        assert isinstance(counter, PhiInst) and counter.name == "p.osr.phi"
+        decremented = cond.lhs
+        assert decremented.lhs is counter
+        assert [(getattr(v, "value", v), b.name)
+                for v, b in counter.incoming] == [
+            (10, "entry"), (decremented, "loop")]
+
+    def test_emission_leaves_the_builder_where_it_was(self, module):
+        """The counter phi lands above the builder's position; what the
+        builder emits next still goes before the terminator."""
+        func, builder = _prepared(module)
+        loop = func.get_block("loop")
+        HotCounterCondition(10).emit(func, builder)
+        marker = builder.add(func.args[0], builder.const_i64(1), "marker")
+        assert loop.instructions[-2] is marker
+        verify_function(func)
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

@@ -75,11 +75,12 @@ class TestMultipleOSRPoints:
             func, block.instructions[block.first_non_phi_index],
             HotCounterCondition(50), engine=engine,
         )
-        manager.register_variant(func, point.variant, note="clone target")
-        manager.register_variant(point.variant, point.continuation,
+        # f' is f itself: the continuation is cut straight from it
+        assert point.variant is func
+        manager.register_variant(func, point.continuation,
                                  note="OSR continuation")
         assert manager.base_of(point.continuation) is func
-        assert manager.version_of(point.continuation).level == 2
+        assert manager.version_of(point.continuation).level == 1
 
 
 class TestFevalTargetChanges:

@@ -80,13 +80,14 @@ class TestInstrumentationShape:
         assert result.continuation.entry.name == "osr.entry"
         verify_function(result.continuation)
 
-    def test_variant_registered_in_module(self, module):
+    def test_module_gains_only_the_continuation(self, module):
         func = build_sum_loop(module)
         result = insert_resolved_osr_point(
             func, loop_location(func), HotCounterCondition(10)
         )
-        assert module.has_function(result.variant.name)
-        assert module.has_function(result.continuation.name)
+        assert result.variant is func
+        assert [f.name for f in module.functions] == ["sum", "sumto"]
+        assert module.get_function("sumto") is result.continuation
 
 
 class TestTransparency:

@@ -57,6 +57,28 @@ class TestPositioning:
         x = b.add(b.const_i64(1), b.const_i64(1), "x")
         assert block.instructions == [phi, x]
 
+    def test_position_is_anchored_to_the_instruction(self, block):
+        """Whoever else inserts above the anchor, the builder keeps
+        emitting right before it."""
+        b = IRBuilder(block)
+        x = b.add(b.const_i64(1), b.const_i64(2), "x")
+        y = b.add(x, x, "y")
+        b.position_before(y)
+        first = b.add(x, b.const_i64(3), "first")
+        phi = block.insert(0, PhiInst(T.i64, "p"))
+        other = IRBuilder().position_before(x).add(
+            b.const_i64(4), b.const_i64(5), "other")
+        second = b.add(first, first, "second")
+        assert block.instructions == [phi, other, x, first, second, y]
+
+    def test_position_at_start_of_a_block_of_phis_appends(self, block):
+        b = IRBuilder(block)
+        phi = b.phi(T.i64, "p")
+        b.position_at_start(block)
+        x = b.add(phi, phi, "x")
+        y = b.add(x, x, "y")
+        assert block.instructions == [phi, x, y]
+
     def test_phi_always_at_top(self, block):
         b = IRBuilder(block)
         x = b.add(b.const_i64(1), b.const_i64(2), "x")

@@ -198,3 +198,72 @@ class TestErrorReporting:
             verify_function(func)
         assert "broken" in str(err.value)
         assert err.value.problems
+
+
+class TestScopedVerification:
+    """``verify_function(func, blocks)``: the blocks a caller touched are
+    held to every invariant, the rest of the function is not looked at."""
+
+    def test_problem_inside_the_scope_is_found(self, module):
+        func = build_branchy(module)
+        left, right = func.get_block("left"), func.get_block("right")
+        right.instructions[0].set_operand(0, left.instructions[0])
+        with pytest.raises(VerificationError, match="not dominated"):
+            verify_function(func, [right])
+
+    def test_problem_outside_the_scope_is_not(self, module):
+        func = build_branchy(module)
+        left, right = func.get_block("left"), func.get_block("right")
+        right.instructions[0].set_operand(0, left.instructions[0])
+        verify_function(func, [left, func.get_block("join")])
+        assert collect_problems(func)  # the whole-function check sees it
+
+    def test_phi_of_a_scoped_block_is_checked_against_real_predecessors(
+            self, module):
+        func = build_branchy(module)
+        join = func.get_block("join")
+        join.phis[0].remove_incoming(func.get_block("left"))
+        problems = collect_problems(func, [join])
+        assert any("missing incoming" in p for p in problems)
+        assert not collect_problems(func, [func.entry])
+
+    def test_phi_incoming_dominance_is_checked_in_scope(self, module):
+        func = build_branchy(module)
+        join = func.get_block("join")
+        left, right = func.get_block("left"), func.get_block("right")
+        phi = join.phis[0]
+        phi.remove_incoming(left)
+        phi.add_incoming(right.instructions[0], left)
+        assert any("not dominated" in p
+                   for p in collect_problems(func, [join]))
+
+    def test_a_block_listed_twice_is_checked_once(self, module):
+        func = build_branchy(module)
+        join = func.get_block("join")
+        join.phis[0].remove_incoming(func.get_block("left"))
+        assert len(collect_problems(func, [join, join])) == 1
+
+    def test_scoped_and_whole_agree_on_every_block(self, module):
+        func = build_sum_loop(module)
+        loop = func.get_block("loop")
+        acc2, i2 = loop.instructions[2], loop.instructions[3]
+        acc2.set_operand(1, i2)  # use before definition in %loop
+        whole = collect_problems(func)
+        assert whole
+        assert sum((collect_problems(func, [b]) for b in func.blocks),
+                   []) == whole
+
+    def test_deep_dominator_chain(self, module):
+        """A thousand blocks in a row: the dominator sets are built
+        without recursion."""
+        func = Function(T.function(T.i64, T.i64), "chain", ["x"])
+        module.add_function(func)
+        blocks = [BasicBlock(f"b{i}", func) for i in range(1000)]
+        value = func.args[0]
+        for block, following in zip(blocks, blocks[1:]):
+            b = IRBuilder(block)
+            value = b.add(value, c64(1), f"v{block.name}")
+            b.br(following)
+        IRBuilder(blocks[-1]).ret(value)
+        verify_function(func)
+        verify_function(func, [blocks[-1]])

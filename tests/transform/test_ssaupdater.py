@@ -175,3 +175,68 @@ out:
     # the self-incoming must now reference the repair phi, not %x itself
     latch_incoming = x.incoming_value_for(func.get_block("latch"))
     assert latch_incoming is not x
+
+
+def test_phi_placement_does_not_move_a_positioned_builder():
+    """Phis go in at the top of a join block; a builder already placed
+    further down that block keeps emitting where it was put (it used to
+    track an index, and landed one slot early per phi)."""
+    func = parse_function("""
+define i64 @f(i64 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i2, %loop ]
+  %i2 = add i64 %i, 1
+  %again = icmp slt i64 %i2, %n
+  br i1 %again, label %loop, label %out
+out:
+  ret i64 %i2
+}
+""")
+    loop = func.get_block("loop")
+    builder = IRBuilder().position_before(loop.terminator)
+    stepped = builder.add(ConstantInt(T.i64, 7), ConstantInt(T.i64, -1), "c1")
+    updater = SSAUpdater(func, T.i64, "c")
+    updater.add_definition(func.entry, stepped.lhs)
+    updater.add_definition(loop, stepped)
+    updater.rewrite_uses_of(stepped.lhs)        # places %c.phi above %i
+    fired = builder.icmp("eq", stepped, ConstantInt(T.i64, 0), "fired")
+    assert [i.name for i in loop.instructions[:-1]] == [
+        "c.phi", "i", "i2", "again", "c1", "fired"]
+    assert fired.lhs is stepped and stepped.lhs is loop.instructions[0]
+    verify_function(func)
+
+
+def test_updaters_of_one_function_share_the_frontier():
+    """The dominance frontier and predecessor map live on the manager's
+    cached tree: a run of repairs computes them once."""
+    from repro.analysis import AnalysisManager
+
+    func = parse_function("""
+define i64 @f(i64 %n) {
+entry:
+  %c = icmp sgt i64 %n, 0
+  br i1 %c, label %a, label %b
+a:
+  %x = add i64 %n, 1
+  %y = add i64 %n, 2
+  br label %join
+b:
+  br label %join
+join:
+  %use = mul i64 %x, %y
+  ret i64 %use
+}
+""")
+    manager = AnalysisManager()
+    tree = manager.dominator_tree(func)
+    assert tree.dominance_frontier() is tree.dominance_frontier()
+    for value in func.get_block("a").instructions[:2]:
+        updater = SSAUpdater(func, T.i64, value.name, am=manager)
+        updater.add_definition(func.get_block("a"), value)
+        updater.add_definition(func.get_block("b"), ConstantInt(T.i64, 0))
+        updater.rewrite_uses_of(value)
+    assert manager.dominator_tree(func) is tree
+    assert len(func.get_block("join").phis) == 2
+    verify_function(func)

@@ -264,6 +264,50 @@ entry:
         assert artifact._source is not None  # cached after first unparse
 
 
+    def test_trap_in_jit_code_names_its_frame_and_source_is_on_demand(self):
+        """Nodes are stamped with their location as they are built (no
+        ``fix_missing_locations`` walk): the code object still carries
+        one, a trap's traceback still names the ``<jit:@f>`` frame, and
+        the frame's function still unparses its source when asked."""
+        import traceback
+
+        from repro.vm import Trap
+
+        module = parse_module("""
+define i64 @f(i64 %a, i64 %b) {
+entry:
+  %q = udiv i64 %a, %b
+  ret i64 %q
+}
+""")
+        engine = ExecutionEngine(module, tier="jit")
+        assert engine.run("f", 7, 2) == 3
+        compiled = compile_function(module.get_function("f"), engine)
+        artifact = compiled.__ir_artifact__
+        assert artifact._source is None
+        with pytest.raises(Trap) as info:
+            engine.run("f", 1, 0)
+        frames = traceback.extract_tb(info.tb)
+        (jit_frame,) = [f for f in frames if f.filename == "<jit:@f>"]
+        assert (jit_frame.name, jit_frame.lineno) == ("_jit_f", 1)
+        assert artifact._source is None  # a traceback alone costs nothing
+        text = compiled.__ir_source__()
+        assert "def _jit_f(" in text and "_nz(" in text
+        ast.parse(text)
+
+    def test_every_located_node_carries_the_one_location(self):
+        """What ``fix_missing_locations`` would have filled in, present
+        from construction: ``compile()`` refuses a tree with a hole."""
+        module = parse_module(TestDeterminism.SRC)
+        tree = FunctionCompiler(module.get_function("f")).build_tree()
+        located = [node for node in ast.walk(tree)
+                   if "lineno" in node._attributes]
+        assert len(located) > 40
+        assert {(node.lineno, node.col_offset) for node in located} == {
+            (1, 0)}
+        compile(tree, "<test>", "exec")
+
+
 class TestDeterminism:
     SRC = """
 define i64 @f(i64 %n) {

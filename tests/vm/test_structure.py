@@ -124,3 +124,27 @@ def test_one_compile_and_publish_path():
 def test_decoder_has_no_run_time_operand_shape_test():
     text = (SRC_ROOT / "vm" / "decode.py").read_text()
     assert "is not None else frame[" not in text
+
+
+def test_jit_stamps_locations_at_construction():
+    # ``ast.fix_missing_locations`` is a recursive pure-Python walk of
+    # the finished tree, 45 % of codegen when it was last there; nodes
+    # take ``**_LOC`` from their constructor helper instead
+    assert "fix_missing_locations" not in (
+        SRC_ROOT / "vm" / "jit.py").read_text()
+
+
+def test_an_osr_condition_overrides_emit_and_nothing_else():
+    # prepare()/finalize() existed so the hot counter could be spilled to
+    # a slot and lifted back by a mem2reg run; a condition that wants
+    # state places it in SSA form from emit()
+    from repro.core import conditions
+
+    surface = {name for name, member in vars(conditions.OSRCondition).items()
+               if callable(member) and not name.startswith("__")}
+    assert surface == {"emit"}
+    for node in ast.walk(_tree(SRC_ROOT / "core" / "conditions.py")):
+        if isinstance(node, ast.ClassDef) and node.name != "OSRCondition":
+            methods = {item.name for item in node.body
+                       if isinstance(item, ast.FunctionDef)}
+            assert methods <= {"__init__", "emit"}, (node.name, methods)
