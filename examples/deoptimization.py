@@ -12,9 +12,7 @@ Run:  python examples/deoptimization.py
 """
 
 from repro.core import (
-    FromParam,
     GuardCondition,
-    StateMapping,
     insert_resolved_osr_point,
     required_landing_state,
 )
@@ -88,9 +86,7 @@ def main():
 
     live = LivenessInfo(spec).live_before(location)
     by_name = {v.name: index for index, v in enumerate(live)}
-    mapping = StateMapping()
-    for value in required:
-        mapping.set(value, FromParam(by_name[value.name]))
+    mapping = {value: by_name[value.name] for value in required}
 
     result = insert_resolved_osr_point(
         spec, location, GuardCondition(emit_guard),

@@ -14,9 +14,7 @@ Run:  python examples/isord_open_osr.py
 import struct
 
 from repro.core import (
-    FromParam,
     HotCounterCondition,
-    StateMapping,
     generate_continuation,
     insert_open_osr_point,
     required_landing_state,
@@ -92,10 +90,9 @@ def make_generator(module, env):
         landing = variant.get_block(vmap[osr_block].name)
 
         live = env["live"]
-        mapping = StateMapping()
         by_name = {v.name: i for i, v in enumerate(live)}
-        for value in required_landing_state(variant, landing):
-            mapping.set(value, FromParam(by_name[value.name]))
+        mapping = {v: by_name[v.name]
+                   for v in required_landing_state(variant, landing)}
         continuation = generate_continuation(
             variant, landing, live, mapping, name="isordto", module=module
         )

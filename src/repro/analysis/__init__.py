@@ -5,7 +5,6 @@ the live-variable transfer at OSR points, dominators back the verifier and
 mem2reg, and loop info drives hottest-loop OSR point placement.
 """
 
-from .callgraph import CallGraph
 from .cfg import (
     depth_first_order,
     post_order,
@@ -27,13 +26,6 @@ from .manager import (
     default_manager,
     resolve_manager,
 )
-from .usedef import (
-    instruction_users,
-    is_trivially_dead,
-    transitive_users,
-    used_outside_block,
-    users_in_block,
-)
 
 __all__ = [
     "ANALYSES",
@@ -43,7 +35,6 @@ __all__ = [
     "default_manager",
     "resolve_manager",
     "AllocaSummary",
-    "CallGraph",
     "DominatorTree",
     "EscapeInfo",
     "LivenessInfo",
@@ -57,9 +48,4 @@ __all__ = [
     "remove_unreachable_blocks",
     "reverse_post_order",
     "split_edge",
-    "instruction_users",
-    "is_trivially_dead",
-    "transitive_users",
-    "used_outside_block",
-    "users_in_block",
 ]

@@ -7,17 +7,19 @@ The paper's primary contribution, reproduced over :mod:`repro.ir` and
   continuation built ahead of time from a known variant (Figure 2);
 * **open OSR** (:func:`insert_open_osr_point`) — transfer through a stub
   that invokes a code generator at run time (Figures 3 and 6);
-* **state mappings with compensation code** (:class:`StateMapping`,
-  :class:`Computed`) — fire OSR at arbitrary locations even when the
-  source and target states do not align;
+* **state mappings with compensation code** — a plain ``dict`` from each
+  landing-live value to a transferred index or an emitter
+  ``(builder, params) -> Value``; fire OSR at arbitrary locations even
+  when the source and target states do not align, and
+  (:func:`derive_state_mapping`) derive one through a clone's value map;
 * **continuation generation** (:func:`generate_continuation`) — dedicated
   OSR entry, phi fixing, dead old-entry elision (Figure 7);
 * **one insertion mechanism** (:func:`open_osr_point` /
   :func:`emit_osr_check` / :func:`close_osr_point`) — capture and split,
   the check, and the epilogue every flavour shares; a flavour only fills
   the ``osr`` block;
-* **multi-version management** (:class:`MultiVersionManager`) — chains
-  ``f -> f' -> f''`` and deoptimization edges;
+* **one landing join** (:func:`repro.core.continuation.join_landing`) —
+  the second way into a landing block, shared by continuations and McOSR;
 * **McOSR baseline** (:func:`insert_mcosr_point`) — the pool-of-globals
   design OSRKit improves upon, kept for ``repro.experiments.ablation``.
 """
@@ -49,8 +51,6 @@ from .instrument import (
     split_block_at,
 )
 from .mcosr import McOSRPoint, insert_mcosr_point
-from .multiversion import FunctionVersion, MultiVersionManager
-from .statemap import Computed, FromConstant, FromParam, StateMapping, ValueSource
 
 __all__ = [
     "OSRCondition",
@@ -74,13 +74,6 @@ __all__ = [
     "OSRSite",
     "ResolvedOSR",
     "OpenOSR",
-    "StateMapping",
-    "ValueSource",
-    "FromParam",
-    "FromConstant",
-    "Computed",
-    "MultiVersionManager",
-    "FunctionVersion",
     "McOSRPoint",
     "insert_mcosr_point",
 ]

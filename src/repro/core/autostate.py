@@ -13,7 +13,7 @@ by a :class:`~repro.transform.clone.ValueMap`).
 otherwise write by hand:
 
 1. values of the variant that correspond (through the map) to live values
-   at the OSR origin are wired as :class:`FromParam` transfers;
+   at the OSR origin map to their transfer index;
 2. values that correspond to a *non-live* base value — live at ``L'`` but
    dead at ``L``, the case the paper's compensation code exists for — are
    **recomputed**: compensation code is synthesized by cloning the
@@ -27,23 +27,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..ir.builder import IRBuilder
 from ..ir.function import BasicBlock, Function
 from ..ir.instructions import (
-    AllocaInst,
     BinaryInst,
     CastInst,
     FCmpInst,
     GEPInst,
     ICmpInst,
     Instruction,
-    LoadInst,
-    PhiInst,
     SelectInst,
 )
 from ..ir.values import Argument, Constant, Value
-from .continuation import OSRError, required_landing_state
-from .statemap import Computed, FromConstant, FromParam, StateMapping
+from ..transform.clone import ValueMap, clone_instruction
+from .continuation import OSRError, StateMap, required_landing_state
 
 
 class AutoStateError(OSRError):
@@ -64,59 +60,56 @@ def derive_state_mapping(
     vmap,
     variant: Function,
     landing: BasicBlock,
-) -> StateMapping:
+    am=None,
+) -> StateMap:
     """Automatically construct the state mapping for an OSR into
     ``variant`` at ``landing``.
 
     ``live_values`` are the base function's live values at the OSR
     origin (the continuation's parameters, in order); ``vmap`` is the
-    base→variant value map the transformation maintained.
+    base→variant value map the transformation maintained.  The landing
+    state comes from ``am`` (defaulting to the process-wide manager) and
+    is the mapping's key order, so a caller generating the continuation
+    can pass ``list(mapping)`` on as its ``landing_state``.
     """
     # invert the transformation map: variant value -> base value
-    inverse: Dict[int, Value] = {}
-    for base_value, variant_value in vmap.items():
-        inverse[id(variant_value)] = base_value
+    inverse = {variant_value: base for base, variant_value in vmap.items()}
+    live_index = {value: index for index, value in enumerate(live_values)}
 
-    live_index = {id(v): i for i, v in enumerate(live_values)}
-    mapping = StateMapping()
+    def transferred(value: Value) -> Optional[int]:
+        return live_index.get(inverse.get(value))
 
-    for required in required_landing_state(variant, landing):
-        base_value = inverse.get(id(required))
-        if base_value is not None and id(base_value) in live_index:
-            mapping.set(required,
-                        FromParam(live_index[id(base_value)]))
-            continue
-        if isinstance(required, Constant):  # pragma: no cover - defensive
-            mapping.set(required, FromConstant(required))
+    mapping: StateMap = {}
+    for required in required_landing_state(variant, landing, am):
+        index = transferred(required)
+        if index is not None:
+            mapping[required] = index
             continue
         # live at L' but not at L: synthesize compensation code that
         # recomputes it from the transferred values
-        plan = _recompute_plan(required, inverse, live_index)
+        plan = _recompute_plan(required, transferred)
         if plan is None:
+            base_value = inverse.get(required)
             origin = (f" (maps back to %{base_value.name})"
                       if base_value is not None else "")
             raise AutoStateError(
                 f"cannot automatically reconstruct %{required.name} live "
                 f"at %{landing.name} of @{variant.name}{origin}; provide "
-                f"a manual Computed source for it"
+                f"a compensation callable for it"
             )
-        mapping.set(required, _compile_plan(required, plan, live_index,
-                                            inverse))
+        mapping[required] = _recompute(required, plan, transferred)
     return mapping
 
 
-def _recompute_plan(value: Value, inverse, live_index
+def _recompute_plan(value: Value, transferred
                     ) -> Optional[List[Instruction]]:
     """Topologically ordered pure instructions whose clones rebuild
     ``value`` from live transfers; ``None`` if impossible."""
     order: List[Instruction] = []
-    seen: Dict[int, bool] = {}
+    seen: Dict[Value, bool] = {}
 
     def visit(node: Value, depth: int) -> bool:
-        if isinstance(node, Constant):
-            return True
-        base = inverse.get(id(node))
-        if base is not None and id(base) in live_index:
+        if isinstance(node, Constant) or transferred(node) is not None:
             return True
         if isinstance(node, Argument):
             return False  # an argument that is not transferred is lost
@@ -124,13 +117,13 @@ def _recompute_plan(value: Value, inverse, live_index
             return False
         if depth > MAX_RECOMPUTE_DEPTH:
             return False
-        if id(node) in seen:
-            return seen[id(node)]
-        seen[id(node)] = False  # provisional (cycle guard)
+        if node in seen:
+            return seen[node]
+        seen[node] = False  # provisional (cycle guard)
         for op in node.operands:
             if not visit(op, depth + 1):
                 return False
-        seen[id(node)] = True
+        seen[node] = True
         order.append(node)
         return True
 
@@ -139,39 +132,15 @@ def _recompute_plan(value: Value, inverse, live_index
     return order
 
 
-def _compile_plan(value: Value, plan: List[Instruction], live_index,
-                  inverse) -> Computed:
-    """Wrap a recompute plan as a Computed compensation source."""
+def _recompute(value: Value, plan: List[Instruction], transferred):
+    """Compensation code cloning ``plan`` over the transferred values."""
+    seeds = {op: transferred(op) for inst in plan for op in inst.operands
+             if transferred(op) is not None}
 
-    def emit(builder: IRBuilder, params):
-        from ..transform.clone import ValueMap, clone_instruction
-
-        local = ValueMap()
-
-        def resolve(node: Value) -> Value:
-            base = inverse.get(id(node))
-            if base is not None and id(base) in live_index:
-                return params[live_index[id(base)]]
-            mapped = local.get(node)
-            if mapped is not None:
-                return mapped
-            return node  # constants
-
+    def emit(builder, params):
+        local = ValueMap({op: params[index] for op, index in seeds.items()})
         for inst in plan:
-            copy = clone_instruction(inst, _ResolvingMap(resolve))
-            builder._insert(copy)
-            local[inst] = copy
-        return resolve(value)
+            local[inst] = builder._insert(clone_instruction(inst, local))
+        return local[value]
 
-    names = ", ".join(f"%{i.name}" for i in plan)
-    return Computed(emit, description=f"recompute [{names}]")
-
-
-class _ResolvingMap:
-    """Adapter giving clone_instruction a callable-backed lookup."""
-
-    def __init__(self, resolve):
-        self._resolve = resolve
-
-    def lookup(self, value: Value) -> Value:
-        return self._resolve(value)
+    return emit

@@ -10,17 +10,26 @@ Given a variant ``f'`` and a landing block ``L'``, build the continuation
    region the paper deletes as dead code is never made — naming the
    mapping's value wherever the copy uses a live-in value defined
    outside them (an argument, code that only runs before ``L'``);
-3. rewire the live-in values defined inside them (loop-carried state):
-   a phi of ``L'`` gets one more incoming, any other definition gets
-   single-variable SSA repair;
+3. join ``osr.entry`` into ``L'`` (:func:`join_landing`) for the
+   live-in values defined inside them (loop-carried state);
 4. remove what became dead, so the continuation is a lean function that
    LLVM-style global optimization can treat like any other (the paper's
    "generation of highly optimized continuation functions").
+
+A *state mapping* is a plain ``dict`` from each value of ``f'`` live at
+``L'`` to either an ``int`` — the index of the transferred live value it
+arrives as — or compensation code: a callable ``(builder, params) ->
+Value`` run with the builder in ``osr.entry``, which may emit any number
+of instructions (unboxing calls, allocations, heap adjustments — compare
+the paper's Figure 9).  Entries materialize in insertion order, so
+side-effecting glue goes in the first entry.  The identity mapping is
+``{v: i for i, v in enumerate(live_values)}``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..analysis.cfg import reachable_blocks
 from ..analysis.manager import resolve_manager
@@ -28,14 +37,17 @@ from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
 from ..ir.builder import IRBuilder
 from ..ir.function import BasicBlock, Function, Module
-from ..ir.instructions import Instruction
+from ..ir.instructions import Instruction, PhiInst
 from ..ir.types import FunctionType
 from ..ir.values import Argument, UndefValue, Value
 from ..ir.verifier import verify_function
 from ..transform.clone import ValueMap, clone_blocks
 from ..transform.dce import eliminate_dead_code
 from ..transform.ssaupdater import SSAUpdater
-from .statemap import StateMapping
+
+#: landing-live value of the variant -> transferred index or compensation
+StateMap = Dict[Value, Union[int, Callable[[IRBuilder, List[Argument]],
+                                           Value]]]
 
 
 class OSRError(Exception):
@@ -60,11 +72,41 @@ def required_landing_state(variant: Function, landing: BasicBlock,
     return resolve_manager(am).liveness(variant).live_at_block_entry(landing)
 
 
+def join_landing(func: Function, landing: BasicBlock, entry: BasicBlock,
+                 definitions: Iterable[Tuple[Value, Value]], am) -> None:
+    """Give ``landing`` a second way in, from ``entry``, along which each
+    ``(value, arriving)`` of ``definitions`` holds ``arriving``.
+
+    A phi of ``landing`` takes ``arriving`` as one more incoming; any
+    other definition gets two-definition SSA repair (an argument counts
+    as defined at the function's entry), the repairs sharing one
+    dominator tree, frontier and predecessor map through ``am`` since phi
+    insertion never changes the CFG.  Landing phis the definitions leave
+    uncovered take ``undef`` (dead ones are pruned by the caller's
+    cleanup; live ones mean the state was incomplete)."""
+    repairs: List[Tuple[Value, Value]] = []
+    for value, arriving in definitions:
+        if isinstance(value, PhiInst) and value.parent is landing:
+            value.add_incoming(arriving, entry)
+        else:
+            repairs.append((value, arriving))
+    for phi in landing.phis:
+        if not phi.has_incoming_for(entry):
+            phi.add_incoming(UndefValue(phi.type), entry)
+    for value, arriving in repairs:
+        updater = SSAUpdater(func, value.type, value.name or "osr", am=am)
+        updater.add_definition(
+            value.parent if isinstance(value, Instruction) else func.entry,
+            value)
+        updater.add_definition(entry, arriving)
+        updater.rewrite_uses_of(value)
+
+
 def generate_continuation(
     variant: Function,
     landing: BasicBlock,
     live_values: Sequence[Value],
-    mapping: StateMapping,
+    mapping: StateMap,
     name: Optional[str] = None,
     module: Optional[Module] = None,
     verify: bool = True,
@@ -83,10 +125,14 @@ def generate_continuation(
     splitting the block — passes it as ``landing_state`` and the
     completeness check runs against it instead of a second liveness solve.
 
+    The continuation joins the module only once it is built (and, with
+    ``verify``, verified): a mapping that raises, an incomplete mapping
+    or a body that fails verification leaves the module as it was.
+
     Generation is traced as an ``osr.continuation`` span (with an
     ``osr.compensation`` instant recording how many state-mapping entries
-    materialized code in ``osr.entry``) on ``telemetry``, defaulting to
-    the ambient telemetry.
+    materialized in ``osr.entry`` and how many of them were compensation
+    code) on ``telemetry``, defaulting to the ambient telemetry.
     """
     tel = telemetry if telemetry is not None else ambient_telemetry()
     with tel.span(EV.OSR_CONTINUATION, variant=variant.name,
@@ -101,7 +147,7 @@ def _generate_continuation(
     variant: Function,
     landing: BasicBlock,
     live_values: Sequence[Value],
-    mapping: StateMapping,
+    mapping: StateMap,
     name: Optional[str],
     module: Optional[Module],
     verify: bool,
@@ -119,7 +165,7 @@ def _generate_continuation(
 
     if landing_state is None:
         landing_state = required_landing_state(variant, landing, am)
-    missing = [v for v in landing_state if mapping.get(v) is None]
+    missing = [v for v in landing_state if v not in mapping]
     if missing:
         names = ", ".join(f"%{v.name}" for v in missing)
         raise OSRError(
@@ -133,16 +179,15 @@ def _generate_continuation(
     param_names = osr_param_names(live_values)
     cont_name = target_module.unique_name(name or f"{variant.name}to")
     cont = Function(cont_type, cont_name, param_names)
-    target_module.add_function(cont)
 
     # -- osr.entry with compensation code ---------------------------------------
     osr_entry = BasicBlock("osr.entry", cont)
     builder = IRBuilder(osr_entry)
     params = list(cont.args)
-    if mapping.prologue is not None:
-        mapping.prologue(builder, params)
     replacements: List[Tuple[Value, Value]] = [
-        (variant_value, source.materialize(builder, params))
+        (variant_value,
+         params[source] if isinstance(source, int)
+         else source(builder, params))
         for variant_value, source in mapping.items()
     ]
     cont.attributes["osr.role"] = "continuation"
@@ -151,13 +196,14 @@ def _generate_continuation(
     cont.attributes["osr.state_size"] = str(len(live_values))
     telemetry.event(
         EV.OSR_COMPENSATION, continuation=cont.name,
-        entries=len(replacements), prologue=mapping.prologue is not None,
+        entries=len(replacements),
+        computed=sum(not isinstance(s, int) for s in mapping.values()),
     )
 
     # -- clone what the landing block reaches ---------------------------------
     # a mapped value defined outside that region (an argument, code that
     # only runs before L') is simply the value the mapping provides; one
-    # defined inside it is loop-carried state, rewired below
+    # defined inside it is loop-carried state, joined in below
     region = reachable_blocks(variant, landing)
     vmap = ValueMap()
     placeholders: List[_Placeholder] = []
@@ -180,30 +226,8 @@ def _generate_continuation(
     clone_blocks((b for b in variant.blocks if b in region), vmap, cont)
     landing_clone: BasicBlock = vmap[landing]
     builder.br(landing_clone)
-
-    # -- rewire loop-carried state ---------------------------------------------
-    # a phi of L' takes the transferred value as one more incoming; any
-    # other definition gets single-variable SSA repair (the repairs share
-    # one dominator tree, frontier and predecessor map through the
-    # manager, since phi insertion never changes the CFG)
-    repairs: List[Tuple[Instruction, Value]] = []
-    for variant_value, replacement in carried:
-        clone_value = vmap[variant_value]
-        if clone_value.is_phi and clone_value.parent is landing_clone:
-            clone_value.add_incoming(replacement, osr_entry)
-        else:
-            repairs.append((clone_value, replacement))
-    # landing phis not covered by the mapping: dead ones get undef (and are
-    # pruned below); live ones mean the mapping was incomplete
-    for phi in landing_clone.phis:
-        if not phi.has_incoming_for(osr_entry):
-            phi.add_incoming(UndefValue(phi.type), osr_entry)
-    for clone_value, replacement in repairs:
-        updater = SSAUpdater(cont, clone_value.type,
-                             clone_value.name or "osr", am=am)
-        updater.add_definition(clone_value.parent, clone_value)
-        updater.add_definition(osr_entry, replacement)
-        updater.rewrite_uses_of(clone_value)
+    join_landing(cont, landing_clone, osr_entry,
+                 ((vmap[value], arriving) for value, arriving in carried), am)
 
     # -- cleanup ---------------------------------------------------------------------
     eliminate_dead_code(cont)
@@ -222,6 +246,7 @@ def _generate_continuation(
     cont.assign_names()
     if verify:
         verify_function(cont)
+    target_module.add_function(cont)
     return cont
 
 

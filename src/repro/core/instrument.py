@@ -37,10 +37,10 @@ from ..vm.runtime import FunctionHandle
 from .conditions import OSRCondition
 from .continuation import (
     OSRError,
+    StateMap,
     generate_continuation,
     osr_param_names,
 )
-from .statemap import StateMapping
 
 
 def telemetry_for(engine):
@@ -216,7 +216,7 @@ def insert_resolved_osr_point(
     condition: OSRCondition,
     variant: Optional[Function] = None,
     landing: Optional[BasicBlock] = None,
-    mapping: Optional[StateMapping] = None,
+    mapping: Optional[StateMap] = None,
     cont_name: Optional[str] = None,
     engine=None,
     verify: bool = True,
@@ -230,10 +230,11 @@ def insert_resolved_osr_point(
     half under the identity state mapping — no intermediate copy, and one
     liveness query serves the transferred state and the mapping's
     completeness check.  Otherwise the caller provides the variant
-    ``f'``, the landing block ``L'`` and a :class:`StateMapping` covering
-    the live-in state of ``L'`` (with compensation code as needed).  The
-    continuation is verified whole, ``func`` on the blocks the insertion
-    touched (``verify=False`` skips both).
+    ``f'``, the landing block ``L'`` and a state mapping (a ``dict``, see
+    :mod:`repro.core.continuation`) covering the live-in state of ``L'``
+    (with compensation code as needed).  The continuation is verified
+    whole, ``func`` on the blocks the insertion touched (``verify=False``
+    skips both).
 
     Insertion is traced as an ``osr.insert`` span (kind ``resolved``) on
     the engine's telemetry (ambient when no engine is given), and the
@@ -256,7 +257,7 @@ def insert_resolved_osr_point(
         if variant is None:
             # f' = f: land on the lower half, in the state just captured
             variant, landing = func, site.continuation_block
-            mapping = StateMapping.identity(live_values)
+            mapping = {v: i for i, v in enumerate(live_values)}
             landing_state = live_values
         continuation = generate_continuation(
             variant, landing, live_values, mapping,
@@ -382,8 +383,11 @@ def build_open_osr_stub(
 def _pristine_twin(site: OSRSite):
     """A copy of the opened function — split, not yet instrumented — and
     its block at the location: what an open point's generator is handed
-    when it fires."""
+    when it fires.  The function is named first, so the twin's values
+    carry the names the transferred live values will have: a generator
+    may map the twin's landing state to them by name."""
     func = site.function
+    func.assign_names()
     twin, vmap = clone_function(
         func, func.module.unique_name(f"{func.name}.orig"))
     return twin, vmap[site.continuation_block]

@@ -28,7 +28,7 @@ from ..analysis.cfg import predecessor_map
 from ..ir import types as T
 from ..ir.builder import IRBuilder
 from ..ir.function import BasicBlock, Function
-from ..ir.instructions import Instruction, PhiInst
+from ..ir.instructions import Instruction
 from ..ir.values import (
     ConstantFloat,
     ConstantInt,
@@ -38,9 +38,8 @@ from ..ir.values import (
     Value,
 )
 from ..obs import events as EV
-from ..transform.ssaupdater import SSAUpdater
 from .conditions import OSRCondition
-from .continuation import OSRError
+from .continuation import OSRError, join_landing
 from .instrument import (
     close_osr_point,
     emit_osr_check,
@@ -164,25 +163,8 @@ def _insert_mcosr_point(
     dummy_args: List[Value] = [UndefValue(a.type) for a in func.args]
     call = builder.call(func, dummy_args, "osr.res")
 
-    # -- SSA repair: the landing pad now has an extra predecessor ---------------
-    for value, new_value in zip(live_values, restored):
-        if isinstance(value, PhiInst) and value.parent is landing:
-            value.add_incoming(new_value, restore)
-        elif isinstance(value, Instruction):
-            updater = SSAUpdater(func, value.type, value.name or "mcosr",
-                                 am=am)
-            updater.add_definition(value.parent, value)
-            updater.add_definition(restore, new_value)
-            updater.rewrite_uses_of(value)
-        else:  # function argument
-            updater = SSAUpdater(func, value.type, value.name or "mcosr",
-                                 am=am)
-            updater.add_definition(new_entry, value)
-            updater.add_definition(restore, new_value)
-            updater.rewrite_uses_of(value)
-    for phi in landing.phis:
-        if not phi.has_incoming_for(restore):
-            phi.add_incoming(UndefValue(phi.type), restore)
+    # -- the landing pad's second way in, from osr.restore ---------------------
+    join_landing(func, landing, restore, zip(live_values, restored), am)
 
     # the new entry and the repairs reach well beyond the site
     close_osr_point(site, call, verify, whole=True)

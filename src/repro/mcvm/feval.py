@@ -29,6 +29,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from ..core.conditions import HotCounterCondition
 from ..core.continuation import (
     OSRError,
+    StateMap,
     generate_continuation,
     required_landing_state,
 )
@@ -38,7 +39,6 @@ from ..core.instrument import (
     emit_osr_check,
     open_osr_point,
 )
-from ..core.statemap import Computed, StateMapping
 from ..ir import types as T
 from ..ir.builder import IRBuilder
 from ..ir.function import BasicBlock, Function
@@ -369,8 +369,8 @@ def _live_value_specs(env: FevalOSREnv) -> List[Value]:
 
 
 def _build_state_mapping(vm, env: FevalOSREnv, variant: CompiledVersion,
-                         landing: BasicBlock) -> StateMapping:
-    """Compensation code builder.
+                         landing: BasicBlock) -> StateMap:
+    """Compensation code builder: one slot rebuilder per landing value.
 
     Every value live at the landing block of the (alloca-form) variant is
     a frame slot; the compensation entry block allocates a fresh slot and
@@ -379,13 +379,9 @@ def _build_state_mapping(vm, env: FevalOSREnv, variant: CompiledVersion,
     representation changed between the versions — or zero-initializing
     slots for variables that are live at L' but had no value at L.
     """
-    from .runtime import declare_runtime
-
     index_of = {name: i for i, name in enumerate(env.var_order)}
-    slot_names = {
-        id(slot): name for name, slot in variant.var_slots.items()
-    }
-    mapping = StateMapping()
+    slot_names = {slot: name for name, slot in variant.var_slots.items()}
+    mapping: StateMap = {}
 
     for value in required_landing_state(variant.ir_function, landing,
                                         am=vm.engine.analysis):
@@ -394,20 +390,14 @@ def _build_state_mapping(vm, env: FevalOSREnv, variant: CompiledVersion,
                 f"unexpected non-alloca live value %{value.name} at "
                 f"landing %{landing.name} of @{variant.ir_function.name}"
             )
-        var_name = slot_names.get(id(value))
+        var_name = slot_names.get(value)
         if var_name is None:
             raise OSRError(
                 f"landing-live alloca %{value.name} is not a frame slot"
             )
-        variant_class = variant.info.var_classes[var_name]
-        source_class = env.var_classes.get(var_name)
-        source_index = index_of.get(var_name)
-        mapping.set(value, Computed(
-            _slot_rebuilder(vm, var_name, variant_class, source_class,
-                            source_index),
-            description=f"rebuild %{var_name} "
-                        f"({source_class} -> {variant_class})",
-        ))
+        mapping[value] = _slot_rebuilder(
+            vm, var_name, variant.info.var_classes[var_name],
+            env.var_classes.get(var_name), index_of.get(var_name))
     return mapping
 
 

@@ -3,7 +3,7 @@
 When a guard fails, lowered code (or the interpreter) calls
 ``engine.deopt_exit(guard_id, lives)``, which lands here.  The manager:
 
-1. looks up the guard's :class:`~repro.spec.framestate.FrameState`;
+1. looks up the guard's :class:`~repro.spec.speculate.FrameState`;
 2. asks the speculation manager whether the failure should *dispatch* to
    a sibling specialization (Deoptless-style: the observed value matches
    another version's speculation, or a new stable profile earned a fresh
@@ -34,8 +34,7 @@ from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
 from ..vm.interpreter import Trap
 from ..vm.jit import compile_function
-from .framestate import FrameState
-from .speculate import SpecializedVersion
+from .speculate import FrameState, SpecializedVersion
 
 
 class DeoptError(Exception):
@@ -202,10 +201,11 @@ class DeoptManager:
             return cached
         tel = self.telemetry
         with tel.span(EV.DEOPT_CONTINUATION, guard=guard_id,
-                      target=frame.baseline.name, live=frame.state_size):
+                      target=frame.baseline.name,
+                      live=len(frame.live_values)):
             cont = generate_continuation(
                 frame.baseline, frame.landing, frame.live_values,
-                frame.baseline_mapping(),
+                {v: i for i, v in enumerate(frame.live_values)},
                 name=f"{frame.baseline.name}.deopt",
                 module=frame.baseline.module, telemetry=tel,
                 am=self.engine.analysis,
@@ -230,17 +230,18 @@ class DeoptManager:
         if landing is None or landing.parent is not target.function:
             return None
         tel = self.telemetry
+        am = self.engine.analysis
         try:
             mapping = derive_state_mapping(
-                frame.live_values, target.vmap, target.function, landing
+                frame.live_values, target.vmap, target.function, landing, am
             )
             with tel.span(EV.DEOPT_CONTINUATION, guard=guard_id,
                           target=target.function.name):
                 cont = generate_continuation(
                     target.function, landing, frame.live_values, mapping,
                     name=f"{target.function.name}.cont",
-                    module=target.function.module, telemetry=tel,
-                    am=self.engine.analysis,
+                    module=target.function.module, telemetry=tel, am=am,
+                    landing_state=list(mapping),
                 )
         except (AutoStateError, OSRError):
             return None

@@ -10,16 +10,16 @@ repurposed for exits instead of entries).
 
 Each guard captures the baseline's live set at its site (mapped through
 the clone's value map) plus the speculated argument, and owns a
-:class:`~repro.spec.framestate.FrameState` telling the deopt manager how
-to resume the baseline from exactly that state.  After guard insertion
-the speculative body is optimized (constant folding, CFG simplification,
-DCE) — this is where the speedup comes from: branches on the speculated
-value fold away, and the guards keep the result semantically honest.
+:class:`FrameState` telling the deopt manager how to resume the baseline
+from exactly that state.  After guard insertion the speculative body is
+optimized (constant folding, CFG simplification, DCE) — this is where
+the speedup comes from: branches on the speculated value fold away, and
+the guards keep the result semantically honest.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from ..analysis.manager import resolve_manager
 from ..ir.builder import IRBuilder
@@ -32,11 +32,26 @@ from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
 from ..transform import eliminate_dead_code, fold_constants, simplify_cfg
 from ..transform.clone import ValueMap, clone_function
-from .framestate import FrameState
 
 
 class SpeculationError(Exception):
     """Raised when a function cannot be specialized."""
+
+
+class FrameState(NamedTuple):
+    """Deopt recipe for one guard: resume ``baseline`` at ``landing``.
+
+    ``live_values`` are *baseline* values in the guard's capture order:
+    the deterministic liveness order of ``landing`` followed by the
+    speculated argument (always captured last, so the deopt manager can
+    read the observed value that failed the guard).  The guard's runtime
+    live values become the exit continuation's parameters under the
+    identity mapping, so ``len(live_values)`` is the recipe's state size
+    — the number scalarization shrinks."""
+
+    baseline: Function
+    landing: BasicBlock
+    live_values: List[Value]
 
 
 class SpecializedVersion:
@@ -153,9 +168,8 @@ def _specialize(baseline: Function, arg_index: int, const, value,
         guard = builder.guard(cond, guard_id, capture)
         protected.add(id(cond))
         protected.add(id(guard))
-        guards[guard_id] = FrameState(
-            guard_id, baseline, site, list(lives_base) + [arg], arg_index
-        )
+        guards[guard_id] = FrameState(baseline, site,
+                                      list(lives_base) + [arg])
         telemetry.event(
             EV.OSR_STATE_SIZE, function=clone.name, kind="guard",
             guard=guard_id, live=len(capture),

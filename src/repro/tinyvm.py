@@ -39,9 +39,7 @@ import shlex
 from typing import Dict, List, Optional
 
 from .core import (
-    FromParam,
     HotCounterCondition,
-    StateMapping,
     generate_continuation,
     insert_open_osr_point,
     insert_resolved_osr_point,
@@ -203,10 +201,9 @@ class TinyVM:
 
         def clone_generator(f, block, _env, val):
             live = env["live"]
-            mapping = StateMapping()
             by_name = {v.name: i for i, v in enumerate(live)}
-            for value in required_landing_state(f, block):
-                mapping.set(value, FromParam(by_name[value.name]))
+            mapping = {v: by_name[v.name]
+                       for v in required_landing_state(f, block)}
             cont = generate_continuation(
                 f, block, live, mapping,
                 name=module.unique_name(f"{f.name}to"), module=module,

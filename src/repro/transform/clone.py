@@ -9,7 +9,7 @@ in LLVM.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..ir.function import BasicBlock, Function, Module
 from ..ir.instructions import (
@@ -36,41 +36,23 @@ from ..ir.instructions import (
 from ..ir.values import Value
 
 
-class ValueMap:
-    """Old-value -> new-value correspondence produced by cloning."""
+class ValueMap(dict):
+    """Old-value -> new-value correspondence produced by cloning.
 
-    def __init__(self) -> None:
-        self._map: Dict[int, Value] = {}
-        self._keys: Dict[int, Value] = {}
-        #: set when :meth:`lookup` passes through an instruction that has
-        #: no copy (yet): a forward reference for the caller to patch
-        self.unresolved = False
+    A plain ``dict``: IR values hash and compare by identity."""
 
-    def __setitem__(self, old: Value, new: Value) -> None:
-        self._map[id(old)] = new
-        self._keys[id(old)] = old
-
-    def __getitem__(self, old: Value) -> Value:
-        return self._map[id(old)]
-
-    def __contains__(self, old: Value) -> bool:
-        return id(old) in self._map
-
-    def get(self, old: Value, default: Optional[Value] = None) -> Optional[Value]:
-        return self._map.get(id(old), default)
+    #: set when :meth:`lookup` passes through an instruction that has no
+    #: copy (yet): a forward reference for the caller to patch
+    unresolved = False
 
     def lookup(self, old: Value) -> Value:
         """Map instruction/argument/block values; pass constants through."""
-        mapped = self._map.get(id(old))
+        mapped = self.get(old)
         if mapped is None:
             if isinstance(old, Instruction):
                 self.unresolved = True
             return old
         return mapped
-
-    def items(self):
-        for key_id, old in self._keys.items():
-            yield old, self._map[key_id]
 
 
 def clone_instruction(inst: Instruction, vmap: ValueMap) -> Instruction:

@@ -18,7 +18,7 @@ SRC_ROOT = Path(repro.__file__).resolve().parent
 #: direct constructions (and the construct-and-query helper) that must
 #: stay confined to the analysis package itself
 FORBIDDEN = re.compile(
-    r"\b(LivenessInfo|DominatorTree|LoopInfo|CallGraph|EscapeInfo"
+    r"\b(LivenessInfo|DominatorTree|LoopInfo|EscapeInfo"
     r"|live_values_at)\s*\("
 )
 

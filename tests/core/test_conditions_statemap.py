@@ -8,11 +8,9 @@ from repro.core.conditions import (
     HotCounterCondition,
     NeverCondition,
 )
-from repro.core.statemap import (
-    Computed,
-    FromConstant,
-    FromParam,
-    StateMapping,
+from repro.core.continuation import (
+    generate_continuation,
+    required_landing_state,
 )
 from repro.ir import types as T
 from repro.ir.builder import IRBuilder
@@ -20,6 +18,8 @@ from repro.ir.function import BasicBlock, Function, Module
 from repro.ir.instructions import AllocaInst, LoadInst, PhiInst
 from repro.ir.values import ConstantInt, Value
 from repro.ir.verifier import verify_function
+from repro.obs import events as EV
+from repro.obs import local_telemetry
 
 from ..conftest import build_sum_loop
 
@@ -99,63 +99,50 @@ class TestTrivialConditions:
 
 
 class TestStateMapping:
-    def test_set_get_by_identity(self):
-        mapping = StateMapping()
+    """A state mapping is a plain dict: landing value -> transferred index
+    or compensation callable, materialized in insertion order."""
+
+    def _loop(self, module):
+        func = build_sum_loop(module)
+        landing = func.get_block("loop")
+        return func, landing, required_landing_state(func, landing)
+
+    def test_keys_by_identity(self):
         a = Value(T.i64, "a")
         b = Value(T.i64, "a")  # same name, different value
-        mapping.set(a, FromParam(0))
-        assert isinstance(mapping.get(a), FromParam)
-        assert mapping.get(b) is None
+        mapping = {a: 0}
+        assert a in mapping and b not in mapping
 
-    def test_identity_factory(self):
-        values = [Value(T.i64, f"v{i}") for i in range(3)]
-        mapping = StateMapping.identity(values)
-        assert len(mapping) == 3
-        for index, value in enumerate(values):
-            source = mapping.get(value)
-            assert isinstance(source, FromParam)
-            assert source.index == index
+    def test_index_entries_emit_no_code(self, module):
+        func, landing, live = self._loop(module)
+        cont = generate_continuation(
+            func, landing, live, {v: i for i, v in enumerate(live)},
+            module=module)
+        assert [i.opcode for i in cont.entry.instructions] == ["br"]
 
-    def test_translate_keys(self):
-        values = [Value(T.i64, "x")]
-        mapping = StateMapping.identity(values)
+    def test_entries_materialize_in_insertion_order(self, module):
+        func, landing, live = self._loop(module)
 
-        translated_value = Value(T.i64, "x'")
+        def glue(index):
+            def emit(builder, params):
+                return builder.add(params[index], builder.const_i64(0),
+                                   f"glue{index}")
+            return emit
 
-        class FakeMap:
-            def lookup(self, v):
-                return translated_value
+        # insertion order is the reverse of the landing-state order
+        mapping = {v: glue(i) for i, v in reversed(list(enumerate(live)))}
+        cont = generate_continuation(func, landing, live, mapping,
+                                     module=module)
+        names = [i.name for i in cont.entry.instructions if i.name]
+        assert names == ["glue2", "glue1", "glue0"]
 
-        translated = mapping.translate_keys(FakeMap())
-        assert translated.get(translated_value) is not None
-        assert translated.get(values[0]) is None
-
-    def test_from_constant_materialize(self, module):
-        func, builder = _prepared(module)
-        const = ConstantInt(T.i64, 9)
-        assert FromConstant(const).materialize(builder, []) is const
-
-    def test_from_param_materialize(self, module):
-        func, builder = _prepared(module)
-        params = [Value(T.i64, "p0"), Value(T.i64, "p1")]
-        assert FromParam(1).materialize(builder, params) is params[1]
-
-    def test_computed_materialize_emits(self, module):
-        func, builder = _prepared(module)
-        before = func.instruction_count
-
-        source = Computed(
-            lambda b, params: b.add(b.const_i64(1), b.const_i64(2), "glue")
-        )
-        value = source.materialize(builder, [])
-        assert value.name == "glue"
-        assert func.instruction_count == before + 1
-
-    def test_items_preserve_order(self):
-        mapping = StateMapping()
-        values = [Value(T.i64, f"v{i}") for i in range(5)]
-        for index, value in enumerate(values):
-            mapping.set(value, FromParam(index))
-        assert [v.name for v, _ in mapping.items()] == [
-            "v0", "v1", "v2", "v3", "v4",
-        ]
+    def test_compensation_event_counts_callables(self, module):
+        func, landing, live = self._loop(module)
+        mapping = {v: i for i, v in enumerate(live)}
+        mapping[live[2]] = lambda builder, params: params[2]
+        tel = local_telemetry()
+        cont = generate_continuation(func, landing, live, mapping,
+                                     module=module, telemetry=tel)
+        [event] = [e for e in tel.events if e["name"] == EV.OSR_COMPENSATION]
+        assert event["args"] == {"continuation": cont.name, "entries": 3,
+                                 "computed": 1}

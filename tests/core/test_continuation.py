@@ -3,15 +3,12 @@
 import pytest
 
 from repro.core import (
-    Computed,
-    FromConstant,
-    FromParam,
     OSRError,
-    StateMapping,
     generate_continuation,
     required_landing_state,
 )
-from repro.ir import parse_module, print_function, verify_function
+from repro.ir import (parse_module, print_function, verify_function,
+                      verify_module)
 from repro.ir import types as T
 from repro.ir.instructions import PhiInst
 from repro.ir.values import ConstantInt
@@ -22,11 +19,9 @@ from ..conftest import build_sum_loop
 
 
 def identity_mapping(variant, landing, live):
-    mapping = StateMapping()
     by_name = {v.name: i for i, v in enumerate(live)}
-    for value in required_landing_state(variant, landing):
-        mapping.set(value, FromParam(by_name[value.name]))
-    return mapping
+    return {v: by_name[v.name]
+            for v in required_landing_state(variant, landing)}
 
 
 class TestRequiredState:
@@ -81,7 +76,7 @@ class TestGeneration:
         for phi in landing_clone.phis:
             assert phi.has_incoming_for(cont.entry)
 
-    def test_from_constant_source(self, module):
+    def test_constant_entry(self, module):
         func = build_sum_loop(module)
         landing = func.get_block("loop")
         live = required_landing_state(func, landing)
@@ -89,7 +84,7 @@ class TestGeneration:
         # pin acc to 1000 regardless of the transferred value
         acc_phi = landing.phis[1]
         assert acc_phi.name == "acc"
-        mapping.set(acc_phi, FromConstant(ConstantInt(T.i64, 1000)))
+        mapping[acc_phi] = lambda b, params: ConstantInt(T.i64, 1000)
         cont = generate_continuation(func, landing, live, mapping,
                                      module=module)
         engine = ExecutionEngine(module)
@@ -106,15 +101,11 @@ class TestGeneration:
 
         specs = [Value(T.i64, "n"), Value(T.i64, "i"),
                  Value(T.i64, "acc_lo"), Value(T.i64, "acc_hi")]
-        mapping = StateMapping()
-        req = required_landing_state(func, landing)
-        by_name = {v.name: v for v in req}
-        mapping.set(by_name["n"], FromParam(0))
-        mapping.set(by_name["i"], FromParam(1))
-        mapping.set(by_name["acc"], Computed(
-            lambda b, params: b.add(params[2], params[3], "acc.glue"),
-            description="acc = acc_lo + acc_hi",
-        ))
+        n, i, acc = required_landing_state(func, landing)
+        mapping = {
+            n: 0, i: 1,
+            acc: lambda b, params: b.add(params[2], params[3], "acc.glue"),
+        }
         cont = generate_continuation(func, landing, specs, mapping,
                                      module=module)
         verify_function(cont)
@@ -122,7 +113,7 @@ class TestGeneration:
         engine = ExecutionEngine(module)
         assert engine.run(cont.name, 100, 10, 40, 5) == sum(range(100))
 
-    def test_prologue_side_effects(self, module):
+    def test_side_effecting_first_entry(self, module):
         src_mod = parse_module("""
 @flag = global i64 0
 
@@ -143,27 +134,33 @@ out:
         func = src_mod.get_function("f")
         landing = func.get_block("loop")
         live = required_landing_state(func, landing)
-        mapping = identity_mapping(func, landing, live)
 
         def set_flag(builder, params):
             flag = src_mod.get_global("flag")
             builder.store(builder.const_i64(500), flag)
+            return params[0]
 
-        mapping.prologue = set_flag
+        # side-effecting glue is a callable placed first
+        mapping = {live[0]: set_flag}
+        mapping.update({v: i for i, v in enumerate(live) if i})
         cont = generate_continuation(func, landing, live, mapping,
                                      module=src_mod)
+        assert cont.entry.instructions[0].opcode == "store"
         engine = ExecutionEngine(src_mod)
-        # heap adjusted by compensation prologue: result = 500 + n
+        # heap adjusted by the first entry's compensation: result = 500 + n
         assert engine.run(cont.name, 10, 0) == 510
 
     def test_incomplete_mapping_rejected(self, module):
         func = build_sum_loop(module)
         landing = func.get_block("loop")
         live = required_landing_state(func, landing)
-        mapping = StateMapping()
-        mapping.set(live[0], FromParam(0))  # only n; i and acc missing
-        with pytest.raises(OSRError, match="missing live value"):
-            generate_continuation(func, landing, live, mapping,
+        # only n, mapped to index 0: membership, not truthiness, counts
+        for mapping in ({live[0]: 0}, {live[0]: 0, live[2]: 2}):
+            with pytest.raises(OSRError, match="missing live value"):
+                generate_continuation(func, landing, live, mapping,
+                                      module=module)
+        with pytest.raises(OSRError, match="%i, %acc$"):
+            generate_continuation(func, landing, live, {live[0]: 0},
                                   module=module)
 
     def test_foreign_landing_block_rejected(self, module):
@@ -172,7 +169,7 @@ out:
         live = required_landing_state(func, func.get_block("loop"))
         with pytest.raises(OSRError, match="not in variant"):
             generate_continuation(
-                func, other.get_block("loop"), live, StateMapping(),
+                func, other.get_block("loop"), live, {},
                 module=module,
             )
 
@@ -195,11 +192,40 @@ out:
         from repro.ir.values import Value
 
         specs = [Value(T.i64, "x"), Value(T.i64, "x"), Value(T.i64, "x")]
-        mapping = StateMapping()
-        req = required_landing_state(func, landing)
-        for index, value in enumerate(req):
-            mapping.set(value, FromParam(index))
+        mapping = {v: i for i, v in enumerate(live)}
         cont = generate_continuation(func, landing, specs, mapping,
                                      module=module)
         names = [a.name for a in cont.args]
         assert len(set(names)) == 3
+
+
+class TestFailedGeneration:
+    """A continuation joins the module only once built and verified."""
+
+    def test_raising_compensation_leaves_module_untouched(self, module):
+        func = build_sum_loop(module, "f")
+        landing = func.get_block("loop")
+        live = required_landing_state(func, landing)
+        before = [f.name for f in module.functions]
+
+        def refuse(builder, params):
+            raise OSRError("cannot rebuild %n")
+
+        mapping = {v: i for i, v in enumerate(live)}
+        mapping[live[0]] = refuse
+        with pytest.raises(OSRError, match="cannot rebuild"):
+            generate_continuation(func, landing, live, mapping)
+        assert [f.name for f in module.functions] == before
+        verify_module(module)
+        cont = generate_continuation(
+            func, landing, live, {v: i for i, v in enumerate(live)})
+        assert cont.name == "fto" and cont.module is module
+
+    def test_failed_check_leaves_module_untouched(self, module):
+        func = build_sum_loop(module, "f")
+        landing = func.get_block("loop")
+        live = required_landing_state(func, landing)
+        before = [f.name for f in module.functions]
+        with pytest.raises(OSRError, match="missing live value"):
+            generate_continuation(func, landing, live, {live[0]: 0})
+        assert [f.name for f in module.functions] == before

@@ -1,16 +1,13 @@
-"""Deoptimization (guard-based resolved OSR), multi-version management,
-and the McOSR-style ablation baseline."""
+"""Deoptimization (guard-based resolved OSR) and the McOSR-style
+ablation baseline."""
 
 import pytest
 
 from repro.core import (
     AlwaysCondition,
-    FromParam,
     GuardCondition,
     HotCounterCondition,
-    MultiVersionManager,
     OSRError,
-    StateMapping,
     insert_mcosr_point,
     insert_resolved_osr_point,
     required_landing_state,
@@ -62,11 +59,9 @@ fast:
                                 builder.const_i64(0), "guard")
 
         landing = safe.get_block("check")
-        live = required_landing_state(safe, landing)
-        mapping = StateMapping()
         by_index = {"a": 0, "b": 1}
-        for value in live:
-            mapping.set(value, FromParam(by_index[value.name]))
+        mapping = {v: by_index[v.name]
+                   for v in required_landing_state(safe, landing)}
 
         fast = spec.get_block("fast")
         location = fast.instructions[0]
@@ -86,62 +81,14 @@ fast:
         bad = GuardCondition(lambda func, b: b.const_i64(1))
         location = spec.get_block("fast").instructions[0]
         landing = safe.get_block("check")
-        live = required_landing_state(safe, landing)
-        mapping = StateMapping()
         by_index = {"a": 0, "b": 1}
-        for value in live:
-            mapping.set(value, FromParam(by_index[value.name]))
+        mapping = {v: by_index[v.name]
+                   for v in required_landing_state(safe, landing)}
         with pytest.raises(TypeError):
             insert_resolved_osr_point(
                 spec, location, bad,
                 variant=safe, landing=landing, mapping=mapping,
             )
-
-
-class TestMultiVersion:
-    def test_lineage_chain(self, module):
-        mgr = MultiVersionManager()
-        f = build_sum_loop(module, "f")
-        f1 = build_sum_loop(module, "f.opt")
-        f2 = build_sum_loop(module, "f.opt2")
-        mgr.register_base(f)
-        mgr.register_variant(f, f1, note="specialized")
-        mgr.register_variant(f1, f2, note="inlined")
-        assert mgr.version_of(f2).level == 2
-        assert mgr.base_of(f2) is f
-        assert [x.name for x in mgr.lineage(f2)] == ["f", "f.opt", "f.opt2"]
-
-    def test_all_versions(self, module):
-        mgr = MultiVersionManager()
-        f = build_sum_loop(module, "f")
-        a = build_sum_loop(module, "fa")
-        b = build_sum_loop(module, "fb")
-        mgr.register_base(f)
-        mgr.register_variant(f, a)
-        mgr.register_variant(f, b)
-        assert {x.name for x in mgr.all_versions(b)} == {"f", "fa", "fb"}
-
-    def test_auto_register_base(self, module):
-        mgr = MultiVersionManager()
-        f = build_sum_loop(module, "f")
-        v = build_sum_loop(module, "fv")
-        mgr.register_variant(f, v)  # base registered implicitly
-        assert mgr.version_of(f).level == 0
-        assert mgr.version_of(v).level == 1
-
-    def test_duplicate_base_rejected(self, module):
-        mgr = MultiVersionManager()
-        f = build_sum_loop(module, "f")
-        mgr.register_base(f)
-        with pytest.raises(ValueError):
-            mgr.register_base(f)
-
-    def test_unknown_function(self, module):
-        mgr = MultiVersionManager()
-        f = build_sum_loop(module, "f")
-        assert mgr.version_of(f) is None
-        assert mgr.base_of(f) is None
-        assert mgr.lineage(f) == []
 
 
 class TestMcOSRBaseline:

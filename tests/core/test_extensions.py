@@ -11,9 +11,7 @@ import pytest
 from repro.analysis import LivenessInfo
 from repro.core import (
     AutoStateError,
-    FromParam,
     HotCounterCondition,
-    StateMapping,
     derive_state_mapping,
     generate_continuation,
     insert_open_osr_point,
@@ -22,7 +20,6 @@ from repro.core import (
     required_landing_state,
 )
 from repro.core.instrument import split_block_at
-from repro.core.statemap import Computed
 from repro.ir import Module, print_function, verify_function
 from repro.ir import types as T
 from repro.ir.builder import IRBuilder
@@ -47,9 +44,8 @@ class TestDeriveStateMapping:
         variant, vmap = clone_function(func, "sum.v")
         landing = vmap[landing_origin]
         mapping = derive_state_mapping(live, vmap, variant, landing)
-        assert len(mapping) == len(required_landing_state(variant, landing))
-        for _, source in mapping.items():
-            assert isinstance(source, FromParam)
+        assert list(mapping) == required_landing_state(variant, landing)
+        assert mapping == {vmap[base]: i for i, base in enumerate(live)}
 
     def test_survives_fold_and_dce(self, module):
         func = build_sum_loop(module)
@@ -100,9 +96,10 @@ out:
         cont = generate_continuation(variant, landing, live, mapping,
                                      module=module)
         verify_function(cont)
-        assert "recompute" in repr(
-            [s for _, s in mapping.items() if isinstance(s, Computed)]
-        )
+        # %i2 transfers as index 1; %base is recomputed as n * 7
+        by_name = {v.name: source for v, source in mapping.items()}
+        assert by_name["i2"] == 1 and callable(by_name["base"])
+        assert "mul i64 %n_osr, 7" in print_function(cont)
         engine = ExecutionEngine(module)
         # resume at %out with n=10, i2=10: result = 10 + 70
         assert engine.run(cont.name, 10, 10) == 80
@@ -189,10 +186,9 @@ class TestInlineGeneration:
     def _generator(self, module, env):
         def gen(func, block, _env, val):
             live = env["live"]
-            mapping = StateMapping()
             by_name = {v.name: i for i, v in enumerate(live)}
-            for value in required_landing_state(func, block):
-                mapping.set(value, FromParam(by_name[value.name]))
+            mapping = {v: by_name[v.name]
+                       for v in required_landing_state(func, block)}
             return generate_continuation(func, block, live, mapping,
                                          module=module)
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     HotCounterCondition,
-    MultiVersionManager,
     insert_resolved_osr_point,
 )
 from repro.ir import parse_module, verify_function
@@ -62,25 +61,6 @@ class TestMultipleOSRPoints:
         # the continuation; the second point fires on the next call)
         assert engine.run("two_phase", 500) == expected
         assert engine.run("two_phase", 10) == expected_two_phase(10)
-
-    def test_version_manager_tracks_osr_artifacts(self):
-        module = parse_module(TWO_LOOPS)
-        engine = ExecutionEngine(module)
-        func = module.get_function("two_phase")
-        manager = MultiVersionManager()
-        manager.register_base(func)
-
-        block = func.get_block("up")
-        point = insert_resolved_osr_point(
-            func, block.instructions[block.first_non_phi_index],
-            HotCounterCondition(50), engine=engine,
-        )
-        # f' is f itself: the continuation is cut straight from it
-        assert point.variant is func
-        manager.register_variant(func, point.continuation,
-                                 note="OSR continuation")
-        assert manager.base_of(point.continuation) is func
-        assert manager.version_of(point.continuation).level == 1
 
 
 class TestFevalTargetChanges:

@@ -6,9 +6,7 @@ iterations, diverts to a continuation with the comparator inlined
 import pytest
 
 from repro.core import (
-    FromParam,
     HotCounterCondition,
-    StateMapping,
     generate_continuation,
     insert_open_osr_point,
     required_landing_state,
@@ -51,10 +49,9 @@ def setup(isord_module):
         eliminate_dead_code(variant)
         landing = variant.get_block(vmap[osr_block].name)
         live = env["live"]
-        mapping = StateMapping()
         by_name = {v.name: i for i, v in enumerate(live)}
-        for value in required_landing_state(variant, landing):
-            mapping.set(value, FromParam(by_name[value.name]))
+        mapping = {v: by_name[v.name]
+                   for v in required_landing_state(variant, landing)}
         cont = generate_continuation(variant, landing, live, mapping,
                                      name="isordto", module=module)
         optimize_function(cont, "optimized")

@@ -5,10 +5,8 @@ import pytest
 
 from repro.core import (
     AlwaysCondition,
-    FromParam,
     HotCounterCondition,
     OSRError,
-    StateMapping,
     generate_continuation,
     insert_open_osr_point,
     required_landing_state,
@@ -34,10 +32,9 @@ def clone_generator(module):
     def generator(f, block, env, val):
         calls.append((f, block, env, val))
         live = env["live"]
-        mapping = StateMapping()
         by_name = {v.name: i for i, v in enumerate(live)}
-        for value in required_landing_state(f, block):
-            mapping.set(value, FromParam(by_name[value.name]))
+        mapping = {v: by_name[v.name]
+                   for v in required_landing_state(f, block)}
         return generate_continuation(f, block, live, mapping,
                                      name=f.name + "to", module=module)
 
@@ -174,15 +171,10 @@ class TestGeneratorProtocol:
             seen["env"] = env
             seen["val"] = val
             # fall back to a clone continuation
-            from repro.core import (FromParam, StateMapping,
-                                    generate_continuation,
-                                    required_landing_state)
-
             live = seen["live"]
-            mapping = StateMapping()
             by_name = {v.name: i for i, v in enumerate(live)}
-            for value in required_landing_state(f, block):
-                mapping.set(value, FromParam(by_name[value.name]))
+            mapping = {v: by_name[v.name]
+                       for v in required_landing_state(f, block)}
             return generate_continuation(f, block, live, mapping,
                                          module=isord_module)
 

@@ -57,7 +57,7 @@ def test_default_insertion_solves_liveness_once(module):
 def test_incomplete_mapping_is_still_refused(module):
     """The completeness check runs against the shared liveness result;
     an explicit variant still has its own landing state solved."""
-    from repro.core import OSRError, StateMapping
+    from repro.core import OSRError
     from repro.transform.clone import clone_function
 
     func = build_sum_loop(module)
@@ -66,7 +66,7 @@ def test_incomplete_mapping_is_still_refused(module):
         insert_resolved_osr_point(
             func, first_non_phi(func.get_block("loop")),
             HotCounterCondition(10), variant=variant,
-            landing=vmap[func.get_block("loop")], mapping=StateMapping())
+            landing=vmap[func.get_block("loop")], mapping={})
 
 
 def test_one_condition_object_serves_two_insertions(module):

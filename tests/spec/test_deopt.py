@@ -3,8 +3,10 @@ respecialization, thrash pinning, forced failures, invalidation."""
 
 import pytest
 
+from repro.analysis import AnalysisManager
 from repro.ir import Module, parse_function
 from repro.obs import events as EV
+from repro.obs import trace
 from repro.obs.events import validate_events
 from repro.obs.telemetry import Telemetry
 from repro.spec import DeoptError
@@ -146,6 +148,23 @@ class TestDispatchedContinuations:
         # the old sibling is re-activated, not rebuilt
         assert state.active_version.value == 1
         assert state.respec_count == 1
+
+    def test_dispatch_solves_landing_liveness_on_the_engines_manager(self):
+        """Deriving the mapping and generating the continuation share the
+        engine's analysis manager: the default one sees no liveness miss."""
+        engine, func = _engine(
+            analysis_manager=AnalysisManager(telemetry=Telemetry()))
+        _warm(engine, mode=1)
+        for _ in range(8):
+            engine.run("poly", 7, 20)
+        dispatches = engine.stats_snapshot()["counters"][EV.SPEC_DISPATCH]
+        with trace() as ambient:
+            assert engine.run("poly", 1, 40) == _expected(1, 40)
+        assert engine.stats_snapshot()["counters"][EV.SPEC_DISPATCH] == (
+            dispatches + 1)
+        assert not [e for e in ambient.events
+                    if e["name"] == EV.ANALYSIS_CACHE_MISS
+                    and e["args"]["analysis"] == "liveness"]
 
     def test_thrash_limit_pins_to_baseline(self):
         engine, func = _engine()

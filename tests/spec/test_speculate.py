@@ -69,7 +69,6 @@ class TestSpecializationPass:
             assert guard.live_values[-1] is spec_arg
         for fs in version.guards.values():
             assert fs.live_values[-1] is f.args[0]
-            assert fs.arg_index == 0
 
     def test_framestate_lists_baseline_values(self):
         f, m = _poly()

@@ -1,7 +1,8 @@
 """Structure guard: the tier machinery says each thing once.
 
 One dispatcher over one :class:`PublishBox` per function, one
-compile-and-publish path, one closure skeleton in the decoder.  Each of
+compile-and-publish path, one closure skeleton in the decoder, one
+vocabulary for the state an OSR edge carries.  Each of
 these used to exist two to five times, kept in step by hand, and the
 copies drifted (a worker that never read the disk cache, an inline
 promotion that raised where the background one latched).  These checks
@@ -132,6 +133,25 @@ def test_jit_stamps_locations_at_construction():
     # take ``**_LOC`` from their constructor helper instead
     assert "fix_missing_locations" not in (
         SRC_ROOT / "vm" / "jit.py").read_text()
+
+
+def test_one_vocabulary_for_what_crosses_an_osr_edge():
+    # a state mapping is a dict and a frame state a tuple: the classes
+    # that encoded them, and the version manager nothing reached, are gone
+    for gone in ("core/statemap.py", "spec/framestate.py",
+                 "core/multiversion.py"):
+        assert not (SRC_ROOT / gone).exists(), gone
+    # IR values hash by identity, so no map along the way keys by id()
+    for module in ("core/continuation.py", "core/autostate.py",
+                   "transform/clone.py"):
+        assert not re.search(r"\bid\(", (SRC_ROOT / module).read_text()), (
+            module)
+    # one routine gives a landing block its second way in; the only other
+    # SSA repair in core is the hot counter's phi
+    sites = {f"{path.name}:{site}"
+             for path in sorted((SRC_ROOT / "core").glob("*.py"))
+             for site in _innermost_sites(path, _calls("SSAUpdater"))}
+    assert sites == {"conditions.py:emit", "continuation.py:join_landing"}
 
 
 def test_an_osr_condition_overrides_emit_and_nothing_else():
