@@ -62,8 +62,8 @@ def main():
           f"(osr reaches {100 * direct / osr:.1f}% of by-hand)")
 
     # show the compensation entry block — the Figure 9 analogue
-    continuation = next(iter(osr_vm.code_cache.values()))
-    text = print_function(continuation)
+    continuation = next(iter(osr_vm.engine.continuations().values()))
+    text = print_function(continuation.function)
     entry_block = text.split("\n\n")[0]
     print("\n=== continuation with compensation entry "
           "(castUNKtoMF64 = unboxing, cf. paper Figure 9) ===")

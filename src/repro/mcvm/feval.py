@@ -19,12 +19,12 @@ Implements the four components the paper adds to McVM:
    direct calls to the observed target ``g``, re-runs type inference
    (now free of the boxing poison), lowers to IR, builds the state
    mapping with box/unbox **compensation code** (Figure 9), asks OSRKit
-   for the continuation, optimizes and caches it.
+   for the continuation, optimizes it and stores it in the engine.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from ..core.conditions import HotCounterCondition
 from ..core.continuation import (
@@ -83,26 +83,17 @@ def find_feval_opportunities(function: M.McFunction) -> List[FevalOpportunity]:
     for stmt in M.walk_statements(function.body):
         if not isinstance(stmt, (M.WhileStmt, M.ForStmt)):
             continue
-        counts: Dict[str, int] = {}
-        for inner in M.walk_statements(stmt.body):
-            for expr in M.walk_expressions(inner):
-                if isinstance(expr, M.FevalExpr) and isinstance(
-                        expr.target, M.Ident):
-                    if expr.target.name in read_only_params:
-                        counts[expr.target.name] = (
-                            counts.get(expr.target.name, 0) + 1
-                        )
-        # also scan the loop condition itself
-        cond_exprs = []
+        exprs = [expr for inner in M.walk_statements(stmt.body)
+                 for expr in M.walk_expressions(inner)]
         if isinstance(stmt, M.WhileStmt):
-            cond_exprs = list(M.walk_expressions(stmt.cond))
-        for expr in cond_exprs:
-            if isinstance(expr, M.FevalExpr) and isinstance(
-                    expr.target, M.Ident):
-                if expr.target.name in read_only_params:
-                    counts[expr.target.name] = (
-                        counts.get(expr.target.name, 0) + 1
-                    )
+            # also scan the loop condition itself
+            exprs.extend(M.walk_expressions(stmt.cond))
+        counts: Dict[str, int] = {}
+        for expr in exprs:
+            if (isinstance(expr, M.FevalExpr)
+                    and isinstance(expr.target, M.Ident)
+                    and expr.target.name in read_only_params):
+                counts[expr.target.name] = counts.get(expr.target.name, 0) + 1
         for param, count in counts.items():
             opportunities.append(
                 FevalOpportunity(stmt.loop_id, param, count)
@@ -232,8 +223,7 @@ def specialize_feval_to_direct(function: M.McFunction, handle_param: str,
             args = [rewrite(a) for a in expr.args]
             if isinstance(target, M.Ident) and target.name == handle_param:
                 return M.CallExpr(target_name, args, expr.line)
-            rewritten = M.FevalExpr(target, args, expr.line)
-            return rewritten
+            return M.FevalExpr(target, args, expr.line)
         if isinstance(expr, M.UnaryOp):
             expr.operand = rewrite(expr.operand)
             return expr
@@ -275,32 +265,46 @@ def make_feval_optimizer(vm, env: FevalOSREnv):
     """Component 4: the ``gen`` callback fired when the OSR triggers."""
 
     def optimizer(f_ir, osr_block, env_obj, val):
-        tel = vm.engine.telemetry
+        engine = vm.engine
+        tel = engine.telemetry
         if not isinstance(val, McFunctionHandleValue):
             tel.event(EV.FEVAL_GUARD_FAIL, function=env.function.name,
                       reason=f"non-handle val {type(val).__name__}")
-            return _guard_fail_deopt()
+            return _guard_fail_deopt(f_ir)
         target_name = val.name
-        cache_key = (env.function.name, env.loop_id, target_name,
-                     env.info.arg_classes)
-        cached = vm.code_cache.get(cache_key)
-        if cached is not None:
+
+        def build():
+            vm.stats["feval_optimizations"] += 1
+            with tel.span(EV.FEVAL_SPECIALIZE, function=env.function.name,
+                          target=target_name, loop=env.loop_id):
+                # 4a: profile-driven IIR specialization
+                specialized = specialize_feval_to_direct(
+                    env.function, env.handle_param, target_name)
+                # re-run type inference: direct calls let the engine
+                # infer concrete types where feval forced boxing
+                info = vm.inference.infer(specialized, env.info.arg_classes)
+                # 4b: the continuation of the optimized IIR
+                return _continuation_of(specialized, info, specialized.name)
+
+        # 4c: code caching, in the engine's continuation store
+        optimizations = vm.stats["feval_optimizations"]
+        code = engine.continuation(
+            (env.function.name, env.loop_id, target_name,
+             env.info.arg_classes), (f_ir,), build)
+        if vm.stats["feval_optimizations"] == optimizations:  # no build ran
             vm.stats["feval_cache_hits"] += 1
             tel.event(EV.FEVAL_CACHE_HIT, function=env.function.name,
                       target=target_name)
-            return cached
-        vm.stats["feval_optimizations"] += 1
-        with tel.span(EV.FEVAL_SPECIALIZE, function=env.function.name,
-                      target=target_name, loop=env.loop_id):
-            return _specialize(target_name, cache_key)
+        return code
 
     def _continuation_of(iir, info, ir_name):
         """Lower ``iir`` to IR (alloca form, no OSR inside) under the base
         version's return ABI, so the result is a drop-in replacement, and
-        build the optimized continuation landing at this loop's header."""
+        build the optimized continuation landing at this loop's header;
+        returns its handle, the callable the open-OSR stub enters."""
         variant = vm.compile_iir_raw(
             iir, info, ir_name=vm.module.unique_name(ir_name),
-            forced_return_class=_return_abi(env),
+            forced_return_class=env.info.return_class,
         )
         landing = variant.loop_headers[env.loop_id]
 
@@ -318,45 +322,25 @@ def make_feval_optimizer(vm, env: FevalOSREnv):
         promote_memory_to_registers(continuation, am=am)
         optimize_function(continuation, "optimized", am=am)
         vm.engine.invalidate(continuation)
-        return continuation
+        return vm.engine.handle_for(continuation)
 
-    def _specialize(target_name, cache_key):
-        # 4a: profile-driven IIR specialization
-        specialized = specialize_feval_to_direct(
-            env.function, env.handle_param, target_name
-        )
-        # re-run type inference: direct calls let the engine infer
-        # concrete types where feval forced boxing
-        info = vm.inference.infer(specialized, env.info.arg_classes)
-        # 4b: the continuation of the optimized IIR
-        continuation = _continuation_of(specialized, info, specialized.name)
-        # 4c: code caching
-        vm.code_cache[cache_key] = continuation
-        return continuation
-
-    def _guard_fail_deopt():
+    def _guard_fail_deopt(f_ir):
         """The guard_fail path: instead of unwinding to the interpreter
-        tier, OSR-exit through the deopt manager into a continuation of
-        the *unspecialized* version — execution resumes mid-loop with
-        feval going through the generic boxed dispatcher, keeping all
-        loop progress made so far."""
-        engine = vm.engine
-        engine._init_speculation()
+        tier, OSR-exit into a (stored) continuation of the *unspecialized*
+        version — execution resumes mid-loop with feval going through the
+        generic boxed dispatcher, keeping all loop progress made so far."""
+        tel = vm.engine.telemetry
+        name = env.function.name
+        guard = f"feval:{name}#loop{env.loop_id}"
         vm.stats["feval_deopts"] += 1
-        guard_key = f"feval:{env.function.name}#loop{env.loop_id}"
-        key = (guard_key, env.function.name, env.info.arg_classes)
-        return engine.deopt_manager.external_exit(
-            key,
-            lambda: _continuation_of(env.function, env.info,
-                                     f"{env.function.name}_deopt"),
-            guard=guard_key, function=env.function.name,
-        )
+        tel.event(EV.DEOPT_GUARD_FAIL, guard=guard, function=name)
+        code = vm.engine.continuation(
+            (guard, name, env.info.arg_classes), (f_ir,),
+            lambda: _continuation_of(env.function, env.info, f"{name}_deopt"))
+        tel.event(EV.DEOPT_EXIT, guard=guard, target=name, mode="external")
+        return code
 
     return optimizer
-
-
-def _return_abi(env: FevalOSREnv) -> str:
-    return env.info.return_class
 
 
 def _live_value_specs(env: FevalOSREnv) -> List[Value]:

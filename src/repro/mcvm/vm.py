@@ -2,7 +2,8 @@
 
 Owns the IIR function registry, the type-inference engine, the IIR→IR
 compiler with type-based function versioning, the execution engine, the
-feval dispatcher, and the OSR-based feval optimizer with its code cache.
+feval dispatcher, and the OSR-based feval optimizer, whose continuations
+live in the engine's continuation store.
 
 Execution modes (the Q4 configurations):
 
@@ -64,8 +65,6 @@ class McVM:
         #: (name, arg_classes) -> CompiledVersion
         self._versions: Dict[Tuple[str, Tuple[str, ...]], CompiledVersion] = {}
         self._inference_stack: set = set()
-        #: continuation cache of the feval optimizer (component 4c)
-        self.code_cache: Dict[tuple, object] = {}
         #: OSR points injected so far
         self.osr_points: List[FevalOSRPoint] = []
         self.stats: Dict[str, int] = {
@@ -177,40 +176,33 @@ class McVM:
     def run(self, name: str, *args: float) -> float:
         """Call a MATLAB function with scalar arguments (floats and
         ``@handle`` strings like ``"@rhs"``), returning a float."""
-        arg_values: List[object] = []
-        arg_classes: List[str] = []
-        for arg in args:
-            if isinstance(arg, str) and arg.startswith("@"):
-                arg_values.append(McFunctionHandleValue(arg[1:]))
-                arg_classes.append(HANDLE)
-            else:
-                arg_values.append(float(arg))
-                arg_classes.append(DOUBLE)
-        version = self.compile_version(name, tuple(arg_classes))
-        result = self.engine.call(version.ir_function, arg_values)
+        values = _arguments(args)
+        version = self.compile_version(name, tuple(
+            HANDLE if isinstance(value, McFunctionHandleValue) else DOUBLE
+            for value in values))
+        result = self.engine.call(version.ir_function, values)
         if version.info.return_class == DOUBLE:
             return float(result)
         return unbox_to_float(result)
 
     def run_interpreted(self, name: str, *args: float) -> float:
         """Run through the IIR interpreter (the fallback tier)."""
-        arg_values: List[object] = []
-        for arg in args:
-            if isinstance(arg, str) and arg.startswith("@"):
-                arg_values.append(McFunctionHandleValue(arg[1:]))
-            else:
-                arg_values.append(float(arg))
-        result = self.interpreter.call(name, arg_values)
-        return unbox_to_float(result)
+        return unbox_to_float(self.interpreter.call(name, _arguments(args)))
 
     # -- cache control (Q4's JIT-vs-cached configurations) ----------------------------
 
     def clear_feval_caches(self) -> None:
         """Forget feval-related compiled artifacts so the next run pays
-        generation again ("JIT" configurations)."""
-        self.code_cache.clear()
-        # drop all-boxed dispatcher targets
+        generation again ("JIT" configurations): the continuations stored
+        for the OSR'd functions, and the all-boxed dispatcher targets."""
+        self.engine.drop_continuations(*(p.function for p in self.osr_points))
         for key in [k for k in self._versions if all(c == BOXED for c in k[1])
                     and k[1]]:
-            version = self._versions.pop(key)
-            self.engine._compiled.pop(version.ir_function.name, None)
+            self.engine.invalidate(self._versions.pop(key).ir_function)
+
+
+def _arguments(args) -> List[object]:
+    """The runtime values of :meth:`McVM.run`'s arguments."""
+    return [McFunctionHandleValue(arg[1:])
+            if isinstance(arg, str) and arg.startswith("@") else float(arg)
+            for arg in args]

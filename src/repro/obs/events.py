@@ -28,7 +28,7 @@ name                      kind   emitted when
 ``osr.state_size``        event  an OSR/guard site recorded its live-state slot count
 ``scalarize.split``       event  SROA split an aggregate alloca into scalar pieces
 ``feval.specialize``      span   the feval optimizer specializes + recompiles
-``feval.cache_hit``       event  a fired feval OSR reused a cached continuation
+``feval.cache_hit``       event  a fired feval OSR reused a stored continuation
 ``feval.guard_fail``      event  a feval guard/handle check failed at run time
 ``spec.specialize``       span   the speculation pass clones + specializes a function
 ``spec.dispatch``         event  a guard failure dispatched to a sibling continuation

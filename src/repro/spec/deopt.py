@@ -15,10 +15,14 @@ When a guard fails, lowered code (or the interpreter) calls
    guard's landing block with the captured live state, never restarting
    the function from its entry.
 
-Continuations are generated once per (guard, target) and cached; a warm
-deopt is a cache lookup plus one call.  Guards can also be *armed* to
-fail on a chosen hit count (:meth:`DeoptManager.force_failure`), which
-the differential tests use to inject deopts at arbitrary points.
+Continuations live in the engine's one continuation store
+(:meth:`~repro.vm.engine.ExecutionEngine.continuation`), keyed by
+(guard, target) and dependent on the landing function and the guard's
+owner: generated once, a warm deopt is a store lookup plus one call, and
+``engine.invalidate()`` of either function retires them.  Guards can
+also be *armed* to fail on a chosen hit count
+(:meth:`DeoptManager.force_failure`), which the differential tests use
+to inject deopts at arbitrary points.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from ..core.continuation import OSRError, generate_continuation
 from ..ir.function import Function
 from ..ir.instructions import GuardInst
 from ..obs import events as EV
-from ..obs.telemetry import ambient as ambient_telemetry
 from ..vm.interpreter import Trap
 from ..vm.jit import compile_function
 from .speculate import FrameState, SpecializedVersion
@@ -42,7 +45,7 @@ class DeoptError(Exception):
 
 
 class DeoptManager:
-    """Per-engine deopt coordinator: frame states, continuations, forcing."""
+    """Per-engine deopt coordinator: frame states, exits, forcing."""
 
     def __init__(self, engine, telemetry=None):
         self.engine = engine
@@ -52,8 +55,6 @@ class DeoptManager:
         self._frames: Dict[str, FrameState] = {}
         #: guard id -> owning specialized version
         self._owners: Dict[str, SpecializedVersion] = {}
-        #: (guard id, target function name) -> compiled continuation
-        self._continuations: Dict[tuple, Callable] = {}
         #: guard id -> {"at": hit index to fail on, "hits": observed so far}
         self._forced: Dict[str, Dict[str, int]] = {}
         #: wired by the SpeculationManager
@@ -73,13 +74,6 @@ class DeoptManager:
             self._frames.pop(guard_id, None)
             self._owners.pop(guard_id, None)
             self._forced.pop(guard_id, None)
-            self._continuations = {
-                key: cont for key, cont in self._continuations.items()
-                if key[0] != guard_id
-            }
-
-    def frame_for(self, guard_id: str) -> Optional[FrameState]:
-        return self._frames.get(guard_id)
 
     # -- forced failures -------------------------------------------------------
 
@@ -87,29 +81,27 @@ class DeoptManager:
         """Arm ``guard_id`` to fail on its ``at_hit``-th execution (and
         every one after), even while its semantic condition holds.
 
-        Arming sets the guard instruction's ``forced`` flag and drops the
-        owner's compiled form, so the next materialization lowers the
-        force check into the guard — unarmed guards never pay for it.
+        Arming sets the guard instruction's ``forced`` flag and
+        invalidates the owner, so its next materialization (and every
+        continuation landing in it) lowers the force check into the
+        guard — unarmed guards never pay for it.
         """
         if guard_id not in self._frames:
             raise DeoptError(f"unknown guard {guard_id!r}")
         if at_hit < 1:
             raise DeoptError("at_hit must be >= 1")
         self._forced[guard_id] = {"at": at_hit, "hits": 0}
-        owner = self._owners.get(guard_id)
-        if owner is not None:
-            armed = False
-            for block in owner.function.blocks:
-                for inst in block.instructions:
-                    if isinstance(inst, GuardInst) and inst.guard_id == guard_id:
-                        if not inst.forced:
-                            inst.forced = True
-                            armed = True
-            if armed:
-                owner.function.bump_code_version()
-                self.engine._compiled.pop(owner.function.name, None)
-                if self.spec_manager is not None:
-                    self.spec_manager.refresh_active(owner)
+        owner = self._owners[guard_id]
+        unarmed = [inst for block in owner.function.blocks
+                   for inst in block.instructions
+                   if isinstance(inst, GuardInst)
+                   and inst.guard_id == guard_id and not inst.forced]
+        for inst in unarmed:
+            inst.forced = True
+        if unarmed:
+            self.engine.invalidate(owner.function)
+            if self.spec_manager is not None:
+                self.spec_manager.refresh_active(owner)
 
     def should_force(self, guard_id: str) -> bool:
         """Hit-count check consulted by armed guards (fast path: guards
@@ -128,7 +120,7 @@ class DeoptManager:
 
         The *transition cost* — everything between the guard failing
         and the continuation being ready to run (policy consultation,
-        continuation generation or cache lookup) — folds into the
+        continuation generation or store lookup) — folds into the
         histogram-backed ``deopt.transition`` timer, so warm/cold deopt
         tails are visible as ``p50`` vs ``p99``.
         """
@@ -145,117 +137,91 @@ class DeoptManager:
         metrics.gauge(EV.OSR_LIVE_SLOTS, len(lives))
 
         observed = lives[-1] if lives else None
-        owner = self._owners.get(guard_id)
+        owner = self._owners[guard_id]
         target: Optional[SpecializedVersion] = None
-        if self.spec_manager is not None and owner is not None:
+        if self.spec_manager is not None:
             target = self.spec_manager.note_guard_failure(
                 owner, guard_id, observed
             )
+        continuation = None
         if target is not None and target is not owner:
-            continuation = self._dispatch_continuation(guard_id, frame, target)
-            if continuation is not None:
-                tel.event(EV.SPEC_DISPATCH, guard=guard_id,
-                          target=target.function.name,
-                          observed=repr(observed))
-                tel.event(EV.DEOPT_EXIT, guard=guard_id,
-                          target=target.function.name, mode="dispatch")
-                metrics.record_time(EV.DEOPT_TRANSITION,
-                                    time.perf_counter() - transition_start)
-                return continuation(*lives)
-
-        continuation = self._baseline_continuation(guard_id, frame)
-        tel.event(EV.DEOPT_EXIT, guard=guard_id,
-                  target=frame.baseline.name, mode="baseline")
+            continuation = self._dispatch_continuation(guard_id, frame,
+                                                       owner, target)
+        if continuation is not None:
+            landed, mode = target.function.name, "dispatch"
+            tel.event(EV.SPEC_DISPATCH, guard=guard_id, target=landed,
+                      observed=repr(observed))
+        else:
+            continuation = self._baseline_continuation(guard_id, frame, owner)
+            landed, mode = frame.baseline.name, "baseline"
+        tel.event(EV.DEOPT_EXIT, guard=guard_id, target=landed, mode=mode)
         metrics.record_time(EV.DEOPT_TRANSITION,
                             time.perf_counter() - transition_start)
         return continuation(*lives)
 
-    def external_exit(self, key: tuple, build: Callable, *,
-                      guard: str, function: str):
-        """Deopt-exit for guard mechanisms living outside the speculation
-        pass (e.g. McVM's feval handle guard): count the failure, emit
-        the ``deopt.*`` events, and return the continuation produced by
-        ``build()`` — cached under ``key`` so repeated failures at the
-        same site pay only a lookup."""
-        self.deopt_count += 1
-        tel = self.telemetry
-        tel.event(EV.DEOPT_GUARD_FAIL, guard=guard, function=function)
-        cached = self._continuations.get(key)
-        if cached is None:
-            cached = build()
-            self._continuations[key] = cached
-        tel.event(EV.DEOPT_EXIT, guard=guard, target=function,
-                  mode="external")
-        return cached
-
     # -- continuation construction ---------------------------------------------
 
-    def _baseline_continuation(self, guard_id: str,
-                               frame: FrameState) -> Callable:
+    def _stored(self, guard_id: str, owner: SpecializedVersion,
+                target: Function, generate: Callable) -> Callable:
+        """The continuation of ``guard_id`` landing in ``target``, from
+        the engine's store: ``generate()`` cuts its IR on a miss."""
+        def build():
+            cont = generate()
+            cont.attributes["deopt.guard"] = guard_id
+            return compile_function(cont, self.engine)
+
+        return self.engine.continuation(
+            (guard_id, target.name), (target, owner.function), build)
+
+    def _baseline_continuation(self, guard_id: str, frame: FrameState,
+                               owner: SpecializedVersion) -> Callable:
         """Continuation resuming the unspecialized baseline at the
         guard's landing block (identity state mapping — the captured
         operands ARE the baseline live set)."""
-        key = (guard_id, frame.baseline.name)
-        cached = self._continuations.get(key)
-        if cached is not None:
-            return cached
         tel = self.telemetry
-        with tel.span(EV.DEOPT_CONTINUATION, guard=guard_id,
-                      target=frame.baseline.name,
-                      live=len(frame.live_values)):
-            cont = generate_continuation(
-                frame.baseline, frame.landing, frame.live_values,
-                {v: i for i, v in enumerate(frame.live_values)},
-                name=f"{frame.baseline.name}.deopt",
-                module=frame.baseline.module, telemetry=tel,
-                am=self.engine.analysis,
-            )
-        cont.attributes["deopt.guard"] = guard_id
-        compiled = compile_function(cont, self.engine)
-        self._continuations[key] = compiled
-        return compiled
+
+        def generate():
+            with tel.span(EV.DEOPT_CONTINUATION, guard=guard_id,
+                          target=frame.baseline.name,
+                          live=len(frame.live_values)):
+                return generate_continuation(
+                    frame.baseline, frame.landing, frame.live_values,
+                    {v: i for i, v in enumerate(frame.live_values)},
+                    name=f"{frame.baseline.name}.deopt",
+                    module=frame.baseline.module, telemetry=tel,
+                    am=self.engine.analysis,
+                )
+
+        return self._stored(guard_id, owner, frame.baseline, generate)
 
     def _dispatch_continuation(self, guard_id: str, frame: FrameState,
+                               owner: SpecializedVersion,
                                target: SpecializedVersion
                                ) -> Optional[Callable]:
         """Specialized continuation entering ``target`` mid-flight, or
         None when the mapping cannot be derived (landing folded away,
         value provenance lost) — the caller then falls back to the
         baseline continuation."""
-        key = (guard_id, target.function.name)
-        cached = self._continuations.get(key)
-        if cached is not None:
-            return cached
         landing = target.vmap.get(frame.landing)
         if landing is None or landing.parent is not target.function:
             return None
         tel = self.telemetry
         am = self.engine.analysis
-        try:
+
+        def generate():
             mapping = derive_state_mapping(
                 frame.live_values, target.vmap, target.function, landing, am
             )
             with tel.span(EV.DEOPT_CONTINUATION, guard=guard_id,
                           target=target.function.name):
-                cont = generate_continuation(
+                return generate_continuation(
                     target.function, landing, frame.live_values, mapping,
                     name=f"{target.function.name}.cont",
                     module=target.function.module, telemetry=tel, am=am,
                     landing_state=list(mapping),
                 )
+
+        try:
+            return self._stored(guard_id, owner, target.function, generate)
         except (AutoStateError, OSRError):
             return None
-        cont.attributes["deopt.guard"] = guard_id
-        compiled = compile_function(cont, self.engine)
-        self._continuations[key] = compiled
-        return compiled
-
-    # -- invalidation ----------------------------------------------------------
-
-    def invalidate_function(self, func: Function) -> None:
-        """Drop cached continuations targeting ``func`` (its body or its
-        baseline was rewritten)."""
-        self._continuations = {
-            key: cont for key, cont in self._continuations.items()
-            if key[1] != func.name
-        }

@@ -225,16 +225,15 @@ class SpeculationManager:
 
     def on_invalidate(self, func: Function) -> None:
         """The baseline's body was rewritten: every version speculated
-        from it is stale.  Drop them (frames, continuations, the active
-        version; the engine already dropped the box their code was
-        published in); feedback restarts from scratch."""
+        from it is stale.  Drop them (frames, the active version; the
+        engine's invalidation cascade already retired their code, the
+        box it was published in and every continuation landing in or
+        exiting from them); feedback restarts from scratch."""
         state = self._states.get(func.name)
         if state is None:
             return
         for version in state.versions.values():
             self.deopt.forget_version(version)
-            self.deopt.invalidate_function(version.function)
-        self.deopt.invalidate_function(func)
         state.versions.clear()
         state.active_version = None
         state.last_observed = None

@@ -37,7 +37,8 @@ import math
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (Any, Callable, Dict, Hashable, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from ..analysis.manager import default_manager
 from ..ir import types as T
@@ -243,6 +244,9 @@ class ExecutionEngine:
         #: function name -> the box its dispatcher reads ("which code
         #: does a call reach now"), for functions under a promoting policy
         self._boxes: Dict[str, PublishBox] = {}
+        #: the continuation store (:meth:`continuation`): caller key ->
+        #: (callable, {dependency name: its compile generation})
+        self._continuations: Dict[Hashable, Tuple[Callable, dict]] = {}
         #: namespaces patched by lazy trampolines (function name ->
         #: [(namespace, slot)]), re-pointed on invalidation so no caller
         #: keeps a direct reference to dropped code
@@ -707,6 +711,43 @@ class ExecutionEngine:
         re-checked (under the engine lock) by :meth:`_publish`."""
         return self._generations.get(name, 0)
 
+    # -- continuations ------------------------------------------------------------
+
+    def continuation(self, key: Hashable, depends: Sequence[Function],
+                     build: Callable[[], Callable]) -> Callable:
+        """The one continuation store: the callable an exit path enters
+        for ``key``, made by ``build()`` on a miss and served while the
+        compile generation of every function in ``depends`` is the one
+        stamped before the build, so :meth:`invalidate` of any retires
+        it.  As in :meth:`_publish`, the build runs outside the lock and
+        one racing an ``invalidate()`` is returned but never installed."""
+        entry = self._continuations.get(key)
+        if entry is not None and self._current(entry[1]):
+            return entry[0]
+        stamps = {f.name: self.compile_generation(f.name) for f in depends}
+        code = build()
+        with self._lock:
+            if self._current(stamps):
+                self._continuations[key] = (code, stamps)
+        return code
+
+    def _current(self, stamps: Dict[str, int]) -> bool:
+        return all(self._generations.get(name, 0) == generation
+                   for name, generation in stamps.items())
+
+    def drop_continuations(self, *functions: Function) -> None:
+        """Retire every stored continuation depending on ``functions``."""
+        names = {f.name for f in functions}
+        with self._lock:
+            self._continuations = {
+                key: entry for key, entry in self._continuations.items()
+                if names.isdisjoint(entry[1])}
+
+    def continuations(self) -> Dict[Hashable, Callable]:
+        """The store's live entries: key -> the callable it serves."""
+        return {key: entry[0]
+                for key, entry in dict(self._continuations).items()}
+
     def _ensure_bg_queue(self) -> CompileQueue:
         queue = self._bg_queue
         if queue is None:
@@ -800,11 +841,11 @@ class ExecutionEngine:
         instead of instantly re-tiering on stale counters.
 
         Runs under the engine lock and sweeps *every* per-function cache:
-        the compiled map, the decoded cache, the profiler, trampoline-
-        patched caller namespaces, background compile state (generation
-        bump + queue discard, so an in-flight compile of the old body can
-        never install), the function handle, dependent specializations,
-        and the speculation manager.
+        the compiled map, the decoded cache, the continuation store, the
+        profiler, trampoline-patched caller namespaces, background compile
+        state (generation bump + queue discard, so an in-flight compile of
+        the old body can never install), the function handle, dependent
+        specializations, and the speculation manager.
         """
         with self._lock:
             # stamp first: any in-flight background compile of the old
@@ -819,6 +860,7 @@ class ExecutionEngine:
             self._compiled.pop(func.name, None)
             self._decoded.pop(func.name, None)
             self._boxes.pop(func.name, None)
+            self.drop_continuations(func)
             tel = self.telemetry
             tel.event(EV.ENGINE_INVALIDATE, function=func.name,
                       code_version=func.code_version)

@@ -93,7 +93,7 @@ end
         assert sq_result == sum(i * i for i in range(100))
         assert cube_result == sum(i ** 3 for i in range(100))
         assert vm.stats["feval_optimizations"] == 2
-        targets = {key[2] for key in vm.code_cache}
+        targets = {key[2] for key in vm.engine.continuations()}
         assert targets == {"sq", "cube"}
 
     def test_alternating_targets_use_cache(self):

@@ -201,7 +201,7 @@ class TestOSRFevalEndToEnd:
         vm.run("main", 200)
         assert vm.stats["osr_points"] == 1
         assert vm.stats["feval_optimizations"] == 1
-        assert len(vm.code_cache) == 1
+        assert len(vm.engine.continuations()) == 1
         vm.run("main", 200)
         assert vm.stats["feval_optimizations"] == 1  # cache hit
         assert vm.stats["feval_cache_hits"] >= 1
@@ -215,8 +215,8 @@ class TestOSRFevalEndToEnd:
     def test_continuation_is_specialized(self):
         vm = McVM(SIMPLE, enable_osr=True)
         vm.run("main", 200)
-        cont = next(iter(vm.code_cache.values()))
-        text = print_function(cont)
+        cont = next(iter(vm.engine.continuations().values()))
+        text = print_function(cont.function)
         assert "mc_feval" not in text       # feval gone
         assert "sq__d" in text              # direct specialized call
         assert "castUNKtoMF64" in text      # unboxing compensation
@@ -242,7 +242,12 @@ class TestOSRFevalEndToEnd:
     def test_clear_feval_caches(self):
         vm = McVM(SIMPLE, enable_osr=True)
         vm.run("main", 200)
+        main = vm.compile_version("main", (DOUBLE,)).ir_function
+        compiled = vm.engine.get_compiled(main)
         vm.clear_feval_caches()
-        assert vm.code_cache == {}
+        assert vm.engine.continuations() == {}
+        # the entry function stays compiled; only feval artifacts go
+        assert vm.engine.get_compiled(main) is compiled
         vm.run("main", 200)
         assert vm.stats["feval_optimizations"] == 2  # regenerated
+        assert len(vm.engine.continuations()) == 1

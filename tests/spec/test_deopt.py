@@ -110,6 +110,29 @@ class TestForcedFailures:
         assert engine.run("poly", 1, 40) == _expected(1, 40)
         assert engine.deopt_manager.deopt_count == 1
 
+    def test_arming_retires_continuations_landing_in_the_owner(self):
+        """A dispatch continuation cut from a version before one of its
+        guards was armed must not outlive the arming: the next dispatch
+        lands in code that runs the forced check."""
+        engine, func = _engine()
+        _warm(engine, mode=1)
+        for _ in range(8):
+            assert engine.run("poly", 2, 20) == _expected(2, 20)
+        state = engine.spec_manager.state_for(func)
+        armed, active = state.versions[(0, 1)], state.versions[(0, 2)]
+        assert state.active_version is active
+        deopt = engine.deopt_manager
+        # a mode-1 call dispatches 2 -> 1 and stores that continuation
+        assert engine.run("poly", 1, 40) == _expected(1, 40)
+        loop_gid = [g for g, fs in armed.guards.items()
+                    if fs.landing.name == "loop"][0]
+        deopt.force_failure(loop_gid, at_hit=3)
+        before = deopt.deopt_count
+        assert engine.run("poly", 1, 40) == _expected(1, 40)
+        # the dispatch exit, then the armed loop guard on its third hit
+        assert deopt.deopt_count - before == 2
+        assert deopt._forced[loop_gid]["hits"] == 3
+
     def test_unknown_guard_rejected(self):
         engine, func = _engine()
         _warm(engine)

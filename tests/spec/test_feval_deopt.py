@@ -1,10 +1,11 @@
-"""McVM feval guard_fail routed through the deopt manager.
+"""McVM feval guard_fail as an OSR exit.
 
 When the feval OSR fires with a non-handle value, the optimizer used to
-raise and unwind the whole execution.  It now OSR-exits through the
-deopt manager into a continuation of the *unspecialized* version, so
-the loop keeps its progress and feval goes through the generic boxed
-dispatcher from that point on.
+raise and unwind the whole execution.  It now OSR-exits into a
+continuation of the *unspecialized* version, kept in the engine's
+continuation store, so the loop keeps its progress and feval goes
+through the generic boxed dispatcher from that point on.  The exit needs
+no speculation machinery: it emits the ``deopt.*`` events itself.
 """
 
 import pytest
@@ -56,7 +57,10 @@ class TestFevalGuardFailDeopt:
         got = _call(vm, version, McBox(0.0), 20)
         assert got == float(sum(range(1, 21)))
         assert vm.stats["feval_deopts"] == 1
-        assert vm.engine.deopt_manager.deopt_count == 1
+        assert vm.engine.stats_snapshot()["counters"][EV.DEOPT_EXIT] == 1
+        # no speculation or deopt managers were created to take the exit
+        assert vm.engine.spec_manager is None
+        assert vm.engine.deopt_manager is None
 
     def test_continuation_is_cached_across_failures(self):
         vm, version = _vm()
@@ -68,6 +72,8 @@ class TestFevalGuardFailDeopt:
         # one deopt variant compiled, then reused
         assert vm.stats["versions_compiled"] == versions_before
         assert vm.stats["feval_deopts"] == 3
+        assert vm.engine.stats_snapshot()["counters"][EV.DEOPT_EXIT] == 3
+        assert len(vm.engine.continuations()) == 1
 
     def test_deopt_events_emitted_and_valid(self):
         tel = Telemetry()

@@ -2,11 +2,13 @@
 
 One dispatcher over one :class:`PublishBox` per function, one
 compile-and-publish path, one closure skeleton in the decoder, one
-vocabulary for the state an OSR edge carries.  Each of
-these used to exist two to five times, kept in step by hand, and the
-copies drifted (a worker that never read the disk cache, an inline
-promotion that raised where the background one latched).  These checks
-turn a reintroduced second copy into a failure with a file:line pointer.
+vocabulary for the state an OSR edge carries, one continuation store.
+Each of these used to exist two to five times, kept in step by hand, and
+the copies drifted (a worker that never read the disk cache, an inline
+promotion that raised where the background one latched, a deopt
+continuation that outlived the arming of its landing version).  These
+checks turn a reintroduced second copy into a failure with a file:line
+pointer.
 """
 
 import ast
@@ -86,8 +88,8 @@ def test_one_dispatcher_over_one_box():
 def test_speculation_keeps_no_call_boundary_target_of_its_own():
     # what calls of a baseline reach lives in its box and nowhere else:
     # no attribute or table entry of the speculation package is bound
-    # straight to freshly compiled code (the deopt manager's
-    # continuation cache is keyed by guard and entered mid-flight, never
+    # straight to freshly compiled code (deopt continuations live in the
+    # engine's store, keyed by guard and entered mid-flight, never
     # dispatched to at a call boundary)
     stored = re.compile(r"[\w\]]\s*=\s*compile_function\(")
     offenders = []
@@ -100,6 +102,33 @@ def test_speculation_keeps_no_call_boundary_target_of_its_own():
     from repro.spec.manager import SpecState
 
     assert "active" not in SpecState.__slots__
+
+
+def test_one_continuation_store_owned_by_the_engine():
+    # deopt and feval keep no private continuation caches beside the
+    # engine's store, and invalidate() is what retires an entry
+    for pattern, paths in (
+            (r"\b_continuations\b", (SRC_ROOT / "spec").glob("*.py")),
+            (r"\bcode_cache\b", (SRC_ROOT / "mcvm").glob("*.py")),
+            (r"\b(external_exit|invalidate_function)\b",
+             SRC_ROOT.rglob("*.py"))):
+        for path in sorted(paths):
+            assert not re.search(pattern, path.read_text()), (
+                f"{path.relative_to(SRC_ROOT)}: {pattern}")
+    # only the engine touches its compiled map; a FunctionHandle's
+    # ``self._compiled`` is the handle's own slot
+    runtime = SRC_ROOT / "vm" / "runtime.py"
+    offenders = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        if path == SRC_ROOT / "vm" / "engine.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Attribute) and node.attr == "_compiled"
+                    and not (path == runtime
+                             and ast.unparse(node.value) == "self")):
+                offenders.append(f"{path.relative_to(SRC_ROOT)}:"
+                                 f"{node.lineno}")
+    assert not offenders, offenders
 
 
 def test_one_compile_and_publish_path():
