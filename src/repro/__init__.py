@@ -11,7 +11,7 @@ The package rebuilds the paper's full stack in pure Python:
   interpreter tier and a Python-codegen JIT tier;
 * :mod:`repro.core` — **OSRKit**: open/resolved OSR instrumentation,
   continuation generation, state mappings with compensation code,
-  multi-version management, and a McOSR-style baseline;
+  and a McOSR-style baseline;
 * :mod:`repro.frontend` — a mini-C front-end (the clang substitute);
 * :mod:`repro.shootout` — the shootout benchmark suite of Table 1;
 * :mod:`repro.mcvm` — a mini-McVM with the paper's OSR-based feval
@@ -32,9 +32,42 @@ Quickstart::
     insert_resolved_osr_point(func, loc, HotCounterCondition(1000),
                               engine=engine)
     engine.run("hot_loop", *args)   # transfers to a clone when hot
+
+A package imports eagerly only what a ``jit`` run from mini-C source to
+result uses; the rest of its ``__all__`` (the IR parser and printer,
+the interpreter, decoded and background tiers, the trace readers, the
+serving loop) loads on first access through :func:`lazy_exports`.
 """
 
+import importlib
+import sys
+from typing import Callable, Dict, Sequence
+
 __version__ = "0.1.0"
+
+
+def lazy_exports(package: str,
+                 submodules: Dict[str, Sequence[str]]) -> Callable:
+    """The PEP 562 module ``__getattr__`` of ``package``: ``submodules``
+    maps each lazily loaded submodule to the names the package
+    re-exports from it.  The first access to such a name imports the
+    submodule and binds the name in the package's globals, so every
+    later lookup is an ordinary attribute hit."""
+    owner = {name: submodule for submodule, names in submodules.items()
+             for name in names}
+
+    def __getattr__(name: str):
+        submodule = owner.get(name)
+        if submodule is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{submodule}"),
+                        name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
 
 __all__ = [
     "ir",

@@ -6,6 +6,7 @@ machinery manipulates (phis, branches, calls, memory ops, casts), plus a
 builder, a textual printer/parser pair, and a verifier.
 """
 
+from .. import lazy_exports
 from . import types
 from .builder import IRBuilder
 from .constexpr import ConstantIntToPtr
@@ -32,8 +33,6 @@ from .instructions import (
     TerminatorInst,
     UnreachableInst,
 )
-from .parser import ParseError, parse_function, parse_module
-from .printer import print_function, print_instruction, print_module
 from .values import (
     Argument,
     Constant,
@@ -50,6 +49,13 @@ from .values import (
     Value,
 )
 from .verifier import VerificationError, verify_function, verify_module
+
+# text in and text out load on first use: a module built by the mini-C
+# front-end and run by the JIT never touches either
+__getattr__ = lazy_exports(__name__, {
+    "parser": ("ParseError", "parse_function", "parse_module"),
+    "printer": ("print_function", "print_instruction", "print_module"),
+})
 
 __all__ = [
     "types",

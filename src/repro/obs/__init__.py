@@ -35,26 +35,12 @@ traces with ``python -m repro.obs report|flight|profile|journey``.
 See ``docs/observability.md`` for the event vocabulary.
 """
 
+from .. import lazy_exports
 from . import events
 from .events import EVENT_NAMES, INSTANT_NAMES, SPAN_NAMES, validate_events
-from .export import (
-    chrome_events_from_raw,
-    chrome_trace_document,
-    chrome_trace_events,
-    format_report,
-    format_trace_report,
-    load_chrome_trace,
-    stats_document,
-    summarize_chrome_events,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_stats_json,
-)
 from .flight import FlightRecorder
 from .histogram import LogHistogram
-from .journey import Journey, build_journeys, format_journeys
 from .metrics import MetricsRegistry
-from .profiler import SamplingProfiler, classify_frame
 from .telemetry import (
     Telemetry,
     ambient,
@@ -64,6 +50,25 @@ from .telemetry import (
     trace,
 )
 from .tracer import Tracer
+
+# what reads a finished trace loads on first use; an engine only records
+__getattr__ = lazy_exports(__name__, {
+    "export": (
+        "chrome_events_from_raw",
+        "chrome_trace_document",
+        "chrome_trace_events",
+        "format_report",
+        "format_trace_report",
+        "load_chrome_trace",
+        "stats_document",
+        "summarize_chrome_events",
+        "validate_chrome_trace",
+        "write_chrome_trace",
+        "write_stats_json",
+    ),
+    "journey": ("Journey", "build_journeys", "format_journeys"),
+    "profiler": ("SamplingProfiler", "classify_frame"),
+})
 
 __all__ = [
     "EVENT_NAMES",

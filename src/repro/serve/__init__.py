@@ -24,9 +24,16 @@ See ``docs/serving.md`` for the disk format, invalidation rules, tenant
 isolation and drain semantics.
 """
 
-from .client import SocketVMClient, VMClient
+from .. import lazy_exports
 from .diskcache import DEFAULT_CACHE_DIR, DiskCodeCache
-from .server import PendingRequest, Request, Response, ServeError, VMServer
+
+# a process that only reads and writes the disk cache never loads the
+# serving loop (nor ``socket``)
+__getattr__ = lazy_exports(__name__, {
+    "client": ("SocketVMClient", "VMClient"),
+    "server": ("PendingRequest", "Request", "Response", "ServeError",
+               "VMServer"),
+})
 
 __all__ = [
     "DEFAULT_CACHE_DIR",

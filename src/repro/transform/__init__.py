@@ -5,7 +5,7 @@ The LLVM-pass substitutes the OSR machinery interacts with: cloning
 DCE/simplify-CFG (dead old-entry elision in continuations), constant
 folding and inlining (the isord comparator specialization)."""
 
-from .clone import ValueMap, clone_function, clone_instruction
+from .. import lazy_exports
 from .constfold import fold_constants
 from .dce import (
     eliminate_dead_blocks,
@@ -13,7 +13,6 @@ from .dce import (
     eliminate_dead_stores,
     run_dce,
 )
-from .inline import InlineError, inline_call, inline_known_indirect_calls
 from .mem2reg import promote_memory_to_registers
 from .passmanager import (
     PASSES,
@@ -24,7 +23,13 @@ from .passmanager import (
 )
 from .scalarize import scalarize_aggregates
 from .simplifycfg import simplify_cfg
-from .ssaupdater import SSAUpdater
+
+# the OSR machinery's tools, which no pipeline runs, load on first use
+__getattr__ = lazy_exports(__name__, {
+    "clone": ("ValueMap", "clone_function", "clone_instruction"),
+    "inline": ("InlineError", "inline_call", "inline_known_indirect_calls"),
+    "ssaupdater": ("SSAUpdater",),
+})
 
 __all__ = [
     "ValueMap",

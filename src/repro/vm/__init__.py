@@ -18,10 +18,8 @@ compile-and-publish path, run inline (``tiered``) or on a
 over the promoted code.
 """
 
-from .background import CompileJob, CompileQueue, PublishBox
-from .decode import DecodedFunction, DecodeError, decode_function
+from .. import lazy_exports
 from .engine import POLICIES, TIERS, ExecutionEngine, ObjectTable
-from .interpreter import Interpreter, StepLimitExceeded, Trap
 from .jit import CompiledCode, JITError, codegen_function, compile_function
 from .profile import FunctionProfile, TierProfiler
 from .runtime import (
@@ -31,11 +29,20 @@ from .runtime import (
     MemoryBuffer,
     NativeHandle,
     OutputBuffer,
+    Trap,
     is_null,
     load_scalar,
     scalar_accessors,
     store_scalar,
 )
+
+# the tiers a ``jit`` engine never runs load when a policy first needs
+# them, as the engine itself imports them
+__getattr__ = lazy_exports(__name__, {
+    "background": ("CompileJob", "CompileQueue", "PublishBox"),
+    "decode": ("DecodedFunction", "DecodeError", "decode_function"),
+    "interpreter": ("Interpreter", "StepLimitExceeded"),
+})
 
 __all__ = [
     "ExecutionEngine",

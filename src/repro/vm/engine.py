@@ -37,8 +37,8 @@ import math
 import os
 import threading
 import time
-from typing import (Any, Callable, Dict, Hashable, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from ..analysis.manager import default_manager
 from ..ir import types as T
@@ -53,9 +53,6 @@ from ..ir.values import (
 from ..obs import events as EV
 from ..obs.telemetry import Telemetry, production_telemetry
 from ..obs.telemetry import ambient as ambient_telemetry
-from .background import CompileJob, CompileQueue, PublishBox, run_job
-from .decode import DecodeError, DecodedFunction, decode_function
-from .interpreter import Interpreter, Trap
 from .jit import compile_function
 from .profile import (
     DEFAULT_BACKEDGE_THRESHOLD,
@@ -69,9 +66,13 @@ from .runtime import (
     MemoryBuffer,
     NativeHandle,
     OutputBuffer,
+    Trap,
     store_scalar,
 )
 
+if TYPE_CHECKING:
+    from .background import CompileQueue, PublishBox
+    from .decode import DecodedFunction
 
 
 class TierPolicy(NamedTuple):
@@ -502,6 +503,8 @@ class ExecutionEngine:
         if kind == "jit":
             return compile_function(func, self)
         if kind == "decoded":
+            from .decode import DecodeError, decode_function
+
             decoded = self._decoded.get(func.name)
             if (decoded is None or decoded.func is not func
                     or decoded.version != func.code_version):
@@ -527,6 +530,8 @@ class ExecutionEngine:
                             op_chain=fusion["op_chain"],
                             phi_copy=fusion["phi_copy"])
         if kind == "interp":
+            from .interpreter import Interpreter
+
             def run(*args):
                 interp = Interpreter(self, step_limit=self._interp_step_limit)
                 return interp.run_function(func, list(args))
@@ -569,6 +574,8 @@ class ExecutionEngine:
         thresholds.  Invalidation replaces the whole dispatcher: a
         rewritten body starts over with a fresh box and fresh counters.
         """
+        from .background import PublishBox
+
         name = func.name
         profiler = self.profiler
         resolve = profiler.profile_for
@@ -624,6 +631,8 @@ class ExecutionEngine:
         if background:
             self._ensure_bg_queue().submit(self, func, box, profile)
         else:
+            from .background import CompileJob, run_job
+
             run_job(CompileJob(self, func, box, profile))
 
     # -- persistent code cache ----------------------------------------------------
@@ -754,6 +763,8 @@ class ExecutionEngine:
             with self._lock:
                 queue = self._bg_queue
                 if queue is None:
+                    from .background import CompileQueue
+
                     queue = CompileQueue()
                     self._bg_queue = queue
         return queue

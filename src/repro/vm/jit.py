@@ -129,11 +129,11 @@ from ..ir.values import (
 from ..analysis.manager import default_manager
 from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
-from .interpreter import Trap
 from .runtime import (
     HANDLE_HEAP,
     NULL,
     MemoryBuffer,
+    Trap,
     load_scalar,
     store_scalar,
 )
@@ -1203,12 +1203,13 @@ def _make_source_hook(func: Function) -> Callable[[], str]:
 _codegen_lock = threading.Lock()
 
 
-def codegen_function(func: Function) -> CompiledCode:
+def codegen_function(func: Function, telemetry=None) -> CompiledCode:
     """Generate (or fetch from the function's cache) the compiled artifact.
 
-    A cold build is traced as a ``codegen.build`` span on the ambient
-    telemetry (nesting inside the engine-level ``jit.compile`` span when
-    the engine shares the ambient sink), so traces separate pure AST
+    A cold build is traced as a ``codegen.build`` span on ``telemetry``
+    (the compiling engine's, from :func:`acquire_artifact`, so it nests
+    inside that engine's ``jit.compile`` span on the compiling thread;
+    the ambient one when called bare), so traces separate pure AST
     construction + bytecode compilation from descriptor resolution.
     """
     cached = func._cached_code
@@ -1218,8 +1219,9 @@ def codegen_function(func: Function) -> CompiledCode:
         cached = func._cached_code  # a racing thread may have finished
         if cached is not None and cached.matches(func):
             return cached
-        with ambient_telemetry().span(EV.CODEGEN_BUILD, function=func.name,
-                                      code_version=func.code_version):
+        tel = telemetry if telemetry is not None else ambient_telemetry()
+        with tel.span(EV.CODEGEN_BUILD, function=func.name,
+                      code_version=func.code_version):
             artifact = FunctionCompiler(func).compile()
         func._cached_code = artifact
     return artifact
@@ -1267,7 +1269,7 @@ def acquire_artifact(func: Function, engine) -> CompiledCode:
         return publish_artifact(func, artifact)
     with tel.span(EV.JIT_COMPILE, function=func.name,
                   code_version=func.code_version):
-        artifact = codegen_function(func)
+        artifact = codegen_function(func, tel)
     if artifact.fallback is not None:
         tel.event(EV.JIT_FALLBACK, function=func.name,
                   reason=artifact.fallback)

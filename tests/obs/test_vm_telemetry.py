@@ -145,12 +145,14 @@ class TestEngineStreams:
         assert fires[0]["args"]["kind"] == "resolved"
 
     def test_decode_bailout_records_reason(self, monkeypatch):
-        from repro.vm import engine as engine_mod
+        from repro.vm import decode
 
         def boom(func, engine):
             raise DecodeError("synthetic bailout")
 
-        monkeypatch.setattr(engine_mod, "decode_function", boom)
+        # the engine imports the decoder when the decoded tier is first
+        # built, so the module's own binding is the one it calls
+        monkeypatch.setattr(decode, "decode_function", boom)
         tel = Telemetry()
         module = parse_module(LOOP)
         engine = ExecutionEngine(module, tier="decoded", telemetry=tel)
@@ -432,6 +434,25 @@ class TestEveryThread:
         assert start["tid"] == build["tid"]
         assert events.validate_events(tel.events) == []
         assert validate_chrome_trace(chrome_trace_events(tel)) == []
+
+    def test_worker_build_lands_in_the_owning_engines_flight_ring(self):
+        # the build span goes to the telemetry of the engine that asked
+        # for the code, not the ambient one a worker thread would see
+        engine = ExecutionEngine(parse_module(LOOP), tier="tiered-bg",
+                                 call_threshold=2, flight=True)
+        try:
+            for _ in range(3):
+                assert engine.run("sumto", 5) == 15
+            assert engine.drain_background(timeout=30)
+        finally:
+            engine.shutdown_background()
+        assert engine.tier_promotions == 1
+        ring = engine.telemetry.flight.events
+        (build,) = [e for e in ring if e["name"] == events.CODEGEN_BUILD]
+        assert build["args"]["function"] == "sumto"
+        assert build["tid"] != threading.get_ident()
+        start = next(e for e in ring if e["name"] == events.COMPILE_START)
+        assert start["tid"] == build["tid"]
 
     def test_concurrent_deopts_on_a_flight_server(self):
         from repro.serve import VMServer

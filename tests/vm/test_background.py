@@ -161,7 +161,7 @@ class TestBackgroundPromotion:
     @pytest.mark.parametrize(
         "tier", [tier for tier, policy in POLICIES.items() if policy.promote])
     def test_jit_failure_latches_decoded(self, tier, monkeypatch):
-        def broken(func):
+        def broken(func, telemetry=None):
             raise JITError("no lowering today")
 
         monkeypatch.setattr(jit, "codegen_function", broken)
