@@ -17,7 +17,7 @@ name                      kind   emitted when
 ``codegen.build``         span   the pure AST-construction + bytecode-compile step
 ``jit.cache_hit``         event  warm materialization from the code cache
 ``jit.cache_miss``        event  the cache had no valid artifact
-``jit.fallback``          event  codegen emitted block dispatch, not structured code
+``jit.fallback``          event  the JIT could not nest a function: it runs on the tree-walker
 ``decode.bailout``        event  the pre-decoder fell back to the tree-walker
 ``decode.fuse``           event  the decoder fused superinstructions in a function
 ``osr.insert``            span   an OSR point is inserted (resolved/open/mcosr/feval)

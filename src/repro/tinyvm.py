@@ -155,7 +155,11 @@ class TinyVM:
         func = self._function(args[0])
         if func.is_declaration:
             raise TinyVMError(f"@{func.name} is a declaration: no body")
-        return compile_function(func, self.engine).__ir_source__()
+        compiled = compile_function(func, self.engine)
+        reason = getattr(compiled, "__jit_fallback__", None)
+        if reason is not None:
+            return f"runs on the tree-walker: {reason}"
+        return compiled.__ir_source__()
 
     def cmd_show_blocks(self, args: List[str]) -> str:
         if len(args) != 1:

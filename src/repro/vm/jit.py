@@ -1,77 +1,50 @@
 """JIT tier: compile IR functions to Python functions.
 
 The MCJIT substitute's "native code" is generated Python, built as an
-``ast.Module`` and handed straight to :func:`compile` — no intermediate
-source text.  Each IR function becomes one Python function shaped like
-the code a person would write for it: natural loops are ``while True:``
-statements, branches are ``if``/``else``, phi nodes become parallel tuple
-assignments on the CFG edges and SSA values become Python locals.
-Debugging source is produced on demand by ``ast.unparse``
-(:meth:`CompiledCode.ir_source`, attached to compiled callables as
-``__ir_source__``), so the steady-state artifact carries bytecode and
-binding descriptors only — codegen skips the old text-assembly +
-re-parse round trip (the OCamlJIT2 lesson: translate directly into the
-target representation), and per-artifact memory drops with the source
-string.
+``ast.Module`` and handed straight to :func:`compile`: SSA values are
+locals, phi nodes parallel tuple assignments on the CFG edges, and
+binops, compares and casts come from ``vm/semantics.py`` (the decoded
+tier's table too), so results match the interpreter exactly.  Source is
+unparsed only on demand (``__ir_source__``); direct calls go through
+lazy trampolines (MCJIT's compile-on-first-call).
 
-Semantics match the interpreter exactly (two's-complement wrap-around,
-C-style division, byte-addressed memory), which the property-based tests
-verify by differential execution.  Binops, compares and casts are
-instantiated from ``vm/semantics.py`` — the one table the decoded tier's
-closures come from too — over this function's SSA locals.
-
-Direct calls go through *lazy trampolines*: the first call compiles the
-callee and patches the compiled module's namespace, reproducing MCJIT's
-compile-on-first-call behaviour.
-
-Code generation is engine-independent and cached.  The compiler emits a
-:class:`CompiledCode` — a compiled code object plus *binding
-descriptors* naming the engine resources each namespace slot needs
-(function handles, globals, the object table, trampolines).  The artifact
-is cached on the :class:`~repro.ir.function.Function` keyed by its
-``code_version``/``code_shape`` stamp, so continuations, multi-engine
-runs, and repeated warm-up only pay :meth:`CompiledCode.instantiate`
-(descriptor resolution + ``exec`` of the ready code object) instead of a
-full AST-build/``compile()`` pass.
+Codegen is engine-independent, deterministic and cached.  A
+:class:`CompiledCode` is a code object plus *binding descriptors* naming
+the engine resources each namespace slot needs; it is cached on the
+function under its ``code_version``/``code_shape`` stamp, so another
+engine or a repeated warm-up only pays :meth:`CompiledCode.instantiate`.
+Codegen never touches the engine, which lets a compile-queue worker run
+:func:`acquire_artifact` while callers keep executing; a module-level
+lock publishes each function's artifact atomically.
 
 Control flow is *structured* (:meth:`FunctionCompiler._place`): one
-recursive walk over the dominator tree and the loop forest, both taken
-from the process-wide analysis manager.  A loop header opens a ``while
-True:``; a back edge is ``continue`` or the end of the body; an edge out
-of the loop is ``break`` to the one block laid out after the ``while``
-(blocks that leave with no branch left to take, a ``ret`` above all, are
-emitted inside the loop instead); a block with one incoming edge is
-emitted at that edge; a merge block follows the ``if`` of its immediate
-dominator, and the arms reach it by falling through.  An edge that is
-none of these abandons the attempt — a second loop exit, a jump past a
-merge, an irreducible cycle, a ``switch``, nesting beyond the caps — and
-the *whole function* falls back to the block-dispatch form
-(:meth:`FunctionCompiler._dispatch_body`, reported as ``jit.fallback``):
-a ``while True:`` over ``if _b == n:`` arms that expresses any CFG, with
-single-predecessor blocks chained inline and a ``switch`` over phi-free
-arms lowered to one dict lookup on ``_b``.  Nothing selects between the
-two forms but the function's own CFG.
+recursive walk over the dominator tree and the loop forest.  A loop
+header opens a ``while True:``, a merge block follows the ``if`` of its
+immediate dominator, a ``br i1`` is an ``if``/``else`` and a ``switch``
+an ``if``/``elif`` chain in case order (the first match wins).  Each
+edge is its phi moves, then the first of these rules that fits:
 
-A GEP whose every use is the address of a non-pointer load or store in
-its own block is never materialised: the access computes
-``base[1] + i * 8`` in place (:meth:`FunctionCompiler._foldable_geps`).
+=================================  ======================================
+the edge goes to                   emitted as
+=================================  ======================================
+the block laid out next            nothing: it falls through
+the innermost loop's header        ``continue``, or the end of the body
+a block it alone enters            that block, in place (outside the loop
+                                   only if no branch is left to take)
+a block outside the loop           ``break``; exit *k* > 0 first sets
+                                   ``_x<nesting> = k``, which an ``if``
+                                   chain after the ``while`` reads
+a block that leaves only by        that block again, in place
+``ret``, ``unreachable`` or
+``continue``
+=================================  ======================================
 
-Compilation is *engine-read-only*: :class:`FunctionCompiler` never
-touches the engine at all (resources become binding descriptors), and
-:meth:`CompiledCode.instantiate` only calls the engine's resolution
-APIs (``handle_for``, ``global_pointer``, object-table lookups), which
-the engine serializes internally.  That is what lets the background
-compile queue run :func:`acquire_artifact` (memory cache, disk cache,
-:func:`codegen_function`) on a worker thread while the caller keeps
-executing the decoded tier.  A module-level lock serializes concurrent
-codegen of the same function so the per-function artifact cache is
-published atomically.
-
-Codegen is deterministic: the same IR body always produces a
-byte-identical code object (fresh-name counters are per-compiler), which
-is what makes the ``code_version``/``code_shape`` cache key sound and
-lets :meth:`CompiledCode.ir_source` regenerate the debugging source by
-re-lowering instead of storing it.
+A cycle that is not a natural loop (a continuation entering a loop nest
+mid-way, McOSR's restore edge) is first split on a codegen-private copy
+(:meth:`FunctionCompiler._split`).  What is left -- a jump past a merge
+that still branches, and the two nesting caps that keep CPython's block
+limit away -- raises :class:`_Unstructured`: :func:`compile_function`
+reports ``jit.fallback`` and returns the engine's tree-walker instead.
 """
 
 from __future__ import annotations
@@ -126,7 +99,7 @@ from ..ir.values import (
     UndefValue,
     Value,
 )
-from ..analysis.manager import default_manager
+from ..analysis.manager import AnalysisManager, default_manager
 from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
 from .runtime import (
@@ -191,8 +164,8 @@ def _build_static_namespace() -> Dict[str, Any]:
 #: per compile — instantiation copies this dict
 _STATIC_NS = _build_static_namespace()
 
-#: cap on the transitive block-chaining depth (guards generated-AST
-#: nesting; straight-line ``br`` chains do not add nesting and are cheap)
+#: cap on the layout's recursion depth (guards generated-AST nesting;
+#: straight-line ``br`` chains do not add nesting and are cheap)
 _MAX_CHAIN_DEPTH = 40
 
 #: cap on nested ``while``s: CPython refuses 20 statically nested blocks
@@ -290,6 +263,20 @@ def _if(test: ast.expr, body: List[ast.stmt],
     return ast.If(test=test, body=body, orelse=list(orelse), **_LOC)
 
 
+def _if_chain(arms: Sequence[Tuple[ast.expr, List[ast.stmt]]],
+              default: List[ast.stmt]) -> List[ast.stmt]:
+    """``if``/``elif`` over ``(test, body)`` arms, ``default`` last; an
+    arm with nothing to do negates its test instead of holding a
+    ``pass``."""
+    chain = default
+    for test, body in reversed(arms):
+        if not body:
+            test, body, chain = _not(test), chain, []
+        if body:
+            chain = [_if(test, body, chain)]
+    return chain
+
+
 def _while_true(body: List[ast.stmt]) -> ast.While:
     return ast.While(test=_const(True), body=body, orelse=[], **_LOC)
 
@@ -311,26 +298,90 @@ def _struct_suffix(ty: T.Type) -> Optional[str]:
     return None
 
 
-class _Unstructured(Exception):
-    """The structured emitter met control flow it cannot express; the
-    message says what.  The function is emitted in dispatch form."""
+class _Unstructured(JITError):
+    """Control flow the structured emitter cannot nest; the message says
+    what.  :func:`compile_function` runs the function on the
+    tree-walker instead."""
 
 
 class _While:
-    """A ``while True:`` being filled in: its natural loop, and the one
-    block outside it that a ``break`` reaches."""
+    """A ``while True:`` being filled in: its natural loop, and the blocks
+    outside it that a ``break`` reaches, in the order first met."""
 
-    __slots__ = ("header", "blocks", "exit", "breaks", "nesting")
+    __slots__ = ("header", "blocks", "exits", "nesting", "selector")
 
     def __init__(self, natural, outer: Optional["_While"]):
         self.header = natural.header
         self.blocks = natural.blocks
-        self.exit: Optional[BasicBlock] = None
-        #: how many of ``exit``'s incoming edges became a ``break``
-        self.breaks = 0
+        #: exit block -> how many of its incoming edges became a ``break``
+        self.exits: Dict[BasicBlock, int] = {}
         self.nesting = outer.nesting + 1 if outer is not None else 1
         if self.nesting > _MAX_WHILE_NESTING:
             raise _Unstructured("loops nested too deep")
+        #: the local that says which exit a ``break`` took
+        self.selector = f"_x{self.nesting}"
+
+    def break_to(self, target: BasicBlock, arrived: int) -> List[ast.stmt]:
+        """``break`` for ``arrived`` edges to ``target``, after setting
+        the selector when ``target`` is not the loop's first exit."""
+        exits = self.exits
+        index = list(exits).index(target) if target in exits else len(exits)
+        exits[target] = exits.get(target, 0) + arrived
+        select = [_assign(self.selector, _const(index))] if index else []
+        return select + [ast.Break(**_LOC)]
+
+
+def _reducible(entry: BasicBlock, loops) -> bool:
+    """Are the forward edges -- every edge but a natural loop's back
+    edge -- acyclic?  Then every cycle is a natural loop."""
+    back = {(latch, loop.header) for loop in loops for latch in loop.latches}
+    on_path = {entry: True}  # a depth-first walk; False once finished
+    stack = [(entry, iter(entry.successors()))]
+    while stack:
+        block, successors = stack[-1]
+        for succ in successors:
+            if (block, succ) in back or on_path.get(succ) is False:
+                continue
+            if succ in on_path:
+                return False
+            on_path[succ] = True
+            stack.append((succ, iter(succ.successors())))
+            break
+        else:
+            on_path[stack.pop()[0]] = False
+    return True
+
+
+def _reduce(blocks: List[BasicBlock]) -> Tuple[
+        Dict[BasicBlock, BasicBlock], Dict[BasicBlock, List[BasicBlock]]]:
+    """T1/T2-reduce the graph of ``blocks`` (entry first, all reachable):
+    ignore a region's edges to itself, and merge a region that one other
+    region alone enters into that one.  Returns each block's region
+    header and, per remaining region in layout order, the regions that
+    enter it; one region left means the graph is reducible."""
+    head = {block: block for block in blocks}
+
+    def find(block: BasicBlock) -> BasicBlock:
+        while head[block] is not block:
+            block = head[block]
+        return block
+
+    while True:
+        entering: Dict[BasicBlock, List[BasicBlock]] = {
+            block: [] for block in blocks if head[block] is block}
+        for block in blocks:
+            source = find(block)
+            for succ in block.successors():
+                region = find(succ)
+                if region is not source and source not in entering[region]:
+                    entering[region].append(source)
+        merged = False
+        for region, sources in entering.items():
+            if len(sources) == 1 and region is not blocks[0]:
+                head[region] = sources[0]
+                merged = True
+        if not merged:
+            return {block: find(block) for block in blocks}, entering
 
 
 class CompiledCode:
@@ -347,19 +398,16 @@ class CompiledCode:
     """
 
     __slots__ = ("code", "py_name", "bindings", "version", "shape",
-                 "fallback", "_source_hook", "_source")
+                 "_source_hook", "_source")
 
     def __init__(self, code, py_name: str, bindings: Dict[str, Tuple],
                  version: int, shape: Tuple[int, int],
-                 source_hook: Optional[Callable[[], str]] = None,
-                 fallback: Optional[str] = None):
+                 source_hook: Optional[Callable[[], str]] = None):
         self.code = code
         self.py_name = py_name
         self.bindings = bindings
         self.version = version
         self.shape = shape
-        #: why codegen fell back to block dispatch (``None``: it did not)
-        self.fallback = fallback
         self._source_hook = source_hook
         self._source: Optional[str] = None
 
@@ -591,22 +639,13 @@ class FunctionCompiler:
 
     def __init__(self, func: Function):
         self.func = func
-        #: why the dispatch emitter was used, when it was
-        self.fallback: Optional[str] = None
-        self._block_ids: Dict[int, int] = {}
-        self._chained: set = set()
-        self._chain_stack: List[int] = []
-        self._forced: set = set()
-        self._folded: set = set()
-        self._reset()
-
-    def _reset(self) -> None:
-        """Forget every name and binding handed out so far (an abandoned
-        structured attempt must leave no trace in the dispatch output)."""
         self.bindings: Dict[str, Tuple] = {}
         self._value_names: Dict[int, str] = {}
+        #: a split copy's value -> the original whose Python name it takes
+        self._alias: Dict[Value, Value] = {}
         self._name_counter = 0
         self._const_counter = 0
+        self._folded: set = set()
 
     # -- naming ------------------------------------------------------------------
 
@@ -616,6 +655,7 @@ class FunctionCompiler:
         return f"v{self._name_counter}_{clean}"
 
     def name_of(self, value: Value) -> str:
+        value = self._alias.get(value, value)
         key = id(value)
         if key not in self._value_names:
             self._value_names[key] = self._fresh(value.name)
@@ -676,22 +716,18 @@ class FunctionCompiler:
         return CompiledCode(
             code, self._py_name(), self.bindings,
             func.code_version, func.code_shape(),
-            source_hook=_make_source_hook(func), fallback=self.fallback,
+            source_hook=_make_source_hook(func),
         )
 
     def build_tree(self) -> ast.Module:
-        """Lower the function to a ready-to-``compile`` ``ast.Module``."""
+        """Lower the function to a ready-to-``compile`` ``ast.Module``.
+        Raises :class:`_Unstructured` for control flow it cannot nest."""
         func = self.func
         if func.is_declaration:
             raise JITError(f"cannot compile declaration @{func.name}")
         func.assign_names()
         self._folded = self._foldable_geps()
-        try:
-            body = self._structured_body()
-        except _Unstructured as why:
-            self.fallback = str(why)
-            self._reset()
-            body = self._dispatch_body()
+        body = self._structured_body()
 
         fn = ast.FunctionDef(
             name=self._py_name(),
@@ -716,18 +752,85 @@ class FunctionCompiler:
 
     def _structured_body(self) -> List[ast.stmt]:
         """The function as nested ``while True:``/``if`` statements, laid
-        out over the dominator tree and the loop forest."""
+        out over the dominator tree and the loop forest -- of a split
+        copy when some cycle is not a natural loop."""
         func = self.func
         analyses = default_manager()
-        self._dom_children = analyses.dominator_tree(func).children
-        self._loops = {id(loop.header): loop
-                       for loop in analyses.loop_info(func).loops}
+        loops = analyses.loop_info(func).loops
+        if _reducible(func.entry, loops):
+            return self._layout(func, analyses.dominator_tree(func), loops)
+        copy = self._split()
+        private = AnalysisManager(max_functions=1)  # nothing outlives it
+        try:
+            return self._layout(copy, private.dominator_tree(copy),
+                                private.loop_info(copy).loops)
+        finally:  # unhook the copy from values the module shares with it
+            for inst in copy.instructions():
+                inst.drop_all_references()
+
+    def _layout(self, func: Function, domtree, loops) -> List[ast.stmt]:
+        self._dom_children = domtree.children
+        self._loops = {id(loop.header): loop for loop in loops}
         self._placed: set = set()
-        self._forward = self._edge_counts(func.blocks)
-        for loop in self._loops.values():
-            # ``latches`` names a block once per back edge it ends
-            self._forward[id(loop.header)] -= len(loop.latches)
+        # incoming forward edges per block (a ``br i1`` with both targets
+        # equal counts twice); ``latches`` names a block per back edge
+        forward = self._forward = {id(block): 0 for block in func.blocks}
+        for block in func.blocks:
+            for succ in block.successors():
+                forward[id(succ)] += 1
+        for loop in loops:
+            forward[id(loop.header)] -= len(loop.latches)
         return self._place(func.entry, None, None, 0)
+
+    def _split(self) -> Function:
+        """A codegen-private copy of the function whose every cycle is a
+        natural loop: while T1/T2 reduction is stuck, copy the lightest
+        region once per extra region entering it.  Copies take their
+        original's Python name: locals are not SSA, so no phi repair."""
+        from ..analysis.cfg import remove_unreachable_blocks
+        from ..transform.clone import ValueMap, clone_blocks
+
+        func = self.func
+        copy = Function(func.function_type, func.name,
+                        [arg.name for arg in func.args])
+        vmap = ValueMap(zip(func.args, copy.args))
+        clone_blocks(func.blocks, vmap, copy)
+        remove_unreachable_blocks(copy)
+        alias = self._alias
+        alias.update((new, old) for old, new in vmap.items())
+        while True:
+            blocks = copy.blocks
+            head, entering = _reduce(blocks)
+            if len(entering) == 1:
+                break
+            weight = {region: 0 for region in entering}
+            for block in blocks:
+                weight[head[block]] += len(block)
+            region = min((r for r in entering if r is not blocks[0]),
+                         key=weight.__getitem__)
+            members = [b for b in blocks if head[b] is region]
+            for source in entering[region][1:]:
+                rmap = ValueMap()
+                clone_blocks(members, rmap, copy)
+                twin = rmap[region]
+                for block in blocks:
+                    if head[block] is source and region in block.successors():
+                        block.terminator.replace_successor(region, twin)
+                        for phi, twin_phi in zip(region.phis, twin.phis):
+                            twin_phi.add_incoming(
+                                phi.incoming_value_for(block), block)
+                for block in members:
+                    for succ in dict.fromkeys(block.successors()):
+                        if succ not in rmap:
+                            for phi in succ.phis:
+                                phi.add_incoming(rmap.lookup(
+                                    phi.incoming_value_for(block)),
+                                    rmap[block])
+                alias.update((new, alias.get(old, old))
+                             for old, new in rmap.items())
+        self._folded.update(id(new) for new, old in alias.items()
+                            if id(old) in self._folded)
+        return copy
 
     def _place(self, block: BasicBlock, follow: Optional[BasicBlock],
                loop: Optional[_While], depth: int,
@@ -748,43 +851,58 @@ class FunctionCompiler:
             if natural is not None and not opened:
                 after = stack[-1] if stack else follow
                 inner = _While(natural, loop)
-                out.append(_while_true(
-                    self._place(block, block, inner, depth + 1, True)))
-                if inner.exit is not None:  # else only ``ret`` leaves it
-                    out.extend(self._transfer(inner.exit, after, loop,
-                                              inner.breaks, stack, depth))
+                body = self._place(block, block, inner, depth + 1, True)
+                exits = list(inner.exits.items())
+                if len(exits) > 1:
+                    out.append(_assign(inner.selector, _const(0)))
+                out.append(_while_true(body))
+                if len(exits) == 1:  # none: only ``ret`` leaves it
+                    (target, breaks), = exits
+                    out.extend(self._transfer(target, after, loop, breaks,
+                                              stack, depth))
+                elif exits:
+                    arms = [(_cmp(_name(inner.selector), ast.Eq(),
+                                  _const(index)),
+                             self._transfer(target, after, loop, breaks,
+                                            None, depth))
+                            for index, (target, breaks) in enumerate(exits)]
+                    out.extend(_if_chain(arms[1:], arms[0][1]))
                 continue
             opened = False
             term = block.terminator
             if term is None or id(block) in self._placed:
-                raise _Unstructured(f"%{block.name} cannot be placed")
+                raise JITError(f"%{block.name} cannot be placed")
             self._placed.add(id(block))
             stack.extend(reversed([
                 child for child in self._dom_children.get(block, ())
                 if self._forward[id(child)] > 1
                 and (loop is None or child in loop.blocks)]))
             after = stack[-1] if stack else follow
-            for inst in block.instructions[block.first_non_phi_index:-1]:
-                out.extend(self._compile_instruction(inst))
-            if isinstance(term, BranchInst):
-                out.extend(self._phi_moves(block, term.target))
-                out.extend(self._transfer(term.target, after, loop, 1,
-                                          stack, depth))
-            elif isinstance(term, CondBranchInst):
-                test = self._branch_test(term)
-                body, orelse = (
-                    self._phi_moves(block, target)
-                    + self._transfer(target, after, loop, 1, None, depth)
-                    for target in term.successors())
-                if not body:
-                    test, body, orelse = _not(test), orelse, []
-                if body:
-                    out.append(_if(test, body, orelse))
-            elif isinstance(term, SwitchInst):
-                raise _Unstructured("switch")
-            else:  # ret, unreachable
-                out.extend(self._compile_instruction(term))
+            out.extend(self._straight_line(block))
+            out.extend(self._exits(block, after, loop, depth, stack))
         return out
+
+    def _exits(self, block: BasicBlock, follow: Optional[BasicBlock],
+               loop: Optional[_While], depth: int,
+               stack: Optional[List[BasicBlock]] = None) -> List[ast.stmt]:
+        """``block``'s terminator: each edge is its phi moves, then its
+        :meth:`_transfer`."""
+        def edge(target, stack=None):
+            return (self._phi_moves(block, target)
+                    + self._transfer(target, follow, loop, 1, stack, depth))
+
+        term = block.terminator
+        if isinstance(term, BranchInst):
+            return edge(term.target, stack)
+        if isinstance(term, CondBranchInst):
+            test = self._branch_test(term)
+            body, orelse = (edge(target) for target in term.successors())
+            return _if_chain([(test, body)], orelse)
+        if isinstance(term, SwitchInst):
+            arms = [(_cmp(self.expr(term.value), ast.Eq(), self.expr(case)),
+                     edge(target)) for case, target in term.cases]
+            return _if_chain(arms, edge(term.default))
+        return self._compile_instruction(term)  # ret, unreachable
 
     def _transfer(self, target: BasicBlock, follow: Optional[BasicBlock],
                   loop: Optional[_While], arrived: int,
@@ -792,10 +910,11 @@ class FunctionCompiler:
                   depth: int) -> List[ast.stmt]:
         """The statements that take control to ``target`` from a point
         where ``arrived`` of its forward edges end: nothing, ``continue``,
-        ``break``, or ``target`` itself (next on ``stack`` when the caller
-        lays out a sequence).  Every edge is checked to reach its own
-        target: a stale analysis can cost the structured form, not
-        correctness."""
+        ``target`` itself (next on ``stack`` when the caller lays out a
+        sequence), ``break``, or ``target`` again when its only edges are
+        back edges to the loop's header.  Every edge is checked to reach
+        its own target: a stale analysis can cost the structured form,
+        not correctness."""
         if target is follow:
             return []
         if loop is not None and target is loop.header:
@@ -808,74 +927,23 @@ class FunctionCompiler:
                 return self._place(target, follow, loop, depth + 1)
             stack.append(target)
             return []
-        if leaves and loop.exit in (None, target):
-            loop.exit = target
-            loop.breaks += arrived
-            return [ast.Break(**_LOC)]
-        raise _Unstructured(f"edge to %{target.name}")
-
-    # -- block dispatch (the fallback) ---------------------------------------------------
-
-    def _dispatch_body(self) -> List[ast.stmt]:
-        """The function as a ``while True:`` loop over ``if _b == n:``
-        arms, one per block that is not chained into its predecessor:
-        expresses any CFG."""
-        blocks = self.func.blocks
-        for index, block in enumerate(blocks):
-            self._block_ids[id(block)] = index
-        counts = self._edge_counts(blocks)
-        # the entry block always keeps its dispatch arm
-        self._chained = {id(b) for b in blocks[1:] if counts[id(b)] == 1}
-
-        # compile bodies before emitting dispatch arms: a chain that hits
-        # the depth cap bounces through ``_b``, which forces the bounced-to
-        # block (otherwise chained) to keep an arm after all
-        bodies: Dict[int, List[ast.stmt]] = {}
-        for block in blocks:
-            if id(block) not in self._chained:
-                bodies[id(block)] = self._compile_block(block)
-        pending = self._forced - set(bodies)
-        while pending:
-            for block in blocks:
-                if id(block) in pending:
-                    bodies[id(block)] = self._compile_block(block)
-            pending = self._forced - set(bodies)
-
-        # the if/elif dispatch chain, innermost (the bad-id trap) out
-        dispatch: List[ast.stmt] = [_raise_trap("bad block id")]
-        for block in reversed(blocks):
-            if id(block) not in bodies:
-                continue  # emitted inline at its unique branch site
-            dispatch = [_if(
-                _cmp(_name("_b"), ast.Eq(),
-                     _const(self._block_ids[id(block)])),
-                bodies[id(block)],
-                dispatch,
-            )]
-
-        return [_assign("_b", _const(0)), _while_true(dispatch)]
-
-    @staticmethod
-    def _edge_counts(blocks: List[BasicBlock]) -> Dict[int, int]:
-        """Incoming CFG edges per block (a ``br i1`` with both targets
-        equal counts twice).  A block with exactly one is emitted inline
-        at that edge; a reachable cycle always has a block with a second
-        (entry) edge, so such chaining terminates."""
-        counts = {id(block): 0 for block in blocks}
-        for block in blocks:
-            for succ in block.successors():
-                counts[id(succ)] += 1
-        return counts
+        if leaves:
+            return loop.break_to(target, arrived)
+        if all(loop is not None and succ is loop.header
+               for succ in target.successors()):
+            # it leaves by ``return``, ``raise`` or ``continue``: bounded
+            return (self._straight_line(target)
+                    + self._exits(target, follow, loop, depth))
+        raise _Unstructured(
+            f"jump past a merge: %{target.name} still branches")
 
     # -- blocks -------------------------------------------------------------------------
 
-    def _compile_block(self, block: BasicBlock) -> List[ast.stmt]:
+    def _straight_line(self, block: BasicBlock) -> List[ast.stmt]:
+        """``block`` between its phis and its terminator."""
         out: List[ast.stmt] = []
-        instructions = block.instructions
-        for inst in instructions[block.first_non_phi_index:]:
+        for inst in block.instructions[block.first_non_phi_index:-1]:
             out.extend(self._compile_instruction(inst))
-        if not out:
-            out.append(_raise_trap("empty block"))
         return out
 
     def _phi_moves(self, source: BasicBlock,
@@ -890,33 +958,6 @@ class FunctionCompiler:
         targets = _tuple(*(_name(self.name_of(p), _STORE) for p in phis),
                          ctx=_STORE)
         return [_assign(targets, _tuple(*values))]
-
-    def _goto(self, source: BasicBlock, target: BasicBlock) -> List[ast.stmt]:
-        """Dispatch-form edge transfer: the phi moves, then the jump.
-
-        A target with a single incoming edge is chained: its body is
-        emitted right here instead of a ``_b``/``continue`` bounce.
-        """
-        out = self._phi_moves(source, target)
-        target_key = id(target)
-        if (
-            target_key in self._chained
-            and target_key not in self._chain_stack
-            and len(self._chain_stack) < _MAX_CHAIN_DEPTH
-        ):
-            self._chain_stack.append(target_key)
-            try:
-                out.extend(self._compile_block(target))
-            finally:
-                self._chain_stack.pop()
-            return out
-        if target_key in self._chained:
-            # depth-capped (or cyclic) chain: this block needs a real
-            # dispatch arm after all
-            self._forced.add(target_key)
-        out.append(_assign("_b", _const(self._block_ids[target_key])))
-        out.append(_continue())
-        return out
 
     # -- instructions -----------------------------------------------------------------------
 
@@ -975,19 +1016,6 @@ class FunctionCompiler:
                 return [_return(_const(None))]
             return [_return(e(inst.value))]
 
-        if isinstance(inst, BranchInst):
-            return self._goto(inst.parent, inst.target)
-
-        if isinstance(inst, CondBranchInst):
-            return [_if(
-                self._branch_test(inst),
-                self._goto(inst.parent, inst.true_target),
-                self._goto(inst.parent, inst.false_target),
-            )]
-
-        if isinstance(inst, SwitchInst):
-            return self._compile_switch(inst)
-
         if isinstance(inst, GuardInst):
             # Guard fast path is a single branch; the deopt handler is only
             # bound (and the force predicate only consulted) when needed.
@@ -1007,47 +1035,6 @@ class FunctionCompiler:
             return [_raise_trap("reached unreachable")]
 
         raise JITError(f"cannot lower {type(inst).__name__}")
-
-    def _compile_switch(self, inst: SwitchInst) -> List[ast.stmt]:
-        # fast path: when every target is a phi-free block with its own
-        # dispatch arm, the whole switch is one dict lookup on _b —
-        # replacing the O(cases) if/elif scan (the tinyvm opcode-dispatch
-        # shape the paper's interpreter benchmarks exercise)
-        targets = [target for _, target in inst.cases] + [inst.default]
-        if all(
-            not t.phis and id(t) not in self._chained for t in targets
-        ):
-            table: Dict[int, int] = {}
-            for const, target in inst.cases:
-                # first matching case wins, as in the linear scan
-                table.setdefault(const.value, self._block_ids[id(target)])
-            table_name = self.bind(("static", table), "switch_table")
-            default_id = self._block_ids[id(inst.default)]
-            return [
-                _assign("_b", _call(
-                    _attr(_name(table_name), "get"),
-                    self.expr(inst.value), _const(default_id),
-                )),
-                _continue(),
-            ]
-
-        out: List[ast.stmt] = []
-        value_name = self._fresh("switch")
-        out.append(_assign(value_name, self.expr(inst.value)))
-        # sequential if/elif scan; gotos are compiled in case order so
-        # chained-block emission stays deterministic, then nested in
-        # reverse to build the orelse chain
-        arms = [(const.value, self._goto(inst.parent, target))
-                for const, target in inst.cases]
-        chain: List[ast.stmt] = self._goto(inst.parent, inst.default)
-        for case_value, body in reversed(arms):
-            chain = [_if(
-                _cmp(_name(value_name), ast.Eq(), _const(case_value)),
-                body,
-                chain,
-            )]
-        out.extend(chain)
-        return out
 
     def _bind_call_target(self, callee: Function) -> str:
         """Record a lazily-compiled trampoline slot for a direct callee."""
@@ -1078,13 +1065,14 @@ class FunctionCompiler:
             return self._scalar_expr(cond)
         return self.expr(cond)
 
-    @staticmethod
-    def _fused_into_branch(value: Value) -> bool:
+    def _fused_into_branch(self, value: Value) -> bool:
         """A compare whose only use is its own block's ``br`` becomes that
         branch's ``if`` test (``if a < b:``) and never a 0/1 local; its
-        operands are SSA names nothing in between reassigns."""
+        operands are SSA names nothing in between reassigns.  A split
+        copy is judged by its original, whose local it shares."""
         if not isinstance(value, (ICmpInst, FCmpInst)):
             return False
+        value = self._alias.get(value, value)
         uses = value.uses
         if len(uses) != 1:
             return False
@@ -1270,9 +1258,6 @@ def acquire_artifact(func: Function, engine) -> CompiledCode:
     with tel.span(EV.JIT_COMPILE, function=func.name,
                   code_version=func.code_version):
         artifact = codegen_function(func, tel)
-    if artifact.fallback is not None:
-        tel.event(EV.JIT_FALLBACK, function=func.name,
-                  reason=artifact.fallback)
     engine.disk_store(func, artifact)
     return artifact
 
@@ -1280,5 +1265,14 @@ def acquire_artifact(func: Function, engine) -> CompiledCode:
 def compile_function(func: Function, engine):
     """Compile an IR function to a Python callable bound to ``engine``:
     :func:`acquire_artifact`, then descriptor resolution + ``exec`` of
-    the ready code object."""
-    return acquire_artifact(func, engine).instantiate(engine)
+    the ready code object.  Control flow that does not nest gets the
+    engine's tree-walker instead, reason in ``__jit_fallback__``."""
+    try:
+        artifact = acquire_artifact(func, engine)
+    except _Unstructured as why:
+        engine.telemetry.event(EV.JIT_FALLBACK, function=func.name,
+                               reason=str(why))
+        thunk = engine._baseline(func, "interp")
+        thunk.__jit_fallback__ = str(why)
+        return thunk
+    return artifact.instantiate(engine)

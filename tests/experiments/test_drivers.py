@@ -196,3 +196,18 @@ def test_tinyvm_show_jit_prints_the_emitted_python():
         vm.execute("show_jit")
     with pytest.raises(TinyVMError, match="no function"):
         vm.execute("show_jit ghost")
+
+
+def test_tinyvm_show_jit_names_why_a_function_runs_on_the_tree_walker(
+        tmp_path):
+    from repro.tinyvm import TinyVM
+
+    from ..vm.test_jit_codegen import deep_loop_nest
+
+    path = tmp_path / "deep.ll"
+    path.write_text(deep_loop_nest(17))
+    vm = TinyVM()
+    vm.execute(f"load_ir {path}")
+    assert vm.execute("show_jit f") == (
+        "runs on the tree-walker: loops nested too deep")
+    assert vm.execute("f(1)") == "7"

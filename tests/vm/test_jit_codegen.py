@@ -10,6 +10,8 @@ import struct
 import pytest
 
 from repro.ir import parse_module
+from repro.obs import events
+from repro.obs.telemetry import Telemetry
 from repro.vm import ExecutionEngine
 from repro.vm.jit import FunctionCompiler, compile_function
 from repro.vm.runtime import NULL, MemoryBuffer
@@ -588,28 +590,136 @@ out:
 }
 """
 
-#: (IR, is it structured, calls); a zero divisor traps in every shape
-SHAPES = {
-    "diamond": (DIAMOND, True, [(1, 2), (5, 2), (-7, -7), (0, 0)]),
-    "triangle": (TRIANGLE, True, [(3, 0), (11, 7), (11, 0)]),
-    "nested-break-continue": (NESTED_BREAK_CONTINUE, True,
-                              [(0, 0), (3, 4), (6, 9), (9, 6)]),
-    "ret-in-nested-loop": (RET_IN_NESTED_LOOP, True,
-                           [(5, 6), (5, 24), (5, 97), (0, 1)]),
-    "self-loop": (SELF_LOOP, True, [(10, 3), (0, 9), (4, 0)]),
-    "two-exit-loop": (TWO_EXIT_LOOP, False,
-                      [(2, 9), (8, 9), (30, 7), (30, 11), (4, 0)]),
-    "two-entry-cycle": (TWO_ENTRY_CYCLE, False,
-                        [(0, 0), (0, 1), (9, 0), (9, 1), (40, 1)]),
-    "switch-in-loop": (SWITCH_IN_LOOP, False, [(0, 3), (7, 3), (7, 1),
-                                               (7, 0)]),
+#: three exits that each still branch: ``_x1`` selects 0, 1 or 2
+THREE_EXIT_LOOP = """
+define i64 @f(i64 %n, i64 %d) {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i1, %latch ]
+  %c = icmp slt i64 %i, %n
+  br i1 %c, label %body, label %exhausted
+body:
+  %r = srem i64 %i, %d
+  %z = icmp eq i64 %r, 5
+  br i1 %z, label %five, label %next
+next:
+  %s = icmp eq i64 %i, 7
+  br i1 %s, label %seven, label %latch
+latch:
+  %i1 = add i64 %i, 1
+  br label %loop
+exhausted:
+  %ec = icmp sgt i64 %n, 3
+  br i1 %ec, label %big, label %small
+five:
+  %fc = icmp sgt i64 %i, 4
+  br i1 %fc, label %big, label %small
+seven:
+  %t = mul i64 %i, 100
+  %tc = icmp sgt i64 %n, 20
+  br i1 %tc, label %big, label %small
+big:
+  %bv = phi i64 [ %n, %exhausted ], [ %i, %five ], [ %t, %seven ]
+  ret i64 %bv
+small:
+  %sv = phi i64 [ -1, %exhausted ], [ -2, %five ], [ -3, %seven ]
+  ret i64 %sv
 }
+"""
+
+#: case 1 twice (the first wins) and cases 2 and 3 sharing ``%pair``
+SWITCH_SHARED_TARGETS = """
+define i64 @f(i64 %x, i64 %y) {
+entry:
+  switch i64 %x, label %other [ i64 1, label %one i64 2, label %pair i64 1, label %dup i64 3, label %pair ]
+one:
+  %a = add i64 %y, 10
+  br label %join
+pair:
+  %b = mul i64 %y, %x
+  br label %join
+dup:
+  ret i64 -1
+other:
+  %q = sdiv i64 %y, %x
+  br label %join
+join:
+  %r = phi i64 [ %a, %one ], [ %b, %pair ], [ %q, %other ]
+  ret i64 %r
+}
+"""
+
+
+def _mcosr_hot() -> str:
+    """The ablation's McOSR ``hot``, firing at iteration 5: its restore
+    edge enters the loop a second way, so the cycle is irreducible."""
+    from repro.core import HotCounterCondition, insert_mcosr_point
+    from repro.experiments.ablation import HOT
+    from repro.experiments.sites import loop_osr_location
+    from repro.ir import print_module
+
+    module = parse_module(HOT.replace("@hot(", "@f("))
+    func = module.get_function("f")
+    insert_mcosr_point(func, loop_osr_location(func), HotCounterCondition(5))
+    return print_module(module)
+
+
+#: (IR, calls); a zero divisor traps in every shape
+SHAPES = {
+    "diamond": (DIAMOND, [(1, 2), (5, 2), (-7, -7), (0, 0)]),
+    "triangle": (TRIANGLE, [(3, 0), (11, 7), (11, 0)]),
+    "nested-break-continue": (NESTED_BREAK_CONTINUE,
+                              [(0, 0), (3, 4), (6, 9), (9, 6)]),
+    "ret-in-nested-loop": (RET_IN_NESTED_LOOP,
+                           [(5, 6), (5, 24), (5, 97), (0, 1)]),
+    "self-loop": (SELF_LOOP, [(10, 3), (0, 9), (4, 0)]),
+    "two-exit-loop": (TWO_EXIT_LOOP,
+                      [(2, 9), (8, 9), (30, 7), (30, 11), (4, 0)]),
+    "three-exit-loop": (THREE_EXIT_LOOP,
+                        [(2, 9), (6, 2), (30, 9), (3, 9), (30, 2), (10, 2),
+                         (30, 0)]),
+    "two-entry-cycle": (TWO_ENTRY_CYCLE,
+                        [(0, 0), (0, 1), (9, 0), (9, 1), (40, 1)]),
+    "switch-in-loop": (SWITCH_IN_LOOP, [(0, 3), (7, 3), (7, 1), (7, 0)]),
+    "switch-shared-targets": (SWITCH_SHARED_TARGETS,
+                              [(1, 5), (2, 5), (3, 5), (0, 5), (7, 14),
+                               (-1, 3)]),
+    "mcosr-hot": (_mcosr_hot(), [(0,), (1,), (4,), (5,), (6,), (40,)]),
+}
+
+
+def deep_loop_nest(depth: int) -> str:
+    """``depth`` nested counted loops around ``ret i64 7``."""
+    lines = ["define i64 @f(i64 %n) {", "entry:", "  br label %h0"]
+    for level in range(depth):
+        above = f"l{level - 1}" if level else "done"
+        prev = "entry" if level == 0 else f"h{level - 1}"
+        body = f"h{level + 1}" if level + 1 < depth else f"l{level}"
+        lines += [
+            f"h{level}:",
+            f"  %i{level} = phi i64 [ 0, %{prev} ], "
+            f"[ %n{level}, %l{level} ]",
+            f"  %c{level} = icmp slt i64 %i{level}, %n",
+            f"  br i1 %c{level}, label %{body}, label %{above}",
+            f"l{level}:",
+            f"  %n{level} = add i64 %i{level}, 1",
+            f"  br label %h{level}",
+        ]
+    lines += ["done:", "  ret i64 7", "}"]
+    return "\n".join(lines)
+
+
+def fallbacks(engine):
+    """The ``jit.fallback`` reasons ``engine`` reported, in order."""
+    return [event["args"]["reason"] for event in engine.telemetry.events
+            if event["name"] == events.JIT_FALLBACK]
 
 
 class TestStructuredControlFlow:
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_shape_agrees_with_the_interpreter(self, shape):
-        source, structured, calls = SHAPES[shape]
+        source, calls = SHAPES[shape]
         module = parse_module(source)
         jit = ExecutionEngine(module, tier="jit")
         interp = ExecutionEngine(parse_module(source), tier="interp")
@@ -617,10 +727,8 @@ class TestStructuredControlFlow:
             assert outcome(jit, "f", args) == outcome(interp, "f", args), args
         text = compile_function(module.get_function("f"),
                                 jit).__ir_source__()
-        assert dispatches(text) != structured, text
-        # whole-function and automatic, and counted where it happens
-        counters = jit.stats_snapshot()["counters"]
-        assert counters.get("jit.fallback", 0) == (0 if structured else 1)
+        assert not dispatches(text), text
+        assert "jit.fallback" not in jit.stats_snapshot()["counters"]
 
     def test_break_and_continue_are_statements(self):
         text, _, _ = source_of(NESTED_BREAK_CONTINUE, "f")
@@ -633,65 +741,125 @@ class TestStructuredControlFlow:
                  if isinstance(node, ast.While)][-1]
         assert any(isinstance(n, ast.Return) for n in ast.walk(inner))
 
-    def test_fallback_reason_is_recorded(self):
-        reasons = {}
-        for shape, (source, structured, _) in SHAPES.items():
-            compiler = FunctionCompiler(parse_module(source).get_function("f"))
-            compiler.build_tree()
-            assert (compiler.fallback is None) == structured, shape
-            reasons[shape] = compiler.fallback
-        assert reasons["switch-in-loop"] == "switch"
-        assert reasons["two-exit-loop"].startswith("edge to %")
-        assert reasons["two-entry-cycle"].startswith("edge to %")
+    def test_extra_loop_exits_set_a_selector_read_after_the_loop(self):
+        text, _, _ = source_of(THREE_EXIT_LOOP, "f")
+        assert text.count("while True:") == 1
+        for line in ("_x1 = 0", "_x1 = 1", "_x1 = 2", "if _x1 == 1:",
+                     "elif _x1 == 2:"):
+            assert line in text, text
+        # the first exit is the plain ``break``, read as the ``else``
+        assert text.count("break") == 3
 
-    def test_an_abandoned_attempt_leaves_no_names_behind(self):
-        """The dispatch form of a function is the same whether or not a
-        structured attempt came first."""
-        func = parse_module(SWITCH_IN_LOOP).get_function("f")
-        func.assign_names()
-        direct = FunctionCompiler(func)
-        body = direct._dispatch_body()
-        tree = FunctionCompiler(func).build_tree()
-        assert ast.dump(ast.Module(body=body, type_ignores=[])) == ast.dump(
-            ast.Module(body=tree.body[0].body, type_ignores=[]))
+    def test_switch_is_an_if_chain_in_case_order(self):
+        text, _, _ = source_of(SWITCH_SHARED_TARGETS, "f")
+        tests = [ast.unparse(node.test)
+                 for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.If)]
+        assert tests == ["v1_x == 1", "not v1_x == 2", "v1_x == 1",
+                         "not v1_x == 3"], text
 
-    def test_deep_loop_nest_falls_back(self):
-        depth = 17  # past the cap that keeps CPython's block limit away
-        lines = ["define i64 @f(i64 %n) {", "entry:", "  br label %h0"]
-        for level in range(depth):
-            above = f"l{level - 1}" if level else "done"
-            prev = "entry" if level == 0 else f"h{level - 1}"
-            body = f"h{level + 1}" if level + 1 < depth else f"l{level}"
-            lines += [
-                f"h{level}:",
-                f"  %i{level} = phi i64 [ 0, %{prev} ], "
-                f"[ %n{level}, %l{level} ]",
-                f"  %c{level} = icmp slt i64 %i{level}, %n",
-                f"  br i1 %c{level}, label %{body}, label %{above}",
-                f"l{level}:",
-                f"  %n{level} = add i64 %i{level}, 1",
-                f"  br label %h{level}",
-            ]
-        lines += ["done:", "  ret i64 7", "}"]
-        source = "\n".join(lines)
-        compiler = FunctionCompiler(parse_module(source).get_function("f"))
+    def test_irreducible_cycle_is_split_on_a_private_copy(self):
+        from repro.ir import print_module
+
+        module = parse_module(TWO_ENTRY_CYCLE)
+        func = module.get_function("f")
+        printed = print_module(module)
+        shape = func.code_shape()
+        text, _, _ = source_of(TWO_ENTRY_CYCLE, "f")
+        compiler = FunctionCompiler(func)
         compiler.build_tree()
-        assert compiler.fallback == "loops nested too deep"
-        assert ExecutionEngine(parse_module(source), tier="jit").run(
-            "f", 1) == 7
+        assert compiler._alias  # it lowered a copy ...
+        # ... where a peeled ``a`` enters the one natural loop at ``b``
+        assert text.count("while True:") == 1 and not dispatches(text)
+        # ... and nothing of the copy is left in the function or module
+        assert print_module(module) == printed
+        assert func.code_shape() == shape
+        assert [f.name for f in module.functions] == ["f"]
+        assert all(use.user.parent.parent is func
+                   for arg in func.args for use in arg.uses)
 
-    def test_no_shootout_function_falls_back_when_optimized(self):
+    def test_deep_loop_nest_runs_on_the_tree_walker(self):
+        depth = 17  # past the cap that keeps CPython's block limit away
+        source = deep_loop_nest(depth)
+        engine = ExecutionEngine(parse_module(source), tier="jit",
+                                 telemetry=Telemetry())
+        assert engine.run("f", 1) == 7
+        assert fallbacks(engine) == ["loops nested too deep"]
+        thunk = engine.get_compiled(engine.module.get_function("f"))
+        assert thunk.__jit_fallback__ == "loops nested too deep"
+
+    def test_every_engine_that_installs_the_tree_walker_counts_it(self):
+        module = parse_module(deep_loop_nest(17))
+        counts = []
+        for _ in range(2):
+            engine = ExecutionEngine(module, tier="jit")
+            assert engine.run("f", 1) == 7
+            counts.append(engine.stats_snapshot()["counters"].get(
+                "jit.fallback", 0))
+        assert counts == [1, 1]
+
+    @pytest.mark.parametrize("level", ["unoptimized", "optimized"])
+    def test_every_shootout_function_is_structured(self, level):
         from repro.shootout import SUITE, compile_benchmark
 
-        fallbacks = {}
-        for name, bench in SUITE.items():
-            for func in compile_benchmark(bench, "optimized").functions:
+        for bench in SUITE.values():
+            for func in compile_benchmark(bench, level).functions:
                 if not func.is_declaration:
-                    compiler = FunctionCompiler(func)
-                    compiler.build_tree()
-                    if compiler.fallback is not None:
-                        fallbacks[f"{name}:@{func.name}"] = compiler.fallback
-        assert not fallbacks
+                    FunctionCompiler(func).build_tree()
+
+
+class TestContinuationCensus:
+    """The paper's mechanism cuts ``f'_to`` so that it enters ``L'``
+    mid-loop-nest: every such continuation must still be structured."""
+
+    def test_every_loop_header_of_every_program_structures(self):
+        from repro.analysis.manager import default_manager
+        from repro.core import HotCounterCondition, insert_resolved_osr_point
+        from repro.shootout import SUITE, compile_benchmark
+
+        lowered = 0
+        for bench in SUITE.values():
+            for level in ("unoptimized", "optimized"):
+                headers = [
+                    (func.name, func.blocks.index(loop.header))
+                    for func in compile_benchmark(bench, level).functions
+                    if not func.is_declaration
+                    for loop in default_manager().loop_info(func).loops]
+                for name, index in headers:
+                    func = compile_benchmark(bench, level).get_function(name)
+                    header = func.blocks[index]
+                    point = insert_resolved_osr_point(
+                        func, header.instructions[header.first_non_phi_index],
+                        HotCounterCondition(100))
+                    for lowering in (func, point.continuation):
+                        tree = FunctionCompiler(lowering).build_tree()
+                        assert not any(
+                            isinstance(node, ast.Name) and node.id == "_b"
+                            for node in ast.walk(tree)), lowering.name
+                        lowered += 1
+        assert lowered == 148
+
+    def test_the_ledger_fannkuch_site_fires_into_structured_code(self):
+        from repro.core import HotCounterCondition, insert_resolved_osr_point
+        from repro.experiments.sites import loop_osr_location
+        from repro.shootout import SUITE, compile_benchmark
+
+        bench = SUITE["fannkuch"]
+        module = compile_benchmark(bench, "unoptimized")
+        engine = ExecutionEngine(module, tier="jit", telemetry=Telemetry())
+        func = module.get_function("fannkuch")
+        point = insert_resolved_osr_point(
+            func, loop_osr_location(func, am=engine.analysis),
+            HotCounterCondition(100), engine=engine)
+        oracle = ExecutionEngine(compile_benchmark(bench, "unoptimized"),
+                                 tier="interp")
+        assert engine.run(bench.entry, 6) == oracle.run(bench.entry, 6)
+        fired = [e for e in engine.telemetry.events
+                 if e["name"] == events.OSR_FIRE]
+        assert len(fired) == 1
+        text = compile_function(point.continuation, engine).__ir_source__()
+        assert not dispatches(text)
+        assert not fallbacks(engine)
 
 
 class TestAddressFolding:

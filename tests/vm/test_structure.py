@@ -164,6 +164,22 @@ def test_jit_stamps_locations_at_construction():
         SRC_ROOT / "vm" / "jit.py").read_text()
 
 
+def test_one_jit_emitter():
+    # structured emission is the only form: the block-dispatch emitter and
+    # its abandoned-attempt protocol are gone, and what does not nest runs
+    # on the tree-walker rather than in a second emitter
+    jit = SRC_ROOT / "vm" / "jit.py"
+    defined = {node.name for node in ast.walk(_tree(jit))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_dispatch_body", "_goto", "_compile_block",
+                          "_compile_switch", "_reset"}
+    assert not re.search(r"\b(_block_ids|_chained|_chain_stack|_forced)\b",
+                         jit.read_text())
+    from repro.vm.jit import CompiledCode
+
+    assert "fallback" not in CompiledCode.__slots__
+
+
 def test_one_vocabulary_for_what_crosses_an_osr_edge():
     # a state mapping is a dict and a frame state a tuple: the classes
     # that encoded them, and the version manager nothing reached, are gone
