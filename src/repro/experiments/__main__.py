@@ -47,14 +47,25 @@ TARGETS = {
 }
 
 
+def _target(name: str) -> str:
+    # checked per name, not by ``choices=``: argparse tests an empty
+    # ``*`` positional's whole value against ``choices``, and a list is
+    # not a key of ``TARGETS``
+    if name not in TARGETS:
+        raise argparse.ArgumentTypeError(
+            f"unknown target {name!r} (choose from {', '.join(TARGETS)})")
+    return name
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's evaluation tables.",
     )
     parser.add_argument(
-        "experiments", nargs="*", default=list(TARGETS), choices=TARGETS,
-        help="which experiments to run (default: all)",
+        "experiments", nargs="*", default=list(TARGETS), type=_target,
+        metavar="target",
+        help=f"which experiments to run: {', '.join(TARGETS)} (default: all)",
     )
     parser.add_argument("--trials", type=int, default=3,
                         help="timed trials per configuration (default 3)")

@@ -1,6 +1,6 @@
 """``repro.obs`` — zero-dependency VM observability.
 
-Six layers:
+Five layers:
 
 * :class:`Tracer` — cheap structured event tracing from any thread
   (instants, and spans recorded as one complete event each);
@@ -11,12 +11,10 @@ Six layers:
   to leave on in production; dumps a Chrome trace of the last N events
   on demand or when an anomaly trips (deopt-thrash pin, invalidation
   storm, uncaught trap);
-* :class:`SamplingProfiler` — a background thread attributing wall time
-  across tiers with zero per-op instrumentation;
 * journeys — per-function tier-journey reports answering "why is this
   function still at baseline?";
-* exporters — Chrome trace-event JSON (Perfetto-loadable), a table
-  report, and a machine-readable stats JSON.
+* exporters — Chrome trace-event JSON (Perfetto-loadable) and a table
+  report.
 
 The :class:`Telemetry` facade bundles a registry and an optional event
 sink: ``tel.event(...)`` / ``with tel.span(...)`` always count, and
@@ -31,7 +29,7 @@ work and its spans read no clock.  Scripts enable tracing with::
 
 while production runs attach :func:`production_telemetry` (a Telemetry
 over a FlightRecorder) or pass ``flight=True`` to the engine.  Inspect
-traces with ``python -m repro.obs report|flight|profile|journey``.
+traces with ``python -m repro.obs validate|journey``.
 See ``docs/observability.md`` for the event vocabulary.
 """
 
@@ -60,14 +58,11 @@ __getattr__ = lazy_exports(__name__, {
         "format_report",
         "format_trace_report",
         "load_chrome_trace",
-        "stats_document",
         "summarize_chrome_events",
         "validate_chrome_trace",
         "write_chrome_trace",
-        "write_stats_json",
     ),
     "journey": ("Journey", "build_journeys", "format_journeys"),
-    "profiler": ("SamplingProfiler", "classify_frame"),
 })
 
 __all__ = [
@@ -78,7 +73,6 @@ __all__ = [
     "Journey",
     "LogHistogram",
     "MetricsRegistry",
-    "SamplingProfiler",
     "Telemetry",
     "Tracer",
     "ambient",
@@ -86,7 +80,6 @@ __all__ = [
     "chrome_events_from_raw",
     "chrome_trace_document",
     "chrome_trace_events",
-    "classify_frame",
     "events",
     "format_journeys",
     "format_report",
@@ -95,11 +88,9 @@ __all__ = [
     "local_telemetry",
     "production_telemetry",
     "set_ambient",
-    "stats_document",
     "summarize_chrome_events",
     "trace",
     "validate_chrome_trace",
     "validate_events",
     "write_chrome_trace",
-    "write_stats_json",
 ]

@@ -1,14 +1,12 @@
-"""Exporters: Chrome trace-event JSON, table report, stats JSON.
+"""Exporters: Chrome trace-event JSON and the table report.
 
-Three consumers of one event stream:
+Two consumers of one event stream:
 
 * :func:`write_chrome_trace` — the `Trace Event Format`_ document that
   ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_ load
   directly (open the UI, drag the file in);
 * :func:`format_report` — a human-readable table of event counts and
-  span timings for terminals and logs;
-* :func:`write_stats_json` — the machine-readable metrics snapshot that
-  benchmark JSON documents embed.
+  span timings for terminals and logs.
 
 .. _Trace Event Format:
    https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
@@ -168,17 +166,3 @@ def format_trace_report(events: List[Dict[str, object]],
 def format_report(telemetry, title: str = "telemetry report") -> str:
     """The table report straight from a live telemetry object."""
     return format_trace_report(chrome_trace_events(telemetry), title=title)
-
-
-def stats_document(telemetry) -> Dict[str, object]:
-    """The machine-readable stats JSON: metrics snapshot + event total."""
-    return {
-        "format": "repro.obs.stats/1",
-        "event_count": len(telemetry.events),
-        "metrics": telemetry.metrics.snapshot(),
-    }
-
-
-def write_stats_json(telemetry, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(stats_document(telemetry), fh, indent=2, default=str)

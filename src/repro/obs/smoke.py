@@ -21,6 +21,11 @@ from .telemetry import Telemetry
 #: events a tiered shootout run with a firing OSR point must produce
 REQUIRED_EVENTS = ("tier.promote", "jit.compile", "osr.fire")
 
+#: the pipeline the benchmark is compiled with, and the call count that
+#: promotes a function, so a short run still tiers up
+LEVEL = "unoptimized"
+CALL_THRESHOLD = 4
+
 
 class SmokeResult:
     def __init__(self, telemetry: Telemetry, checksum, problems: List[str],
@@ -36,28 +41,18 @@ class SmokeResult:
 
 
 def run_trace_smoke(benchmark_name: str = "n-body",
-                    level: str = "unoptimized",
-                    call_threshold: int = 4,
-                    out: Optional[str] = None,
-                    telemetry: Optional[Telemetry] = None,
-                    tier: str = "tiered") -> SmokeResult:
-    """Run the smoke scenario; optionally write the trace to ``out``.
-
-    Pass ``telemetry`` to drive the run through a caller-owned sink —
-    the flight-recorder CLI runs the same scenario over a
-    :func:`~repro.obs.telemetry.production_telemetry` ring.
-    """
+                    out: Optional[str] = None) -> SmokeResult:
+    """Run the smoke scenario; optionally write the trace to ``out``."""
     from ..core import HotCounterCondition, insert_resolved_osr_point
     from ..experiments.sites import q2_location
     from ..shootout import SUITE, compile_benchmark
     from ..vm import ExecutionEngine
 
     benchmark = SUITE[benchmark_name]
-    module = compile_benchmark(benchmark, level)
-    if telemetry is None:
-        telemetry = Telemetry()
-    engine = ExecutionEngine(module, tier=tier,
-                             call_threshold=call_threshold,
+    module = compile_benchmark(benchmark, LEVEL)
+    telemetry = Telemetry()
+    engine = ExecutionEngine(module, tier="tiered",
+                             call_threshold=CALL_THRESHOLD,
                              telemetry=telemetry)
     # always-firing resolved OSR in the per-iteration method: every call
     # transfers to the continuation, so the trace records real fires
@@ -67,9 +62,9 @@ def run_trace_smoke(benchmark_name: str = "n-body",
     )
     checksum = engine.run(benchmark.entry, *benchmark.args)
     # the same program once more with tier-up on a worker thread
-    background = ExecutionEngine(compile_benchmark(benchmark, level),
+    background = ExecutionEngine(compile_benchmark(benchmark, LEVEL),
                                  tier="tiered-bg",
-                                 call_threshold=call_threshold,
+                                 call_threshold=CALL_THRESHOLD,
                                  telemetry=telemetry)
     try:
         background.run(benchmark.entry, *benchmark.args)

@@ -169,17 +169,16 @@ def local_telemetry() -> Telemetry:
 
 
 @contextmanager
-def trace(chrome: Optional[str] = None, stats: Optional[str] = None,
-          report: bool = False,
+def trace(chrome: Optional[str] = None, report: bool = False,
           clock: Optional[Callable[[], int]] = None):
     """Enable tracing for a ``with`` block and export on exit.
 
-    ``chrome`` / ``stats`` are output paths for the Chrome trace-event
-    JSON and the machine-readable stats JSON; ``report=True`` prints the
-    human-readable table on exit.  Yields the live :class:`Telemetry` so
-    the block can also inspect metrics directly.
+    ``chrome`` is an output path for the Chrome trace-event JSON;
+    ``report=True`` prints the human-readable table on exit.  Yields the
+    live :class:`Telemetry` so the block can also inspect metrics
+    directly.
     """
-    from .export import format_report, write_chrome_trace, write_stats_json
+    from .export import format_report, write_chrome_trace
 
     telemetry = Telemetry(clock=clock)
     previous = _ambient
@@ -190,7 +189,5 @@ def trace(chrome: Optional[str] = None, stats: Optional[str] = None,
         set_ambient(previous)
         if chrome is not None:
             write_chrome_trace(telemetry, chrome)
-        if stats is not None:
-            write_stats_json(telemetry, stats)
         if report:
             print(format_report(telemetry))

@@ -12,8 +12,8 @@ infrastructure:
   corrupt or version-skewed entries are rejected and fall back to
   recompilation.
 
-* :class:`VMServer` (``server.py``) / :class:`VMClient` +
-  :class:`SocketVMClient` (``client.py``) — a long-lived serving loop:
+* :class:`VMServer` (``server.py``) / :class:`SocketVMClient`
+  (``client.py``) — a long-lived serving loop:
   N worker threads over one shared engine, compile queue and disk
   cache, pulling admission-batched request streams from an in-process
   queue or a unix-domain socket, with per-tenant profile isolation,
@@ -30,7 +30,7 @@ from .diskcache import DEFAULT_CACHE_DIR, DiskCodeCache
 # a process that only reads and writes the disk cache never loads the
 # serving loop (nor ``socket``)
 __getattr__ = lazy_exports(__name__, {
-    "client": ("SocketVMClient", "VMClient"),
+    "client": ("SocketVMClient",),
     "server": ("PendingRequest", "Request", "Response", "ServeError",
                "VMServer"),
 })
@@ -39,7 +39,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "DiskCodeCache",
     "VMServer",
-    "VMClient",
     "SocketVMClient",
     "Request",
     "Response",

@@ -1,15 +1,13 @@
-"""Client shims for :class:`~repro.serve.server.VMServer`.
+"""Socket client for :class:`~repro.serve.server.VMServer`.
 
-Two transports with one calling convention:
+:class:`SocketVMClient` speaks the server's unix-domain-socket protocol:
+4-byte little-endian length-prefixed JSON frames, one request/response
+pair per frame, many frames per connection.  In-process callers use
+``VMServer.call`` / ``VMServer.submit`` directly.
 
-* :class:`VMClient` wraps an in-process server — useful for embedding
-  the serving loop in a host application or test without sockets.
-* :class:`SocketVMClient` speaks the server's unix-domain-socket
-  protocol: 4-byte little-endian length-prefixed JSON frames, one
-  request/response pair per frame, many frames per connection.
-
-Both raise :class:`~repro.serve.server.ServeError` on server-reported
-failures so callers handle in-process and remote errors uniformly.
+Like ``VMServer.call``, it raises
+:class:`~repro.serve.server.ServeError` on server-reported failures, so
+callers handle in-process and remote errors uniformly.
 """
 
 from __future__ import annotations
@@ -18,30 +16,7 @@ import json
 import socket
 from typing import Any, Optional, Sequence
 
-from .server import (
-    PendingRequest,
-    ServeError,
-    VMServer,
-    _FRAME,
-    _read_frame,
-)
-
-
-class VMClient:
-    """In-process client: a thin veneer over a live :class:`VMServer`."""
-
-    def __init__(self, server: VMServer):
-        self.server = server
-
-    def call(self, function: str, args: Sequence[Any] = (),
-             tenant: Optional[str] = None,
-             timeout: Optional[float] = None) -> Any:
-        return self.server.call(function, args, tenant=tenant,
-                                timeout=timeout)
-
-    def submit(self, function: str, args: Sequence[Any] = (),
-               tenant: Optional[str] = None) -> PendingRequest:
-        return self.server.submit(function, args, tenant=tenant)
+from .server import ServeError, _FRAME, _read_frame
 
 
 class SocketVMClient:

@@ -22,7 +22,7 @@ resolve per-request futures.  The pieces:
   ``serve.latency`` histogram timer (p50/p99 straight out of
   ``engine.stats_snapshot()``) and emits a ``serve.request`` instant.
 
-Transports: in-process (``submit``/``call``, or :class:`VMClient`) and
+Transports: in-process (``submit``/``call``) and
 a unix-domain socket speaking 4-byte-length-prefixed JSON frames
 (:meth:`serve_unix`, paired with :class:`SocketVMClient`).
 

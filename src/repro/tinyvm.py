@@ -8,7 +8,7 @@ points, call functions, and watch transitions fire.
 Run ``python -m repro.tinyvm`` for a REPL, or drive it programmatically::
 
     vm = TinyVM()
-    vm.execute("load_ir examples/loop.ll")
+    vm.execute("load_ir examples/hot_loop.ll")
     vm.execute("insert_osr 1000 hot_loop loop")
     print(vm.execute("hot_loop(100000)"))
 

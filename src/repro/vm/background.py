@@ -300,12 +300,6 @@ class CompileQueue:
         with self._lock:
             return len(self._heap)
 
-    def pending_functions(self) -> List[str]:
-        """Names of functions queued or in flight (sampling-profiler
-        food: "what is the queue sitting on right now?")."""
-        with self._lock:
-            return [name for _, name in self._pending]
-
     @property
     def idle(self) -> bool:
         with self._lock:

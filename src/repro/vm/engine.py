@@ -81,7 +81,7 @@ class TierPolicy(NamedTuple):
     baseline: str            #: where it starts: interp | decoded | jit
     promote: Optional[str]   #: how hot code is JIT'd: None | inline | background
     speculate: bool          #: argument feedback + guarded specialization
-    label: str               #: dispatcher thunk prefix (``obs.profiler`` keys on it)
+    label: str               #: dispatcher thunk prefix (names its frames)
 
 
 #: the tier presets
@@ -121,11 +121,9 @@ def _mark_thunk(wrapper: Callable, prefix: str, func,
     callable when there is one (probes, dispatch targets).
 
     The label is also stamped onto the *code object* (``co_name``), so
-    a live frame running this thunk identifies itself to frame-stack
-    samplers — :class:`repro.obs.profiler.SamplingProfiler` attributes
-    wall time across tiers purely from these names, with zero per-op
-    instrumentation.  (Function ``__name__`` lives on the function
-    object and is invisible to ``sys._current_frames()``.)
+    a live frame running this thunk names its tier and function in
+    tracebacks and debugger stacks.  (Function ``__name__`` lives on the
+    function object and is invisible to a frame.)
     """
     label = f"{prefix}_{func.name}"
     wrapper.__name__ = label
@@ -491,10 +489,10 @@ class ExecutionEngine:
         ``decoded``: functions the decoder cannot lower fall back to the
         tree-walker (counted in ``decode_fallbacks``).  Like the JIT
         tier, the decoded form is a snapshot of the current body:
-        rewrite the IR and call :meth:`invalidate` to re-decode.  The
-        per-engine ``_decoded`` cache is consulted first
-        (version-checked), so a dispatcher and a pinned ``decoded`` tier
-        share one decode of the same body.
+        rewrite the IR and call :meth:`invalidate` to re-decode.  Each
+        install decodes afresh (an install follows only a first call or
+        an :meth:`invalidate`); ``_decoded`` keeps the latest decode for
+        ``stats_snapshot()``'s ``fusion`` and ``frames`` blocks.
 
         ``profiled`` (the dispatcher's baseline) charges back edges to
         the function's profile, resolved per call so the counts land in
@@ -505,30 +503,23 @@ class ExecutionEngine:
         if kind == "decoded":
             from .decode import DecodeError, decode_function
 
-            decoded = self._decoded.get(func.name)
-            if (decoded is None or decoded.func is not func
-                    or decoded.version != func.code_version):
-                try:
-                    decoded = decode_function(func, self)
-                except DecodeError as error:
-                    # drop any stale cached decode so nothing can revive it
-                    self._decoded.pop(func.name, None)
+            try:
+                decoded = decode_function(func, self)
+            except DecodeError as error:
+                self.telemetry.event(EV.DECODE_BAILOUT, function=func.name,
+                                     reason=str(error))
+                kind = "interp"
+            else:
+                self._decoded[func.name] = decoded
+                self.metrics.gauge(EV.DECODE_FRAME_SLOTS,
+                                   decoded.frame_slots)
+                fusion = decoded.fusion
+                if (fusion["cmp_br"] or fusion["op_chain"]
+                        or fusion["phi_copy"]):
                     self.telemetry.event(
-                        EV.DECODE_BAILOUT, function=func.name,
-                        reason=str(error))
-                    kind = "interp"
-                else:
-                    self._decoded[func.name] = decoded
-                    self.metrics.gauge(EV.DECODE_FRAME_SLOTS,
-                                       decoded.frame_slots)
-                    fusion = decoded.fusion
-                    if (fusion["cmp_br"] or fusion["op_chain"]
-                            or fusion["phi_copy"]):
-                        self.telemetry.event(
-                            EV.DECODE_FUSE, function=func.name,
-                            cmp_br=fusion["cmp_br"],
-                            op_chain=fusion["op_chain"],
-                            phi_copy=fusion["phi_copy"])
+                        EV.DECODE_FUSE, function=func.name,
+                        cmp_br=fusion["cmp_br"], op_chain=fusion["op_chain"],
+                        phi_copy=fusion["phi_copy"])
         if kind == "interp":
             from .interpreter import Interpreter
 

@@ -154,6 +154,33 @@ class TestCLI:
         assert "osrkit firing" in out and "open, inline" in out
         assert "Q1" not in out
 
+    def test_main_without_targets_runs_every_target(self, capsys,
+                                                     monkeypatch):
+        from repro.experiments import __main__ as cli
+
+        cheap = {name: (f"banner {name}", lambda trials, name=name:
+                        f"table {name} x{trials}")
+                 for name in ("a", "b", "c")}
+        monkeypatch.setattr(cli, "TARGETS", cheap)
+        assert cli.main([]) == 0
+        out = capsys.readouterr().out
+        for name in cheap:
+            assert f"banner {name}" in out and f"table {name} x3" in out
+
+    def test_main_runs_only_the_named_targets_in_table_order(
+            self, capsys, monkeypatch):
+        from repro.experiments import __main__ as cli
+
+        cheap = {name: (f"banner {name}", lambda trials, name=name:
+                        f"table {name} x{trials}")
+                 for name in ("a", "b", "c")}
+        monkeypatch.setattr(cli, "TARGETS", cheap)
+        assert cli.main(["c", "a", "--trials", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "banner b" not in out
+        assert out.index("banner a") < out.index("banner c")
+        assert "table c x1" in out
+
     def test_main_rejects_unknown(self):
         from repro.experiments.__main__ import main
 
@@ -173,6 +200,24 @@ def test_tinyvm_example_file_loads():
     assert vm.execute("hot_loop(100)") == str(
         sum(i * i for i in range(100))
     )
+
+
+def test_tinyvm_docstring_session_runs_as_written(monkeypatch):
+    import re
+    from pathlib import Path
+
+    import repro.tinyvm
+    from repro.tinyvm import TinyVM
+
+    # the session names its example relative to the repository root
+    monkeypatch.chdir(Path(__file__).resolve().parents[2])
+    session = re.findall(r'vm\.execute\("([^"]+)"\)',
+                         repro.tinyvm.__doc__)
+    assert session[0] == "load_ir examples/hot_loop.ll"
+    vm = TinyVM()
+    results = [vm.execute(command) for command in session]
+    n = int(re.fullmatch(r"hot_loop\((\d+)\)", session[-1]).group(1))
+    assert results[-1] == str(sum(i * i for i in range(n)))
 
 
 def test_tinyvm_show_jit_prints_the_emitted_python():

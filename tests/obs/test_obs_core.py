@@ -19,7 +19,6 @@ from repro.obs import (
     load_chrome_trace,
     production_telemetry,
     set_ambient,
-    stats_document,
     summarize_chrome_events,
     trace,
     validate_chrome_trace,
@@ -196,18 +195,14 @@ class TestTelemetry:
 
     def test_trace_context_installs_and_restores_ambient(self, tmp_path):
         chrome = tmp_path / "trace.json"
-        stats = tmp_path / "stats.json"
         assert not ambient().enabled
-        with trace(chrome=str(chrome), stats=str(stats),
-                   clock=FakeClock()) as tel:
+        with trace(chrome=str(chrome), clock=FakeClock()) as tel:
             assert ambient() is tel
             tel.event(events.OSR_FIRE, kind="open")
         assert not ambient().enabled
         doc = json.loads(chrome.read_text())
         assert doc["traceEvents"][0]["name"] == events.OSR_FIRE
-        stats_doc = json.loads(stats.read_text())
-        assert stats_doc["format"].startswith("repro.obs.stats/")
-        assert stats_doc["metrics"]["counters"][events.OSR_FIRE] == 1
+        assert tel.metrics.snapshot()["counters"][events.OSR_FIRE] == 1
 
     def test_set_ambient_none_resets_to_untraced(self):
         tel = Telemetry()
@@ -308,15 +303,11 @@ class TestExporters:
         path.write_text(json.dumps(doc["traceEvents"]))
         assert load_chrome_trace(str(path)) == doc["traceEvents"]
 
-    def test_report_and_stats(self):
+    def test_report(self):
         tel = self._telemetry()
         report = format_report(tel)
         assert events.JIT_COMPILE in report
         assert events.OSR_FIRE in report
-        doc = stats_document(tel)
-        assert doc["event_count"] == len(tel.events)
-        assert doc["metrics"]["counters"][events.OSR_FIRE] == 1
-        json.dumps(doc)
 
     def test_validate_chrome_trace_catches_corruption(self):
         tel = self._telemetry()
@@ -367,7 +358,8 @@ class TestExporters:
 
 
 class TestCLI:
-    def test_report_and_validate_commands(self, tmp_path, capsys):
+    def test_validate_prints_the_table_then_the_verdict(self, tmp_path,
+                                                         capsys):
         from repro.obs.__main__ import main
 
         tel = Telemetry(clock=FakeClock())
@@ -375,10 +367,99 @@ class TestCLI:
         path = tmp_path / "trace.json"
         write_chrome_trace(tel, str(path))
 
-        assert main(["report", str(path)]) == 0
-        assert events.TIER_PROMOTE in capsys.readouterr().out
         assert main(["validate", str(path)]) == 0
-        assert "schema ok" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.index(events.TIER_PROMOTE) < out.index("schema ok")
+        assert "1 events, schema ok" in out
+
+    def test_only_three_commands(self, capsys):
+        from repro.obs.__main__ import main
+
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        assert "{smoke,validate,journey}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gone", ["report", "flight", "profile"])
+    def test_retired_command_is_rejected(self, gone, capsys):
+        # ``report`` folded into ``validate``; ``flight`` and ``profile``
+        # went with the sampling profiler
+        from repro.obs.__main__ import main
+
+        with pytest.raises(SystemExit) as done:
+            main([gone])
+        assert done.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_validate_accepts_a_bare_event_array(self, tmp_path, capsys):
+        from repro.obs.__main__ import main
+
+        tel = Telemetry(clock=FakeClock())
+        tel.event(events.OSR_FIRE, kind="open")
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(chrome_trace_events(tel)))
+
+        assert main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert events.OSR_FIRE in out
+        assert "1 events, schema ok" in out
+
+    def test_journey_command_reads_a_trace_file(self, tmp_path, capsys):
+        from repro.obs.__main__ import main
+
+        tel = Telemetry(clock=FakeClock())
+        tel.event(events.PROFILE_CALL_HOT, function="f", calls=4)
+        tel.event(events.TIER_PROMOTE, function="f")
+        tel.event(events.TIER_PROMOTE, function="g")
+        path = tmp_path / "trace.json"
+        write_chrome_trace(tel, str(path))
+
+        assert main(["journey", str(path), "--function", "f"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"tier journeys: {path}")
+        assert "@f" in out and "promoted" in out
+        assert "@g" not in out
+
+    @staticmethod
+    def _fake_smoke(monkeypatch, *, missing=(), problems=()):
+        # the CLI's wiring around the scenario, without running a
+        # benchmark: ``run_trace_smoke`` itself is exercised end to end
+        # by the trace-smoke test in test_vm_telemetry
+        from repro.obs import smoke
+
+        def fake(benchmark_name="n-body", out=None):
+            tel = Telemetry(clock=FakeClock())
+            tel.event(events.TIER_PROMOTE, function=benchmark_name)
+            if out is not None:
+                write_chrome_trace(tel, out)
+            return smoke.SmokeResult(tel, 0, list(problems), list(missing))
+
+        monkeypatch.setattr(smoke, "run_trace_smoke", fake)
+
+    def test_smoke_command_writes_the_trace_and_exits_0(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.obs.__main__ import main
+
+        self._fake_smoke(monkeypatch)
+        out = tmp_path / "trace.json"
+        assert main(["smoke", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "trace-smoke report" in captured.out
+        assert events.TIER_PROMOTE in captured.out
+        assert f"wrote {out}" in captured.out
+        assert captured.err == ""
+        assert validate_chrome_trace(load_chrome_trace(str(out))) == []
+
+    def test_smoke_command_fails_on_missing_events(self, capsys,
+                                                   monkeypatch):
+        from repro.obs.__main__ import main
+
+        self._fake_smoke(monkeypatch, missing=[events.OSR_FIRE],
+                         problems=["event 0: bad"])
+        assert main(["smoke"]) == 1
+        err = capsys.readouterr().err
+        assert f"MISSING: required event {events.OSR_FIRE!r}" in err
+        assert "INVALID: event 0: bad" in err
 
     def test_validate_command_rejects_bad_trace(self, tmp_path, capsys):
         from repro.obs.__main__ import main
@@ -389,4 +470,7 @@ class TestCLI:
               "pid": 1, "tid": 1}]
         ))
         assert main(["validate", str(path)]) == 1
-        assert "INVALID" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "trace report" in captured.out  # the table still prints
+        assert "schema ok" not in captured.out
+        assert "INVALID" in captured.err

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.ir import parse_module
 from repro.ir.function import Module
 from repro.obs import events
-from repro.obs.profiler import classify_frame
 from repro.obs.telemetry import Telemetry
 from repro.vm import (
     POLICIES,
@@ -322,14 +321,6 @@ class TestDecodeFallback:
             decode_function(module.get_function("ext"), engine)
 
 
-#: what ``obs.profiler.classify_frame`` calls each preset's entry frame
-FRAME_TIERS = {
-    "jit": "jit", "interp": "interp", "decoded": "decoded",
-    "tiered": "tiered-dispatch", "tiered-bg": "tiered-bg-dispatch",
-    "speculative": "speculative-dispatch",
-}
-
-
 @pytest.mark.parametrize("tier", POLICIES)
 class TestPolicyTable:
     """Every preset of ``POLICIES`` through the one dispatcher: same
@@ -419,13 +410,15 @@ class TestPolicyTable:
         else:
             assert tenants == {}
 
-    def test_entry_frame_label_is_what_the_profiler_keys_on(self, tier):
+    def test_entry_frame_is_labelled_with_tier_and_function(self, tier):
         engine, func = self._engine(tier)
         thunk = engine.get_compiled(func)
-        assert classify_frame(thunk.__code__.co_name) == (
-            FRAME_TIERS[tier], "f")
+        # JIT code compiles under ``_jit_<fn>``; every other preset's
+        # entry is a thunk ``_mark_thunk`` stamped with its label
+        label = "_jit" if tier == "jit" else POLICIES[tier].label
+        assert thunk.__code__.co_name == f"{label}_f"
         if tier != "jit":
-            assert thunk.__name__ == f"{POLICIES[tier].label}_f"
+            assert thunk.__name__ == f"{label}_f"
 
 
 PROBED = """

@@ -12,7 +12,6 @@ from repro.serve import (
     DiskCodeCache,
     ServeError,
     SocketVMClient,
-    VMClient,
     VMServer,
 )
 from repro.vm import ExecutionEngine
@@ -240,8 +239,7 @@ def test_socket_file_removed_on_shutdown(tmp_path):
     assert not sock_path.exists()
 
 
-def test_in_process_client_wrapper():
+def test_in_process_call_and_submit():
     with make_server(workers=1) as server:
-        client = VMClient(server)
-        assert client.call("double", [4], timeout=10) == 8
-        assert client.submit("double", [5]).result(10) == 10
+        assert server.call("double", [4], timeout=10) == 8
+        assert server.submit("double", [5]).result(10) == 10

@@ -41,7 +41,7 @@ print(json.dumps({"result": engine.run(bench.entry, 3),
 NEVER_IN_A_JIT_RUN = {
     "repro.ir.parser", "repro.ir.printer",
     "repro.vm.decode", "repro.vm.interpreter", "repro.vm.background",
-    "repro.obs.export", "repro.obs.journey", "repro.obs.profiler",
+    "repro.obs.export", "repro.obs.journey",
     "repro.transform.clone", "repro.transform.inline",
     "repro.transform.ssaupdater",
     "repro.core", "repro.spec", "repro.serve.server",

@@ -367,18 +367,17 @@ entry:
         assert engine.run("top", 10) == 111
         assert engine.run("top", 10) == 111
 
-    def test_decoded_cache_is_swept_and_version_checked(self):
+    def test_invalidate_sweeps_the_decoded_record(self):
         engine, module = _engine(tier="decoded")
         func = module.get_function("sumto")
         assert engine.run("sumto", 10) == 55
-        assert "sumto" in engine._decoded
-        cached = engine._decoded["sumto"]
-        # re-deriving the thunk reuses the cached decode
-        engine._compiled.pop("sumto")
-        engine.run("sumto", 10)
-        assert engine._decoded["sumto"] is cached
+        assert "sumto" in engine.stats_snapshot()["frames"]
         engine.invalidate(func)
         assert "sumto" not in engine._decoded
+        assert "sumto" not in engine.stats_snapshot()["fusion"]
+        # the next install decodes the current body afresh
+        assert engine.run("sumto", 10) == 55
+        assert engine._decoded["sumto"].version == func.code_version
 
 
 class TestThunkIdentity:

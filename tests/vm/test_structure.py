@@ -213,3 +213,16 @@ def test_an_osr_condition_overrides_emit_and_nothing_else():
             methods = {item.name for item in node.body
                        if isinstance(item, ast.FunctionDef)}
             assert methods <= {"__init__", "emit"}, (node.name, methods)
+
+
+def test_nothing_kept_that_only_its_own_cli_ran():
+    # the sampling profiler, the stats JSON and the in-process client
+    # veneer had no caller outside their own CLI and tests; a thunk's
+    # stamped ``co_name`` now serves tracebacks and debuggers alone
+    assert not (SRC_ROOT / "obs" / "profiler.py").exists()
+    gone = re.compile(r"\b(SamplingProfiler|classify_frame|stats_document"
+                      r"|write_stats_json|VMClient)\b")
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        match = gone.search(path.read_text())
+        assert match is None, (
+            f"{path.relative_to(SRC_ROOT)}: {match and match.group()}")
