@@ -50,7 +50,8 @@ from .jit import JITError, acquire_artifact
 
 class PublishBox:
     """What calls of one function reach now: the publication cell its
-    dispatcher reads.
+    dispatcher reads until something is published (the publication
+    then also re-points the callers themselves, ``engine._route``).
 
     ``value`` starts ``None`` (keep running the baseline tier).  A
     compile job publishes only into an empty box of its own generation

@@ -19,7 +19,10 @@ or on the queue) and one publish routine
 ``invalidate()`` discards the result).  Every tier transition is a
 publication into that box: the JIT'd code; under ``speculate`` that
 code behind an argument-feedback stage, then whichever guarded
-specialization the speculation manager republishes over it.
+specialization the speculation manager republishes over it.  A
+publication also rewrites what callers call
+(:meth:`~ExecutionEngine._route`), so published code runs with no
+dispatcher frame above it.
 
 Tests flip tiers to cross-check semantics.
 
@@ -240,16 +243,18 @@ class ExecutionEngine:
         #: per-function compile generation, bumped by :meth:`invalidate`;
         #: the publish protocol's staleness stamp
         self._generations: Dict[str, int] = {}
-        #: function name -> the box its dispatcher reads ("which code
-        #: does a call reach now"), for functions under a promoting policy
+        #: function name -> its publication box ("which code does a
+        #: call reach now"), for functions under a promoting policy
         self._boxes: Dict[str, PublishBox] = {}
         #: the continuation store (:meth:`continuation`): caller key ->
         #: (callable, {dependency name: its compile generation})
         self._continuations: Dict[Hashable, Tuple[Callable, dict]] = {}
-        #: namespaces patched by lazy trampolines (function name ->
-        #: [(namespace, slot)]), re-pointed on invalidation so no caller
-        #: keeps a direct reference to dropped code
-        self._patched: Dict[str, List[Tuple[dict, str]]] = {}
+        #: caller slots patched by lazy trampolines (callee name ->
+        #: [(namespace, slot, owner)], owner = the name of the function
+        #: whose code the namespace belongs to): rewritten at every
+        #: publication of the callee, re-pointed at a trampoline on its
+        #: invalidation, and dropped with the owner's invalidation
+        self._patched: Dict[str, List[Tuple[dict, str, Optional[str]]]] = {}
         #: the background compile queue (background promotion); shared when
         #: passed in, else created lazily by :meth:`_ensure_bg_queue`
         self._bg_queue = compile_queue
@@ -457,17 +462,19 @@ class ExecutionEngine:
             compiled = self._baseline(func, policy.baseline)
         else:
             compiled = self._make_dispatcher(func, policy)
-        if func.attributes.get("osr.entrypoint") == "resolved":
-            # resolved-OSR continuations are entered straight from the osr
-            # block's tail call; interpose so the transfer is observable.
-            # The probe reads ``engine.telemetry`` per *fire*, so a sink
-            # attached after warm-up still observes the transfer.
-            compiled = self._osr_fire_probe(func, compiled)
+        compiled = self._osr_fire_probe(func, compiled)
         self.metrics.inc("engine.compile")
         self._compiled[func.name] = compiled
         return compiled
 
     def _osr_fire_probe(self, func: Function, compiled: Callable) -> Callable:
+        """``compiled`` as callers of ``func`` should reach it.  A
+        resolved-OSR continuation is entered straight from the osr
+        block's tail call, so it gets a probe that makes the transfer
+        observable; the probe reads ``engine.telemetry`` per *fire*, so
+        a sink attached after warm-up still observes it."""
+        if func.attributes.get("osr.entrypoint") != "resolved":
+            return compiled
         engine = self
 
         def fired(*args):
@@ -550,10 +557,14 @@ class ExecutionEngine:
         return _mark_thunk(run_counted, "decoded", func)
 
     def _make_dispatcher(self, func: Function, policy: TierPolicy) -> Callable:
-        """The one dispatcher of every promoting policy: call whatever
-        is published in the function's :class:`PublishBox`, else run the
-        cold path — count the call, take the :meth:`_promote` step once
-        a threshold trips, stay on the baseline tier otherwise.
+        """The one dispatcher of every promoting policy: the path a call
+        takes before promotion — count the call, take the
+        :meth:`_promote` step once a threshold trips, stay on the
+        baseline tier otherwise.  A publication (:meth:`_route`) takes
+        the dispatcher off the call path: callers' slots, ``engine.run``
+        and the function handle then reach the published code directly,
+        and only a caller that fetched the dispatcher earlier still goes
+        through it, to whatever is in the function's :class:`PublishBox`.
 
         Promotion is checked at call boundaries; the backedge counter
         (fed by the decoded tier's profiled loop) lets a function that is
@@ -673,37 +684,60 @@ class ExecutionEngine:
                     or not artifact.matches(func)
                     or box.value is not None):
                 return False
-            compiled = artifact.instantiate(self)
+            compiled = artifact.instantiate(self, func)
             if self._policy(func).speculate:
                 compiled = self.spec_manager.on_promote(func, compiled)
-            box.value = compiled  # the atomic publish
+            self._route(func, box, compiled)  # the atomic publish
             # stamp the profile whose counters tripped (the job carries
             # it: a worker thread has no tenant scope to resolve it
-            # through), report, and redirect the function handle
+            # through) and report
             profile = job.profile
             profile.promoted_version = func.code_version
             self.telemetry.event(
                 EV.TIER_PROMOTE, function=func.name,
                 code_version=func.code_version,
                 calls=profile.calls, backedges=profile.backedges)
-            handle = self._handles.get(func.name)
-            if handle is not None:
-                handle.invalidate()
             return True
 
     def republish(self, func: Function, stage: Callable) -> bool:
         """Publish ``stage`` *over* ``func``'s compiled code: how the
         speculation manager re-points a call boundary (a specialization,
-        a sibling, the plain code again once pinned).  False, and nothing
-        changes, when there is nothing to go above: no dispatcher, or a
-        box still empty (an :meth:`invalidate` swept the published one).
+        a sibling, the plain code again once pinned).  Routed like a
+        promotion (:meth:`_route`), so JIT'd callers, ``engine.run`` and
+        function pointers call ``stage`` directly from then on.  False,
+        and nothing changes, when there is nothing to go above: no
+        dispatcher, or a box still empty (an :meth:`invalidate` swept
+        the published one).
         """
         with self._lock:
             box = self._boxes.get(func.name)
             if box is None or box.value is None:
                 return False
-            box.value = stage
+            self._route(func, box, stage)
             return True
+
+    def _route(self, func: Function, box: PublishBox,
+               code: Callable) -> None:
+        """Make ``code`` what every call of ``func`` reaches — the one
+        routine behind :meth:`_publish` and :meth:`republish`, run under
+        the engine lock.  ``code`` goes into the box (for a caller that
+        still holds the dispatcher), into ``_compiled`` (so
+        :meth:`get_compiled`, :meth:`run` and fresh lazy trampolines
+        hand it out) and into every caller slot a trampoline patched
+        (``_patched``: the paper's function-address table), and the
+        function handle re-resolves on its next call.  A promoted call
+        therefore runs with no dispatcher frame; :meth:`invalidate`
+        turns the slots back into trampolines.  A resolved-OSR
+        continuation's code goes behind the fire probe first, as its
+        dispatcher did, so fires stay observable."""
+        box.value = code
+        code = self._osr_fire_probe(func, code)
+        self._compiled[func.name] = code
+        for namespace, slot, _owner in self._patched.get(func.name, ()):
+            namespace[slot] = code
+        handle = self._handles.get(func.name)
+        if handle is not None:
+            handle.invalidate()
 
     def compile_generation(self, name: str) -> int:
         """Per-function compile generation: bumped by :meth:`invalidate`,
@@ -844,7 +878,8 @@ class ExecutionEngine:
 
         Runs under the engine lock and sweeps *every* per-function cache:
         the compiled map, the decoded cache, the continuation store, the
-        profiler, trampoline-patched caller namespaces, background compile
+        profiler, trampoline-patched caller namespaces (and the records
+        of the slots its own dropped code owned), background compile
         state (generation bump + queue discard, so an in-flight compile of
         the old body can never install), the function handle, dependent
         specializations, and the speculation manager.
@@ -875,14 +910,18 @@ class ExecutionEngine:
             if handle is not None:
                 handle.function = func
                 handle.invalidate()
+            # the dropped code's own slots: no publication need reach
+            # them again, and a record would keep its namespace alive
+            self._patched = {
+                callee: kept for callee, records in self._patched.items()
+                if (kept := [record for record in records
+                             if record[2] != func.name])}
             # repair namespaces direct-patched by lazy trampolines: point
             # the slot back at a fresh trampoline, otherwise those call
             # sites would keep invoking the dropped compiled body forever
-            patched = self._patched.pop(func.name, None)
-            if patched:
-                for namespace, slot in patched:
-                    namespace[slot] = self.lazy_trampoline(
-                        func, namespace, slot)
+            for namespace, slot, owner in self._patched.pop(func.name, ()):
+                namespace[slot] = self.lazy_trampoline(
+                    func, namespace, slot, owner)
             # cascade to dependent compiled versions (specializations)
             dependents = self._invalidation_deps.pop(func.name, None)
             if dependents:
@@ -894,25 +933,27 @@ class ExecutionEngine:
                 self.spec_manager.on_invalidate(func)
 
     def lazy_trampoline(self, func: Function, namespace: Dict[str, Any],
-                        slot: str) -> Callable:
+                        slot: str, owner: Optional[str] = None) -> Callable:
         """A callable that compiles ``func`` on first call and patches
         ``namespace[slot]`` so subsequent calls are direct — MCJIT-style
-        lazy compilation stubs."""
+        lazy compilation stubs.  ``owner`` names the function whose
+        code ``namespace`` belongs to; invalidating it drops the slot's
+        record."""
         engine = self
 
         def trampoline(*args):
             compiled = engine.get_compiled(func)
             with engine._lock:
                 # only patch if the function has not been redirected
-                # since; record the patched slot so invalidate() can
-                # repair it (else the caller would keep a direct
-                # reference to the dropped code forever)
+                # since; record the patched slot so a publication can
+                # rewrite it and invalidate() repair it (else the caller
+                # would keep a direct reference to the dropped code)
                 if engine._compiled.get(func.name) is compiled:
                     namespace[slot] = compiled
-                    entries = engine._patched.setdefault(func.name, [])
+                    records = engine._patched.setdefault(func.name, [])
                     if not any(ns is namespace and sl == slot
-                               for ns, sl in entries):
-                        entries.append((namespace, slot))
+                               for ns, sl, _owner in records):
+                        records.append((namespace, slot, owner))
             return compiled(*args)
 
         return _mark_thunk(trampoline, "trampoline", func)

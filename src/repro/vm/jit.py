@@ -432,8 +432,9 @@ class CompiledCode:
         """On-demand debugging source (the ``__ir_source__`` callable)."""
         return self.source
 
-    def instantiate(self, engine):
-        """Bind this code to ``engine`` and return the callable."""
+    def instantiate(self, engine, func: Function):
+        """Bind this code (``func``'s) to ``engine`` and return the
+        callable."""
         namespace = dict(_STATIC_NS)
         for name, descriptor in self.bindings.items():
             kind = descriptor[0]
@@ -449,7 +450,7 @@ class CompiledCode:
                 namespace[name] = engine.object_table
             elif kind == "trampoline":
                 namespace[name] = engine.lazy_trampoline(
-                    descriptor[1], namespace, name
+                    descriptor[1], namespace, name, func.name
                 )
             elif kind == "deopt":
                 namespace[name] = engine.deopt_exit
@@ -1275,4 +1276,4 @@ def compile_function(func: Function, engine):
         thunk = engine._baseline(func, "interp")
         thunk.__jit_fallback__ = str(why)
         return thunk
-    return artifact.instantiate(engine)
+    return artifact.instantiate(engine, func)

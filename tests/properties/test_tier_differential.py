@@ -12,6 +12,7 @@ interleave across threads.
 import struct
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -57,7 +58,11 @@ def _run_tier(module_text, name, args, tier, **engine_kwargs):
     same fault class.
     """
     module = parse_module(module_text)
-    engine = ExecutionEngine(module, tier=tier, **engine_kwargs)
+    return _outcome(ExecutionEngine(module, tier=tier, **engine_kwargs),
+                    name, args)
+
+
+def _outcome(engine, name, args):
     try:
         return ("ok", engine.run(name, *args))
     except Trap:
@@ -165,6 +170,90 @@ class TestThreadedBackgroundTierUp:
         classify()  # the published (or re-decoded) code post-drain
         engine.shutdown_background()
         assert set(outcomes) == {oracle}
+
+
+class TestThreadedSlotRewrites:
+    """A publication rewrites the call slots of JIT'd callers while they
+    are being called: three threads keep calling a ``jit`` caller of a
+    generated program while ``tiered-bg`` workers publish the program
+    (again after every ``invalidate()`` from a fourth thread) — every
+    result must match the interpreter oracle."""
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_calls_through_slots_being_rewritten_match_oracle(self, data):
+        spec = data.draw(program_specs())
+        args = data.draw(arguments_for(spec))
+        module = Module("prop")
+        build_program(spec, module, "prog")
+        from repro.ir import print_module
+
+        ty = f"i{spec['bits']}"
+        params = ", ".join(f"{ty} %a{i}" for i in range(spec["nargs"]))
+        text = print_module(module) + f"""
+define {ty} @drive({params}) {{
+entry:
+  %r = call {ty} @prog({params})
+  ret {ty} %r
+}}
+"""
+        oracle = _run_tier(text, "drive", args, "interp")
+
+        run_module = parse_module(text)
+        engine = ExecutionEngine(run_module, tier="tiered-bg",
+                                 call_threshold=2)
+        engine.set_tier(run_module.get_function("drive"), "jit")
+        prog = run_module.get_function("prog")
+        outcomes = []
+        done = threading.Event()
+
+        def classify():
+            outcomes.append(_outcome(engine, "drive", args))
+
+        def published():
+            box = engine._boxes.get("prog")
+            return box is not None and box.value is not None
+
+        def invalidator():
+            # let a worker publish (and rewrite the slot) mid-stream, then
+            # start the function over, three times
+            try:
+                for _ in range(3):
+                    deadline = time.monotonic() + 10.0
+                    while not published() and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                    engine.invalidate(prog)
+            finally:
+                done.set()
+
+        def caller():
+            while not done.is_set():
+                classify()
+
+        threads = [threading.Thread(target=invalidator)] + [
+            threading.Thread(target=caller) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            caller()
+            for thread in threads:
+                thread.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # settle: re-earn the promotion, let the worker publish it
+        for _ in range(3):
+            classify()
+        assert engine.drain_background(10.0)
+        classify()
+        engine.shutdown_background()
+        assert set(outcomes) == {oracle}
+        assert engine.tier_promotions == 4
+        assert (engine._compiled["drive"].__globals__["_f_prog"]
+                is engine._boxes["prog"].value)
 
 
 #: hand-written programs that trap (or not) in interesting ways; the
@@ -439,22 +528,29 @@ def test_promoted_call_is_dispatcher_frame_then_jit_frame(tier):
     stacks = []
 
     def probe(x):
-        names = []
+        # the frames below the outermost ``engine.call`` (the decoded
+        # tier reaches a callee through an inner one)
+        names, outermost = [], 0
         frame = sys._getframe(1)
-        while frame.f_code is not ExecutionEngine.call.__code__:
+        while frame is not None:
+            if frame.f_code is ExecutionEngine.call.__code__:
+                outermost = len(names)
             names.append(frame.f_code.co_name)
             frame = frame.f_back
-        stacks.append(names)
+        stacks.append(names[:outermost])
         return x
 
     engine.add_native("probe", probe)
     for _ in range(4):
         assert engine.run("g", 7) == 7
     assert engine.drain_background(5.0)
-    # the first JIT'd call still patches the callee's lazy trampoline
     for _ in range(2):
         assert engine.run("g", 7) == 7
     engine.shutdown_background()
     label = POLICIES[tier].label
-    # innermost first; the native handle's own ``__call__`` is the callee
-    assert stacks[-1] == ["__call__", "_jit_g", f"{label}_g"]
+    # innermost first: before promotion the call runs under the
+    # dispatcher; the publication re-pointed ``engine.run`` at the JIT'd
+    # code, so after it the native handle's own ``__call__`` is called
+    # straight from ``_jit_g``
+    assert stacks[0][-1] == f"{label}_g"
+    assert stacks[-1] == ["__call__", "_jit_g"]

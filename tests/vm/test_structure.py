@@ -67,9 +67,11 @@ def test_one_dispatcher_over_one_box():
     # the function's one box is made where its one dispatcher is made
     assert _innermost_sites(engine, _calls("PublishBox")) == [
         "_make_dispatcher"]
-    # and written by the two clauses of its contract: a compile job fills
-    # an empty box, speculation republishes over a filled one
-    assert sorted(_innermost_sites(engine, _assigns_box_value)) == [
+    # and written by one routine, which both clauses of its contract run
+    # (a compile job fills an empty box, speculation republishes over a
+    # filled one) and which also re-points every caller at the code
+    assert _innermost_sites(engine, _assigns_box_value) == ["_route"]
+    assert sorted(_innermost_sites(engine, _calls("_route"))) == [
         "_publish", "republish"]
     for path in sorted(SRC_ROOT.rglob("*.py")):
         if path != engine:
