@@ -6,8 +6,10 @@ PP = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
 .PHONY: test stress ledger ledger-smoke trace-smoke serve-smoke
 
+# tier-1; the slowest 15 tests are listed after the run, so drift toward
+# the suite's time ceiling (ROADMAP.md) shows in every log
 test:
-	$(PP) $(PYTHON) -m pytest -x -q
+	$(PP) $(PYTHON) -m pytest -x -q --durations=15
 
 # the threaded background-compilation stress tests, with fault handler
 # tracebacks should a thread wedge

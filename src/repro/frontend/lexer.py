@@ -3,11 +3,22 @@
 Tokenizes the C subset the shootout benchmarks are written in: scalar
 types, pointers, arrays, control flow, function definitions and calls,
 the usual operator zoo, string/char literals and both comment styles.
+
+The fast path is one compiled regex, ``_TOKEN``, matched at the cursor:
+blanks, line breaks, ``//`` comments, identifiers and keywords that
+start with an ASCII letter or ``_``, and every entry of ``OPERATORS``,
+longest first.  The tokens with more to them fall back to helpers:
+numbers (``_lex_number``: hex, floats, exponents, suffixes, and a ``.``
+followed by a digit), strings and chars (``_lex_string`` /
+``_lex_char``: escapes) and ``/* */`` comments (which count the lines
+they span).  A character the regex does not match at all starts an
+identifier if it is a non-ASCII letter and is an error otherwise.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+import re
+from typing import List, NamedTuple
 
 KEYWORDS = {
     "long", "int", "char", "double", "float", "void", "unsigned",
@@ -50,59 +61,71 @@ _ESCAPES = {
 }
 
 
+#: one token at the cursor, tried in this order: blanks, line breaks
+#: (with the indentation after them), ``//`` comments, identifiers and
+#: keywords, and an opener the helpers lex (a digit, a ``.`` before a
+#: digit, a quote, ``/*``) — before ``op`` so that ``.5`` is a number
+#: and ``/*`` a comment, not ``.`` or ``/``.  ``\w`` is exactly
+#: ``str.isalnum()`` or ``_``, the identifier rule, so an ASCII-led
+#: identifier may go on in any script.  The operators are ``OPERATORS``
+#: in order, longest first, so the first alternative that matches is the
+#: longest.  A non-ASCII letter matches nothing here; ``str.isalpha()``
+#: decides whether it starts an identifier, which ``_WORD`` then takes.
+_TOKEN = re.compile("|".join([
+    r"(?P<space>[ \t\r]+)",
+    r"(?P<newline>(?:\n[ \t\r]*)+)",
+    r"(?P<comment>//[^\n]*)",
+    r"(?P<word>[A-Za-z_]\w*)",
+    r"(?P<helper>[0-9\"']|\.[0-9]|/\*)",
+    "(?P<op>" + "|".join(map(re.escape, OPERATORS)) + ")",
+]))
+_WORD = re.compile(r"\w+")
+
+
 def tokenize(source: str) -> List[Token]:
     tokens: List[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
     i = 0
     line = 1
     n = len(source)
     while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
+        found = match(source, i)
+        if found is None:
+            ch = source[i]
+            if not ch.isalpha():
+                raise LexError(f"unexpected character {ch!r}", line)
+            found = _WORD.match(source, i)  # led by a non-ASCII letter
+            append(Token("ident", found.group(), line))
+            i = found.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            i = end if end != -1 else n
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise LexError("unterminated block comment", line)
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if _is_digit(ch) or (ch == "." and i + 1 < n and _is_digit(source[i + 1])):
-            i, token = _lex_number(source, i, line)
-            tokens.append(token)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line))
-            continue
-        if ch == '"':
-            i, token = _lex_string(source, i, line)
-            tokens.append(token)
-            continue
-        if ch == "'":
-            i, token = _lex_char(source, i, line)
-            tokens.append(token)
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line))
-                i += len(op)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line)
-    tokens.append(Token("eof", "", line))
+        kind = found.lastgroup
+        end = found.end()
+        if kind == "word":
+            text = found.group()
+            append(Token("kw" if text in KEYWORDS else "ident", text, line))
+        elif kind == "op":
+            append(Token("op", found.group(), line))
+        elif kind == "newline":
+            line += found.group().count("\n")
+        elif kind == "helper":
+            ch = source[i]
+            if ch == '"':
+                end, token = _lex_string(source, i, line)
+            elif ch == "'":
+                end, token = _lex_char(source, i, line)
+            elif ch == "/":
+                close = source.find("*/", i + 2)
+                if close == -1:
+                    raise LexError("unterminated block comment", line)
+                line += source.count("\n", i, close)
+                i = close + 2
+                continue
+            else:
+                end, token = _lex_number(source, i, line)
+            append(token)
+        i = end
+    append(Token("eof", "", line))
     return tokens
 
 

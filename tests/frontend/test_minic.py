@@ -1,5 +1,8 @@
 """Mini-C front-end tests: lexer, parser and codegen semantics."""
 
+import re
+import sys
+
 import pytest
 
 from repro.frontend import CodegenError, CParseError, LexError, compile_c, tokenize
@@ -40,6 +43,47 @@ class TestLexer:
         texts = [t.text for t in toks if t.kind == "op"]
         assert texts == ["<<=", ">>=", "++", "--", "->", "<=", ">=",
                          "==", "!=", "&&", "||"]
+
+    def test_compound_shift_assignment_without_blanks(self):
+        toks = tokenize("x<<=1")
+        assert [(t.kind, t.text) for t in toks] == [
+            ("ident", "x"), ("op", "<<="), ("int", "1"), ("eof", "")]
+
+    def test_dot_before_a_digit_is_a_number(self):
+        assert [(t.kind, t.value) for t in tokenize(".5")[:-1]] == [
+            ("float", 0.5)]
+        assert [(t.kind, t.text) for t in tokenize("a.b")[:-1]] == [
+            ("ident", "a"), ("op", "."), ("ident", "b")]
+
+    def test_non_ascii_identifier(self):
+        toks = tokenize("é1 = 2")
+        assert [(t.kind, t.text, t.value) for t in toks[:-1]] == [
+            ("ident", "é1", None), ("op", "=", None), ("int", "2", 2)]
+
+    def test_regex_word_characters_are_the_identifier_rule(self):
+        # the lexer's regex continues an identifier with ``\w``; the
+        # rule is ``str.isalnum()`` or ``_``, on every code point
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert [m.start() for m in re.finditer(r"\w", text)] == [
+            code for code, ch in enumerate(text)
+            if ch.isalnum() or ch == "_"]
+
+    def test_superscript_digit_is_not_a_digit(self):
+        # str.isdigit accepts it, int() does not: it may go on an
+        # identifier, but it neither starts nor continues a number
+        assert [t.text for t in tokenize("x²")[:-1]] == ["x²"]
+        for source in ("²", "1²"):
+            with pytest.raises(LexError, match="unexpected character"):
+                tokenize(source)
+
+    def test_lines_count_every_line_break(self):
+        toks = tokenize("a\n\n  b /* x\ny */ c // z\n\td")
+        assert [(t.text, t.line) for t in toks] == [
+            ("a", 1), ("b", 3), ("c", 4), ("d", 5), ("", 5)]
+
+    def test_unexpected_character_names_its_line(self):
+        with pytest.raises(LexError, match="line 2: unexpected character '@'"):
+            tokenize("a\n @")
 
     def test_unterminated_string(self):
         with pytest.raises(LexError):

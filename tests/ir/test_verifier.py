@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.ir import parse_module
 from repro.ir import types as T
 from repro.ir.builder import IRBuilder
 from repro.ir.function import BasicBlock, Function, Module
 from repro.ir.instructions import BinaryInst, BranchInst, PhiInst, RetInst
-from repro.ir.values import ConstantInt
+from repro.ir.values import ConstantInt, Value
 from repro.ir.verifier import (
     VerificationError,
     collect_problems,
@@ -19,6 +20,21 @@ from ..conftest import build_branchy, build_sum_loop
 
 def c64(v):
     return ConstantInt(T.i64, v)
+
+
+COUNTED_LOOP = """
+define i64 @f(i64 %n) {
+entry:
+  br label %l
+l:
+  %i = phi i64 [ 0, %entry ], [ %j, %l ]
+  %j = add i64 %i, 1
+  %c = icmp slt i64 %j, %n
+  br i1 %c, label %l, label %x
+x:
+  ret i64 %j
+}
+"""
 
 
 class TestCleanFunctions:
@@ -176,6 +192,22 @@ class TestDominance:
         b.ret(x)
         verify_function(func)  # unreachable self-contained block is fine
 
+    def test_phi_incoming_must_be_an_ssa_value(self):
+        func = parse_module(COUNTED_LOOP).get_function("f")
+        entry, loop = func.get_block("entry"), func.get_block("l")
+        phi = loop.phis[0]
+        phi.remove_incoming(entry)
+        phi.add_incoming(Value(T.i64, "ghost"), entry)
+        assert collect_problems(func) == [
+            "%i uses non-SSA value <Value %ghost: i64>"]
+
+    def test_operand_must_be_an_ssa_value(self):
+        func = parse_module(COUNTED_LOOP).get_function("f")
+        add = func.get_block("l").instructions[1]
+        add.set_operand(1, Value(T.i64, "ghost"))
+        assert collect_problems(func) == [
+            "%j uses non-SSA value <Value %ghost: i64>"]
+
     def test_use_of_unreachable_def(self, module):
         func = build_branchy(module)
         dead = BasicBlock("dead", func)
@@ -254,8 +286,8 @@ class TestScopedVerification:
                    []) == whole
 
     def test_deep_dominator_chain(self, module):
-        """A thousand blocks in a row: the dominator sets are built
-        without recursion."""
+        """A thousand blocks in a row: the dominator tree is built and
+        numbered without recursion."""
         func = Function(T.function(T.i64, T.i64), "chain", ["x"])
         module.add_function(func)
         blocks = [BasicBlock(f"b{i}", func) for i in range(1000)]

@@ -9,6 +9,7 @@ a dead ``make`` target, an unimportable ``python -m`` module or a
 subcommand its parser rejects comes back.
 """
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -91,3 +92,24 @@ def test_ci_has_one_perf_step():
     perf = [command.strip() for command in commands
             if re.search(r"benchmarks|ledger", command)]
     assert perf == ["make ledger-smoke"]
+
+
+def test_verifier_does_not_import_the_analyses():
+    # the analyses assume verified input, so the verifier computes its
+    # own dominators (its module docstring says why)
+    tree = ast.parse(
+        (ROOT / "src" / "repro" / "ir" / "verifier.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # ``from ..x import y``, resolved against ``repro.ir``, may
+            # name a module in ``x`` or in ``y``
+            package = ["repro", "ir"][:3 - node.level] if node.level else []
+            module = ".".join(package + [node.module or ""]).strip(".")
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "repro.ir.function.BasicBlock" in imported
+    assert not [name for name in imported
+                if (name + ".").startswith("repro.analysis.")]
