@@ -23,7 +23,6 @@ from .engine import POLICIES, TIERS, ExecutionEngine, ObjectTable
 from .jit import CompiledCode, JITError, codegen_function, compile_function
 from .profile import FunctionProfile, TierProfiler
 from .runtime import (
-    HANDLE_HEAP,
     NULL,
     FunctionHandle,
     MemoryBuffer,
@@ -69,7 +68,6 @@ __all__ = [
     "MemoryBuffer",
     "OutputBuffer",
     "NULL",
-    "HANDLE_HEAP",
     "is_null",
     "load_scalar",
     "scalar_accessors",

@@ -63,13 +63,14 @@ from .profile import (
     TierProfiler,
 )
 from .runtime import (
-    HANDLE_HEAP,
     NULL,
     FunctionHandle,
     MemoryBuffer,
     NativeHandle,
     OutputBuffer,
     Trap,
+    copy_cells,
+    drop_cells,
     store_scalar,
 )
 
@@ -339,11 +340,13 @@ class ExecutionEngine:
             db, do = dst
             sb, so = src
             db.data[do:do + n] = sb.data[so:so + n]
+            copy_cells(dst, src, n)
             return dst
 
         def native_memset(dst, value, n):
             db, do = dst
             db.data[do:do + n] = bytes([value & 0xFF]) * n
+            drop_cells(dst, n)
             return dst
 
         def native_putchar(ch):
@@ -455,8 +458,10 @@ class ExecutionEngine:
             native = self._natives.get(func.name)
             if native is None:
                 raise Trap(f"unresolved external symbol @{func.name}")
-            self._compiled[func.name] = native
-            return native
+            # callers' slots hold the host function itself: the handle's
+            # ``__call__`` would be one more frame per call
+            self._compiled[func.name] = native.callable
+            return native.callable
         policy = self._policy(func)
         if policy.promote is None:
             compiled = self._baseline(func, policy.baseline)

@@ -103,11 +103,12 @@ from ..analysis.manager import AnalysisManager, default_manager
 from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
 from .runtime import (
-    HANDLE_HEAP,
     NULL,
     MemoryBuffer,
     Trap,
+    load_pointer,
     load_scalar,
+    store_pointer,
     store_scalar,
 )
 from .semantics import LOC as _LOC
@@ -146,8 +147,8 @@ def _build_static_namespace() -> Dict[str, Any]:
         _inf=float("inf"),
         _Trap=Trap,
         _MemoryBuffer=MemoryBuffer,
-        _hload=HANDLE_HEAP.load,
-        _hstore=HANDLE_HEAP.store,
+        _cell_load=load_pointer,
+        _cell_store=store_pointer,
         _load_scalar=load_scalar,
         _store_scalar=store_scalar,
     )
@@ -476,10 +477,12 @@ class CompiledCode:
 # ``("resolve", n)`` descriptor bakes a session-specific integer into
 # the code, so artifacts carrying one (OSR stubs) are refused.
 
-#: bump whenever the payload layout or binding encoding changes; part of
-#: both the disk-cache key and the embedded payload, so old entries are
-#: rejected instead of misread
-DISK_FORMAT_VERSION = 2
+#: bump whenever the payload layout, the binding encoding or the code
+#: generated for an IR body changes (the disk cache keys on IR, so a warm
+#: cache would keep serving the old code); part of both the disk-cache
+#: key and the embedded payload, so old entries are rejected instead of
+#: misread
+DISK_FORMAT_VERSION = 3
 
 #: marshal data version 2: versions >= 3 emit identity-based
 #: back-references for repeated objects, making the byte stream depend
@@ -647,6 +650,9 @@ class FunctionCompiler:
         self._name_counter = 0
         self._const_counter = 0
         self._folded: set = set()
+        #: pointer values whose parts live in ``<name>_b``/``_o`` locals
+        #: -> whether an access also reads its bytearray ``<name>_d``
+        self._addressed: Dict[int, bool] = {}
 
     # -- naming ------------------------------------------------------------------
 
@@ -729,6 +735,8 @@ class FunctionCompiler:
         func.assign_names()
         self._folded = self._foldable_geps()
         body = self._structured_body()
+        body[:0] = [stmt for arg in func.args if id(arg) in self._addressed
+                    for stmt in self._bind_parts(arg)]
 
         fn = ast.FunctionDef(
             name=self._py_name(),
@@ -829,8 +837,12 @@ class FunctionCompiler:
                                     rmap[block])
                 alias.update((new, alias.get(old, old))
                              for old, new in rmap.items())
-        self._folded.update(id(new) for new, old in alias.items()
-                            if id(old) in self._folded)
+        folded, addressed = self._folded, self._addressed
+        for new, old in alias.items():
+            if id(old) in folded:
+                folded.add(id(new))
+            if id(old) in addressed:
+                addressed[id(new)] = addressed[id(old)]
         return copy
 
     def _place(self, block: BasicBlock, follow: Optional[BasicBlock],
@@ -941,10 +953,19 @@ class FunctionCompiler:
     # -- blocks -------------------------------------------------------------------------
 
     def _straight_line(self, block: BasicBlock) -> List[ast.stmt]:
-        """``block`` between its phis and its terminator."""
+        """``block`` between its phis and its terminator, its phis'
+        pointer parts first."""
         out: List[ast.stmt] = []
-        for inst in block.instructions[block.first_non_phi_index:-1]:
+        addressed = self._addressed
+        instructions = block.instructions
+        first = block.first_non_phi_index
+        for phi in instructions[:first]:
+            if id(phi) in addressed:
+                out.extend(self._bind_parts(phi))
+        for inst in instructions[first:-1]:
             out.extend(self._compile_instruction(inst))
+            if id(inst) in addressed:
+                out.extend(self._bind_parts(inst))
         return out
 
     def _phi_moves(self, source: BasicBlock,
@@ -1082,7 +1103,7 @@ class FunctionCompiler:
 
     def _load_expr(self, ty: T.Type, pointer: Value) -> ast.expr:
         if isinstance(ty, T.PointerType):
-            return _calln("_hload", self.expr(pointer))
+            return _calln("_cell_load", self.expr(pointer))
         suffix = _struct_suffix(ty)
         if suffix:
             data, offset = self._address(pointer)
@@ -1098,7 +1119,7 @@ class FunctionCompiler:
     def _store_stmt(self, value: Value, pointer: Value) -> ast.stmt:
         ty = value.type
         if isinstance(ty, T.PointerType):
-            return _expr_stmt(_calln("_hstore", self.expr(pointer),
+            return _expr_stmt(_calln("_cell_store", self.expr(pointer),
                                      self.expr(value)))
         suffix = _struct_suffix(ty)
         if suffix:
@@ -1123,14 +1144,39 @@ class FunctionCompiler:
         use is the address of a non-pointer load or store, or the base of
         another such GEP, in the GEP's own block — where no edge, so no
         phi move reassigning an index and no loop repeating the
-        arithmetic, comes between the GEP and the access recomputing it."""
+        arithmetic, comes between the GEP and the access recomputing it.
+
+        The same walk records the *addressed* values in
+        :attr:`_addressed`: every other pointer that is the address of a
+        non-pointer load or store, or the base of a GEP.  Their parts get
+        locals (:meth:`_bind_parts`); the bytearray only where an access
+        reads it, which a GEP that is materialised does not."""
         folded: set = set()
+        addressed = self._addressed = {}
         for block in self.func.blocks:
             for inst in reversed(block.instructions):  # users first
-                if isinstance(inst, GEPInst) and inst.uses and all(
+                if isinstance(inst, GEPInst):
+                    address = inst.pointer
+                    # folded, its accesses read the base's bytes
+                    reads_data = bool(inst.uses) and all(
                         self._folds_into(inst, use.user, folded)
-                        for use in inst.uses):
-                    folded.add(id(inst))
+                        for use in inst.uses)
+                    if reads_data:
+                        folded.add(id(inst))
+                        addressed.pop(id(inst), None)
+                elif isinstance(inst, LoadInst):
+                    address = None if inst.type.is_pointer else inst.pointer
+                    reads_data = True
+                elif isinstance(inst, StoreInst):
+                    address = (None if inst.value.type.is_pointer
+                               else inst.pointer)
+                    reads_data = True
+                else:
+                    continue
+                if (isinstance(address, (Argument, Instruction))
+                        and id(address) not in folded):
+                    key = id(address)
+                    addressed[key] = addressed.get(key, False) or reads_data
         return folded
 
     @staticmethod
@@ -1144,24 +1190,52 @@ class FunctionCompiler:
             return not user.type.is_pointer
         return id(user) in folded and user.pointer is gep
 
+    def _bind_parts(self, value: Value) -> List[ast.stmt]:
+        """For an addressed pointer just defined: ``<name>_b, <name>_o``
+        and ``<name>_d = <name>_b.data``, which its accesses read (a
+        pointer is an immutable tuple, and a buffer's ``data`` is bound
+        once).  A value that may not be a tuple -- an ``i8*`` carrying a
+        function handle or an opaque object -- is split as ``_null``,
+        so it fails at an access only, like ``p[0].data`` would."""
+        reads_data = self._addressed[id(value)]
+        name = self.name_of(value)
+        pointer: ast.expr = _name(name)
+        if not isinstance(value, (AllocaInst, GEPInst)):
+            pointer = _ifexp(_cmp(_attr(_name(name), "__class__"), ast.Is(),
+                                  _name("tuple")), pointer, _name("_null"))
+        parts = [_assign(_tuple(_name(name + "_b", _STORE),
+                                _name(name + "_o", _STORE), ctx=_STORE),
+                         pointer)]
+        if reads_data:
+            parts.append(_assign(name + "_d",
+                                 _attr(_name(name + "_b"), "data")))
+        return parts
+
     def _address(self, pointer: Value) -> Tuple[ast.expr, ast.expr]:
         """``pointer`` as fresh ``(bytearray, byte offset)`` nodes."""
-        buffer, offset = self._pair(pointer)
-        return _attr(buffer, "data"), offset
+        return self._parts(pointer, "_d")
 
-    def _pair(self, pointer: Value) -> Tuple[ast.expr, ast.expr]:
-        """``pointer`` as fresh ``(buffer, byte offset)`` nodes: a folded
-        GEP contributes its arithmetic, anything else its two items."""
+    def _parts(self, pointer: Value, part: str) -> Tuple[ast.expr, ast.expr]:
+        """``pointer``'s buffer (``part`` ``_b``) or bytearray (``_d``)
+        and offset: a folded GEP contributes its arithmetic, an addressed
+        value its locals, anything else its two items."""
         if id(pointer) in self._folded:
-            return self._gep_address(pointer)
-        return _item(self.expr(pointer), 0), _item(self.expr(pointer), 1)
+            return self._gep_address(pointer, part)
+        if id(pointer) in self._addressed:
+            name = self.name_of(pointer)
+            return _name(name + part), _name(name + "_o")
+        buffer = _item(self.expr(pointer), 0)
+        if part == "_d":
+            buffer = _attr(buffer, "data")
+        return buffer, _item(self.expr(pointer), 1)
 
-    def _gep_address(self, inst: GEPInst) -> Tuple[ast.expr, ast.expr]:
+    def _gep_address(self, inst: GEPInst,
+                     part: str = "_b") -> Tuple[ast.expr, ast.expr]:
         terms = gep_terms(inst)
         if terms is None:
             raise JITError(f"cannot lower the indices of {inst!r}")
         static, var_terms = terms
-        buffer, offset = self._pair(inst.pointer)
+        buffer, offset = self._parts(inst.pointer, part)
         for index, stride in var_terms:
             term = self.expr(index)
             if stride != 1:

@@ -17,12 +17,22 @@ The VM executes IR over these runtime values:
 Byte-addressability matters: the shootout programs (fasta, rev-comp)
 manipulate byte buffers through bitcast pointers, exactly like the C
 originals.
+
+A pointer-typed value stored to memory becomes a *pointer cell*: the
+8 bytes hold a fixed tag and the value itself sits in the buffer's
+``cells`` table under the byte offset (see :func:`store_pointer`).  The
+cell lives exactly as long as its buffer, and ``memcpy``/``memset``
+carry or drop cells with the bytes they copy or clear.
+
+A buffer's ``data`` bytearray is bound once, in ``__init__``: the JIT
+keeps ``buffer.data`` of a pointer it addresses in a local.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import threading
 from typing import Callable, Optional, Tuple, Union
 
 from ..ir import types as T
@@ -33,14 +43,18 @@ class Trap(Exception):
 
 
 class MemoryBuffer:
-    """A byte-addressable allocation (heap block, stack slot or global)."""
+    """A byte-addressable allocation (heap block, stack slot or global),
+    with the pointer cells stored in it (:func:`store_pointer`)."""
 
-    __slots__ = ("data", "label", "freed")
+    __slots__ = ("data", "label", "freed", "cells")
 
     def __init__(self, size: int, label: str = ""):
         self.data = bytearray(size)
         self.label = label
         self.freed = False
+        #: byte offset -> the pointer-typed value stored there; ``None``
+        #: until the buffer holds its first pointer cell
+        self.cells: Optional[dict] = None
 
     def __len__(self) -> int:
         return len(self.data)
@@ -109,7 +123,9 @@ class FunctionHandle:
 
 
 class NativeHandle:
-    """Runtime value of a host (Python) function exposed to IR code."""
+    """Runtime value of a host (Python) function exposed to IR code, as
+    the engine's object table holds it.  A call slot holds ``callable``
+    itself, with no ``__call__`` frame between."""
 
     __slots__ = ("name", "callable")
 
@@ -127,9 +143,8 @@ class NativeHandle:
 def store_scalar(ty: T.Type, pointer, value) -> None:
     """Store one scalar of IR type ``ty`` at ``pointer``.
 
-    Pointer-typed and handle values are stored in a side slot encoding:
-    buffers hold raw bytes for ints/floats; storing a pointer writes an
-    index into the buffer's handle table (see :class:`HandleHeap`)."""
+    Buffers hold raw bytes for ints and floats; a pointer-typed value
+    becomes a pointer cell (:func:`store_pointer`)."""
     buf, off = pointer
     if isinstance(ty, T.IntType):
         size = T.size_of(ty)
@@ -143,7 +158,7 @@ def store_scalar(ty: T.Type, pointer, value) -> None:
         buf.check(off, T.size_of(ty))
         (_F32 if ty.bits == 32 else _F64).pack_into(buf.data, off, value)
     elif isinstance(ty, T.PointerType):
-        HANDLE_HEAP.store(pointer, value)
+        store_pointer(pointer, value)
     else:
         raise TypeError(f"cannot store scalar of type {ty}")
 
@@ -163,7 +178,7 @@ def load_scalar(ty: T.Type, pointer):
         buf.check(off, T.size_of(ty))
         return (_F32 if ty.bits == 32 else _F64).unpack_from(buf.data, off)[0]
     if isinstance(ty, T.PointerType):
-        return HANDLE_HEAP.load(pointer)
+        return load_pointer(pointer)
     raise TypeError(f"cannot load scalar of type {ty}")
 
 
@@ -236,48 +251,83 @@ def scalar_accessors(ty: T.Type) -> Tuple[Callable, Callable]:
 
         return load_float, store_float
     if isinstance(ty, T.PointerType):
-        return HANDLE_HEAP.load, HANDLE_HEAP.store
+        return load_pointer, store_pointer
     raise TypeError(f"cannot build scalar accessors for {ty}")
 
 
-class HandleHeap:
-    """Side table for pointer-valued memory cells.
-
-    Machine code stores pointers as 8 raw bytes; we instead store an index
-    into this table and keep the Python object on the side, so pointers,
-    function handles and opaque objects survive round-trips through memory
-    without a flat address space.  The 8 stored bytes make the cell look
-    pointer-sized to byte-level code (memcpy of structs containing
-    pointers keeps working because the index travels with the bytes).
-    """
-
-    def __init__(self) -> None:
-        self._table: list = [None]
-
-    def store(self, pointer: Pointer, value) -> None:
-        buf, off = pointer
-        buf.check(off, 8)
-        index = len(self._table)
-        self._table.append(value)
-        _STRUCTS[(8, True)].pack_into(buf.data, off, index)
-
-    def load(self, pointer: Pointer):
-        buf, off = pointer
-        buf.check(off, 8)
-        index = _STRUCTS[(8, True)].unpack_from(buf.data, off)[0]
-        if not 0 <= index < len(self._table):
-            raise MemoryError(f"corrupt pointer cell at offset {off}")
-        value = self._table[index]
-        if value is None and index == 0:
-            return NULL
-        return value
-
-    def reset(self) -> None:
-        self._table = [None]
+#: what the 8 bytes of a pointer cell hold: the value is in the
+#: buffer's ``cells``.  Zero bytes load as null; anything else is not a
+#: pointer.
+_CELL_TAG = int.from_bytes(b"ptr-cell", "little", signed=True)
+_I64 = _STRUCTS[(8, True)]
+#: guards a buffer's first pointer store (creating its ``cells``)
+_cells_lock = threading.Lock()
 
 
-#: process-wide handle heap (reset per ExecutionEngine)
-HANDLE_HEAP = HandleHeap()
+def _cells_of(buf: MemoryBuffer) -> dict:
+    cells = buf.cells
+    if cells is None:
+        with _cells_lock:
+            cells = buf.cells
+            if cells is None:
+                cells = buf.cells = {}
+    return cells
+
+
+def store_pointer(pointer: Pointer, value) -> None:
+    """Store a pointer-typed value (a pointer, function handle or opaque
+    object) in the 8 bytes at ``pointer``: the bytes get the cell tag,
+    the value goes in the buffer's ``cells`` under the offset."""
+    buf, off = pointer
+    data = buf.data
+    if buf.freed or off < 0 or off + 8 > len(data):
+        buf.check(off, 8)  # raises
+    cells = buf.cells
+    if cells is None:
+        cells = _cells_of(buf)
+    cells[off] = value
+    _I64.pack_into(data, off, _CELL_TAG)
+
+
+def load_pointer(pointer: Pointer):
+    """Load the pointer-typed value at ``pointer``: the cell's value,
+    ``NULL`` from zeroed bytes, and ``MemoryError`` from any other
+    bytes (an integer store over a cell, say)."""
+    buf, off = pointer
+    data = buf.data
+    if buf.freed or off < 0 or off + 8 > len(data):
+        buf.check(off, 8)  # raises
+    raw = _I64.unpack_from(data, off)[0]
+    if raw == _CELL_TAG:
+        cells = buf.cells
+        if cells is not None and off in cells:
+            return cells[off]
+    elif raw == 0:
+        return NULL
+    raise MemoryError(f"corrupt pointer cell at offset {off}")
+
+
+def copy_cells(dst: Pointer, src: Pointer, n: int) -> None:
+    """Give ``dst``'s ``n`` bytes the cells of ``src``'s, as a ``memcpy``
+    of those bytes needs.  The copied bytes still decide what loads: a
+    cell whose tag was overwritten stays unreadable."""
+    (db, do), (sb, so) = dst, src
+    moved = [(off - so + do, value)
+             for off, value in list((sb.cells or {}).items())
+             if so <= off <= so + n - 8]
+    drop_cells(dst, n)
+    if moved:
+        _cells_of(db).update(moved)
+
+
+def drop_cells(pointer: Pointer, n: int) -> None:
+    """Forget the cells that start in the ``n`` bytes at ``pointer``."""
+    buf, start = pointer
+    cells = buf.cells
+    if cells:
+        for off in list(cells):
+            if start <= off < start + n:
+                cells.pop(off, None)
 
 
 def gep_offset(pointee: T.Type, indices) -> int:
@@ -300,9 +350,11 @@ def gep_offset(pointee: T.Type, indices) -> int:
 #
 # ``vm/semantics.py`` binds these under ``_sdiv``/``_nz``/``_fdiv``/... in
 # both of its projections (the decoder's closures and the JIT's compiled
-# namespace), so a trap condition has one definition.  The tree-walker
-# stays on ``transform.constfold``'s folders and on ``pointer_compare``
-# below: it is the oracle the table is tested against.
+# namespace), so a trap condition has one definition.  An entry calls one
+# only where the operation can trap: ``fdiv`` reaches ``_fdiv`` on a zero
+# divisor alone, and a division by a positive constant not at all.  The
+# tree-walker stays on ``transform.constfold``'s folders and on
+# ``pointer_compare`` below: it is the oracle the table is tested against.
 
 
 def sdiv(a, b):

@@ -15,9 +15,17 @@ is defined here **once**, as a Python expression over its operands
 Trap conditions are not spelled in the entries: they live in the
 ``vm/runtime.py`` helpers the entries call (``_sdiv``, ``_nz``,
 ``_shamt``, ``_fdiv``, ...), bound under the names in :data:`HELPERS`.
+A helper is called only on the path where it can trap: ``fdiv`` divides
+inline and reaches ``_fdiv`` on a zero divisor alone.
 Compares are *truth tests*: a branch on a compare uses the entry as its
 test directly, and ``1 if ... else 0`` is applied only where the ``i1``
 value itself is needed.
+
+Rows are chosen by operand shape as well as by opcode.  A signed
+division or remainder by a positive ``ConstantInt`` cannot trap and
+cannot leave the dividend's width, so :func:`scalar_entry` gives it the
+:data:`BY_POSITIVE_CONSTANT` row: floor division corrected toward zero,
+no helper call and no wrap.
 
 The table has two projections and no other encoding exists in the
 execution tiers (``tests/vm/test_semantics.py`` guards that):
@@ -95,8 +103,16 @@ FLOAT_BINOP = {
     "fadd": "a + b",
     "fsub": "a - b",
     "fmul": "a * b",
-    "fdiv": "_fdiv(a, b)",
+    "fdiv": "a / b if b else _fdiv(a, b)",
     "frem": "_frem(a, b)",
+}
+
+#: ``sdiv``/``srem`` by a divisor that is a ``ConstantInt`` above 0 (at
+#: widths above 1): no zero to trap on, and ``|a // b| <= |a|`` keeps
+#: the result in the dividend's range, ``MIN // 1`` included
+BY_POSITIVE_CONSTANT = {
+    "sdiv": "a // b if a >= 0 else -(-a // b)",
+    "srem": "a % b if a >= 0 else -(-a % b)",
 }
 
 ICMP = {
@@ -162,7 +178,7 @@ OBJECT_TABLE_CASTS = {"inttoptr": "resolve", "ptrtoint": "intern"}
 class Entry(NamedTuple):
     """One table row bound to the widths of the instruction using it."""
 
-    name: str                 #: e.g. ``udiv``, ``icmp.ult``, ``cast.zext``
+    name: str                 #: e.g. ``udiv``, ``sdiv.const``, ``icmp.ult``
     text: str                 #: the expression, as written in the table
     is_test: bool             #: a compare: truthy/falsy, not yet 0/1
     bits: Optional[int] = None
@@ -180,10 +196,17 @@ def _int_bits(ty: T.Type) -> Optional[int]:
 
 def scalar_entry(inst: Instruction) -> Optional[Entry]:
     """The row ``inst`` instantiates, or ``None`` when the table has none
-    (an opcode/type mismatch, or an :data:`OBJECT_TABLE_CASTS` cast)."""
+    (an opcode/type mismatch, or an :data:`OBJECT_TABLE_CASTS` cast).
+    ``sdiv``/``srem`` by a positive ``ConstantInt`` take their
+    :data:`BY_POSITIVE_CONSTANT` row."""
     if isinstance(inst, BinaryInst):
         bits = _int_bits(inst.type)
         table = INT_BINOP if bits else FLOAT_BINOP
+        divisor = inst.rhs
+        if (bits and bits > 1 and inst.opcode in BY_POSITIVE_CONSTANT
+                and isinstance(divisor, ConstantInt) and divisor.value > 0):
+            return Entry(inst.opcode + ".const",
+                         BY_POSITIVE_CONSTANT[inst.opcode], False, bits)
         text = table.get(inst.opcode)
         return text and Entry(inst.opcode, text, False, bits)
     if isinstance(inst, ICmpInst):

@@ -12,7 +12,9 @@ import pytest
 from repro.ir import parse_module
 from repro.obs import events
 from repro.obs.telemetry import Telemetry
-from repro.vm import ExecutionEngine
+from repro.shootout.harness import compile_benchmark
+from repro.shootout.programs import SUITE
+from repro.vm import TIERS, ExecutionEngine
 from repro.vm.jit import FunctionCompiler, compile_function
 from repro.vm.runtime import NULL, MemoryBuffer
 
@@ -876,7 +878,8 @@ entry:
 }
 """, "f")
         assert "_q" not in text and "_r" not in text  # no pointer locals
-        assert text.count("_p[1] + v") == 2, text  # recomputed per access
+        # recomputed per access, from the argument's parts in locals
+        assert text.count("v4_p_o + v5_i * 8") == 2, text
         buffer = MemoryBuffer(64, "p")
         struct.pack_into("<q", buffer.data, 40, 41)
         assert compiled((buffer, 0), 3) == 41
@@ -922,3 +925,57 @@ out:
                             bytes(buffer.data)))
         assert results[0] == results[1]
         assert results[0][0] == 5
+
+
+class TestPointerLocals:
+    """A pointer the function addresses is split once, where it is
+    defined, into ``<name>_b``/``_o`` (and ``_d``, its bytearray)
+    locals that its accesses read."""
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_non_buffer_pointer_accessed_only_off_path_is_harmless(
+            self, tier):
+        """An ``i8*`` carrying a function handle reaches definitions
+        whose accesses never run: splitting it must not raise."""
+        source = """
+define i64 @f(i8* %p, i64 %c) {
+entry:
+  %q = bitcast i8* %p to i64*
+  %t = icmp ne i64 %c, 0
+  br i1 %t, label %use, label %skip
+use:
+  %b = load i8, i8* %p
+  %v = load i64, i64* %q
+  %w = zext i8 %b to i64
+  %r = add i64 %v, %w
+  ret i64 %r
+skip:
+  ret i64 7
+}
+"""
+        module = parse_module(source)
+        engine = ExecutionEngine(module, tier=tier, call_threshold=2)
+        handle = engine.handle_for(module.get_function("f"))
+        for _ in range(6):  # past the promotion threshold
+            assert engine.run("f", handle, 0) == 7
+        engine.shutdown_background()
+        if tier == "jit":
+            f = module.get_function("f")
+            text = engine.get_compiled(f).__ir_source__()
+            for split in ("p", "q"):  # the argument and the bitcast
+                assert re.search(rf"\bv\d+_{split}_b, v\d+_{split}_o = ",
+                                 text), text
+
+    def test_nbody_loops_read_no_buffer_through_the_tuple(self):
+        module = compile_benchmark(SUITE["n-body"], "optimized")
+        engine = ExecutionEngine(module, tier="jit")
+        loops = 0
+        for func in module.functions:
+            if func.is_declaration:
+                continue
+            tree = ast.parse(engine.get_compiled(func).__ir_source__())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.While):
+                    loops += 1
+                    assert "[0].data" not in ast.unparse(node), func.name
+        assert loops >= 3

@@ -1,10 +1,15 @@
 """Runtime memory model tests."""
 
+import gc
+
 import pytest
 
+from repro.ir import parse_module
 from repro.ir import types as T
+from repro.shootout.harness import compile_benchmark
+from repro.shootout.programs import SUITE
+from repro.vm import TIERS, ExecutionEngine
 from repro.vm.runtime import (
-    HANDLE_HEAP,
     NULL,
     MemoryBuffer,
     OutputBuffer,
@@ -116,3 +121,111 @@ class TestMisc:
         assert out.getvalue() == b"hi"
         out.clear()
         assert out.getvalue() == b""
+
+
+# -- pointer cells, in every tier ---------------------------------------------
+
+_CELLS = """
+declare i8* @malloc(i64 %n)
+declare i8* @memcpy(i8* %d, i8* %s, i64 %n)
+declare i8* @memset(i8* %d, i64 %v, i64 %n)
+
+define i64* @boxed(i64 %v) {
+entry:
+  %raw = call i8* @malloc(i64 8)
+  %p = bitcast i8* %raw to i64*
+  store i64 %v, i64* %p
+  ret i64* %p
+}
+
+define i64 @copied() {
+entry:
+  %x = call i64* @boxed(i64 40)
+  %y = call i64* @boxed(i64 2)
+  %s = call i8* @malloc(i64 16)
+  %s0 = bitcast i8* %s to i64**
+  store i64* %x, i64** %s0
+  %s1 = getelementptr i64*, i64** %s0, i64 1
+  store i64* %y, i64** %s1
+  %d = call i8* @malloc(i64 16)
+  %c = call i8* @memcpy(i8* %d, i8* %s, i64 16)
+  %d0 = bitcast i8* %d to i64**
+  %a = load i64*, i64** %d0
+  %d1 = getelementptr i64*, i64** %d0, i64 1
+  %b = load i64*, i64** %d1
+  %av = load i64, i64* %a
+  %bv = load i64, i64* %b
+  %sum = add i64 %av, %bv
+  %same_a = icmp eq i64* %a, %x
+  %same_b = icmp eq i64* %b, %y
+  %both = and i1 %same_a, %same_b
+  %flag = zext i1 %both to i64
+  %flag1000 = mul i64 %flag, 1000
+  %r = add i64 %sum, %flag1000
+  ret i64 %r
+}
+
+define i64 @cleared() {
+entry:
+  %x = call i64* @boxed(i64 40)
+  %s = call i8* @malloc(i64 8)
+  %s0 = bitcast i8* %s to i64**
+  store i64* %x, i64** %s0
+  %z = call i8* @memset(i8* %s, i64 0, i64 8)
+  %a = load i64*, i64** %s0
+  %null = icmp eq i64* %a, null
+  %r = zext i1 %null to i64
+  ret i64 %r
+}
+
+define i64 @overwritten() {
+entry:
+  %x = call i64* @boxed(i64 40)
+  %s = call i8* @malloc(i64 8)
+  %s0 = bitcast i8* %s to i64**
+  store i64* %x, i64** %s0
+  %si = bitcast i8* %s to i64*
+  store i64 5, i64* %si
+  %a = load i64*, i64** %s0
+  %v = load i64, i64* %a
+  ret i64 %v
+}
+"""
+
+
+@pytest.mark.parametrize("tier", TIERS)
+class TestPointerCells:
+    """A stored pointer lives in its buffer's ``cells``: it travels with
+    ``memcpy``, ``memset`` clears it, and an integer store over it
+    leaves bytes that are no pointer."""
+
+    def engine(self, tier):
+        return ExecutionEngine(parse_module(_CELLS), tier=tier)
+
+    def test_memcpy_of_a_struct_keeps_its_pointers(self, tier):
+        assert self.engine(tier).run("copied") == 1042
+
+    def test_memset_to_zero_loads_null(self, tier):
+        assert self.engine(tier).run("cleared") == 1
+
+    def test_integer_store_over_a_cell_makes_its_load_fail(self, tier):
+        with pytest.raises(MemoryError, match="corrupt pointer cell"):
+            self.engine(tier).run("overwritten")
+
+    def test_buffers_do_not_outlive_their_runs(self, tier):
+        """b-trees stores a pointer per child: every tree it frees must
+        go, cells included, so repeated runs leave the live buffer count
+        where it was."""
+        def live():
+            gc.collect()
+            return sum(isinstance(o, MemoryBuffer) for o in gc.get_objects())
+
+        engine = ExecutionEngine(
+            compile_benchmark(SUITE["b-trees"], "optimized"), tier=tier)
+        for _ in range(2):
+            assert engine.run("btrees", 4) == 590
+        before = live()
+        for _ in range(10):
+            assert engine.run("btrees", 4) == 590
+        engine.shutdown_background()
+        assert live() <= before

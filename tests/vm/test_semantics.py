@@ -50,13 +50,14 @@ class TestClosedVocabulary:
         assert set(semantics.CAST) == (
             CAST_OPCODES - {"bitcast"} - set(semantics.OBJECT_TABLE_CASTS))
         assert set(semantics.OBJECT_TABLE_CASTS) == {"inttoptr", "ptrtoint"}
+        assert set(semantics.BY_POSITIVE_CONSTANT) == {"sdiv", "srem"}
 
     def test_entries_only_name_operands_constants_and_helpers(self):
         allowed = ({"a", "b", "M", "BITS", "SM", "W"} | set(semantics.HELPERS)
                    | {"float", "id", "tuple"})
         for table in (semantics.INT_BINOP, semantics.FLOAT_BINOP,
-                      semantics.ICMP, semantics.PTR_ICMP, semantics.FCMP,
-                      semantics.CAST):
+                      semantics.BY_POSITIVE_CONSTANT, semantics.ICMP,
+                      semantics.PTR_ICMP, semantics.FCMP, semantics.CAST):
             for key, text in table.items():
                 names = {node.id for node in ast.walk(ast.parse(text))
                          if isinstance(node, ast.Name)}
@@ -164,6 +165,59 @@ def test_float_entries_agree_on_edge_operands():
     pairs = list(itertools.product(FLOATS, repeat=2))
     assert_tiers_agree(source, [(name, pair)
                                 for name in names for pair in pairs])
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_division_by_positive_constant_agrees_on_edge_dividends(bits):
+    """The divisor an IR constant, as ``x / 10`` and ``x % 7`` compile:
+    above ``i1`` these select the :data:`BY_POSITIVE_CONSTANT` rows,
+    which call no trap helper and apply no wrap."""
+    ty = f"i{bits}"
+    hi = (1 << (bits - 1)) - 1
+    divisors = sorted({1, 2, 7, hi} - {0}) if bits > 1 else [1]
+    source, calls = "", []
+    for op in ("sdiv", "srem"):
+        for divisor in divisors:
+            name = f"{op}_by_{divisor}"
+            source += f"""
+define {ty} @{name}({ty} %a) {{
+entry:
+  %r = {op} {ty} %a, {divisor}
+  ret {ty} %r
+}}
+"""
+            calls += [(name, (a,)) for a in edge_ints(bits)]
+    assert_tiers_agree(source, calls)
+    module = parse_module(source)
+    for func in module.functions:
+        entry = semantics.scalar_entry(func.entry.instructions[0])
+        table = (semantics.BY_POSITIVE_CONSTANT if bits > 1
+                 else semantics.INT_BINOP)
+        assert entry.text == table[func.name.split("_")[0]], func.name
+    if bits > 1:
+        engine = ExecutionEngine(module, tier="jit")
+        for func in module.functions:
+            text = engine.get_compiled(func).__ir_source__()
+            assert "_sdiv(" not in text and "_srem(" not in text, text
+
+
+def test_fdiv_agrees_on_divisors_at_the_trap_edge():
+    """``fdiv`` divides inline and reaches ``_fdiv`` only on a zero
+    divisor: zeros of both signs trap, NaN, the infinities and a
+    denormal-adjacent divisor divide, as an argument and as a constant."""
+    divisors = ("0.0", "-0.0", "nan", "inf", "-inf", "1e-308")
+    source = binop_function("fdiv", "double")
+    calls = [("fdiv", (a, float(b))) for a in FLOATS for b in divisors]
+    for index, divisor in enumerate(divisors):
+        source += f"""
+define double @fdiv_by_{index}(double %a) {{
+entry:
+  %r = fdiv double %a, {divisor}
+  ret double %r
+}}
+"""
+        calls += [(f"fdiv_by_{index}", (a,)) for a in FLOATS]
+    assert_tiers_agree(source, calls)
 
 
 def test_cast_entries_agree_on_edge_operands():

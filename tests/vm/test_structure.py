@@ -228,3 +228,39 @@ def test_nothing_kept_that_only_its_own_cli_ran():
         match = gone.search(path.read_text())
         assert match is None, (
             f"{path.relative_to(SRC_ROOT)}: {match and match.group()}")
+
+
+def test_buffer_data_is_bound_only_in_init():
+    # the JIT keeps ``buffer.data`` of an addressed pointer in a local
+    # for the rest of the function: sound only while nothing rebinds a
+    # MemoryBuffer's ``data``, so the one assignment to a ``.data``
+    # attribute anywhere is ``self.data`` in an ``__init__``
+    offenders = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Delete):
+                targets = node.targets
+            for target in targets:
+                if (isinstance(target, ast.Attribute)
+                        and target.attr == "data"
+                        and not (owner == "__init__"
+                                 and isinstance(node, ast.Assign)
+                                 and ast.unparse(target) == "self.data")):
+                    offenders.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "setattr"
+                    and len(node.args) > 1
+                    and getattr(node.args[1], "value", None) == "data"):
+                offenders.append(f"{path.name}:{node.lineno}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(_tree(path), None)
+    assert not offenders, offenders
