@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
+from ..vm.runtime import fdiv, fpow
 from . import mcast as M
 from .mctypes import BUILTIN_FUNCTIONS
 from .runtime import McFunctionHandleValue
@@ -43,7 +44,7 @@ _BUILTIN_IMPL = {
     "mod": math.fmod,
     "min": min,
     "max": max,
-    "power": lambda a, b: a ** b,
+    "power": fpow,
 }
 
 
@@ -183,9 +184,9 @@ class IIRInterpreter:
         if op == "*":
             return x * y
         if op == "/":
-            return x / y
+            return x / y if y else fdiv(x, y)
         if op == "^":
-            return x ** y
+            return fpow(x, y)
         table = {"<": x < y, "<=": x <= y, ">": x > y, ">=": x >= y,
                  "==": x == y, "~=": x != y}
         if op in table:

@@ -5,19 +5,44 @@ Boxed ("UNK") values travel through the IR as ``i8*`` handles pointing to
 for McVM's heap-allocated ``MatrixF64Obj``.  Generic instructions become
 calls to the ``mc_*`` natives registered here; type-specialized code
 touches none of them, which is where the Q4 speedups come from.
+
+The generic arithmetic, compare and logical natives are one table,
+:data:`MC_BINARY`: each ``mc_*`` name maps to a Python expression over
+the unboxed operands ``x``/``y`` (the shape of ``vm/semantics.py``'s
+rows); :data:`MC_UNARY` does the same over ``x`` for ``mc_neg`` and
+``mc_logical_not``.  Each row is compiled once per process, when this
+module is imported, into a module-level function that is a boxed op in
+one Python frame:
+
+* an operand is read with an inline class test —
+  ``a.value if a.__class__ is McBox else unbox_to_float(a)`` — so only a
+  raw number or a non-number reaches :func:`unbox_to_float`, which keeps
+  every conversion and :class:`Trap`;
+* the row computes a ``float`` by construction: ``mc_div`` divides inline
+  and reaches ``vm/runtime.fdiv`` on a zero divisor alone, ``mc_pow`` is
+  ``vm/runtime.fpow``, which returns a float or traps;
+* the result box is built by ``object.__new__(McBox)`` and a slot store,
+  with no ``McBox.__init__`` frame.
+
+:func:`mc_box` is the same ``__init__``-free constructor for a value
+from outside the table (the ``mc_box`` native, a feval result): it keeps
+the guarantee that ``.value`` is a ``float``.  ``McBox(x)`` stays the
+public constructor.  :func:`install_runtime` compiles nothing: it binds
+these functions, and the engine's feval closure, on an engine.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from ..ir import types as T
 from ..ir.function import Module
 from ..ir.types import FunctionType
 from ..obs import events as EV
 from ..vm.engine import ExecutionEngine
-from ..vm.interpreter import Trap
+from ..vm.runtime import Trap, fdiv, fpow
 
 I8P = T.ptr(T.i8)
 
@@ -50,10 +75,90 @@ def unbox_to_float(value) -> float:
     if isinstance(value, McBox):
         return value.value
     if isinstance(value, float):
-        return value
+        return float(value)
     if isinstance(value, int):
         return float(value)
     raise Trap(f"cannot convert {value!r} to a scalar double")
+
+
+_new = object.__new__
+
+
+def mc_box(v) -> McBox:
+    """``McBox(v)`` without the ``__init__`` frame."""
+    r = _new(McBox)
+    r.value = v if v.__class__ is float else float(v)
+    return r
+
+
+#: generic binary natives: name -> result over the unboxed ``x``/``y``
+MC_BINARY: Dict[str, str] = {
+    "mc_add": "x + y",
+    "mc_sub": "x - y",
+    "mc_mul": "x * y",
+    "mc_div": "x / y if y else _fdiv(x, y)",
+    "mc_pow": "_fpow(x, y)",
+    "mc_cmp_lt": "1.0 if x < y else 0.0",
+    "mc_cmp_le": "1.0 if x <= y else 0.0",
+    "mc_cmp_gt": "1.0 if x > y else 0.0",
+    "mc_cmp_ge": "1.0 if x >= y else 0.0",
+    "mc_cmp_eq": "1.0 if x == y else 0.0",
+    "mc_cmp_ne": "1.0 if x != y else 0.0",
+    "mc_logical_and": "1.0 if (x != 0.0 and y != 0.0) else 0.0",
+    "mc_logical_or": "1.0 if (x != 0.0 or y != 0.0) else 0.0",
+}
+
+#: generic unary natives: name -> result over the unboxed ``x``
+MC_UNARY: Dict[str, str] = {
+    "mc_neg": "-x",
+    "mc_logical_not": "1.0 if x == 0.0 else 0.0",
+}
+
+#: one operand's read: inline for a box, :func:`unbox_to_float` otherwise
+_READ = ("    {x} = {a}.value if {a}.__class__ is McBox"
+         " else unbox_to_float({a})\n")
+
+
+def _row_source(name: str, expr: str, operands: str) -> str:
+    reads = "".join(_READ.format(a=a, x=x) for a, x in zip(operands, "xy"))
+    return (f"def {name}({', '.join(operands)}):\n{reads}"
+            f"    r = _new(McBox)\n    r.value = {expr}\n    return r\n")
+
+
+def _compile_rows() -> Dict[str, Callable]:
+    """One function per table row, compiled together (once, at import)."""
+    source = "\n".join(
+        [_row_source(n, e, "ab") for n, e in MC_BINARY.items()]
+        + [_row_source(n, e, "a") for n, e in MC_UNARY.items()])
+    filename = "<mcvm-runtime-rows>"
+    # source lines for tracebacks through a row
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace = {"__name__": __name__, "McBox": McBox, "_new": _new,
+                 "unbox_to_float": unbox_to_float, "_fdiv": fdiv,
+                 "_fpow": fpow}
+    exec(compile(source, filename, "exec"), namespace)
+    return {name: namespace[name] for name in (*MC_BINARY, *MC_UNARY)}
+
+
+def mc_truthy(a) -> int:
+    """The branch test on a boxed value: an ``i1``, not a box."""
+    x = a.value if a.__class__ is McBox else unbox_to_float(a)
+    return 1 if x != 0.0 else 0
+
+
+#: the engine-independent natives, by symbol: the table's rows, the box
+#: and unbox conversions, and the double-typed math builtins that
+#: specialized code calls
+MC_NATIVES: Dict[str, Callable] = {
+    **_compile_rows(),
+    "mc_box": mc_box,
+    "mc_unbox": unbox_to_float,
+    "mc_truthy": mc_truthy,
+    "mc_mod": math.fmod,
+    "mc_min": min,
+    "mc_max": max,
+}
 
 
 #: IR-level signatures of the mc_* runtime, declared on demand
@@ -98,38 +203,8 @@ def install_runtime(engine: ExecutionEngine, vm) -> None:
     ``vm`` is the owning :class:`~repro.mcvm.vm.McVM`; the feval
     dispatchers resolve and JIT-compile callees through it.
     """
-
-    def _arith(name: str, op: Callable[[float, float], float]) -> None:
-        def native(a, b):
-            return McBox(op(unbox_to_float(a), unbox_to_float(b)))
-
+    for name, native in MC_NATIVES.items():
         engine.add_native(name, native)
-
-    engine.add_native("mc_box", lambda v: McBox(v))
-    engine.add_native("mc_unbox", unbox_to_float)
-    _arith("mc_add", lambda a, b: a + b)
-    _arith("mc_sub", lambda a, b: a - b)
-    _arith("mc_mul", lambda a, b: a * b)
-    _arith("mc_div", lambda a, b: a / b)
-    _arith("mc_pow", lambda a, b: a ** b)
-    engine.add_native("mc_neg", lambda a: McBox(-unbox_to_float(a)))
-    _arith("mc_cmp_lt", lambda a, b: 1.0 if a < b else 0.0)
-    _arith("mc_cmp_le", lambda a, b: 1.0 if a <= b else 0.0)
-    _arith("mc_cmp_gt", lambda a, b: 1.0 if a > b else 0.0)
-    _arith("mc_cmp_ge", lambda a, b: 1.0 if a >= b else 0.0)
-    _arith("mc_cmp_eq", lambda a, b: 1.0 if a == b else 0.0)
-    _arith("mc_cmp_ne", lambda a, b: 1.0 if a != b else 0.0)
-    _arith("mc_logical_and",
-           lambda a, b: 1.0 if (a != 0.0 and b != 0.0) else 0.0)
-    _arith("mc_logical_or",
-           lambda a, b: 1.0 if (a != 0.0 or b != 0.0) else 0.0)
-    engine.add_native(
-        "mc_logical_not",
-        lambda a: McBox(1.0 if unbox_to_float(a) == 0.0 else 0.0),
-    )
-    engine.add_native(
-        "mc_truthy", lambda a: 1 if unbox_to_float(a) != 0.0 else 0
-    )
 
     def handle_name_matches(value, name_box):
         if (isinstance(value, McFunctionHandleValue)
@@ -143,21 +218,15 @@ def install_runtime(engine: ExecutionEngine, vm) -> None:
 
     engine.add_native("mc_handle_name_matches", handle_name_matches)
 
-    def make_feval(arity: int):
-        def mc_feval(target, *args):
-            if not isinstance(target, McFunctionHandleValue):
-                raise Trap(f"feval target {target!r} is not a handle")
-            return vm.dispatch_feval(target.name, list(args))
+    dispatch = vm.dispatch_feval
 
-        return mc_feval
+    def mc_feval(target, *args):
+        if target.__class__ is not McFunctionHandleValue:
+            raise Trap(f"feval target {target!r} is not a handle")
+        return dispatch(target.name, args)
 
     for arity in range(MAX_FEVAL_ARITY + 1):
-        engine.add_native(f"mc_feval_{arity}", make_feval(arity))
-
-    # double-typed math builtins used by specialized code
-    engine.add_native("mc_mod", math.fmod)
-    engine.add_native("mc_min", min)
-    engine.add_native("mc_max", max)
+        engine.add_native(f"mc_feval_{arity}", mc_feval)
 
 
 #: builtin name -> (native symbol, arity); all double-in/double-out

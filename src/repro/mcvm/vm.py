@@ -19,7 +19,7 @@ were textually replaced — see :mod:`repro.mcvm.programs`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.function import Module
 from ..transform import optimize_function, promote_memory_to_registers
@@ -34,7 +34,8 @@ from .feval import (
 from .interpreter import IIRInterpreter, McRuntimeError
 from .mctypes import BOXED, DOUBLE, HANDLE, TypeInference, TypeInfo
 from .parser import parse_matlab
-from .runtime import McBox, McFunctionHandleValue, install_runtime, unbox_to_float
+from .runtime import (McFunctionHandleValue, install_runtime, mc_box,
+                      unbox_to_float)
 
 #: short class codes used in version names, e.g. odeEuler__hddd
 _CLASS_CODE = {DOUBLE: "d", HANDLE: "h", BOXED: "b"}
@@ -163,14 +164,14 @@ class McVM:
 
     # -- execution ------------------------------------------------------------------
 
-    def dispatch_feval(self, name: str, boxed_args: List[object]):
+    def dispatch_feval(self, name: str, boxed_args: Sequence[object]):
         """The default feval dispatcher: resolve the target by name,
         get/JIT its all-boxed version, call it with boxed values."""
         self.stats["feval_dispatches"] += 1
         version = self.compile_version(name, (BOXED,) * len(boxed_args))
         result = self.engine.call(version.ir_function, boxed_args)
         if version.info.return_class == DOUBLE:
-            return McBox(result)
+            return mc_box(result)
         return result
 
     def run(self, name: str, *args: float) -> float:

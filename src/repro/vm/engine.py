@@ -71,6 +71,7 @@ from .runtime import (
     Trap,
     copy_cells,
     drop_cells,
+    fpow,
     store_scalar,
 )
 
@@ -382,7 +383,7 @@ class ExecutionEngine:
         self.add_native("cos", math.cos)
         self.add_native("exp", lambda x: math.exp(min(x, 700.0)))
         self.add_native("log", lambda x: math.log(x) if x > 0 else float("-inf"))
-        self.add_native("pow", lambda x, y: float(x ** y))
+        self.add_native("pow", fpow)
         self.add_native("floor", lambda x: float(math.floor(x)))
         self.add_native("fabs", abs)
 

@@ -391,6 +391,18 @@ def fdiv(a, b):
     return a / b
 
 
+def fpow(a, b):
+    """``pow`` as a float, or a Trap where C's ``pow`` reports an error:
+    a pole (zero to a negative power), an overflow, or a domain error (a
+    negative base to a non-integral power).  ``math.pow`` agrees with
+    ``a ** b`` on every other input and raises on exactly these, where
+    ``**`` would return a complex or raise two other classes."""
+    try:
+        return math.pow(a, b)
+    except (ValueError, OverflowError):
+        raise Trap(f"float trap in pow ({a}, {b})") from None
+
+
 def frem(a, b):
     if b == 0.0:
         raise Trap(f"float trap in frem ({a}, {b})")

@@ -1,9 +1,11 @@
 """Runtime memory model tests."""
 
 import gc
+import math
 
 import pytest
 
+from repro.frontend import compile_c
 from repro.ir import parse_module
 from repro.ir import types as T
 from repro.shootout.harness import compile_benchmark
@@ -13,6 +15,8 @@ from repro.vm.runtime import (
     NULL,
     MemoryBuffer,
     OutputBuffer,
+    Trap,
+    fpow,
     gep_offset,
     is_null,
     load_scalar,
@@ -121,6 +125,61 @@ class TestMisc:
         assert out.getvalue() == b"hi"
         out.clear()
         assert out.getvalue() == b""
+
+
+class TestFpow:
+    @pytest.mark.parametrize("a,b,expected", [
+        (2.0, 10.0, 1024.0), (2, -1, 0.5), (-8.0, 2.0, 64.0),
+        (0.0, 0.0, 1.0), (math.inf, -1.0, 0.0), (4.0, 0.5, 2.0)])
+    def test_float_results(self, a, b, expected):
+        result = fpow(a, b)
+        assert result.__class__ is float and result == expected
+
+    def test_nan_propagates(self):
+        assert math.isnan(fpow(math.nan, 2.0))
+
+    def test_agrees_with_python_pow_where_that_is_a_float(self):
+        values = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -3.0,
+                  7.25, 1e308, 1e-308, 5e-324, math.inf, -math.inf,
+                  math.nan]
+        for a in values:
+            for b in values:
+                try:
+                    want = a ** b
+                except (ZeroDivisionError, OverflowError):
+                    want = None
+                if want.__class__ is not float:
+                    with pytest.raises(Trap):
+                        fpow(a, b)
+                    continue
+                got = fpow(a, b)
+                if math.isnan(want):
+                    assert math.isnan(got), (a, b)
+                else:
+                    assert got == want, (a, b)
+                    assert math.copysign(1, got) == math.copysign(1, want)
+
+    @pytest.mark.parametrize("a,b", [
+        (-8.0, 0.5),    # domain: Python's result is complex
+        (0.0, -1.0),    # pole
+        (0, -1),
+        (1e308, 2.0),   # overflow
+    ])
+    def test_errors_trap(self, a, b):
+        with pytest.raises(Trap, match="float trap in pow"):
+            fpow(a, b)
+
+
+_POW_C = "double p(double x, double y) { return pow(x, y); }"
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_c_pow_errors_trap_in_every_tier(tier):
+    engine = ExecutionEngine(compile_c(_POW_C), tier=tier)
+    assert engine.run("p", 2.0, 10.0) == 1024.0
+    for x, y in ((-8.0, 0.5), (0.0, -1.0), (1e308, 2.0)):
+        with pytest.raises(Trap):
+            engine.run("p", x, y)
 
 
 # -- pointer cells, in every tier ---------------------------------------------
