@@ -1,8 +1,9 @@
-"""repro.analysis — IR analyses (CFG, dominators, liveness, loops).
+"""repro.analysis — IR analyses (CFG, dominators, liveness, loops, ranges).
 
 These are the LLVM analyses the OSR machinery consumes: liveness drives
 the live-variable transfer at OSR points, dominators back the verifier and
-mem2reg, and loop info drives hottest-loop OSR point placement.
+mem2reg, loop info drives hottest-loop OSR point placement, and range
+facts let both execution tiers drop wraps a dominating compare rules out.
 """
 
 from .cfg import (
@@ -14,7 +15,7 @@ from .cfg import (
     reverse_post_order,
     split_edge,
 )
-from .dominators import DominatorTree
+from .dominators import DominatorTree, RangeFacts
 from .escape import AllocaSummary, EscapeInfo
 from .liveness import LivenessInfo, live_values_at
 from .loops import Loop, LoopInfo
@@ -41,6 +42,7 @@ __all__ = [
     "live_values_at",
     "Loop",
     "LoopInfo",
+    "RangeFacts",
     "depth_first_order",
     "post_order",
     "predecessor_map",

@@ -39,7 +39,7 @@ from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
 from ..ir.function import Function
 from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
-from .dominators import DominatorTree
+from .dominators import DominatorTree, RangeFacts
 from .escape import EscapeInfo, _same_escape
 from .liveness import LivenessInfo
 from .loops import LoopInfo
@@ -53,6 +53,15 @@ GRANULARITY_BODY = "body"
 def _same_domtree(a: DominatorTree, b: DominatorTree) -> bool:
     def key(tree):
         return {id(block): id(dom) for block, dom in tree.idom.items()}
+
+    return key(a) == key(b)
+
+
+def _same_ranges(a: RangeFacts, b: RangeFacts) -> bool:
+    def key(info):
+        return {id(block): {id(value): interval
+                            for value, interval in facts.items()}
+                for block, facts in info.facts.items()}
 
     return key(a) == key(b)
 
@@ -106,6 +115,10 @@ ANALYSES: Dict[str, AnalysisSpec] = {
     ),
     "escape": AnalysisSpec(
         "escape", EscapeInfo, GRANULARITY_BODY, _same_escape
+    ),
+    "ranges": AnalysisSpec(
+        "ranges", RangeFacts, GRANULARITY_BODY, _same_ranges,
+        needs=("domtree",)
     ),
 }
 
@@ -287,6 +300,9 @@ class AnalysisManager:
 
     def escape_info(self, func: Function) -> EscapeInfo:
         return self.get("escape", func)
+
+    def range_facts(self, func: Function) -> RangeFacts:
+        return self.get("ranges", func)
 
     def cached(self, name: str, func: Function):
         """Peek: the cached result for the *current* version, or None.

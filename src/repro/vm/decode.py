@@ -70,6 +70,7 @@ import linecache
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..analysis.manager import default_manager
 from ..ir import types as T
 from ..ir.function import BasicBlock, Function
 from ..ir.instructions import (
@@ -250,6 +251,8 @@ class _Decoder:
         #: adjacency rule keeps at most one entry alive at any moment
         self._pending: Dict[int, Callable] = {}
         self.stats = {"cmp_br": 0, "op_chain": 0, "phi_copy": 0}
+        #: what dominating compares prove, for the cheapest wrap rows
+        self._ranges = None
 
     # -- slots -----------------------------------------------------------------
 
@@ -282,6 +285,7 @@ class _Decoder:
         func = self.func
         if func.is_declaration:
             raise DecodeError(f"cannot decode declaration @{func.name}")
+        self._ranges = default_manager().range_facts(func)
 
         arg_slots = tuple(self.define(arg) for arg in func.args)
         blocks = func.blocks
@@ -452,7 +456,7 @@ class _Decoder:
             return self._closure(
                 "object_cast_val", (inst.value,), self.slot_of(inst),
                 getattr(self.engine.object_table, method))
-        entry = scalar_entry(inst)
+        entry = scalar_entry(inst, self._ranges)
         if entry is None:
             raise DecodeError(f"no scalar semantics for {inst!r}")
         thunks, operands = self._shaped_operands(inst.operands)

@@ -482,7 +482,7 @@ class CompiledCode:
 #: cache would keep serving the old code); part of both the disk-cache
 #: key and the embedded payload, so old entries are rejected instead of
 #: misread
-DISK_FORMAT_VERSION = 3
+DISK_FORMAT_VERSION = 4
 
 #: marshal data version 2: versions >= 3 emit identity-based
 #: back-references for repeated objects, making the byte stream depend
@@ -653,6 +653,8 @@ class FunctionCompiler:
         #: pointer values whose parts live in ``<name>_b``/``_o`` locals
         #: -> whether an access also reads its bytearray ``<name>_d``
         self._addressed: Dict[int, bool] = {}
+        #: the function's range facts; ``None`` for a split copy
+        self._ranges = None
 
     # -- naming ------------------------------------------------------------------
 
@@ -767,7 +769,10 @@ class FunctionCompiler:
         analyses = default_manager()
         loops = analyses.loop_info(func).loops
         if _reducible(func.entry, loops):
+            self._ranges = analyses.range_facts(func)
             return self._layout(func, analyses.dominator_tree(func), loops)
+        # no range facts here: a copy and its original share one local,
+        # so a value's dominating compare may not have seen its last write
         copy = self._split()
         private = AnalysisManager(max_functions=1)  # nothing outlives it
         try:
@@ -1074,7 +1079,7 @@ class FunctionCompiler:
         if method is not None:
             return _call(_attr(_name(self._objtab()), method),
                          self.expr(inst.value))
-        entry = scalar_entry(inst)
+        entry = scalar_entry(inst, self._ranges)
         if entry is None:
             raise JITError(f"no scalar semantics for {inst!r}")
         return instantiate(entry, [

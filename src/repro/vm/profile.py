@@ -35,6 +35,11 @@ DEFAULT_CALL_THRESHOLD = 8
 DEFAULT_BACKEDGE_THRESHOLD = 256
 
 
+#: distinct scalar values one argument slot tells apart; one more makes
+#: the slot megamorphic, and it records nothing from then on
+MAX_DISTINCT_VALUES = 8
+
+
 class ValueFeedback:
     """Observed-value histogram for one argument slot.
 
@@ -42,26 +47,40 @@ class ValueFeedback:
     monomorphic enough to speculate on?" — the type/value feedback that
     drives the speculation pass.  Non-scalar values (pointers, handles)
     are counted toward the total but never dominate, so speculation only
-    ever folds immediates.
+    ever folds immediates.  A slot holds at most
+    :data:`MAX_DISTINCT_VALUES` values and keeps its most frequent one
+    current as it records, so each call costs O(1) and the histogram
+    stays bounded over an engine's life.
     """
 
-    __slots__ = ("counts", "total")
+    __slots__ = ("counts", "total", "best", "best_count")
 
     def __init__(self) -> None:
-        self.counts: Dict[object, int] = {}
+        #: value -> count; ``None`` once the slot is megamorphic
+        self.counts: Optional[Dict[object, int]] = {}
         self.total = 0
+        self.best: object = None
+        self.best_count = 0
 
     def record(self, value: object) -> None:
+        counts = self.counts
+        if counts is None:
+            return
         self.total += 1
         if type(value) in (int, float):
-            self.counts[value] = self.counts.get(value, 0) + 1
+            count = counts.get(value, 0) + 1
+            if count == 1 and len(counts) == MAX_DISTINCT_VALUES:
+                self.counts = None  # megamorphic: nothing to speculate on
+                return
+            counts[value] = count
+            if count > self.best_count:
+                self.best, self.best_count = value, count
 
     def dominant(self) -> Optional[Tuple[object, int]]:
         """The most frequent scalar value and its count, or None."""
-        if not self.counts:
+        if not self.best_count or self.counts is None:
             return None
-        value = max(self.counts, key=lambda v: self.counts[v])
-        return value, self.counts[value]
+        return self.best, self.best_count
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ValueFeedback total={self.total} {self.counts!r}>"

@@ -11,6 +11,9 @@ is defined here **once**, as a Python expression over its operands
 ``W(x)``   two's-complement wrap of ``x`` to ``BITS`` (canonical signed
            range; ``i1`` is kept as 0/1): ``x`` itself when it is in
            range, re-biased and masked otherwise
+``WU(x)``  the wrap of an ``x`` that can only pass the top of the range:
+           one compare, and ``x - 2**BITS`` past it
+``WD(x)``  its mirror, for an ``x`` that can only pass the bottom
 
 Trap conditions are not spelled in the entries: they live in the
 ``vm/runtime.py`` helpers the entries call (``_sdiv``, ``_nz``,
@@ -21,11 +24,17 @@ Compares are *truth tests*: a branch on a compare uses the entry as its
 test directly, and ``1 if ... else 0`` is applied only where the ``i1``
 value itself is needed.
 
-Rows are chosen by operand shape as well as by opcode.  A signed
-division or remainder by a positive ``ConstantInt`` cannot trap and
-cannot leave the dividend's width, so :func:`scalar_entry` gives it the
-:data:`BY_POSITIVE_CONSTANT` row: floor division corrected toward zero,
-no helper call and no wrap.
+Rows are chosen by operand shape and by range facts as well as by
+opcode.  A signed division or remainder by a positive ``ConstantInt``
+cannot trap and cannot leave the dividend's width, so
+:func:`scalar_entry` gives it the :data:`BY_POSITIVE_CONSTANT` row:
+floor division corrected toward zero, no helper call and no wrap.  An
+``add`` or ``sub`` gets the row for the sides of the range its result
+can leave (:data:`NO_WRAP`, :data:`WRAP_UP`, :data:`WRAP_DOWN`, or the
+two-sided ``W``), judged from its operands' intervals: a constant's own
+value, else what dominating signed compares prove
+(``analysis.dominators.RangeFacts``, passed in by both tiers), else the
+whole width.
 
 The table has two projections and no other encoding exists in the
 execution tiers (``tests/vm/test_semantics.py`` guards that):
@@ -55,7 +64,8 @@ import ast
 import linecache
 import re
 from functools import lru_cache, partial
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from ..ir import types as T
 from ..ir.instructions import (
@@ -91,9 +101,11 @@ INT_BINOP = {
     "srem": "W(_srem(a, b))",
     "udiv": "W((a & M) // _nz(b & M))",
     "urem": "W((a & M) % _nz(b & M))",
-    "and": "W((a & M) & (b & M))",
-    "or": "W((a & M) | (b & M))",
-    "xor": "W((a & M) ^ (b & M))",
+    # canonical (sign-extended, or 0/1 at i1) operands give a canonical
+    # result: the sign bits combine like any other
+    "and": "a & b",
+    "or": "a | b",
+    "xor": "a ^ b",
     "shl": "W((a & M) << _shamt(b, BITS))",
     "lshr": "W((a & M) >> _shamt(b, BITS))",
     "ashr": "W(a >> _shamt(b, BITS))",
@@ -114,6 +126,15 @@ BY_POSITIVE_CONSTANT = {
     "sdiv": "a // b if a >= 0 else -(-a // b)",
     "srem": "a % b if a >= 0 else -(-a % b)",
 }
+
+#: ``add``/``sub`` (at widths above 1) whose result interval stays in
+#: range: no wrap at all
+NO_WRAP = {"add": "a + b", "sub": "a - b"}
+
+#: ... whose result can pass only the top of the range (``x + c`` with
+#: ``c > 0``), or only the bottom: one compare instead of two
+WRAP_UP = {"add": "WU(a + b)", "sub": "WU(a - b)"}
+WRAP_DOWN = {"add": "WD(a + b)", "sub": "WD(a - b)"}
 
 ICMP = {
     "eq": "a == b",
@@ -156,11 +177,13 @@ FCMP = {
 }
 
 #: value casts.  ``zext`` needs no wrap: the source-width mask already
-#: fits the strictly wider target's signed range.  ``fptrunc`` is
-#: double -> float and ``fpext`` float -> double, the only float widths.
+#: fits the strictly wider target's signed range.  ``sext`` is the value
+#: itself: canonical at the narrower width, so at the wider one too (an
+#: ``i1`` 1 stays 1, as the folder has it).  ``fptrunc`` is double ->
+#: float and ``fpext`` float -> double, the only float widths.
 CAST = {
     "trunc": "W(a)",
-    "sext": "W(a)",
+    "sext": "a",
     "zext": "a & SM",
     "sitofp": "float(a)",
     "uitofp": "float(a & SM)",
@@ -194,19 +217,61 @@ def _int_bits(ty: T.Type) -> Optional[int]:
     return ty.bits if isinstance(ty, T.IntType) else None
 
 
-def scalar_entry(inst: Instruction) -> Optional[Entry]:
+def _interval(value: Value, block, bits: int, facts) -> Tuple[int, int]:
+    """What ``value`` can be in ``block``: a constant's own value, the
+    interval a range fact proves, else the whole signed width."""
+    if isinstance(value, ConstantInt):
+        return value.value, value.value
+    found = facts.interval(value, block) if facts is not None else None
+    if found is not None:
+        return found
+    half = 1 << (bits - 1)
+    return -half, half - 1
+
+
+def _sum_row(inst: BinaryInst, bits: int, facts) -> Optional[Entry]:
+    """The :data:`NO_WRAP` / :data:`WRAP_UP` / :data:`WRAP_DOWN` row for
+    an ``add``/``sub`` whose result interval leaves the range on at most
+    one side; ``None`` keeps the two-sided ``W``.  Operands are canonical,
+    so a one-sided excess is under ``2**bits`` and one re-bias undoes it."""
+    block = inst.parent
+    a_lo, a_hi = _interval(inst.lhs, block, bits, facts)
+    b_lo, b_hi = _interval(inst.rhs, block, bits, facts)
+    if inst.opcode == "add":
+        lo, hi = a_lo + b_lo, a_hi + b_hi
+    else:
+        lo, hi = a_lo - b_hi, a_hi - b_lo
+    half = 1 << (bits - 1)
+    up, down = hi >= half, lo < -half
+    if up and down:
+        return None
+    table, kind = ((WRAP_UP, ".up") if up else (WRAP_DOWN, ".down") if down
+                   else (NO_WRAP, ".nowrap"))
+    return Entry(inst.opcode + kind, table[inst.opcode], False, bits)
+
+
+def scalar_entry(inst: Instruction, facts=None) -> Optional[Entry]:
     """The row ``inst`` instantiates, or ``None`` when the table has none
     (an opcode/type mismatch, or an :data:`OBJECT_TABLE_CASTS` cast).
     ``sdiv``/``srem`` by a positive ``ConstantInt`` take their
-    :data:`BY_POSITIVE_CONSTANT` row."""
+    :data:`BY_POSITIVE_CONSTANT` row; ``add``/``sub`` take the cheapest
+    row their operands' intervals allow.  ``facts``, when given, is the
+    function's ``RangeFacts``: ``interval(value, block)`` answers what a
+    dominating signed compare proves about ``value`` in ``block``."""
     if isinstance(inst, BinaryInst):
         bits = _int_bits(inst.type)
         table = INT_BINOP if bits else FLOAT_BINOP
-        divisor = inst.rhs
-        if (bits and bits > 1 and inst.opcode in BY_POSITIVE_CONSTANT
-                and isinstance(divisor, ConstantInt) and divisor.value > 0):
-            return Entry(inst.opcode + ".const",
-                         BY_POSITIVE_CONSTANT[inst.opcode], False, bits)
+        if bits and bits > 1:
+            divisor = inst.rhs
+            if (inst.opcode in BY_POSITIVE_CONSTANT
+                    and isinstance(divisor, ConstantInt)
+                    and divisor.value > 0):
+                return Entry(inst.opcode + ".const",
+                             BY_POSITIVE_CONSTANT[inst.opcode], False, bits)
+            if inst.opcode in NO_WRAP:
+                row = _sum_row(inst, bits, facts)
+                if row is not None:
+                    return row
         text = table.get(inst.opcode)
         return text and Entry(inst.opcode, text, False, bits)
     if isinstance(inst, ICmpInst):
@@ -240,16 +305,17 @@ def _emit(node) -> str:
     """Python source that constructs a fresh copy of a parsed entry:
     operand names become calls (``a()`` yields the node for that read, so
     no node object appears twice in a result), width constants become
-    literals of the builder's arguments, ``W(x)`` defers to its wrap
-    argument."""
+    literals of the builder's arguments, ``W(x)``, ``WU(x)`` and
+    ``WD(x)`` defer to their wrap arguments."""
     if isinstance(node, ast.Name):
         if node.id in ("a", "b"):
             return f"{node.id}()"
         if node.id in ("M", "BITS", "SM"):
             return f"Constant({node.id}, **LOC)"
         return f"Name({node.id!r}, Load(), **LOC)"
-    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "W":
-        return f"W({_emit(node.args[0])})"
+    if (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in _WRAPS):
+        return f"{node.func.id}({_emit(node.args[0])})"
     if isinstance(node, list):
         return "[" + ", ".join(map(_emit, node)) + "]"
     if isinstance(node, ast.AST):  # expression, operator or context
@@ -262,30 +328,55 @@ def _emit(node) -> str:
 
 @lru_cache(maxsize=None)
 def _builder(text: str) -> Callable[..., ast.expr]:
-    """``build(a, b, M=, BITS=, SM=, W=)`` for one entry: as cheap per
-    use as hand-written ``ast`` constructor calls."""
+    """``build(a, b, M=, BITS=, SM=, W=, WU=, WD=)`` for one entry: as
+    cheap per use as hand-written ``ast`` constructor calls."""
     source = _emit(ast.parse(text, mode="eval").body)
-    return eval("lambda a, b=None, M=None, BITS=None, SM=None, W=None: "
-                + source, {**vars(ast), "LOC": LOC})
+    return eval("lambda a, b=None, M=None, BITS=None, SM=None, W=None, "
+                "WU=None, WD=None: " + source, {**vars(ast), "LOC": LOC})
 
 
-def _wrap(node: ast.expr, bits: int) -> ast.expr:
+def _wrap(node: ast.expr, bits: int, low: bool = True,
+          high: bool = True) -> ast.expr:
     """``W(node)``: ``_t if -H <= (_t := node) <= H - 1 else
     ((_t + H) & M) - H``; ``node & 1`` for ``i1``.  The range check is
     the common case: results mostly fit, and re-biasing an ``i64`` by
-    ``H`` does three operations on two-digit ints."""
+    ``H`` does three operations on two-digit ints.  With ``low`` off
+    (``WU``) only the top is checked and ``_t - 2**bits`` wraps; with
+    ``high`` off (``WD``) only the bottom, and ``_t + 2**bits``."""
     if bits == 1:
         return ast.BinOp(node, ast.BitAnd(), ast.Constant(1, **LOC), **LOC)
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    fits = ast.Compare(
-        ast.Constant(-half, **LOC), [ast.LtE(), ast.LtE()],
-        [ast.NamedExpr(ast.Name("_t", ast.Store(), **LOC), node, **LOC),
-         ast.Constant(half - 1, **LOC)], **LOC)
-    rebias = ast.BinOp(ast.Name("_t", ast.Load(), **LOC), ast.Add(),
-                       ast.Constant(half, **LOC), **LOC)
-    return ast.IfExp(fits, ast.Name("_t", ast.Load(), **LOC), ast.BinOp(
-        ast.BinOp(rebias, ast.BitAnd(), ast.Constant(mask, **LOC), **LOC),
-        ast.Sub(), ast.Constant(half, **LOC), **LOC), **LOC)
+    store = ast.NamedExpr(ast.Name("_t", ast.Store(), **LOC), node, **LOC)
+    if low and high:
+        fits = ast.Compare(
+            ast.Constant(-half, **LOC), [ast.LtE(), ast.LtE()],
+            [store, ast.Constant(half - 1, **LOC)], **LOC)
+        rebias = ast.BinOp(ast.Name("_t", ast.Load(), **LOC), ast.Add(),
+                           ast.Constant(half, **LOC), **LOC)
+        wrapped = ast.BinOp(
+            ast.BinOp(rebias, ast.BitAnd(), ast.Constant(mask, **LOC),
+                      **LOC),
+            ast.Sub(), ast.Constant(half, **LOC), **LOC)
+    else:
+        fits = (ast.Compare(store, [ast.LtE()],
+                            [ast.Constant(half - 1, **LOC)], **LOC) if high
+                else ast.Compare(store, [ast.GtE()],
+                                 [ast.Constant(-half, **LOC)], **LOC))
+        wrapped = ast.BinOp(ast.Name("_t", ast.Load(), **LOC),
+                            ast.Sub() if high else ast.Add(),
+                            ast.Constant(mask + 1, **LOC), **LOC)
+    return ast.IfExp(fits, ast.Name("_t", ast.Load(), **LOC), wrapped,
+                     **LOC)
+
+
+#: the wrap forms an entry may call, as ``_wrap``'s side switches
+_WRAPS = {"W": {}, "WU": {"low": False}, "WD": {"high": False}}
+
+
+@lru_cache(maxsize=None)
+def _wrappers(bits: int) -> Dict[str, Callable[[ast.expr], ast.expr]]:
+    return {name: partial(_wrap, bits=bits, **sides)
+            for name, sides in _WRAPS.items()}
 
 
 def instantiate(entry: Entry,
@@ -299,7 +390,7 @@ def instantiate(entry: Entry,
         *reads,
         M=bits and (1 << bits) - 1, BITS=bits,
         SM=src_bits and (1 << src_bits) - 1,
-        W=bits and partial(_wrap, bits=bits))
+        **(_wrappers(bits) if bits else {}))
 
 
 # -- projection 2: closure factories for the decoded tier ------------------------

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.ir import GuardInst, Module, parse_function, verify_function
+from repro.shootout import SUITE, compile_benchmark
 from repro.spec import SpeculationError, specialize_function
 from repro.vm import ExecutionEngine
+from repro.vm.profile import MAX_DISTINCT_VALUES, ValueFeedback
 
 POLY = """
 define i64 @poly(i64 %mode, i64 %n) {
@@ -133,3 +135,45 @@ entry:
         version = specialize_function(f, 0, 2.0)
         engine = ExecutionEngine(m, tier="jit")
         assert engine.call(version.function, [2.0, 21.0]) == 42.0
+
+
+class TestBoundedFeedback:
+    """Argument feedback costs O(1) per call and stays bounded: a slot
+    tells at most ``MAX_DISTINCT_VALUES`` values apart, then goes
+    megamorphic and records nothing."""
+
+    def test_dominant_is_kept_current(self):
+        slot = ValueFeedback()
+        for value in (3, 5, 5, 3.5, 5, "ptr"):
+            slot.record(value)
+        assert slot.dominant() == (5, 3)
+        assert slot.total == 6
+
+    def test_one_value_past_the_cap_is_megamorphic(self):
+        slot = ValueFeedback()
+        for value in range(MAX_DISTINCT_VALUES):
+            slot.record(value)
+            slot.record(0)
+        assert slot.dominant() == (0, MAX_DISTINCT_VALUES + 1)
+        slot.record(MAX_DISTINCT_VALUES)
+        assert slot.counts is None and slot.dominant() is None
+        total = slot.total
+        slot.record(0)
+        assert slot.total == total
+
+    def test_fasta_runs_leave_every_slot_within_the_cap(self):
+        bench = SUITE["fasta"]
+        engine = ExecutionEngine(compile_benchmark(bench), tier="speculative")
+        # the generator's seed is a global: each run continues the last
+        oracle = ExecutionEngine(compile_benchmark(bench), tier="interp")
+        for _ in range(5):
+            assert (engine.run(bench.entry, 300)
+                    == oracle.run(bench.entry, 300))
+        slots = {(name, index): slot
+                 for name, profile in engine.profiler._profiles.items()
+                 for index, slot in enumerate(profile.feedback)}
+        # fasta_pick's third argument is a fresh random number per call
+        assert slots[("fasta_pick", 2)].counts is None
+        for key, slot in slots.items():
+            assert (slot.counts is None
+                    or len(slot.counts) <= MAX_DISTINCT_VALUES), key

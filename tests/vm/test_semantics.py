@@ -51,12 +51,16 @@ class TestClosedVocabulary:
             CAST_OPCODES - {"bitcast"} - set(semantics.OBJECT_TABLE_CASTS))
         assert set(semantics.OBJECT_TABLE_CASTS) == {"inttoptr", "ptrtoint"}
         assert set(semantics.BY_POSITIVE_CONSTANT) == {"sdiv", "srem"}
+        assert set(semantics.NO_WRAP) == {"add", "sub"}
+        assert set(semantics.WRAP_UP) == {"add", "sub"}
+        assert set(semantics.WRAP_DOWN) == {"add", "sub"}
 
     def test_entries_only_name_operands_constants_and_helpers(self):
-        allowed = ({"a", "b", "M", "BITS", "SM", "W"} | set(semantics.HELPERS)
-                   | {"float", "id", "tuple"})
+        allowed = ({"a", "b", "M", "BITS", "SM", "W", "WU", "WD"}
+                   | set(semantics.HELPERS) | {"float", "id", "tuple"})
         for table in (semantics.INT_BINOP, semantics.FLOAT_BINOP,
-                      semantics.BY_POSITIVE_CONSTANT, semantics.ICMP,
+                      semantics.BY_POSITIVE_CONSTANT, semantics.NO_WRAP,
+                      semantics.WRAP_UP, semantics.WRAP_DOWN, semantics.ICMP,
                       semantics.PTR_ICMP, semantics.FCMP, semantics.CAST):
             for key, text in table.items():
                 names = {node.id for node in ast.walk(ast.parse(text))
