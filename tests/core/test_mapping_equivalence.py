@@ -7,6 +7,11 @@ derived through a clone's value map, and an open point whose generator
 maps the pristine twin's landing state by name.  Each must fire, return
 the interpreter's value, and report through ``osr.compensation`` that
 every landing value arrived as a transfer (``computed == 0``).
+
+The reverse direction runs at every loop header of every function: an
+optimized clone (``constfold`` + ``simplifycfg`` + ``dce``) takes the
+original's place at its call sites and OSRs back into the original,
+with the mapping derived through the inverted clone map.
 """
 
 from functools import lru_cache
@@ -22,10 +27,16 @@ from repro.core import (
     required_landing_state,
 )
 from repro.experiments import loop_osr_location
+from repro.ir import CallInst
 from repro.obs import events as EV
 from repro.obs.telemetry import Telemetry
 from repro.shootout import SUITE, compile_benchmark
-from repro.transform import clone_function
+from repro.transform import (
+    clone_function,
+    eliminate_dead_code,
+    fold_constants,
+    simplify_cfg,
+)
 from repro.vm import ExecutionEngine
 
 LEVEL = "optimized"
@@ -121,3 +132,51 @@ def test_three_ways_agree(name, way):
     assert compensation and all(
         args["entries"] == size and args["computed"] == 0
         for args in compensation)
+
+
+def _headers():
+    """(program, function, header index) for every loop header."""
+    sites = []
+    for name in SITES:
+        module = compile_benchmark(SUITE[name], LEVEL)
+        am = ExecutionEngine(module, tier="jit").analysis
+        for func in module.functions:
+            if not func.is_declaration:
+                loops = am.loop_info(func).loops
+                sites += [(name, func.name, i) for i in range(len(loops))]
+    return sites
+
+
+@pytest.mark.parametrize("name,function,index", _headers())
+def test_optimized_clone_osrs_back_at_every_loop_header(name, function,
+                                                         index):
+    benchmark = SUITE[name]
+    tel = Telemetry()
+    engine = ExecutionEngine(compile_benchmark(benchmark, LEVEL),
+                             tier="jit", telemetry=tel)
+    func = engine.module.get_function(function)
+    header = engine.analysis.loop_info(func).loops[index].header
+    clone, vmap = clone_function(func, f"{func.name}.opt", engine.module)
+    fold_constants(clone)
+    simplify_cfg(clone)
+    eliminate_dead_code(clone)
+    landing = vmap[header]
+    assert landing.parent is clone, "the header did not survive cleanup"
+    location = landing.instructions[landing.first_non_phi_index]
+    live = engine.analysis.liveness(clone).live_before(location)
+    inverse = {copy: original for original, copy in vmap.items()}
+    mapping = derive_state_mapping(live, inverse, func, header,
+                                   engine.analysis)
+    insert_resolved_osr_point(clone, location, HotCounterCondition(1),
+                              variant=func, landing=header,
+                              mapping=mapping, engine=engine)
+    for other in engine.module.functions:
+        for inst in other.instructions():
+            if isinstance(inst, CallInst) and inst.callee is func:
+                inst.callee = clone
+    if func.name == benchmark.entry:
+        result = engine.call(clone, [SITES[name][3]])
+    else:
+        result = engine.run(benchmark.entry, SITES[name][3])
+    assert result == _oracle(name)
+    assert any(e["name"] == EV.OSR_FIRE for e in tel.events)
