@@ -3,9 +3,9 @@
 An alloca *escapes* when its address (or any pointer derived from it via
 ``getelementptr`` or a pointer-preserving cast) leaves the function's
 direct load/store discipline: it is passed to a call, stored *as a
-value* into memory, returned, captured by a ``guard``, converted to an
-integer, or merged through a phi/select — any route by which code the
-analysis cannot see might read or write the allocation.  A non-escaping
+value* into memory, returned, converted to an integer, or merged
+through a phi/select — any route by which code the analysis cannot see
+might read or write the allocation.  A non-escaping
 alloca is private to the function body: every access is a load or store
 through a locally visible pointer, so passes may reason about its memory
 as if it were a bundle of local variables.
@@ -126,9 +126,9 @@ class EscapeInfo:
                     summary._escape(f"{user.opcode} cast")
             else:
                 # calls (the callee may stash or mutate), returns (the
-                # caller sees the address), guards (the deopt machinery
-                # transfers it), phis/selects (flow-merging would need a
-                # fixpoint — collapse to top), and anything future
+                # caller sees the address), phis/selects (flow-merging
+                # would need a fixpoint — collapse to top), and anything
+                # future
                 summary._escape(
                     f"used by {type(user).__name__.lower()}"
                 )

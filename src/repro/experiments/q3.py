@@ -16,13 +16,13 @@ are exactly what a traced production run would report — no bespoke
 re-measurement of the sub-steps.
 
 :func:`run_q3_state` adds the companion state-size table: the number of
-live values a FrameState would capture at each OSR site (function entry
-+ every loop header — the speculation pass's guard sites) before and
-after the ``scalarize`` pass, as mean/p50/p90/max per benchmark.  The
-shootout programs index their arrays dynamically, so nothing splits and
-the counts are equal: the table documents which real programs the SROA
-bailouts leave untouched (``TestScalarizedOSRState`` in
-``tests/core/test_resolved_osr.py`` pins the cut on a program that splits).
+live values an OSR point would transfer at each OSR site (function
+entry + every loop header) before and after the ``scalarize`` pass, as
+mean/p50/p90/max per benchmark.  The shootout programs index their
+arrays dynamically, so nothing splits and the counts are equal: the
+table documents which real programs the SROA bailouts leave untouched
+(``TestScalarizedOSRState`` in ``tests/core/test_resolved_osr.py`` pins
+the cut on a program that splits).
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def run_q3(level: str = "optimized",
 class Q3StateRow(NamedTuple):
     benchmark: str
     level: str
-    sites: int                #: OSR/guard sites measured (entry + headers)
+    sites: int                #: OSR sites measured (entry + headers)
     splits: int               #: aggregate allocas the SROA pass split
     before_mean: float        #: live slots per site, pre-scalarization
     before_p50: int
@@ -149,8 +149,8 @@ def _percentile(values: List[int], q: float) -> int:
 
 
 def _site_live_counts(func: Function, am) -> List[int]:
-    """Live-value count at every OSR/guard site of ``func``: the entry
-    block plus each loop header, in the speculation pass's site order."""
+    """Live-value count at every OSR site of ``func``: the entry block
+    plus each loop header."""
     liveness = am.liveness(func)
     sites = [func.entry]
     for loop in am.loop_info(func).loops:
@@ -161,7 +161,7 @@ def _site_live_counts(func: Function, am) -> List[int]:
 
 def run_q3_state(level: str = "unoptimized",
                  names: Optional[List[str]] = None) -> List[Q3StateRow]:
-    """Measure FrameState slot counts per OSR site before vs after the
+    """Measure live-state slot counts per OSR site before vs after the
     ``scalarize`` pass, aggregated over every defined function of each
     benchmark module."""
     from ..transform.passmanager import scalarize_pass
@@ -212,9 +212,9 @@ def run_q3_state(level: str = "unoptimized",
 
 
 def format_q3_state(rows: List[Q3StateRow]) -> str:
-    """Render the state-size table (live FrameState slots per OSR site)."""
+    """Render the state-size table (live slots per OSR site)."""
     lines = [
-        "Q3 state: FrameState slots per OSR site, before/after scalarize",
+        "Q3 state: live slots per OSR site, before/after scalarize",
         f"{'benchmark':<14} {'sites':>5} {'split':>5} | "
         f"{'mean':>6} {'p50':>4} {'p90':>4} {'max':>4} | "
         f"{'mean':>6} {'p50':>4} {'p90':>4} {'max':>4} | {'reduction':>9}",

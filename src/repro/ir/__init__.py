@@ -20,7 +20,6 @@ from .instructions import (
     CondBranchInst,
     FCmpInst,
     GEPInst,
-    GuardInst,
     ICmpInst,
     IndirectCallInst,
     Instruction,
@@ -73,7 +72,6 @@ __all__ = [
     "CondBranchInst",
     "FCmpInst",
     "GEPInst",
-    "GuardInst",
     "ICmpInst",
     "IndirectCallInst",
     "LoadInst",

@@ -21,7 +21,6 @@ from .instructions import (
     CondBranchInst,
     FCmpInst,
     GEPInst,
-    GuardInst,
     ICmpInst,
     IndirectCallInst,
     Instruction,
@@ -200,11 +199,6 @@ class IRBuilder:
     def select(self, cond: Value, if_true: Value, if_false: Value,
                name: str = "") -> SelectInst:
         return self._insert(SelectInst(cond, if_true, if_false, name))
-
-    def guard(self, cond: Value, guard_id: str,
-              live_values: Sequence[Value] = (),
-              forced: bool = False) -> GuardInst:
-        return self._insert(GuardInst(cond, guard_id, live_values, forced))
 
     # -- memory -----------------------------------------------------------------------
 

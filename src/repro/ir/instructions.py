@@ -443,60 +443,6 @@ class IndirectCallInst(Instruction):
 
 
 # ---------------------------------------------------------------------------
-# Speculation guards
-# ---------------------------------------------------------------------------
-
-
-class GuardInst(Instruction):
-    """Speculation guard: ``guard i1 %cond, c"id" [ i64 %a, ... ]``.
-
-    A pseudo-instruction marking a speculative assumption.  When the
-    condition holds, execution falls through; when it fails, the runtime
-    performs an OSR-exit through the deopt manager, handing it the guard
-    id and the captured live values (the :class:`FrameState` keyed by
-    ``guard_id`` says how to rebuild baseline state from them).
-
-    Operand 0 is the ``i1`` condition; the remaining operands are the
-    live values captured for frame-state reconstruction, in the
-    deterministic liveness order of the baseline landing block.
-
-    ``forced`` marks an *armed* guard: lowered code additionally consults
-    the engine's force-failure predicate so tests and experiments can
-    trigger a deopt at an exact hit count even while the semantic
-    condition holds.
-    """
-
-    __slots__ = ("guard_id", "forced")
-    opcode = "guard"
-
-    def __init__(
-        self,
-        cond: Value,
-        guard_id: str,
-        live_values: Sequence[Value] = (),
-        forced: bool = False,
-    ):
-        if cond.type != i1:
-            raise TypeError(f"guard condition must be i1, got {cond.type}")
-        super().__init__(void, [cond, *live_values])
-        self.guard_id = guard_id
-        self.forced = forced
-
-    def has_side_effects(self) -> bool:
-        # A guard observes runtime state and may transfer control to a
-        # continuation — never erasable by DCE.
-        return True
-
-    @property
-    def condition(self) -> Value:
-        return self.get_operand(0)
-
-    @property
-    def live_values(self) -> List[Value]:
-        return self._operands[1:]
-
-
-# ---------------------------------------------------------------------------
 # Phi
 # ---------------------------------------------------------------------------
 

@@ -29,7 +29,6 @@ from .instructions import (
     CondBranchInst,
     FCmpInst,
     GEPInst,
-    GuardInst,
     ICmpInst,
     IndirectCallInst,
     Instruction,
@@ -649,23 +648,6 @@ class Parser:
                 inst.add_case(case_value, self.lookup_block(case_tok.text[1:]))
             self.expect("]")
             return inst
-
-        if op == "guard":
-            self.expect("i1")
-            cond = self.parse_value(T.i1)
-            self.expect(",")
-            gid_tok = self.expect_kind("string")
-            guard_id = _decode_string(gid_tok.text).decode("latin-1")
-            self.expect("[")
-            lives: List[Value] = []
-            if self.peek().text != "]":
-                while True:
-                    lives.append(self.parse_typed_value())
-                    if not self.accept(","):
-                        break
-            self.expect("]")
-            forced = self.accept("forced")
-            return GuardInst(cond, guard_id, lives, forced)
 
         if op == "unreachable":
             return UnreachableInst()

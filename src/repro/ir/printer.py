@@ -25,7 +25,6 @@ from .instructions import (
     CondBranchInst,
     FCmpInst,
     GEPInst,
-    GuardInst,
     ICmpInst,
     IndirectCallInst,
     Instruction,
@@ -142,15 +141,6 @@ def print_instruction(inst: Instruction) -> str:
             f"switch {typed_ref(inst.value)}, label %{inst.default.name} "
             f"[ {cases} ]"
         )
-    if isinstance(inst, GuardInst):
-        escaped = "".join(
-            ch if 32 <= ord(ch) < 127 and ch not in ('"', "\\")
-            else f"\\{ord(ch):02x}"
-            for ch in inst.guard_id
-        )
-        lives = ", ".join(typed_ref(v) for v in inst.live_values)
-        forced = " forced" if inst.forced else ""
-        return f'guard i1 {inst.condition.ref}, c"{escaped}" [ {lives} ]{forced}'
     if isinstance(inst, UnreachableInst):
         return "unreachable"
     raise NotImplementedError(f"cannot print {type(inst).__name__}")

@@ -26,7 +26,7 @@ the function plus its dominator computation:
   an interval: "A dominates B" is two integer comparisons, with no
   per-block dominator sets;
 * each block in scope is walked once, its instructions once: shape, phi
-  order, parent links, phi/predecessor agreement, guards, ``ret`` and
+  order, parent links, phi/predecessor agreement, ``ret`` and
   operand dominance are all checked in that walk.  Problems are
   collected per check and concatenated at the end, so the report lists
   them check by check, each in block order.
@@ -42,8 +42,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .function import BasicBlock, Function, Module
-from .instructions import GuardInst, Instruction, PhiInst, RetInst, TerminatorInst
-from .types import i1
+from .instructions import Instruction, PhiInst, RetInst, TerminatorInst
 from .values import Argument, Constant
 
 #: operands that are not instructions but are still SSA values
@@ -112,7 +111,6 @@ def collect_problems(func: Function,
     shape: List[str] = []
     branches: List[str] = []
     phis: List[str] = []
-    guards: List[str] = []
     rets: List[str] = []
     uses: List[str] = []
     return_type = func.return_type
@@ -218,16 +216,6 @@ def collect_problems(func: Function,
                     f"block %{name} has a terminator "
                     f"({inst.opcode}) before its end"
                 )
-            if isinstance(inst, GuardInst):
-                if inst.condition.type != i1:
-                    guards.append(
-                        f"guard {inst.guard_id!r} in %{name} has "
-                        f"non-i1 condition of type {inst.condition.type}"
-                    )
-                if not inst.guard_id:
-                    guards.append(
-                        f"guard in %{name} has an empty guard id"
-                    )
             if not reachable:
                 continue
             for value in inst._operands:  # read only: no copy
@@ -272,7 +260,7 @@ def collect_problems(func: Function,
             shape += bad_parents
             bad_parents.clear()
 
-    return shape + branches + phis + guards + rets + uses
+    return shape + branches + phis + rets + uses
 
 
 def _phi_agreement(phi: PhiInst, block_name: str,

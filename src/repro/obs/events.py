@@ -25,19 +25,18 @@ name                      kind   emitted when
 ``osr.continuation``      span   a continuation function (Figure 7) is generated
 ``osr.compensation``      event  compensation entries materialized in ``osr.entry``
 ``osr.fire``              event  an OSR point fired and control was transferred
-``osr.state_size``        event  an OSR/guard site recorded its live-state slot count
+``osr.state_size``        event  an OSR site recorded its live-state slot count
 ``scalarize.split``       event  SROA split an aggregate alloca into scalar pieces
 ``feval.specialize``      span   the feval optimizer specializes + recompiles
 ``feval.cache_hit``       event  a fired feval OSR reused a stored continuation
 ``feval.guard_fail``      event  a feval guard/handle check failed at run time
 ``spec.specialize``       span   the speculation pass clones + specializes a function
-``spec.dispatch``         event  a guard failure dispatched to a sibling continuation
+``spec.dispatch``         event  an entry check missed and the call went to a sibling version
 ``spec.respecialize``     event  a new stable profile produced another specialization
 ``spec.pinned``           event  the thrash limit pinned a function to baseline
-``deopt.guard_fail``      event  a speculation guard failed at run time
-``deopt.exit``            event  an OSR-exit resumed baseline state mid-flight
+``deopt.guard_fail``      event  a specialization's entry check (or a feval guard) missed
+``deopt.exit``            event  a miss continued in compiled code (``call``/``external``)
 ``deopt.invalidate``      event  an invalidation cascaded to a dependent version
-``deopt.continuation``    span   deopt compensation/continuation code is generated
 ``analysis.cache_hit``    event  the analysis manager served a cached result
 ``analysis.cache_miss``   event  an analysis was (re)computed and cached
 ``analysis.invalidate``   event  a rewrite dropped/migrated cached analyses
@@ -91,7 +90,6 @@ SPEC_PINNED = "spec.pinned"
 DEOPT_GUARD_FAIL = "deopt.guard_fail"
 DEOPT_EXIT = "deopt.exit"
 DEOPT_INVALIDATE = "deopt.invalidate"
-DEOPT_CONTINUATION = "deopt.continuation"
 ANALYSIS_CACHE_HIT = "analysis.cache_hit"
 ANALYSIS_CACHE_MISS = "analysis.cache_miss"
 ANALYSIS_INVALIDATE = "analysis.invalidate"
@@ -107,16 +105,14 @@ SERVE_REQUEST = "serve.request"
 
 #: metrics-only names (no trace events): the background queue's depth
 #: gauge, its enqueue-to-install latency and enqueue-to-start wait
-#: timers, the per-call dispatch latency timer, the deopt OSR-exit
-#: transition-cost timer, and the VM server's per-request latency
-#: timer — each backed by a percentile histogram
+#: timers, the per-call dispatch latency timer and the VM server's
+#: per-request latency timer — each backed by a percentile histogram
 COMPILE_QUEUE_DEPTH = "compile.queue_depth"
 COMPILE_LATENCY = "compile.latency"
 COMPILE_WAIT = "compile.wait"
 ENGINE_DISPATCH = "engine.dispatch"
-DEOPT_TRANSITION = "deopt.transition"
 SERVE_LATENCY = "serve.latency"
-#: live-slot-count gauges: the most recent OSR/guard/deopt live-state
+#: live-slot-count gauges: the most recent OSR live-state
 #: width and the most recent decoded frame width (slots per frame)
 OSR_LIVE_SLOTS = "osr.live_slots"
 DECODE_FRAME_SLOTS = "decode.frame_slots"
@@ -168,7 +164,6 @@ SPAN_NAMES = frozenset({
     OSR_CONTINUATION,
     FEVAL_SPECIALIZE,
     SPEC_SPECIALIZE,
-    DEOPT_CONTINUATION,
 })
 
 #: the complete, closed vocabulary

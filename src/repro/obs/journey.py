@@ -139,7 +139,7 @@ def build_journeys(events: Iterable[Dict[str, object]]
         if function is None:
             continue
         # continuations/specializations roll up under their base
-        # function so a journey reads as one story ("f.deopt" -> "f")
+        # function so a journey reads as one story ("f.spec" -> "f")
         base = function.split(".", 1)[0].split("_to", 1)[0]
         journey = journeys.get(base)
         if journey is None:

@@ -1,17 +1,17 @@
-"""repro.spec — speculation & deoptimization above the OSR kit.
+"""repro.spec — speculation above the OSR kit.
 
-Guarded fast paths: the speculation pass clones a function under
-profile-driven value assumptions protected by ``guard`` instructions
-(:mod:`repro.spec.speculate`); on guard failure the deopt manager
-OSR-exits through the paper's continuation machinery, reconstructing the
-baseline's live frame state mid-flight (:mod:`repro.spec.deopt`, from
-each guard's :class:`FrameState`); repeated failures with new stable
-profiles dispatch among additional specialized continuations, bounded by
-a thrash limit (:mod:`repro.spec.manager`) — the Deoptless design built
-on D'Elia & Demetrescu's OSR substrate.
+The speculation pass clones a function under a profile-driven value
+assumption and checks it once, at the clone's entry
+(:mod:`repro.spec.speculate`).  A miss of that check is an ordinary call
+into the speculation policy (:mod:`repro.spec.manager`), which calls
+code that is already compiled: the baseline's plain code, a sibling
+version, or a fresh specialization, bounded by a thrash limit that pins
+the function to its plain code — the Deoptless design of dispatching on
+a bounded set of observed values at the call boundary.  The paper's
+mid-flight exit lives where a value *can* change mid-loop: feval's
+guard-fail continuation (:mod:`repro.mcvm.feval`).
 """
 
-from .deopt import DeoptError, DeoptManager
 from .manager import (
     DEFAULT_STREAK_THRESHOLD,
     DEFAULT_THRASH_LIMIT,
@@ -19,16 +19,12 @@ from .manager import (
     SpeculationManager,
 )
 from .speculate import (
-    FrameState,
     SpecializedVersion,
     SpeculationError,
     specialize_function,
 )
 
 __all__ = [
-    "DeoptError",
-    "DeoptManager",
-    "FrameState",
     "SpecState",
     "SpeculationManager",
     "SpecializedVersion",

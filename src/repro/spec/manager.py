@@ -1,28 +1,23 @@
-"""The speculation manager: policy above the deopt machinery.
+"""The speculation manager: when to specialize, and where a miss goes.
 
-Owns the per-baseline speculation state for one engine: which specialized
-versions exist, which one is *active* (published at the call boundary),
-how many respecializations have been spent, and whether the function has
-been pinned to baseline by the thrash limit.
+Owns the per-baseline speculation state for one engine: the baseline's
+plain compiled code, its specialized versions, the *active* one (what
+the engine's :class:`~repro.vm.background.PublishBox` for the baseline
+holds), the respecializations spent, and the thrash limit's pin.  Every
+decision is an ``engine.republish`` into that box.  Policy, per the
+Deoptless playbook:
 
-The manager stores no compiled code.  What calls of a baseline reach is
-the one thing in the engine's :class:`~repro.vm.background.PublishBox`
-for it: the promotion publishes the JIT'd code behind
-:meth:`SpeculationManager.on_promote`'s argument-feedback stage, and
-every later decision here — activate a version, re-point at a sibling,
-pin — is an ``engine.republish`` over that.
-
-Policy, per the Deoptless playbook:
-
-* after tier-up, a function whose argument feedback is monomorphic gets
-  a guarded specialization (``spec.specialize``);
-* a guard failure whose observed value matches a *sibling* version
-  dispatches there (``spec.dispatch``), and a persistent streak of such
-  failures re-points the call boundary at that sibling;
-* a streak of failures with a *new* stable value earns a fresh
-  specialization (``spec.respecialize``) — until the thrash limit, after
-  which the function is pinned to baseline (``spec.pinned``) and
-  speculation stops burning compile time on it.
+* the promotion publishes the JIT'd code behind a feedback stage, which
+  decides once, at the first call whose profile holds ``min_samples``
+  samples: a monomorphic argument gets a specialization
+  (``spec.specialize``), anything else the plain code;
+* a miss of a version's entry check calls that version's miss native
+  (``deopt.guard_fail``, then one ``deopt.exit`` with ``mode="call"``),
+  which calls already compiled code: the plain code, a sibling version
+  whose value matches (``spec.dispatch``; a streak re-points the call
+  boundary there), or a fresh specialization earned by a streak of a new
+  value (``spec.respecialize``) — until the thrash limit pins the
+  function to its plain code (``spec.pinned``).
 """
 
 from __future__ import annotations
@@ -32,11 +27,10 @@ from typing import Callable, Dict, Optional, Tuple
 from ..ir.function import Function
 from ..obs import events as EV
 from ..vm.jit import compile_function
-from .deopt import DeoptManager
 from .speculate import SpeculationError, SpecializedVersion, specialize_function
 
-#: consecutive same-value failures before the dispatcher re-points or a
-#: new specialization is built
+#: consecutive same-value misses before the call boundary is re-pointed
+#: or a new specialization is built
 DEFAULT_STREAK_THRESHOLD = 2
 
 #: respecializations of one baseline before it is pinned to baseline
@@ -46,15 +40,17 @@ DEFAULT_THRASH_LIMIT = 3
 class SpecState:
     """Speculation bookkeeping for one baseline function."""
 
-    __slots__ = ("baseline", "versions", "active_version",
+    __slots__ = ("baseline", "plain", "versions", "active_version",
                  "pinned", "respec_count", "last_observed", "streak")
 
     def __init__(self, baseline: Function):
         self.baseline = baseline
+        #: the baseline's own compiled code (set by the promotion)
+        self.plain: Optional[Callable] = None
         #: (arg_index, value) -> version
         self.versions: Dict[Tuple[int, object], SpecializedVersion] = {}
         #: the version whose code is published at the call boundary, or
-        #: None while calls reach the baseline's own code
+        #: None while calls reach the plain code
         self.active_version: Optional[SpecializedVersion] = None
         self.pinned = False
         self.respec_count = 0
@@ -65,17 +61,15 @@ class SpecState:
 class SpeculationManager:
     """Creates, dispatches among, and retires specialized versions."""
 
-    def __init__(self, engine, deopt: DeoptManager,
-                 thrash_limit: int = DEFAULT_THRASH_LIMIT,
-                 streak_threshold: int = DEFAULT_STREAK_THRESHOLD,
-                 min_samples: int = 4, min_ratio: float = 0.95):
+    thrash_limit = DEFAULT_THRASH_LIMIT
+    streak_threshold = DEFAULT_STREAK_THRESHOLD
+    #: samples the feedback stage waits for before it decides
+    min_samples = 4
+    #: share of the samples one value needs for a slot to be monomorphic
+    min_ratio = 0.95
+
+    def __init__(self, engine):
         self.engine = engine
-        self.deopt = deopt
-        deopt.spec_manager = self
-        self.thrash_limit = thrash_limit
-        self.streak_threshold = streak_threshold
-        self.min_samples = min_samples
-        self.min_ratio = min_ratio
         self._states: Dict[str, SpecState] = {}
 
     def state_for(self, func: Function) -> SpecState:
@@ -85,49 +79,44 @@ class SpeculationManager:
             self._states[func.name] = state
         return state
 
-    # -- creating versions -----------------------------------------------------
+    # -- deciding once ------------------------------------------------------------
 
     def on_promote(self, func: Function, compiled: Callable) -> Callable:
         """The stage a promotion publishes for a speculating function:
-        ``compiled`` behind argument feedback.  Each call records its
-        arguments in the caller's profile; once a slot is monomorphic
-        the guarded specialization is published over this stage and the
-        call continues there."""
+        ``compiled`` behind argument feedback, until the profile holds
+        ``min_samples`` samples.  That call decides (:meth:`decide`) and
+        continues in the code the decision published."""
+        state = self.state_for(func)
+        state.plain = compiled
+        if state.pinned:
+            return compiled
         resolve = self.engine.profiler.profile_for
         name = func.name
+        min_samples = self.min_samples
 
         def feedback(*args):
             profile = resolve(name)
             profile.record_args(args)
-            specialized = self.maybe_specialize(func, profile)
-            if specialized is not None:
-                return specialized(*args)
-            return compiled(*args)
+            # a stage an invalidation retired has nothing left to decide
+            if profile.samples < min_samples or state.plain is not compiled:
+                return compiled(*args)
+            return self.decide(state, profile)(*args)
 
         return feedback
 
-    def maybe_specialize(self, func: Function, profile
-                         ) -> Optional[Callable]:
-        """Specialize ``func`` if its argument feedback is monomorphic.
-
-        Called by the feedback stage of a promoted function; a no-op
-        while pinned, already speculating, or while the feedback is
-        still polymorphic.  Returns the specialization's compiled code
-        when this call published one."""
-        state = self.state_for(func)
-        if state.pinned or state.active_version is not None:
-            return None
+    def decide(self, state: SpecState, profile) -> Callable:
+        """Publish a specialization if ``profile`` has a monomorphic
+        argument, else the plain code; returns what was published (the
+        plain code when the publication found no box to go into)."""
         stable = profile.stable_argument(self.min_samples, self.min_ratio)
-        if stable is None:
-            return None
-        arg_index, value = stable
-        key = (arg_index, value)
-        version = state.versions.get(key)
-        if version is None:
-            version = self._build_version(state, arg_index, value)
+        if stable is not None:
+            version = state.versions.get(stable)
             if version is None:
-                return None
-        return self._activate(state, version)
+                version = self._build_version(state, *stable)
+            if version is not None and self._activate(state, version):
+                return self._code(version)
+        self.engine.republish(state.baseline, state.plain)
+        return state.plain
 
     def _build_version(self, state: SpecState, arg_index: int, value
                        ) -> Optional[SpecializedVersion]:
@@ -135,45 +124,68 @@ class SpeculationManager:
         try:
             version = specialize_function(
                 state.baseline, arg_index, value,
-                module=engine.module, telemetry=engine.telemetry,
-                am=engine.analysis,
-            )
+                module=engine.module, telemetry=engine.telemetry)
         except SpeculationError:
             return None
         state.versions[(arg_index, value)] = version
-        self.deopt.register_version(version)
-        # rewriting the baseline must cascade to every version guarding it
+        engine.add_native(version.miss.name, self._miss_native(state, version))
+        # rewriting the baseline must cascade to every version of it
         engine.add_invalidation_dependency(state.baseline, version.function)
         return version
 
+    def _code(self, version: SpecializedVersion) -> Callable:
+        """``version``'s compiled code, from the engine's one store:
+        compiled once, retired by an invalidation of the baseline."""
+        engine = self.engine
+        return engine.continuation(
+            version.function.name, (version.baseline, version.function),
+            lambda: compile_function(version.function, engine))
+
     def _activate(self, state: SpecState, version: SpecializedVersion
-                  ) -> Optional[Callable]:
+                  ) -> bool:
         """Publish ``version``'s code at the baseline's call boundary.
-        None, and nothing changes, when the baseline has no published
+        False, and nothing changes, when the baseline has no published
         code to go above (an invalidation swept it)."""
-        compiled = compile_function(version.function, self.engine)
-        if not self.engine.republish(state.baseline, compiled):
-            return None
+        if not self.engine.republish(state.baseline, self._code(version)):
+            return False
         state.active_version = version
-        return compiled
+        return True
 
-    def refresh_active(self, version: SpecializedVersion) -> None:
-        """Re-materialize the published code after the version's body
-        changed (e.g. a guard was armed for forced failure)."""
-        state = self._states.get(version.baseline.name)
-        if state is not None and state.active_version is version:
-            self._activate(state, version)
+    # -- the miss path ------------------------------------------------------------
 
-    # -- failure policy ---------------------------------------------------------
+    def _miss_native(self, state: SpecState, version: SpecializedVersion
+                     ) -> Callable:
+        """The host function behind ``version``'s miss declaration: run
+        the policy, then call the code it picked with the same args."""
+        engine = self.engine
+        key = (version.arg_index, version.value)
+        guard = version.function.name
 
-    def note_guard_failure(self, owner: SpecializedVersion, guard_id: str,
-                           observed) -> Optional[SpecializedVersion]:
-        """Record a guard failure; returns a sibling version to dispatch
-        the exit into, or None to resume the baseline."""
-        state = self._states.get(owner.baseline.name)
-        if state is None or state.pinned:
-            return None
-        if type(observed) not in (int, float):
+        def miss(*args):
+            tel = engine.telemetry
+            tel.event(EV.DEOPT_GUARD_FAIL, guard=guard,
+                      function=state.baseline.name)
+            if state.versions.get(key) is not version:
+                # retired by an invalidation: the baseline's current code
+                code, target = (engine.get_compiled(state.baseline),
+                                state.baseline.name)
+            else:
+                landed = self._on_miss(state, version,
+                                       args[version.arg_index])
+                if landed is None:
+                    code, target = state.plain, state.baseline.name
+                else:
+                    code, target = self._code(landed), landed.function.name
+            tel.event(EV.DEOPT_EXIT, guard=guard, target=target, mode="call")
+            return code(*args)
+
+        return miss
+
+    def _on_miss(self, state: SpecState, owner: SpecializedVersion,
+                 observed) -> Optional[SpecializedVersion]:
+        """Record a miss of ``owner``'s check; returns the version the
+        call continues in, or None for the plain code."""
+        if state.pinned:
             return None
         key = (owner.arg_index, observed)
         if state.last_observed == key:
@@ -183,58 +195,58 @@ class SpeculationManager:
             state.streak = 1
 
         sibling = state.versions.get(key)
-        if sibling is not None and sibling is not owner:
-            # known profile: dispatch there; a persistent streak also
-            # re-points the call boundary
+        if sibling is not None:
+            # known value: go there; a persistent streak also re-points
+            # the call boundary
             if (state.streak >= self.streak_threshold
                     and state.active_version is not sibling):
                 self._activate(state, sibling)
+            self.engine.telemetry.event(
+                EV.SPEC_DISPATCH, guard=owner.function.name,
+                target=sibling.function.name, observed=repr(observed))
             return sibling
 
-        if sibling is None and state.streak >= self.streak_threshold:
-            # new stable profile: earn another specialized continuation —
-            # unless the thrash limit says this function churns profiles
-            # faster than speculation pays off
-            if state.respec_count >= self.thrash_limit:
-                self._pin(state)
-                return None
-            state.respec_count += 1
-            self.engine.telemetry.event(
-                EV.SPEC_RESPECIALIZE, function=state.baseline.name,
-                arg_index=owner.arg_index, observed=repr(observed),
-                respec_count=state.respec_count)
-            version = self._build_version(state, owner.arg_index, observed)
-            if version is not None:
-                self._activate(state, version)
-                state.streak = 0
-                return version
-        return None
+        if state.streak < self.streak_threshold:
+            return None
+        # a new stable value earns another specialization — unless the
+        # thrash limit says this function churns values faster than
+        # speculation pays off
+        if state.respec_count >= self.thrash_limit:
+            self._pin(state)
+            return None
+        state.respec_count += 1
+        self.engine.telemetry.event(
+            EV.SPEC_RESPECIALIZE, function=state.baseline.name,
+            arg_index=owner.arg_index, observed=repr(observed),
+            respec_count=state.respec_count)
+        version = self._build_version(state, owner.arg_index, observed)
+        if version is not None:
+            self._activate(state, version)
+            state.streak = 0
+        return version
 
     def _pin(self, state: SpecState) -> None:
-        """Stop speculating on this baseline: its own compiled code goes
-        back to the call boundary, with no feedback stage in front."""
+        """Stop speculating on this baseline: its plain code goes back
+        to the call boundary."""
         state.pinned = True
         state.active_version = None
-        self.engine.republish(
-            state.baseline, compile_function(state.baseline, self.engine))
+        self.engine.republish(state.baseline, state.plain)
         self.engine.telemetry.event(
             EV.SPEC_PINNED, function=state.baseline.name,
             respec_count=state.respec_count)
 
-    # -- invalidation -----------------------------------------------------------
+    # -- invalidation -------------------------------------------------------------
 
     def on_invalidate(self, func: Function) -> None:
         """The baseline's body was rewritten: every version speculated
-        from it is stale.  Drop them (frames, the active version; the
-        engine's invalidation cascade already retired their code, the
-        box it was published in and every continuation landing in or
-        exiting from them); feedback restarts from scratch."""
+        from it is stale (the engine's invalidation cascade already
+        retired their code).  A stale miss native calls the rewritten
+        body; feedback restarts from scratch."""
         state = self._states.get(func.name)
         if state is None:
             return
-        for version in state.versions.values():
-            self.deopt.forget_version(version)
         state.versions.clear()
+        state.plain = None
         state.active_version = None
         state.last_observed = None
         state.streak = 0

@@ -1,77 +1,58 @@
-"""The speculation pass: clone + specialize under explicit guards.
+"""The speculation pass: a clone specialized behind one entry check.
 
 Driven by :class:`~repro.vm.profile.ValueFeedback`: when a function's
 profile says an argument slot is monomorphic, the pass clones the
-function, folds the argument to the observed constant, and protects the
-assumption with ``guard`` pseudo-instructions — one at the entry block
-and one at every loop header, so a deopt can be taken both at the call
-boundary and mid-loop (the OSR-exit sites of the paper's Figure 3,
-repurposed for exits instead of entries).
+function, folds the argument to the observed constant, and puts one
+check in front of the folded body — a new entry block that compares the
+runtime argument with the constant:
 
-Each guard captures the baseline's live set at its site (mapped through
-the clone's value map) plus the speculated argument, and owns a
-:class:`FrameState` telling the deopt manager how to resume the baseline
-from exactly that state.  After guard insertion the speculative body is
-optimized (constant folding, CFG simplification, DCE) — this is where
-the speedup comes from: branches on the speculated value fold away, and
-the guards keep the result semantically honest.
+* the *hit* edge enters the specialized body, which then constant
+  folding, CFG simplification and DCE shrink (branches on the
+  speculated value fold away: this is where the speedup comes from);
+* the *miss* edge returns the result of an ordinary call of a
+  per-version declaration, ``@<clone>.miss``, with the function's own
+  arguments.  The speculation manager binds that symbol to its miss
+  policy (:mod:`repro.spec.manager`), which calls code that is already
+  compiled.
+
+The speculated value is an SSA argument, so it cannot change once the
+check passed: no later point of the body needs a check or an exit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+import math
+from typing import Optional
 
-from ..analysis.manager import resolve_manager
 from ..ir.builder import IRBuilder
 from ..ir.function import BasicBlock, Function, Module
-from ..ir.instructions import GuardInst
 from ..ir.types import FloatType, IntType
-from ..ir.values import ConstantFloat, ConstantInt, Value
+from ..ir.values import ConstantFloat, ConstantInt
 from ..ir.verifier import verify_function
 from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
 from ..transform import eliminate_dead_code, fold_constants, simplify_cfg
-from ..transform.clone import ValueMap, clone_function
+from ..transform.clone import clone_function
 
 
 class SpeculationError(Exception):
     """Raised when a function cannot be specialized."""
 
 
-class FrameState(NamedTuple):
-    """Deopt recipe for one guard: resume ``baseline`` at ``landing``.
-
-    ``live_values`` are *baseline* values in the guard's capture order:
-    the deterministic liveness order of ``landing`` followed by the
-    speculated argument (always captured last, so the deopt manager can
-    read the observed value that failed the guard).  The guard's runtime
-    live values become the exit continuation's parameters under the
-    identity mapping, so ``len(live_values)`` is the recipe's state size
-    — the number scalarization shrinks."""
-
-    baseline: Function
-    landing: BasicBlock
-    live_values: List[Value]
-
-
 class SpecializedVersion:
     """One speculative clone of a baseline function."""
 
-    __slots__ = ("baseline", "function", "arg_index", "value", "guards",
-                 "vmap")
+    __slots__ = ("baseline", "function", "miss", "arg_index", "value")
 
     def __init__(self, baseline: Function, function: Function,
-                 arg_index: int, value, guards: Dict[str, FrameState],
-                 vmap: ValueMap):
+                 miss: Function, arg_index: int, value):
         self.baseline = baseline
         self.function = function
+        #: the declaration the entry check's miss edge calls
+        self.miss = miss
         self.arg_index = arg_index
         #: the speculated constant for argument ``arg_index``
         self.value = value
-        #: guard id -> frame state, for every guard in ``function``
-        self.guards = guards
-        #: baseline -> clone value map (kept for dispatched continuations)
-        self.vmap = vmap
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -83,7 +64,10 @@ class SpecializedVersion:
 def _speculation_constant(arg_type, value):
     if isinstance(arg_type, IntType) and type(value) is int:
         return ConstantInt(arg_type, arg_type.wrap(value))
-    if isinstance(arg_type, FloatType) and type(value) is float:
+    # the check cannot tell -0.0 from 0.0 (the folded body can), and NaN
+    # equals nothing
+    if (isinstance(arg_type, FloatType) and type(value) is float
+            and value != 0.0 and not math.isnan(value)):
         return ConstantFloat(arg_type, value)
     return None
 
@@ -94,17 +78,12 @@ def specialize_function(
     value,
     module: Optional[Module] = None,
     telemetry=None,
-    am=None,
 ) -> SpecializedVersion:
-    """Build a guarded specialization of ``baseline`` for
-    ``args[arg_index] == value``.
+    """Build a specialization of ``baseline`` for
+    ``args[arg_index] == value``, checked once at entry.
 
-    Returns the :class:`SpecializedVersion` holding the new function and
-    its per-guard frame states.  The baseline is left untouched — the
-    engine keeps dispatching through it and only routes calls to the
-    specialization while its guards hold; since the baseline never
-    changes, its liveness and loop info (pulled from ``am``, defaulting
-    to the process-wide manager) stay cached across respecializations.
+    The clone and its miss declaration go into ``module`` (default: the
+    baseline's); the baseline is left untouched.
     """
     if baseline.is_declaration:
         raise SpeculationError(f"cannot specialize declaration @{baseline.name}")
@@ -112,90 +91,49 @@ def specialize_function(
         raise SpeculationError(
             f"@{baseline.name} has no argument {arg_index}"
         )
-    arg = baseline.args[arg_index]
-    const = _speculation_constant(arg.type, value)
+    const = _speculation_constant(baseline.args[arg_index].type, value)
     if const is None:
         raise SpeculationError(
-            f"cannot speculate {value!r} for argument of type {arg.type}"
+            f"cannot speculate {value!r} for argument "
+            f"of type {baseline.args[arg_index].type}"
         )
-    target_module = module if module is not None else baseline.module
-    if target_module is None:
+    module = module if module is not None else baseline.module
+    if module is None:
         raise SpeculationError("baseline has no module and none was provided")
 
     tel = telemetry if telemetry is not None else ambient_telemetry()
     with tel.span(EV.SPEC_SPECIALIZE, function=baseline.name,
                   arg_index=arg_index, value=repr(value)):
-        return _specialize(baseline, arg_index, const, value,
-                           target_module, resolve_manager(am), tel)
+        spec_name = module.unique_name(f"{baseline.name}.spec")
+        clone, _ = clone_function(baseline, spec_name, module)
+        clone.attributes["spec.of"] = baseline.name
+        clone.attributes["spec.arg"] = str(arg_index)
+        miss = module.declare_function(module.unique_name(f"{spec_name}.miss"),
+                                       baseline.function_type)
+        arg = clone.args[arg_index]
+        body = clone.entry
+        # every use of the argument in the body now reads the constant;
+        # only the check and the miss call below read the runtime value
+        arg.replace_all_uses_with(const)
 
-
-def _specialize(baseline: Function, arg_index: int, const, value,
-                module: Module, am, telemetry) -> SpecializedVersion:
-    arg = baseline.args[arg_index]
-    baseline.assign_names()
-    liveness = am.liveness(baseline)
-
-    # guard sites: function entry + every loop header, deduplicated in
-    # layout order — one boundary check plus one mid-flight exit per loop
-    sites: List[BasicBlock] = [baseline.entry]
-    for loop in am.loop_info(baseline).loops:
-        if loop.header not in sites:
-            sites.append(loop.header)
-
-    spec_name = module.unique_name(f"{baseline.name}.spec")
-    clone, vmap = clone_function(baseline, spec_name, module)
-    clone.attributes["spec.of"] = baseline.name
-    clone.attributes["spec.arg"] = str(arg_index)
-    spec_arg = vmap[arg]
-
-    guards: Dict[str, FrameState] = {}
-    protected: set = set()  # ids of instructions the RAUW must skip
-    for site in sites:
-        lives_base = liveness.live_at_block_entry(site)
-        guard_id = f"{spec_name}#{site.name}"
-        clone_site: BasicBlock = vmap[site]
         builder = IRBuilder()
-        builder.position_before(
-            clone_site.instructions[clone_site.first_non_phi_index]
-        )
+        check = clone.insert_block_front(BasicBlock("spec.entry"))
+        missed = clone.add_block(BasicBlock("spec.miss"))
+        builder.position_at_end(check)
         if isinstance(arg.type, FloatType):
-            cond = builder.fcmp("oeq", spec_arg, const, "spec.check")
+            hit = builder.fcmp("oeq", arg, const, "spec.hit")
         else:
-            cond = builder.icmp("eq", spec_arg, const, "spec.check")
-        # the speculated argument is captured LAST so the deopt manager
-        # can read the observed (guard-failing) value as lives[-1]
-        capture = [vmap.lookup(v) for v in lives_base] + [spec_arg]
-        guard = builder.guard(cond, guard_id, capture)
-        protected.add(id(cond))
-        protected.add(id(guard))
-        guards[guard_id] = FrameState(baseline, site,
-                                      list(lives_base) + [arg])
-        telemetry.event(
-            EV.OSR_STATE_SIZE, function=clone.name, kind="guard",
-            guard=guard_id, live=len(capture),
-        )
+            hit = builder.icmp("eq", arg, const, "spec.hit")
+        builder.cond_br(hit, body, missed)
+        builder.position_at_end(missed)
+        void = clone.return_type.is_void
+        result = builder.call(miss, list(clone.args),
+                              "" if void else "spec.result")
+        builder.ret(None if void else result)
 
-    # selective RAUW: fold the speculated argument to the constant
-    # everywhere EXCEPT the guard machinery itself — the condition must
-    # keep comparing the real runtime value, and the capture must keep
-    # transferring it
-    for use in list(spec_arg.uses):
-        if id(use.user) not in protected:
-            use.user.set_operand(use.index, const)
-
-    fold_constants(clone)
-    simplify_cfg(clone)
-    eliminate_dead_code(clone)
-    # optimization may have deleted guard sites that became unreachable
-    # under the speculated value; drop their records
-    remaining = {
-        inst.guard_id
-        for block in clone.blocks
-        for inst in block.instructions
-        if isinstance(inst, GuardInst)
-    }
-    guards = {gid: fs for gid, fs in guards.items() if gid in remaining}
-
-    clone.assign_names()
-    verify_function(clone)
-    return SpecializedVersion(baseline, clone, arg_index, value, guards, vmap)
+        fold_constants(clone)
+        simplify_cfg(clone)
+        eliminate_dead_code(clone)
+        clone.assign_names()
+        verify_function(clone)
+    return SpecializedVersion(baseline, clone, miss, arg_index, value)

@@ -21,7 +21,6 @@ from ..ir.instructions import (
     CondBranchInst,
     FCmpInst,
     GEPInst,
-    GuardInst,
     ICmpInst,
     IndirectCallInst,
     Instruction,
@@ -112,9 +111,6 @@ def clone_instruction(inst: Instruction, vmap: ValueMap) -> Instruction:
         for const, block in inst.cases:
             new.add_case(const, lookup(block))
         return new
-    if isinstance(inst, GuardInst):
-        return GuardInst(lookup(inst.condition), inst.guard_id,
-                         [lookup(v) for v in inst.live_values], inst.forced)
     if isinstance(inst, UnreachableInst):
         return UnreachableInst()
     raise NotImplementedError(f"cannot clone {type(inst).__name__}")

@@ -6,9 +6,9 @@ through ``getelementptr``.  Every surviving alloca is costly twice over:
 
 * the decoded/JIT tiers materialize a memory buffer per invocation and
   route every element access through gep+load/store frame slots;
-* the alloca's *pointer* is live across any OSR or guard site that can
-  observe a later access, so it rides along in every live-variable set,
-  FrameState, continuation signature and deopt recipe.
+* the alloca's *pointer* is live across any OSR site that can observe
+  a later access, so it rides along in every live-variable set and
+  continuation signature.
 
 This pass splits a non-escaping aggregate alloca along its constant GEP
 access paths: one scalar alloca per accessed byte offset, loads and
@@ -21,9 +21,8 @@ does not actually need it, which is what shrinks OSR state
 Bailout conditions (the alloca is left untouched):
 
 * the alloca escapes (:class:`~repro.analysis.escape.EscapeInfo` — its
-  address reaches a call, return, guard, store-as-value, phi/select or
-  int cast), including capture by a speculation guard, whose FrameState
-  must keep transferring the real pointer;
+  address reaches a call, return, store-as-value, phi/select or int
+  cast);
 * the alloca is not in the entry block (hand-written IR only — the
   front ends allocate every local there; elsewhere it gets fresh memory
   on each execution, which entry scalars would not reproduce);

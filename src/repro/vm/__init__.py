@@ -14,8 +14,8 @@ one dispatcher over the function's :class:`PublishBox` and one
 compile-and-publish path, run inline (``tiered``) or on a
 :class:`CompileQueue` worker so hot calls never stall on the JIT
 (``tiered-bg``); the generation-stamped publish loses to a racing
-``invalidate()``.  ``speculative`` republishes guarded specializations
-over the promoted code.
+``invalidate()``.  ``speculative`` republishes entry-checked
+specializations over the promoted code.
 """
 
 from .. import lazy_exports

@@ -57,7 +57,7 @@ class PublishBox:
     compile job publishes only into an empty box of its own generation
     (the function's compile generation at dispatcher creation) — the
     "atomic publish"; stages above the compiled code (speculation's
-    guarded specializations) are republished over it, always under the
+    specializations) are republished over it, always under the
     owning engine's lock.  ``requested`` latches once a promotion has
     been attempted, so the dispatcher asks at most once: a
     :class:`JITError` leaves the function on the baseline tier instead

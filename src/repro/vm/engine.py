@@ -18,8 +18,8 @@ or on the queue) and one publish routine
 (:meth:`~ExecutionEngine._publish`: generation-stamped, so a racing
 ``invalidate()`` discards the result).  Every tier transition is a
 publication into that box: the JIT'd code; under ``speculate`` that
-code behind an argument-feedback stage, then whichever guarded
-specialization the speculation manager republishes over it.  A
+code behind an argument-feedback stage, then whichever specialization
+(or the plain code) the speculation manager republishes over it.  A
 publication also rewrites what callers call
 (:meth:`~ExecutionEngine._route`), so published code runs with no
 dispatcher frame above it.
@@ -85,7 +85,7 @@ class TierPolicy(NamedTuple):
 
     baseline: str            #: where it starts: interp | decoded | jit
     promote: Optional[str]   #: how hot code is JIT'd: None | inline | background
-    speculate: bool          #: argument feedback + guarded specialization
+    speculate: bool          #: argument feedback + entry-checked specialization
     label: str               #: dispatcher thunk prefix (names its frames)
 
 
@@ -106,8 +106,8 @@ POLICIES: Dict[str, TierPolicy] = {
     # decoded: hot calls never stall on the JIT (the default for servers)
     "tiered-bg": TierPolicy("decoded", "background", False, "tieredbg"),
     # tiered plus argument-value feedback: a promoted function with
-    # monomorphic arguments runs a guarded specialization that deoptimizes
-    # back when the guess breaks
+    # monomorphic arguments runs a specialization whose entry check calls
+    # into the speculation policy when the guess breaks
     "speculative": TierPolicy("decoded", "inline", True, "speculative"),
 }
 
@@ -291,14 +291,13 @@ class ExecutionEngine:
                          else default_manager())
         #: tier-up machinery
         self.profiler = TierProfiler(call_threshold, backedge_threshold)
-        #: speculation & deopt machinery, created lazily by
-        #: :meth:`_init_speculation` (the first speculating dispatcher or
-        #: an explicit call); None while the engine never speculates
+        #: the speculation manager, created lazily by
+        #: :meth:`_init_speculation` (the first speculating dispatcher);
+        #: None while the engine never speculates
         self.spec_manager = None
-        self.deopt_manager = None
         #: invalidation-dependency edges: rewriting ``source`` must also
         #: invalidate every ``dependent`` compiled against it (function
-        #: name -> dependent Functions), e.g. guarded specializations
+        #: name -> dependent Functions), e.g. specializations
         self._invalidation_deps: Dict[str, List[Function]] = {}
         self._install_default_natives()
 
@@ -820,35 +819,16 @@ class ExecutionEngine:
 
     # -- speculation --------------------------------------------------------------
 
-    def _init_speculation(self, **options) -> None:
-        """Create the speculation/deopt managers (idempotent).
+    def _init_speculation(self) -> None:
+        """Create the speculation manager (idempotent).
 
         Imported lazily so engines that never speculate pay nothing and
         the vm package keeps no import-time dependency on repro.spec.
         """
-        if self.spec_manager is not None:
-            return
-        from ..spec import DeoptManager, SpeculationManager
+        if self.spec_manager is None:
+            from ..spec import SpeculationManager
 
-        self.deopt_manager = DeoptManager(self, telemetry=self.telemetry)
-        self.spec_manager = SpeculationManager(
-            self, self.deopt_manager, **options
-        )
-
-    def deopt_exit(self, guard_id: str, lives: List[Any]):
-        """Guard-failure entry point called from lowered/interpreted
-        guards; hands the captured live state to the deopt manager."""
-        if self.deopt_manager is None:
-            raise Trap(
-                f"guard {guard_id!r} failed but no deopt manager is attached"
-            )
-        return self.deopt_manager.entry(guard_id, lives)
-
-    def guard_force_check(self, guard_id: str) -> bool:
-        """Hit-count predicate consulted by *armed* guards only."""
-        if self.deopt_manager is None:
-            return False
-        return self.deopt_manager.should_force(guard_id)
+            self.spec_manager = SpeculationManager(self)
 
     def add_invalidation_dependency(self, source: Function,
                                     dependent: Function) -> None:

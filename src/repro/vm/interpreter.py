@@ -26,7 +26,6 @@ from ..ir.instructions import (
     CondBranchInst,
     FCmpInst,
     GEPInst,
-    GuardInst,
     ICmpInst,
     IndirectCallInst,
     Instruction,
@@ -265,16 +264,6 @@ class Interpreter:
                 if const.value == value:
                     return target
             return inst.default
-
-        if isinstance(inst, GuardInst):
-            cond = ev(inst.condition, frame)
-            failed = not cond
-            if not failed and inst.forced:
-                failed = self.engine.guard_force_check(inst.guard_id)
-            if failed:
-                lives = [ev(v, frame) for v in inst.live_values]
-                return _Return(self.engine.deopt_exit(inst.guard_id, lives))
-            return None
 
         if isinstance(inst, UnreachableInst):
             raise Trap("reached 'unreachable'")

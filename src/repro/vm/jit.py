@@ -77,7 +77,6 @@ from ..ir.instructions import (
     CondBranchInst,
     FCmpInst,
     GEPInst,
-    GuardInst,
     ICmpInst,
     IndirectCallInst,
     Instruction,
@@ -453,10 +452,6 @@ class CompiledCode:
                 namespace[name] = engine.lazy_trampoline(
                     descriptor[1], namespace, name, func.name
                 )
-            elif kind == "deopt":
-                namespace[name] = engine.deopt_exit
-            elif kind == "deoptforce":
-                namespace[name] = engine.guard_force_check
             else:  # pragma: no cover
                 raise JITError(f"unknown binding kind {kind!r}")
         exec(self.code, namespace)
@@ -482,7 +477,7 @@ class CompiledCode:
 #: cache would keep serving the old code); part of both the disk-cache
 #: key and the embedded payload, so old entries are rejected instead of
 #: misread
-DISK_FORMAT_VERSION = 4
+DISK_FORMAT_VERSION = 5
 
 #: marshal data version 2: versions >= 3 emit identity-based
 #: back-references for repeated objects, making the byte stream depend
@@ -528,7 +523,7 @@ def audit_bindings(bindings: Dict[str, Tuple]) -> None:
                 f"{name}: bakes engine-session object-table handle "
                 f"{descriptor[1]!r} (OSR stub artifacts are per-process)"
             )
-        elif kind not in ("objtab", "deopt", "deoptforce"):
+        elif kind != "objtab":
             problems.append(f"{name}: unknown binding kind {kind!r}")
     if problems:
         raise UnserializableArtifact(
@@ -545,7 +540,7 @@ def _encode_binding(descriptor: Tuple) -> Tuple:
         return ("static", value)
     if kind in ("handle", "trampoline", "global"):
         return (kind, descriptor[1].name)
-    # objtab / deopt / deoptforce carry no payload
+    # objtab carries no payload
     return (kind,)
 
 
@@ -559,7 +554,7 @@ def _decode_binding(encoded: Tuple, module: Module) -> Tuple:
         return (kind, module.get_function(encoded[1]))
     if kind == "global":
         return (kind, module.get_global(encoded[1]))
-    if kind in ("objtab", "deopt", "deoptforce"):
+    if kind == "objtab":
         return (kind,)
     raise ArtifactFormatError(f"unknown serialized binding kind {kind!r}")
 
@@ -1042,21 +1037,6 @@ class FunctionCompiler:
             if inst.value is None:
                 return [_return(_const(None))]
             return [_return(e(inst.value))]
-
-        if isinstance(inst, GuardInst):
-            # Guard fast path is a single branch; the deopt handler is only
-            # bound (and the force predicate only consulted) when needed.
-            self.bindings.setdefault("_deopt", ("deopt",))
-            test: ast.expr = _not(e(inst.condition))
-            if inst.forced:
-                self.bindings.setdefault("_gforce", ("deoptforce",))
-                test = ast.BoolOp(op=ast.Or(), values=[
-                    test, _calln("_gforce", _const(inst.guard_id)),
-                ], **_LOC)
-            lives = ast.List(elts=[e(v) for v in inst.live_values],
-                             ctx=_LOAD, **_LOC)
-            return [_if(test, [_return(_calln(
-                "_deopt", _const(inst.guard_id), lives))])]
 
         if isinstance(inst, UnreachableInst):
             return [_raise_trap("reached unreachable")]

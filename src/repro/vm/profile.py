@@ -89,7 +89,8 @@ class ValueFeedback:
 class FunctionProfile:
     """Hotness counters for one function under one engine."""
 
-    __slots__ = ("name", "calls", "backedges", "promoted_version", "feedback")
+    __slots__ = ("name", "calls", "backedges", "promoted_version", "feedback",
+                 "samples")
 
     def __init__(self, name: str):
         self.name = name
@@ -100,9 +101,12 @@ class FunctionProfile:
         self.promoted_version: Optional[int] = None
         #: per-argument-slot value feedback, filled lazily on first record
         self.feedback: List[ValueFeedback] = []
+        #: invocations recorded into ``feedback``
+        self.samples = 0
 
     def record_args(self, args) -> None:
         """Feed one invocation's argument values into the histograms."""
+        self.samples += 1
         feedback = self.feedback
         while len(feedback) < len(args):
             feedback.append(ValueFeedback())
@@ -150,6 +154,7 @@ class FunctionProfile:
         self.calls = 0
         self.backedges = 0
         self.feedback = []
+        self.samples = 0
 
     def __repr__(self) -> str:  # pragma: no cover
         state = (

@@ -172,23 +172,3 @@ class TestManagerIntegration:
         am.invalidate(func)
         second = am.escape_info(func)
         assert second is not first
-
-    def test_guard_capture_escapes(self):
-        # the speculation pass's guards transfer captured pointers to the
-        # deopt machinery — a captured alloca address must escape, so the
-        # scalarizer never splits state a FrameState still references
-        func = parse_function("""
-define i64 @f(i64 %n) {
-entry:
-  %x = alloca i64
-  store i64 %n, i64* %x
-  %c = icmp eq i64 %n, 1
-  guard i1 %c, c"g#entry" [ i64* %x ]
-  %v = load i64, i64* %x
-  ret i64 %v
-}
-""")
-        info = AnalysisManager().escape_info(func)
-        x = alloca_named(func, "x")
-        assert info.escapes(x)
-        assert "guardinst" in info.summary(x).reason

@@ -3,8 +3,8 @@
 The front end puts every local's alloca in the entry block, so mem2reg
 promotes loop-body scalars and the OSR state at the loop header is
 registers (plus the pointer of a dynamically indexed array) only.  A
-resolved point, an open point and a forced deopt at that header, fired
-mid-loop, must each equal ``tier="interp"``.
+resolved point and an open point at that header, fired mid-loop, must
+each equal ``tier="interp"``.
 """
 
 import pytest
@@ -122,26 +122,3 @@ class TestLoopHeaderOSR:
         assert engine.run("churn", N) == oracle
         assert len(calls) == 1
         _assert_structured(made[0], engine)
-
-
-@pytest.mark.parametrize("level", ["unoptimized", "optimized"])
-def test_forced_deopt_at_loop_header(oracle, level):
-    module, func = _prepared(level)
-    engine = ExecutionEngine(module, tier="speculative", call_threshold=2)
-    for _ in range(4):
-        assert engine.run("churn", N) == oracle
-    version = engine.spec_manager.state_for(func).active_version
-    assert version is not None
-    header_guards = sorted(
-        gid for gid, frame in version.guards.items()
-        if frame.landing is not version.baseline.entry
-    )
-    assert header_guards, "speculation placed no loop-header guard"
-    guard_id = header_guards[0]
-    guard = next(g for g in version.function.instructions()
-                 if getattr(g, "guard_id", None) == guard_id)
-    _assert_register_state(guard.live_values)
-    engine.deopt_manager.force_failure(guard_id, at_hit=THRESHOLD)
-    for _ in range(2):
-        assert engine.run("churn", N) == oracle
-    assert engine.deopt_manager.deopt_count >= 1

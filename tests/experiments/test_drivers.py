@@ -143,7 +143,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Q3 / Table 3" in out
         assert "sp-norm" in out
-        assert "FrameState slots per OSR site" in out
+        assert "live slots per OSR site" in out
 
     def test_main_fig8_and_ablation(self, capsys):
         from repro.experiments.__main__ import main

@@ -154,7 +154,7 @@ class TestTelemetry:
     @pytest.mark.parametrize("make", [Telemetry, production_telemetry])
     def test_overlapping_spans_from_two_threads_both_complete(self, make):
         # thread A holds osr.continuation open while thread B opens and
-        # closes deopt.continuation, then A closes: with one span stack
+        # closes spec.specialize, then A closes: with one span stack
         # per sink, A's exit raised "innermost open span is ..."
         tel = make()
         a_open, b_done = threading.Event(), threading.Event()
@@ -171,7 +171,7 @@ class TestTelemetry:
         def thread_b():
             try:
                 assert a_open.wait(10)
-                with tel.span(events.DEOPT_CONTINUATION, guard="g"):
+                with tel.span(events.SPEC_SPECIALIZE, function="g"):
                     pass
             except Exception as error:  # pragma: no cover - the old bug
                 errors.append(error)
@@ -188,9 +188,9 @@ class TestTelemetry:
         assert errors == []
         spans = {e["name"]: e for e in tel.events}
         assert set(spans) == {events.OSR_CONTINUATION,
-                              events.DEOPT_CONTINUATION}
+                              events.SPEC_SPECIALIZE}
         assert (spans[events.OSR_CONTINUATION]["tid"]
-                != spans[events.DEOPT_CONTINUATION]["tid"])
+                != spans[events.SPEC_SPECIALIZE]["tid"])
         assert events.validate_events(tel.events) == []
 
     def test_trace_context_installs_and_restores_ambient(self, tmp_path):

@@ -454,7 +454,7 @@ class TestEveryThread:
         start = next(e for e in ring if e["name"] == events.COMPILE_START)
         assert start["tid"] == build["tid"]
 
-    def test_concurrent_deopts_on_a_flight_server(self):
+    def test_concurrent_misses_on_a_flight_server(self):
         from repro.serve import VMServer
 
         workers = 4
@@ -462,41 +462,36 @@ class TestEveryThread:
                                  call_threshold=3, flight=True)
         for _ in range(10):
             assert engine.run("poly", 1, 40) == _poly(1, 40)
-        assert engine.spec_manager.state_for(
+        manager = engine.spec_manager
+        assert manager.state_for(
             engine.module.get_function("poly")).active_version is not None
 
-        # hold every request thread inside its continuation generation
-        # until all of them are there, so the spans truly overlap
-        from repro.spec import deopt as deopt_mod
-
-        real_generate = deopt_mod.generate_continuation
+        # hold every request thread inside the miss policy until all of
+        # them are there, so the misses truly overlap
+        real_on_miss = manager._on_miss
         barrier = threading.Barrier(workers)
 
-        def generate_in_step(*args, **kwargs):
+        def on_miss_in_step(*args):
             barrier.wait(10)
-            return real_generate(*args, **kwargs)
+            return real_on_miss(*args)
 
-        deopt_mod.generate_continuation = generate_in_step
-        try:
-            with VMServer(engine=engine, workers=workers,
-                          batch_max=1) as server:
-                # each request mispredicts a distinct value at the entry
-                # guard: no continuation is cached, every thread builds
-                pending = [server.submit("poly", [mode, 25])
-                           for mode in range(2, 2 + workers)]
-                results = [p.result(30) for p in pending]
-        finally:
-            deopt_mod.generate_continuation = real_generate
+        manager._on_miss = on_miss_in_step
+        with VMServer(engine=engine, workers=workers,
+                      batch_max=1) as server:
+            # each request misses the entry check with a distinct value
+            pending = [server.submit("poly", [mode, 25])
+                       for mode in range(2, 2 + workers)]
+            results = [p.result(30) for p in pending]
         assert results == [_poly(mode, 25) for mode in range(2, 2 + workers)]
 
         ring = engine.telemetry.flight.events
         assert events.validate_events(ring) == []
         assert validate_chrome_trace(chrome_trace_events(
             engine.telemetry)) == []
-        for name in (events.DEOPT_CONTINUATION, events.OSR_CONTINUATION):
-            spans = [e for e in ring if e["name"] == name]
-            assert len(spans) >= workers
-            tids = {e["tid"] for e in spans}
+        for name in (events.DEOPT_GUARD_FAIL, events.DEOPT_EXIT):
+            fired = [e for e in ring if e["name"] == name]
+            assert len(fired) == workers
+            tids = {e["tid"] for e in fired}
             assert threading.get_ident() not in tids
             assert len(tids) == workers
         served = [e for e in ring if e["name"] == events.SERVE_REQUEST]

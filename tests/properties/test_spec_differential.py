@@ -1,24 +1,22 @@
-"""Deopt transparency: speculation must be observably equivalent.
+"""Speculation transparency: the speculative tier equals the interpreter
+over whole call sequences.
 
-For every shootout program, the speculative tier — with guard failures
-*forced* at arbitrary points via the deopt manager's arming API — must
-produce the same per-call results as the interpreter tier.  Several
-benchmarks mutate module globals across calls (fasta's RNG seed,
-rev-comp's buffers), so equivalence is over the whole call *sequence*,
-not a single call.
+A specialization checks its speculated argument once, at entry; a miss
+is an ordinary call into the speculation policy.  So what has to stay
+observably equivalent is a *sequence* of calls that mixes the speculated
+value with others and walks the policy through every move: a miss into
+the plain code, a respecialization, a sibling dispatch, and the thrash
+limit's pin.  Several benchmarks mutate module globals across calls
+(fasta's RNG seed, rev-comp's buffers), so the oracle is the
+interpreter's run of the same sequence, not one call.
 
-Each deopt must resume mid-flight: the trace shows ``deopt.exit``
-without a fresh ``engine.call`` of the baseline from its entry (the
-engine's per-function call counter does not move beyond the calls the
-test itself makes).
-
-The same harness runs at the ``scalarized`` pipeline level: scalarized
-≡ unscalarized ≡ interpreter, against the *same* oracle sequence.  The
-shootout programs index their arrays dynamically (SROA bails), so
-:class:`TestScalarizedScratchDeopt` adds scratch-aggregate programs
-whose loop headers genuinely lose live slots to scalarization — and
-forces deopts exactly there.
+The same sequences run at the ``scalarized`` pipeline level against the
+*same* oracle.  The shootout programs index their arrays dynamically
+(SROA bails), so :class:`TestScalarizedScratchSequences` adds
+scratch-aggregate programs that scalarization genuinely rewrites.
 """
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,136 +24,88 @@ from hypothesis import strategies as st
 
 from repro.frontend import compile_c
 from repro.ir.instructions import AllocaInst
+from repro.obs import events as EV
 from repro.obs.events import validate_events
 from repro.obs.telemetry import Telemetry
 from repro.shootout import SUITE, all_benchmarks, compile_benchmark
+from repro.spec import DEFAULT_THRASH_LIMIT
 from repro.transform import PassManager
 from repro.vm import ExecutionEngine
 
 NAMES = [b.name for b in all_benchmarks()]
 
-#: calls per engine: warm-up to trigger speculation, then forced deopts
-WARM_CALLS = 8
-POST_CALLS = 2
-TOTAL_CALLS = WARM_CALLS + POST_CALLS
-
-#: the interpreter oracle is slow; the stateful string benchmarks get
-#: the biggest reduction
-_HEAVY = {"fasta": 64, "fasta-redux": 64, "rev-comp": 64}
-
-_oracle_cache = {}
-
-
-def _small_args(benchmark):
-    divisor = _HEAVY.get(benchmark.name, 8)
-    return tuple(max(a // divisor, 3) for a in benchmark.args)
+#: per program, the speculated argument first, then four others; small
+#: enough that the interpreter oracle stays cheap
+ARGS = {
+    "b-trees": (2, 3, 1, 4, 0),
+    "fannkuch": (3, 4, 2, 1, 5),
+    "fasta": (10, 20, 40, 80, 160),
+    "fasta-redux": (10, 20, 40, 80, 160),
+    "mbrot": (2, 3, 4, 5, 1),
+    "n-body": (5, 10, 20, 8, 3),
+    "rev-comp": (10, 20, 40, 80, 160),
+    "sp-norm": (2, 3, 1, 4, 5),
+}
 
 
+def policy_walk(a, b, c, d, e):
+    """Specialize on ``a``; miss with ``b`` (plain code), then again
+    (respecialize on ``b``); miss back to ``a`` (sibling dispatch); new
+    streaks on ``c`` and ``d`` spend the thrash limit, and ``e``'s
+    streak pins the function; a last ``a`` runs the plain code."""
+    return (a, a, a, a, b, b, a, c, c, d, d, e, e, a)
+
+
+assert DEFAULT_THRASH_LIMIT == 3, "policy_walk spends exactly three"
+
+
+@lru_cache(maxsize=None)
 def _oracle(name):
-    """Per-call interpreter results (the stateful benchmarks differ
-    call to call, so the oracle is the whole sequence)."""
-    cached = _oracle_cache.get(name)
-    if cached is None:
-        benchmark = SUITE[name]
-        args = _small_args(benchmark)
-        engine = ExecutionEngine(compile_benchmark(benchmark, "unoptimized"),
-                                 tier="interp")
-        cached = [engine.run(benchmark.entry, *args)
-                  for _ in range(TOTAL_CALLS)]
-        _oracle_cache[name] = cached
-    return cached
-
-
-def _speculative_engine(name, level="unoptimized"):
     benchmark = SUITE[name]
-    module = compile_benchmark(benchmark, level)
+    engine = ExecutionEngine(compile_benchmark(benchmark, "unoptimized"),
+                             tier="interp")
+    return [engine.run(benchmark.entry, arg)
+            for arg in policy_walk(*ARGS[name])]
+
+
+def _run_sequence(module, entry, sequence, oracle):
+    """Run ``sequence`` on a speculative engine, call by call against
+    ``oracle``; returns the engine and its events."""
     telemetry = Telemetry()
     engine = ExecutionEngine(module, tier="speculative", call_threshold=2,
                              telemetry=telemetry)
-    return engine, module.get_function(benchmark.entry), telemetry
+    for k, arg in enumerate(sequence):
+        assert engine.run(entry, arg) == oracle[k], (entry, k, arg)
+    assert validate_events(telemetry.events) == []
+    return engine, telemetry.events
 
 
-def _run_with_forced_deopt(name, pick_guard, at_hit, level="unoptimized"):
-    """Warm a speculative engine, arm one guard, finish the sequence;
-    assert per-call equality with the interpreter and mid-flight resume."""
+def _assert_walked_the_policy(engine, entry, events):
+    counters = engine.stats_snapshot()["counters"]
+    for name in (EV.SPEC_RESPECIALIZE, EV.SPEC_DISPATCH, EV.SPEC_PINNED):
+        assert counters.get(name, 0) >= 1, (entry, name)
+    assert engine.spec_manager.state_for(
+        engine.module.get_function(entry)).pinned
+    fails = [e for e in events if e["name"] == EV.DEOPT_GUARD_FAIL]
+    exits = [e for e in events if e["name"] == EV.DEOPT_EXIT]
+    assert len(fails) == len(exits) > 0
+    assert {e["args"]["mode"] for e in exits} == {"call"}
+
+
+@pytest.mark.parametrize("level", ["unoptimized", "scalarized"])
+@pytest.mark.parametrize("name", NAMES)
+def test_policy_walk_equals_the_interpreter(name, level):
     benchmark = SUITE[name]
-    args = _small_args(benchmark)
-    oracle = _oracle(name)
-    engine, func, telemetry = _speculative_engine(name, level)
-
-    for k in range(WARM_CALLS):
-        assert engine.run(benchmark.entry, *args) == oracle[k], (name, k)
-
-    state = engine.spec_manager.state_for(func)
-    assert state.active_version is not None, f"{name} never speculated"
-    guard_ids = sorted(state.active_version.guards)
-    guard_id = pick_guard(state.active_version, guard_ids)
-    calls_before = engine.call_counts.get(benchmark.entry, 0)
-    engine.deopt_manager.force_failure(guard_id, at_hit=at_hit)
-
-    for k in range(WARM_CALLS, TOTAL_CALLS):
-        assert engine.run(benchmark.entry, *args) == oracle[k], (name, k)
-
-    # mid-flight resume: only the test's own calls hit the entry point
-    calls_after = engine.call_counts.get(benchmark.entry, 0)
-    assert calls_after == calls_before + POST_CALLS
-    events = telemetry.events
-    assert validate_events(events) == []
-    return engine, [e["name"] for e in events]
-
-
-def _entry_guard(version, guard_ids):
-    baseline_entry = version.baseline.entry
-    for guard_id, frame in version.guards.items():
-        if frame.landing is baseline_entry:
-            return guard_id
-    return guard_ids[0]
-
-
-@pytest.mark.parametrize("name", NAMES)
-class TestForcedDeoptEquivalence:
-    def test_entry_guard_deopt(self, name):
-        """The entry guard always executes, so the deopt must fire."""
-        engine, event_names = _run_with_forced_deopt(
-            name, _entry_guard, at_hit=1
-        )
-        assert engine.deopt_manager.deopt_count >= POST_CALLS
-        assert "deopt.exit" in event_names
-
-    def test_last_guard_mid_flight(self, name):
-        """Arming the last guard (a loop header for the iterative
-        benchmarks) exercises mid-loop exits; whether it fires depends
-        on the program shape, but equivalence must hold regardless."""
-        _run_with_forced_deopt(
-            name, lambda version, ids: ids[-1], at_hit=2
-        )
-
-
-@pytest.mark.parametrize("name", NAMES)
-class TestScalarizedForcedDeoptEquivalence:
-    """The scalarized pipeline against the unoptimized interpreter
-    oracle: whatever SROA did (or declined to do), speculation plus
-    forced deopts must stay observably equivalent."""
-
-    def test_entry_guard_deopt_scalarized(self, name):
-        engine, event_names = _run_with_forced_deopt(
-            name, _entry_guard, at_hit=1, level="scalarized"
-        )
-        assert engine.deopt_manager.deopt_count >= POST_CALLS
-        assert "deopt.exit" in event_names
-
-    def test_last_guard_mid_flight_scalarized(self, name):
-        _run_with_forced_deopt(
-            name, lambda version, ids: ids[-1], at_hit=2,
-            level="scalarized"
-        )
+    engine, events = _run_sequence(
+        compile_benchmark(benchmark, level), benchmark.entry,
+        policy_walk(*ARGS[name]), _oracle(name))
+    _assert_walked_the_policy(engine, benchmark.entry, events)
 
 
 #: scratch-aggregate programs: the loop-header live set genuinely
-#: shrinks under SROA, so forcing deopts at the header exercises the
-#: slimmer FrameStates end to end
+#: shrinks under SROA, so the specializations run scalarized bodies
 SCRATCH_PROGRAMS = {
-    "scratch4": ("spin", (25,), """
+    "scratch4": ("spin", (25, 30, 10, 12, 14), """
 long spin(long n) {
     long acc[4];
     long total = 0;
@@ -169,7 +119,7 @@ long spin(long n) {
     return total;
 }
 """),
-    "nested2x2": ("det2", (19,), """
+    "nested2x2": ("det2", (19, 7, 9, 11, 13), """
 long det2(long n) {
     long m[4];
     long r[2];
@@ -190,7 +140,7 @@ long det2(long n) {
 
 
 @pytest.mark.parametrize("label", sorted(SCRATCH_PROGRAMS))
-class TestScalarizedScratchDeopt:
+class TestScalarizedScratchSequences:
     def _modules(self, label):
         entry, args, source = SCRATCH_PROGRAMS[label]
         ref_module = compile_c(source)
@@ -210,60 +160,49 @@ class TestScalarizedScratchDeopt:
         assert remaining == [], f"{label} did not fully scalarize"
         return entry, args, ref_module, scal_module
 
-    def test_forced_deopt_at_scalarized_loop_header(self, label):
+    def test_policy_walk_on_scalarized_body(self, label):
         entry, args, ref_module, scal_module = self._modules(label)
-        oracle = ExecutionEngine(ref_module, tier="interp").run(entry, *args)
-
-        telemetry = Telemetry()
-        engine = ExecutionEngine(scal_module, tier="speculative",
-                                 call_threshold=2, telemetry=telemetry)
-        for _ in range(WARM_CALLS):
-            assert engine.run(entry, *args) == oracle
-        func = scal_module.get_function(entry)
-        state = engine.spec_manager.state_for(func)
-        assert state.active_version is not None
-        version = state.active_version
-        header_guards = [
-            gid for gid, frame in version.guards.items()
-            if frame.landing is not version.baseline.entry
-        ]
-        assert header_guards, f"{label} speculation has no loop-header guard"
-        engine.deopt_manager.force_failure(header_guards[0], at_hit=2)
-        for _ in range(POST_CALLS):
-            assert engine.run(entry, *args) == oracle
-        assert engine.deopt_manager.deopt_count >= 1
-        event_names = [e["name"] for e in telemetry.events]
-        assert "deopt.exit" in event_names
-        assert validate_events(telemetry.events) == []
+        interp = ExecutionEngine(ref_module, tier="interp")
+        sequence = policy_walk(*args)
+        oracle = [interp.run(entry, arg) for arg in sequence]
+        engine, events = _run_sequence(scal_module, entry, sequence, oracle)
+        _assert_walked_the_policy(engine, entry, events)
 
     def test_tiers_agree_on_scalarized_body(self, label):
         entry, args, ref_module, scal_module = self._modules(label)
-        oracle = ExecutionEngine(ref_module, tier="interp").run(entry, *args)
+        oracle = ExecutionEngine(ref_module, tier="interp").run(
+            entry, args[0])
         for tier in ("interp", "decoded", "jit", "tiered"):
             module = compile_c(SCRATCH_PROGRAMS[label][2])
             PassManager.pipeline("scalarized").run(
                 module.get_function(entry))
             engine = ExecutionEngine(module, tier=tier, call_threshold=2)
             for _ in range(4):
-                assert engine.run(entry, *args) == oracle, (label, tier)
+                assert engine.run(entry, args[0]) == oracle, (label, tier)
 
 
-#: fast subset for the randomized search over injection points
-FAST = ["b-trees", "fannkuch", "mbrot", "sp-norm"]
+#: programs whose result depends on the argument only, so one oracle run
+#: per argument serves every random sequence
+PURE = ["b-trees", "fannkuch", "mbrot", "sp-norm"]
 
 
-class TestRandomInjectionPoints:
+@lru_cache(maxsize=None)
+def _pure_oracle(name, arg):
+    benchmark = SUITE[name]
+    engine = ExecutionEngine(compile_benchmark(benchmark, "unoptimized"),
+                             tier="interp")
+    return engine.run(benchmark.entry, arg)
+
+
+class TestRandomCallSequences:
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        name=st.sampled_from(FAST),
-        guard_choice=st.integers(min_value=0, max_value=7),
-        at_hit=st.integers(min_value=1, max_value=4),
-    )
-    def test_equivalent_at_random_guard_and_hit(self, name, guard_choice,
-                                                at_hit):
-        _run_with_forced_deopt(
-            name,
-            lambda version, ids: ids[guard_choice % len(ids)],
-            at_hit,
-        )
+    @given(name=st.sampled_from(PURE),
+           picks=st.lists(st.integers(min_value=0, max_value=3),
+                          min_size=4, max_size=14))
+    def test_equivalent_on_any_mix_of_values(self, name, picks):
+        benchmark = SUITE[name]
+        sequence = [ARGS[name][pick] for pick in picks]
+        oracle = [_pure_oracle(name, arg) for arg in sequence]
+        _run_sequence(compile_benchmark(benchmark, "unoptimized"),
+                      benchmark.entry, sequence, oracle)

@@ -1,15 +1,18 @@
-"""The deopt manager and speculation policy: OSR-exit, dispatch,
-respecialization, thrash pinning, forced failures, invalidation."""
+"""The speculation policy: decide once, miss as a call, dispatch,
+respecialization, thrash pinning, invalidation."""
+
+from collections import Counter
 
 import pytest
 
-from repro.analysis import AnalysisManager
 from repro.ir import Module, parse_function
+from repro.ir.types import i64
+from repro.ir.values import ConstantInt
 from repro.obs import events as EV
-from repro.obs import trace
 from repro.obs.events import validate_events
 from repro.obs.telemetry import Telemetry
-from repro.spec import DeoptError
+from repro.shootout import SUITE, compile_benchmark
+from repro.spec import SpeculationManager
 from repro.vm import ExecutionEngine
 
 POLY = """
@@ -57,6 +60,10 @@ def _warm(engine, mode=1, n=40, calls=10):
         assert engine.run("poly", mode, n) == _expected(mode, n)
 
 
+def _counter(engine, name):
+    return engine.stats_snapshot()["counters"].get(name, 0)
+
+
 class TestSpeculativeTier:
     def test_specialization_activates_on_monomorphic_feedback(self):
         engine, func = _engine()
@@ -65,30 +72,32 @@ class TestSpeculativeTier:
         assert state.active_version is not None
         assert state.active_version.value == 1
 
-    def test_polymorphic_feedback_never_specializes(self):
+    def test_the_hit_path_is_the_specialized_code_itself(self):
         engine, func = _engine()
-        # both argument slots vary, so no slot is monomorphic
-        for mode in (1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6):
-            n = 20 + mode
-            assert engine.run("poly", mode, n) == _expected(mode, n)
-        assert engine.spec_manager.state_for(func).active_version is None
+        _warm(engine)
+        version = engine.spec_manager.state_for(func).active_version
+        assert engine.get_compiled(func) is engine.continuations()[
+            version.function.name]
 
-    def test_deopt_resumes_baseline_with_correct_result(self):
+    def test_a_miss_returns_the_right_result(self):
         engine, func = _engine()
         _warm(engine)
         assert engine.run("poly", 9, 25) == _expected(9, 25)
-        assert engine.deopt_manager.deopt_count == 1
+        assert _counter(engine, EV.DEOPT_GUARD_FAIL) == 1
+        assert _counter(engine, EV.DEOPT_EXIT) == 1
 
-    def test_deopt_does_not_recall_baseline_from_entry(self):
-        """The OSR-exit continues mid-flight: no fresh engine.call of
-        the baseline, no invalidation of the specialized version."""
+    def test_a_miss_calls_compiled_code_not_the_engine(self):
+        """The miss continues in the plain code: no fresh engine.call of
+        the baseline, and the specialization stays published."""
         engine, func = _engine()
         _warm(engine)
         before = engine.call_counts.get("poly", 0)
         engine.run("poly", 9, 25)
         assert engine.call_counts.get("poly", 0) == before + 1
         state = engine.spec_manager.state_for(func)
-        assert state.active_version is not None  # still speculating
+        assert state.active_version is not None
+        assert engine.get_compiled(func) is engine.continuations()[
+            state.active_version.function.name]
 
     def test_stats_snapshot_reports_speculation(self):
         engine, func = _engine()
@@ -98,62 +107,69 @@ class TestSpeculativeTier:
         assert stats["poly"]["active"].startswith("poly.spec")
 
 
-class TestForcedFailures:
-    def test_force_failure_mid_loop(self):
+class TestDecideOnce:
+    def test_polymorphic_feedback_publishes_the_plain_code(self):
         engine, func = _engine()
-        _warm(engine)
-        version = engine.spec_manager.state_for(func).active_version
-        loop_gid = [g for g, fs in version.guards.items()
-                    if fs.landing.name == "loop"][0]
-        engine.deopt_manager.force_failure(loop_gid, at_hit=5)
-        # semantic condition holds, yet the armed guard deopts mid-loop
-        assert engine.run("poly", 1, 40) == _expected(1, 40)
-        assert engine.deopt_manager.deopt_count == 1
+        # both argument slots vary, so no slot is monomorphic
+        for mode in (1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6):
+            n = 20 + mode
+            assert engine.run("poly", mode, n) == _expected(mode, n)
+        state = engine.spec_manager.state_for(func)
+        assert state.active_version is None
+        assert engine.get_compiled(func) is state.plain
 
-    def test_arming_retires_continuations_landing_in_the_owner(self):
-        """A dispatch continuation cut from a version before one of its
-        guards was armed must not outlive the arming: the next dispatch
-        lands in code that runs the forced check."""
+    def test_the_deciding_call_is_the_one_that_specializes(self):
+        engine, func = _engine(call_threshold=2)
+        for _ in range(3):
+            engine.run("poly", 1, 10)
+        state = engine.spec_manager.state_for(func)
+        assert state.active_version is None
+        # the fourth sample reaches min_samples
+        engine.run("poly", 1, 10)
+        assert state.active_version is not None
+
+    def test_a_retired_stage_decides_nothing(self):
+        engine, func = _engine(call_threshold=2)
+        for _ in range(2):
+            engine.run("poly", 1, 10)
+        stage = engine.get_compiled(func)  # promoted, still undecided
+        engine.invalidate(func)
+        for _ in range(5):
+            assert stage(1, 10) == _expected(1, 10)
+        assert engine.spec_manager.state_for(func).versions == {}
+
+    @pytest.mark.parametrize("name", ["b-trees", "fasta"])
+    def test_feedback_stage_runs_at_most_min_samples_times(
+            self, name, monkeypatch):
+        runs = Counter()
+        promote = SpeculationManager.on_promote
+
+        def counting(self, func, compiled):
+            stage = promote(self, func, compiled)
+
+            def counted(*args):
+                runs[func.name] += 1
+                return stage(*args)
+
+            return counted
+
+        monkeypatch.setattr(SpeculationManager, "on_promote", counting)
+        bench = SUITE[name]
+        arg = 5 if name == "b-trees" else 300
+        engine = ExecutionEngine(compile_benchmark(bench), tier="speculative")
+        oracle = ExecutionEngine(compile_benchmark(bench), tier="interp")
+        for _ in range(3):
+            assert engine.run(bench.entry, arg) == oracle.run(bench.entry, arg)
+        assert runs, "nothing was promoted"
+        assert max(runs.values()) <= engine.spec_manager.min_samples, runs
+
+
+class TestMissPolicy:
+    def test_streak_respecializes(self):
         engine, func = _engine()
         _warm(engine, mode=1)
-        for _ in range(8):
-            assert engine.run("poly", 2, 20) == _expected(2, 20)
         state = engine.spec_manager.state_for(func)
-        armed, active = state.versions[(0, 1)], state.versions[(0, 2)]
-        assert state.active_version is active
-        deopt = engine.deopt_manager
-        # a mode-1 call dispatches 2 -> 1 and stores that continuation
-        assert engine.run("poly", 1, 40) == _expected(1, 40)
-        loop_gid = [g for g, fs in armed.guards.items()
-                    if fs.landing.name == "loop"][0]
-        deopt.force_failure(loop_gid, at_hit=3)
-        before = deopt.deopt_count
-        assert engine.run("poly", 1, 40) == _expected(1, 40)
-        # the dispatch exit, then the armed loop guard on its third hit
-        assert deopt.deopt_count - before == 2
-        assert deopt._forced[loop_gid]["hits"] == 3
-
-    def test_unknown_guard_rejected(self):
-        engine, func = _engine()
-        _warm(engine)
-        with pytest.raises(DeoptError):
-            engine.deopt_manager.force_failure("nope#entry")
-
-    def test_bad_hit_count_rejected(self):
-        engine, func = _engine()
-        _warm(engine)
-        gid = next(iter(
-            engine.spec_manager.state_for(func).active_version.guards))
-        with pytest.raises(DeoptError):
-            engine.deopt_manager.force_failure(gid, at_hit=0)
-
-
-class TestDispatchedContinuations:
-    def test_streak_respecializes_and_dispatches(self):
-        engine, func = _engine()
-        _warm(engine, mode=1)
-        state = engine.spec_manager.state_for(func)
-        # a streak of mode=7 failures earns a second specialization
+        # a streak of mode=7 misses earns a second specialization
         for _ in range(8):
             assert engine.run("poly", 7, 20) == _expected(7, 20)
         assert (0, 7) in state.versions
@@ -166,28 +182,13 @@ class TestDispatchedContinuations:
         state = engine.spec_manager.state_for(func)
         for _ in range(8):
             engine.run("poly", 7, 20)
+        dispatches = _counter(engine, EV.SPEC_DISPATCH)
         for _ in range(6):
             assert engine.run("poly", 1, 40) == _expected(1, 40)
         # the old sibling is re-activated, not rebuilt
         assert state.active_version.value == 1
         assert state.respec_count == 1
-
-    def test_dispatch_solves_landing_liveness_on_the_engines_manager(self):
-        """Deriving the mapping and generating the continuation share the
-        engine's analysis manager: the default one sees no liveness miss."""
-        engine, func = _engine(
-            analysis_manager=AnalysisManager(telemetry=Telemetry()))
-        _warm(engine, mode=1)
-        for _ in range(8):
-            engine.run("poly", 7, 20)
-        dispatches = engine.stats_snapshot()["counters"][EV.SPEC_DISPATCH]
-        with trace() as ambient:
-            assert engine.run("poly", 1, 40) == _expected(1, 40)
-        assert engine.stats_snapshot()["counters"][EV.SPEC_DISPATCH] == (
-            dispatches + 1)
-        assert not [e for e in ambient.events
-                    if e["name"] == EV.ANALYSIS_CACHE_MISS
-                    and e["args"]["analysis"] == "liveness"]
+        assert _counter(engine, EV.SPEC_DISPATCH) == dispatches + 2
 
     def test_thrash_limit_pins_to_baseline(self):
         engine, func = _engine()
@@ -200,6 +201,7 @@ class TestDispatchedContinuations:
                 break
         assert state.pinned
         assert state.active_version is None
+        assert engine.get_compiled(func) is state.plain
         # pinned functions still execute correctly through the baseline
         assert engine.run("poly", 999, 10) == _expected(999, 10)
 
@@ -209,31 +211,16 @@ class TestTelemetry:
         tel = Telemetry()
         engine, func = _engine(telemetry=tel)
         _warm(engine)
-        engine.run("poly", 9, 25)       # deopt to baseline
+        engine.run("poly", 9, 25)       # miss into the plain code
         for _ in range(8):
             engine.run("poly", 9, 25)   # streak -> respecialize
         events = tel.events
         assert validate_events(events) == []
         names = {e["name"] for e in events}
-        assert EV.SPEC_SPECIALIZE in names
-        assert EV.DEOPT_GUARD_FAIL in names
-        assert EV.DEOPT_EXIT in names
-        assert EV.DEOPT_CONTINUATION in names
-        assert EV.SPEC_RESPECIALIZE in names
+        assert {EV.SPEC_SPECIALIZE, EV.DEOPT_GUARD_FAIL, EV.DEOPT_EXIT,
+                EV.SPEC_RESPECIALIZE} <= names
 
-    def test_deopt_transition_timer_records_per_exit(self):
-        tel = Telemetry()
-        engine, func = _engine(telemetry=tel)
-        _warm(engine)
-        engine.run("poly", 9, 25)   # cold deopt: continuation generated
-        engine.run("poly", 9, 25)   # warm deopt: continuation cache hit
-        stats = tel.metrics.timer_stats(EV.DEOPT_TRANSITION)
-        assert stats is not None
-        assert stats["count"] == engine.deopt_manager.deopt_count >= 2
-        assert 0 < stats["min"] <= stats["max"]
-        assert stats["p50"] is not None
-
-    def test_deopt_exit_modes(self):
+    def test_every_miss_is_one_call_exit(self):
         tel = Telemetry()
         engine, func = _engine(telemetry=tel)
         _warm(engine)
@@ -241,10 +228,13 @@ class TestTelemetry:
             engine.run("poly", 7, 20)
         for _ in range(6):
             engine.run("poly", 1, 40)
-        modes = {e.get("args", {}).get("mode") for e in tel.events
-                 if e["name"] == EV.DEOPT_EXIT}
-        assert "baseline" in modes
-        assert "dispatch" in modes
+        fails = [e for e in tel.events if e["name"] == EV.DEOPT_GUARD_FAIL]
+        exits = [e for e in tel.events if e["name"] == EV.DEOPT_EXIT]
+        assert fails and len(exits) == len(fails)
+        assert {e["args"]["mode"] for e in exits} == {"call"}
+        assert {e["args"]["target"] for e in exits} >= {
+            "poly", engine.spec_manager.state_for(func).versions[
+                (0, 1)].function.name}
 
 
 class TestInvalidationCascade:
@@ -263,3 +253,30 @@ class TestInvalidationCascade:
         # correctness after the cascade: re-warms and re-specializes
         _warm(engine)
         assert state.active_version is not None
+
+    @staticmethod
+    def _rewrite(func):
+        """The slow arm multiplies by 3 instead of by %mode."""
+        mul = next(inst for inst in func.instructions()
+                   if inst.opcode == "mul")
+        mul.set_operand(1, ConstantInt(i64, 3))
+
+    def test_invalidation_between_a_hit_and_a_miss(self):
+        engine, func = _engine()
+        _warm(engine)
+        assert engine.run("poly", 1, 40) == _expected(1, 40)  # a hit
+        self._rewrite(func)
+        engine.invalidate(func)
+        fails = _counter(engine, EV.DEOPT_GUARD_FAIL)
+        # the retired plain code would multiply by 9
+        assert engine.run("poly", 9, 25) == 3 * _expected(1, 25)
+        # and the retired specialization never ran its check
+        assert _counter(engine, EV.DEOPT_GUARD_FAIL) == fails
+
+    def test_a_stale_reference_misses_into_the_rewritten_body(self):
+        engine, func = _engine()
+        _warm(engine)
+        stale = engine.get_compiled(func)
+        self._rewrite(func)
+        engine.invalidate(func)
+        assert stale(9, 25) == 3 * _expected(1, 25)

@@ -60,7 +60,7 @@ class TestFevalGuardFailDeopt:
         assert vm.engine.stats_snapshot()["counters"][EV.DEOPT_EXIT] == 1
         # no speculation or deopt managers were created to take the exit
         assert vm.engine.spec_manager is None
-        assert vm.engine.deopt_manager is None
+        assert not hasattr(vm.engine, "deopt_manager")
 
     def test_continuation_is_cached_across_failures(self):
         vm, version = _vm()

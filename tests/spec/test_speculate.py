@@ -1,8 +1,14 @@
-"""The speculation pass: guarded clones specialized on argument values."""
+"""The speculation pass: clones specialized on an argument value behind
+one entry check."""
+
+import math
 
 import pytest
 
-from repro.ir import GuardInst, Module, parse_function, verify_function
+from repro.analysis import AnalysisManager
+from repro.ir import Module, parse_function, verify_function
+from repro.ir.instructions import (CallInst, CondBranchInst, FCmpInst,
+                                   ICmpInst, RetInst)
 from repro.shootout import SUITE, compile_benchmark
 from repro.spec import SpeculationError, specialize_function
 from repro.vm import ExecutionEngine
@@ -40,18 +46,32 @@ def _poly(module=None):
     return parse_function(POLY, module), module
 
 
-def _guard_insts(func):
-    return [inst for block in func.blocks for inst in block.instructions
-            if isinstance(inst, GuardInst)]
-
-
 class TestSpecializationPass:
-    def test_guards_at_entry_and_loop_header(self):
+    def test_one_check_at_entry_and_none_in_the_body(self):
         f, m = _poly()
         version = specialize_function(f, 0, 1)
-        landings = {fs.landing.name for fs in version.guards.values()}
-        assert landings == {"entry", "loop"}
-        verify_function(version.function)
+        clone = version.function
+        verify_function(clone)
+        check = clone.entry.terminator
+        assert isinstance(check, CondBranchInst)
+        assert check.condition.get_operand(0) is clone.args[0]
+        # the check compares the only remaining use of the argument
+        # besides the miss call
+        users = {type(use.user) for use in clone.args[0].uses}
+        assert users == {ICmpInst, CallInst}
+        loops = AnalysisManager().loop_info(clone).loops
+        assert [loop.header.name for loop in loops] == ["loop"]
+
+    def test_the_miss_edge_returns_a_call_of_the_miss_declaration(self):
+        f, m = _poly()
+        version = specialize_function(f, 0, 1)
+        missed = version.function.entry.terminator.false_target
+        call, ret = missed.instructions
+        assert isinstance(call, CallInst) and call.callee is version.miss
+        assert call.args == version.function.args
+        assert isinstance(ret, RetInst) and ret.value is call
+        assert version.miss.is_declaration
+        assert m.get_function(version.miss.name) is version.miss
 
     def test_speculated_branch_folds_away(self):
         f, m = _poly()
@@ -59,33 +79,36 @@ class TestSpecializationPass:
         blocks = {b.name for b in version.function.blocks}
         # the %slow path is unreachable under mode==1 and must be gone
         assert not any(name.startswith("slow") for name in blocks)
-        # ... but the guards still compare the *runtime* argument
-        for guard in _guard_insts(version.function):
-            assert guard.condition.get_operand(0) in version.function.args
-
-    def test_speculated_arg_captured_last(self):
-        f, m = _poly()
-        version = specialize_function(f, 0, 1)
-        spec_arg = version.function.args[0]
-        for guard in _guard_insts(version.function):
-            assert guard.live_values[-1] is spec_arg
-        for fs in version.guards.values():
-            assert fs.live_values[-1] is f.args[0]
-
-    def test_framestate_lists_baseline_values(self):
-        f, m = _poly()
-        version = specialize_function(f, 0, 1)
-        for fs in version.guards.values():
-            for value in fs.live_values:
-                owner = getattr(value, "parent", None)
-                block_owner = getattr(owner, "parent", None)
-                assert value in f.args or block_owner is f
 
     def test_specialized_semantics_match_on_speculated_value(self):
         f, m = _poly()
         version = specialize_function(f, 0, 1)
         engine = ExecutionEngine(m, tier="jit")
         assert engine.call(version.function, [1, 50]) == sum(range(50))
+
+    def test_a_miss_calls_whatever_the_declaration_is_bound_to(self):
+        f, m = _poly()
+        version = specialize_function(f, 0, 1)
+        engine = ExecutionEngine(m, tier="jit")
+        engine.add_native(version.miss.name, lambda mode, n: -mode * n)
+        assert engine.call(version.function, [4, 50]) == -200
+
+    def test_void_function(self):
+        m = Module()
+        f = parse_function("""
+define void @v(i64 %k) {
+entry:
+  ret void
+}
+""", m)
+        version = specialize_function(f, 0, 3)
+        verify_function(version.function)
+        engine = ExecutionEngine(m, tier="jit")
+        seen = []
+        engine.add_native(version.miss.name, seen.append)
+        assert engine.call(version.function, [3]) is None
+        assert engine.call(version.function, [5]) is None
+        assert seen == [5]
 
     def test_baseline_left_untouched(self):
         f, m = _poly()
@@ -129,12 +152,36 @@ entry:
 }
 """
 
-    def test_float_guard_uses_fcmp(self):
+    def test_float_check_uses_fcmp(self):
         m = Module()
         f = parse_function(self.SRC, m)
         version = specialize_function(f, 0, 2.0)
+        check = version.function.entry.terminator.condition
+        assert isinstance(check, FCmpInst) and check.predicate == "oeq"
         engine = ExecutionEngine(m, tier="jit")
         assert engine.call(version.function, [2.0, 21.0]) == 42.0
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -0.0])
+    def test_values_the_check_cannot_tell_apart_are_not_speculated(
+            self, value):
+        m = Module()
+        f = parse_function(self.SRC, m)
+        with pytest.raises(SpeculationError):
+            specialize_function(f, 0, value)
+
+    def test_negative_zero_after_zero_keeps_its_sign(self):
+        m = Module()
+        parse_function("""
+define double @twice(double %x) {
+entry:
+  %r = fmul double %x, 2.0
+  ret double %r
+}
+""", m)
+        engine = ExecutionEngine(m, tier="speculative", call_threshold=2)
+        for _ in range(6):
+            assert math.copysign(1.0, engine.run("twice", 0.0)) == 1.0
+        assert math.copysign(1.0, engine.run("twice", -0.0)) == -1.0
 
 
 class TestBoundedFeedback:
@@ -172,8 +219,12 @@ class TestBoundedFeedback:
         slots = {(name, index): slot
                  for name, profile in engine.profiler._profiles.items()
                  for index, slot in enumerate(profile.feedback)}
-        # fasta_pick's third argument is a fresh random number per call
-        assert slots[("fasta_pick", 2)].counts is None
+        # fasta_pick's third argument is a fresh random number per call;
+        # its feedback stops at the promoted call that decides
+        profile = engine.profiler._profiles["fasta_pick"]
+        assert profile.samples <= engine.profiler.call_threshold
+        assert engine.spec_manager.state_for(
+            engine.module.get_function("fasta_pick")).active_version is None
         for key, slot in slots.items():
             assert (slot.counts is None
                     or len(slot.counts) <= MAX_DISTINCT_VALUES), key

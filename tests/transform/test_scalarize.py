@@ -214,24 +214,6 @@ entry:
         func = parse_function(src)
         assert scalarize_aggregates(func, am=AnalysisManager()) == 0
 
-    def test_guard_captured_aggregate_bails(self):
-        # a FrameState transfers the captured pointer on deopt; the
-        # allocation must stay materialized
-        src = """
-define i64 @f(i64 %n) {
-entry:
-  %arr = alloca [2 x i64]
-  %p = getelementptr [2 x i64], [2 x i64]* %arr, i64 0, i64 0
-  store i64 %n, i64* %p
-  %c = icmp eq i64 %n, 1
-  guard i1 %c, c"g#entry" [ [2 x i64]* %arr ]
-  %v = load i64, i64* %p
-  ret i64 %v
-}
-"""
-        func = parse_function(src)
-        assert scalarize_aggregates(func, am=AnalysisManager()) == 0
-
 
 WRITE_ONLY = """
 define i64 @f(i64 %n) {

@@ -1,8 +1,8 @@
 """The engine's one continuation store.
 
 ``ExecutionEngine.continuation(key, depends, build)`` is where every exit
-path (a speculative guard's deopt, a feval site's specialization or
-guard failure) finds the code it lands in.  An entry is built once,
+path (a speculation miss going to a sibling version, a feval site's
+specialization or guard failure) finds the code it lands in.  An entry is built once,
 served while the compile generation of every function it depends on is
 unchanged, and retired by ``invalidate()`` of any of them.
 """
@@ -101,7 +101,7 @@ def test_build_racing_invalidate_returns_but_installs_nothing():
     assert list(engine.continuations()) == ["k"]
 
 
-def test_dispatch_continuation_is_reused_across_two_exits():
+def test_a_sibling_version_is_compiled_once_across_two_misses():
     tel = Telemetry()
     module = Module()
     func = parse_function(POLY, module)
@@ -113,19 +113,22 @@ def test_dispatch_continuation_is_reused_across_two_exits():
     state = engine.spec_manager.state_for(func)
     sibling = state.versions[(0, 1)]
     assert state.active_version.value == 7
-    counters = engine.stats_snapshot()["counters"]
-    built = counters[EV.DEOPT_CONTINUATION]
+    stored = engine.continuations()[sibling.function.name]
     exits = len(tel.events)
-    # the first mode-1 call dispatches 7 -> 1; the second one, whose
-    # streak also re-points the call boundary, dispatches again
+    # the first mode-1 call misses 7 and goes to 1; the second one, whose
+    # streak also re-points the call boundary, goes there again
     for _ in range(2):
         assert engine.run("poly", 1, 40) == _expected(1, 40)
-    dispatched = [event for event in tel.events[exits:]
-                  if event["name"] == EV.DEOPT_EXIT
-                  and event["args"]["mode"] == "dispatch"]
+    later = tel.events[exits:]
+    dispatched = [e for e in later if e["name"] == EV.SPEC_DISPATCH]
     assert len(dispatched) == 2
     assert {e["args"]["target"] for e in dispatched} == {
         sibling.function.name}
-    counters = engine.stats_snapshot()["counters"]
-    assert counters[EV.DEOPT_CONTINUATION] == built + 1
+    # no code was generated or instantiated for either miss
+    assert not [e for e in later if e["name"] in (
+        EV.JIT_CACHE_HIT, EV.JIT_CACHE_MISS)]
+    assert engine.get_compiled(func) is stored
     assert state.active_version is sibling
+    # rewriting the baseline retires the versions' code with it
+    engine.invalidate(func)
+    assert sibling.function.name not in engine.continuations()

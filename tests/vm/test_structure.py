@@ -90,9 +90,8 @@ def test_one_dispatcher_over_one_box():
 def test_speculation_keeps_no_call_boundary_target_of_its_own():
     # what calls of a baseline reach lives in its box and nowhere else:
     # no attribute or table entry of the speculation package is bound
-    # straight to freshly compiled code (deopt continuations live in the
-    # engine's store, keyed by guard and entered mid-flight, never
-    # dispatched to at a call boundary)
+    # straight to freshly compiled code (a version's code lives in the
+    # engine's store, where an invalidation of the baseline retires it)
     stored = re.compile(r"[\w\]]\s*=\s*compile_function\(")
     offenders = []
     for path in sorted((SRC_ROOT / "spec").glob("*.py")):
@@ -106,8 +105,30 @@ def test_speculation_keeps_no_call_boundary_target_of_its_own():
     assert "active" not in SpecState.__slots__
 
 
+def test_speculation_is_one_entry_check():
+    # a specialization compares its argument once, at entry, and a miss
+    # is an ordinary call: no guard instruction, per-guard frame state,
+    # forced failure or deopt-exit hook is defined anywhere
+    gone = {"GuardInst", "FrameState", "force_failure", "should_force",
+            "deopt_exit", "guard_force_check", "DeoptManager"}
+    offenders = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        for node in ast.walk(_tree(path)):
+            names = [getattr(node, "name", None)] + [
+                target.id for target in getattr(node, "targets", ())
+                if isinstance(target, ast.Name)]
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.Assign)):
+                offenders += [f"{path.relative_to(SRC_ROOT)}:{node.lineno}"
+                              for name in names if name in gone]
+    assert not offenders, offenders
+    assert not (SRC_ROOT / "spec" / "deopt.py").exists()
+    lines = sum(len(path.read_text().splitlines())
+                for path in (SRC_ROOT / "spec").glob("*.py"))
+    assert lines <= 450, f"spec/ is {lines} lines"
+
+
 def test_one_continuation_store_owned_by_the_engine():
-    # deopt and feval keep no private continuation caches beside the
+    # speculation and feval keep no private code caches beside the
     # engine's store, and invalidate() is what retires an entry
     for pattern, paths in (
             (r"\b_continuations\b", (SRC_ROOT / "spec").glob("*.py")),
