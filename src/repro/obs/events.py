@@ -48,7 +48,6 @@ name                      kind   emitted when
 ``diskcache.hit``         event  a JIT miss was served from the persistent disk cache
 ``diskcache.miss``        event  the disk cache had no valid entry for the stamp
 ``diskcache.write``       event  a fresh artifact was written through to disk
-``serve.request``         event  the VM server finished one request (ok or error)
 ========================  =====  ==================================================
 
 *event* entries are instants (``ph: "i"``); *span* entries are single
@@ -101,17 +100,15 @@ FLIGHT_ANOMALY = "flight.anomaly"
 DISKCACHE_HIT = "diskcache.hit"
 DISKCACHE_MISS = "diskcache.miss"
 DISKCACHE_WRITE = "diskcache.write"
-SERVE_REQUEST = "serve.request"
 
 #: metrics-only names (no trace events): the background queue's depth
 #: gauge, its enqueue-to-install latency and enqueue-to-start wait
-#: timers, the per-call dispatch latency timer and the VM server's
-#: per-request latency timer — each backed by a percentile histogram
+#: timers and the per-call dispatch latency timer — each backed by a
+#: percentile histogram
 COMPILE_QUEUE_DEPTH = "compile.queue_depth"
 COMPILE_LATENCY = "compile.latency"
 COMPILE_WAIT = "compile.wait"
 ENGINE_DISPATCH = "engine.dispatch"
-SERVE_LATENCY = "serve.latency"
 #: live-slot-count gauges: the most recent OSR live-state
 #: width and the most recent decoded frame width (slots per frame)
 OSR_LIVE_SLOTS = "osr.live_slots"
@@ -152,7 +149,6 @@ INSTANT_NAMES = frozenset({
     DISKCACHE_HIT,
     DISKCACHE_MISS,
     DISKCACHE_WRITE,
-    SERVE_REQUEST,
 })
 
 #: names emitted as spans (one complete event each)

@@ -1,4 +1,4 @@
-"""Command-line smoke for the serving subsystem.
+"""Command-line smoke for the persistent code cache.
 
 ``python -m repro.serve smoke --cache DIR`` builds a compile-bound
 module, runs every function once on a ``jit``-tier engine attached to

@@ -90,12 +90,10 @@ class SpeculationManager:
         state.plain = compiled
         if state.pinned:
             return compiled
-        resolve = self.engine.profiler.profile_for
-        name = func.name
+        profile = self.engine.profiler.profile_for(func.name)
         min_samples = self.min_samples
 
         def feedback(*args):
-            profile = resolve(name)
             profile.record_args(args)
             # a stage an invalidation retired has nothing left to decide
             if profile.samples < min_samples or state.plain is not compiled:
@@ -240,11 +238,18 @@ class SpeculationManager:
     def on_invalidate(self, func: Function) -> None:
         """The baseline's body was rewritten: every version speculated
         from it is stale (the engine's invalidation cascade already
-        retired their code).  A stale miss native calls the rewritten
-        body; feedback restarts from scratch."""
+        retired their code), so its clone, miss declaration and miss
+        native go too.  A stale reference to a version's code keeps its
+        miss native, which calls the rewritten body; feedback restarts
+        from scratch."""
         state = self._states.get(func.name)
         if state is None:
             return
+        engine = self.engine
+        for version in state.versions.values():
+            engine.remove_native(version.miss.name)
+            engine.module.remove_function(version.function)
+            engine.module.remove_function(version.miss)
         state.versions.clear()
         state.plain = None
         state.active_version = None

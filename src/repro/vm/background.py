@@ -81,10 +81,9 @@ class CompileJob:
     """One queued tier-up compile: a function, its engine, the box the
     result publishes into, and the profile whose counters tripped.
 
-    The profile rides along because the publish runs on a worker thread,
-    outside any tenant scope: the engine stamps and reports *this*
-    profile as promoted rather than looking one up there.  Its hotness
-    at submit time is the job's priority.
+    The profile rides along so the publish, on whichever thread it
+    runs, stamps and reports *this* profile as promoted.  Its hotness at
+    submit time is the job's priority.
     """
 
     __slots__ = ("engine", "func", "box", "profile", "priority",

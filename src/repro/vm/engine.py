@@ -103,7 +103,7 @@ POLICIES: Dict[str, TierPolicy] = {
     # profile-driven tier-up the paper's OSR machinery assumes
     "tiered": TierPolicy("decoded", "inline", False, "tiered"),
     # the same, compiled on the CompileQueue workers while the caller stays
-    # decoded: hot calls never stall on the JIT (the default for servers)
+    # decoded: hot calls never stall on the JIT
     "tiered-bg": TierPolicy("decoded", "background", False, "tieredbg"),
     # tiered plus argument-value feedback: a promoted function with
     # monomorphic arguments runs a specialization whose entry check calls
@@ -392,6 +392,14 @@ class ExecutionEngine:
         self._natives[name] = handle
         return handle
 
+    def remove_native(self, name: str) -> None:
+        """Unbind ``name``: code compiled from now on cannot resolve it,
+        while code already holding its host function keeps calling it."""
+        with self._lock:
+            self._natives.pop(name, None)
+            self._compiled.pop(name, None)
+            self._patched.pop(name, None)
+
     # -- globals ------------------------------------------------------------------
 
     def global_pointer(self, gv: GlobalVariable) -> tuple:
@@ -507,8 +515,7 @@ class ExecutionEngine:
         ``stats_snapshot()``'s ``fusion`` and ``frames`` blocks.
 
         ``profiled`` (the dispatcher's baseline) charges back edges to
-        the function's profile, resolved per call so the counts land in
-        the *current tenant's* when the profiler is tenant-scoped.
+        the function's profile.
         """
         if kind == "jit":
             return compile_function(func, self)
@@ -551,10 +558,10 @@ class ExecutionEngine:
             return _mark_thunk(run_fast, "decoded", func, wrapped=run)
 
         if profiled:
-            resolve, name = self.profiler.profile_for, func.name
+            profile = self.profiler.profile_for(func.name)
 
             def run_counted(*args):
-                return decoded.run_counted(args, limit, resolve(name))
+                return decoded.run_counted(args, limit, profile)
         else:
             def run_counted(*args):
                 return decoded.run_counted(args, limit)
@@ -575,17 +582,15 @@ class ExecutionEngine:
         (fed by the decoded tier's profiled loop) lets a function that is
         called once but loops hot promote on its *next* call — replacing
         a loop mid-flight is the OSR machinery's job, not the tier-up's.
-        The profile is resolved per call, so a tenant scope installed by
-        :class:`~repro.serve.server.VMServer` charges hotness to the
-        requesting tenant — one tenant's traffic never trips another's
-        thresholds.  Invalidation replaces the whole dispatcher: a
-        rewritten body starts over with a fresh box and fresh counters.
+        Invalidation replaces the whole dispatcher: a rewritten body
+        starts over with a fresh box, and with the same profile object,
+        demoted in place to fresh counters.
         """
         from .background import PublishBox
 
         name = func.name
         profiler = self.profiler
-        resolve = profiler.profile_for
+        profile = profiler.profile_for(name)
         box = self._boxes[name] = PublishBox(self.compile_generation(name))
         baseline = self._baseline(func, policy.baseline, profiled=True)
         if policy.speculate:
@@ -595,14 +600,13 @@ class ExecutionEngine:
             unrecorded = baseline
 
             def baseline(*args):
-                resolve(name).record_args(args)
+                profile.record_args(args)
                 return unrecorded(*args)
 
         background = policy.promote == "background"
         promote = self._promote
 
         def cold(*args):
-            profile = resolve(name)
             profile.calls += 1
             if not box.requested and profiler.should_promote(profile):
                 promote(func, profile, box, background)
@@ -693,9 +697,7 @@ class ExecutionEngine:
             if self._policy(func).speculate:
                 compiled = self.spec_manager.on_promote(func, compiled)
             self._route(func, box, compiled)  # the atomic publish
-            # stamp the profile whose counters tripped (the job carries
-            # it: a worker thread has no tenant scope to resolve it
-            # through) and report
+            # stamp the profile whose counters tripped and report
             profile = job.profile
             profile.promoted_version = func.code_version
             self.telemetry.event(
@@ -924,7 +926,12 @@ class ExecutionEngine:
         ``namespace[slot]`` so subsequent calls are direct — MCJIT-style
         lazy compilation stubs.  ``owner`` names the function whose
         code ``namespace`` belongs to; invalidating it drops the slot's
-        record."""
+        record.  A declaration already bound to a native gets its host
+        function straight away: nothing compiles or publishes over it."""
+        if func.is_declaration:
+            native = self._natives.get(func.name)
+            if native is not None:
+                return native.callable
         engine = self
 
         def trampoline(*args):
@@ -995,9 +1002,6 @@ class ExecutionEngine:
         """
         snapshot = self.metrics.snapshot()
         snapshot["profiles"] = self.profiler.snapshot()
-        tenants = self.profiler.tenant_snapshot()
-        if tenants:
-            snapshot["tenants"] = tenants
         snapshot["analysis"] = self.analysis.stats()
         if self.disk_cache is not None:
             snapshot["diskcache"] = self.disk_cache.stats()

@@ -23,9 +23,7 @@ concurrent reader sees either the old or the reset profile.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: invocations before a function is considered call-hot
 DEFAULT_CALL_THRESHOLD = 8
@@ -147,7 +145,8 @@ class FunctionProfile:
     def demote(self) -> None:
         """Forget a promotion (the function body was rewritten).
 
-        Fields are *replaced*, not mutated in place, so a thread racing
+        The profile object stays the one its dispatcher bound; its
+        fields are *replaced*, not mutated in place, so a thread racing
         this reset observes a consistent before-or-after profile.
         """
         self.promoted_version = None
@@ -167,19 +166,11 @@ class FunctionProfile:
 
 
 class TierProfiler:
-    """Owns the profiles and the promotion policy for one engine.
-
-    Profiles live in *scopes*.  The default scope backs the classic
-    single-user engine; a server serving several tenants over one shared
-    engine enters :meth:`tenant_scope` around each request, and every
-    ``profile_for`` lookup made by the dispatchers on that thread then
-    resolves into that tenant's private scope.  Hotness, value feedback
-    and promotion decisions are therefore per tenant, while the compiled
-    artifacts they trigger stay shared — code is tenant-independent, how
-    hot it runs is not.  The active scope is thread-local, so worker
-    threads serving different tenants never bleed counters into each
-    other.
-    """
+    """Owns the profiles and the promotion policy for one engine: one
+    :class:`FunctionProfile` per function name, made on first lookup and
+    never replaced, so a dispatcher can bind its function's profile once
+    and keep it across invalidations (:meth:`invalidate` resets it in
+    place)."""
 
     def __init__(self, call_threshold: int = DEFAULT_CALL_THRESHOLD,
                  backedge_threshold: int = DEFAULT_BACKEDGE_THRESHOLD):
@@ -188,48 +179,14 @@ class TierProfiler:
         self.call_threshold = call_threshold
         self.backedge_threshold = backedge_threshold
         self._profiles: Dict[str, FunctionProfile] = {}
-        #: tenant name -> that tenant's private profile scope
-        self._tenants: Dict[str, Dict[str, FunctionProfile]] = {}
-        self._local = threading.local()
-
-    # -- tenant scoping -----------------------------------------------------------
-
-    def current_tenant(self) -> Optional[str]:
-        """The tenant scope active on this thread, or None (default)."""
-        return getattr(self._local, "tenant", None)
-
-    @contextmanager
-    def tenant_scope(self, tenant: Optional[str]) -> Iterator[None]:
-        """Resolve this thread's profile lookups into ``tenant``'s scope.
-
-        Nests and restores: a server wraps each request in the request's
-        tenant, and code that calls back into the engine inherits the
-        scope.  ``None`` selects the default scope explicitly.
-        """
-        previous = getattr(self._local, "tenant", None)
-        self._local.tenant = tenant
-        try:
-            yield
-        finally:
-            self._local.tenant = previous
-
-    def _scope(self) -> Dict[str, FunctionProfile]:
-        tenant = getattr(self._local, "tenant", None)
-        if tenant is None:
-            return self._profiles
-        scope = self._tenants.get(tenant)
-        if scope is None:
-            scope = self._tenants.setdefault(tenant, {})
-        return scope
 
     def profile_for(self, name: str) -> FunctionProfile:
-        scope = self._scope()
-        profile = scope.get(name)
+        profile = self._profiles.get(name)
         if profile is None:
             # setdefault is atomic under the GIL: two threads racing the
             # first lookup agree on one FunctionProfile instead of each
             # counting into a private loser copy
-            profile = scope.setdefault(name, FunctionProfile(name))
+            profile = self._profiles.setdefault(name, FunctionProfile(name))
         return profile
 
     def should_promote(self, profile: FunctionProfile) -> bool:
@@ -239,21 +196,13 @@ class TierProfiler:
         )
 
     def invalidate(self, name: str) -> None:
-        """Reset counters after the function body was rewritten.
-
-        A rewrite invalidates the *code*, which every tenant shares, so
-        the demotion sweeps the default scope and all tenant scopes.
-        """
+        """Reset counters after the function body was rewritten."""
         profile = self._profiles.get(name)
         if profile is not None:
             profile.demote()
-        for scope in list(self._tenants.values()):
-            profile = scope.get(name)
-            if profile is not None:
-                profile.demote()
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Stats for tooling/benchmark reports (default scope only)."""
+        """Stats for tooling/benchmark reports."""
         return {
             name: {
                 "calls": p.calls,
@@ -261,18 +210,4 @@ class TierProfiler:
                 "promoted": p.promoted,
             }
             for name, p in self._profiles.items()
-        }
-
-    def tenant_snapshot(self) -> Dict[str, Dict[str, Dict[str, object]]]:
-        """Per-tenant stats: tenant name -> function name -> counters."""
-        return {
-            tenant: {
-                name: {
-                    "calls": p.calls,
-                    "backedges": p.backedges,
-                    "promoted": p.promoted,
-                }
-                for name, p in scope.items()
-            }
-            for tenant, scope in self._tenants.items()
         }

@@ -5,7 +5,7 @@ vocabulary), the single-stats-surface invariant (engine counters ==
 telemetry counters, incremented exactly once), the invalidate-demotes
 regression, the ``stats_snapshot()`` surface, the sinkless (untraced)
 path, and the threads that used to be invisible: background compile
-workers and VM-server request threads.
+workers and host threads calling one engine at once.
 """
 
 import threading
@@ -330,8 +330,6 @@ class TestNoopFastPath:
     def test_untraced_engines_still_count(self, tmp_path):
         """``stats_snapshot()["counters"]`` of engines nobody traces:
         every vocabulary name an operation emits still ticks."""
-        from repro.serve import VMServer
-
         # tier-up and a resolved OSR fire, first on a cold disk cache...
         def tiered_run():
             engine, module = _tiered(call_threshold=2,
@@ -367,13 +365,6 @@ class TestNoopFastPath:
         assert counters[events.DEOPT_EXIT] == 1
         assert counters[events.SPEC_SPECIALIZE] >= 1
         assert engine.telemetry.events == []
-
-        # requests through a server
-        with VMServer(parse_module(LOOP), workers=2) as server:
-            for _ in range(5):
-                assert server.call("sumto", [5], timeout=10) == 15
-            counters = server.engine.stats_snapshot()["counters"]
-        assert counters[events.SERVE_REQUEST] == 5
 
     def test_disabled_matches_enabled_but_empty_within_noise(self):
         """Benchmark-style guard for the ~one-attribute-check claim.
@@ -455,9 +446,7 @@ class TestEveryThread:
         assert start["tid"] == build["tid"]
 
     def test_concurrent_misses_on_a_flight_server(self):
-        from repro.serve import VMServer
-
-        workers = 4
+        threads = 4
         engine = ExecutionEngine(parse_module(SPEC_LOOP), tier="speculative",
                                  call_threshold=3, flight=True)
         for _ in range(10):
@@ -466,23 +455,30 @@ class TestEveryThread:
         assert manager.state_for(
             engine.module.get_function("poly")).active_version is not None
 
-        # hold every request thread inside the miss policy until all of
+        # hold every caller thread inside the miss policy until all of
         # them are there, so the misses truly overlap
         real_on_miss = manager._on_miss
-        barrier = threading.Barrier(workers)
+        barrier = threading.Barrier(threads)
 
         def on_miss_in_step(*args):
             barrier.wait(10)
             return real_on_miss(*args)
 
         manager._on_miss = on_miss_in_step
-        with VMServer(engine=engine, workers=workers,
-                      batch_max=1) as server:
-            # each request misses the entry check with a distinct value
-            pending = [server.submit("poly", [mode, 25])
-                       for mode in range(2, 2 + workers)]
-            results = [p.result(30) for p in pending]
-        assert results == [_poly(mode, 25) for mode in range(2, 2 + workers)]
+        # each thread misses the entry check with a distinct value
+        modes = range(2, 2 + threads)
+        results = {}
+
+        def call(mode):
+            results[mode] = engine.run("poly", mode, 25)
+
+        callers = [threading.Thread(target=call, args=(mode,))
+                   for mode in modes]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(30)
+        assert results == {mode: _poly(mode, 25) for mode in modes}
 
         ring = engine.telemetry.flight.events
         assert events.validate_events(ring) == []
@@ -490,13 +486,10 @@ class TestEveryThread:
             engine.telemetry)) == []
         for name in (events.DEOPT_GUARD_FAIL, events.DEOPT_EXIT):
             fired = [e for e in ring if e["name"] == name]
-            assert len(fired) == workers
+            assert len(fired) == threads
             tids = {e["tid"] for e in fired}
             assert threading.get_ident() not in tids
-            assert len(tids) == workers
-        served = [e for e in ring if e["name"] == events.SERVE_REQUEST]
-        assert len(served) == workers and all(e["args"]["ok"]
-                                              for e in served)
+            assert len(tids) == threads
 
 
 class TestTraceSmoke:

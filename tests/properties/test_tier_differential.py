@@ -452,7 +452,7 @@ class TestDecodeFallback:
 class TestPolicyTable:
     """Every preset of ``POLICIES`` through the one dispatcher: same
     results as the oracle, promotion on either threshold, a fresh start
-    after ``invalidate()``, tenant-scoped hotness, stable frame labels."""
+    after ``invalidate()``, stable frame labels."""
 
     @staticmethod
     def _engine(tier, **kwargs):
@@ -523,19 +523,6 @@ class TestPolicyTable:
         assert (fresh.value, fresh.requested) == (None, False)
         assert fresh.generation == box.generation + 1
         engine.shutdown_background()
-
-    def test_tenant_scope_charges_the_tenants_profile(self, tier):
-        engine, _ = self._engine(tier, call_threshold=3)
-        with engine.profiler.tenant_scope("alice"):
-            engine.run("f", 5)
-            engine.run("f", 5)
-        assert engine.profiler.snapshot() == {}  # nothing in the default scope
-        tenants = engine.profiler.tenant_snapshot()
-        if POLICIES[tier].promote:
-            assert tenants == {"alice": {"f": {
-                "calls": 2, "backedges": 8, "promoted": False}}}
-        else:
-            assert tenants == {}
 
     def test_entry_frame_is_labelled_with_tier_and_function(self, tier):
         engine, func = self._engine(tier)

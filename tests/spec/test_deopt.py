@@ -280,3 +280,26 @@ class TestInvalidationCascade:
         self._rewrite(func)
         engine.invalidate(func)
         assert stale(9, 25) == 3 * _expected(1, 25)
+
+    def test_invalidation_retires_versions_from_module_and_natives(self):
+        engine, func = _engine()
+        fresh_natives = len(_engine()[0]._natives)
+
+        def assert_only_live_versions_kept():
+            versions = engine.spec_manager.state_for(func).versions.values()
+            live = {name for version in versions
+                    for name in (version.function.name, version.miss.name)}
+            assert {f.name for f in engine.module.functions} == (
+                {"poly"} | live)
+            assert len(engine._natives) == fresh_natives + len(versions)
+
+        for _ in range(6):
+            _warm(engine)
+            assert engine.run("poly", 9, 25) == _expected(9, 25)  # a miss
+            engine.invalidate(func)
+            assert_only_live_versions_kept()
+        # and the next warm-up specializes again, into one live version
+        _warm(engine)
+        state = engine.spec_manager.state_for(func)
+        assert state.active_version is not None and len(state.versions) == 1
+        assert_only_live_versions_kept()

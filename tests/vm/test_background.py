@@ -105,30 +105,26 @@ class TestBackgroundPromotion:
         assert engine.profiler.profile_for("sumto").promoted
         engine.shutdown_background()
 
-    def test_promotion_stamps_the_tripping_tenants_profile(self):
-        # the publish runs on a worker thread with no tenant scope: it
-        # must stamp the profile that tripped, not look one up there
+    def test_promotion_stamps_the_tripping_profile(self):
+        # under tiered-bg the publish runs on a worker thread: it must
+        # stamp the profile the job carries, the one whose counters tripped
         snapshots = {}
         for tier in ("tiered", "tiered-bg"):
             tel = Telemetry()
             engine, _ = _engine(tier=tier, call_threshold=2, telemetry=tel)
-            with engine.profiler.tenant_scope("alice"):
-                for _ in range(5):
-                    assert engine.run("sumto", 10) == 55
-                    assert engine.drain_background(5.0)
+            for _ in range(5):
+                assert engine.run("sumto", 10) == 55
+                assert engine.drain_background(5.0)
             engine.shutdown_background()
             promotes = [e["args"]["calls"] for e in tel.events
                         if e["name"] == events.TIER_PROMOTE]
-            tenants = engine.profiler.tenant_snapshot()
+            profiles = engine.profiler.snapshot()
             # the tripping call itself runs decoded under tiered-bg and
             # compiled under tiered, so backedge counts differ by design
-            del tenants["alice"]["sumto"]["backedges"]
-            snapshots[tier] = (tenants, engine.profiler.snapshot(), promotes)
+            del profiles["sumto"]["backedges"]
+            snapshots[tier] = (profiles, promotes)
         assert snapshots["tiered"] == (
-            {"alice": {"sumto": {"calls": 2, "promoted": True}}},
-            {},  # no phantom profile in the default scope
-            [2],
-        )
+            {"sumto": {"calls": 2, "promoted": True}}, [2])
         assert snapshots["tiered-bg"] == snapshots["tiered"]
 
     def test_hot_call_does_not_block_on_compile(self, monkeypatch):

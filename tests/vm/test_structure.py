@@ -285,3 +285,25 @@ def test_buffer_data_is_bound_only_in_init():
 
         visit(_tree(path), None)
     assert not offenders, offenders
+
+
+def test_the_engine_serves_one_caller():
+    # one host embeds the engine: no request server, socket transport or
+    # per-tenant profile scope is defined anywhere, and the serve package
+    # is the disk cache and its smoke CLI
+    gone = {"VMServer", "SocketVMClient", "PendingRequest", "tenant_scope",
+            "tenant_snapshot", "current_tenant"}
+    offenders = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        for node in ast.walk(_tree(path)):
+            where = f"{path.relative_to(SRC_ROOT)}:{getattr(node, 'lineno', 0)}"
+            if (isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                    and node.name in gone):
+                offenders.append(f"{where}: {node.name}")
+            if isinstance(node, ast.Import) and any(
+                    alias.name == "socket" for alias in node.names):
+                offenders.append(f"{where}: import socket")
+    assert not offenders, offenders
+    lines = sum(len(path.read_text().splitlines())
+                for path in (SRC_ROOT / "serve").glob("*.py"))
+    assert lines <= 400, f"serve/ is {lines} lines"
