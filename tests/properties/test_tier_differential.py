@@ -524,6 +524,37 @@ class TestPolicyTable:
         assert fresh.generation == box.generation + 1
         engine.shutdown_background()
 
+    def test_every_call_charges_the_functions_one_profile(self, tier):
+        engine, _ = self._engine(tier, call_threshold=3)
+        engine.run("f", 5)
+        engine.run("f", 5)
+        if POLICIES[tier].promote:
+            assert engine.profiler.snapshot() == {"f": {
+                "calls": 2, "backedges": 8, "promoted": False}}
+        else:
+            assert engine.profiler.snapshot() == {}
+        assert "tenants" not in engine.stats_snapshot()
+
+    def test_a_rebuilt_dispatcher_charges_the_same_profile(self, tier):
+        # the dispatcher binds its profile once; invalidate() demotes
+        # that object in place, so the rebuilt dispatcher counts into it
+        engine, func = self._engine(tier, call_threshold=100)
+        engine.run("f", 5)
+        engine.run("f", 5)
+        if not POLICIES[tier].promote:
+            engine.invalidate(func)
+            engine.run("f", 5)
+            assert engine.profiler.snapshot() == {}
+            return
+        profile = engine.profiler.profile_for("f")
+        assert profile.calls == 2
+        engine.invalidate(func)
+        assert engine.profiler.profile_for("f") is profile
+        assert (profile.calls, profile.backedges) == (0, 0)
+        assert engine.run("f", 5) == 5
+        assert (profile.calls, profile.backedges) == (1, 4)
+        engine.shutdown_background()
+
     def test_entry_frame_is_labelled_with_tier_and_function(self, tier):
         engine, func = self._engine(tier)
         thunk = engine.get_compiled(func)

@@ -240,3 +240,43 @@ done:
         # thunk it fronts is reachable through __wrapped__
         assert cont.__name__.startswith("osrfire_")
         assert cont.__wrapped__.__name__.startswith("interp_")
+
+
+class TestRemoveNative:
+    SRC = """
+declare i64 @host_add(i64 %a, i64 %b)
+
+define i64 @f(i64 %x) {
+entry:
+  %r = call i64 @host_add(i64 %x, i64 100)
+  ret i64 %r
+}
+"""
+
+    @pytest.mark.parametrize("tier", ["interp", "decoded", "jit"])
+    def test_a_removed_native_no_longer_resolves(self, tier):
+        from repro.vm import Trap
+
+        engine, _ = engine_for(self.SRC, tier=tier)
+        engine.add_native("host_add", lambda a, b: a + b)
+        engine.remove_native("host_add")
+        with pytest.raises(Trap, match="unresolved external symbol"):
+            engine.run("f", 5)
+
+    def test_code_bound_before_removal_keeps_calling_it(self):
+        from repro.vm import Trap
+
+        engine, module = engine_for(self.SRC)
+        engine.add_native("host_add", lambda a, b: a + b)
+        assert engine.run("f", 5) == 105
+        engine.remove_native("host_add")
+        assert engine.run("f", 6) == 106  # the JIT'd slot holds the host fn
+        engine.invalidate(module.get_function("f"))
+        with pytest.raises(Trap, match="unresolved external symbol"):
+            engine.run("f", 7)  # recompiled code cannot resolve it
+
+    def test_removing_an_unbound_name_is_a_no_op(self):
+        engine, _ = engine_for(self.SRC)
+        before = dict(engine._natives)
+        engine.remove_native("never_bound")
+        assert engine._natives == before
