@@ -11,11 +11,11 @@ PP = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 test:
 	$(PP) $(PYTHON) -m pytest -x -q --durations=15
 
-# the threaded background-compilation stress tests, with fault handler
-# tracebacks should a thread wedge
+# the threaded publication stress tests (caller threads promoting while
+# another invalidates), with fault handler tracebacks should a thread wedge
 stress:
 	$(PP) PYTHONFAULTHANDLER=1 $(PYTHON) -m pytest -x -q \
-		tests/vm/test_background.py
+		tests/vm/test_background.py tests/vm/test_shared_engine.py
 	$(PP) PYTHONFAULTHANDLER=1 $(PYTHON) -m pytest -x -q \
 		tests/properties/test_tier_differential.py -k "Threaded"
 

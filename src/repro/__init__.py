@@ -35,8 +35,8 @@ Quickstart::
 
 A package imports eagerly only what a ``jit`` run from mini-C source to
 result uses; the rest of its ``__all__`` (the IR parser and printer,
-the interpreter, decoded and background tiers, the trace readers, the
-serving loop) loads on first access through :func:`lazy_exports`.
+the interpreter and decoded tiers, the trace readers, the
+persistent code cache) loads on first access through :func:`lazy_exports`.
 """
 
 import importlib

@@ -23,8 +23,8 @@ vocabulary (``analysis.cache_hit`` / ``analysis.cache_miss`` /
 ``analysis.invalidate``) and the manager's own counters, surfaced by
 ``ExecutionEngine.stats_snapshot()["analysis"]``.
 
-The manager is thread-safe: background compile workers and the main
-thread share one cache, so a reentrant lock serializes every query and
+The manager is thread-safe: every caller thread compiling or inserting
+OSR points shares one cache, so a reentrant lock serializes every query and
 invalidation.  Computation happens under the lock — two threads asking
 for the same analysis never race a half-built result into the cache,
 at the cost of serializing concurrent computes (they are cold-path).

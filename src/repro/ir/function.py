@@ -341,8 +341,17 @@ class Module:
         return name in self._functions
 
     def remove_function(self, func: Function) -> None:
+        """Drop ``func`` from the module, and its body's uses of the
+        module's functions and globals with it: a function it called no
+        longer lists its calls.  The body itself stays intact, so a
+        thread still holding ``func`` can compile it."""
         del self._functions[func.name]
         func.module = None
+        for inst in func.instructions():
+            for value in inst._operands:
+                if isinstance(value, GlobalValue):
+                    value._uses[:] = [use for use in value._uses
+                                      if use.user is not inst]
 
     def declare_function(self, name: str, function_type: FunctionType) -> Function:
         """Get-or-create a declaration with the given signature."""

@@ -369,9 +369,13 @@ class CastInst(Instruction):
 
 
 class CallInst(Instruction):
-    """Direct call of a known function (or runtime symbol)."""
+    """Direct call of a known function (or runtime symbol).
 
-    __slots__ = ("callee", "is_tail")
+    The callee is operand 0, as for :class:`IndirectCallInst`, so a
+    function's ``uses`` list its call sites and
+    ``replace_all_uses_with`` retargets them."""
+
+    __slots__ = ("is_tail",)
     opcode = "call"
 
     def __init__(
@@ -383,8 +387,7 @@ class CallInst(Instruction):
     ):
         fnty = callee.function_type
         self._check_signature(fnty, args)
-        super().__init__(fnty.return_type, list(args), name)
-        self.callee = callee
+        super().__init__(fnty.return_type, [callee, *args], name)
         self.is_tail = tail
 
     @staticmethod
@@ -404,8 +407,12 @@ class CallInst(Instruction):
                 )
 
     @property
+    def callee(self):
+        return self._operands[0]
+
+    @property
     def args(self) -> List[Value]:
-        return list(self._operands)
+        return self._operands[1:]
 
 
 class IndirectCallInst(Instruction):

@@ -40,10 +40,9 @@ name                      kind   emitted when
 ``analysis.cache_hit``    event  the analysis manager served a cached result
 ``analysis.cache_miss``   event  an analysis was (re)computed and cached
 ``analysis.invalidate``   event  a rewrite dropped/migrated cached analyses
-``compile.queue``         event  a tier-up compile was enqueued on the background queue
-``compile.start``         event  a queue worker picked the job up and began compiling
+``compile.start``         event  a promotion began compiling on the calling thread
 ``compile.install``       event  the finished code was atomically published
-``compile.discard``       event  a stale in-flight compile was dropped (generation raced)
+``compile.discard``       event  a promotion published nothing (generation raced, JIT error)
 ``flight.anomaly``        event  the flight recorder tripped an anomaly trigger
 ``diskcache.hit``         event  a JIT miss was served from the persistent disk cache
 ``diskcache.miss``        event  the disk cache had no valid entry for the stamp
@@ -92,7 +91,6 @@ DEOPT_INVALIDATE = "deopt.invalidate"
 ANALYSIS_CACHE_HIT = "analysis.cache_hit"
 ANALYSIS_CACHE_MISS = "analysis.cache_miss"
 ANALYSIS_INVALIDATE = "analysis.invalidate"
-COMPILE_QUEUE = "compile.queue"
 COMPILE_START = "compile.start"
 COMPILE_INSTALL = "compile.install"
 COMPILE_DISCARD = "compile.discard"
@@ -101,13 +99,8 @@ DISKCACHE_HIT = "diskcache.hit"
 DISKCACHE_MISS = "diskcache.miss"
 DISKCACHE_WRITE = "diskcache.write"
 
-#: metrics-only names (no trace events): the background queue's depth
-#: gauge, its enqueue-to-install latency and enqueue-to-start wait
-#: timers and the per-call dispatch latency timer — each backed by a
-#: percentile histogram
-COMPILE_QUEUE_DEPTH = "compile.queue_depth"
-COMPILE_LATENCY = "compile.latency"
-COMPILE_WAIT = "compile.wait"
+#: metrics-only names (no trace events): the per-call dispatch latency
+#: timer, backed by a percentile histogram
 ENGINE_DISPATCH = "engine.dispatch"
 #: live-slot-count gauges: the most recent OSR live-state
 #: width and the most recent decoded frame width (slots per frame)
@@ -141,7 +134,6 @@ INSTANT_NAMES = frozenset({
     ANALYSIS_CACHE_HIT,
     ANALYSIS_CACHE_MISS,
     ANALYSIS_INVALIDATE,
-    COMPILE_QUEUE,
     COMPILE_START,
     COMPILE_INSTALL,
     COMPILE_DISCARD,

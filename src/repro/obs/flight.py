@@ -1,8 +1,8 @@
 """Flight recorder: a bounded, always-on ring buffer of telemetry events.
 
 The full :class:`~repro.obs.tracer.Tracer` keeps an unbounded event
-list — perfect for experiments, unusable always-on (a server-style
-``tiered-bg`` engine would grow it without limit).  The
+list — perfect for experiments, unusable always-on (a long-running
+``tiered`` engine would grow it without limit).  The
 :class:`FlightRecorder` is a *bounded* tracer: same clock, lock, event
 shapes and stream rule, but the buffer is a fixed-capacity ring that
 keeps the *most recent* events and counts what it dropped.  Because a

@@ -16,7 +16,7 @@ lock first, then folded under the destination's).
 
 :class:`~repro.obs.metrics.MetricsRegistry` attaches one histogram to
 every timer, so any ``record_time`` name — per-call dispatch latency,
-``jit.compile`` time, compile-queue wait, deopt-transition cost — gains
+``jit.compile`` time, deopt-transition cost — gains
 ``p50/p90/p99/p999`` in ``timer_stats`` and ``snapshot()`` for free.
 """
 

@@ -1,8 +1,8 @@
 """Per-function tier-journey reports assembled from the event stream.
 
 A *journey* is the compilation life story of one function, read off a
-telemetry trace: decode (fusion/bailout) → hotness threshold → enqueue
-→ background compile → publish → promotion → OSR fires → guard
+telemetry trace: decode (fusion/bailout) → hotness threshold → compile
+→ publish → promotion → OSR fires → guard
 failures/deopts → respecialization → invalidation/demotion → pinning.
 The builder groups the closed-vocabulary events by the function they
 name and orders them by timestamp, so the report answers the two
@@ -10,7 +10,7 @@ questions production triage actually asks:
 
 * *what happened to this function, in order, and when?*
 * *why is this function still at baseline?* — diagnosed from the shape
-  of the journey (never got hot, decode bailed out, tier-up queued but
+  of the journey (never got hot, decode bailed out, tier-up compiled but
   discarded, pinned by deopt thrash, ...).
 
 Works on a live telemetry's raw events or on an exported Chrome trace
@@ -31,8 +31,7 @@ _FUNCTION_ARGS = ("function", "continuation", "target")
 JOURNEY_EVENTS = frozenset({
     EV.DECODE_BAILOUT, EV.DECODE_FUSE,
     EV.PROFILE_CALL_HOT, EV.PROFILE_BACKEDGE_HOT,
-    EV.COMPILE_QUEUE, EV.COMPILE_START, EV.COMPILE_INSTALL,
-    EV.COMPILE_DISCARD,
+    EV.COMPILE_START, EV.COMPILE_INSTALL, EV.COMPILE_DISCARD,
     EV.JIT_COMPILE, EV.JIT_CACHE_HIT, EV.JIT_CACHE_MISS,
     EV.TIER_PROMOTE, EV.TIER_DEMOTE, EV.ENGINE_INVALIDATE,
     EV.OSR_INSERT, EV.OSR_FIRE,
@@ -89,11 +88,11 @@ class Journey:
             reason = bailout[1].get("reason", "?")
             return (f"at baseline: decode bailed out ({reason}) — running "
                     "the tree-walking interpreter")
-        queued = self.count(EV.COMPILE_QUEUE)
-        if queued and not self.count(EV.COMPILE_INSTALL):
+        started = self.count(EV.COMPILE_START)
+        if started and not self.count(EV.COMPILE_INSTALL):
             discards = self.count(EV.COMPILE_DISCARD)
-            return ("at baseline: tier-up queued but never published "
-                    f"({queued} submitted, {discards} discarded)")
+            return ("at baseline: tier-up compiled but never published "
+                    f"({started} started, {discards} discarded)")
         hot = (self.count(EV.PROFILE_CALL_HOT)
                + self.count(EV.PROFILE_BACKEDGE_HOT))
         if not hot:

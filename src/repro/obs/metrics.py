@@ -13,8 +13,8 @@ without tracing); timers record ``(count, total, min, max)`` in seconds
 percentiles alongside the scalar summary — the distribution view the
 always-on production telemetry is built on.
 
-The registry is thread-safe: one lock guards every mutation, so the
-background compile workers and the main thread fold into the same
+The registry is thread-safe: one lock guards every mutation, so
+several caller threads of one engine fold into the same
 counters/timers without losing increments.  Counter and gauge reads
 stay lock-free (a read racing a write sees the old or the new value,
 never a torn one, because ints/floats are replaced wholesale); timer

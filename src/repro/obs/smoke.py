@@ -3,15 +3,16 @@
 Backs ``make trace-smoke`` and the pytest smoke test: compile one
 shootout benchmark, run it in the default tiered mode with telemetry
 attached and an always-firing resolved OSR point in its per-iteration
-method, then once more on a ``tiered-bg`` engine so a compile worker
-contributes events under its own ``tid``; validate the raw stream
-(completion order, per-thread nesting) and the exported Chrome
-document.  A healthy VM produces at least ``tier.promote``,
+method, then once more on a fresh ``tiered`` engine from a second
+caller thread, whose promotions record events under its own ``tid``;
+validate the raw stream (completion order, per-thread nesting) and the
+exported Chrome document.  A healthy VM produces at least ``tier.promote``,
 ``jit.compile`` and ``osr.fire`` events, from at least two threads.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, List, Optional
 
 from .events import validate_events
@@ -61,16 +62,17 @@ def run_trace_smoke(benchmark_name: str = "n-body",
         location.function, location, HotCounterCondition(1), engine=engine,
     )
     checksum = engine.run(benchmark.entry, *benchmark.args)
-    # the same program once more with tier-up on a worker thread
-    background = ExecutionEngine(compile_benchmark(benchmark, LEVEL),
-                                 tier="tiered-bg",
-                                 call_threshold=CALL_THRESHOLD,
-                                 telemetry=telemetry)
-    try:
-        background.run(benchmark.entry, *benchmark.args)
-        background.drain_background()
-    finally:
-        background.shutdown_background()
+    # the same program once more, promoting on a second caller thread
+    second = ExecutionEngine(compile_benchmark(benchmark, LEVEL),
+                             tier="tiered", call_threshold=CALL_THRESHOLD,
+                             telemetry=telemetry)
+    results: List[object] = []
+    caller = threading.Thread(target=lambda: results.append(
+        second.run(benchmark.entry, *benchmark.args)), name="smoke-caller")
+    caller.start()
+    caller.join()
+    if not results:
+        raise RuntimeError("the second caller's run raised (traceback above)")
 
     events = chrome_trace_events(telemetry)
     problems = validate_events(telemetry.events)

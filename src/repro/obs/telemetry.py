@@ -144,7 +144,7 @@ def production_telemetry(capacity: int = DEFAULT_CAPACITY,
     The event sink is a bounded :class:`~repro.obs.flight.FlightRecorder`
     (drop-oldest ring with anomaly triggers and on-demand Chrome dump)
     instead of the unbounded tracer, and the metrics registry's timers
-    carry percentile histograms — so a ``tiered``/``tiered-bg`` engine
+    carry percentile histograms — so a ``tiered``/``speculative`` engine
     can keep this attached across millions of calls and still answer
     "what were the p99 dispatch and compile latencies, and what happened
     right before that anomaly?".  ``ExecutionEngine(module, flight=True)``

@@ -43,8 +43,7 @@ caller recompiles.
 
 Thread-safety: file operations are atomic at the OS level and the
 counters are guarded by a lock, so one cache instance may be shared by
-an engine, its background compile workers and a server's request
-threads.
+engines promoting on several caller threads.
 """
 
 from __future__ import annotations

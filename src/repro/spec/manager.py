@@ -2,7 +2,7 @@
 
 Owns the per-baseline speculation state for one engine: the baseline's
 plain compiled code, its specialized versions, the *active* one (what
-the engine's :class:`~repro.vm.background.PublishBox` for the baseline
+the engine's :class:`~repro.vm.engine.PublishBox` for the baseline
 holds), the respecializations spent, and the thrash limit's pin.  Every
 decision is an ``engine.republish`` into that box.  Policy, per the
 Deoptless playbook:
@@ -95,26 +95,32 @@ class SpeculationManager:
 
         def feedback(*args):
             profile.record_args(args)
-            # a stage an invalidation retired has nothing left to decide
-            if profile.samples < min_samples or state.plain is not compiled:
+            if profile.samples < min_samples:
                 return compiled(*args)
-            return self.decide(state, profile)(*args)
+            return self.decide(state, profile, compiled)(*args)
 
         return feedback
 
-    def decide(self, state: SpecState, profile) -> Callable:
+    def decide(self, state: SpecState, profile, plain: Callable) -> Callable:
         """Publish a specialization if ``profile`` has a monomorphic
-        argument, else the plain code; returns what was published (the
-        plain code when the publication found no box to go into)."""
-        stable = profile.stable_argument(self.min_samples, self.min_ratio)
-        if stable is not None:
-            version = state.versions.get(stable)
-            if version is None:
-                version = self._build_version(state, *stable)
-            if version is not None and self._activate(state, version):
-                return self._code(version)
-        self.engine.republish(state.baseline, state.plain)
-        return state.plain
+        argument, else ``plain``; returns what was published (``plain``
+        when the publication found no box to go into).  Runs under the
+        engine lock, so an invalidation from another thread lands before
+        or after it; a stage it retired (``plain`` is no longer the
+        state's) has nothing left to decide."""
+        with self.engine._lock:
+            if state.plain is not plain:
+                return plain
+            stable = profile.stable_argument(self.min_samples,
+                                             self.min_ratio)
+            if stable is not None:
+                version = state.versions.get(stable)
+                if version is None:
+                    version = self._build_version(state, *stable)
+                if version is not None and self._activate(state, version):
+                    return self._code(version)
+            self.engine.republish(state.baseline, plain)
+            return plain
 
     def _build_version(self, state: SpecState, arg_index: int, value
                        ) -> Optional[SpecializedVersion]:

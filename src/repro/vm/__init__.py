@@ -11,15 +11,14 @@ object table that OSR stubs use to carry IR objects through
 
 Tier strings are presets of :data:`POLICIES`.  The promoting ones share
 one dispatcher over the function's :class:`PublishBox` and one
-compile-and-publish path, run inline (``tiered``) or on a
-:class:`CompileQueue` worker so hot calls never stall on the JIT
-(``tiered-bg``); the generation-stamped publish loses to a racing
-``invalidate()``.  ``speculative`` republishes entry-checked
+compile-and-publish path, run on the calling thread; the
+generation-stamped publish loses to a racing ``invalidate()`` from
+another thread.  ``speculative`` republishes entry-checked
 specializations over the promoted code.
 """
 
 from .. import lazy_exports
-from .engine import POLICIES, TIERS, ExecutionEngine, ObjectTable
+from .engine import POLICIES, TIERS, ExecutionEngine, ObjectTable, PublishBox
 from .jit import CompiledCode, JITError, codegen_function, compile_function
 from .profile import FunctionProfile, TierProfiler
 from .runtime import (
@@ -38,7 +37,6 @@ from .runtime import (
 # the tiers a ``jit`` engine never runs load when a policy first needs
 # them, as the engine itself imports them
 __getattr__ = lazy_exports(__name__, {
-    "background": ("CompileJob", "CompileQueue", "PublishBox"),
     "decode": ("DecodedFunction", "DecodeError", "decode_function"),
     "interpreter": ("Interpreter", "StepLimitExceeded"),
 })
@@ -48,8 +46,6 @@ __all__ = [
     "ObjectTable",
     "TIERS",
     "POLICIES",
-    "CompileJob",
-    "CompileQueue",
     "PublishBox",
     "Interpreter",
     "Trap",

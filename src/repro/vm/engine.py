@@ -12,26 +12,24 @@ A tier string is a preset of :data:`POLICIES` (described there).  The
 non-promoting presets are the bare baseline callable
 (:meth:`ExecutionEngine._baseline`); the promoting ones share one
 dispatcher (:meth:`~ExecutionEngine._make_dispatcher`) over the
-function's one :class:`~repro.vm.background.PublishBox`, one promote
-step (:meth:`~ExecutionEngine._promote`: a :class:`CompileJob` run here
-or on the queue) and one publish routine
-(:meth:`~ExecutionEngine._publish`: generation-stamped, so a racing
-``invalidate()`` discards the result).  Every tier transition is a
-publication into that box: the JIT'd code; under ``speculate`` that
-code behind an argument-feedback stage, then whichever specialization
-(or the plain code) the speculation manager republishes over it.  A
-publication also rewrites what callers call
+function's one :class:`PublishBox`, one promote step
+(:meth:`~ExecutionEngine._promote`: compile on the calling thread) and
+one publish routine (:meth:`~ExecutionEngine._publish`:
+generation-stamped, so a racing ``invalidate()`` discards the result).
+Every tier transition is a publication into that box: the JIT'd code;
+under ``speculate`` that code behind an argument-feedback stage, then
+whichever specialization (or the plain code) the speculation manager
+republishes over it.  A publication also rewrites what callers call
 (:meth:`~ExecutionEngine._route`), so published code runs with no
 dispatcher frame above it.
 
 Tests flip tiers to cross-check semantics.
 
-Thread-safety: the engine may be driven from several threads at once
-(and the background queue's workers always are another thread).  One
-reentrant lock serializes the mutating slow paths — compile-and-install
-in :meth:`get_compiled`, :meth:`invalidate`, handle/global
-materialization and publication — while the per-call hot paths stay
-lock-free dictionary reads.
+Thread-safety: the engine may be driven from several threads at once;
+it starts none of its own.  One reentrant lock serializes the mutating
+slow paths — compile-and-install in :meth:`get_compiled`,
+:meth:`invalidate`, handle/global materialization and publication —
+while the per-call hot paths stay lock-free dictionary reads.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from ..ir.values import (
 from ..obs import events as EV
 from ..obs.telemetry import Telemetry, production_telemetry
 from ..obs.telemetry import ambient as ambient_telemetry
-from .jit import compile_function
+from .jit import JITError, acquire_artifact, compile_function
 from .profile import (
     DEFAULT_BACKEDGE_THRESHOLD,
     DEFAULT_CALL_THRESHOLD,
@@ -76,7 +74,6 @@ from .runtime import (
 )
 
 if TYPE_CHECKING:
-    from .background import CompileQueue, PublishBox
     from .decode import DecodedFunction
 
 
@@ -84,7 +81,7 @@ class TierPolicy(NamedTuple):
     """What a tier string means for one function."""
 
     baseline: str            #: where it starts: interp | decoded | jit
-    promote: Optional[str]   #: how hot code is JIT'd: None | inline | background
+    promote: bool            #: JIT hot code on the calling thread
     speculate: bool          #: argument feedback + entry-checked specialization
     label: str               #: dispatcher thunk prefix (names its frames)
 
@@ -92,23 +89,20 @@ class TierPolicy(NamedTuple):
 #: the tier presets
 POLICIES: Dict[str, TierPolicy] = {
     # Python-codegen, compiled on first call
-    "jit": TierPolicy("jit", None, False, "jit"),
+    "jit": TierPolicy("jit", False, False, "jit"),
     # the tree-walking reference interpreter (semantic oracle)
-    "interp": TierPolicy("interp", None, False, "interp"),
+    "interp": TierPolicy("interp", False, False, "interp"),
     # the pre-decoded closure interpreter: same semantics, no per-step
     # dispatch cost
-    "decoded": TierPolicy("decoded", None, False, "decoded"),
+    "decoded": TierPolicy("decoded", False, False, "decoded"),
     # mixed mode: decoded with call/backedge counters, promoted to the JIT
     # on the calling thread when the TierProfiler thresholds trip — the
     # profile-driven tier-up the paper's OSR machinery assumes
-    "tiered": TierPolicy("decoded", "inline", False, "tiered"),
-    # the same, compiled on the CompileQueue workers while the caller stays
-    # decoded: hot calls never stall on the JIT
-    "tiered-bg": TierPolicy("decoded", "background", False, "tieredbg"),
+    "tiered": TierPolicy("decoded", True, False, "tiered"),
     # tiered plus argument-value feedback: a promoted function with
     # monomorphic arguments runs a specialization whose entry check calls
     # into the speculation policy when the guess breaks
-    "speculative": TierPolicy("decoded", "inline", True, "speculative"),
+    "speculative": TierPolicy("decoded", True, True, "speculative"),
 }
 
 #: valid values for the engine-wide and per-function tier setting
@@ -145,6 +139,35 @@ def _mark_thunk(wrapper: Callable, prefix: str, func,
     return wrapper
 
 
+class PublishBox:
+    """What calls of one function reach now: the publication cell its
+    dispatcher reads until something is published (the publication
+    then also re-points the callers themselves, ``engine._route``).
+
+    ``value`` starts ``None`` (keep running the baseline tier).  A
+    promotion publishes only into an empty box of its own generation
+    (the function's compile generation at dispatcher creation) — the
+    "atomic publish"; stages above the compiled code (speculation's
+    specializations) are republished over it, always under the
+    owning engine's lock.  ``requested`` latches once a promotion has
+    been attempted, so the dispatcher asks at most once: a
+    :class:`JITError` leaves the function on the baseline tier instead
+    of recompiling per call.
+    """
+
+    __slots__ = ("value", "generation", "requested")
+
+    def __init__(self, generation: int):
+        self.value = None
+        self.generation = generation
+        self.requested = False
+
+    def __repr__(self) -> str:  # pragma: no cover
+        state = ("published" if self.value is not None
+                 else "requested" if self.requested else "idle")
+        return f"<PublishBox gen={self.generation} {state}>"
+
+
 class ObjectTable:
     """Bidirectional map between small integers and Python objects.
 
@@ -160,8 +183,10 @@ class ObjectTable:
     """
 
     def __init__(self, engine=None) -> None:
-        self._objects: List[Any] = [None]
-        self._ids: Dict[int, int] = {}
+        # address 0 is the null pointer: ``inttoptr 0`` is null and
+        # ``ptrtoint null`` is 0
+        self._objects: List[Any] = [NULL]
+        self._ids: Dict[int, int] = {id(NULL): 0}
         self._engine = engine
         # share the engine's lock (no ordering hazards between the two);
         # a free-standing table gets its own
@@ -215,7 +240,6 @@ class ExecutionEngine:
                  call_threshold: int = DEFAULT_CALL_THRESHOLD,
                  backedge_threshold: int = DEFAULT_BACKEDGE_THRESHOLD,
                  telemetry=None, analysis_manager=None,
-                 compile_queue: Optional[CompileQueue] = None,
                  flight: bool = False, disk_cache=None):
         if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r}")
@@ -223,8 +247,8 @@ class ExecutionEngine:
         self.tier = tier
         #: persistent artifact store: a DiskCodeCache, or a path to open
         #: one at (str/PathLike).  When attached, JIT cache misses
-        #: consult disk before compiling and fresh compiles (inline or
-        #: background) write through — the process warm-start path.
+        #: consult disk before compiling and fresh compiles write
+        #: through — the process warm-start path.
         if isinstance(disk_cache, (str, os.PathLike)):
             from ..serve.diskcache import DiskCodeCache
 
@@ -257,9 +281,6 @@ class ExecutionEngine:
         #: publication of the callee, re-pointed at a trampoline on its
         #: invalidation, and dropped with the owner's invalidation
         self._patched: Dict[str, List[Tuple[dict, str, Optional[str]]]] = {}
-        #: the background compile queue (background promotion); shared when
-        #: passed in, else created lazily by :meth:`_ensure_bg_queue`
-        self._bg_queue = compile_queue
         self._interp_step_limit = interp_step_limit
         #: per-function tier overrides (function name -> tier)
         self._tier_overrides: Dict[str, str] = {}
@@ -270,7 +291,7 @@ class ExecutionEngine:
         #: (counts, records nothing).  ``flight=True`` attaches an
         #: always-on production telemetry instead: a bounded
         #: flight-recorder ring plus percentile histograms, cheap enough
-        #: to leave on in ``tiered``/``tiered-bg`` service deployments
+        #: to leave on in ``tiered``/``speculative`` deployments
         #: (the ledger's ``obs.flight_ratio`` measures what it costs)
         if telemetry is not None:
             self.telemetry = telemetry
@@ -333,7 +354,8 @@ class ExecutionEngine:
             return (MemoryBuffer(size, "heap"), 0)
 
         def native_free(pointer):
-            pointer[0].freed = True
+            if pointer[0] is not NULL[0]:  # free(NULL) does nothing
+                pointer[0].freed = True
             return None
 
         def native_memcpy(dst, src, n):
@@ -471,7 +493,7 @@ class ExecutionEngine:
             self._compiled[func.name] = native.callable
             return native.callable
         policy = self._policy(func)
-        if policy.promote is None:
+        if not policy.promote:
             compiled = self._baseline(func, policy.baseline)
         else:
             compiled = self._make_dispatcher(func, policy)
@@ -586,8 +608,6 @@ class ExecutionEngine:
         starts over with a fresh box, and with the same profile object,
         demoted in place to fresh counters.
         """
-        from .background import PublishBox
-
         name = func.name
         profiler = self.profiler
         profile = profiler.profile_for(name)
@@ -603,13 +623,12 @@ class ExecutionEngine:
                 profile.record_args(args)
                 return unrecorded(*args)
 
-        background = policy.promote == "background"
         promote = self._promote
 
         def cold(*args):
             profile.calls += 1
             if not box.requested and profiler.should_promote(profile):
-                promote(func, profile, box, background)
+                promote(func, profile, box)
                 published = box.value
                 if published is not None:
                     return published(*args)
@@ -623,28 +642,39 @@ class ExecutionEngine:
 
         return _mark_thunk(dispatch, policy.label, func)
 
-    def _promote(self, func: Function, profile, box: PublishBox,
-                 background: bool) -> None:
-        """The one promote step: latch the request, then compile and
-        publish through :func:`~repro.vm.background.run_job` — on a
-        queue worker (priority = the tripping profile's hotness) while
-        the caller stays on the baseline tier, or right here.  Whatever
-        the job's outcome, the box tells the dispatcher what to run."""
+    def _promote(self, func: Function, profile, box: PublishBox) -> None:
+        """The one promote step, on the calling thread: latch the
+        request, obtain the artifact (:func:`~repro.vm.jit.acquire_artifact`
+        — memory cache, disk cache, code generation) and :meth:`_publish`
+        it.  Whatever the outcome, the box tells the dispatcher what to
+        run.  Nothing is published when an :meth:`invalidate` outran the
+        compile (``stale-generation``) or code generation raised
+        :class:`JITError` (``jit-error: ...``): a ``compile.discard``
+        event carries the reason, and the latched box keeps the function
+        on its baseline tier with no retry."""
         # benign race: two threads may both pass the latch check; the
-        # queue's pending-set dedups the second submit, an inline second
-        # job finds the box filled and discards
+        # second finds the box filled and discards
         box.requested = True
+        tel = self.telemetry
         call_hot = profile.calls >= self.profiler.call_threshold
-        self.telemetry.event(
+        tel.event(
             EV.PROFILE_CALL_HOT if call_hot else EV.PROFILE_BACKEDGE_HOT,
             function=func.name, calls=profile.calls,
             backedges=profile.backedges)
-        if background:
-            self._ensure_bg_queue().submit(self, func, box, profile)
-        else:
-            from .background import CompileJob, run_job
-
-            run_job(CompileJob(self, func, box, profile))
+        reason = "stale-generation"
+        if self.compile_generation(func.name) == box.generation:
+            tel.event(EV.COMPILE_START, function=func.name)
+            try:
+                artifact = acquire_artifact(func, self)
+            except JITError as error:
+                reason = f"jit-error: {error}"
+            else:
+                if self._publish(func, box, profile, artifact):
+                    tel.event(EV.COMPILE_INSTALL, function=func.name,
+                              code_version=func.code_version,
+                              generation=box.generation)
+                    return
+        tel.event(EV.COMPILE_DISCARD, function=func.name, reason=reason)
 
     # -- persistent code cache ----------------------------------------------------
 
@@ -675,21 +705,21 @@ class ExecutionEngine:
             self.telemetry.event(EV.DISKCACHE_WRITE, function=func.name,
                                  code_version=func.code_version)
 
-    def _publish(self, job: CompileJob, artifact) -> bool:
-        """Atomically install a compile job's result — the one publish
-        routine, called by ``run_job`` from whichever thread compiled.
+    def _publish(self, func: Function, box: PublishBox, profile,
+                 artifact) -> bool:
+        """Atomically install a promotion's compiled ``artifact`` into
+        ``box`` — the one publish routine, called by :meth:`_promote`.
 
-        Returns False — the job then discards — unless, under the
-        engine lock, the job's generation stamp still matches the
+        Returns False — the promotion then discards — unless, under the
+        engine lock, the box's generation stamp still matches the
         function's compile generation (no :meth:`invalidate` landed
-        since the promote), the artifact still matches the live body
+        since the dispatcher was made, e.g. from another thread while
+        this one compiled), the artifact still matches the live body
         *and* the box is still empty.  A speculating policy publishes
         the code behind the speculation manager's feedback stage.
         """
-        func, box = job.func, job.box
         with self._lock:
-            if (job.cancelled
-                    or self.compile_generation(func.name) != box.generation
+            if (self.compile_generation(func.name) != box.generation
                     or not artifact.matches(func)
                     or box.value is not None):
                 return False
@@ -698,7 +728,6 @@ class ExecutionEngine:
                 compiled = self.spec_manager.on_promote(func, compiled)
             self._route(func, box, compiled)  # the atomic publish
             # stamp the profile whose counters tripped and report
-            profile = job.profile
             profile.promoted_version = func.code_version
             self.telemetry.event(
                 EV.TIER_PROMOTE, function=func.name,
@@ -789,36 +818,6 @@ class ExecutionEngine:
         return {key: entry[0]
                 for key, entry in dict(self._continuations).items()}
 
-    def _ensure_bg_queue(self) -> CompileQueue:
-        queue = self._bg_queue
-        if queue is None:
-            with self._lock:
-                queue = self._bg_queue
-                if queue is None:
-                    from .background import CompileQueue
-
-                    queue = CompileQueue()
-                    self._bg_queue = queue
-        return queue
-
-    @property
-    def background_queue(self) -> Optional[CompileQueue]:
-        """The attached compile queue, or None if never used."""
-        return self._bg_queue
-
-    def drain_background(self, timeout: Optional[float] = None) -> bool:
-        """Block until the background queue is idle (no queued or
-        in-flight compiles).  Engines with no queue are trivially idle.
-        Returns False only on timeout."""
-        if self._bg_queue is None:
-            return True
-        return self._bg_queue.drain(timeout)
-
-    def shutdown_background(self, wait: bool = True) -> None:
-        """Stop the background workers (idempotent, queue optional)."""
-        if self._bg_queue is not None:
-            self._bg_queue.shutdown(wait=wait)
-
     # -- speculation --------------------------------------------------------------
 
     def _init_speculation(self) -> None:
@@ -867,18 +866,16 @@ class ExecutionEngine:
         Runs under the engine lock and sweeps *every* per-function cache:
         the compiled map, the decoded cache, the continuation store, the
         profiler, trampoline-patched caller namespaces (and the records
-        of the slots its own dropped code owned), background compile
-        state (generation bump + queue discard, so an in-flight compile of
-        the old body can never install), the function handle, dependent
+        of the slots its own dropped code owned), the compile generation
+        (bumped, so a promotion of the old body compiling on another
+        thread can never install), the function handle, dependent
         specializations, and the speculation manager.
         """
         with self._lock:
-            # stamp first: any in-flight background compile of the old
-            # body becomes unpublishable before anything else is swept
+            # stamp first: any in-flight compile of the old body becomes
+            # unpublishable before anything else is swept
             self._generations[func.name] = (
                 self.compile_generation(func.name) + 1)
-            if self._bg_queue is not None:
-                self._bg_queue.discard(self, func.name)
             # the version bump routes through the analysis manager so
             # cached liveness/domtree/loop results retire with the code
             self.analysis.invalidate(func)
@@ -1015,8 +1012,6 @@ class ExecutionEngine:
         }
         if self.spec_manager is not None:
             snapshot["speculation"] = self.spec_manager.stats()
-        if self._bg_queue is not None:
-            snapshot["background"] = self._bg_queue.stats()
         flight = self.telemetry.flight
         if flight is not None:
             snapshot["flight"] = flight.stats()

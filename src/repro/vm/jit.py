@@ -13,8 +13,8 @@ Codegen is engine-independent, deterministic and cached.  A
 the engine resources each namespace slot needs; it is cached on the
 function under its ``code_version``/``code_shape`` stamp, so another
 engine or a repeated warm-up only pays :meth:`CompiledCode.instantiate`.
-Codegen never touches the engine, which lets a compile-queue worker run
-:func:`acquire_artifact` while callers keep executing; a module-level
+Codegen never touches the engine, which lets one caller thread run
+:func:`acquire_artifact` while others keep executing; a module-level
 lock publishes each function's artifact atomically.
 
 Control flow is *structured* (:meth:`FunctionCompiler._place`): one
@@ -1245,8 +1245,8 @@ def _make_source_hook(func: Function) -> Callable[[], str]:
     return unparse
 
 
-#: serializes cold codegen across threads: the background queue's
-#: workers and the main thread may race to compile, and ``assign_names``
+#: serializes cold codegen across threads: two caller threads may race
+#: to compile, and ``assign_names``
 #: + the ``_cached_code`` publication must not interleave
 _codegen_lock = threading.Lock()
 
@@ -1296,11 +1296,11 @@ def acquire_artifact(func: Function, engine) -> CompiledCode:
     cache (a hit deserializes and installs the stored artifact instead
     of compiling), then code generation, written through to disk.
 
-    The one route to compiled code, on whichever thread wants it:
-    :func:`compile_function`, an inline promotion or a queue worker
-    (``vm/background.run_job``).  Engine-read-only: the engine is asked
-    for its disk cache and telemetry only, so a worker may run this
-    while callers keep executing.  Which path ran is recorded there
+    The one route to compiled code, on the thread that wants it:
+    :func:`compile_function` or a promotion (``engine._promote``).
+    Engine-read-only: the engine is asked for its disk cache and
+    telemetry only, so one thread may run this while others keep
+    calling, and no engine lock is held.  Which path ran is recorded there
     (``jit.cache_hit``/``jit.cache_miss`` plus ``diskcache.hit``/
     ``diskcache.miss``/``diskcache.write``), with a ``jit.compile`` span
     around cold code generation (``codegen.build`` nests inside it).

@@ -135,13 +135,6 @@ class FunctionProfile:
     def promoted(self) -> bool:
         return self.promoted_version is not None
 
-    def hotness(self) -> int:
-        """A single scalar ordering functions by how hot they are —
-        the background compile queue's priority key.  Backedges are
-        scaled so one loop-hot function outranks one merely call-hot."""
-        return (self.calls * DEFAULT_BACKEDGE_THRESHOLD
-                + self.backedges * DEFAULT_CALL_THRESHOLD)
-
     def demote(self) -> None:
         """Forget a promotion (the function body was rewritten).
 

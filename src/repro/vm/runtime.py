@@ -30,6 +30,7 @@ keeps ``buffer.data`` of a pointer it addresses in a local.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import threading
@@ -75,7 +76,50 @@ class MemoryBuffer:
 #: a runtime pointer: (buffer, byte offset)
 Pointer = Tuple[MemoryBuffer, int]
 
-NULL: Pointer = (MemoryBuffer(0, "null"), 0)
+
+@functools.total_ordering
+class NullOffset:
+    """The offset of a pointer into the null buffer.
+
+    It adds like an int, so address arithmetic on null (a GEP) still
+    yields a null-based pointer, and two null-based offsets compare.
+    What reaches memory through one traps on every tier: a bounds check
+    compares it with an int, a struct packer or a ``bytearray`` index
+    asks for its ``__index__``.  An offset of a live buffer is a plain
+    int, so no access pays for the check.
+    """
+
+    __slots__ = ("delta",)
+
+    def __init__(self, delta: int = 0):
+        self.delta = delta
+
+    def __add__(self, other):
+        if isinstance(other, NullOffset):
+            return NotImplemented
+        return NullOffset(self.delta + other)
+
+    __radd__ = __add__
+
+    def __index__(self):
+        raise Trap("null pointer dereference")
+
+    def __eq__(self, other):
+        return isinstance(other, NullOffset) and other.delta == self.delta
+
+    def __hash__(self) -> int:
+        return hash((NullOffset, self.delta))
+
+    def __lt__(self, other):
+        if not isinstance(other, NullOffset):
+            self.__index__()
+        return self.delta < other.delta
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"<null+{self.delta}>"
+
+
+NULL: Pointer = (MemoryBuffer(0, "null"), NullOffset())
 
 
 def is_null(pointer: Pointer) -> bool:

@@ -170,10 +170,11 @@ def test_optimized_clone_osrs_back_at_every_loop_header(name, function,
     insert_resolved_osr_point(clone, location, HotCounterCondition(1),
                               variant=func, landing=header,
                               mapping=mapping, engine=engine)
-    for other in engine.module.functions:
-        for inst in other.instructions():
-            if isinstance(inst, CallInst) and inst.callee is func:
-                inst.callee = clone
+    # the callee is an operand: RAUW retargets every direct call
+    assert any(isinstance(use.user, CallInst) for use in func.uses) or (
+        func.name == benchmark.entry)
+    func.replace_all_uses_with(clone)
+    assert func.uses == []
     if func.name == benchmark.entry:
         result = engine.call(clone, [SITES[name][3]])
     else:

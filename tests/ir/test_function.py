@@ -204,6 +204,42 @@ class TestModule:
         m.remove_function(func)
         assert not m.has_function("f")
 
+    def test_call_sites_are_uses_of_the_callee(self):
+        from repro.ir import parse_module, print_module
+
+        m = parse_module("""
+define i64 @g(i64 %x) {
+entry:
+  ret i64 %x
+}
+
+define i64 @h(i64 %x) {
+entry:
+  %r = add i64 %x, 1
+  ret i64 %r
+}
+
+define i64 @f(i64 %x) {
+entry:
+  %a = call i64 @g(i64 %x)
+  %b = call i64 @g(i64 %a)
+  ret i64 %b
+}
+""")
+        f, g, h = (m.get_function(name) for name in ("f", "g", "h"))
+        calls = f.entry.instructions[:2]
+        assert [(use.user, use.index) for use in g.uses] == [
+            (calls[0], 0), (calls[1], 0)]
+        assert calls[1].args == [calls[0]]
+        g.replace_all_uses_with(h)
+        assert g.uses == [] and [c.callee for c in calls] == [h, h]
+        assert "call i64 @h(i64 %a)" in print_module(m)
+        # removing the caller drops its call sites from the callee's
+        # uses, and leaves the removed body as it was
+        m.remove_function(f)
+        assert h.uses == []
+        assert [c.callee for c in calls] == [h, h]
+
     def test_globals(self):
         from repro.ir.values import GlobalVariable
 

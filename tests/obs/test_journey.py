@@ -97,15 +97,15 @@ class TestDiagnose:
         )
         assert "decode bailed out (indirect-call)" in journey.diagnose()
 
-    def test_queued_but_never_published(self):
+    def test_compiled_but_never_published(self):
         journey = self._journey(
             (0.0, events.PROFILE_CALL_HOT, {}),
-            (1.0, events.COMPILE_QUEUE, {}),
+            (1.0, events.COMPILE_START, {}),
             (2.0, events.COMPILE_DISCARD, {}),
         )
         assert journey.diagnose() == (
-            "at baseline: tier-up queued but never published "
-            "(1 submitted, 1 discarded)")
+            "at baseline: tier-up compiled but never published "
+            "(1 started, 1 discarded)")
 
     def test_never_hot(self):
         journey = self._journey((0.0, events.DECODE_FUSE, {}))

@@ -397,20 +397,25 @@ class TestNoopFastPath:
 
 class TestEveryThread:
     """Spans from threads other than the main one: the single span
-    stack used to keep workers out of traces (bare timers) and made
-    overlapping request threads raise out of their ``with`` blocks."""
+    stack used to keep other threads out of traces (bare timers) and
+    made overlapping caller threads raise out of their ``with``
+    blocks."""
 
-    def test_background_worker_compile_is_in_the_trace(self):
+    @staticmethod
+    def _promote_on_a_caller_thread(engine):
+        results = []
+        caller = threading.Thread(target=lambda: results.extend(
+            engine.run("sumto", 5) for _ in range(3)))
+        caller.start()
+        caller.join(30)
+        assert results == [15] * 3
+
+    def test_a_caller_threads_compile_is_in_the_trace(self):
         with trace() as tel:
             module = parse_module(LOOP)
-            engine = ExecutionEngine(module, tier="tiered-bg",
+            engine = ExecutionEngine(module, tier="tiered",
                                      call_threshold=2)
-            try:
-                for _ in range(3):
-                    assert engine.run("sumto", 5) == 15
-                assert engine.drain_background(timeout=30)
-            finally:
-                engine.shutdown_background()
+            self._promote_on_a_caller_thread(engine)
         assert engine.tier_promotions == 1
         builds = [e for e in tel.events
                   if e["name"] == events.CODEGEN_BUILD]
@@ -419,24 +424,19 @@ class TestEveryThread:
         assert build["ph"] == "X" and build["dur"] >= 0
         assert build["args"]["function"] == "sumto"
         assert build["tid"] != threading.get_ident()
-        # the worker's instants carry the same thread id
+        # the caller's instants carry the same thread id
         start = next(e for e in tel.events
                      if e["name"] == events.COMPILE_START)
         assert start["tid"] == build["tid"]
         assert events.validate_events(tel.events) == []
         assert validate_chrome_trace(chrome_trace_events(tel)) == []
 
-    def test_worker_build_lands_in_the_owning_engines_flight_ring(self):
+    def test_caller_thread_build_lands_in_the_engines_flight_ring(self):
         # the build span goes to the telemetry of the engine that asked
-        # for the code, not the ambient one a worker thread would see
-        engine = ExecutionEngine(parse_module(LOOP), tier="tiered-bg",
+        # for the code, not the ambient one the caller thread would see
+        engine = ExecutionEngine(parse_module(LOOP), tier="tiered",
                                  call_threshold=2, flight=True)
-        try:
-            for _ in range(3):
-                assert engine.run("sumto", 5) == 15
-            assert engine.drain_background(timeout=30)
-        finally:
-            engine.shutdown_background()
+        self._promote_on_a_caller_thread(engine)
         assert engine.tier_promotions == 1
         ring = engine.telemetry.flight.events
         (build,) = [e for e in ring if e["name"] == events.CODEGEN_BUILD]

@@ -4,9 +4,9 @@ The tree-walking interpreter is the semantic oracle; the pre-decoded
 closure interpreter and the JIT must agree with it on every generated
 program — results, traps, and (for the decoded tier) step accounting.
 The mixed ``tiered`` mode must agree on both sides of the promotion
-threshold, since a workload may cross it mid-run, and ``tiered-bg``
-must agree while calls, ``invalidate()`` and background tier-up
-interleave across threads.
+threshold, since a workload may cross it mid-run, and ``tiered`` and
+``speculative`` must agree while calls, ``invalidate()`` and the
+callers' own tier-ups interleave across threads.
 """
 
 import struct
@@ -45,7 +45,10 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-ALL_TIERS = ("interp", "decoded", "jit", "tiered", "tiered-bg")
+ALL_TIERS = ("interp", "decoded", "jit", "tiered", "speculative")
+
+#: the promoting presets the threaded suites run their callers against
+THREADED_TIERS = ("tiered", "speculative")
 
 
 def _run_tier(module_text, name, args, tier, **engine_kwargs):
@@ -83,7 +86,7 @@ class TestIntPrograms:
 
         text = print_module(module)
         oracle = _run_tier(text, "prog", args, "interp")
-        for tier in ("decoded", "jit", "tiered", "tiered-bg"):
+        for tier in ("decoded", "jit", "tiered", "speculative"):
             assert _run_tier(text, "prog", args, tier) == oracle, tier
 
     @SETTINGS
@@ -116,20 +119,22 @@ class TestFloatPrograms:
 
         text = print_module(module)
         oracle = _run_tier(text, "fprog", (a, b), "interp")
-        for tier in ("decoded", "jit", "tiered", "tiered-bg"):
+        for tier in ("decoded", "jit", "tiered", "speculative"):
             assert _run_tier(text, "fprog", (a, b), tier) == oracle, tier
 
 
-class TestThreadedBackgroundTierUp:
-    """``tiered-bg`` under concurrency: generated programs hammered from
-    several threads while the main thread interleaves ``invalidate()``
-    and the compile queue races to publish — every outcome must match
-    the single-threaded interpreter oracle."""
+@pytest.mark.parametrize("tier", THREADED_TIERS)
+class TestThreadedTierUp:
+    """Promotion under concurrency: generated programs hammered from
+    several threads, each promoting on its own thread, while the main
+    thread interleaves ``invalidate()`` — every outcome must match the
+    single-threaded interpreter oracle."""
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
-    def test_concurrent_calls_and_invalidation_match_oracle(self, data):
+    def test_concurrent_calls_and_invalidation_match_oracle(self, tier,
+                                                            data):
         spec = data.draw(program_specs())
         args = data.draw(arguments_for(spec))
         module = Module("prop")
@@ -140,8 +145,7 @@ class TestThreadedBackgroundTierUp:
         oracle = _run_tier(text, "prog", args, "interp")
 
         run_module = parse_module(text)
-        engine = ExecutionEngine(run_module, tier="tiered-bg",
-                                 call_threshold=2)
+        engine = ExecutionEngine(run_module, tier=tier, call_threshold=2)
         func = run_module.get_function("prog")
         outcomes = []
         lock = threading.Lock()
@@ -166,23 +170,23 @@ class TestThreadedBackgroundTierUp:
         engine.invalidate(func)  # race the in-flight promotion
         for thread in threads:
             thread.join(10.0)
-        assert engine.drain_background(10.0)
-        classify()  # the published (or re-decoded) code post-drain
-        engine.shutdown_background()
+        classify()  # the published (or re-decoded) code afterwards
         assert set(outcomes) == {oracle}
 
 
+@pytest.mark.parametrize("tier", THREADED_TIERS)
 class TestThreadedSlotRewrites:
     """A publication rewrites the call slots of JIT'd callers while they
     are being called: three threads keep calling a ``jit`` caller of a
-    generated program while ``tiered-bg`` workers publish the program
-    (again after every ``invalidate()`` from a fourth thread) — every
-    result must match the interpreter oracle."""
+    generated program, and the one whose call trips the threshold
+    publishes the program (again after every ``invalidate()`` from a
+    fourth thread) — every result must match the interpreter oracle."""
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
-    def test_calls_through_slots_being_rewritten_match_oracle(self, data):
+    def test_calls_through_slots_being_rewritten_match_oracle(self, tier,
+                                                              data):
         spec = data.draw(program_specs())
         args = data.draw(arguments_for(spec))
         module = Module("prop")
@@ -201,8 +205,7 @@ entry:
         oracle = _run_tier(text, "drive", args, "interp")
 
         run_module = parse_module(text)
-        engine = ExecutionEngine(run_module, tier="tiered-bg",
-                                 call_threshold=2)
+        engine = ExecutionEngine(run_module, tier=tier, call_threshold=2)
         engine.set_tier(run_module.get_function("drive"), "jit")
         prog = run_module.get_function("prog")
         outcomes = []
@@ -216,7 +219,7 @@ entry:
             return box is not None and box.value is not None
 
         def invalidator():
-            # let a worker publish (and rewrite the slot) mid-stream, then
+            # let a caller publish (and rewrite the slot) mid-stream, then
             # start the function over, three times
             try:
                 for _ in range(3):
@@ -244,25 +247,23 @@ entry:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        # settle: re-earn the promotion, let the worker publish it
-        for _ in range(3):
+        # settle: re-earn the promotion and publish it
+        for _ in range(4):
             classify()
-        assert engine.drain_background(10.0)
-        classify()
-        engine.shutdown_background()
         assert set(outcomes) == {oracle}
         assert engine.tier_promotions == 4
         assert (engine._compiled["drive"].__globals__["_f_prog"]
                 is engine._boxes["prog"].value)
 
 
+@pytest.mark.parametrize("tier", THREADED_TIERS)
 class TestThreadedPointerCells:
     """Pointer cells under threads: two threads run b-trees -- one
     pointer store per child node, a load per visit -- on one shared
-    ``tiered-bg`` engine while its workers promote the program, and
-    every result must equal the interpreter oracle's."""
+    engine while their calls promote the program, and every result
+    must equal the interpreter oracle's."""
 
-    def test_two_threads_running_btrees_match_oracle(self):
+    def test_two_threads_running_btrees_match_oracle(self, tier):
         from repro.shootout.harness import compile_benchmark
         from repro.shootout.programs import SUITE
 
@@ -270,7 +271,7 @@ class TestThreadedPointerCells:
         oracle = ExecutionEngine(compile_benchmark(bench, "optimized"),
                                  tier="interp").run(bench.entry, 4)
         engine = ExecutionEngine(compile_benchmark(bench, "optimized"),
-                                 tier="tiered-bg", call_threshold=2)
+                                 tier=tier, call_threshold=2)
         results = []
 
         def runner():
@@ -288,8 +289,6 @@ class TestThreadedPointerCells:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert engine.drain_background(10.0)
-        engine.shutdown_background()
         assert results == [oracle] * 24
         assert engine.tier_promotions > 0
 
@@ -460,18 +459,10 @@ class TestPolicyTable:
         engine = ExecutionEngine(module, tier=tier, **kwargs)
         return engine, module.get_function("f")
 
-    @staticmethod
-    def _settle(engine):
-        assert engine.drain_background(5.0)
-        return engine.tier_promotions
-
     def test_result_matches_interp_across_promotion(self, tier):
         oracle, _ = self._engine("interp")
         engine, _ = self._engine(tier, call_threshold=3)
-        results = [engine.run("f", 40) for _ in range(6)]
-        self._settle(engine)
-        results.append(engine.run("f", 40))
-        engine.shutdown_background()
+        results = [engine.run("f", 40) for _ in range(7)]
         assert set(results) == {oracle.run("f", 40)}
 
     def test_promotes_on_either_threshold(self, tier):
@@ -487,8 +478,7 @@ class TestPolicyTable:
                                  telemetry=Telemetry())
         for _ in range(5):
             engine.run("f", 2)
-        assert self._settle(engine) == promotes
-        engine.shutdown_background()
+        assert engine.tier_promotions == promotes
         assert hot_events(engine) == [events.PROFILE_CALL_HOT] * promotes
         # one long call trips the backedge counter; promotion is checked
         # at call boundaries, so it is the next call that promotes
@@ -496,17 +486,15 @@ class TestPolicyTable:
                                  backedge_threshold=16,
                                  telemetry=Telemetry())
         engine.run("f", 100)
-        assert self._settle(engine) == 0
+        assert engine.tier_promotions == 0
         engine.run("f", 100)
-        assert self._settle(engine) == promotes
-        engine.shutdown_background()
+        assert engine.tier_promotions == promotes
         assert hot_events(engine) == [events.PROFILE_BACKEDGE_HOT] * promotes
 
     def test_invalidate_yields_a_fresh_box_and_demoted_counters(self, tier):
         engine, func = self._engine(tier, call_threshold=2)
         for _ in range(4):
             engine.run("f", 5)
-        self._settle(engine)
         box = engine._boxes.get("f")
         if not POLICIES[tier].promote:
             assert box is None
@@ -522,7 +510,6 @@ class TestPolicyTable:
         assert fresh is not box
         assert (fresh.value, fresh.requested) == (None, False)
         assert fresh.generation == box.generation + 1
-        engine.shutdown_background()
 
     def test_every_call_charges_the_functions_one_profile(self, tier):
         engine, _ = self._engine(tier, call_threshold=3)
@@ -553,7 +540,6 @@ class TestPolicyTable:
         assert (profile.calls, profile.backedges) == (0, 0)
         assert engine.run("f", 5) == 5
         assert (profile.calls, profile.backedges) == (1, 4)
-        engine.shutdown_background()
 
     def test_entry_frame_is_labelled_with_tier_and_function(self, tier):
         engine, func = self._engine(tier)
@@ -577,7 +563,7 @@ entry:
 """
 
 
-@pytest.mark.parametrize("tier", ["tiered", "tiered-bg"])
+@pytest.mark.parametrize("tier", ["tiered", "speculative"])
 def test_promoted_call_is_dispatcher_frame_then_jit_frame(tier):
     engine = ExecutionEngine(parse_module(PROBED), tier=tier,
                              call_threshold=2)
@@ -597,16 +583,14 @@ def test_promoted_call_is_dispatcher_frame_then_jit_frame(tier):
         return x
 
     engine.add_native("probe", probe)
-    for _ in range(4):
+    for _ in range(8):
         assert engine.run("g", 7) == 7
-    assert engine.drain_background(5.0)
-    for _ in range(2):
-        assert engine.run("g", 7) == 7
-    engine.shutdown_background()
     label = POLICIES[tier].label
     # innermost first: before promotion the call runs under the
     # dispatcher; the publication re-pointed ``engine.run`` at the JIT'd
-    # code, so after it ``_jit_g`` calls the native's host function
-    # straight from its slot
+    # code (under ``speculative``, the specialization its feedback stage
+    # republished), so after it that code calls the native's host
+    # function straight from its slot
     assert stacks[0][-1] == f"{label}_g"
-    assert stacks[-1] == ["_jit_g"]
+    jitted = "_jit_g_spec" if POLICIES[tier].speculate else "_jit_g"
+    assert stacks[-1] == [jitted]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.ir import parse_module
@@ -231,17 +233,13 @@ def test_clear_removes_entries(cache):
     "tier", [tier for tier, policy in POLICIES.items()
              if policy.baseline == "jit" or policy.promote])
 def test_engine_warm_starts_from_disk(tmp_path, tier):
-    """Whatever the policy that compiles — on first call, inline at the
-    threshold or on a queue worker — every artifact is written through
-    once, and a fresh engine of the same tier is served from disk."""
+    """Whatever the policy that compiles — on first call or at the
+    threshold — every artifact is written through once, and a fresh
+    engine of the same tier is served from disk."""
     cache_dir = tmp_path / "cache"
 
     def run_hot(engine):
-        results = {engine.run("chain", 4) for _ in range(5)}
-        assert engine.drain_background(10.0)
-        results.add(engine.run("chain", 4))
-        engine.shutdown_background()
-        return results
+        return {engine.run("chain", 4) for _ in range(6)}
 
     cold_engine = ExecutionEngine(parse_module(CHAIN), tier=tier,
                                   call_threshold=3,
@@ -302,15 +300,16 @@ def test_tiered_promotion_writes_through(tmp_path):
     assert warm.disk_cache.stats()["hits"] == 1
 
 
-def test_background_promotion_writes_through(tmp_path):
+def test_promotion_on_a_caller_thread_writes_through(tmp_path):
     cache_dir = tmp_path / "cache"
-    engine = ExecutionEngine(parse_module(CHAIN), tier="tiered-bg",
+    engine = ExecutionEngine(parse_module(CHAIN), tier="tiered",
                              call_threshold=3, disk_cache=str(cache_dir))
-    for _ in range(6):
-        engine.run("chain", 2)
-    assert engine.drain_background(10.0)
-    engine.shutdown_background()
-    assert engine.disk_cache.stats()["writes"] >= 1
+    caller = threading.Thread(
+        target=lambda: [engine.run("chain", 2) for _ in range(6)])
+    caller.start()
+    caller.join(10.0)
+    assert not caller.is_alive()
+    assert engine.disk_cache.stats()["writes"] == 1
 
     warm = ExecutionEngine(parse_module(CHAIN), tier="jit",
                            disk_cache=str(cache_dir))

@@ -46,9 +46,24 @@ def _expected(mode, n):
     return sum(i if mode == 1 else i * mode for i in range(n))
 
 
-def _engine(telemetry=None, **kwargs):
+#: ``poly`` whose fast path calls a function of its own module, so every
+#: specialization cloned from it is a caller of ``@scale`` too
+SCALE = """
+define i64 @scale(i64 %i, i64 %by) {
+entry:
+  %t = mul i64 %i, %by
+  ret i64 %t
+}
+"""
+POLY_CALLING = POLY.replace(
+    "%f = add i64 %acc, %i",
+    "%u = call i64 @scale(i64 %i, i64 1)\n  %f = add i64 %acc, %u")
+
+
+def _engine(telemetry=None, sources=(POLY,), **kwargs):
     module = Module()
-    func = parse_function(POLY, module)
+    for source in sources:
+        func = parse_function(source, module)
     kwargs.setdefault("call_threshold", 3)
     engine = ExecutionEngine(module, tier="speculative",
                              telemetry=telemetry, **kwargs)
@@ -282,16 +297,24 @@ class TestInvalidationCascade:
         assert stale(9, 25) == 3 * _expected(1, 25)
 
     def test_invalidation_retires_versions_from_module_and_natives(self):
-        engine, func = _engine()
+        engine, func = _engine(sources=(SCALE, POLY_CALLING))
         fresh_natives = len(_engine()[0]._natives)
+        scale = engine.module.get_function("scale")
 
         def assert_only_live_versions_kept():
-            versions = engine.spec_manager.state_for(func).versions.values()
-            live = {name for version in versions
+            manager = engine.spec_manager
+            versions = manager.state_for(func).versions.values()
+            # ``scale`` speculates on its constant argument too
+            everyone = [*versions, *manager.state_for(scale).versions.values()]
+            live = {name for version in everyone
                     for name in (version.function.name, version.miss.name)}
             assert {f.name for f in engine.module.functions} == (
-                {"poly"} | live)
-            assert len(engine._natives) == fresh_natives + len(versions)
+                {"poly", "scale"} | live)
+            assert len(engine._natives) == fresh_natives + len(everyone)
+            # a retired version's body no longer counts as a caller: what
+            # calls ``scale`` is ``poly`` and its live versions
+            assert len(scale.uses) == 1 + len(versions)
+            assert func.uses == []
 
         for _ in range(6):
             _warm(engine)

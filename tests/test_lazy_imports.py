@@ -41,7 +41,7 @@ print(json.dumps({"result": engine.run(bench.entry, 3),
 #: loaded by the tiers, readers and tools a ``jit`` run never reaches
 NEVER_IN_A_JIT_RUN = {
     "repro.ir.parser", "repro.ir.printer",
-    "repro.vm.decode", "repro.vm.interpreter", "repro.vm.background",
+    "repro.vm.decode", "repro.vm.interpreter",
     "repro.obs.export", "repro.obs.journey",
     "repro.transform.clone", "repro.transform.inline",
     "repro.transform.ssaupdater",

@@ -1,30 +1,23 @@
-"""Background compilation pipeline: queue mechanics, the publish/discard
-protocol, the invalidation sweep, and thunk identity propagation.
+"""Tier-up on the calling thread: the publish/discard protocol under a
+racing ``invalidate()``, the invalidation sweep, and thunk identity
+propagation.
 
-The deterministic races here are staged by monkeypatching
-``repro.vm.background.acquire_artifact`` with a gated wrapper, so the
-worker can be held mid-compile while the test mutates engine state on
+A promotion compiles on the thread whose call trips the threshold.  The
+deterministic races here are staged by monkeypatching
+``repro.vm.jit.codegen_function`` with a gated wrapper, so a caller
+thread can be held mid-compile while the test mutates engine state on
 the main thread.
 """
 
+import sys
 import threading
-import time
 
 import pytest
 
 from repro.ir import parse_module, types as T
 from repro.ir.values import ConstantInt
 from repro.obs import Telemetry, events
-from repro.vm import (
-    POLICIES,
-    TIERS,
-    CompileQueue,
-    ExecutionEngine,
-    FunctionProfile,
-    JITError,
-    PublishBox,
-)
-from repro.vm import background as bg
+from repro.vm import POLICIES, TIERS, ExecutionEngine, JITError, PublishBox
 from repro.vm import jit
 
 LOOP = """
@@ -59,100 +52,115 @@ entry:
 """
 
 
-def _engine(src=LOOP, tier="tiered-bg", **kwargs):
+def _engine(src=LOOP, tier="tiered", **kwargs):
     module = parse_module(src)
     engine = ExecutionEngine(module, tier=tier, **kwargs)
     return engine, module
 
 
-def _profile(name, calls):
-    """A tripping profile for direct queue submits; the job's priority
-    is its hotness, which grows with ``calls``."""
-    profile = FunctionProfile(name)
-    profile.calls = calls
-    return profile
+def _names(telemetry):
+    return [e["name"] for e in telemetry.events]
 
 
 class _GatedCodegen:
-    """Wrap codegen so the worker blocks until the test releases it."""
+    """Wrap codegen so the compiling thread blocks until the test
+    releases it."""
 
     def __init__(self, monkeypatch, block=()):
         self.block = set(block)
         self.release = threading.Event()
         self.entered = threading.Event()
         self.order = []
-        self._real = bg.acquire_artifact
-        monkeypatch.setattr(bg, "acquire_artifact", self)
+        self._real = jit.codegen_function
+        monkeypatch.setattr(jit, "codegen_function", self)
 
-    def __call__(self, func, engine):
+    def __call__(self, func, telemetry=None):
         self.order.append(func.name)
         if func.name in self.block:
             self.entered.set()
             assert self.release.wait(5.0), "gate never released"
-        return self._real(func, engine)
+        return self._real(func, telemetry)
 
 
-class TestBackgroundPromotion:
-    def test_promotes_off_thread_and_installs(self):
-        engine, _ = _engine(call_threshold=3)
+class _Caller(threading.Thread):
+    """A caller thread running ``engine.run(name, *args)`` ``times``
+    times, keeping the results (or the error)."""
+
+    def __init__(self, engine, name, args, times=1):
+        super().__init__()
+        self.call = (engine, name, args, times)
+        self.results = []
+        self.error = None
+
+    def run(self):
+        engine, name, args, times = self.call
+        try:
+            for _ in range(times):
+                self.results.append(engine.run(name, *args))
+        except Exception as error:  # pragma: no cover - reported below
+            self.error = error
+
+
+class TestPromotion:
+    def test_promotes_on_the_calling_thread(self):
+        tel = Telemetry()
+        engine, _ = _engine(call_threshold=3, telemetry=tel)
         for _ in range(5):
             assert engine.run("sumto", 10) == 55
-        assert engine.drain_background(5.0)
-        assert engine.run("sumto", 10) == 55
-        stats = engine.stats_snapshot()["background"]
-        assert stats["installed"] == 1
-        assert stats["discarded"] == 0
         assert engine.profiler.profile_for("sumto").promoted
-        engine.shutdown_background()
+        names = _names(tel)
+        assert names.count(events.COMPILE_INSTALL) == 1
+        assert events.COMPILE_DISCARD not in names
+        # the whole promotion is the tripping call's: one thread, and
+        # the stream is ordered start -> codegen -> publish -> install
+        promotion = [e for e in tel.events if e["name"] in (
+            events.COMPILE_START, events.JIT_COMPILE, events.TIER_PROMOTE,
+            events.COMPILE_INSTALL)]
+        assert [e["name"] for e in promotion] == [
+            events.COMPILE_START, events.JIT_COMPILE, events.TIER_PROMOTE,
+            events.COMPILE_INSTALL]
+        assert {e["tid"] for e in tel.events} == {threading.get_ident()}
+        assert events.validate_events(tel.events) == []
+        assert "background" not in engine.stats_snapshot()
 
     def test_promotion_stamps_the_tripping_profile(self):
-        # under tiered-bg the publish runs on a worker thread: it must
-        # stamp the profile the job carries, the one whose counters tripped
-        snapshots = {}
-        for tier in ("tiered", "tiered-bg"):
-            tel = Telemetry()
-            engine, _ = _engine(tier=tier, call_threshold=2, telemetry=tel)
-            for _ in range(5):
-                assert engine.run("sumto", 10) == 55
-                assert engine.drain_background(5.0)
-            engine.shutdown_background()
-            promotes = [e["args"]["calls"] for e in tel.events
-                        if e["name"] == events.TIER_PROMOTE]
-            profiles = engine.profiler.snapshot()
-            # the tripping call itself runs decoded under tiered-bg and
-            # compiled under tiered, so backedge counts differ by design
-            del profiles["sumto"]["backedges"]
-            snapshots[tier] = (profiles, promotes)
-        assert snapshots["tiered"] == (
-            {"sumto": {"calls": 2, "promoted": True}}, [2])
-        assert snapshots["tiered-bg"] == snapshots["tiered"]
+        tel = Telemetry()
+        engine, _ = _engine(call_threshold=2, telemetry=tel)
+        for _ in range(5):
+            assert engine.run("sumto", 10) == 55
+        promotes = [e["args"]["calls"] for e in tel.events
+                    if e["name"] == events.TIER_PROMOTE]
+        profiles = engine.profiler.snapshot()
+        # the first call ran decoded and counted its back edges; the
+        # tripping call and those after it run the published code
+        assert profiles == {
+            "sumto": {"calls": 2, "backedges": 10, "promoted": True}}
+        assert promotes == [2]
 
-    def test_hot_call_does_not_block_on_compile(self, monkeypatch):
+    def test_other_callers_run_the_baseline_while_one_compiles(
+            self, monkeypatch):
         gate = _GatedCodegen(monkeypatch, block={"sumto"})
-        engine, _ = _engine(call_threshold=2)
-        # these calls trip the threshold while the worker is held inside
-        # codegen; every one must come back via the decoded tier
+        tel = Telemetry()
+        engine, _ = _engine(call_threshold=2, telemetry=tel)
+        assert engine.run("sumto", 10) == 55
+        # the tripping call compiles on its own thread, held in codegen
+        tripping = _Caller(engine, "sumto", (10,))
+        tripping.start()
+        assert gate.entered.wait(5.0)
+        # the box latched the request: other callers neither wait for
+        # the compile nor start a second one, they run decoded
         for _ in range(6):
             assert engine.run("sumto", 10) == 55
-        assert gate.entered.wait(5.0)
-        assert not engine.drain_background(0.05)  # still compiling
+        assert not engine.profiler.profile_for("sumto").promoted
         gate.release.set()
-        assert engine.drain_background(5.0)
+        tripping.join(5.0)
+        assert tripping.error is None and tripping.results == [55]
+        assert engine.profiler.profile_for("sumto").promoted
         assert engine.run("sumto", 10) == 55
-        assert engine.stats_snapshot()["background"]["installed"] == 1
-        engine.shutdown_background()
-
-    def test_resubmission_is_deduplicated(self, monkeypatch):
-        gate = _GatedCodegen(monkeypatch, block={"sumto"})
-        engine, _ = _engine(call_threshold=2)
-        for _ in range(10):
-            engine.run("sumto", 10)
-        gate.release.set()
-        assert engine.drain_background(5.0)
-        queue = engine.background_queue
-        assert queue.submitted == 1
-        assert queue.installed == 1
-        engine.shutdown_background()
+        names = _names(tel)
+        assert names.count(events.COMPILE_START) == 1
+        assert names.count(events.COMPILE_INSTALL) == 1
+        assert gate.order == ["sumto"]
 
     @pytest.mark.parametrize(
         "tier", [tier for tier, policy in POLICIES.items() if policy.promote])
@@ -167,159 +175,90 @@ class TestBackgroundPromotion:
         # reaches the caller
         for _ in range(8):
             assert engine.run("sumto", 10) == 55
-        assert engine.drain_background(5.0)
         # the box latched the request: one promotion attempt, no retry
         box = engine._boxes["sumto"]
         assert box.requested and box.value is None
-        names = [e["name"] for e in tel.events]
+        names = _names(tel)
         assert names.count(events.PROFILE_CALL_HOT) == 1
         assert names.count(events.COMPILE_START) == 1
+        assert events.COMPILE_INSTALL not in names
         reasons = [e["args"]["reason"] for e in tel.events
                    if e["name"] == events.COMPILE_DISCARD]
         assert len(reasons) == 1 and reasons[0].startswith("jit-error:")
         assert not engine.profiler.profile_for("sumto").promoted
-        queue = engine.background_queue
-        if queue is not None:
-            assert (queue.submitted, queue.failed, queue.installed) == (1, 1, 0)
-        engine.shutdown_background()
-
-    def test_priority_pops_hottest_first(self, monkeypatch):
-        src = LOOP + """
-define i64 @cold(i64 %x) {
-entry:
-  ret i64 %x
-}
-
-define i64 @hot(i64 %x) {
-entry:
-  %r = add i64 %x, 2
-  ret i64 %r
-}
-"""
-        gate = _GatedCodegen(monkeypatch, block={"sumto"})
-        engine, module = _engine(src)
-        queue = engine._ensure_bg_queue()
-        blocker = module.get_function("sumto")
-        queue.submit(engine, blocker, PublishBox(0), _profile("sumto", 1))
-        assert gate.entered.wait(5.0)  # worker busy; next two stay queued
-        queue.submit(engine, module.get_function("cold"),
-                     PublishBox(0), _profile("cold", 5))
-        queue.submit(engine, module.get_function("hot"),
-                     PublishBox(0), _profile("hot", 500))
-        gate.release.set()
-        assert queue.drain(5.0)
-        assert gate.order == ["sumto", "hot", "cold"]
-        queue.shutdown()
-
-    def test_shared_queue_serves_multiple_engines(self):
-        queue = CompileQueue(name="shared")
-        engine_a, _ = _engine(call_threshold=2, compile_queue=queue)
-        engine_b, _ = _engine(call_threshold=2, compile_queue=queue)
-        for _ in range(4):
-            assert engine_a.run("sumto", 10) == 55
-            assert engine_b.run("sumto", 20) == 210
-        assert queue.drain(5.0)
-        assert queue.installed == 2
-        assert engine_a.run("sumto", 10) == 55
-        assert engine_b.run("sumto", 20) == 210
-        queue.shutdown()
-
-    def test_queue_telemetry_stream(self):
-        tel = Telemetry()
-        engine, _ = _engine(call_threshold=2, telemetry=tel)
-        for _ in range(4):
-            engine.run("sumto", 10)
-        assert engine.drain_background(5.0)
-        engine.run("sumto", 10)
-        names = [e["name"] for e in tel.events]
-        assert events.COMPILE_QUEUE in names
-        assert events.COMPILE_START in names
-        assert events.COMPILE_INSTALL in names
-        assert events.validate_events(tel.events) == []
-        assert engine.metrics.timer_stats(events.COMPILE_LATENCY)["count"] == 1
-        assert (engine.metrics.gauge_value(events.COMPILE_QUEUE_DEPTH)
-                is not None)
-        engine.shutdown_background()
 
 
 class TestPublishDiscard:
     def test_invalidate_during_compile_discards_stale_code(
             self, monkeypatch):
-        """The tentpole race: invalidate() lands while the worker is
-        mid-compile.  The generation stamp must win — the in-flight
-        result is discarded, never installed."""
+        """The race the publication protocol exists for: invalidate()
+        lands from another thread while a caller is mid-compile.  The
+        generation stamp must win — the in-flight result is discarded,
+        never installed, and the tripping call still returns through
+        the baseline tier."""
         gate = _GatedCodegen(monkeypatch, block={"sumto"})
-        engine, module = _engine(call_threshold=2)
+        tel = Telemetry()
+        engine, module = _engine(call_threshold=2, telemetry=tel)
         func = module.get_function("sumto")
-        for _ in range(4):
-            assert engine.run("sumto", 10) == 55
+        caller = _Caller(engine, "sumto", (10,), times=2)
+        caller.start()
         assert gate.entered.wait(5.0)
         engine.invalidate(func)  # bumps the generation mid-compile
         gate.release.set()
-        assert engine.drain_background(5.0)
-        queue = engine.background_queue
-        assert queue.installed == 0
-        assert queue.discarded == 1
+        caller.join(5.0)
+        assert caller.error is None and caller.results == [55, 55]
+        names = _names(tel)
+        assert events.COMPILE_INSTALL not in names
+        assert events.TIER_PROMOTE not in names
+        reasons = [e["args"]["reason"] for e in tel.events
+                   if e["name"] == events.COMPILE_DISCARD]
+        assert reasons == ["stale-generation"]
         assert not engine.profiler.profile_for("sumto").promoted
+        assert "sumto" not in engine._boxes
         assert engine.run("sumto", 10) == 55
-        engine.shutdown_background()
 
-    def test_invalidate_before_pop_cancels_job(self, monkeypatch):
-        # hold the worker on a decoy so the real job is still queued when
-        # the invalidation lands
-        src = LOOP + """
-define i64 @decoy(i64 %x) {
-entry:
-  ret i64 %x
-}
-"""
-        gate = _GatedCodegen(monkeypatch, block={"decoy"})
-        engine, module = _engine(src, call_threshold=2)
-        queue = engine._ensure_bg_queue()
-        queue.submit(engine, module.get_function("decoy"),
-                     PublishBox(0), _profile("decoy", 10**9))
-        assert gate.entered.wait(5.0)
-        for _ in range(4):
-            engine.run("sumto", 10)
-        assert queue.depth == 1
-        engine.invalidate(module.get_function("sumto"))
-        gate.release.set()
-        assert queue.drain(5.0)
-        assert queue.discarded >= 1
-        assert "sumto" not in gate.order  # cancelled before codegen ran
-        engine.shutdown_background()
+    def test_stale_dispatcher_discards_without_compiling(self, monkeypatch):
+        # a caller holding the dispatcher from before an invalidate()
+        # trips its threshold afterwards: the promotion sees the stale
+        # generation and gives up before code generation runs
+        gate = _GatedCodegen(monkeypatch)
+        tel = Telemetry()
+        engine, module = _engine(call_threshold=2, telemetry=tel)
+        func = module.get_function("sumto")
+        stale = engine.get_compiled(func)
+        engine.invalidate(func)
+        for _ in range(3):
+            assert stale(10) == 55
+        assert gate.order == []
+        names = _names(tel)
+        assert events.COMPILE_START not in names
+        reasons = [e["args"]["reason"] for e in tel.events
+                   if e["name"] == events.COMPILE_DISCARD]
+        assert reasons == ["stale-generation"]
+        assert not engine.profiler.profile_for("sumto").promoted
 
     def test_generation_stamp_blocks_stale_publish(self):
         engine, module = _engine()
         func = module.get_function("sumto")
         from repro.vm import codegen_function
-        from repro.vm.background import CompileJob
 
-        artifact = codegen_function(func)
         profile = engine.profiler.profile_for(func.name)
-        stale = CompileJob(engine, func, PublishBox(generation=0), profile)
+        stale = PublishBox(generation=0)
         engine.invalidate(func)  # generation is now 1
         fresh_artifact = codegen_function(func)
-        assert engine._publish(stale, fresh_artifact) is False
-        live = CompileJob(engine, func,
-                          PublishBox(engine.compile_generation(func.name)),
-                          profile)
-        assert engine._publish(live, fresh_artifact) is True
-        assert live.box.value is not None
+        assert engine._publish(func, stale, profile, fresh_artifact) is False
+        assert stale.value is None
+        live = PublishBox(engine.compile_generation(func.name))
+        assert engine._publish(func, live, profile, fresh_artifact) is True
+        assert live.value is not None
         assert profile.promoted
         # a box publishes at most once
-        assert engine._publish(live, fresh_artifact) is False
-
-    def test_drain_without_queue_is_trivially_idle(self):
-        engine, _ = _engine(tier="tiered")
-        assert engine.drain_background(0.0)
-        assert engine.background_queue is None
-        engine.shutdown_background()  # no-op
+        assert engine._publish(func, live, profile, fresh_artifact) is False
 
 
 class TestInvalidationSweep:
-    """Satellite: invalidate() must sweep *every* per-function cache so
-    the rewritten body executes in every tier."""
+    """invalidate() must sweep *every* per-function cache so the
+    rewritten body executes in every tier."""
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_rewrite_invalidate_rerun_every_tier(self, tier):
@@ -335,33 +274,32 @@ entry:
         # warm up far enough to promote where the tier promotes
         for _ in range(4):
             assert engine.run("f") == 1
-        engine.drain_background(5.0)
         func.entry.terminator.set_operand(0, ConstantInt(T.i64, 2))
         engine.invalidate(func)
         assert engine.run("f") == 2
         # and again after re-warming (post-invalidate promotion path)
         for _ in range(4):
             assert engine.run("f") == 2
-        engine.drain_background(5.0)
         assert engine.run("f") == 2
-        engine.shutdown_background()
 
-    def test_trampoline_patched_callers_are_repaired(self):
+    @pytest.mark.parametrize("tier", ["jit", "tiered"])
+    def test_trampoline_patched_callers_are_repaired(self, tier):
         """Callers whose namespaces were direct-patched by the lazy
-        trampoline must re-resolve after invalidate() — previously they
-        kept calling the dropped compiled body forever."""
-        engine, module = _engine(CALLS, tier="jit")
+        trampoline (or re-pointed by a publication) must re-resolve after
+        invalidate() — previously they kept calling the dropped compiled
+        body forever."""
+        engine, module = _engine(CALLS, tier=tier, call_threshold=2)
         leaf = module.get_function("leaf")
-        # two calls: the first compiles through the trampoline, the
-        # second goes through the patched (direct) slot
-        assert engine.run("top", 10) == 12
-        assert engine.run("top", 10) == 12
+        # enough calls to compile through the trampoline, go through the
+        # patched (direct) slot and, under ``tiered``, promote both
+        for _ in range(4):
+            assert engine.run("top", 10) == 12
         assert engine._patched.get("leaf")
         add = leaf.entry.instructions[0]
         add.set_operand(1, ConstantInt(T.i64, 100))
         engine.invalidate(leaf)
-        assert engine.run("top", 10) == 111
-        assert engine.run("top", 10) == 111
+        for _ in range(4):
+            assert engine.run("top", 10) == 111
 
     def test_invalidate_sweeps_the_decoded_record(self):
         engine, module = _engine(tier="decoded")
@@ -377,14 +315,13 @@ entry:
 
 
 class TestThunkIdentity:
-    """Satellite: every engine thunk carries __qualname__ /
-    __ir_function__ (and __wrapped__ where it fronts another callable)."""
+    """Every engine thunk carries __qualname__ / __ir_function__ (and
+    __wrapped__ where it fronts another callable)."""
 
     @pytest.mark.parametrize("tier,prefix", [
         ("interp", "interp"),
         ("decoded", "decoded"),
         ("tiered", "tiered"),
-        ("tiered-bg", "tieredbg"),
         ("speculative", "speculative"),
     ])
     def test_thunk_naming(self, tier, prefix):
@@ -393,7 +330,6 @@ class TestThunkIdentity:
         assert thunk.__name__ == f"{prefix}_sumto"
         assert thunk.__qualname__ == f"{prefix}_sumto"
         assert thunk.__ir_function__ == "sumto"
-        engine.shutdown_background()
 
     def test_decoded_fast_path_exposes_wrapped(self):
         engine, module = _engine(tier="decoded")
@@ -410,43 +346,55 @@ class TestThunkIdentity:
 class TestThreadedStress:
     def test_200_rounds_of_concurrent_calls_and_invalidation(self):
         """Acceptance floor: 200+ iterations interleaving calls,
-        invalidate() and background tier-up across threads, with zero
+        invalidate() and promotions on the callers' threads, with zero
         divergence and zero stale-code installs."""
-        engine, module = _engine(call_threshold=2,
-                                 backedge_threshold=8)
+        tel = Telemetry()
+        engine, module = _engine(call_threshold=2, backedge_threshold=8,
+                                 telemetry=tel)
         func = module.get_function("sumto")
         expected = sum(range(13))  # sumto(12)
-        failures = []
 
-        def caller():
-            for _ in range(3):
-                try:
-                    result = engine.run("sumto", 12)
-                except Exception as error:  # pragma: no cover
-                    failures.append(repr(error))
-                    return
-                if result != expected:
-                    failures.append(f"divergence: {result}")
-
-        for round_no in range(200):
-            threads = [threading.Thread(target=caller) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            if round_no % 3 == 0:
-                engine.invalidate(func)
-            for thread in threads:
-                thread.join(10.0)
-            assert not failures, failures[:5]
-        assert engine.drain_background(10.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_no in range(200):
+                callers = [_Caller(engine, "sumto", (12,), times=3)
+                           for _ in range(4)]
+                for caller in callers:
+                    caller.start()
+                if round_no % 3 == 0:
+                    engine.invalidate(func)
+                for caller in callers:
+                    caller.join(10.0)
+                for caller in callers:
+                    assert caller.error is None, repr(caller.error)
+                    assert caller.results == [expected] * 3
+        finally:
+            sys.setswitchinterval(interval)
         assert engine.run("sumto", 12) == expected
-        queue = engine.background_queue
-        if queue is not None:
-            stats = queue.stats()
-            # conservation: every submitted job resolved one way
-            assert (stats["submitted"]
-                    == stats["installed"] + stats["discarded"]
-                    + stats["failed"] + stats["depth"] + stats["inflight"])
-            engine.shutdown_background()
+        # conservation: every promotion attempt (one hot event each)
+        # resolved as exactly one install or one discard
+        names = _names(tel)
+        hot = (names.count(events.PROFILE_CALL_HOT)
+               + names.count(events.PROFILE_BACKEDGE_HOT))
+        assert hot == (names.count(events.COMPILE_INSTALL)
+                       + names.count(events.COMPILE_DISCARD))
+        assert names.count(events.COMPILE_INSTALL) >= 1
+        # no stale install: a publication (``tier.promote``, emitted
+        # under the engine lock like ``engine.invalidate``) happened in
+        # the generation its install reports
+        invalidations = 0
+        published = {}
+        for event in tel.events:
+            if event["name"] == events.ENGINE_INVALIDATE:
+                invalidations += 1
+            elif event["name"] == events.TIER_PROMOTE:
+                published[event["tid"]] = invalidations
+            elif event["name"] == events.COMPILE_INSTALL:
+                generation = published.pop(event["tid"])
+                assert event["args"]["generation"] == generation
+        profile = engine.profiler.profile_for("sumto")
+        assert profile.promoted_version in (None, func.code_version)
 
     def test_stale_install_never_survives_rewrite(self):
         """Rewrite + invalidate under concurrent load: after the dust
@@ -459,8 +407,7 @@ entry:
 }
 """
         module = parse_module(src)
-        engine = ExecutionEngine(module, tier="tiered-bg",
-                                 call_threshold=2)
+        engine = ExecutionEngine(module, tier="tiered", call_threshold=2)
         func = module.get_function("f")
         add = func.entry.instructions[0]
         for constant in range(2, 30):
@@ -478,6 +425,4 @@ entry:
             finally:
                 stop.set()
                 thread.join(10.0)
-            assert engine.drain_background(10.0)
             assert engine.run("f", 0) == constant
-        engine.shutdown_background()

@@ -14,7 +14,7 @@ from repro.core import HotCounterCondition, insert_resolved_osr_point
 from repro.ir import parse_module, types as T
 from repro.ir.values import ConstantInt
 from repro.obs import Telemetry, events
-from repro.vm import ExecutionEngine
+from repro.vm import POLICIES, ExecutionEngine
 
 CALLS = """
 define i64 @leaf(i64 %x) {
@@ -102,20 +102,20 @@ def _bump_leaf(module):
     add.set_operand(1, ConstantInt(T.i64, 100))
 
 
-@pytest.mark.parametrize("tier", ["tiered", "tiered-bg"])
+@pytest.mark.parametrize("tier", ["tiered", "speculative"])
 def test_promotion_rewrites_the_callers_slot(tier):
     oracle, _ = _engine(CALLS, "jit")
     engine, module = _engine(CALLS, tier, jit_callers=["top"],
                              call_threshold=2)
     leaf = module.get_function("leaf")
-    results = [engine.run("top", 10) for _ in range(4)]
-    assert engine.drain_background(5.0)
-    results.append(engine.run("top", 10))
+    results = [engine.run("top", 10) for _ in range(6)]
     results.append(engine.run("leaf", 10))
-    engine.shutdown_background()
-    assert results == [oracle.run("top", 10)] * 5 + [oracle.run("leaf", 10)]
+    assert results == [oracle.run("top", 10)] * 6 + [oracle.run("leaf", 10)]
     published = engine._boxes["leaf"].value
-    assert published.__code__.co_name == "_jit_leaf"
+    # under ``speculative`` the feedback stage has republished leaf's
+    # specialization for its one argument value over the plain code
+    assert published.__code__.co_name == (
+        "_jit_leaf_spec" if POLICIES[tier].speculate else "_jit_leaf")
     # the slot the first call patched to the dispatcher now holds the
     # published code, and so does what engine.run calls
     assert _slot(engine, "top", "leaf") is published

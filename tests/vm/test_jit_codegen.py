@@ -958,7 +958,6 @@ skip:
         handle = engine.handle_for(module.get_function("f"))
         for _ in range(6):  # past the promotion threshold
             assert engine.run("f", handle, 0) == 7
-        engine.shutdown_background()
         if tier == "jit":
             f = module.get_function("f")
             text = engine.get_compiled(f).__ir_source__()

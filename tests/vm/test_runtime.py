@@ -182,6 +182,82 @@ def test_c_pow_errors_trap_in_every_tier(tier):
             engine.run("p", x, y)
 
 
+# -- the null pointer, in every tier -------------------------------------------
+
+_NULL = """
+declare void @free(i8* %p)
+
+define i64 @load_at(i64 %x) {
+entry:
+  %p = inttoptr i64 %x to i64*
+  %v = load i64, i64* %p
+  ret i64 %v
+}
+
+define i64 @store_at(i64 %x) {
+entry:
+  %p = inttoptr i64 %x to double*
+  store double 1.5, double* %p
+  ret i64 0
+}
+
+define i64 @load_byte_past(i64 %i) {
+entry:
+  %q = getelementptr i8, i8* inttoptr (i64 0 to i8*), i64 %i
+  %v = load i8, i8* %q
+  %w = zext i8 %v to i64
+  ret i64 %w
+}
+
+define i64 @store_cell(i64 %x) {
+entry:
+  %p = inttoptr i64 %x to i8**
+  store i8* null, i8** %p
+  ret i64 0
+}
+
+define i64 @free_null_then_load() {
+entry:
+  call void @free(i8* null)
+  %v = load i64, i64* null
+  ret i64 %v
+}
+
+define i64 @null_is_zero() {
+entry:
+  %p = inttoptr i64 0 to i8*
+  %c = icmp eq i8* %p, null
+  %a = ptrtoint i8* null to i64
+  %z = icmp eq i64 %a, 0
+  %both = and i1 %c, %z
+  %r = zext i1 %both to i64
+  ret i64 %r
+}
+"""
+
+
+@pytest.mark.parametrize("tier", ["interp", "decoded", "jit", "tiered"])
+@pytest.mark.parametrize("name,args", [
+    ("load_at", (0,)), ("store_at", (0,)), ("load_byte_past", (16,)),
+    ("store_cell", (0,)), ("free_null_then_load", ()),
+])
+def test_access_through_null_traps_in_every_tier(tier, name, args):
+    engine = ExecutionEngine(parse_module(_NULL), tier=tier,
+                             call_threshold=2)
+    # under ``tiered`` the second call promotes: both sides must trap
+    for _ in range(3):
+        with pytest.raises(Trap, match="null pointer"):
+            engine.run(name, *args)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_address_zero_is_the_null_pointer(tier):
+    engine = ExecutionEngine(parse_module(_NULL), tier=tier,
+                             call_threshold=2)
+    for _ in range(3):
+        assert engine.run("null_is_zero") == 1
+
+
 # -- pointer cells, in every tier ---------------------------------------------
 
 _CELLS = """
@@ -286,5 +362,4 @@ class TestPointerCells:
         before = live()
         for _ in range(10):
             assert engine.run("btrees", 4) == 590
-        engine.shutdown_background()
         assert live() <= before

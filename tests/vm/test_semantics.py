@@ -358,14 +358,15 @@ entry:
 }
 """
     engine = ExecutionEngine(parse_module(source), tier="decoded")
-    with pytest.raises(MemoryError) as info:
+    with pytest.raises(Trap, match="null pointer") as info:
         engine.run("f")
     text = "".join(traceback.format_exception(
         info.type, info.value, info.tb))
-    # the load feeds the ret, so it runs as that closure's fused thunk
+    # the load feeds the ret, so it runs as that closure's fused thunk;
+    # its bounds check is what meets the null pointer's offset
     assert "<decode>/ret/thunk" in text
     assert "<decode>/load_scalar_val/slot" in text
-    assert "buf.check(off, size)" in text
+    assert "if buf.freed or off < 0" in text
 
 
 # -- W, the two's-complement wrap ------------------------------------------------

@@ -47,7 +47,7 @@ def _on_threads(count, target):
     assert errors == []
 
 
-@pytest.mark.parametrize("tier", ["tiered", "tiered-bg", "speculative"])
+@pytest.mark.parametrize("tier", ["tiered", "speculative"])
 def test_calls_from_many_threads_resolve_correctly(tier):
     engine = ExecutionEngine(parse_module(SOURCE), tier=tier,
                              call_threshold=5)
@@ -57,8 +57,6 @@ def test_calls_from_many_threads_resolve_correctly(tier):
         results[slot] = [engine.run("double", i) for i in range(20)]
 
     _on_threads(4, client)
-    assert engine.drain_background(5.0)
-    engine.shutdown_background()
     assert results == {slot: [2 * i for i in range(20)] for slot in range(4)}
     # one promotion for the one shared profile, whichever thread tripped it
     assert engine.tier_promotions == 1

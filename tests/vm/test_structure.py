@@ -1,7 +1,7 @@
 """Structure guard: the tier machinery says each thing once.
 
 One dispatcher over one :class:`PublishBox` per function, one
-compile-and-publish path, one closure skeleton in the decoder, one
+compile-and-publish path on the calling thread, one closure skeleton in the decoder, one
 vocabulary for the state an OSR edge carries, one continuation store.
 Each of these used to exist two to five times, kept in step by hand, and
 the copies drifted (a worker that never read the disk cache, an inline
@@ -157,21 +157,48 @@ def test_one_continuation_store_owned_by_the_engine():
 def test_one_compile_and_publish_path():
     callers = {}
     for path in sorted(SRC_ROOT.rglob("*.py")):
-        for target in ("codegen_function", "acquire_artifact", "run_job",
-                       "_publish"):
+        for target in ("codegen_function", "acquire_artifact", "_publish"):
             for site in _innermost_sites(path, _calls(target)):
                 callers.setdefault(target, set()).add(
                     f"{path.relative_to(SRC_ROOT)}:{site}")
     # code generation is reached through the one acquisition routine ...
     assert callers["codegen_function"] == {"vm/jit.py:acquire_artifact"}
-    # ... which a direct compile and the one job routine both go through
+    # ... which a direct compile and the one promote step both go through
     assert callers["acquire_artifact"] == {
-        "vm/jit.py:compile_function", "vm/background.py:run_job"}
-    # ... and that job routine is what a queue worker and an inline
-    # promotion run, and the only way into the engine's publish
-    assert callers["run_job"] == {
-        "vm/background.py:_worker_loop", "vm/engine.py:_promote"}
-    assert callers["_publish"] == {"vm/background.py:run_job"}
+        "vm/jit.py:compile_function", "vm/engine.py:_promote"}
+    # ... and that promote step is the only way into the engine's publish
+    assert callers["_publish"] == {"vm/engine.py:_promote"}
+
+
+def test_tier_up_compiles_on_the_calling_thread():
+    # no compile queue, worker pool or preset that promotes off-thread:
+    # the one thread started under src/ is the trace smoke's second
+    # caller, which exists to put a second ``tid`` into its trace
+    spawns = ("Thread", "ThreadPoolExecutor", "ProcessPoolExecutor",
+              "start_new_thread", "Timer")
+    sites = set()
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        for name in spawns:
+            for site in _innermost_sites(path, _calls(name)):
+                sites.add(f"{path.relative_to(SRC_ROOT)}:{site}")
+    assert sites == {"obs/smoke.py:run_trace_smoke"}, sites
+    assert not (SRC_ROOT / "vm" / "background.py").exists()
+    import inspect
+
+    import repro.vm as vm
+    from repro.vm import TIERS, ExecutionEngine
+
+    for gone in ("CompileQueue", "CompileJob"):
+        assert gone not in vm.__all__
+        assert not hasattr(vm, gone), gone
+    parameters = inspect.signature(ExecutionEngine.__init__).parameters
+    assert "compile_queue" not in parameters
+    assert TIERS == ("jit", "interp", "decoded", "tiered", "speculative")
+    assert all(isinstance(policy.promote, bool)
+               for policy in vm.POLICIES.values())
+    gone_methods = {"_ensure_bg_queue", "background_queue",
+                    "drain_background", "shutdown_background"}
+    assert not gone_methods & set(dir(ExecutionEngine))
 
 
 def test_decoder_has_no_run_time_operand_shape_test():
