@@ -25,6 +25,7 @@ from .runtime import (
     NULL,
     FunctionHandle,
     MemoryBuffer,
+    MemoryFault,
     NativeHandle,
     OutputBuffer,
     Trap,
@@ -49,6 +50,7 @@ __all__ = [
     "PublishBox",
     "Interpreter",
     "Trap",
+    "MemoryFault",
     "StepLimitExceeded",
     "JITError",
     "CompiledCode",

@@ -97,6 +97,7 @@ from .interpreter import StepLimitExceeded, const_value
 from .runtime import (
     MemoryBuffer,
     Trap,
+    free,
     gep_offset,
     scalar_accessors,
     scalar_struct,
@@ -139,10 +140,11 @@ _FUSIBLE_CONSUMERS = (
 # -- the decoder's closure skeleton -------------------------------------------------
 #
 # Memory accesses, address arithmetic, ``select`` and the value-carrying
-# terminators are the *decoder's* bodies (bounds-checked where the JIT's
-# accesses are not: different behaviour, so not rows of the semantics
-# table).  They share its skeleton: each body is written once over its
-# operand reads ``{0}``, ``{1}``, ... and compiled once per operand shape
+# terminators are the *decoder's* bodies (an access checks its offset
+# inline, where the JIT's index typed views: one result, two encodings,
+# so not rows of the semantics table).  They share its skeleton: each
+# body is written once over its operand reads ``{0}``, ``{1}``, ... and
+# compiled once per operand shape
 # — ``oN(frame)`` for a fused producer thunk, ``frame[oN]`` for a slot —
 # so no shape test is left to run time.
 
@@ -702,7 +704,7 @@ class DecodedFunction:
                     return frame[1]
         finally:
             for buf in frame[0]:
-                buf.freed = True
+                free((buf, 0))
 
     def run_counted(self, args, step_limit: Optional[int] = None,
                     profile=None) -> Any:
@@ -738,7 +740,7 @@ class DecodedFunction:
                 index = next_index
         finally:
             for buf in frame[0]:
-                buf.freed = True
+                free((buf, 0))
 
 
 def decode_function(func: Function, engine) -> DecodedFunction:

@@ -70,6 +70,7 @@ from .runtime import (
     copy_cells,
     drop_cells,
     fpow,
+    free,
     store_scalar,
 )
 
@@ -353,21 +354,20 @@ class ExecutionEngine:
         def native_malloc(size):
             return (MemoryBuffer(size, "heap"), 0)
 
-        def native_free(pointer):
-            if pointer[0] is not NULL[0]:  # free(NULL) does nothing
-                pointer[0].freed = True
-            return None
-
+        # both check each range (and that its buffer is live) before
+        # they touch a byte: a buffer's length never changes
         def native_memcpy(dst, src, n):
             db, do = dst
             sb, so = src
-            db.data[do:do + n] = sb.data[so:so + n]
+            sb.check(so, n)
+            db.write(do, sb.data[so:so + n])
             copy_cells(dst, src, n)
             return dst
 
         def native_memset(dst, value, n):
             db, do = dst
-            db.data[do:do + n] = bytes([value & 0xFF]) * n
+            db.check(do, n)
+            db.write(do, bytes([value & 0xFF]) * n)
             drop_cells(dst, n)
             return dst
 
@@ -391,7 +391,7 @@ class ExecutionEngine:
             return 0
 
         self.add_native("malloc", native_malloc)
-        self.add_native("free", native_free)
+        self.add_native("free", free)
         self.add_native("memcpy", native_memcpy)
         self.add_native("memset", native_memset)
         self.add_native("putchar", native_putchar)
@@ -447,7 +447,7 @@ class ExecutionEngine:
     def _init_global(self, ty: T.Type, pointer: tuple, init) -> None:
         buf, off = pointer
         if isinstance(init, ConstantString):
-            buf.data[off:off + len(init.data)] = init.data
+            buf.write(off, init.data)
         elif isinstance(init, (ConstantInt, ConstantFloat)):
             store_scalar(ty, pointer, init.value)
         elif isinstance(init, ConstantArray):

@@ -60,6 +60,7 @@ from .runtime import (
     NULL,
     MemoryBuffer,
     Trap,
+    free,
     gep_offset,
     load_scalar,
     pointer_compare,
@@ -173,7 +174,7 @@ class Interpreter:
                     raise Trap(f"block %{block.name} fell through")
         finally:
             for buf in allocas:
-                buf.freed = True
+                free((buf, 0))
 
     # -- instruction dispatch ---------------------------------------------------------
 

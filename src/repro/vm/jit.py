@@ -52,7 +52,6 @@ from __future__ import annotations
 import ast
 import marshal
 import re
-import struct
 import threading
 from typing import (
     Any,
@@ -103,8 +102,11 @@ from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
 from .runtime import (
     NULL,
+    VIEW_SIZES,
     MemoryBuffer,
+    MemoryFault,
     Trap,
+    bind_view,
     load_pointer,
     load_scalar,
     store_pointer,
@@ -138,8 +140,30 @@ class ArtifactFormatError(JITError):
 _NAME_RE = re.compile(r"[^0-9A-Za-z_]")
 
 
+def _oob():
+    raise MemoryFault("out-of-bounds access: negative element index")
+
+
+def _memory_fault(exc: BaseException) -> None:
+    """Raise a :class:`MemoryFault` for ``exc`` when the JIT frame that
+    caught it raised it itself, indexing a view: a view's ``IndexError``
+    (out of bounds) or a released view's ``ValueError`` (freed).  The
+    same classes from a native, or from a callee's frame, stay host
+    errors, and so return."""
+    tb = exc.__traceback__
+    if tb is None or tb.tb_next is not None:
+        return
+    from opcode import opmap
+
+    op = tb.tb_frame.f_code.co_code[tb.tb_lasti]
+    if op in (opmap["BINARY_SUBSCR"], opmap["STORE_SUBSCR"]):
+        what = ("use-after-free" if isinstance(exc, ValueError)
+                else "out-of-bounds access")
+        raise MemoryFault(f"{what}: {exc}") from None
+
+
 def _build_static_namespace() -> Dict[str, Any]:
-    ns: Dict[str, Any] = dict(
+    return dict(
         HELPERS,
         _null=NULL,
         _nan=float("nan"),
@@ -150,14 +174,11 @@ def _build_static_namespace() -> Dict[str, Any]:
         _cell_store=store_pointer,
         _load_scalar=load_scalar,
         _store_scalar=store_scalar,
+        _bind_view=bind_view,
+        _ACCESS_ERRORS=(IndexError, ValueError),
+        _memory_fault=_memory_fault,
+        _oob=_oob,
     )
-    # packers/unpackers for the common scalar widths
-    for suffix, fmt in (("b", "<b"), ("h", "<h"), ("i", "<i"),
-                        ("q", "<q"), ("f", "<f"), ("d", "<d")):
-        st = struct.Struct(fmt)
-        ns[f"_u{suffix}"] = st.unpack_from
-        ns[f"_p{suffix}"] = st.pack_into
-    return ns
 
 
 #: engine-independent namespace entries, built once at import instead of
@@ -289,10 +310,11 @@ def _continue() -> ast.Continue:
     return ast.Continue(**_LOC)
 
 
-def _struct_suffix(ty: T.Type) -> Optional[str]:
-    """The ``_u<s>``/``_p<s>`` unpacker/packer suffix for ``ty``."""
+def _view_format(ty: T.Type) -> Optional[str]:
+    """The typed view (:data:`~.runtime.VIEW_SIZES`) a scalar of ``ty``
+    is read and written through; an ``i1`` is a byte's low bit."""
     if isinstance(ty, T.IntType):
-        return {8: "b", 16: "h", 32: "i", 64: "q"}.get(ty.bits)
+        return {1: "b", 8: "b", 16: "h", 32: "i", 64: "q"}.get(ty.bits)
     if isinstance(ty, T.FloatType):
         return "f" if ty.bits == 32 else "d"
     return None
@@ -477,7 +499,7 @@ class CompiledCode:
 #: cache would keep serving the old code); part of both the disk-cache
 #: key and the embedded payload, so old entries are rejected instead of
 #: misread
-DISK_FORMAT_VERSION = 5
+DISK_FORMAT_VERSION = 6
 
 #: marshal data version 2: versions >= 3 emit identity-based
 #: back-references for repeated objects, making the byte stream depend
@@ -499,7 +521,7 @@ def audit_bindings(bindings: Dict[str, Tuple]) -> None:
         kind = descriptor[0]
         if kind == "static":
             value = descriptor[1]
-            if isinstance(value, T.IntType):
+            if isinstance(value, (T.IntType, T.FloatType)):
                 continue  # encoded structurally
             try:
                 marshal.dumps(value, _MARSHAL_VERSION)
@@ -537,6 +559,8 @@ def _encode_binding(descriptor: Tuple) -> Tuple:
         value = descriptor[1]
         if isinstance(value, T.IntType):
             return ("itype", value.bits)
+        if isinstance(value, T.FloatType):
+            return ("ftype", value.bits)
         return ("static", value)
     if kind in ("handle", "trampoline", "global"):
         return (kind, descriptor[1].name)
@@ -548,6 +572,8 @@ def _decode_binding(encoded: Tuple, module: Module) -> Tuple:
     kind = encoded[0]
     if kind == "itype":
         return ("static", T.int_type(encoded[1]))
+    if kind == "ftype":
+        return ("static", T.f32 if encoded[1] == 32 else T.f64)
     if kind == "static":
         return ("static", encoded[1])
     if kind in ("handle", "trampoline"):
@@ -646,8 +672,13 @@ class FunctionCompiler:
         self._const_counter = 0
         self._folded: set = set()
         #: pointer values whose parts live in ``<name>_b``/``_o`` locals
-        #: -> whether an access also reads its bytearray ``<name>_d``
-        self._addressed: Dict[int, bool] = {}
+        #: -> the view formats its accesses index (:meth:`_bind_view`)
+        self._addressed: Dict[int, set] = {}
+        #: the addressed globals, bound once on entry
+        self._globals: List[GlobalVariable] = []
+        #: a load's or store's view access: ``(base pointer, format,
+        #: static bytes, [(index, stride bytes), ...])``
+        self._plans: Dict[int, Tuple] = {}
         #: the function's range facts; ``None`` for a split copy
         self._ranges = None
 
@@ -732,8 +763,11 @@ class FunctionCompiler:
         func.assign_names()
         self._folded = self._foldable_geps()
         body = self._structured_body()
-        body[:0] = [stmt for arg in func.args if id(arg) in self._addressed
-                    for stmt in self._bind_parts(arg)]
+        body[:0] = [stmt for value in [*func.args, *self._globals]
+                    if id(value) in self._addressed
+                    for stmt in self._bind_parts(value)]
+        if self._plans:
+            body = [self._mapping_faults(body)]
 
         fn = ast.FunctionDef(
             name=self._py_name(),
@@ -1008,10 +1042,10 @@ class FunctionCompiler:
             ))]
 
         if isinstance(inst, LoadInst):
-            return [_assign(name, self._load_expr(inst.type, inst.pointer))]
+            return [_assign(name, self._load_expr(inst))]
 
         if isinstance(inst, StoreInst):
-            return [self._store_stmt(inst.value, inst.pointer)]
+            return [self._store_stmt(inst)]
 
         if isinstance(inst, GEPInst):
             if id(inst) in self._folded:
@@ -1086,41 +1120,36 @@ class FunctionCompiler:
         user = uses[0].user
         return isinstance(user, CondBranchInst) and user.parent is value.parent
 
-    def _load_expr(self, ty: T.Type, pointer: Value) -> ast.expr:
+    def _load_expr(self, inst: LoadInst) -> ast.expr:
+        ty = inst.type
         if isinstance(ty, T.PointerType):
-            return _calln("_cell_load", self.expr(pointer))
-        suffix = _struct_suffix(ty)
-        if suffix:
-            data, offset = self._address(pointer)
-            return _item(_calln(f"_u{suffix}", data, offset), 0)
-        if isinstance(ty, T.IntType):
+            return _calln("_cell_load", self.expr(inst.pointer))
+        element = self._element(inst)
+        if element is not None:
             if ty.bits == 1:
-                data, offset = self._address(pointer)
-                return _bin(_subscript(data, offset), ast.BitAnd(), _const(1))
-            ty_name = self.bind(("static", ty), f"ity{ty.bits}")
-            return _calln("_load_scalar", _name(ty_name), self.expr(pointer))
-        raise JITError(f"cannot load type {ty}")
+                return _bin(element, ast.BitAnd(), _const(1))
+            return element
+        return _calln("_load_scalar", self._type_slot(ty),
+                      self.expr(inst.pointer))
 
-    def _store_stmt(self, value: Value, pointer: Value) -> ast.stmt:
+    def _store_stmt(self, inst: StoreInst) -> ast.stmt:
+        value = inst.value
         ty = value.type
         if isinstance(ty, T.PointerType):
-            return _expr_stmt(_calln("_cell_store", self.expr(pointer),
+            return _expr_stmt(_calln("_cell_store", self.expr(inst.pointer),
                                      self.expr(value)))
-        suffix = _struct_suffix(ty)
-        if suffix:
-            return _expr_stmt(_calln(f"_p{suffix}", *self._address(pointer),
-                                     self.expr(value)))
-        if isinstance(ty, T.IntType):
+        element = self._element(inst, _STORE)
+        if element is not None:
+            stored = self.expr(value)
             if ty.bits == 1:
-                data, offset = self._address(pointer)
-                return _assign(
-                    _subscript(data, offset, _STORE),
-                    _bin(self.expr(value), ast.BitAnd(), _const(1)))
-            ty_name = self.bind(("static", ty), f"ity{ty.bits}")
-            return _expr_stmt(_calln(
-                "_store_scalar", _name(ty_name), self.expr(pointer),
-                self.expr(value)))
-        raise JITError(f"cannot store type {ty}")
+                stored = _bin(stored, ast.BitAnd(), _const(1))
+            return _assign(element, stored)
+        return _expr_stmt(_calln("_store_scalar", self._type_slot(ty),
+                                 self.expr(inst.pointer), self.expr(value)))
+
+    def _type_slot(self, ty: T.Type) -> ast.Name:
+        """The struct path's IR type, a static binding."""
+        return _name(self.bind(("static", ty), f"ty{ty}"))
 
     # -- addresses -----------------------------------------------------------------------------
 
@@ -1132,37 +1161,70 @@ class FunctionCompiler:
         arithmetic, comes between the GEP and the access recomputing it.
 
         The same walk records the *addressed* values in
-        :attr:`_addressed`: every other pointer that is the address of a
-        non-pointer load or store, or the base of a GEP.  Their parts get
-        locals (:meth:`_bind_parts`); the bytearray only where an access
-        reads it, which a GEP that is materialised does not."""
+        :attr:`_addressed`: every other pointer (argument, instruction or
+        global) that is the address of a non-pointer load or store, or the
+        base of a GEP.  Their parts get locals (:meth:`_bind_parts`), and
+        a second walk adds the view formats their accesses index
+        (:meth:`_plan`)."""
         folded: set = set()
         addressed = self._addressed = {}
+        accesses = []
         for block in self.func.blocks:
             for inst in reversed(block.instructions):  # users first
                 if isinstance(inst, GEPInst):
                     address = inst.pointer
-                    # folded, its accesses read the base's bytes
-                    reads_data = bool(inst.uses) and all(
-                        self._folds_into(inst, use.user, folded)
-                        for use in inst.uses)
-                    if reads_data:
+                    if inst.uses and all(
+                            self._folds_into(inst, use.user, folded)
+                            for use in inst.uses):
                         folded.add(id(inst))
                         addressed.pop(id(inst), None)
-                elif isinstance(inst, LoadInst):
-                    address = None if inst.type.is_pointer else inst.pointer
-                    reads_data = True
-                elif isinstance(inst, StoreInst):
-                    address = (None if inst.value.type.is_pointer
-                               else inst.pointer)
-                    reads_data = True
+                elif isinstance(inst, (LoadInst, StoreInst)):
+                    ty = (inst.type if isinstance(inst, LoadInst)
+                          else inst.value.type)
+                    if ty.is_pointer:
+                        continue
+                    address = inst.pointer
+                    accesses.append(inst)
                 else:
                     continue
-                if (isinstance(address, (Argument, Instruction))
-                        and id(address) not in folded):
-                    key = id(address)
-                    addressed[key] = addressed.get(key, False) or reads_data
+                if (isinstance(address, (Argument, Instruction,
+                                         GlobalVariable))
+                        and id(address) not in folded
+                        and id(address) not in addressed):
+                    addressed[id(address)] = set()
+                    if isinstance(address, GlobalVariable):
+                        self._globals.append(address)
+        self._folded = folded
+        for inst in accesses:
+            plan = self._plan(inst)
+            if plan is not None:
+                self._plans[id(inst)] = plan
+                addressed[id(plan[0])].add(plan[1])
         return folded
+
+    def _plan(self, inst: Union[LoadInst, StoreInst]) -> Optional[Tuple]:
+        """How ``inst`` reaches its scalar through a view: ``(base, fmt,
+        static, terms)``, the folded GEPs between its address and the
+        addressed ``base`` flattened into a byte offset.  ``None`` keeps
+        the struct path: an odd width, an unaddressed base, or a static
+        offset or stride that is not a whole number of elements."""
+        ty = inst.type if isinstance(inst, LoadInst) else inst.value.type
+        fmt = _view_format(ty)
+        if fmt is None:
+            return None
+        pointer, static, terms = inst.pointer, 0, []
+        while id(pointer) in self._folded:
+            gep = gep_terms(pointer)
+            if gep is None:
+                return None
+            static += gep[0]
+            terms[:0] = gep[1]
+            pointer = pointer.pointer
+        size = VIEW_SIZES[fmt]
+        if (id(pointer) not in self._addressed or static % size
+                or any(stride % size for _, stride in terms)):
+            return None
+        return pointer, fmt, static, terms
 
     @staticmethod
     def _folds_into(gep: GEPInst, user: Instruction, folded: set) -> bool:
@@ -1177,50 +1239,122 @@ class FunctionCompiler:
 
     def _bind_parts(self, value: Value) -> List[ast.stmt]:
         """For an addressed pointer just defined: ``<name>_b, <name>_o``
-        and ``<name>_d = <name>_b.data``, which its accesses read (a
-        pointer is an immutable tuple, and a buffer's ``data`` is bound
-        once).  A value that may not be a tuple -- an ``i8*`` carrying a
-        function handle or an opaque object -- is split as ``_null``,
-        so it fails at an access only, like ``p[0].data`` would."""
-        reads_data = self._addressed[id(value)]
+        (a pointer is an immutable tuple), then each view its accesses
+        index (:meth:`_bind_view`).  A value that may not be a tuple --
+        an ``i8*`` carrying a function handle or an opaque object -- is
+        split as ``_null``, so it fails at an access only."""
         name = self.name_of(value)
-        pointer: ast.expr = _name(name)
-        if not isinstance(value, (AllocaInst, GEPInst)):
-            pointer = _ifexp(_cmp(_attr(_name(name), "__class__"), ast.Is(),
-                                  _name("tuple")), pointer, _name("_null"))
+        if isinstance(value, GlobalVariable):
+            pointer = self.expr(value)
+        else:
+            pointer = _name(name)
+            if not isinstance(value, (AllocaInst, GEPInst)):
+                pointer = _ifexp(_cmp(_attr(pointer, "__class__"), ast.Is(),
+                                      _name("tuple")),
+                                 _name(name), _name("_null"))
         parts = [_assign(_tuple(_name(name + "_b", _STORE),
                                 _name(name + "_o", _STORE), ctx=_STORE),
                          pointer)]
-        if reads_data:
-            parts.append(_assign(name + "_d",
-                                 _attr(_name(name + "_b"), "data")))
+        fresh = isinstance(value, AllocaInst)
+        for fmt in sorted(self._addressed[id(value)]):
+            parts.extend(self._bind_view(name, fmt, fresh))
         return parts
 
-    def _address(self, pointer: Value) -> Tuple[ast.expr, ast.expr]:
-        """``pointer`` as fresh ``(bytearray, byte offset)`` nodes."""
-        return self._parts(pointer, "_d")
+    @staticmethod
+    def _bind_view(name: str, fmt: str, fresh: bool) -> List[ast.stmt]:
+        """``<name>_v<fmt>``, the buffer's ``fmt`` view, and
+        ``<name>_e<fmt>``, the element the offset is at (the offset
+        itself for bytes).  The buffer's ``view_<fmt>`` serves an offset
+        on the element grid; a first use (no view yet, as always for a
+        ``fresh`` buffer, an ``alloca``'s), an offset off the grid and a
+        null pointer take ``_bind_view``."""
+        size = VIEW_SIZES[fmt]
+        buffer, offset = _name(name + "_b"), _name(name + "_o")
+        view = _name(f"{name}_v{fmt}", _STORE)
+        slow = _calln("_bind_view", buffer, offset, _const(fmt))
+        tests = [_cmp(_name(f"{name}_v{fmt}"), ast.Is(), _const(None)),
+                 _cmp(offset, ast.Lt(), _const(0))]
+        if size == 1:
+            slow, fast = _item(slow, 0), []
+        else:
+            element = _name(f"{name}_e{fmt}", _STORE)
+            fast = [_assign(element, _bin(offset, ast.RShift(),
+                                          _const(size.bit_length() - 1)))]
+            tests.insert(1, _bin(offset, ast.BitAnd(), _const(size - 1)))
+            view = _tuple(view, element, ctx=_STORE)
+        if fresh:
+            return [_assign(view, slow)]
+        return [_assign(f"{name}_v{fmt}", _attr(buffer, "view_" + fmt)),
+                _if(ast.BoolOp(op=ast.Or(), values=tests, **_LOC),
+                    [_assign(view, slow)], fast)]
 
-    def _parts(self, pointer: Value, part: str) -> Tuple[ast.expr, ast.expr]:
-        """``pointer``'s buffer (``part`` ``_b``) or bytearray (``_d``)
-        and offset: a folded GEP contributes its arithmetic, an addressed
-        value its locals, anything else its two items."""
+    def _element(self, inst: Union[LoadInst, StoreInst],
+                 ctx: ast.expr_context = _LOAD) -> Optional[ast.Subscript]:
+        """``<base>_v<fmt>[index]``, the view element ``inst`` accesses,
+        or ``None`` for the struct path.  The index is the base's element
+        plus each term; one that no constant or range fact proves
+        non-negative is tested (``_oob`` faults), since a view would
+        wrap a negative index."""
+        plan = self._plans.get(id(self._alias.get(inst, inst)))
+        if plan is None:
+            return None
+        base, fmt, static, terms = plan
+        size = VIEW_SIZES[fmt]
+        name = self.name_of(base)
+        index: ast.expr = _name(name + ("_o" if size == 1 else f"_e{fmt}"))
+        proven = static >= 0
+        for value, stride in terms:
+            if not stride:
+                continue
+            term = self.expr(value)
+            if stride != size:
+                term = _bin(term, ast.Mult(), _const(stride // size))
+            index = _bin(index, ast.Add(), term)
+            proven = proven and self._nonnegative(value, inst.parent)
+        if static:
+            index = _bin(index, ast.Add(), _const(static // size))
+        if not proven:
+            index = _ifexp(
+                _cmp(ast.NamedExpr(target=_name("_t", _STORE), value=index,
+                                   **_LOC), ast.GtE(), _const(0)),
+                _name("_t"), _calln("_oob"))
+        return _subscript(_name(f"{name}_v{fmt}"), index, ctx)
+
+    def _nonnegative(self, value: Value, block: BasicBlock) -> bool:
+        """Does a range fact prove ``value >= 0`` in ``block``?  (A
+        constant index is already in the static offset.)"""
+        interval = (self._ranges.interval(value, block)
+                    if self._ranges is not None else None)
+        return interval is not None and interval[0] >= 0
+
+    def _mapping_faults(self, body: List[ast.stmt]) -> ast.Try:
+        """``body`` under the handler that turns the ``IndexError`` or
+        ``ValueError`` of this frame's own view access into a
+        :class:`~.runtime.MemoryFault` (``_memory_fault``); any other
+        re-raises as it was."""
+        return ast.Try(body=body, handlers=[ast.ExceptHandler(
+            type=_name("_ACCESS_ERRORS"), name="_exc",
+            body=[_expr_stmt(_calln("_memory_fault", _name("_exc"))),
+                  ast.Raise(exc=None, cause=None, **_LOC)], **_LOC)],
+            orelse=[], finalbody=[], **_LOC)
+
+    def _parts(self, pointer: Value) -> Tuple[ast.expr, ast.expr]:
+        """``pointer``'s buffer and offset: a folded GEP contributes its
+        arithmetic, an addressed value its locals, anything else its two
+        items."""
         if id(pointer) in self._folded:
-            return self._gep_address(pointer, part)
+            return self._gep_address(pointer)
         if id(pointer) in self._addressed:
             name = self.name_of(pointer)
-            return _name(name + part), _name(name + "_o")
-        buffer = _item(self.expr(pointer), 0)
-        if part == "_d":
-            buffer = _attr(buffer, "data")
-        return buffer, _item(self.expr(pointer), 1)
+            return _name(name + "_b"), _name(name + "_o")
+        return _item(self.expr(pointer), 0), _item(self.expr(pointer), 1)
 
-    def _gep_address(self, inst: GEPInst,
-                     part: str = "_b") -> Tuple[ast.expr, ast.expr]:
+    def _gep_address(self, inst: GEPInst) -> Tuple[ast.expr, ast.expr]:
         terms = gep_terms(inst)
         if terms is None:
             raise JITError(f"cannot lower the indices of {inst!r}")
         static, var_terms = terms
-        buffer, offset = self._parts(inst.pointer, part)
+        buffer, offset = self._parts(inst.pointer)
         for index, stride in var_terms:
             term = self.expr(index)
             if stride != 1:

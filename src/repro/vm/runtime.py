@@ -24,8 +24,12 @@ A pointer-typed value stored to memory becomes a *pointer cell*: the
 cell lives exactly as long as its buffer, and ``memcpy``/``memset``
 carry or drop cells with the bytes they copy or clear.
 
-A buffer's ``data`` bytearray is bound once, in ``__init__``: the JIT
-keeps ``buffer.data`` of a pointer it addresses in a local.
+A buffer's ``data`` bytearray is bound once, in ``__init__``, and its
+length never changes.  JIT'd code reads and writes scalars through the
+buffer's typed views (:meth:`MemoryBuffer.view`, one ``memoryview`` cast
+per format, made on first use); :func:`free` releases them, so a view a
+JIT frame still holds faults instead of reading freed bytes.  A guest
+memory fault is a :class:`MemoryFault` on every tier.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import sys
 import threading
 from typing import Callable, Optional, Tuple, Union
 
@@ -43,11 +48,35 @@ class Trap(Exception):
     """Raised on undefined behaviour (division by zero, unreachable, OOB)."""
 
 
+class MemoryFault(Trap):
+    """A guest memory fault: an access out of its buffer's bounds, through
+    a freed buffer or the null pointer, or a load of a pointer from bytes
+    that are no pointer cell.  Every tier raises this one class."""
+
+
+#: view format -> item size; the JIT's scalar formats, in the host's
+#: native layout (``_VIEWS_FIT`` says whether that is the IR's)
+VIEW_SIZES = {"q": 8, "i": 4, "h": 2, "b": 1, "d": 8, "f": 4}
+#: a typed view is a little-endian element of the IR's width; a host
+#: where it is not keeps every access on the struct path
+_VIEWS_FIT = sys.byteorder == "little" and all(
+    struct.calcsize(fmt) == size for fmt, size in VIEW_SIZES.items())
+#: makes one view at a time: at most one per buffer and format
+_views_lock = threading.Lock()
+
+
 class MemoryBuffer:
     """A byte-addressable allocation (heap block, stack slot or global),
-    with the pointer cells stored in it (:func:`store_pointer`)."""
+    with the pointer cells stored in it (:func:`store_pointer`) and the
+    typed views JIT'd code indexes (:meth:`view`)."""
 
-    __slots__ = ("data", "label", "freed", "cells")
+    # ``__dict__`` holds what :meth:`view` makes; until then the class
+    # defaults answer, so an allocation pays for no view
+    __slots__ = ("data", "label", "freed", "cells", "__dict__")
+
+    #: every view made, for :func:`free` to release
+    views: Tuple[memoryview, ...] = ()
+    view_q = view_i = view_h = view_b = view_d = view_f = None
 
     def __init__(self, size: int, label: str = ""):
         self.data = bytearray(size)
@@ -62,12 +91,36 @@ class MemoryBuffer:
 
     def check(self, offset: int, size: int) -> None:
         if self.freed:
-            raise MemoryError(f"use-after-free on buffer {self.label!r}")
+            raise MemoryFault(f"use-after-free on buffer {self.label!r}")
         if offset < 0 or offset + size > len(self.data):
-            raise MemoryError(
+            raise MemoryFault(
                 f"out-of-bounds access on {self.label!r}: "
                 f"[{offset}, {offset + size}) of {len(self.data)} bytes"
             )
+
+    def view(self, fmt: str) -> memoryview:
+        """The buffer's ``memoryview`` cast to ``fmt`` (a
+        :data:`VIEW_SIZES` key), made on first use and kept as
+        ``view_<fmt>``, where a JIT bind reads it.  It covers the whole
+        elements that fit; a freed buffer's is released (:func:`free`)."""
+        attribute = "view_" + fmt
+        with _views_lock:
+            view = getattr(self, attribute)
+            if view is None:
+                view = memoryview(self.data)
+                tail = len(view) % VIEW_SIZES[fmt]
+                view = (view[:-tail] if tail else view).cast(fmt)
+                self.views += (view,)
+                setattr(self, attribute, view)
+                if self.freed:  # ``free`` may have looked before that
+                    view.release()
+            return view
+
+    def write(self, offset: int, raw) -> None:
+        """Overwrite ``len(raw)`` bytes at ``offset``, bounds-checked:
+        the buffer's length never changes."""
+        self.check(offset, len(raw))
+        self.data[offset:offset + len(raw)] = raw
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<MemoryBuffer {self.label!r} {len(self.data)}B>"
@@ -84,9 +137,9 @@ class NullOffset:
     It adds like an int, so address arithmetic on null (a GEP) still
     yields a null-based pointer, and two null-based offsets compare.
     What reaches memory through one traps on every tier: a bounds check
-    compares it with an int, a struct packer or a ``bytearray`` index
-    asks for its ``__index__``.  An offset of a live buffer is a plain
-    int, so no access pays for the check.
+    compares it with an int, a struct packer or a view index asks for
+    its ``__index__``, and either raises :class:`MemoryFault`.  An offset
+    of a live buffer is a plain int, so no access pays for the check.
     """
 
     __slots__ = ("delta",)
@@ -102,7 +155,7 @@ class NullOffset:
     __radd__ = __add__
 
     def __index__(self):
-        raise Trap("null pointer dereference")
+        raise MemoryFault("null pointer dereference")
 
     def __eq__(self, other):
         return isinstance(other, NullOffset) and other.delta == self.delta
@@ -126,6 +179,18 @@ def is_null(pointer: Pointer) -> bool:
     return pointer[0] is NULL[0]
 
 
+def free(pointer: Pointer) -> None:
+    """The ``free`` native, and how every tier frees a buffer (an
+    ``alloca``'s on return too): mark it freed and release its views, so
+    a view a JIT frame still holds faults on its next access.
+    ``free(NULL)`` does nothing."""
+    buf = pointer[0]
+    if buf is not NULL[0]:
+        buf.freed = True
+        for view in buf.views:
+            view.release()
+
+
 _STRUCTS = {
     (1, True): struct.Struct("<b"),
     (2, True): struct.Struct("<h"),
@@ -134,6 +199,27 @@ _STRUCTS = {
 }
 _F32 = struct.Struct("<f")
 _F64 = struct.Struct("<d")
+
+
+def pack_f32(data, offset: int, value: float) -> None:
+    """Store ``value`` as binary32: a finite value beyond its range
+    becomes the infinity of its sign, as ``fptrunc`` rounds it
+    (``transform.constfold.round_f32``) and a ``'f'`` view stores it;
+    ``'<f'`` packing alone raises ``OverflowError`` there."""
+    try:
+        _F32.pack_into(data, offset, value)
+    except OverflowError:
+        _F32.pack_into(data, offset, math.copysign(math.inf, value))
+
+
+#: scalar size -> the bytes' packer, floats by size
+_FLOAT_PACK = {4: pack_f32, 8: _F64.pack_into}
+#: view format -> ``(unpack_from, pack_into)`` of its little-endian bytes
+_FORMAT_CODECS = {
+    fmt: (st.unpack_from, _FLOAT_PACK[4] if fmt == "f" else st.pack_into)
+    for fmt, st in (("q", _STRUCTS[(8, True)]), ("i", _STRUCTS[(4, True)]),
+                    ("h", _STRUCTS[(2, True)]), ("b", _STRUCTS[(1, True)]),
+                    ("d", _F64), ("f", _F32))}
 
 
 class FunctionHandle:
@@ -196,11 +282,11 @@ def store_scalar(ty: T.Type, pointer, value) -> None:
         if size in (1, 2, 4, 8):
             _STRUCTS[(size, True)].pack_into(buf.data, off, ty.wrap(value))
         else:
-            raw = ty.to_unsigned(value).to_bytes(size, "little")
-            buf.data[off:off + size] = raw
+            buf.write(off, ty.to_unsigned(value).to_bytes(size, "little"))
     elif isinstance(ty, T.FloatType):
-        buf.check(off, T.size_of(ty))
-        (_F32 if ty.bits == 32 else _F64).pack_into(buf.data, off, value)
+        size = T.size_of(ty)
+        buf.check(off, size)
+        _FLOAT_PACK[size](buf.data, off, value)
     elif isinstance(ty, T.PointerType):
         store_pointer(pointer, value)
     else:
@@ -226,6 +312,46 @@ def load_scalar(ty: T.Type, pointer):
     raise TypeError(f"cannot load scalar of type {ty}")
 
 
+class _OffGrid:
+    """What a JIT bind holds instead of a view when its pointer's offset
+    is off the view's element grid (negative, not a multiple of the
+    size, or null), or views do not fit the host: element ``e`` is the
+    bytes at ``e * size + shift``, bounds-checked and packed like the
+    interpreter's accesses.  A null pointer's element is a
+    :class:`NullOffset`, whose ``__index__`` faults."""
+
+    __slots__ = ("buf", "size", "shift", "unpack", "pack")
+
+    def __init__(self, buf: MemoryBuffer, fmt: str, shift: int):
+        self.buf, self.size, self.shift = buf, VIEW_SIZES[fmt], shift
+        self.unpack, self.pack = _FORMAT_CODECS[fmt]
+
+    def __getitem__(self, element: int):
+        off = element.__index__() * self.size + self.shift
+        self.buf.check(off, self.size)
+        return self.unpack(self.buf.data, off)[0]
+
+    def __setitem__(self, element: int, value) -> None:
+        off = element.__index__() * self.size + self.shift
+        self.buf.check(off, self.size)
+        self.pack(self.buf.data, off, value)
+
+
+def bind_view(buf: MemoryBuffer, off, fmt: str):
+    """A JIT bind's slow path for the pointer ``(buf, off)``: ``(view,
+    index)`` such that ``view[index + k]`` is the ``fmt`` scalar ``k``
+    elements past the pointer.  The view is the buffer's own when
+    ``off`` is on its grid and an :class:`_OffGrid` otherwise.  The
+    null buffer never gets a view, so a null pointer's bind always
+    comes here."""
+    if not isinstance(off, int):  # a NullOffset
+        return _OffGrid(buf, fmt, 0), off
+    index, shift = divmod(off, VIEW_SIZES[fmt])
+    if shift or index < 0 or not _VIEWS_FIT:
+        return _OffGrid(buf, fmt, shift), index
+    return buf.view(fmt), index
+
+
 def scalar_struct(ty: T.Type):
     """``(size, wrap_or_None, unpack_from, pack_into)`` for scalar types
     with a fixed-width packed byte representation, else ``None``.
@@ -244,8 +370,9 @@ def scalar_struct(ty: T.Type):
             return None
         return size, ty.wrap, st.unpack_from, st.pack_into
     if isinstance(ty, T.FloatType):
+        size = T.size_of(ty)
         st = _F32 if ty.bits == 32 else _F64
-        return T.size_of(ty), None, st.unpack_from, st.pack_into
+        return size, None, st.unpack_from, _FLOAT_PACK[size]
     return None
 
 
@@ -281,7 +408,7 @@ def scalar_accessors(ty: T.Type) -> Tuple[Callable, Callable]:
     if isinstance(ty, T.FloatType):
         size = T.size_of(ty)
         st = _F32 if ty.bits == 32 else _F64
-        unpack, pack = st.unpack_from, st.pack_into
+        unpack, pack = st.unpack_from, _FLOAT_PACK[size]
 
         def load_float(pointer):
             buf, off = pointer
@@ -335,7 +462,7 @@ def store_pointer(pointer: Pointer, value) -> None:
 
 def load_pointer(pointer: Pointer):
     """Load the pointer-typed value at ``pointer``: the cell's value,
-    ``NULL`` from zeroed bytes, and ``MemoryError`` from any other
+    ``NULL`` from zeroed bytes, and :class:`MemoryFault` from any other
     bytes (an integer store over a cell, say)."""
     buf, off = pointer
     data = buf.data
@@ -348,7 +475,7 @@ def load_pointer(pointer: Pointer):
             return cells[off]
     elif raw == 0:
         return NULL
-    raise MemoryError(f"corrupt pointer cell at offset {off}")
+    raise MemoryFault(f"corrupt pointer cell at offset {off}")
 
 
 def copy_cells(dst: Pointer, src: Pointer, n: int) -> None:

@@ -50,10 +50,11 @@ The tree-walking interpreter deliberately does not read this table.  It
 stays on ``transform.constfold``'s folders — the independent encoding
 the table is differential-tested against.
 
-Not in the table, by design: loads and stores (bounds-checked in the
-decoded tier, unchecked "native" accesses in the JIT — different
-behaviour, not a duplicate), ``select``, calls, ``alloca`` and phi
-moves (frame/namespace plumbing, not arithmetic), and the three casts
+Not in the table, by design: loads and stores (an inline bounds check
+and ``struct`` in the decoded tier, typed views in the JIT -- each
+raising ``MemoryFault``, but no shared code), ``select``, calls,
+``alloca`` and phi moves (frame/namespace plumbing, not arithmetic),
+and the three casts
 answered by the value representation or the engine's object table
 (``bitcast`` is the operand itself; see :data:`OBJECT_TABLE_CASTS`).
 """

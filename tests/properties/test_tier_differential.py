@@ -9,7 +9,6 @@ threshold, since a workload may cross it mid-run, and ``tiered`` and
 callers' own tier-ups interleave across threads.
 """
 
-import struct
 import sys
 import threading
 import time
@@ -54,11 +53,9 @@ THREADED_TIERS = ("tiered", "speculative")
 def _run_tier(module_text, name, args, tier, **engine_kwargs):
     """Run one tier on a freshly parsed module, classifying the outcome.
 
-    Trap diagnostics differ per tier, so equivalence is at the
-    trap/no-trap level.  Hard memory faults surface as ``MemoryError``
-    from the bounds-checked accessors (interp/decoded) but as
-    ``struct.error`` from the JIT's specialized packers — both are the
-    same fault class.
+    Trap diagnostics differ per tier, so equivalence is at the level
+    of the trap's class: a memory fault is ``MemoryFault`` on every
+    tier, and never equals a division trap.
     """
     module = parse_module(module_text)
     return _outcome(ExecutionEngine(module, tier=tier, **engine_kwargs),
@@ -68,10 +65,8 @@ def _run_tier(module_text, name, args, tier, **engine_kwargs):
 def _outcome(engine, name, args):
     try:
         return ("ok", engine.run(name, *args))
-    except Trap:
-        return ("trap", None)
-    except (MemoryError, struct.error):
-        return ("memfault", None)
+    except Trap as trap:
+        return ("trap", type(trap))
 
 
 class TestIntPrograms:
@@ -151,12 +146,7 @@ class TestThreadedTierUp:
         lock = threading.Lock()
 
         def classify():
-            try:
-                out = ("ok", engine.run("prog", *args))
-            except Trap:
-                out = ("trap", None)
-            except (MemoryError, struct.error):
-                out = ("memfault", None)
+            out = _outcome(engine, "prog", args)
             with lock:
                 outcomes.append(out)
 
@@ -293,10 +283,75 @@ class TestThreadedPointerCells:
         assert engine.tier_promotions > 0
 
 
+class TestThreadedFree:
+    """``free`` racing JIT'd loops that read through a bound view: four
+    reader threads share a buffer, and the free lands before a reader's
+    bind, between its bind and its first access, or mid-loop.  Every
+    reader sees ``MemoryFault`` and nothing else -- never a value read
+    from freed bytes, never a host error."""
+
+    SRC = """
+define i64 @spin(i64* %p, i64 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %i1, %loop ]
+  %s = phi i64 [ 0, %entry ], [ %s1, %loop ]
+  %k = and i64 %i, 7
+  %q = getelementptr i64, i64* %p, i64 %k
+  %v = load i64, i64* %q
+  %s1 = add i64 %s, %v
+  %i1 = add i64 %i, 1
+  %c = icmp slt i64 %i1, %n
+  br i1 %c, label %loop, label %out
+out:
+  ret i64 %s1
+}
+"""
+
+    @pytest.mark.parametrize("delay", [0.0, 1e-4, 1e-3, 2e-2])
+    def test_the_readers_see_only_the_fault(self, delay):
+        from repro.vm import MemoryBuffer, MemoryFault
+
+        engine = ExecutionEngine(parse_module(self.SRC), tier="jit")
+        engine.run("spin", (MemoryBuffer(64, "warm"), 0), 8)  # compiled
+        outcomes = []
+
+        def reader(buf, started):
+            started.release()
+            try:
+                outcomes.append(engine.run("spin", (buf, 0), 10 ** 8))
+            except Exception as error:  # noqa: BLE001 - the class is the test
+                outcomes.append(type(error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(2):
+                buf = MemoryBuffer(64, "shared")
+                started = threading.Semaphore(0)
+                threads = [threading.Thread(target=reader,
+                                            args=(buf, started))
+                           for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for _ in threads:
+                    assert started.acquire(timeout=10.0)
+                time.sleep(delay)
+                engine._natives["free"].callable((buf, 0))
+                for thread in threads:
+                    thread.join(30.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes == [MemoryFault] * 8
+
+
 #: hand-written programs that trap (or not) in interesting ways; the
 #: generated programs above are structurally trap-free, so these pin the
 #: trap-equivalence half of the contract.  Messages differ across tiers
-#: (each reports its own diagnostic) — only trap/no-trap must agree.
+#: (each reports its own diagnostic) — the outcome and the trap's class
+#: must agree.
 TRAP_PROGRAMS = [
     ("sdiv-zero", """
 define i64 @f(i64 %a) {
@@ -353,6 +408,24 @@ entry:
   ret i64 %r
 }
 """, ()),
+    ("load-below", """
+define i64 @f(i64 %i) {
+entry:
+  %p = alloca [4 x i64]
+  %q = getelementptr [4 x i64], [4 x i64]* %p, i64 0, i64 %i
+  %r = load i64, i64* %q
+  ret i64 %r
+}
+""", (-1,)),
+    ("store-past-end", """
+define i64 @f(i64 %i) {
+entry:
+  %p = alloca [4 x i64]
+  %q = getelementptr [4 x i64], [4 x i64]* %p, i64 0, i64 %i
+  store i64 1, i64* %q
+  ret i64 0
+}
+""", (4,)),
     ("no-trap-udiv", """
 define i64 @f(i64 %a) {
 entry:
@@ -376,8 +449,7 @@ class TestTrapEquivalence:
     )
     def test_trap_agreement(self, name, text, args):
         outcomes = {
-            tier: _run_tier(text, "f", args, tier)[0]
-            for tier in ALL_TIERS
+            tier: _run_tier(text, "f", args, tier) for tier in ALL_TIERS
         }
         assert len(set(outcomes.values())) == 1, outcomes
 

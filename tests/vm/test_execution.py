@@ -8,7 +8,7 @@ import pytest
 
 from repro.ir import parse_module
 from repro.transform import PassManager
-from repro.vm import ExecutionEngine, Trap
+from repro.vm import ExecutionEngine, MemoryFault, Trap
 
 from ..conftest import make_i64_array
 
@@ -342,8 +342,8 @@ entry:
         assert run(src, "f", tier=tier) == 77
 
     def test_use_after_free_traps_in_interpreter(self):
-        # only the reference interpreter checks liveness on access; the
-        # JIT tier behaves like native code (no per-access checking)
+        # the oracle's liveness check; every tier raises the same class
+        # (tests/vm/test_memory_faults.py)
         src = """
 declare i8* @malloc(i64 %n)
 declare void @free(i8* %p)
@@ -357,7 +357,7 @@ entry:
   ret i64 %v
 }
 """
-        with pytest.raises(MemoryError):
+        with pytest.raises(MemoryFault):
             run(src, "f", tier="interp")
 
     def test_function_pointer_call(self, tier):

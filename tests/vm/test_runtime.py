@@ -14,9 +14,11 @@ from repro.vm import TIERS, ExecutionEngine
 from repro.vm.runtime import (
     NULL,
     MemoryBuffer,
+    MemoryFault,
     OutputBuffer,
     Trap,
     fpow,
+    free,
     gep_offset,
     is_null,
     load_scalar,
@@ -31,16 +33,16 @@ class TestMemoryBuffer:
 
     def test_bounds_check(self):
         buf = MemoryBuffer(8, "b")
-        with pytest.raises(MemoryError):
+        with pytest.raises(MemoryFault):
             buf.check(4, 8)
-        with pytest.raises(MemoryError):
+        with pytest.raises(MemoryFault):
             buf.check(-1, 1)
         buf.check(0, 8)  # exact fit is fine
 
     def test_use_after_free(self):
         buf = MemoryBuffer(8, "b")
-        buf.freed = True
-        with pytest.raises(MemoryError, match="use-after-free"):
+        free((buf, 0))
+        with pytest.raises(MemoryFault, match="use-after-free"):
             buf.check(0, 1)
 
 
@@ -91,7 +93,7 @@ class TestScalarAccess:
 
     def test_out_of_bounds_store(self):
         buf = MemoryBuffer(4, "b")
-        with pytest.raises(MemoryError):
+        with pytest.raises(MemoryFault):
             store_scalar(T.i64, (buf, 0), 1)
 
 
@@ -344,7 +346,7 @@ class TestPointerCells:
         assert self.engine(tier).run("cleared") == 1
 
     def test_integer_store_over_a_cell_makes_its_load_fail(self, tier):
-        with pytest.raises(MemoryError, match="corrupt pointer cell"):
+        with pytest.raises(MemoryFault, match="corrupt pointer cell"):
             self.engine(tier).run("overwritten")
 
     def test_buffers_do_not_outlive_their_runs(self, tier):
