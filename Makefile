@@ -15,7 +15,7 @@ test:
 # another invalidates), with fault handler tracebacks should a thread wedge
 stress:
 	$(PP) PYTHONFAULTHANDLER=1 $(PYTHON) -m pytest -x -q \
-		tests/vm/test_background.py tests/vm/test_shared_engine.py
+		tests/vm/test_tier_up_publication.py tests/vm/test_shared_engine.py
 	$(PP) PYTHONFAULTHANDLER=1 $(PYTHON) -m pytest -x -q \
 		tests/properties/test_tier_differential.py -k "Threaded"
 

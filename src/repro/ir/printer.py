@@ -50,11 +50,6 @@ from .values import (
 )
 
 
-def value_ref(value: Value) -> str:
-    """Operand reference (without type), e.g. ``%x``, ``@f``, ``42``."""
-    return value.ref
-
-
 def typed_ref(value: Value) -> str:
     """Operand reference with leading type, e.g. ``i64 %x``."""
     return f"{value.type} {value.ref}"

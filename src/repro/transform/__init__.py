@@ -11,7 +11,6 @@ from .dce import (
     eliminate_dead_blocks,
     eliminate_dead_code,
     eliminate_dead_stores,
-    run_dce,
 )
 from .mem2reg import promote_memory_to_registers
 from .passmanager import (
@@ -19,7 +18,6 @@ from .passmanager import (
     PIPELINES,
     PassManager,
     optimize_function,
-    optimize_module,
 )
 from .scalarize import scalarize_aggregates
 from .simplifycfg import simplify_cfg
@@ -39,7 +37,6 @@ __all__ = [
     "eliminate_dead_blocks",
     "eliminate_dead_code",
     "eliminate_dead_stores",
-    "run_dce",
     "InlineError",
     "inline_call",
     "inline_known_indirect_calls",
@@ -48,7 +45,6 @@ __all__ = [
     "PASSES",
     "PIPELINES",
     "optimize_function",
-    "optimize_module",
     "scalarize_aggregates",
     "simplify_cfg",
     "SSAUpdater",

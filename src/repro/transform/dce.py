@@ -99,10 +99,3 @@ def eliminate_dead_stores(func: Function, am=None) -> int:
 def eliminate_dead_blocks(func: Function) -> int:
     """Remove unreachable blocks; returns the number removed."""
     return len(remove_unreachable_blocks(func))
-
-
-def run_dce(func: Function) -> int:
-    """Blocks first (may kill uses), then instructions."""
-    removed = eliminate_dead_blocks(func)
-    removed += eliminate_dead_code(func)
-    return removed

@@ -191,8 +191,3 @@ def optimize_function(func: Function, level: str = "optimized",
                       am: AnalysisManager = None) -> Function:
     """Convenience: run one of the standard pipelines on a function."""
     return PassManager.pipeline(level).run(func, am)
-
-
-def optimize_module(module: Module, level: str = "optimized",
-                    am: AnalysisManager = None) -> Module:
-    return PassManager.pipeline(level).run_module(module, am)

@@ -31,7 +31,6 @@ from .runtime import (
     Trap,
     is_null,
     load_scalar,
-    scalar_accessors,
     store_scalar,
 )
 
@@ -68,6 +67,5 @@ __all__ = [
     "NULL",
     "is_null",
     "load_scalar",
-    "scalar_accessors",
     "store_scalar",
 ]

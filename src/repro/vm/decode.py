@@ -42,7 +42,9 @@ entry used as the branch's test; it alone writes no frame slot (its one
 reader is that branch).  Loads, stores, address arithmetic, ``select``
 and the value-carrying terminators are this tier's own bodies
 (:data:`_BODIES`), written once each and specialised to their operand
-shape by the same kind of cached factory.
+shape by the same kind of cached factory.  A scalar load or store
+indexes the buffer's typed view by the JIT's protocol (``runtime``'s
+``bind_view`` and ``view_fault``): the two read and fault alike.
 
 Fusion is only applied when the producer's one use is the very next
 instruction (or the block terminator), so no other step can observe the
@@ -67,7 +69,7 @@ Frame layout::
 from __future__ import annotations
 
 import linecache
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis.manager import default_manager
@@ -95,18 +97,26 @@ from ..ir.instructions import (
 from ..ir.values import Constant, Value
 from .interpreter import StepLimitExceeded, const_value
 from .runtime import (
+    ACCESS_ERRORS,
+    VIEW_FORMATS,
+    VIEW_SIZES,
     MemoryBuffer,
     Trap,
+    bind_view,
     free,
     gep_offset,
-    scalar_accessors,
-    scalar_struct,
+    load_pointer,
+    load_scalar,
+    store_pointer,
+    store_scalar,
+    view_fault,
 )
 from .semantics import (
     OBJECT_TABLE_CASTS,
     TRUTH,
     closure_factory,
     gep_terms,
+    native_result,
     scalar_entry,
 )
 
@@ -140,28 +150,32 @@ _FUSIBLE_CONSUMERS = (
 # -- the decoder's closure skeleton -------------------------------------------------
 #
 # Memory accesses, address arithmetic, ``select`` and the value-carrying
-# terminators are the *decoder's* bodies (an access checks its offset
-# inline, where the JIT's index typed views: one result, two encodings,
-# so not rows of the semantics table).  They share its skeleton: each
-# body is written once over its operand reads ``{0}``, ``{1}``, ... and
-# compiled once per operand shape
-# — ``oN(frame)`` for a fused producer thunk, ``frame[oN]`` for a slot —
-# so no shape test is left to run time.
+# terminators compute no arithmetic, so they are the *decoder's* bodies,
+# not rows of the semantics table; a scalar access indexes a typed view
+# as JIT'd code does (``_view_access``).  Each body is written once over
+# its operand reads ``{0}``, ``{1}``, ... and compiled once per operand
+# shape -- ``oN(frame)`` for a fused producer thunk, ``frame[oN]`` for a
+# slot -- so no shape test is left to run time.
 
 #: how a value thunk ends: write the instruction's own slot, return the
 #: value for nested composition
 _WRITE = "frame[dst] = v\nreturn v"
 
-#: fixed-width scalar access, bounds check inlined (``buf.check``
-#: re-raises the canonical error on the slow path)
-_CHECK = ("if buf.freed or off < 0 or off + size > len(buf.data):\n"
-          "    buf.check(off, size)\n")
 
-
-def _wrap_constants(bits: int) -> Tuple[int, int]:
-    """``(mask, half)``: ``((x + half) & mask) - half`` wraps ``x`` to
-    the canonical signed range of a ``bits``-wide integer."""
-    return (1 << bits) - 1, (1 << (bits - 1) if bits > 1 else 0)
+def _view_access(fmt: str, access: str) -> str:
+    """``access`` to ``view[e]``, the pointer ``buf, off``'s element of
+    the buffer's ``fmt`` view, bound as JIT'd code binds it."""
+    size = VIEW_SIZES[fmt]
+    test = "off < 0" if size == 1 else f"off & {size - 1} or off < 0"
+    return (f"view = buf.view_{fmt}\n"
+            f"if view is None or {test}:\n"
+            f"    view, e = bind_view(buf, off, '{fmt}')\n"
+            "else:\n"
+            + ("    e = off\n" if size == 1
+               else f"    e = off >> {size.bit_length() - 1}\n")
+            + f"try:\n    {access}\n"
+            "except ACCESS_ERRORS as exc:\n"
+            "    view_fault(exc)\n    raise\n")
 
 
 def _gep_body(count: int) -> Tuple[str, str]:
@@ -181,26 +195,21 @@ def _gep_generic_body(count: int) -> Tuple[str, str]:
             + indices + "]))\n" + _WRITE)
 
 
+#: ``(name key, view format, mask)`` of each view access body: one per
+#: format, and ``bit``, an ``i1`` as the low bit of a byte
+_KEYS = [(fmt, fmt, "") for fmt in VIEW_SIZES] + [("bit", "b", " & 1")]
+
 #: body name -> (closed-over parameters, body over the operand reads), or
 #: a function of the operand count returning that pair
 _BODIES = {
-    # {0} is the pointer
+    # {0} is the pointer; a pointer cell or an odd width takes ``load``
+    **{f"load_{key}_val": ("dst", "buf, off = {0}\n" + _view_access(
+        fmt, "v = view[e]" + low) + _WRITE) for key, fmt, low in _KEYS},
     "load_val": ("dst load", "v = load({0})\n" + _WRITE),
-    # a float, or an integer as wide as its storage: the struct format
-    # already yields the canonical value (wrap() would be an identity)
-    "load_scalar_val": ("dst size unpack", "buf, off = {0}\n" + _CHECK
-                        + "v = unpack(buf.data, off)[0]\n" + _WRITE),
-    "load_narrow_val": ("dst size unpack mask half",
-                        "buf, off = {0}\n" + _CHECK
-                        + "v = ((unpack(buf.data, off)[0] + half) & mask)"
-                        " - half\n" + _WRITE),
     # {0} is the value, {1} the pointer
+    **{"store_" + key: ("", "val = {0}\nbuf, off = {1}\n" + _view_access(
+        fmt, "view[e] = val" + low)) for key, fmt, low in _KEYS},
     "store_generic": ("store", "val = {0}\nstore({1}, val)"),
-    "store_scalar": ("size pack", "val = {0}\nbuf, off = {1}\n" + _CHECK
-                     + "pack(buf.data, off, val)"),
-    "store_int": ("size pack mask half",
-                  "val = {0}\nbuf, off = {1}\n" + _CHECK
-                  + "pack(buf.data, off, ((val + half) & mask) - half)"),
     # all three operands evaluate eagerly: a fused producer on the
     # unpicked arm must still trap exactly as the standalone step would
     "select_val": ("dst", "cv = {0}\ntv = {1}\nfv = {2}\n"
@@ -235,7 +244,9 @@ def _closure_factory(name: str, thunks: Tuple[bool, ...]) -> Callable:
                 + ",".join("thunk" if t else "slot" for t in thunks))
     # source for tracebacks, split into lines only if one is ever printed
     linecache.cache[filename] = (lambda: source,)
-    namespace = {"RETURN": RETURN, "gep_offset": gep_offset}
+    namespace = {"RETURN": RETURN, "gep_offset": gep_offset,
+                 "bind_view": bind_view, "view_fault": view_fault,
+                 "ACCESS_ERRORS": ACCESS_ERRORS}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["make"]
 
@@ -343,7 +354,7 @@ class _Decoder:
                 # every fusible kind goes through the fused builders:
                 # they consume a pending producer when there is one, and
                 # even standalone they emit the flat superinstruction
-                # shapes (inline operand reads, inline memory checks)
+                # shapes (inline operand reads, inline view accesses)
                 steps.append(self._value_thunk(inst))
             else:
                 steps.append(self._decode_instruction(inst))
@@ -400,17 +411,12 @@ class _Decoder:
         return _closure_factory(name, thunks)(*closed_over, *operands)
 
     def _store_thunk(self, inst: StoreInst) -> Callable:
-        ty = inst.value.type
-        values = (inst.value, inst.pointer)
-        parts = scalar_struct(ty)
-        if parts is None:
-            return self._closure("store_generic", values,
-                                 scalar_accessors(ty)[1])
-        size, wrap, _, pack = parts
-        if wrap is None:
-            return self._closure("store_scalar", values, size, pack)
-        return self._closure("store_int", values, size, pack,
-                             *_wrap_constants(ty.bits))
+        ty, values = inst.value.type, (inst.value, inst.pointer)
+        body = "bit" if ty == T.i1 else VIEW_FORMATS.get(ty)
+        if body is not None:
+            return self._closure("store_" + body, values)
+        return self._closure("store_generic", values, store_pointer
+                             if ty.is_pointer else partial(store_scalar, ty))
 
     def _value_thunk(self, inst: Instruction) -> Callable:
         """``thunk(frame) -> value``: the instruction's value computation
@@ -437,18 +443,12 @@ class _Decoder:
         return self._scalar_thunk(inst)
 
     def _load_thunk(self, inst: LoadInst) -> Callable:
-        ty = inst.type
-        dst = self.slot_of(inst)
-        values = (inst.pointer,)
-        parts = scalar_struct(ty)
-        if parts is None:
-            return self._closure("load_val", values, dst,
-                                 scalar_accessors(ty)[0])
-        size, wrap, unpack, _ = parts
-        if wrap is None or ty.bits == size * 8:
-            return self._closure("load_scalar_val", values, dst, size, unpack)
-        return self._closure("load_narrow_val", values, dst, size, unpack,
-                             *_wrap_constants(ty.bits))
+        ty, values, dst = inst.type, (inst.pointer,), self.slot_of(inst)
+        body = "bit" if ty == T.i1 else VIEW_FORMATS.get(ty)
+        if body is not None:
+            return self._closure(f"load_{body}_val", values, dst)
+        return self._closure("load_val", values, dst, load_pointer
+                             if ty.is_pointer else partial(load_scalar, ty))
 
     def _scalar_thunk(self, inst: Instruction) -> Callable:
         """Binop, compare or cast: the semantics table's entry, closed
@@ -618,6 +618,10 @@ class _Decoder:
 
             return call_void
         dst = self.slot_of(inst)
+        entry = native_result(inst)
+        if entry is not None:  # the row, over the call as a thunk
+            return closure_factory(entry, (True,))(dst, lambda frame: call(
+                callee, [frame[s] for s in arg_slots]))
 
         def call_step(frame):
             frame[dst] = call(callee, [frame[s] for s in arg_slots])

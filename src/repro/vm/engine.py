@@ -64,6 +64,7 @@ from .runtime import (
     NULL,
     FunctionHandle,
     MemoryBuffer,
+    MemoryFault,
     NativeHandle,
     OutputBuffer,
     Trap,
@@ -385,7 +386,11 @@ class ExecutionEngine:
 
         def native_puts(pointer):
             buf, off = pointer
-            end = buf.data.index(0, off) if 0 in buf.data[off:] else len(buf.data)
+            buf.check(off, 0)  # freed, null or below the buffer: faults
+            end = buf.data.find(0, off)
+            if end < 0:
+                raise MemoryFault(f"puts: no NUL in {buf.label!r} from "
+                                  f"offset {off}")
             engine.stdout.write(bytes(buf.data[off:end]))
             engine.stdout.putchar(10)
             return 0
@@ -985,8 +990,15 @@ class ExecutionEngine:
         raise Trap(f"call of non-callable value {target!r}")
 
     def run(self, name: str, *args):
-        """Convenience: call a module function by name."""
-        return self.call(self.module.get_function(name), list(args))
+        """Convenience: call a module function by name.  An integer
+        argument is wrapped into its parameter type's canonical range,
+        as a value computed in IR would be."""
+        func = self.module.get_function(name)
+        args = list(args)
+        for index, arg in enumerate(func.args[:len(args)]):
+            if isinstance(arg.type, T.IntType):
+                args[index] = arg.type.wrap(args[index])
+        return self.call(func, args)
 
     # -- statistics ---------------------------------------------------------------------
 

@@ -241,7 +241,14 @@ class Interpreter:
 
         if isinstance(inst, CallInst):
             args = [ev(a, frame) for a in inst.args]
-            return self.engine.call(inst.callee, args)
+            result = self.engine.call(inst.callee, args)
+            callee = inst.callee
+            if (isinstance(inst.type, T.IntType)
+                    and isinstance(callee, Function)
+                    and callee.is_declaration):
+                # a native's int enters canonical, as a computed one is
+                return inst.type.wrap(result)
+            return result
 
         if isinstance(inst, IndirectCallInst):
             target = ev(inst.callee, frame)

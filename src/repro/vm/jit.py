@@ -101,16 +101,19 @@ from ..analysis.manager import AnalysisManager, default_manager
 from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
 from .runtime import (
+    ACCESS_ERRORS,
     NULL,
+    VIEW_FORMATS,
     VIEW_SIZES,
     MemoryBuffer,
-    MemoryFault,
     Trap,
     bind_view,
     load_pointer,
     load_scalar,
+    negative_index,
     store_pointer,
     store_scalar,
+    view_fault,
 )
 from .semantics import LOC as _LOC
 from .semantics import (
@@ -118,6 +121,7 @@ from .semantics import (
     OBJECT_TABLE_CASTS,
     gep_terms,
     instantiate,
+    native_result,
     scalar_entry,
 )
 
@@ -140,16 +144,12 @@ class ArtifactFormatError(JITError):
 _NAME_RE = re.compile(r"[^0-9A-Za-z_]")
 
 
-def _oob():
-    raise MemoryFault("out-of-bounds access: negative element index")
-
-
 def _memory_fault(exc: BaseException) -> None:
     """Raise a :class:`MemoryFault` for ``exc`` when the JIT frame that
     caught it raised it itself, indexing a view: a view's ``IndexError``
     (out of bounds) or a released view's ``ValueError`` (freed).  The
-    same classes from a native, or from a callee's frame, stay host
-    errors, and so return."""
+    same classes from a native, from a callee's frame or for a value out
+    of the view's range stay host errors, and so return."""
     tb = exc.__traceback__
     if tb is None or tb.tb_next is not None:
         return
@@ -157,9 +157,7 @@ def _memory_fault(exc: BaseException) -> None:
 
     op = tb.tb_frame.f_code.co_code[tb.tb_lasti]
     if op in (opmap["BINARY_SUBSCR"], opmap["STORE_SUBSCR"]):
-        what = ("use-after-free" if isinstance(exc, ValueError)
-                else "out-of-bounds access")
-        raise MemoryFault(f"{what}: {exc}") from None
+        view_fault(exc)
 
 
 def _build_static_namespace() -> Dict[str, Any]:
@@ -175,9 +173,9 @@ def _build_static_namespace() -> Dict[str, Any]:
         _load_scalar=load_scalar,
         _store_scalar=store_scalar,
         _bind_view=bind_view,
-        _ACCESS_ERRORS=(IndexError, ValueError),
+        _ACCESS_ERRORS=ACCESS_ERRORS,
         _memory_fault=_memory_fault,
-        _oob=_oob,
+        _oob=negative_index,
     )
 
 
@@ -308,16 +306,6 @@ def _return(value: ast.expr) -> ast.Return:
 
 def _continue() -> ast.Continue:
     return ast.Continue(**_LOC)
-
-
-def _view_format(ty: T.Type) -> Optional[str]:
-    """The typed view (:data:`~.runtime.VIEW_SIZES`) a scalar of ``ty``
-    is read and written through; an ``i1`` is a byte's low bit."""
-    if isinstance(ty, T.IntType):
-        return {1: "b", 8: "b", 16: "h", 32: "i", 64: "q"}.get(ty.bits)
-    if isinstance(ty, T.FloatType):
-        return "f" if ty.bits == 32 else "d"
-    return None
 
 
 class _Unstructured(JITError):
@@ -499,7 +487,7 @@ class CompiledCode:
 #: cache would keep serving the old code); part of both the disk-cache
 #: key and the embedded payload, so old entries are rejected instead of
 #: misread
-DISK_FORMAT_VERSION = 6
+DISK_FORMAT_VERSION = 7
 
 #: marshal data version 2: versions >= 3 emit identity-based
 #: back-references for repeated objects, making the byte stream depend
@@ -1061,6 +1049,9 @@ class FunctionCompiler:
                     ("static", callee), getattr(callee, "name", "callee")
                 )
             call = _calln(target, *(e(a) for a in inst.args))
+            entry = native_result(inst)
+            if entry is not None and name:
+                call = instantiate(entry, [lambda: call])
             return [_assign(name, call) if name else _expr_stmt(call)]
 
         if isinstance(inst, IndirectCallInst):
@@ -1148,7 +1139,8 @@ class FunctionCompiler:
                                  self.expr(inst.pointer), self.expr(value)))
 
     def _type_slot(self, ty: T.Type) -> ast.Name:
-        """The struct path's IR type, a static binding."""
+        """The IR type ``_load_scalar``/``_store_scalar`` take, a static
+        binding."""
         return _name(self.bind(("static", ty), f"ty{ty}"))
 
     # -- addresses -----------------------------------------------------------------------------
@@ -1206,10 +1198,10 @@ class FunctionCompiler:
         """How ``inst`` reaches its scalar through a view: ``(base, fmt,
         static, terms)``, the folded GEPs between its address and the
         addressed ``base`` flattened into a byte offset.  ``None`` keeps
-        the struct path: an odd width, an unaddressed base, or a static
-        offset or stride that is not a whole number of elements."""
+        the oracle's accessors: an odd width, an unaddressed base, or a
+        static offset or stride that is not a whole number of elements."""
         ty = inst.type if isinstance(inst, LoadInst) else inst.value.type
-        fmt = _view_format(ty)
+        fmt = VIEW_FORMATS.get(ty)
         if fmt is None:
             return None
         pointer, static, terms = inst.pointer, 0, []
@@ -1291,8 +1283,8 @@ class FunctionCompiler:
     def _element(self, inst: Union[LoadInst, StoreInst],
                  ctx: ast.expr_context = _LOAD) -> Optional[ast.Subscript]:
         """``<base>_v<fmt>[index]``, the view element ``inst`` accesses,
-        or ``None`` for the struct path.  The index is the base's element
-        plus each term; one that no constant or range fact proves
+        or ``None`` for the oracle's accessors.  The index is the base's
+        element plus each term; one that no constant or range fact proves
         non-negative is tested (``_oob`` faults), since a view would
         wrap a negative index."""
         plan = self._plans.get(id(self._alias.get(inst, inst)))

@@ -2,7 +2,9 @@
 
 The VM executes IR over these runtime values:
 
-* integers — Python ints kept in the type's canonical signed range;
+* integers — Python ints kept in the type's canonical signed range (a
+  native's result and an ``engine.run`` argument are wrapped into it
+  where they enter);
 * floats — Python floats;
 * pointers — ``(buffer, offset)`` pairs where ``buffer`` is a
   :class:`MemoryBuffer` (byte-addressable, like a malloc'd region or a
@@ -25,11 +27,14 @@ cell lives exactly as long as its buffer, and ``memcpy``/``memset``
 carry or drop cells with the bytes they copy or clear.
 
 A buffer's ``data`` bytearray is bound once, in ``__init__``, and its
-length never changes.  JIT'd code reads and writes scalars through the
-buffer's typed views (:meth:`MemoryBuffer.view`, one ``memoryview`` cast
-per format, made on first use); :func:`free` releases them, so a view a
-JIT frame still holds faults instead of reading freed bytes.  A guest
-memory fault is a :class:`MemoryFault` on every tier.
+length never changes.  The compiled tiers (decoded closures and JIT'd
+code) read and write scalars through the buffer's typed views
+(:meth:`MemoryBuffer.view`, one ``memoryview`` cast per format, made on
+first use, bound by :func:`bind_view` off the fast path); :func:`free`
+releases them, so a view a frame still holds faults instead of reading
+freed bytes.  The tree-walker's :func:`load_scalar`/:func:`store_scalar`
+are the independent oracle.  A guest memory fault is a
+:class:`MemoryFault` on every tier.
 """
 
 from __future__ import annotations
@@ -54,11 +59,16 @@ class MemoryFault(Trap):
     that are no pointer cell.  Every tier raises this one class."""
 
 
-#: view format -> item size; the JIT's scalar formats, in the host's
-#: native layout (``_VIEWS_FIT`` says whether that is the IR's)
-VIEW_SIZES = {"q": 8, "i": 4, "h": 2, "b": 1, "d": 8, "f": 4}
+#: view format -> the IR type of its element: the compiled tiers' scalar
+#: formats, in the host's native layout (``_VIEWS_FIT`` says whether
+#: that is the IR's)
+_VIEW_TYPES = {"q": T.i64, "i": T.i32, "h": T.i16, "b": T.i8,
+               "d": T.f64, "f": T.f32}
+#: view format -> item size
+VIEW_SIZES = {fmt: T.size_of(ty) for fmt, ty in _VIEW_TYPES.items()}
 #: a typed view is a little-endian element of the IR's width; a host
-#: where it is not keeps every access on the struct path
+#: where it is not sends every access to the oracle's accessors
+#: (:class:`_OffGrid`)
 _VIEWS_FIT = sys.byteorder == "little" and all(
     struct.calcsize(fmt) == size for fmt, size in VIEW_SIZES.items())
 #: makes one view at a time: at most one per buffer and format
@@ -68,7 +78,7 @@ _views_lock = threading.Lock()
 class MemoryBuffer:
     """A byte-addressable allocation (heap block, stack slot or global),
     with the pointer cells stored in it (:func:`store_pointer`) and the
-    typed views JIT'd code indexes (:meth:`view`)."""
+    typed views the compiled tiers index (:meth:`view`)."""
 
     # ``__dict__`` holds what :meth:`view` makes; until then the class
     # defaults answer, so an allocation pays for no view
@@ -101,8 +111,9 @@ class MemoryBuffer:
     def view(self, fmt: str) -> memoryview:
         """The buffer's ``memoryview`` cast to ``fmt`` (a
         :data:`VIEW_SIZES` key), made on first use and kept as
-        ``view_<fmt>``, where a JIT bind reads it.  It covers the whole
-        elements that fit; a freed buffer's is released (:func:`free`)."""
+        ``view_<fmt>``, where a compiled access reads it.  It covers the
+        whole elements that fit; a freed buffer's is released
+        (:func:`free`)."""
         attribute = "view_" + fmt
         with _views_lock:
             view = getattr(self, attribute)
@@ -182,7 +193,7 @@ def is_null(pointer: Pointer) -> bool:
 def free(pointer: Pointer) -> None:
     """The ``free`` native, and how every tier frees a buffer (an
     ``alloca``'s on return too): mark it freed and release its views, so
-    a view a JIT frame still holds faults on its next access.
+    a view a frame still holds faults on its next access.
     ``free(NULL)`` does nothing."""
     buf = pointer[0]
     if buf is not NULL[0]:
@@ -191,12 +202,9 @@ def free(pointer: Pointer) -> None:
             view.release()
 
 
-_STRUCTS = {
-    (1, True): struct.Struct("<b"),
-    (2, True): struct.Struct("<h"),
-    (4, True): struct.Struct("<i"),
-    (8, True): struct.Struct("<q"),
-}
+#: integer size -> the ``struct`` of its little-endian signed bytes
+_INTS = {1: struct.Struct("<b"), 2: struct.Struct("<h"),
+         4: struct.Struct("<i"), 8: struct.Struct("<q")}
 _F32 = struct.Struct("<f")
 _F64 = struct.Struct("<d")
 
@@ -210,16 +218,6 @@ def pack_f32(data, offset: int, value: float) -> None:
         _F32.pack_into(data, offset, value)
     except OverflowError:
         _F32.pack_into(data, offset, math.copysign(math.inf, value))
-
-
-#: scalar size -> the bytes' packer, floats by size
-_FLOAT_PACK = {4: pack_f32, 8: _F64.pack_into}
-#: view format -> ``(unpack_from, pack_into)`` of its little-endian bytes
-_FORMAT_CODECS = {
-    fmt: (st.unpack_from, _FLOAT_PACK[4] if fmt == "f" else st.pack_into)
-    for fmt, st in (("q", _STRUCTS[(8, True)]), ("i", _STRUCTS[(4, True)]),
-                    ("h", _STRUCTS[(2, True)]), ("b", _STRUCTS[(1, True)]),
-                    ("d", _F64), ("f", _F32))}
 
 
 class FunctionHandle:
@@ -279,14 +277,13 @@ def store_scalar(ty: T.Type, pointer, value) -> None:
     if isinstance(ty, T.IntType):
         size = T.size_of(ty)
         buf.check(off, size)
-        if size in (1, 2, 4, 8):
-            _STRUCTS[(size, True)].pack_into(buf.data, off, ty.wrap(value))
+        if size in _INTS:
+            _INTS[size].pack_into(buf.data, off, ty.wrap(value))
         else:
             buf.write(off, ty.to_unsigned(value).to_bytes(size, "little"))
     elif isinstance(ty, T.FloatType):
-        size = T.size_of(ty)
-        buf.check(off, size)
-        _FLOAT_PACK[size](buf.data, off, value)
+        buf.check(off, T.size_of(ty))
+        (pack_f32 if ty.bits == 32 else _F64.pack_into)(buf.data, off, value)
     elif isinstance(ty, T.PointerType):
         store_pointer(pointer, value)
     else:
@@ -299,8 +296,8 @@ def load_scalar(ty: T.Type, pointer):
     if isinstance(ty, T.IntType):
         size = T.size_of(ty)
         buf.check(off, size)
-        if size in (1, 2, 4, 8):
-            raw = _STRUCTS[(size, True)].unpack_from(buf.data, off)[0]
+        if size in _INTS:
+            raw = _INTS[size].unpack_from(buf.data, off)[0]
         else:
             raw = int.from_bytes(buf.data[off:off + size], "little")
         return ty.wrap(raw)
@@ -312,37 +309,73 @@ def load_scalar(ty: T.Type, pointer):
     raise TypeError(f"cannot load scalar of type {ty}")
 
 
-class _OffGrid:
-    """What a JIT bind holds instead of a view when its pointer's offset
-    is off the view's element grid (negative, not a multiple of the
-    size, or null), or views do not fit the host: element ``e`` is the
-    bytes at ``e * size + shift``, bounds-checked and packed like the
-    interpreter's accesses.  A null pointer's element is a
-    :class:`NullOffset`, whose ``__index__`` faults."""
+#: IR type -> the typed view (:data:`VIEW_SIZES`) the compiled tiers
+#: access a scalar of it through, :data:`_VIEW_TYPES` read backwards (an
+#: ``i1`` is a byte's low bit); a pointer or an odd width has none
+VIEW_FORMATS = {ty: fmt for fmt, ty in _VIEW_TYPES.items()}
+VIEW_FORMATS[T.i1] = "b"
 
-    __slots__ = ("buf", "size", "shift", "unpack", "pack")
+
+#: what indexing a typed view raises: ``IndexError`` past its end,
+#: ``ValueError`` once :func:`free` has released it (or for a value
+#: out of the format's range, which no canonical value is)
+ACCESS_ERRORS = (IndexError, ValueError)
+
+#: the ``ValueError`` message of any access through a released view
+_RELEASED = "operation forbidden on released memoryview object"
+
+
+def view_fault(exc: BaseException) -> None:
+    """Raise the :class:`MemoryFault`, one message on every tier that
+    indexes views, for a view access that raised ``exc`` past the view's
+    end or through a view :func:`free` released; return for any other
+    cause, which stays the host error it is."""
+    if isinstance(exc, IndexError):
+        raise MemoryFault(f"out-of-bounds access: {exc}") from None
+    if str(exc) == _RELEASED:
+        raise MemoryFault(f"use-after-free: {exc}") from None
+
+
+def negative_index() -> None:
+    """Fault an access below its buffer's start, which a view would
+    wrap: the one message of every tier that indexes views."""
+    raise MemoryFault("out-of-bounds access: negative element index")
+
+
+class _OffGrid:
+    """What a bind holds instead of a view when its pointer's offset is
+    off the view's element grid (negative, not a multiple of the size,
+    or null), or views do not fit the host: element ``e`` is the scalar
+    at ``e * size + shift``, loaded and stored by the interpreter's own
+    :func:`load_scalar`/:func:`store_scalar`.  A null pointer's element
+    is a :class:`NullOffset`, whose ``__index__`` faults; an offset below
+    the buffer faults as a view access's negative index does."""
+
+    __slots__ = ("buf", "ty", "size", "shift")
 
     def __init__(self, buf: MemoryBuffer, fmt: str, shift: int):
-        self.buf, self.size, self.shift = buf, VIEW_SIZES[fmt], shift
-        self.unpack, self.pack = _FORMAT_CODECS[fmt]
+        self.buf, self.ty = buf, _VIEW_TYPES[fmt]
+        self.size, self.shift = VIEW_SIZES[fmt], shift
+
+    def _at(self, element) -> Pointer:
+        offset = element.__index__() * self.size + self.shift
+        if offset < 0:
+            negative_index()
+        return self.buf, offset
 
     def __getitem__(self, element: int):
-        off = element.__index__() * self.size + self.shift
-        self.buf.check(off, self.size)
-        return self.unpack(self.buf.data, off)[0]
+        return load_scalar(self.ty, self._at(element))
 
     def __setitem__(self, element: int, value) -> None:
-        off = element.__index__() * self.size + self.shift
-        self.buf.check(off, self.size)
-        self.pack(self.buf.data, off, value)
+        store_scalar(self.ty, self._at(element), value)
 
 
 def bind_view(buf: MemoryBuffer, off, fmt: str):
-    """A JIT bind's slow path for the pointer ``(buf, off)``: ``(view,
-    index)`` such that ``view[index + k]`` is the ``fmt`` scalar ``k``
-    elements past the pointer.  The view is the buffer's own when
-    ``off`` is on its grid and an :class:`_OffGrid` otherwise.  The
-    null buffer never gets a view, so a null pointer's bind always
+    """A compiled access's slow path for the pointer ``(buf, off)``:
+    ``(view, index)`` such that ``view[index + k]`` is the ``fmt``
+    scalar ``k`` elements past the pointer.  The view is the buffer's
+    own when ``off`` is on its grid and an :class:`_OffGrid` otherwise.
+    The null buffer never gets a view, so a null pointer's bind always
     comes here."""
     if not isinstance(off, int):  # a NullOffset
         return _OffGrid(buf, fmt, 0), off
@@ -352,85 +385,11 @@ def bind_view(buf: MemoryBuffer, off, fmt: str):
     return buf.view(fmt), index
 
 
-def scalar_struct(ty: T.Type):
-    """``(size, wrap_or_None, unpack_from, pack_into)`` for scalar types
-    with a fixed-width packed byte representation, else ``None``.
-
-    This exposes the raw pieces of :func:`scalar_accessors` so a caller
-    that generates fused closures (the decode tier's superinstructions)
-    can inline the bounds check and byte conversion instead of paying
-    two calls per memory access.  ``wrap`` is ``None`` for floats (no
-    canonicalization needed); pointer types and odd integer widths
-    return ``None`` (callers fall back to the accessor closures).
-    """
-    if isinstance(ty, T.IntType):
-        size = T.size_of(ty)
-        st = _STRUCTS.get((size, True))
-        if st is None:
-            return None
-        return size, ty.wrap, st.unpack_from, st.pack_into
-    if isinstance(ty, T.FloatType):
-        size = T.size_of(ty)
-        st = _F32 if ty.bits == 32 else _F64
-        return size, None, st.unpack_from, _FLOAT_PACK[size]
-    return None
-
-
-def scalar_accessors(ty: T.Type) -> Tuple[Callable, Callable]:
-    """Specialized ``(load, store)`` closures for one scalar IR type.
-
-    Semantically identical to :func:`load_scalar`/:func:`store_scalar`
-    (bounds checks included) but with the type dispatch and struct-format
-    selection resolved once instead of per access — the decode tier binds
-    these into its per-instruction closures.
-    """
-    if isinstance(ty, T.IntType):
-        size = T.size_of(ty)
-        wrap = ty.wrap
-        st = _STRUCTS.get((size, True))
-        if st is not None:
-            unpack, pack = st.unpack_from, st.pack_into
-
-            def load_int(pointer):
-                buf, off = pointer
-                buf.check(off, size)
-                return wrap(unpack(buf.data, off)[0])
-
-            def store_int(pointer, value):
-                buf, off = pointer
-                buf.check(off, size)
-                pack(buf.data, off, wrap(value))
-
-            return load_int, store_int
-        # odd widths fall back to the generic byte path
-        return (lambda p: load_scalar(ty, p),
-                lambda p, v: store_scalar(ty, p, v))
-    if isinstance(ty, T.FloatType):
-        size = T.size_of(ty)
-        st = _F32 if ty.bits == 32 else _F64
-        unpack, pack = st.unpack_from, _FLOAT_PACK[size]
-
-        def load_float(pointer):
-            buf, off = pointer
-            buf.check(off, size)
-            return unpack(buf.data, off)[0]
-
-        def store_float(pointer, value):
-            buf, off = pointer
-            buf.check(off, size)
-            pack(buf.data, off, value)
-
-        return load_float, store_float
-    if isinstance(ty, T.PointerType):
-        return load_pointer, store_pointer
-    raise TypeError(f"cannot build scalar accessors for {ty}")
-
-
 #: what the 8 bytes of a pointer cell hold: the value is in the
 #: buffer's ``cells``.  Zero bytes load as null; anything else is not a
 #: pointer.
 _CELL_TAG = int.from_bytes(b"ptr-cell", "little", signed=True)
-_I64 = _STRUCTS[(8, True)]
+_I64 = _INTS[8]
 #: guards a buffer's first pointer store (creating its ``cells``)
 _cells_lock = threading.Lock()
 

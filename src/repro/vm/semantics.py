@@ -50,13 +50,16 @@ The tree-walking interpreter deliberately does not read this table.  It
 stays on ``transform.constfold``'s folders — the independent encoding
 the table is differential-tested against.
 
-Not in the table, by design: loads and stores (an inline bounds check
-and ``struct`` in the decoded tier, typed views in the JIT -- each
-raising ``MemoryFault``, but no shared code), ``select``, calls,
+Not in the table, by design: loads and stores, which compute nothing
+-- both projections index the buffer's typed views by one protocol
+(``runtime.VIEW_FORMATS``, ``runtime.bind_view`` off the fast path and
+``runtime.view_fault`` for the fault), written once as the decoder's
+bodies and once as the JIT's emitted subscripts -- ``select``, calls,
 ``alloca`` and phi moves (frame/namespace plumbing, not arithmetic),
-and the three casts
-answered by the value representation or the engine's object table
-(``bitcast`` is the operand itself; see :data:`OBJECT_TABLE_CASTS`).
+and the three casts answered by the value representation or the
+engine's object table (``bitcast`` is the operand itself; see
+:data:`OBJECT_TABLE_CASTS`).  A call's one row is the wrap of a
+native's integer result (:func:`native_result`).
 """
 
 from __future__ import annotations
@@ -69,8 +72,10 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from ..ir import types as T
+from ..ir.function import Function
 from ..ir.instructions import (
     BinaryInst,
+    CallInst,
     CastInst,
     FCmpInst,
     GEPInst,
@@ -290,6 +295,19 @@ def scalar_entry(inst: Instruction, facts=None) -> Optional[Entry]:
         return text and Entry("cast." + inst.opcode, text, False,
                               _int_bits(inst.type),
                               _int_bits(inst.value.type))
+    return None
+
+
+def native_result(inst: Instruction) -> Optional[Entry]:
+    """The row a direct call of a declaration applies to its integer
+    result: the callee is a native, host code that may return any int,
+    and the value enters the frame in its type's canonical range as a
+    computed one does (a typed view refuses an int out of its format's
+    range).  ``None`` for any other call or result."""
+    if (isinstance(inst, CallInst) and isinstance(inst.callee, Function)
+            and inst.callee.is_declaration
+            and isinstance(inst.type, T.IntType)):
+        return Entry("call.native", "W(a)", False, inst.type.bits)
     return None
 
 

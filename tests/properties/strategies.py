@@ -7,6 +7,10 @@ optional if/else diamonds.  Division and shifts are guarded structurally
 programs never trap — any interp/JIT divergence is a genuine semantics
 bug, not UB.
 
+``memory_programs()`` draws loads and stores instead: one array of a
+view format, indexed by a counted loop at offsets that may fall below or
+past it, or into it after ``free`` -- the programs that trap on purpose.
+
 ``cfgs()`` draws arbitrary control flow instead — up to eight blocks
 ending in ``br``, ``br i1``, ``switch`` or ``ret`` to any block, with
 irreducible cycles and unreachable blocks among them — and ``render``
@@ -340,3 +344,95 @@ def render(blocks, ops, operands) -> str:
                       f"[ {arms} ]"]
     lines.append("}")
     return "\n".join(lines)
+
+
+# -- memory programs ---------------------------------------------------------------
+
+#: the element types a memory program's array holds (each a typed view
+#: format of the compiled tiers), with their sizes in bytes
+MEMORY_TYPES = {"i8": 1, "i16": 2, "i32": 4, "i64": 8, "float": 4,
+                "double": 8}
+
+
+@st.composite
+def memory_programs(draw):
+    """``(text, trips)``: the IR text of ``@f(i64 %n)``, and the ``%n``
+    to run it with.
+
+    ``@f`` holds one array of ``count`` elements of a type from
+    :data:`MEMORY_TYPES`: an ``alloca``, or a ``malloc``'d ``i8*``
+    bitcast to the element type at ``shift`` bytes in (0, or odd and so
+    off every multi-byte view's element grid), whose last element may be
+    cut short.  Iteration ``i`` of a loop run ``%n`` times stores a value
+    made from ``i`` at element ``i*k + c`` and adds up the element at
+    ``i*k + d``; the exit block loads element ``d`` once more, maybe
+    after freeing the array.  ``c`` and ``d`` reach below the array and
+    past its end, so a run returns a value or traps with ``MemoryFault``.
+    """
+    ty = draw(st.sampled_from(sorted(MEMORY_TYPES)))
+    size = MEMORY_TYPES[ty]
+    count = draw(st.integers(1, 5))
+    k = draw(st.integers(-1, 2))
+    # an element of the array as often as one just below or past it
+    element = st.one_of(st.integers(0, count - 1),
+                        st.sampled_from([-2, -1, count, count + 1]))
+    c, d = draw(element), draw(element)
+    trips = draw(st.integers(0, count + 1))
+    heap = draw(st.booleans())
+    freed = draw(st.integers(0, 3)) == 0
+    is_float = ty in ("float", "double")
+    zero = "0.0" if is_float else "0"
+    add = "fadd" if is_float else "add"
+    if heap:
+        shift = draw(st.sampled_from([0, 1, 3]))
+        cut = draw(st.sampled_from([0, 0, size - 1]))
+        nbytes = shift + count * size - cut
+        array = [f"  %raw = call i8* @malloc(i64 {nbytes})",
+                 f"  %at = getelementptr i8, i8* %raw, i64 {shift}",
+                 f"  %p = bitcast i8* %at to {ty}*"]
+    else:
+        array = [f"  %p = alloca {ty}, i64 {count}",
+                 f"  %raw = bitcast {ty}* %p to i8*"]
+    if is_float:
+        value = f"  %x = sitofp i64 %s to {ty}"
+    elif ty == "i64":
+        value = "  %x = add i64 %s, 0"
+    else:
+        value = f"  %x = trunc i64 %s to {ty}"
+    lines = [
+        "declare i8* @malloc(i64 %n)",
+        "declare void @free(i8* %p)",
+        "",
+        f"define {ty} @f(i64 %n) {{",
+        "entry:",
+        *array,
+        "  br label %head",
+        "head:",
+        "  %i = phi i64 [ 0, %entry ], [ %i1, %body ]",
+        f"  %acc = phi {ty} [ {zero}, %entry ], "
+        "[ %acc1, %body ]",
+        "  %more = icmp slt i64 %i, %n",
+        "  br i1 %more, label %body, label %out",
+        "body:",
+        f"  %ik = mul i64 %i, {k}",
+        "  %m = mul i64 %i, 37",
+        "  %s = sub i64 %m, 70",
+        value,
+        f"  %ic = add i64 %ik, {c}",
+        f"  %q = getelementptr {ty}, {ty}* %p, i64 %ic",
+        f"  store {ty} %x, {ty}* %q",
+        f"  %id = add i64 %ik, {d}",
+        f"  %r = getelementptr {ty}, {ty}* %p, i64 %id",
+        f"  %v = load {ty}, {ty}* %r",
+        f"  %acc1 = {add} {ty} %acc, %v",
+        "  %i1 = add i64 %i, 1",
+        "  br label %head",
+        "out:",
+        *(["  call void @free(i8* %raw)"] if freed else []),
+        f"  %last = getelementptr {ty}, {ty}* %p, i64 {d}",
+        f"  %w = load {ty}, {ty}* %last",
+        f"  %sum = {add} {ty} %acc, %w",
+        f"  ret {ty} %sum",
+        "}",
+    ]
+    return "\n".join(lines), trips

@@ -23,6 +23,7 @@ from repro.obs import events
 from repro.obs.telemetry import Telemetry
 from repro.vm import (
     POLICIES,
+    TIERS,
     DecodeError,
     ExecutionEngine,
     StepLimitExceeded,
@@ -35,6 +36,7 @@ from .strategies import (
     build_float_program,
     build_program,
     float_program_specs,
+    memory_programs,
     program_specs,
 )
 
@@ -116,6 +118,26 @@ class TestFloatPrograms:
         oracle = _run_tier(text, "fprog", (a, b), "interp")
         for tier in ("decoded", "jit", "tiered", "speculative"):
             assert _run_tier(text, "fprog", (a, b), tier) == oracle, tier
+
+
+class TestMemoryPrograms:
+    # a divergence needs a view bound by one access and then a wrong
+    # index through it: rarer than an arithmetic one, so more draws
+    @settings(SETTINGS, max_examples=150)
+    @given(program=memory_programs())
+    def test_every_preset_agrees_with_the_oracle(self, program):
+        """Typed views against the oracle's bounds-checked accessors:
+        every element format, on and off the view's grid, in bounds,
+        below, past the end and after ``free``.  Three calls each, so
+        ``tiered`` and ``speculative`` answer on both sides of their
+        promotion."""
+        text, trips = program
+        oracle = _run_tier(text, "f", (trips,), "interp")
+        for tier in TIERS:
+            engine = ExecutionEngine(parse_module(text), tier=tier,
+                                     call_threshold=2)
+            for _ in range(3):
+                assert _outcome(engine, "f", (trips,)) == oracle, tier
 
 
 @pytest.mark.parametrize("tier", THREADED_TIERS)
@@ -283,12 +305,14 @@ class TestThreadedPointerCells:
         assert engine.tier_promotions > 0
 
 
+@pytest.mark.parametrize("tier", ["decoded", "jit"])
 class TestThreadedFree:
-    """``free`` racing JIT'd loops that read through a bound view: four
-    reader threads share a buffer, and the free lands before a reader's
-    bind, between its bind and its first access, or mid-loop.  Every
-    reader sees ``MemoryFault`` and nothing else -- never a value read
-    from freed bytes, never a host error."""
+    """``free`` racing compiled loops that read through a buffer's typed
+    view (bound once in JIT'd code, per access in decoded closures):
+    four reader threads share a buffer, and the free lands before a
+    reader's bind, between its bind and its first access, or mid-loop.
+    Every reader sees ``MemoryFault`` and nothing else -- never a value
+    read from freed bytes, never a host error."""
 
     SRC = """
 define i64 @spin(i64* %p, i64 %n) {
@@ -310,10 +334,10 @@ out:
 """
 
     @pytest.mark.parametrize("delay", [0.0, 1e-4, 1e-3, 2e-2])
-    def test_the_readers_see_only_the_fault(self, delay):
+    def test_the_readers_see_only_the_fault(self, delay, tier):
         from repro.vm import MemoryBuffer, MemoryFault
 
-        engine = ExecutionEngine(parse_module(self.SRC), tier="jit")
+        engine = ExecutionEngine(parse_module(self.SRC), tier=tier)
         engine.run("spin", (MemoryBuffer(64, "warm"), 0), 8)  # compiled
         outcomes = []
 

@@ -17,7 +17,7 @@ import pytest
 from repro.ir import parse_module
 from repro.transform.constfold import round_f32
 from repro.vm import ExecutionEngine, MemoryBuffer, MemoryFault
-from repro.vm.runtime import bind_view, free
+from repro.vm.runtime import bind_view, free, view_fault
 
 ALL_TIERS = ("interp", "decoded", "jit", "tiered", "speculative")
 
@@ -471,3 +471,44 @@ def test_an_index_a_range_fact_proves_non_negative_is_bare():
         engine.run("guarded", (buf, 0), 2)
     with pytest.raises(MemoryFault):  # the bind keeps a negative base off
         engine.run("guarded", (buf, -8), 0)
+
+
+def test_decoded_and_jit_fault_with_one_message():
+    # both compiled tiers index the buffer's typed views and build the
+    # fault with ``runtime.view_fault``: past the end, below the start
+    # and after ``free`` they report the same thing
+    messages = {}
+    for tier in ("decoded", "jit"):
+        engine = _engine(tier)
+        buf = _buffer(1, 2, 3)
+        said = messages[tier] = []
+        for name, *args in (("load_at", (buf, 0), 3),
+                            ("load_at", (buf, 16), 1),
+                            ("load_below", (buf, 0)),
+                            ("load_at", (buf, 8), -2)):
+            with pytest.raises(MemoryFault) as info:
+                engine.run(name, *args)
+            said.append(str(info.value))
+        free((buf, 0))
+        with pytest.raises(MemoryFault) as info:
+            engine.run("load_at", (buf, 0), 1)
+        said.append(str(info.value))
+    assert messages["decoded"] == messages["jit"]
+    assert [text.split(":")[0] for text in messages["jit"]] == [
+        "out-of-bounds access"] * 4 + ["use-after-free"]
+    assert messages["jit"][2].endswith("negative element index")
+
+
+def test_a_value_out_of_a_views_range_is_no_memory_fault():
+    # a typed view refuses an int out of its format's range with a
+    # ``ValueError``, as a released view refuses any access; only the
+    # second is a use-after-free
+    view = memoryview(bytearray(8)).cast("b")
+    with pytest.raises(ValueError) as out_of_range:
+        view[0] = 300
+    assert view_fault(out_of_range.value) is None
+    view.release()
+    with pytest.raises(ValueError) as released:
+        view[0] = 1
+    with pytest.raises(MemoryFault, match="^use-after-free"):
+        view_fault(released.value)

@@ -165,6 +165,124 @@ entry:
         assert engine.run("f", pointer) == pointer
 
 
+@pytest.mark.parametrize("tier", ["interp", "decoded", "jit", "tiered"])
+class TestPutsChecksItsString:
+    """``puts`` reads from its pointer to the first NUL: a pointer below
+    the buffer, into a freed one or null, and a string that runs off the
+    end with no NUL are memory faults, and print nothing."""
+
+    SRC = """
+declare i32 @puts(i8* %s)
+declare void @free(i8* %p)
+
+define i32 @at(i8* %p, i64 %k) {
+entry:
+  %q = getelementptr i8, i8* %p, i64 %k
+  %r = call i32 @puts(i8* %q)
+  ret i32 %r
+}
+
+define i32 @after_free(i8* %p) {
+entry:
+  call void @free(i8* %p)
+  %r = call i32 @puts(i8* %p)
+  ret i32 %r
+}
+
+define i32 @null() {
+entry:
+  %r = call i32 @puts(i8* null)
+  ret i32 %r
+}
+"""
+
+    @staticmethod
+    def _string():
+        from repro.vm import MemoryBuffer
+
+        buf = MemoryBuffer(4, "s")
+        buf.data[:] = b"ab\0z"
+        return (buf, 0)
+
+    def test_in_bounds_prints_to_the_nul(self, tier):
+        engine = ExecutionEngine(parse_module(self.SRC), tier=tier,
+                                 call_threshold=2)
+        string = self._string()
+        for k in (0, 1, 2):
+            assert engine.run("at", string, k) == 0
+        assert engine.stdout.getvalue() == b"ab\nb\n\n"
+
+    def test_bad_strings_fault_and_print_nothing(self, tier):
+        from repro.vm import MemoryFault
+
+        engine = ExecutionEngine(parse_module(self.SRC), tier=tier,
+                                 call_threshold=2)
+        for _ in range(3):  # ``tiered`` promotes on the second call
+            for k in (-2, -1, 3, 4, 5):
+                with pytest.raises(MemoryFault):
+                    engine.run("at", self._string(), k)
+            with pytest.raises(MemoryFault, match="use-after-free"):
+                engine.run("after_free", self._string())
+            with pytest.raises(MemoryFault, match="null pointer"):
+                engine.run("null")
+        assert engine.stdout.getvalue() == b""
+
+
+@pytest.mark.parametrize("tier", ["interp", "decoded", "jit", "tiered"])
+class TestHostIntegersEnterCanonical:
+    """An integer a native returns, or ``engine.run`` passes in, is
+    wrapped into its declared type's range where it enters, as a value
+    computed in IR is: stored to an ``i8``/``i16``/``i32`` slot and
+    loaded back, it reads the same on every tier."""
+
+    SRC = """
+declare i8 @host8()
+declare i32 @host32()
+
+define i8 @native8() {
+entry:
+  %p = alloca i8
+  %v = call i8 @host8()
+  store i8 %v, i8* %p
+  %r = load i8, i8* %p
+  ret i8 %r
+}
+
+define i32 @native32() {
+entry:
+  %p = alloca i32
+  %v = call i32 @host32()
+  store i32 %v, i32* %p
+  %r = load i32, i32* %p
+  ret i32 %r
+}
+
+define i16 @argument16(i16 %v) {
+entry:
+  %p = alloca i16
+  store i16 %v, i16* %p
+  %r = load i16, i16* %p
+  ret i16 %r
+}
+"""
+
+    def test_native_results(self, tier):
+        engine = ExecutionEngine(parse_module(self.SRC), tier=tier,
+                                 call_threshold=2)
+        engine.add_native("host8", lambda: 300)
+        engine.add_native("host32", lambda: 2 ** 32 + 7)
+        for _ in range(3):  # ``tiered`` promotes on the second call
+            assert engine.run("native8") == 44
+            assert engine.run("native32") == 7
+
+    def test_run_arguments(self, tier):
+        engine = ExecutionEngine(parse_module(self.SRC), tier=tier,
+                                 call_threshold=2)
+        for _ in range(3):
+            assert engine.run("argument16", 40000) == 40000 - 2 ** 16
+            assert engine.run("argument16", -1) == -1
+
+
 class TestMixedTiers:
     SRC = """
 define i64 @leaf(i64 %x) {

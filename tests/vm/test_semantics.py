@@ -363,10 +363,11 @@ entry:
     text = "".join(traceback.format_exception(
         info.type, info.value, info.tb))
     # the load feeds the ret, so it runs as that closure's fused thunk;
-    # its bounds check is what meets the null pointer's offset
+    # the null buffer has no view, so its bind's stand-in is what meets
+    # the null pointer's offset
     assert "<decode>/ret/thunk" in text
-    assert "<decode>/load_scalar_val/slot" in text
-    assert "if buf.freed or off < 0" in text
+    assert "<decode>/load_q_val/slot" in text
+    assert "v = view[e]" in text
 
 
 # -- W, the two's-complement wrap ------------------------------------------------

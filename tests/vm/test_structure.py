@@ -1,7 +1,8 @@
 """Structure guard: the tier machinery says each thing once.
 
 One dispatcher over one :class:`PublishBox` per function, one
-compile-and-publish path on the calling thread, one closure skeleton in the decoder, one
+compile-and-publish path on the calling thread, one closure skeleton in
+the decoder, one memory access protocol for the compiled tiers, one
 vocabulary for the state an OSR edge carries, one continuation store.
 Each of these used to exist two to five times, kept in step by hand, and
 the copies drifted (a worker that never read the disk cache, an inline
@@ -204,6 +205,38 @@ def test_tier_up_compiles_on_the_calling_thread():
 def test_decoder_has_no_run_time_operand_shape_test():
     text = (SRC_ROOT / "vm" / "decode.py").read_text()
     assert "is not None else frame[" not in text
+
+
+def test_the_compiled_tiers_leave_the_byte_layout_to_the_runtime():
+    # decoded closures and JIT'd code index a buffer's typed views
+    # (``runtime.bind_view`` off the fast path) and call the oracle's
+    # accessors for the rest, so neither names a struct codec or a
+    # buffer's bytes: not in its own code, not in the source it builds
+    codec = re.compile(r"\b(struct|unpack\w*|pack_into)\b|\.data\b")
+    offenders = []
+    for name in ("decode.py", "jit.py"):
+        tree = _tree(SRC_ROOT / "vm" / name)
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [
+                    alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr, "." + node.attr]
+            elif (isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in docstrings):
+                names = [node.value, "." + node.value]
+            else:
+                continue
+            if any(codec.search(text) for text in names):
+                offenders.append(f"{name}:{node.lineno}: {names[0]!r}")
+    assert not offenders, offenders
 
 
 def test_jit_stamps_locations_at_construction():
