@@ -8,7 +8,7 @@ LLVM passes recompute analyses after mutation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..ir.function import BasicBlock, Function
 

@@ -37,7 +37,6 @@ from ..ir.instructions import (
     AllocaInst,
     CastInst,
     GEPInst,
-    Instruction,
     LoadInst,
     StoreInst,
 )

@@ -60,7 +60,6 @@ def derive_state_mapping(
     vmap,
     variant: Function,
     landing: BasicBlock,
-    am=None,
 ) -> StateMap:
     """Automatically construct the state mapping for an OSR into
     ``variant`` at ``landing``.
@@ -68,8 +67,8 @@ def derive_state_mapping(
     ``live_values`` are the base function's live values at the OSR
     origin (the continuation's parameters, in order); ``vmap`` is the
     base→variant value map the transformation maintained.  The landing
-    state comes from ``am`` (defaulting to the process-wide manager) and
-    is the mapping's key order, so a caller generating the continuation
+    state comes from the process-wide analysis manager and is the
+    mapping's key order, so a caller generating the continuation
     can pass ``list(mapping)`` on as its ``landing_state``.
     """
     # invert the transformation map: variant value -> base value
@@ -80,7 +79,7 @@ def derive_state_mapping(
         return live_index.get(inverse.get(value))
 
     mapping: StateMap = {}
-    for required in required_landing_state(variant, landing, am):
+    for required in required_landing_state(variant, landing):
         index = transferred(required)
         if index is not None:
             mapping[required] = index

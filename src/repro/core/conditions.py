@@ -56,14 +56,13 @@ class HotCounterCondition(OSRCondition):
     #: a threshold no benchmark will ever reach (Q1 never-firing setup)
     NEVER = 1 << 60
 
-    def __init__(self, threshold: int, counter_name: str = "p.osr"):
+    def __init__(self, threshold: int):
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         self.threshold = threshold
-        self.counter_name = counter_name
 
     def emit(self, func: Function, builder: IRBuilder) -> Value:
-        name = self.counter_name
+        name = "p.osr"
         start = builder.const_i64(self.threshold)
         decremented = builder.add(start, builder.const_i64(-1), f"{name}1",
                                   flags=("nsw",))

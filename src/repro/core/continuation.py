@@ -32,7 +32,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
 from ..analysis.cfg import reachable_blocks
-from ..analysis.manager import resolve_manager
+from ..analysis.manager import default_manager
 from ..obs import events as EV
 from ..obs.telemetry import ambient as ambient_telemetry
 from ..ir.builder import IRBuilder
@@ -60,28 +60,28 @@ class _Placeholder(Value):
     __slots__ = ()
 
 
-def required_landing_state(variant: Function, landing: BasicBlock,
-                           am=None) -> List[Value]:
+def required_landing_state(variant: Function,
+                           landing: BasicBlock) -> List[Value]:
     """The values a state mapping must provide: every value of ``variant``
     live at the entry of ``landing`` (including ``landing``'s phis).
 
-    The liveness result comes from ``am`` (defaulting to the process-wide
-    :class:`~repro.analysis.AnalysisManager`), so callers that enumerate
+    The liveness result comes from the process-wide
+    :class:`~repro.analysis.AnalysisManager`, so callers that enumerate
     the landing state and then generate the continuation share one
     computation per variant version."""
-    return resolve_manager(am).liveness(variant).live_at_block_entry(landing)
+    return default_manager().liveness(variant).live_at_block_entry(landing)
 
 
 def join_landing(func: Function, landing: BasicBlock, entry: BasicBlock,
-                 definitions: Iterable[Tuple[Value, Value]], am) -> None:
+                 definitions: Iterable[Tuple[Value, Value]]) -> None:
     """Give ``landing`` a second way in, from ``entry``, along which each
     ``(value, arriving)`` of ``definitions`` holds ``arriving``.
 
     A phi of ``landing`` takes ``arriving`` as one more incoming; any
     other definition gets two-definition SSA repair (an argument counts
-    as defined at the function's entry), the repairs sharing one
-    dominator tree, frontier and predecessor map through ``am`` since phi
-    insertion never changes the CFG.  Landing phis the definitions leave
+    as defined at the function's entry), the repairs sharing one cached
+    dominator tree, frontier and predecessor map since phi insertion
+    never changes the CFG.  Landing phis the definitions leave
     uncovered take ``undef`` (dead ones are pruned by the caller's
     cleanup; live ones mean the state was incomplete)."""
     repairs: List[Tuple[Value, Value]] = []
@@ -94,7 +94,7 @@ def join_landing(func: Function, landing: BasicBlock, entry: BasicBlock,
         if not phi.has_incoming_for(entry):
             phi.add_incoming(UndefValue(phi.type), entry)
     for value, arriving in repairs:
-        updater = SSAUpdater(func, value.type, value.name or "osr", am=am)
+        updater = SSAUpdater(func, value.type, value.name or "osr")
         updater.add_definition(
             value.parent if isinstance(value, Instruction) else func.entry,
             value)
@@ -109,9 +109,7 @@ def generate_continuation(
     mapping: StateMap,
     name: Optional[str] = None,
     module: Optional[Module] = None,
-    verify: bool = True,
     telemetry=None,
-    am=None,
     landing_state: Optional[Sequence[Value]] = None,
 ) -> Function:
     """Build the continuation function ``f'_to``.
@@ -125,8 +123,8 @@ def generate_continuation(
     splitting the block — passes it as ``landing_state`` and the
     completeness check runs against it instead of a second liveness solve.
 
-    The continuation joins the module only once it is built (and, with
-    ``verify``, verified): a mapping that raises, an incomplete mapping
+    The continuation joins the module only once it is built and
+    verified: a mapping that raises, an incomplete mapping
     or a body that fails verification leaves the module as it was.
 
     Generation is traced as an ``osr.continuation`` span (with an
@@ -138,8 +136,8 @@ def generate_continuation(
     with tel.span(EV.OSR_CONTINUATION, variant=variant.name,
                   landing=landing.name, live=len(live_values)):
         return _generate_continuation(
-            variant, landing, live_values, mapping, name, module,
-            verify, tel, resolve_manager(am), landing_state,
+            variant, landing, live_values, mapping, name, module, tel,
+            landing_state,
         )
 
 
@@ -150,9 +148,7 @@ def _generate_continuation(
     mapping: StateMap,
     name: Optional[str],
     module: Optional[Module],
-    verify: bool,
     telemetry,
-    am,
     landing_state: Optional[Sequence[Value]],
 ) -> Function:
     if landing.parent is not variant:
@@ -164,7 +160,7 @@ def _generate_continuation(
         raise OSRError("variant has no module and none was provided")
 
     if landing_state is None:
-        landing_state = required_landing_state(variant, landing, am)
+        landing_state = required_landing_state(variant, landing)
     missing = [v for v in landing_state if v not in mapping]
     if missing:
         names = ", ".join(f"%{v.name}" for v in missing)
@@ -227,13 +223,13 @@ def _generate_continuation(
     landing_clone: BasicBlock = vmap[landing]
     builder.br(landing_clone)
     join_landing(cont, landing_clone, osr_entry,
-                 ((vmap[value], arriving) for value, arriving in carried), am)
+                 ((vmap[value], arriving) for value, arriving in carried))
 
     # -- cleanup ---------------------------------------------------------------------
     eliminate_dead_code(cont)
     # the fresh continuation was rewritten wholesale during construction;
     # retire anything cached against its pre-cleanup body
-    am.invalidate(cont)
+    default_manager().invalidate(cont)
 
     leftovers = [p for p in placeholders if p.is_used()]
     if leftovers:
@@ -244,8 +240,7 @@ def _generate_continuation(
         )
 
     cont.assign_names()
-    if verify:
-        verify_function(cont)
+    verify_function(cont)
     target_module.add_function(cont)
     return cont
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence
 
-from ..analysis.manager import resolve_manager
+from ..analysis.manager import default_manager
 from ..ir import types as T
 from ..ir.builder import IRBuilder
 from ..ir.constexpr import ConstantIntToPtr
@@ -47,16 +47,6 @@ def telemetry_for(engine):
     """The telemetry insertion helpers trace to: the engine's, or the
     ambient telemetry for engine-less callers."""
     return engine.telemetry if engine is not None else ambient_telemetry()
-
-
-def _manager_for(engine, am=None):
-    """The analysis manager insertion helpers consult: an explicit one,
-    else the engine's, else the process-wide default.  Callers passing
-    both an engine and ``am`` should pass the engine's own manager, so
-    the invalidation the engine performs hits the same cache."""
-    if am is not None:
-        return am
-    return resolve_manager(getattr(engine, "analysis", None))
 
 
 def _unwrap_ir(obj):
@@ -124,7 +114,6 @@ class OSRSite(NamedTuple):
 
     function: Function
     engine: Any
-    am: Any
     live_values: List[Value]        #: the state the point transfers
     check_block: BasicBlock         #: ends at the location; gets the check
     continuation_block: BasicBlock  #: starts at the location (not fired)
@@ -135,13 +124,12 @@ class OSRSite(NamedTuple):
 
 
 def open_osr_point(func: Function, location: Instruction, kind: str,
-                   engine=None, am=None,
+                   engine=None,
                    live_values: Optional[List[Value]] = None) -> OSRSite:
     """Open an OSR point before ``location`` — the part every flavour
     shares.  Captures the state (``live_values``; by default the values
-    live before ``location``, from ``am`` — the engine's manager, or the
-    process-wide one — so repeated insertions against one function
-    version share the result), records its width (an ``osr.state_size``
+    live before ``location``, from the process-wide analysis manager, so
+    repeated insertions against one function version share the result), records its width (an ``osr.state_size``
     instant tagged ``kind`` and the ``osr.live_slots`` gauge) and splits
     the block at ``location``.  The check comes with
     :func:`emit_osr_check`, once the flavour has taken what it needs from
@@ -150,9 +138,8 @@ def open_osr_point(func: Function, location: Instruction, kind: str,
     """
     if func.module is None:
         raise OSRError(f"@{func.name} is not inside a module")
-    am = _manager_for(engine, am)
     if live_values is None:
-        live_values = am.liveness(func).live_before(location)
+        live_values = default_manager().liveness(func).live_before(location)
     tel = telemetry_for(engine)
     tel.event(EV.OSR_STATE_SIZE, function=func.name, kind=kind,
               live=len(live_values))
@@ -160,7 +147,7 @@ def open_osr_point(func: Function, location: Instruction, kind: str,
     # live slots means smaller continuation signatures and deopt recipes
     tel.metrics.gauge(EV.OSR_LIVE_SLOTS, len(live_values))
     check_block = location.parent
-    return OSRSite(func, engine, am, live_values, check_block,
+    return OSRSite(func, engine, live_values, check_block,
                    split_block_at(location))
 
 
@@ -207,7 +194,7 @@ def close_osr_point(site: OSRSite, result: Value, verify: bool = True,
     if site.engine is not None:
         site.engine.invalidate(func)  # bumps code_version via the manager
     else:
-        site.am.invalidate(func)
+        default_manager().invalidate(func)
 
 
 def insert_resolved_osr_point(
@@ -219,8 +206,6 @@ def insert_resolved_osr_point(
     mapping: Optional[StateMap] = None,
     cont_name: Optional[str] = None,
     engine=None,
-    verify: bool = True,
-    am=None,
 ) -> ResolvedOSR:
     """Insert a resolved OSR point before ``location`` (Figure 2).
 
@@ -233,8 +218,7 @@ def insert_resolved_osr_point(
     ``f'``, the landing block ``L'`` and a state mapping (a ``dict``, see
     :mod:`repro.core.continuation`) covering the live-in state of ``L'``
     (with compensation code as needed).  The continuation is verified
-    whole, ``func`` on the blocks the insertion touched (``verify=False``
-    skips both).
+    whole, ``func`` on the blocks the insertion touched.
 
     Insertion is traced as an ``osr.insert`` span (kind ``resolved``) on
     the engine's telemetry (ambient when no engine is given), and the
@@ -252,7 +236,7 @@ def insert_resolved_osr_point(
         elif landing is None or mapping is None:
             raise OSRError("an explicit variant requires landing and mapping")
 
-        site = open_osr_point(func, location, "resolved", engine, am)
+        site = open_osr_point(func, location, "resolved", engine)
         live_values, landing_state = site.live_values, None
         if variant is None:
             # f' = f: land on the lower half, in the state just captured
@@ -262,14 +246,13 @@ def insert_resolved_osr_point(
         continuation = generate_continuation(
             variant, landing, live_values, mapping,
             name=cont_name or f"{variant.name}to",
-            module=func.module, verify=verify, telemetry=tel, am=site.am,
-            landing_state=landing_state,
+            module=func.module, telemetry=tel, landing_state=landing_state,
         )
         continuation.attributes["osr.entrypoint"] = "resolved"
         site = emit_osr_check(site, condition)
         call = site.builder.call(continuation, live_values, "osr.res",
                                  tail=True)
-        close_osr_point(site, call, verify)
+        close_osr_point(site, call)
         return ResolvedOSR(func, continuation, variant, site.osr_block,
                            site.continuation_block, live_values)
 
@@ -402,8 +385,6 @@ def insert_open_osr_point(
     env: Any = None,
     val: Optional[Value] = None,
     use_stub: bool = True,
-    verify: bool = True,
-    am=None,
 ) -> OpenOSR:
     """Insert an open OSR point before ``location`` (Figure 3).
 
@@ -429,7 +410,7 @@ def insert_open_osr_point(
         if val is not None and not val.type.is_pointer:
             raise OSRError(
                 f"open-OSR val must be pointer-typed, got {val.type}")
-        site = open_osr_point(func, location, "open", engine, am)
+        site = open_osr_point(func, location, "open", engine)
         gen_function, gen_block = _pristine_twin(site)
         site = emit_osr_check(site, condition)
         live_values = site.live_values
@@ -460,12 +441,12 @@ def insert_open_osr_point(
                 builder, func, live_values, generator, env, engine,
                 gen_function, gen_block, val_i8,
             )
-        close_osr_point(site, call, verify)
+        close_osr_point(site, call)
         return OpenOSR(func, stub, site.osr_block, site.continuation_block,
                        live_values)
 
 
-def remove_osr_point(point, engine=None, am=None) -> Function:
+def remove_osr_point(point, engine=None) -> Function:
     """Undo an OSR instrumentation (de-instrumentation).
 
     Retargets the firing branch so the check block falls through
@@ -501,5 +482,5 @@ def remove_osr_point(point, engine=None, am=None) -> Function:
     if engine is not None:
         engine.invalidate(func)  # bumps code_version via the manager
     else:
-        _manager_for(engine, am).invalidate(func)
+        default_manager().invalidate(func)
     return func

@@ -22,7 +22,7 @@ design and ``repro.experiments.ablation`` quantifies for this one.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..analysis.cfg import predecessor_map
 from ..ir import types as T
@@ -76,8 +76,6 @@ def insert_mcosr_point(
     location: Instruction,
     condition: OSRCondition,
     engine=None,
-    verify: bool = True,
-    am=None,
 ) -> McOSRPoint:
     """Insert a McOSR-style OSR point before ``location``.
 
@@ -87,13 +85,11 @@ def insert_mcosr_point(
     the fired path first.
 
     Insertion is traced as an ``osr.insert`` span (kind ``mcosr``) on the
-    engine's telemetry (ambient when no engine is given); liveness comes
-    from ``am`` (defaulting to the engine's analysis manager).
+    engine's telemetry (ambient when no engine is given).
     """
     with telemetry_for(engine).span(EV.OSR_INSERT, function=func.name,
                                     kind="mcosr"):
-        return _insert_mcosr_point(func, location, condition, engine,
-                                   verify, am)
+        return _insert_mcosr_point(func, location, condition, engine)
 
 
 def _insert_mcosr_point(
@@ -101,8 +97,6 @@ def _insert_mcosr_point(
     location: Instruction,
     condition: OSRCondition,
     engine,
-    verify: bool,
-    am,
 ) -> McOSRPoint:
     block = location.parent
     preds = predecessor_map(func)[block]
@@ -112,11 +106,10 @@ def _insert_mcosr_point(
             f"two predecessors (%{block.name} has {len(preds)})"
         )
 
-    site = open_osr_point(func, location, "mcosr", engine, am)
+    site = open_osr_point(func, location, "mcosr", engine)
     module = func.module
     live_values = site.live_values
     landing = site.continuation_block
-    am = site.am
 
     # -- global pool -----------------------------------------------------------
     flag = GlobalVariable(T.i1, module.unique_name(f"{func.name}.osr.flag"),
@@ -164,9 +157,9 @@ def _insert_mcosr_point(
     call = builder.call(func, dummy_args, "osr.res")
 
     # -- the landing pad's second way in, from osr.restore ---------------------
-    join_landing(func, landing, restore, zip(live_values, restored), am)
+    join_landing(func, landing, restore, zip(live_values, restored))
 
     # the new entry and the repairs reach well beyond the site
-    close_osr_point(site, call, verify, whole=True)
+    close_osr_point(site, call, whole=True)
     return McOSRPoint(func, flag, pool, site.osr_block, landing)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from ..analysis.manager import resolve_manager
+from ..analysis.manager import default_manager
 from ..core import HotCounterCondition, insert_resolved_osr_point
 from ..obs import events as EV
 from ..obs import local_telemetry
@@ -57,8 +57,7 @@ def _instrument(module, benchmark, engine, threshold: int):
     location = q2_location(module, benchmark)
     func = location.function
     # shares the cached liveness with the OSR insertion right below
-    am = resolve_manager(getattr(engine, "analysis", None))
-    live = am.liveness(func).live_before(location)
+    live = default_manager().liveness(func).live_before(location)
     result = insert_resolved_osr_point(
         func, location, HotCounterCondition(threshold), engine=engine
     )

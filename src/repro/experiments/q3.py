@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from ..analysis.manager import resolve_manager
+from ..analysis.manager import default_manager
 from ..core import (
     HotCounterCondition,
     insert_open_osr_point,
@@ -166,7 +166,7 @@ def run_q3_state(level: str = "unoptimized",
     benchmark module."""
     from ..transform.passmanager import scalarize_pass
 
-    am = resolve_manager(None)
+    am = default_manager()
     rows: List[Q3StateRow] = []
     benchmarks = all_benchmarks() if names is None else [
         SUITE[name] for name in names

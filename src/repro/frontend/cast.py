@@ -7,7 +7,7 @@ values, which lower onto :mod:`repro.ir.types` in codegen.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 
 class CType:

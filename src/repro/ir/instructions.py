@@ -12,18 +12,15 @@ can rewrite live values, fix phi nodes and drop dead code safely.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .types import (
     ArrayType,
-    FloatType,
     FunctionType,
-    IntType,
     PointerType,
     StructType,
     Type,
     i1,
-    i64,
     void,
 )
 from .values import Constant, User, Value

@@ -11,7 +11,7 @@ function body has been read.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import types as T
 from .function import BasicBlock, Function, Module

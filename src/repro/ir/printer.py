@@ -36,18 +36,7 @@ from .instructions import (
     SwitchInst,
     UnreachableInst,
 )
-from .values import (
-    Argument,
-    ConstantArray,
-    ConstantFloat,
-    ConstantInt,
-    ConstantNull,
-    ConstantString,
-    GlobalValue,
-    GlobalVariable,
-    UndefValue,
-    Value,
-)
+from .values import GlobalVariable, Value
 
 
 def typed_ref(value: Value) -> str:

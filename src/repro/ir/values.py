@@ -9,19 +9,12 @@ elimination and OSR live-variable rewriting are cheap and safe.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .types import (
-    FloatType,
-    FunctionType,
-    IntType,
-    PointerType,
-    Type,
-    i1,
-)
+from .types import FloatType, IntType, PointerType, Type, i1
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
-    from .function import BasicBlock, Function
+    from .function import Function
 
 
 class Value:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.manager import resolve_manager
+from ..analysis.manager import default_manager
 from ..ir import types as T
 from ..ir.builder import IRBuilder
 from ..ir.function import BasicBlock, Function, Module
@@ -70,10 +70,9 @@ class IIRCompiler:
     """
 
     def __init__(self, module: Module, version_oracle=None,
-                 object_table=None, analysis_manager=None):
+                 object_table=None):
         self.module = module
         self.version_oracle = version_oracle
-        self.analysis_manager = analysis_manager
         self._object_table_ref = object_table
         self._output_name: Optional[str] = None
         self.builder = IRBuilder()
@@ -146,7 +145,7 @@ class IIRCompiler:
         if into is not None:
             # compiling into a pre-registered shell rewrites a function
             # other code may already have analyzed — retire stale entries
-            resolve_manager(self.analysis_manager).invalidate(func)
+            default_manager().invalidate(func)
         result = CompiledVersion(func, info, dict(self._slots),
                                  dict(self._loop_headers))
         self._function = None

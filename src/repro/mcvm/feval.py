@@ -198,7 +198,7 @@ def _insert_feval_osr_point(
     close_osr_point(site, call, verify=False)
     # lift the frame into SSA form: the osr block's loads melt into the
     # values live at the loop header
-    promote_memory_to_registers(func, am=engine.analysis)
+    promote_memory_to_registers(func)
     func.assign_names()
     verify_function(func)
     engine.invalidate(func)
@@ -312,15 +312,14 @@ def make_feval_optimizer(vm, env: FevalOSREnv):
         # unboxing/boxing across representation changes (Figure 9)
         mapping = _build_state_mapping(vm, env, variant, landing)
 
-        am = vm.engine.analysis
         continuation = generate_continuation(
             variant.ir_function, landing,
             _live_value_specs(env), mapping,
             name=f"{variant.ir_function.name}_cont",
-            module=vm.module, telemetry=vm.engine.telemetry, am=am,
+            module=vm.module, telemetry=vm.engine.telemetry,
         )
-        promote_memory_to_registers(continuation, am=am)
-        optimize_function(continuation, "optimized", am=am)
+        promote_memory_to_registers(continuation)
+        optimize_function(continuation, "optimized")
         vm.engine.invalidate(continuation)
         return vm.engine.handle_for(continuation)
 
@@ -367,8 +366,7 @@ def _build_state_mapping(vm, env: FevalOSREnv, variant: CompiledVersion,
     slot_names = {slot: name for name, slot in variant.var_slots.items()}
     mapping: StateMap = {}
 
-    for value in required_landing_state(variant.ir_function, landing,
-                                        am=vm.engine.analysis):
+    for value in required_landing_state(variant.ir_function, landing):
         if not isinstance(value, AllocaInst):
             raise OSRError(
                 f"unexpected non-alloca live value %{value.name} at "

@@ -9,7 +9,7 @@ in deoptimization scenarios.  Values are Python floats plus
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..vm.runtime import fdiv, fpow
 from . import mcast as M

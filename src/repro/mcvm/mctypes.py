@@ -20,16 +20,13 @@ specialization wins back.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .mcast import (
     AssignStmt,
     BinOp,
-    BreakStmt,
     CallExpr,
-    ContinueStmt,
     Expr,
-    ExprStmt,
     FevalExpr,
     ForStmt,
     FuncHandle,
@@ -37,7 +34,6 @@ from .mcast import (
     IfStmt,
     McFunction,
     Num,
-    ReturnStmt,
     Stmt,
     UnaryOp,
     WhileStmt,

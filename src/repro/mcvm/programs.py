@@ -15,7 +15,7 @@ call — the paper's upper-bound configuration (Table 4, last column).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Tuple
+from typing import Dict, NamedTuple
 
 #: the ODE right-hand side: heat treating (Newton cooling toward 20 C)
 _RHS = """

@@ -105,7 +105,6 @@ class McVM:
             self.module,
             version_oracle=self._version_oracle,
             object_table=self.engine.object_table,
-            analysis_manager=self.engine.analysis,
         )
         self.stats["versions_compiled"] += 1
         return compiler.compile(function, info, ir_name,
@@ -155,10 +154,8 @@ class McVM:
                     self.stats["osr_points"] += 1
                     instrumented = True
         if not instrumented:
-            promote_memory_to_registers(compiled.ir_function,
-                                        am=self.engine.analysis)
-            optimize_function(compiled.ir_function, "optimized",
-                              am=self.engine.analysis)
+            promote_memory_to_registers(compiled.ir_function)
+            optimize_function(compiled.ir_function, "optimized")
             self.engine.invalidate(compiled.ir_function)
         return compiled
 
@@ -169,7 +166,9 @@ class McVM:
         get/JIT its all-boxed version, call it with boxed values."""
         self.stats["feval_dispatches"] += 1
         version = self.compile_version(name, (BOXED,) * len(boxed_args))
-        result = self.engine.call(version.ir_function, boxed_args)
+        # all-boxed parameters: no integer to canonicalize, so the
+        # engine's inner entry (``engine.call`` wraps int arguments)
+        result = self.engine._call(version.ir_function, boxed_args)
         if version.info.return_class == DOUBLE:
             return mc_box(result)
         return result

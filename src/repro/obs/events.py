@@ -36,7 +36,6 @@ name                      kind   emitted when
 ``spec.pinned``           event  the thrash limit pinned a function to baseline
 ``deopt.guard_fail``      event  a specialization's entry check (or a feval guard) missed
 ``deopt.exit``            event  a miss continued in compiled code (``call``/``external``)
-``deopt.invalidate``      event  an invalidation cascaded to a dependent version
 ``analysis.cache_hit``    event  the analysis manager served a cached result
 ``analysis.cache_miss``   event  an analysis was (re)computed and cached
 ``analysis.invalidate``   event  a rewrite dropped/migrated cached analyses
@@ -87,7 +86,6 @@ SPEC_RESPECIALIZE = "spec.respecialize"
 SPEC_PINNED = "spec.pinned"
 DEOPT_GUARD_FAIL = "deopt.guard_fail"
 DEOPT_EXIT = "deopt.exit"
-DEOPT_INVALIDATE = "deopt.invalidate"
 ANALYSIS_CACHE_HIT = "analysis.cache_hit"
 ANALYSIS_CACHE_MISS = "analysis.cache_miss"
 ANALYSIS_INVALIDATE = "analysis.invalidate"
@@ -130,7 +128,6 @@ INSTANT_NAMES = frozenset({
     SPEC_PINNED,
     DEOPT_GUARD_FAIL,
     DEOPT_EXIT,
-    DEOPT_INVALIDATE,
     ANALYSIS_CACHE_HIT,
     ANALYSIS_CACHE_MISS,
     ANALYSIS_INVALIDATE,

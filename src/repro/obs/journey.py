@@ -38,7 +38,7 @@ JOURNEY_EVENTS = frozenset({
     EV.FEVAL_SPECIALIZE, EV.FEVAL_CACHE_HIT, EV.FEVAL_GUARD_FAIL,
     EV.SPEC_SPECIALIZE, EV.SPEC_DISPATCH, EV.SPEC_RESPECIALIZE,
     EV.SPEC_PINNED,
-    EV.DEOPT_GUARD_FAIL, EV.DEOPT_EXIT, EV.DEOPT_INVALIDATE,
+    EV.DEOPT_GUARD_FAIL, EV.DEOPT_EXIT,
 })
 
 

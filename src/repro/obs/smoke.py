@@ -13,7 +13,7 @@ exported Chrome document.  A healthy VM produces at least ``tier.promote``,
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .events import validate_events
 from .export import chrome_trace_events, validate_chrome_trace, write_chrome_trace

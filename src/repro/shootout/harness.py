@@ -9,10 +9,10 @@ and execute the workload.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..frontend import compile_c
-from ..ir.function import Function, Module
+from ..ir.function import Module
 from ..transform import PassManager
 from ..vm import ExecutionEngine
 from .programs import SUITE, Benchmark

@@ -14,7 +14,7 @@ questions exercise — is preserved.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 
 class Benchmark(NamedTuple):

@@ -133,8 +133,6 @@ class SpeculationManager:
             return None
         state.versions[(arg_index, value)] = version
         engine.add_native(version.miss.name, self._miss_native(state, version))
-        # rewriting the baseline must cascade to every version of it
-        engine.add_invalidation_dependency(state.baseline, version.function)
         return version
 
     def _code(self, version: SpecializedVersion) -> Callable:
@@ -243,17 +241,18 @@ class SpeculationManager:
 
     def on_invalidate(self, func: Function) -> None:
         """The baseline's body was rewritten: every version speculated
-        from it is stale (the engine's invalidation cascade already
-        retired their code), so its clone, miss declaration and miss
-        native go too.  A stale reference to a version's code keeps its
-        miss native, which calls the rewritten body; feedback restarts
-        from scratch."""
+        from it is stale (its code, stored against the baseline's compile
+        generation, is already retired), so its clone, the clone's cached
+        analyses, miss declaration and miss native go too.  A stale
+        reference to a version's code keeps its miss native, which calls
+        the rewritten body; feedback restarts from scratch."""
         state = self._states.get(func.name)
         if state is None:
             return
         engine = self.engine
         for version in state.versions.values():
             engine.remove_native(version.miss.name)
+            engine.analysis.forget(version.function)
             engine.module.remove_function(version.function)
             engine.module.remove_function(version.miss)
         state.versions.clear()

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 import shlex
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .core import (
     HotCounterCondition,

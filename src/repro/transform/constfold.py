@@ -16,7 +16,6 @@ from ..ir.function import Function
 from ..ir.instructions import (
     BinaryInst,
     CastInst,
-    CondBranchInst,
     FCmpInst,
     ICmpInst,
     Instruction,

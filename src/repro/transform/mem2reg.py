@@ -14,12 +14,12 @@ optimization applied before OSR instrumentation in the Q1/Q2 experiments.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..analysis.cfg import reachable_blocks
 from ..analysis.manager import resolve_manager
 from ..ir.function import BasicBlock, Function
-from ..ir.instructions import AllocaInst, Instruction, LoadInst, PhiInst, StoreInst
+from ..ir.instructions import AllocaInst, LoadInst, PhiInst, StoreInst
 from ..ir.values import UndefValue, Value
 
 

@@ -11,12 +11,10 @@ The subset of LLVM's simplifycfg the pipeline needs:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..analysis.cfg import predecessor_map, remove_unreachable_blocks
 from ..ir.builder import IRBuilder
-from ..ir.function import BasicBlock, Function
-from ..ir.instructions import BranchInst, CondBranchInst, PhiInst
+from ..ir.function import Function
+from ..ir.instructions import BranchInst, CondBranchInst
 from ..ir.values import ConstantInt
 
 

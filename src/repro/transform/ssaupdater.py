@@ -11,10 +11,10 @@ definitions meet.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..analysis.dominators import DominatorTree
-from ..analysis.manager import resolve_manager
+from ..analysis.manager import default_manager
 from ..ir.function import BasicBlock, Function
 from ..ir.instructions import Instruction, PhiInst
 from ..ir.types import Type
@@ -32,12 +32,10 @@ class SSAUpdater:
         updater.rewrite_uses_of(old_value)   # or rewrite_use per use
     """
 
-    def __init__(self, func: Function, type: Type, name_hint: str = "ssa",
-                 am=None):
+    def __init__(self, func: Function, type: Type, name_hint: str = "ssa"):
         self.function = func
         self.type = type
         self.name_hint = name_hint
-        self._am = am
         self._defs: Dict[BasicBlock, Value] = {}
         self._domtree: Optional[DominatorTree] = None
         self._placed_phis: Dict[BasicBlock, PhiInst] = {}
@@ -58,7 +56,7 @@ class SSAUpdater:
         # manager's cached tree — and the frontier and predecessor map it
         # carries — survives a sequence of updater rounds (continuation
         # generation runs one per repaired value)
-        self._domtree = resolve_manager(self._am).dominator_tree(self.function)
+        self._domtree = default_manager().dominator_tree(self.function)
         frontier = self._domtree.dominance_frontier()
 
         # iterated dominance frontier of the def blocks

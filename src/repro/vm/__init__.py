@@ -38,7 +38,7 @@ from .runtime import (
 # them, as the engine itself imports them
 __getattr__ = lazy_exports(__name__, {
     "decode": ("DecodedFunction", "DecodeError", "decode_function"),
-    "interpreter": ("Interpreter", "StepLimitExceeded"),
+    "interpreter": ("Interpreter",),
 })
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "Interpreter",
     "Trap",
     "MemoryFault",
-    "StepLimitExceeded",
     "JITError",
     "CompiledCode",
     "codegen_function",

@@ -95,7 +95,7 @@ from ..ir.instructions import (
     UnreachableInst,
 )
 from ..ir.values import Constant, Value
-from .interpreter import StepLimitExceeded, const_value
+from .interpreter import const_value
 from .runtime import (
     ACCESS_ERRORS,
     VIEW_FORMATS,
@@ -324,9 +324,7 @@ class _Decoder:
                 raise DecodeError(
                     f"unconsumed fused producer in %{block.name}"
                 )
-            # weight is the IR instruction count, not the closure count:
-            # fusion must not change step-limit accounting or profiling
-            # granularity
+            # weight is the IR instruction count, not the closure count
             decoded_blocks.append((steps, term, len(insts) + 1))
 
         return DecodedFunction(
@@ -610,7 +608,7 @@ class _Decoder:
         if not isinstance(callee, Function):
             raise DecodeError(f"cannot decode call of {callee!r}")
         arg_slots = tuple(self.slot_of(a) for a in inst.args)
-        call = self.engine.call
+        call = self.engine._call
         if inst.type.is_void:
 
             def call_void(frame):
@@ -639,6 +637,10 @@ class _Decoder:
 
             return icall_void
         dst = self.slot_of(inst)
+        entry = native_result(inst)
+        if entry is not None:  # the row, over the call as a thunk
+            return closure_factory(entry, (True,))(dst, lambda frame: (
+                call_value(frame[target], [frame[s] for s in arg_slots])))
 
         def icall(frame):
             frame[dst] = call_value(
@@ -654,8 +656,8 @@ class DecodedFunction:
     ``blocks[i]`` is ``(steps, terminator, weight)`` where ``steps`` are
     closures over the frame, ``terminator`` applies the out-edge's phi
     parallel copy and returns the next block index (or :data:`RETURN`),
-    and ``weight`` is the number of interpreter steps the block accounts
-    for (used by the step limit).
+    and ``weight`` is the number of IR instructions the block accounts
+    for (fused or not; its phis excluded, its terminator included).
 
     ``fusion`` holds the per-function superinstruction counts from decode
     time (``cmp_br``, ``op_chain``, ``phi_copy``).
@@ -710,36 +712,22 @@ class DecodedFunction:
             for buf in frame[0]:
                 free((buf, 0))
 
-    def run_counted(self, args, step_limit: Optional[int] = None,
-                    profile=None) -> Any:
-        """Execute with a step budget and/or hotness profiling.
-
-        The step limit is enforced at block granularity (each block
-        charges its instruction count up front), so overruns are detected
-        within one basic block of the tree-walker's per-instruction check.
-        Back edges (transitions to a block at the same or smaller index)
-        increment ``profile.backedges`` for tier-up decisions.
-        """
+    def run_counted(self, args, profile) -> Any:
+        """Execute with hotness profiling: back edges (transitions to a
+        block at the same or smaller index) increment
+        ``profile.backedges`` for tier-up decisions."""
         frame = self._frame(args)
         blocks = self.blocks
         index = 0
-        steps_used = 0
-        name = self.name
         try:
             while True:
-                steps, term, weight = blocks[index]
-                if step_limit is not None:
-                    steps_used += weight
-                    if steps_used > step_limit:
-                        raise StepLimitExceeded(
-                            f"exceeded {step_limit} steps in @{name}"
-                        )
+                steps, term, _ = blocks[index]
                 for step in steps:
                     step(frame)
                 next_index = term(frame)
                 if next_index < 0:
                     return frame[1]
-                if profile is not None and next_index <= index:
+                if next_index <= index:
                     profile.backedges += 1
                 index = next_index
         finally:

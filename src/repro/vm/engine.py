@@ -85,26 +85,26 @@ class TierPolicy(NamedTuple):
     baseline: str            #: where it starts: interp | decoded | jit
     promote: bool            #: JIT hot code on the calling thread
     speculate: bool          #: argument feedback + entry-checked specialization
-    label: str               #: dispatcher thunk prefix (names its frames)
 
 
-#: the tier presets
+#: the tier presets; a promoting preset's key also names its dispatcher's
+#: frames
 POLICIES: Dict[str, TierPolicy] = {
     # Python-codegen, compiled on first call
-    "jit": TierPolicy("jit", False, False, "jit"),
+    "jit": TierPolicy("jit", False, False),
     # the tree-walking reference interpreter (semantic oracle)
-    "interp": TierPolicy("interp", False, False, "interp"),
+    "interp": TierPolicy("interp", False, False),
     # the pre-decoded closure interpreter: same semantics, no per-step
     # dispatch cost
-    "decoded": TierPolicy("decoded", False, False, "decoded"),
+    "decoded": TierPolicy("decoded", False, False),
     # mixed mode: decoded with call/backedge counters, promoted to the JIT
     # on the calling thread when the TierProfiler thresholds trip — the
     # profile-driven tier-up the paper's OSR machinery assumes
-    "tiered": TierPolicy("decoded", True, False, "tiered"),
+    "tiered": TierPolicy("decoded", True, False),
     # tiered plus argument-value feedback: a promoted function with
     # monomorphic arguments runs a specialization whose entry check calls
     # into the speculation policy when the guess breaks
-    "speculative": TierPolicy("decoded", True, True, "speculative"),
+    "speculative": TierPolicy("decoded", True, True),
 }
 
 #: valid values for the engine-wide and per-function tier setting
@@ -238,11 +238,9 @@ class ExecutionEngine:
     """Compile-and-run environment for a module."""
 
     def __init__(self, module: Module, tier: str = "tiered",
-                 interp_step_limit: Optional[int] = None,
                  call_threshold: int = DEFAULT_CALL_THRESHOLD,
                  backedge_threshold: int = DEFAULT_BACKEDGE_THRESHOLD,
-                 telemetry=None, analysis_manager=None,
-                 flight: bool = False, disk_cache=None):
+                 telemetry=None, flight: bool = False, disk_cache=None):
         if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r}")
         self.module = module
@@ -283,7 +281,6 @@ class ExecutionEngine:
         #: publication of the callee, re-pointed at a trampoline on its
         #: invalidation, and dropped with the owner's invalidation
         self._patched: Dict[str, List[Tuple[dict, str, Optional[str]]]] = {}
-        self._interp_step_limit = interp_step_limit
         #: per-function tier overrides (function name -> tier)
         self._tier_overrides: Dict[str, str] = {}
         #: statistics: per-function call counts (profiling substrate)
@@ -306,22 +303,16 @@ class ExecutionEngine:
         #: the single stats surface: cache/tier counters and event
         #: counts are one namespace, the telemetry's registry
         self.metrics = self.telemetry.metrics
-        #: cached IR analyses (liveness/dominators/loops), shared
-        #: process-wide by default so OSR insertion, speculation and the
-        #: transforms all hit one cache; pass ``analysis_manager=`` for a
-        #: private one
-        self.analysis = (analysis_manager if analysis_manager is not None
-                         else default_manager())
+        #: cached IR analyses (liveness/dominators/loops/ranges): the
+        #: process-wide manager, so OSR insertion, speculation, the
+        #: transforms and code generation all hit one cache
+        self.analysis = default_manager()
         #: tier-up machinery
         self.profiler = TierProfiler(call_threshold, backedge_threshold)
         #: the speculation manager, created lazily by
         #: :meth:`_init_speculation` (the first speculating dispatcher);
         #: None while the engine never speculates
         self.spec_manager = None
-        #: invalidation-dependency edges: rewriting ``source`` must also
-        #: invalidate every ``dependent`` compiled against it (function
-        #: name -> dependent Functions), e.g. specializations
-        self._invalidation_deps: Dict[str, List[Function]] = {}
         self._install_default_natives()
 
     # -- read-only counter views over the metrics registry ---------------------
@@ -497,11 +488,12 @@ class ExecutionEngine:
             # ``__call__`` would be one more frame per call
             self._compiled[func.name] = native.callable
             return native.callable
-        policy = self._policy(func)
+        tier = self._tier(func)
+        policy = POLICIES[tier]
         if not policy.promote:
             compiled = self._baseline(func, policy.baseline)
         else:
-            compiled = self._make_dispatcher(func, policy)
+            compiled = self._make_dispatcher(func, tier)
         compiled = self._osr_fire_probe(func, compiled)
         self.metrics.inc("engine.compile")
         self._compiled[func.name] = compiled
@@ -524,8 +516,8 @@ class ExecutionEngine:
 
         return _mark_thunk(fired, "osrfire", func, wrapped=compiled)
 
-    def _policy(self, func: Function) -> TierPolicy:
-        return POLICIES[self._tier_overrides.get(func.name, self.tier)]
+    def _tier(self, func: Function) -> str:
+        return self._tier_overrides.get(func.name, self.tier)
 
     def _baseline(self, func: Function, kind: str,
                   profiled: bool = False) -> Callable:
@@ -570,13 +562,11 @@ class ExecutionEngine:
             from .interpreter import Interpreter
 
             def run(*args):
-                interp = Interpreter(self, step_limit=self._interp_step_limit)
-                return interp.run_function(func, list(args))
+                return Interpreter(self).run_function(func, list(args))
 
             return _mark_thunk(run, "interp", func)
 
-        limit = self._interp_step_limit
-        if not profiled and limit is None:
+        if not profiled:
             run = decoded.run
 
             def run_fast(*args):
@@ -584,18 +574,14 @@ class ExecutionEngine:
 
             return _mark_thunk(run_fast, "decoded", func, wrapped=run)
 
-        if profiled:
-            profile = self.profiler.profile_for(func.name)
+        profile = self.profiler.profile_for(func.name)
 
-            def run_counted(*args):
-                return decoded.run_counted(args, limit, profile)
-        else:
-            def run_counted(*args):
-                return decoded.run_counted(args, limit)
+        def run_counted(*args):
+            return decoded.run_counted(args, profile)
 
         return _mark_thunk(run_counted, "decoded", func)
 
-    def _make_dispatcher(self, func: Function, policy: TierPolicy) -> Callable:
+    def _make_dispatcher(self, func: Function, tier: str) -> Callable:
         """The one dispatcher of every promoting policy: the path a call
         takes before promotion — count the call, take the
         :meth:`_promote` step once a threshold trips, stay on the
@@ -614,6 +600,7 @@ class ExecutionEngine:
         demoted in place to fresh counters.
         """
         name = func.name
+        policy = POLICIES[tier]
         profiler = self.profiler
         profile = profiler.profile_for(name)
         box = self._boxes[name] = PublishBox(self.compile_generation(name))
@@ -645,7 +632,7 @@ class ExecutionEngine:
                 return published(*args)
             return cold(*args)
 
-        return _mark_thunk(dispatch, policy.label, func)
+        return _mark_thunk(dispatch, tier, func)
 
     def _promote(self, func: Function, profile, box: PublishBox) -> None:
         """The one promote step, on the calling thread: latch the
@@ -729,7 +716,7 @@ class ExecutionEngine:
                     or box.value is not None):
                 return False
             compiled = artifact.instantiate(self, func)
-            if self._policy(func).speculate:
+            if POLICIES[self._tier(func)].speculate:
                 compiled = self.spec_manager.on_promote(func, compiled)
             self._route(func, box, compiled)  # the atomic publish
             # stamp the profile whose counters tripped and report
@@ -836,14 +823,6 @@ class ExecutionEngine:
 
             self.spec_manager = SpeculationManager(self)
 
-    def add_invalidation_dependency(self, source: Function,
-                                    dependent: Function) -> None:
-        """Record that invalidating ``source`` must cascade to
-        ``dependent`` (a compiled version speculating on ``source``)."""
-        deps = self._invalidation_deps.setdefault(source.name, [])
-        if dependent not in deps:
-            deps.append(dependent)
-
     def set_tier(self, func: Function, tier: str) -> None:
         """Pin one function to a tier (mixed-mode execution).
 
@@ -873,8 +852,10 @@ class ExecutionEngine:
         profiler, trampoline-patched caller namespaces (and the records
         of the slots its own dropped code owned), the compile generation
         (bumped, so a promotion of the old body compiling on another
-        thread can never install), the function handle, dependent
-        specializations, and the speculation manager.
+        thread can never install), the function handle, and the
+        speculation manager (which retires the function's specialized
+        versions: their code is in the continuation store, stamped with
+        this function's generation).
         """
         with self._lock:
             # stamp first: any in-flight compile of the old body becomes
@@ -912,13 +893,6 @@ class ExecutionEngine:
             for namespace, slot, owner in self._patched.pop(func.name, ()):
                 namespace[slot] = self.lazy_trampoline(
                     func, namespace, slot, owner)
-            # cascade to dependent compiled versions (specializations)
-            dependents = self._invalidation_deps.pop(func.name, None)
-            if dependents:
-                for dependent in dependents:
-                    tel.event(EV.DEOPT_INVALIDATE, function=func.name,
-                              dependent=dependent.name)
-                    self.invalidate(dependent)
             if self.spec_manager is not None:
                 self.spec_manager.on_invalidate(func)
 
@@ -956,7 +930,18 @@ class ExecutionEngine:
     # -- calling in ------------------------------------------------------------------------
 
     def call(self, func: Function, args: List[Any]):
-        """Call an IR function (by object) with runtime argument values.
+        """Call an IR function (by object) with host argument values.  An
+        integer argument is wrapped into its parameter type's canonical
+        range, as a value computed in IR would be."""
+        args = list(args)
+        for index, param in enumerate(func.args[:len(args)]):
+            if isinstance(param.type, T.IntType):
+                args[index] = param.type.wrap(args[index])
+        return self._call(func, args)
+
+    def _call(self, func: Function, args: List[Any]):
+        """:meth:`call` with arguments already canonical: how the decoded
+        tier and the tree-walker reach a callee.
 
         With a telemetry attached, each call's end-to-end latency folds
         into the ``engine.dispatch`` timer — histogram-backed, so
@@ -990,15 +975,8 @@ class ExecutionEngine:
         raise Trap(f"call of non-callable value {target!r}")
 
     def run(self, name: str, *args):
-        """Convenience: call a module function by name.  An integer
-        argument is wrapped into its parameter type's canonical range,
-        as a value computed in IR would be."""
-        func = self.module.get_function(name)
-        args = list(args)
-        for index, arg in enumerate(func.args[:len(args)]):
-            if isinstance(arg.type, T.IntType):
-                args[index] = arg.type.wrap(args[index])
-        return self.call(func, args)
+        """Convenience: :meth:`call` a module function by name."""
+        return self.call(self.module.get_function(name), args)
 
     # -- statistics ---------------------------------------------------------------------
 

@@ -30,7 +30,6 @@ from ..ir.instructions import (
     IndirectCallInst,
     Instruction,
     LoadInst,
-    PhiInst,
     RetInst,
     SelectInst,
     StoreInst,
@@ -38,7 +37,6 @@ from ..ir.instructions import (
     UnreachableInst,
 )
 from ..ir.values import (
-    Argument,
     Constant,
     ConstantFloat,
     ConstantInt,
@@ -66,14 +64,6 @@ from .runtime import (
     pointer_compare,
     store_scalar,
 )
-
-
-class StepLimitExceeded(Exception):
-    """Raised when an execution exceeds the configured step budget.
-
-    Property-based tests use this to bound randomly generated programs
-    that may loop forever.
-    """
 
 
 def const_value(engine, value: Constant):
@@ -111,10 +101,8 @@ class Interpreter:
     call each other freely).
     """
 
-    def __init__(self, engine, step_limit: Optional[int] = None):
+    def __init__(self, engine):
         self.engine = engine
-        self.step_limit = step_limit
-        self.steps = 0
 
     # -- operand evaluation ---------------------------------------------------
 
@@ -153,14 +141,6 @@ class Interpreter:
                         frame[id(phi)] = val
 
                 for inst in block.instructions[block.first_non_phi_index:]:
-                    self.steps += 1
-                    if (
-                        self.step_limit is not None
-                        and self.steps > self.step_limit
-                    ):
-                        raise StepLimitExceeded(
-                            f"exceeded {self.step_limit} steps in @{func.name}"
-                        )
                     result = self._execute(inst, frame, allocas)
                     if isinstance(result, _Return):
                         return result.value
@@ -241,7 +221,7 @@ class Interpreter:
 
         if isinstance(inst, CallInst):
             args = [ev(a, frame) for a in inst.args]
-            result = self.engine.call(inst.callee, args)
+            result = self.engine._call(inst.callee, args)
             callee = inst.callee
             if (isinstance(inst.type, T.IntType)
                     and isinstance(callee, Function)
@@ -253,7 +233,11 @@ class Interpreter:
         if isinstance(inst, IndirectCallInst):
             target = ev(inst.callee, frame)
             args = [ev(a, frame) for a in inst.args]
-            return self.engine.call_value(target, args)
+            result = self.engine.call_value(target, args)
+            if isinstance(inst.type, T.IntType):
+                # the callee may be a native: its int enters canonical
+                return inst.type.wrap(result)
+            return result
 
         if isinstance(inst, RetInst):
             value = ev(inst.value, frame) if inst.value is not None else None

@@ -80,7 +80,6 @@ from ..ir.instructions import (
     IndirectCallInst,
     Instruction,
     LoadInst,
-    PhiInst,
     RetInst,
     SelectInst,
     StoreInst,
@@ -89,7 +88,6 @@ from ..ir.instructions import (
 )
 from ..ir.values import (
     Argument,
-    Constant,
     ConstantFloat,
     ConstantInt,
     ConstantNull,
@@ -487,7 +485,7 @@ class CompiledCode:
 #: cache would keep serving the old code); part of both the disk-cache
 #: key and the embedded payload, so old entries are rejected instead of
 #: misread
-DISK_FORMAT_VERSION = 7
+DISK_FORMAT_VERSION = 8
 
 #: marshal data version 2: versions >= 3 emit identity-based
 #: back-references for repeated objects, making the byte stream depend
@@ -1056,6 +1054,9 @@ class FunctionCompiler:
 
         if isinstance(inst, IndirectCallInst):
             call = _call(e(inst.callee), *(e(a) for a in inst.args))
+            entry = native_result(inst)
+            if entry is not None and name:
+                call = instantiate(entry, [lambda: call])
             return [_assign(name, call) if name else _expr_stmt(call)]
 
         if isinstance(inst, RetInst):

@@ -44,7 +44,7 @@ import math
 import struct
 import sys
 import threading
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 from ..ir import types as T
 

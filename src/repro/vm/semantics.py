@@ -80,6 +80,7 @@ from ..ir.instructions import (
     FCmpInst,
     GEPInst,
     ICmpInst,
+    IndirectCallInst,
     Instruction,
 )
 from ..ir.values import ConstantInt, Value
@@ -299,14 +300,17 @@ def scalar_entry(inst: Instruction, facts=None) -> Optional[Entry]:
 
 
 def native_result(inst: Instruction) -> Optional[Entry]:
-    """The row a direct call of a declaration applies to its integer
-    result: the callee is a native, host code that may return any int,
-    and the value enters the frame in its type's canonical range as a
-    computed one does (a typed view refuses an int out of its format's
-    range).  ``None`` for any other call or result."""
-    if (isinstance(inst, CallInst) and isinstance(inst.callee, Function)
-            and inst.callee.is_declaration
-            and isinstance(inst.type, T.IntType)):
+    """The row a call that may reach a native applies to its integer
+    result: a direct call of a declaration, or any indirect call (the
+    pointer may be a native's).  Host code may return any int, and the
+    value enters the frame in its type's canonical range as a computed
+    one does (a typed view refuses an int out of its format's range).
+    ``None`` for any other call or result."""
+    if not isinstance(inst.type, T.IntType):
+        return None
+    if isinstance(inst, IndirectCallInst) or (
+            isinstance(inst, CallInst) and isinstance(inst.callee, Function)
+            and inst.callee.is_declaration):
         return Entry("call.native", "W(a)", False, inst.type.bits)
     return None
 

@@ -241,22 +241,28 @@ class TestTelemetryAgreement:
         assert counters.get("analysis.invalidate", 0) == stats["invalidations"]
 
     def test_engine_snapshot_exposes_manager_stats(self):
+        """An engine's ``analysis`` block is the process-wide manager's
+        stats, and what the engine's work adds to them the trace's
+        counters see one-for-one."""
+        from repro.obs import trace
         from repro.vm import ExecutionEngine
 
-        tel = Telemetry()
-        am = AnalysisManager(telemetry=tel)
+        manager = default_manager()
         module = parse_module(LOOP)
-        engine = ExecutionEngine(module, tier="jit", telemetry=tel,
-                                 analysis_manager=am)
-        assert engine.analysis is am
-        assert engine.run("sumto", 10) == sum(range(11))
-        engine.invalidate(module.get_function("sumto"))
-        am.liveness(module.get_function("sumto"))
+        with trace() as tel:
+            engine = ExecutionEngine(module, tier="jit")
+            assert engine.analysis is manager
+            before = manager.stats()
+            assert engine.run("sumto", 10) == sum(range(11))
+            engine.invalidate(module.get_function("sumto"))
+            manager.liveness(module.get_function("sumto"))
+            snapshot = engine.stats_snapshot()["analysis"]
 
-        snapshot = engine.stats_snapshot()["analysis"]
-        assert snapshot == am.stats()
+        assert snapshot == manager.stats()
         counters = tel.metrics.snapshot()["counters"]
-        assert counters.get("analysis.cache_hit", 0) == snapshot["hits"]
-        assert counters.get("analysis.cache_miss", 0) == snapshot["misses"]
-        assert (counters.get("analysis.invalidate", 0)
-                == snapshot["invalidations"])
+        assert snapshot["misses"] > before["misses"]
+        assert snapshot["invalidations"] > before["invalidations"]
+        for key, counter in (("hits", "analysis.cache_hit"),
+                             ("misses", "analysis.cache_miss"),
+                             ("invalidations", "analysis.invalidate")):
+            assert counters.get(counter, 0) == snapshot[key] - before[key]

@@ -85,12 +85,11 @@ def _derived(func, location, condition, engine, tel):
     live = engine.analysis.liveness(func).live_before(location)
     variant, vmap = clone_function(func, f"{func.name}.v")
     landing = vmap[location.parent]
-    mapping = derive_state_mapping(live, vmap, variant, landing,
-                                   engine.analysis)
+    mapping = derive_state_mapping(live, vmap, variant, landing)
     insert_resolved_osr_point(func, location, condition, variant=variant,
                               landing=landing, mapping=mapping,
                               engine=engine)
-    return len(required_landing_state(variant, landing, engine.analysis))
+    return len(required_landing_state(variant, landing))
 
 
 def _open(func, location, condition, engine, tel):
@@ -165,8 +164,7 @@ def test_optimized_clone_osrs_back_at_every_loop_header(name, function,
     location = landing.instructions[landing.first_non_phi_index]
     live = engine.analysis.liveness(clone).live_before(location)
     inverse = {copy: original for original, copy in vmap.items()}
-    mapping = derive_state_mapping(live, inverse, func, header,
-                                   engine.analysis)
+    mapping = derive_state_mapping(live, inverse, func, header)
     insert_resolved_osr_point(clone, location, HotCounterCondition(1),
                               variant=func, landing=header,
                               mapping=mapping, engine=engine)

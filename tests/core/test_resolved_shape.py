@@ -6,7 +6,7 @@ values as the reference interpreter."""
 
 import pytest
 
-from repro.analysis import AnalysisManager
+from repro.analysis import default_manager
 from repro.core import (
     HotCounterCondition,
     insert_mcosr_point,
@@ -36,9 +36,9 @@ def first_non_phi(block):
 # -- what an insertion costs the module and the manager --------------------------
 
 
-def test_default_insertion_solves_liveness_once(module):
+def test_default_insertion_solves_liveness_once(module, monkeypatch):
     func = build_sum_loop(module)
-    manager = AnalysisManager()
+    manager = default_manager()
     asked = []
     get = manager.get
 
@@ -46,10 +46,9 @@ def test_default_insertion_solves_liveness_once(module):
         asked.append((name, function.name))
         return get(name, function, _asked)
 
-    manager.get = recording_get
+    monkeypatch.setattr(manager, "get", recording_get)
     insert_resolved_osr_point(
-        func, first_non_phi(func.get_block("loop")), HotCounterCondition(10),
-        am=manager)
+        func, first_non_phi(func.get_block("loop")), HotCounterCondition(10))
     assert [entry for entry in asked if entry[0] == "liveness"] == [
         ("liveness", "sum")]
 

@@ -113,3 +113,96 @@ def test_verifier_does_not_import_the_analyses():
     assert "repro.ir.function.BasicBlock" in imported
     assert not [name for name in imported
                 if (name + ".").startswith("repro.analysis.")]
+
+
+def _module_of(path: Path) -> str:
+    """Dotted name of a Python file: ``src/`` files as the package
+    imports them, every other file relative to the repository root."""
+    base = ROOT / "src" if (ROOT / "src") in path.parents else ROOT
+    parts = path.relative_to(base).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _source_of(node: ast.ImportFrom, module: str, package: bool) -> str:
+    """The absolute module a ``from ... import`` reads from."""
+    if not node.level:
+        return node.module
+    base = module.split(".") if package else module.split(".")[:-1]
+    base = base[:len(base) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _taken_from_elsewhere():
+    """``(module, name)`` for each name some file imports from
+    ``module`` with ``from module import name``, and each name a
+    package's lazy export table re-exports from one of its modules."""
+    taken = set()
+    for path in ROOT.rglob("*.py"):
+        if ".git" in path.parts:
+            continue
+        module = _module_of(path)
+        package = path.name == "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                source = _source_of(node, module, package)
+                taken.update((source, alias.name) for alias in node.names)
+            elif (package and isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "lazy_exports"):
+                table = ast.literal_eval(node.args[1])
+                taken.update((f"{module}.{submodule}", name)
+                             for submodule, names in table.items()
+                             for name in names)
+    return taken
+
+
+def _names_read(tree: ast.AST):
+    """Every name the module reads, string annotations included."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read |= _names_read(ast.parse(node.value, mode="eval"))
+    return read
+
+
+def _unused_imports(path: Path, taken) -> list:
+    module = _module_of(path)
+    tree = ast.parse(path.read_text())
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__"
+                        for target in node.targets)):
+            exported |= set(ast.literal_eval(node.value))
+    read = _names_read(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if (name not in read and name not in exported
+                        and (module, name) not in taken):
+                    unused.append(f"{path.relative_to(ROOT)}:"
+                                  f"{node.lineno}: {name}")
+    return unused
+
+
+def test_src_imports_nothing_it_never_reads():
+    # a package's ``__init__.py`` imports to re-export, so it is exempt;
+    # so is a name another module imports from the one that imports it
+    taken = _taken_from_elsewhere()
+    unused = [line
+              for path in sorted((ROOT / "src").rglob("*.py"))
+              if path.name != "__init__.py"
+              for line in _unused_imports(path, taken)]
+    assert unused == []

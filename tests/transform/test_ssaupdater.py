@@ -209,9 +209,10 @@ out:
 
 
 def test_updaters_of_one_function_share_the_frontier():
-    """The dominance frontier and predecessor map live on the manager's
-    cached tree: a run of repairs computes them once."""
-    from repro.analysis import AnalysisManager
+    """The dominance frontier and predecessor map live on the
+    process-wide manager's cached tree: a run of repairs computes them
+    once."""
+    from repro.analysis import default_manager
 
     func = parse_function("""
 define i64 @f(i64 %n) {
@@ -229,11 +230,11 @@ join:
   ret i64 %use
 }
 """)
-    manager = AnalysisManager()
+    manager = default_manager()
     tree = manager.dominator_tree(func)
     assert tree.dominance_frontier() is tree.dominance_frontier()
     for value in func.get_block("a").instructions[:2]:
-        updater = SSAUpdater(func, T.i64, value.name, am=manager)
+        updater = SSAUpdater(func, T.i64, value.name)
         updater.add_definition(func.get_block("a"), value)
         updater.add_definition(func.get_block("b"), ConstantInt(T.i64, 0))
         updater.rewrite_uses_of(value)

@@ -8,7 +8,6 @@ from repro.vm import (
     DecodeError,
     DecodedFunction,
     ExecutionEngine,
-    StepLimitExceeded,
     Trap,
     codegen_function,
     decode_function,
@@ -62,21 +61,13 @@ class TestDecodedFunction:
         func.bump_code_version()
         assert decoded.version != func.code_version
 
-    def test_step_limit_at_block_granularity(self):
-        engine, module = _engine(LOOP, tier="decoded",
-                                 interp_step_limit=30)
-        with pytest.raises(StepLimitExceeded):
-            engine.run("sumto", 1000)
-        # short runs fit under the same limit
-        assert engine.run("sumto", 1) == 1
-
     def test_backedge_profile_counts_loop_iterations(self):
         from repro.vm import FunctionProfile
 
         engine, module = _engine(LOOP, tier="decoded")
         decoded = decode_function(module.get_function("sumto"), engine)
         profile = FunctionProfile("sumto")
-        decoded.run_counted([25], None, profile)
+        decoded.run_counted([25], profile)
         assert profile.backedges >= 25
 
 

@@ -512,19 +512,3 @@ entry:
         engine.invalidate(func)
         assert engine.run("f") == 2
 
-    def test_interp_step_limit(self):
-        src = """
-define void @spin() {
-entry:
-  br label %loop
-loop:
-  br label %loop
-}
-"""
-        from repro.vm import StepLimitExceeded
-
-        module = parse_module(src)
-        engine = ExecutionEngine(module, tier="interp",
-                                 interp_step_limit=1000)
-        with pytest.raises(StepLimitExceeded):
-            engine.run("spin")

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.ir import parse_module
-from repro.vm import ExecutionEngine
+from repro.vm import TIERS, ExecutionEngine
 from repro.vm.engine import ObjectTable
 
 
@@ -228,16 +228,40 @@ entry:
         assert engine.stdout.getvalue() == b""
 
 
-@pytest.mark.parametrize("tier", ["interp", "decoded", "jit", "tiered"])
+@pytest.mark.parametrize("tier", TIERS)
 class TestHostIntegersEnterCanonical:
-    """An integer a native returns, or ``engine.run`` passes in, is
-    wrapped into its declared type's range where it enters, as a value
-    computed in IR is: stored to an ``i8``/``i16``/``i32`` slot and
-    loaded back, it reads the same on every tier."""
+    """An integer a native returns, directly or through a function
+    pointer, or ``engine.run``/``engine.call`` passes in, is wrapped into
+    its declared type's range where it enters, as a value computed in IR
+    is: stored to an ``i8``/``i16``/``i32``/``i64`` slot and loaded back,
+    it reads the same on every tier."""
 
     SRC = """
 declare i8 @host8()
 declare i32 @host32()
+
+define i8 @apply8(i8 ()* %fp) {
+entry:
+  %p = alloca i8
+  %v = call i8 %fp()
+  store i8 %v, i8* %p
+  %r = load i8, i8* %p
+  ret i8 %r
+}
+
+define i8 @through_pointer() {
+entry:
+  %r = call i8 @apply8(i8 ()* @host8)
+  ret i8 %r
+}
+
+define i64 @stored64(i64 %v) {
+entry:
+  %p = alloca i64
+  store i64 %v, i64* %p
+  %r = load i64, i64* %p
+  ret i64 %r
+}
 
 define i8 @native8() {
 entry:
@@ -271,16 +295,20 @@ entry:
                                  call_threshold=2)
         engine.add_native("host8", lambda: 300)
         engine.add_native("host32", lambda: 2 ** 32 + 7)
-        for _ in range(3):  # ``tiered`` promotes on the second call
+        for _ in range(6):  # past promotion and speculation's decision
             assert engine.run("native8") == 44
             assert engine.run("native32") == 7
+            assert engine.run("through_pointer") == 44
 
     def test_run_arguments(self, tier):
-        engine = ExecutionEngine(parse_module(self.SRC), tier=tier,
-                                 call_threshold=2)
-        for _ in range(3):
+        module = parse_module(self.SRC)
+        engine = ExecutionEngine(module, tier=tier, call_threshold=2)
+        stored64 = module.get_function("stored64")
+        for _ in range(6):
             assert engine.run("argument16", 40000) == 40000 - 2 ** 16
             assert engine.run("argument16", -1) == -1
+            assert engine.call(stored64, [2 ** 64 + 5]) == 5
+            assert engine.call(stored64, [2 ** 63]) == -2 ** 63
 
 
 class TestMixedTiers:

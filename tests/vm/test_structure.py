@@ -413,3 +413,40 @@ def test_the_engine_serves_one_caller():
     lines = sum(len(path.read_text().splitlines())
                 for path in (SRC_ROOT / "serve").glob("*.py"))
     assert lines <= 400, f"serve/ is {lines} lines"
+
+
+def test_one_analysis_manager_and_no_unset_settings():
+    """The settings no caller set are gone: every insertion and
+    continuation is verified, every consumer reads the process-wide
+    analysis manager, and no tier bounds a run's steps."""
+    import inspect
+
+    import repro.vm as vm
+    from repro import core
+    from repro.analysis import default_manager
+    from repro.mcvm import IIRCompiler
+    from repro.vm import POLICIES, ExecutionEngine, Interpreter
+    from repro.vm.decode import DecodedFunction
+
+    def parameters(function):
+        return set(inspect.signature(function).parameters)
+
+    assert not {"interp_step_limit", "analysis_manager"} & parameters(
+        ExecutionEngine.__init__)
+    assert "step_limit" not in parameters(Interpreter.__init__)
+    assert parameters(DecodedFunction.run_counted) == {"self", "args",
+                                                       "profile"}
+    assert "analysis_manager" not in parameters(IIRCompiler.__init__)
+    for name in ("open_osr_point", "insert_resolved_osr_point",
+                 "insert_open_osr_point", "remove_osr_point",
+                 "insert_mcosr_point", "generate_continuation",
+                 "required_landing_state", "derive_state_mapping"):
+        taken = parameters(getattr(core, name))
+        assert "am" not in taken and "verify" not in taken, name
+    assert "verify" in parameters(core.close_osr_point)
+    assert parameters(core.HotCounterCondition.__init__) == {"self",
+                                                             "threshold"}
+    assert all(policy._fields == ("baseline", "promote", "speculate")
+               for policy in POLICIES.values())
+    assert not hasattr(vm, "StepLimitExceeded")
+    assert ExecutionEngine(repro.ir.Module("m")).analysis is default_manager()
