@@ -15,9 +15,10 @@ test suite holds them to it:
   construction, re-checked here);
 * `ret` types match the function signature.
 
-Cost model.  Every pass of the optimizing pipeline is verified after it
-runs, so the verifier is on the compile path, and one call is linear in
-the function plus its dominator computation:
+Cost model.  The pass manager verifies each IR state a pipeline
+produces once — after every step that changed the function, or once at
+the end if none did — so the verifier is on the compile path, and one
+call is linear in the function plus its dominator computation:
 
 * each block's terminator is scanned once, into a successor map that the
   successor check, the predecessor map and the reachability DFS share;
@@ -52,12 +53,17 @@ _SSA_LEAVES = (Constant, Argument, BasicBlock)
 class VerificationError(Exception):
     """Raised when a function violates an IR invariant."""
 
-    def __init__(self, function: Function, problems: List[str]):
+    def __init__(self, function: Function, problems: List[str],
+                 where: str = ""):
+        # ``where`` says where a pipeline produced the state, e.g. "after
+        # pass 'constfold' (step 3 of 8)"
         self.function = function
         self.problems = problems
         details = "\n  ".join(problems)
+        at = f" {where}" if where else ""
         super().__init__(
-            f"function @{function.name} failed verification:\n  {details}"
+            f"function @{function.name} failed verification{at}:\n"
+            f"  {details}"
         )
 
 

@@ -9,6 +9,13 @@ folding the ``code_version`` bump into the invalidation path: a pass
 that changed nothing returns ``PreservedAnalyses.all()`` and the
 function keeps its version (and its compiled artifacts).
 
+The manager verifies each IR state a pipeline produces once: after every
+step that reports a change, or once at the end when no step changed the
+function.  That rests on the ``all()`` contract — a step that returns it
+leaves the IR byte-identical (``tests/properties/test_preservation.py``
+checks the claim on every step of every pipeline), so verifying after it
+would only repeat the verdict on the state before it.
+
 Standard pipelines bundle the passes the way the paper's experiments do
 (``mem2reg`` only for the *unoptimized* tier, ``-O1``-like for the
 *optimized* tier).
@@ -24,7 +31,7 @@ from ..analysis.manager import (
     resolve_manager,
 )
 from ..ir.function import Function, Module
-from ..ir.verifier import verify_function
+from ..ir.verifier import VerificationError, verify_function
 from .constfold import fold_constants
 from .dce import (
     eliminate_dead_blocks,
@@ -132,17 +139,20 @@ PIPELINES: Dict[str, List[str]] = {
 
 
 class PassManager:
-    """Runs a sequence of function passes, optionally verifying after
-    each step (the test suite always verifies).
+    """Runs a sequence of function passes and verifies every IR state
+    they produce.
 
     Passes are registry names or ``(func, am)`` callables.  After each
     pass the analysis manager invalidates whatever the pass did not
-    preserve; a pass returning ``PreservedAnalyses.all()`` costs no
-    version bump.
+    preserve; a pass returning ``PreservedAnalyses.all()`` changed
+    nothing, so it costs neither a version bump nor a verification.  A
+    step that reports a change (anything but ``all()``, or no
+    ``PreservedAnalyses`` at all) is verified straight after it, and a
+    function no step changed is verified once at the end: every function
+    :meth:`run` returns has been verified as it is returned.
     """
 
-    def __init__(self, passes: Sequence[Union[str, Callable]],
-                 verify: bool = True):
+    def __init__(self, passes: Sequence[Union[str, Callable]]):
         unknown = [p for p in passes
                    if isinstance(p, str) and p not in PASSES]
         if unknown:
@@ -155,28 +165,41 @@ class PassManager:
             PASSES[p] if isinstance(p, str) else p
             for p in passes
         ]
-        self.verify = verify
 
     @classmethod
-    def pipeline(cls, name: str, verify: bool = True) -> "PassManager":
-        return cls(PIPELINES[name], verify=verify)
+    def pipeline(cls, name: str) -> "PassManager":
+        return cls(PIPELINES[name])
 
     def run(self, func: Function, am: AnalysisManager = None) -> Function:
         am = resolve_manager(am)
-        for pass_fn in self._passes:
+        steps = len(self._passes)
+        changed = False
+        for step, (name, pass_fn) in enumerate(
+                zip(self.pass_names, self._passes), 1):
             preserved = pass_fn(func, am)
             if not isinstance(preserved, PreservedAnalyses):
                 # a pass that forgot its return value gives no
                 # guarantees: treat it as preserving nothing
                 preserved = PreservedAnalyses.none()
-            if self.verify:
-                verify_function(func)
-            if not preserved.preserves_all:
-                # the IR changed shape: bump the version (stale
-                # decoded/JIT artifacts keyed on the old one must not be
-                # reused) and drop the analyses the pass clobbered
-                am.invalidate(func, preserved)
+            if preserved.preserves_all:
+                continue
+            changed = True
+            # a new IR state: verify it, then bump the version (stale
+            # decoded/JIT artifacts keyed on the old one must not be
+            # reused) and drop the analyses the pass clobbered
+            self._verify(func,
+                         f"after pass {name!r} (step {step} of {steps})")
+            am.invalidate(func, preserved)
+        if not changed:
+            self._verify(func, "on input (no pass changed it)")
         return func
+
+    @staticmethod
+    def _verify(func: Function, where: str) -> None:
+        try:
+            verify_function(func)
+        except VerificationError as exc:
+            raise VerificationError(func, exc.problems, where) from None
 
     def run_module(self, module: Module, am: AnalysisManager = None
                    ) -> Module:

@@ -324,8 +324,7 @@ class _Decoder:
                 raise DecodeError(
                     f"unconsumed fused producer in %{block.name}"
                 )
-            # weight is the IR instruction count, not the closure count
-            decoded_blocks.append((steps, term, len(insts) + 1))
+            decoded_blocks.append((steps, term))
 
         return DecodedFunction(
             func, tuple(decoded_blocks), tuple(self._template), arg_slots,
@@ -653,11 +652,10 @@ class _Decoder:
 class DecodedFunction:
     """The decoded form of one IR function, bound to one engine.
 
-    ``blocks[i]`` is ``(steps, terminator, weight)`` where ``steps`` are
-    closures over the frame, ``terminator`` applies the out-edge's phi
-    parallel copy and returns the next block index (or :data:`RETURN`),
-    and ``weight`` is the number of IR instructions the block accounts
-    for (fused or not; its phis excluded, its terminator included).
+    ``blocks[i]`` is ``(steps, terminator)`` where ``steps`` are
+    closures over the frame and ``terminator`` applies the out-edge's
+    phi parallel copy and returns the next block index (or
+    :data:`RETURN`).
 
     ``fusion`` holds the per-function superinstruction counts from decode
     time (``cmp_br``, ``op_chain``, ``phi_copy``).
@@ -702,7 +700,7 @@ class DecodedFunction:
         index = 0
         try:
             while True:
-                steps, term, _ = blocks[index]
+                steps, term = blocks[index]
                 for step in steps:
                     step(frame)
                 index = term(frame)
@@ -721,7 +719,7 @@ class DecodedFunction:
         index = 0
         try:
             while True:
-                steps, term, _ = blocks[index]
+                steps, term = blocks[index]
                 for step in steps:
                     step(frame)
                 next_index = term(frame)

@@ -930,35 +930,32 @@ class ExecutionEngine:
     # -- calling in ------------------------------------------------------------------------
 
     def call(self, func: Function, args: List[Any]):
-        """Call an IR function (by object) with host argument values.  An
-        integer argument is wrapped into its parameter type's canonical
-        range, as a value computed in IR would be."""
+        """Call an IR function (by object) with host argument values: the
+        top-level entry.  An integer argument is wrapped into its
+        parameter type's canonical range, as a value computed in IR
+        would be.
+
+        Each call counts once in :attr:`call_counts`, whatever tier runs
+        it and however its callees are reached.  With a telemetry
+        attached, its end-to-end latency folds into the
+        ``engine.dispatch`` timer — histogram-backed, so ``p50/p99``
+        dispatch latency comes straight out of
+        ``stats_snapshot()["timers"]``.  A :class:`Trap` escaping it is a
+        flight-recorder anomaly: the ring is dumped before the exception
+        propagates, preserving the events that led up to it.  On a
+        sinkless telemetry the extra cost is one attribute check.
+        """
         args = list(args)
         for index, param in enumerate(func.args[:len(args)]):
             if isinstance(param.type, T.IntType):
                 args[index] = param.type.wrap(args[index])
-        return self._call(func, args)
-
-    def _call(self, func: Function, args: List[Any]):
-        """:meth:`call` with arguments already canonical: how the decoded
-        tier and the tree-walker reach a callee.
-
-        With a telemetry attached, each call's end-to-end latency folds
-        into the ``engine.dispatch`` timer — histogram-backed, so
-        ``p50/p99`` dispatch latency comes straight out of
-        ``stats_snapshot()["timers"]``.  A :class:`Trap` escaping a
-        top-level call is a flight-recorder anomaly: the ring is dumped
-        before the exception propagates, preserving the events that led
-        up to it.  On a sinkless telemetry the extra cost is one
-        attribute check.
-        """
         self.call_counts[func.name] = self.call_counts.get(func.name, 0) + 1
         tel = self.telemetry
         if not tel.enabled:
-            return self.get_compiled(func)(*args)
+            return self._call(func, args)
         start = time.perf_counter()
         try:
-            return self.get_compiled(func)(*args)
+            return self._call(func, args)
         except Trap:
             flight = tel.flight
             if flight is not None:
@@ -967,6 +964,13 @@ class ExecutionEngine:
         finally:
             self.metrics.record_time(EV.ENGINE_DISPATCH,
                                      time.perf_counter() - start)
+
+    def _call(self, func: Function, args: List[Any]):
+        """The bare inner entry, with arguments already canonical: how the
+        decoded tier, the tree-walker and McVM's feval dispatch reach a
+        callee.  It counts and times nothing, as a JIT'd caller calling
+        its callee's slot does not."""
+        return self.get_compiled(func)(*args)
 
     def call_value(self, target, args: List[Any]):
         """Call a runtime callee value (function handle, native, ...)."""

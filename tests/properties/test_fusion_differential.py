@@ -5,8 +5,7 @@ semantics: they must agree with the tree-walking oracle on results,
 traps and memory faults — across the shootout suite and over generated
 programs.  Resolved OSR points planted at loop headers must keep firing
 when the surrounding compare/branch and operand chains are fused, since
-block weights count IR instructions and the OSR check block stays a
-block boundary.
+the hot counter is IR and the OSR check block stays a block boundary.
 """
 
 

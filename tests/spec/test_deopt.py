@@ -101,14 +101,24 @@ class TestSpeculativeTier:
         assert _counter(engine, EV.DEOPT_GUARD_FAIL) == 1
         assert _counter(engine, EV.DEOPT_EXIT) == 1
 
-    def test_a_miss_calls_compiled_code_not_the_engine(self):
-        """The miss continues in the plain code: no fresh engine.call of
-        the baseline, and the specialization stays published."""
+    def test_a_miss_calls_compiled_code_not_the_engine(self, monkeypatch):
+        """The miss continues in the plain code: the engine is entered
+        once, by the top-level call, and the specialization stays
+        published."""
         engine, func = _engine()
         _warm(engine)
-        before = engine.call_counts.get("poly", 0)
-        engine.run("poly", 9, 25)
-        assert engine.call_counts.get("poly", 0) == before + 1
+        entered = Counter()
+        inner = engine._call
+
+        def spy(callee, args):
+            entered[callee.name] += 1
+            return inner(callee, args)
+
+        # ``engine.call`` enters ``_call``, and so would a miss path
+        # that re-entered the engine
+        monkeypatch.setattr(engine, "_call", spy)
+        assert engine.run("poly", 9, 25) == _expected(9, 25)
+        assert entered["poly"] == 1
         state = engine.spec_manager.state_for(func)
         assert state.active_version is not None
         assert engine.get_compiled(func) is engine.continuations()[

@@ -8,7 +8,8 @@ import pytest
 
 from repro.ir import parse_module
 from repro.transform import PassManager
-from repro.vm import ExecutionEngine, MemoryFault, Trap
+from repro.obs import events
+from repro.vm import TIERS, ExecutionEngine, MemoryFault, Trap
 
 from ..conftest import make_i64_array
 
@@ -512,3 +513,30 @@ entry:
         engine.invalidate(func)
         assert engine.run("f") == 2
 
+
+NESTED = """
+define i64 @leaf(i64 %x) {
+entry:
+  %y = add i64 %x, 1
+  ret i64 %y
+}
+
+define i64 @top(i64 %x) {
+entry:
+  %a = call i64 @leaf(i64 %x)
+  %b = call i64 @leaf(i64 %a)
+  ret i64 %b
+}
+"""
+
+
+@pytest.mark.parametrize("preset", TIERS)
+def test_call_counts_and_dispatch_count_top_level_calls(preset):
+    # a nested IR call is no top-level call on any tier: the decoded
+    # tier and the tree-walker reach ``leaf`` through the engine, JIT'd
+    # code through its slot, and neither is counted or timed
+    engine = ExecutionEngine(parse_module(NESTED), tier=preset, flight=True)
+    assert engine.run("top", 5) == 7
+    assert engine.call_counts == {"top": 1}
+    timers = engine.stats_snapshot()["timers"]
+    assert timers[events.ENGINE_DISPATCH]["count"] == 1

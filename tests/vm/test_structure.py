@@ -416,8 +416,8 @@ def test_the_engine_serves_one_caller():
 
 
 def test_one_analysis_manager_and_no_unset_settings():
-    """The settings no caller set are gone: every insertion and
-    continuation is verified, every consumer reads the process-wide
+    """The settings no caller set are gone: every insertion, continuation
+    and pass pipeline is verified, every consumer reads the process-wide
     analysis manager, and no tier bounds a run's steps."""
     import inspect
 
@@ -425,6 +425,7 @@ def test_one_analysis_manager_and_no_unset_settings():
     from repro import core
     from repro.analysis import default_manager
     from repro.mcvm import IIRCompiler
+    from repro.transform import PassManager
     from repro.vm import POLICIES, ExecutionEngine, Interpreter
     from repro.vm.decode import DecodedFunction
 
@@ -449,4 +450,6 @@ def test_one_analysis_manager_and_no_unset_settings():
     assert all(policy._fields == ("baseline", "promote", "speculate")
                for policy in POLICIES.values())
     assert not hasattr(vm, "StepLimitExceeded")
+    assert "verify" not in parameters(PassManager.__init__)
+    assert "verify" not in parameters(PassManager.pipeline)
     assert ExecutionEngine(repro.ir.Module("m")).analysis is default_manager()
